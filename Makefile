@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet test race alloc-gate bench bench-diff bench-smoke bench-gate sspcheck predecode-sweep fastforward-sweep hotpath-sweep safety-sweep threaded-sweep fuzz-smoke cover serve-smoke serve-load tune-smoke tune-bench table2 table2-check
+.PHONY: check fmt vet test race alloc-gate bench-module bench bench-diff bench-smoke bench-gate sspcheck predecode-sweep fastforward-sweep hotpath-sweep safety-sweep threaded-sweep fuzz-smoke cover serve-smoke serve-load tune-smoke tune-bench table2 table2-check
 
 # check is the full gate: formatting, vet, the test suite under the race
 # detector (the concurrent experiment engine is exercised by internal/exp's
@@ -11,8 +11,17 @@ GO ?= go
 # the 32-seed speculation-safety sweep (static budget certificates, dynamic
 # budget oracle, adversarial mutants), the 200-seed threaded-core
 # equivalence sweep, and a short native-fuzzing smoke of the parser, the
-# adaptation tool, and the threaded execution core.
-check: fmt vet race alloc-gate sspcheck fastforward-sweep hotpath-sweep safety-sweep threaded-sweep fuzz-smoke
+# adaptation tool, and the threaded execution core; and the benchmark
+# module's vet and tests.
+check: fmt vet race alloc-gate bench-module sspcheck fastforward-sweep hotpath-sweep safety-sweep threaded-sweep fuzz-smoke
+
+# bench-module vets and tests the benchmark under bench/, a module of its own
+# (replace ssp => ../) that the root module's build and tests never compile:
+# an API slip in exp, serve, or tune would otherwise surface only when the
+# benchmark runs.
+bench-module:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # sspcheck runs 32 seeded random programs through all three validation
 # layers; reproduce a reported failure with: go run ./cmd/sspcheck -seed N

@@ -5,12 +5,14 @@
 // Figure 10 (cycle breakdowns), the §4.5 automatic-vs-hand comparison, and
 // the ablations of the design choices called out in DESIGN.md.
 //
-// A Suite is safe for concurrent use: builds, profiles, adaptations, and
-// simulations are memoized behind singleflight-style per-key cells, so
-// duplicate in-flight requests coalesce onto one computation instead of
-// racing or double-simulating. RunAll fans the experiment matrix out over a
-// worker pool; the figure drivers use it to presimulate their cells in
-// parallel before the (cheap, cache-hitting) serial table-assembly loops.
+// A Suite is the one cache of the profile → adapt → relink → run flow
+// (Figure 1): three content-keyed stages of singleflight cells — program,
+// binary, run — that the figure drivers, the closed-loop tuner, and the
+// serving layer all resolve through, so duplicate in-flight requests
+// coalesce onto one computation instead of racing or double-simulating.
+// RunAll fans the experiment matrix out over a worker pool; the figure
+// drivers use it to presimulate their cells in parallel before the (cheap,
+// cache-hitting) serial table-assembly loops.
 package exp
 
 import (
@@ -20,6 +22,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ssp/internal/check"
@@ -46,7 +49,9 @@ const (
 	ScalePaper
 )
 
-// Variant names a binary/machine treatment of a benchmark.
+// Variant names a binary/machine treatment of a benchmark. Each is a preset
+// onto the pipeline's keys: a binary treatment (the original program, the
+// hand adaptation, or the tool with preset options) plus a memory treatment.
 type Variant string
 
 const (
@@ -77,10 +82,10 @@ func (k RunKey) String() string {
 }
 
 // Suite caches built programs, profiles, adaptations, and simulation results
-// so the experiment drivers and benchmarks share work. The zero Suite is not
-// usable; construct one with NewSuite. All methods are safe for concurrent
-// use, and results are deterministic: a RunKey maps to the same *sim.Result
-// no matter how many goroutines race to compute it.
+// so the experiment drivers, the tuner, and the serving layer share work.
+// The zero Suite is not usable; construct one with NewSuite. All methods are
+// safe for concurrent use, and results are deterministic: a run maps to the
+// same *sim.Result no matter how many goroutines race to compute it.
 type Suite struct {
 	Scale Scale
 
@@ -94,145 +99,105 @@ type Suite struct {
 	// hits do not fire it. It may be called from many goroutines at once.
 	Progress func(key RunKey, res *sim.Result, wall time.Duration)
 
+	// One cell map per stage, each keyed by the stage's inputs: programs by
+	// benchmark name or source hash, binaries by program and treatment
+	// ("base", "hand", or the canonical ssp.Options.Key() — never a summary
+	// of it, so configurations differing in any knob never share a cell),
+	// runs by binary, model, and memory treatment.
 	mu    sync.Mutex
-	progs map[string]*flight.Cell[*progSet]
-	decs  map[decodeKey]*flight.Cell[*decode.Program]
-	runs  map[RunKey]*flight.Cell[*sim.Result]
+	progs map[string]*flight.Cell[*program]
+	bins  map[binKey]*flight.Cell[*binary]
+	runs  map[runKey]*runCell
 
-	// Options-parameterized cells (the auto-tuner's search points). They
-	// are keyed on ssp.Options.Key() — the canonical encoding of every
-	// option field — never on a summary of it: two configurations that
-	// differ in any knob, however minor, must not share a cell.
-	optDecs map[optDecodeKey]*flight.Cell[*decode.Program]
-	optRuns map[optRunKey]*flight.Cell[*sim.Result]
-
-	// pool recycles machines across matrix cells: Machine.Reset rebinds a
-	// machine to a new (config, program) while reusing its memory pages,
-	// hierarchy, predictor tables, and per-thread buffers. Safe because Run
-	// detaches each Result's statistics from the machine. Only machines
-	// from clean completions go back (sim.Pool's discipline); a cancelled,
-	// failed, or panicked run's machine is dropped instead.
+	// pool recycles machines across runs: Machine.Reset rebinds a machine
+	// to a new (config, program) while reusing its memory pages, hierarchy,
+	// predictor tables, and per-thread buffers. Safe because Run detaches
+	// each Result's statistics from the machine. Only machines from clean
+	// completions go back (sim.Pool's discipline); a cancelled, failed, or
+	// panicked run's machine is dropped instead.
 	pool sim.Pool
 }
 
-// decodeKey identifies one binary of the matrix: a benchmark adapted as a
-// variant. Machine models are deliberately absent — the predecoded image is
-// config-independent, so the in-order and OOO cells (and the perfect-memory
-// treatments, which only alter the hierarchy) all share one decode.
-type decodeKey struct {
-	Bench   string
-	Variant Variant
+// Binary treatments no tool options describe.
+const (
+	treatBase = "base"
+	treatHand = "hand"
+)
+
+// binKey identifies one binary: a program and its treatment. Machine models
+// are deliberately absent — the predecoded image is config-independent, so
+// the in-order and OOO runs (and the perfect-memory treatments, which only
+// alter the hierarchy) all share one adaptation and one decode.
+type binKey struct{ prog, treat string }
+
+// runKey identifies one simulation: a binary on a model under a memory
+// treatment ("", VarPerfMem, or VarPerfDel).
+type runKey struct {
+	binKey
+	model sim.Model
+	mem   Variant
 }
 
-// optDecodeKey identifies one options-adapted, linked, predecoded binary.
-// Like decodeKey, the model is absent: the image is config-independent.
-type optDecodeKey struct {
-	Bench  string
-	OptKey string
+// request is one resolved trip through the pipeline: the stage keys plus
+// what computing them needs.
+type request struct {
+	runKey
+	bench, src string       // the program: a built-in benchmark or source text
+	opt        *ssp.Options // the tool's options when treat is their key
+	variant    Variant      // the named variant requested, if any
 }
 
-// optRunKey identifies one options-parameterized simulation cell.
-type optRunKey struct {
-	Bench  string
-	Model  sim.Model
-	OptKey string
-}
-
-// progSet is one benchmark's built program, profile, and adapted variants.
-type progSet struct {
-	spec workloads.Spec
-	orig *ir.Program
-	want uint64
-	prof *profile.Profile
-	del  []int
-
-	mu          sync.Mutex
-	variants    map[Variant]*flight.Cell[variantProg]
-	optVariants map[string]*flight.Cell[variantProg]
-}
-
-// variantProg pairs an adapted binary with the tool report that produced it
-// (nil for the hand adaptation, which has no tool run behind it).
-type variantProg struct {
-	prog *ir.Program
-	rep  *ssp.Report
-}
-
-// NewSuite returns an empty suite at the given scale.
-func NewSuite(s Scale) *Suite {
-	return &Suite{
-		Scale:   s,
-		Workers: runtime.GOMAXPROCS(0),
-		progs:   make(map[string]*flight.Cell[*progSet]),
-		decs:    make(map[decodeKey]*flight.Cell[*decode.Program]),
-		runs:    make(map[RunKey]*flight.Cell[*sim.Result]),
-		optDecs: make(map[optDecodeKey]*flight.Cell[*decode.Program]),
-		optRuns: make(map[optRunKey]*flight.Cell[*sim.Result]),
+// newRequest resolves a run of a built-in benchmark (bench) or a program in
+// the ir syntax (src) on model, as-is (opt nil) or adapted with opt.
+func newRequest(bench, src string, model sim.Model, opt *ssp.Options) request {
+	r := request{runKey: runKey{binKey{bench, treatBase}, model, ""}, bench: bench, src: src, opt: opt}
+	if src != "" {
+		sum := sha256.Sum256([]byte(src))
+		r.prog = "sha256:" + hex.EncodeToString(sum[:])
 	}
+	if opt != nil {
+		r.treat = opt.Key()
+	}
+	return r
 }
 
-// PoolStats reports the suite's machine-reuse counters.
-func (s *Suite) PoolStats() sim.PoolStats { return s.pool.Stats() }
-
-// machineConfig returns the simulator configuration for a model at the
-// suite's scale.
-func (s *Suite) machineConfig(model sim.Model) sim.Config {
-	var c sim.Config
-	if model == sim.InOrder {
-		c = sim.DefaultInOrder()
-	} else {
-		c = sim.DefaultOOO()
+// label names the run in progress lines and errors. An options treatment
+// requested by options reads "ssp@" plus the first 8 hex digits of the
+// option key's SHA-256; cache maps always use the full key.
+func (r request) label() RunKey {
+	k := RunKey{r.bench, r.model, r.variant}
+	if r.src != "" {
+		k.Bench = "source"
 	}
-	if s.Scale == ScaleTest {
-		c.UseTinyMem()
+	switch {
+	case k.Variant != "":
+	case r.opt != nil:
+		sum := sha256.Sum256([]byte(r.treat))
+		k.Variant = Variant("ssp@" + hex.EncodeToString(sum[:4]))
+	default:
+		k.Variant = VarBase
 	}
-	c.MaxCycles = 4_000_000_000
-	// The matrix runs with the stall-jump timing core on: results are
-	// bit-for-bit identical to per-cycle simulation (check.FastForwardEquivalence
-	// gates this), and the paper-scale benchmarks spend most of their cycles
-	// fully stalled, so regeneration gets several times faster for free.
-	c.FastForward = true
-	return c
+	return k
 }
 
-func (s *Suite) scaleOf(spec workloads.Spec) int {
-	if s.Scale == ScaleTest {
-		return spec.TestScale
-	}
-	return spec.Scale
-}
-
-// prog builds (once) the benchmark, its profile, and its delinquent set.
-// Concurrent callers for the same benchmark coalesce onto one build.
-func (s *Suite) prog(ctx context.Context, bench string) (*progSet, error) {
-	s.mu.Lock()
-	c, ok := s.progs[bench]
-	if !ok {
-		c = new(flight.Cell[*progSet])
-		s.progs[bench] = c
-	}
-	s.mu.Unlock()
-	return c.Do(ctx, func(ctx context.Context) (*progSet, error) {
-		spec, err := workloads.ByName(bench)
-		if err != nil {
-			return nil, err
+// variantRequest resolves a named variant onto its preset treatments.
+func variantRequest(bench string, model sim.Model, v Variant) (request, error) {
+	r := newRequest(bench, "", model, nil)
+	r.variant = v
+	switch v {
+	case VarBase:
+	case VarPerfMem, VarPerfDel:
+		r.mem = v
+	case VarHand:
+		r.treat = treatHand
+	default:
+		opt, ok := variantOptions(v)
+		if !ok {
+			return r, fmt.Errorf("exp: unknown variant %q", v)
 		}
-		orig, want := spec.Build(s.scaleOf(spec))
-		prof, err := profile.CollectContext(ctx, orig, s.machineConfig(sim.InOrder))
-		if err != nil {
-			return nil, fmt.Errorf("%s: profile: %w", bench, err)
-		}
-		opt := ssp.DefaultOptions()
-		return &progSet{
-			spec:        spec,
-			orig:        orig,
-			want:        want,
-			prof:        prof,
-			del:         ssp.RankTargets(orig, prof, opt),
-			variants:    make(map[Variant]*flight.Cell[variantProg]),
-			optVariants: make(map[string]*flight.Cell[variantProg]),
-		}, nil
-	})
+		r.opt, r.treat = &opt, opt.Key()
+	}
+	return r, nil
 }
 
 // variantOptions maps an adaptation variant to tool options.
@@ -256,93 +221,277 @@ func variantOptions(v Variant) (ssp.Options, bool) {
 	return opt, true
 }
 
-// program returns the binary and tool report for a benchmark variant,
-// adapting on demand (once per variant; duplicate requests coalesce). The
-// report is nil for variants no tool run produces (base, the perfect-memory
-// bounds, and the hand adaptation).
-func (s *Suite) program(ctx context.Context, bench string, v Variant) (*ir.Program, *ssp.Report, error) {
-	ps, err := s.prog(ctx, bench)
-	if err != nil {
-		return nil, nil, err
-	}
-	switch v {
-	case VarBase, VarPerfMem, VarPerfDel:
-		return ps.orig, nil, nil
-	}
-	ps.mu.Lock()
-	c, ok := ps.variants[v]
-	if !ok {
-		c = new(flight.Cell[variantProg])
-		ps.variants[v] = c
-	}
-	ps.mu.Unlock()
-	vp, err := c.Do(ctx, func(ctx context.Context) (variantProg, error) {
-		if v == VarHand {
-			p, err := handtuned.Adapt(bench, ps.orig)
-			if err != nil {
-				return variantProg{}, err
-			}
-			return variantProg{prog: p}, nil
-		}
-		opt, ok := variantOptions(v)
-		if !ok {
-			return variantProg{}, fmt.Errorf("exp: unknown variant %q", v)
-		}
-		p, rep, err := ssp.Adapt(ps.orig, ps.prof, opt, bench)
-		if err != nil {
-			return variantProg{}, fmt.Errorf("%s/%s: adapt: %w", bench, v, err)
-		}
-		return variantProg{prog: p, rep: rep}, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return vp.prog, vp.rep, nil
+// program is the program stage's value: one program built (or parsed) and
+// profiled at the suite's scale, shared by every treatment and model over
+// it. want is the expected final-answer checksum when check is set (built-in
+// benchmarks; source programs carry none).
+type program struct {
+	orig  *ir.Program
+	want  uint64
+	check bool
+	prof  *profile.Profile
 }
 
-// Report returns the tool report for an adapted variant, adapting if needed.
-// Variants with no tool run behind them (base, perfmem, perfdel, and the
-// hand adaptation) have no report; asking for one is an error rather than a
-// silent nil.
-func (s *Suite) Report(bench string, v Variant) (*ssp.Report, error) {
-	_, rep, err := s.program(context.Background(), bench, v)
-	if err != nil {
-		return nil, err
-	}
-	if rep == nil {
-		return nil, fmt.Errorf("exp: %s/%s has no tool report (only the ssp-adapted variants produce one)", bench, v)
-	}
-	return rep, nil
+// delinquent is the program's delinquent-load set under the default tool
+// options (the perfect-delinquent bound and Figure 9 use it).
+func (p *program) delinquent() []int {
+	return ssp.RankTargets(p.orig, p.prof, ssp.DefaultOptions())
 }
 
-// predecoded links and predecodes a benchmark variant's binary exactly once;
-// every cell over that binary — both machine models, all seeds of callers —
-// shares the immutable result. Duplicate in-flight requests coalesce.
-func (s *Suite) predecoded(ctx context.Context, bench string, v Variant) (*decode.Program, error) {
-	key := decodeKey{bench, v}
+// binary is the binary stage's value: one treatment of a program, linked and
+// predecoded with its chains compiled, plus the tool report that produced it
+// (nil for the original program and the hand adaptation).
+type binary struct {
+	prog *ir.Program
+	rep  *ssp.Report
+	dp   *decode.Program
+}
+
+// runCell is one run-stage cell. cycles is the live cycle count a served
+// computation publishes (sim.ProgressHooks) for coalesced requests to watch.
+type runCell struct {
+	flight.Cell[run]
+	cycles atomic.Int64
+}
+
+// run is the run stage's value: the result and its binary's tool report.
+type run struct {
+	res *sim.Result
+	rep *ssp.Report
+}
+
+// NewSuite returns an empty suite at the given scale.
+func NewSuite(s Scale) *Suite {
+	return &Suite{
+		Scale:   s,
+		Workers: runtime.GOMAXPROCS(0),
+		progs:   make(map[string]*flight.Cell[*program]),
+		bins:    make(map[binKey]*flight.Cell[*binary]),
+		runs:    make(map[runKey]*runCell),
+	}
+}
+
+// PoolStats reports the suite's machine-reuse counters.
+func (s *Suite) PoolStats() sim.PoolStats { return s.pool.Stats() }
+
+// Cells reports how many run-stage cells the suite holds.
+func (s *Suite) Cells() int {
 	s.mu.Lock()
-	c, ok := s.decs[key]
+	defer s.mu.Unlock()
+	return len(s.runs)
+}
+
+// cellOf returns m's cell for k, creating it on first use.
+func cellOf[K comparable, C any](mu *sync.Mutex, m map[K]*C, k K) *C {
+	mu.Lock()
+	defer mu.Unlock()
+	c, ok := m[k]
 	if !ok {
-		c = new(flight.Cell[*decode.Program])
-		s.decs[key] = c
+		c = new(C)
+		m[k] = c
 	}
-	s.mu.Unlock()
-	return c.Do(ctx, func(ctx context.Context) (*decode.Program, error) {
-		p, _, err := s.program(ctx, bench, v)
+	return c
+}
+
+// MachineConfig returns the simulator configuration every run of the suite
+// uses at its scale — profiling, cached cells, served jobs, and the tuner's
+// re-profiling rounds alike — so all of them are comparable.
+func (s *Suite) MachineConfig(model sim.Model) sim.Config {
+	var c sim.Config
+	if model == sim.InOrder {
+		c = sim.DefaultInOrder()
+	} else {
+		c = sim.DefaultOOO()
+	}
+	if s.Scale == ScaleTest {
+		c.UseTinyMem()
+	}
+	c.MaxCycles = 4_000_000_000
+	// Runs use the stall-jump timing core: results are bit-for-bit
+	// identical to per-cycle simulation (check.FastForwardEquivalence gates
+	// this), and the paper-scale benchmarks spend most of their cycles
+	// fully stalled, so regeneration gets several times faster for free.
+	c.FastForward = true
+	return c
+}
+
+// program builds or parses r's program and profiles it, once per program.
+// The program is published already numbered: analyses that build CFGs over
+// it (cfg.Build renumbers blocks) then only read it, so concurrent
+// adaptations of one shared program never write to it.
+func (s *Suite) program(ctx context.Context, r request) (*program, error) {
+	return cellOf(&s.mu, s.progs, r.prog).Do(ctx, func(ctx context.Context) (*program, error) {
+		p := new(program)
+		if r.src == "" {
+			spec, err := workloads.ByName(r.bench)
+			if err != nil {
+				return nil, err
+			}
+			scale := spec.Scale
+			if s.Scale == ScaleTest {
+				scale = spec.TestScale
+			}
+			p.orig, p.want = spec.Build(scale)
+			p.check = true
+		} else {
+			orig, err := ir.Parse(r.src)
+			if err != nil {
+				return nil, err
+			}
+			p.orig = orig
+		}
+		for _, f := range p.orig.Funcs {
+			f.Renumber()
+		}
+		// One profiling run on the in-order model feeds every treatment.
+		prof, err := profile.CollectContext(ctx, p.orig, s.MachineConfig(sim.InOrder))
+		if err != nil {
+			return nil, fmt.Errorf("%s: profile: %w", r.label().Bench, err)
+		}
+		p.prof = prof
+		return p, nil
+	})
+}
+
+// binary adapts (for the hand and tool treatments), links, and predecodes
+// r's binary once per (program, treatment).
+func (s *Suite) binary(ctx context.Context, r request) (*binary, error) {
+	return cellOf(&s.mu, s.bins, r.binKey).Do(ctx, func(ctx context.Context) (*binary, error) {
+		p, err := s.program(ctx, r)
 		if err != nil {
 			return nil, err
 		}
-		img, err := ir.Link(p)
+		b := &binary{prog: p.orig}
+		switch {
+		case r.treat == treatHand:
+			b.prog, err = handtuned.Adapt(r.bench, p.orig)
+		case r.opt != nil:
+			l := r.label()
+			if b.prog, b.rep, err = ssp.Adapt(p.orig, p.prof, *r.opt, l.Bench); err != nil {
+				err = fmt.Errorf("%s/%s: adapt: %w", l.Bench, l.Variant, err)
+			}
+		}
 		if err != nil {
 			return nil, err
 		}
-		dp := sim.Predecode(img)
+		img, err := ir.Link(b.prog)
+		if err != nil {
+			return nil, err
+		}
+		b.dp = sim.Predecode(img)
 		// Warm the closure-threaded chain compile inside the coalesced
 		// cell: every machine over this image shares the sidecar, so no
-		// matrix cell pays the compile inside a timed run.
-		sim.ThreadedProgram(dp)
-		return dp, nil
+		// run pays the compile inside a timed simulation.
+		sim.ThreadedProgram(b.dp)
+		return b, nil
 	})
+}
+
+// do resolves the run cell c of request r, computing it on first use and
+// reporting whether this caller computed it. Every cached result passed the
+// conservation layer and was narrated to Progress once. admit, when non-nil,
+// marks a served run: only the caller that computes the cell calls it (the
+// serving layer's worker slot; hits and coalesced waiters never do), and the
+// run publishes the cell's live cycle count through sim.ProgressHooks, which
+// keeps the default accounting bit-for-bit.
+func (c *runCell) do(ctx context.Context, s *Suite, r request, admit func(context.Context) (func(), error)) (run, bool, error) {
+	ran := false
+	v, err := c.Do(ctx, func(ctx context.Context) (run, error) {
+		ran = true
+		var setup func(*sim.Machine)
+		if admit != nil {
+			release, err := admit(ctx)
+			if err != nil {
+				return run{}, err
+			}
+			defer release()
+			setup = func(m *sim.Machine) { m.SetCycleHooks(sim.ProgressHooks{C: &c.cycles}) }
+		}
+		v, wall, err := s.compute(ctx, r, setup)
+		if err != nil {
+			return run{}, err
+		}
+		// Every cached result must be internally consistent; a violation
+		// here means a simulator accounting bug, not a bad treatment.
+		if err := check.Conservation(v.res); err != nil {
+			return run{}, fmt.Errorf("%s: %w", r.label(), err)
+		}
+		if s.Progress != nil {
+			s.Progress(r.label(), v.res, wall)
+		}
+		return v, nil
+	})
+	return v, ran, err
+}
+
+// resolve returns r's run-stage value through its cell.
+func (s *Suite) resolve(ctx context.Context, r request) (run, error) {
+	v, _, err := cellOf(&s.mu, s.runs, r.runKey).do(ctx, s, r, nil)
+	return v, err
+}
+
+// compute runs r through the program and binary stages and simulates the
+// binary (no caching; the run stage wraps it, and RunInstrumented calls it
+// directly). setup, when non-nil, instruments the machine first.
+func (s *Suite) compute(ctx context.Context, r request, setup func(*sim.Machine)) (run, time.Duration, error) {
+	p, err := s.program(ctx, r)
+	if err != nil {
+		return run{}, 0, err
+	}
+	b, err := s.binary(ctx, r)
+	if err != nil {
+		return run{}, 0, err
+	}
+	cfg := s.MachineConfig(r.model)
+	switch r.mem {
+	case VarPerfMem:
+		cfg.Mem.PerfectMemory = true
+	case VarPerfDel:
+		cfg.Mem.PerfectDelinquent = true
+		cfg.Mem.DelinquentIDs = mem.NewIDSet(p.delinquent()...)
+	}
+	res, wall, err := s.execute(ctx, r.label(), cfg, b.dp, p, setup)
+	return run{res, b.rep}, wall, err
+}
+
+// execute runs one simulation under the suite's machine-lifecycle discipline
+// and returns its result and wall time.
+//
+// The machine goes back to the pool only after a clean completion — Run
+// returned, the watchdog did not fire, and the answer checksum matched (when
+// the program has one). Every other exit (simulation error, cancellation,
+// watchdog, checksum mismatch, or a panic out of an instrumentation hook)
+// discards it, so a poisoned machine can never resurface under a later run.
+// A panic is recovered and reported as the run's error rather than unwinding
+// into a worker pool: one bad hook or one simulator bug fails its own cell
+// (and, in the serving layer, its own request) instead of the whole process.
+func (s *Suite) execute(ctx context.Context, label RunKey, cfg sim.Config, dp *decode.Program, p *program, setup func(*sim.Machine)) (res *sim.Result, wall time.Duration, err error) {
+	m := s.pool.Get(cfg, dp)
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("%s: panic during simulation: %v", label, r)
+		}
+	}()
+	if setup != nil {
+		setup(m)
+	}
+	start := time.Now()
+	res, err = m.RunContext(ctx)
+	wall = time.Since(start)
+	if err != nil {
+		return nil, 0, err
+	}
+	if res.TimedOut {
+		return nil, 0, fmt.Errorf("%s: watchdog expired after %d cycles", label, res.Cycles)
+	}
+	if got := m.Mem.Load(workloads.ResultAddr); p.check && got != p.want {
+		return nil, 0, fmt.Errorf("%s: checksum %d, want %d", label, got, p.want)
+	}
+	// Clean completion: the Result is detached from the machine, so the
+	// machine can go back to the pool before the result is validated or
+	// cached.
+	s.pool.Put(m)
+	return res, wall, nil
 }
 
 // Run simulates a benchmark variant on a model, caching and checksum-
@@ -359,15 +508,21 @@ func (s *Suite) Run(bench string, model sim.Model, v Variant) (*sim.Result, erro
 // a fresh context recomputes the cell. The abandoned machine is discarded
 // rather than pooled.
 func (s *Suite) RunContext(ctx context.Context, bench string, model sim.Model, v Variant) (*sim.Result, error) {
-	key := RunKey{bench, model, v}
-	s.mu.Lock()
-	c, ok := s.runs[key]
-	if !ok {
-		c = new(flight.Cell[*sim.Result])
-		s.runs[key] = c
+	r, err := variantRequest(bench, model, v)
+	if err != nil {
+		return nil, err
 	}
-	s.mu.Unlock()
-	return c.Do(ctx, func(ctx context.Context) (*sim.Result, error) { return s.simulate(ctx, key, nil) })
+	out, err := s.resolve(ctx, r)
+	return out.res, err
+}
+
+// RunOptions simulates a benchmark adapted with an arbitrary option set
+// through the same run cells as RunContext: the binary is keyed on
+// Options.Key(), so configurations differing in any single knob get
+// distinct cells, and options equal to a preset variant's share its cell.
+func (s *Suite) RunOptions(ctx context.Context, bench string, model sim.Model, opt ssp.Options) (*sim.Result, error) {
+	out, err := s.resolve(ctx, newRequest(bench, "", model, &opt))
+	return out.res, err
 }
 
 // RunInstrumented simulates a benchmark variant on a fresh machine with the
@@ -385,176 +540,42 @@ func (s *Suite) RunInstrumented(bench string, model sim.Model, v Variant, instru
 	if instrument == nil {
 		return nil, fmt.Errorf("exp: RunInstrumented without an instrument function (use Run)")
 	}
-	return s.simulate(context.Background(), RunKey{bench, model, v}, instrument)
-}
-
-// simulate computes one cell of the matrix (no caching; Run wraps it, and
-// RunInstrumented calls it directly with an instrument hook installer).
-//
-// Machine lifecycle: the machine goes back to the pool only after a clean
-// completion — Run returned a verified, checksum-correct Result. Every other
-// exit (simulation error, cancellation, watchdog, checksum mismatch, or a
-// panic out of an instrumentation hook) discards it, so a poisoned machine
-// can never resurface under a later cell. A panic is recovered and reported
-// as the cell's error rather than unwinding into the worker pool: one bad
-// hook or one simulator bug fails its own cell (and, in the serving layer,
-// its own request) instead of the whole process.
-func (s *Suite) simulate(ctx context.Context, key RunKey, instrument func(*sim.Machine)) (*sim.Result, error) {
-	ps, err := s.prog(ctx, key.Bench)
+	r, err := variantRequest(bench, model, v)
 	if err != nil {
 		return nil, err
 	}
-	dp, err := s.predecoded(ctx, key.Bench, key.Variant)
+	out, _, err := s.compute(context.Background(), r, instrument)
+	return out.res, err
+}
+
+// Report returns the tool report for an adapted variant, adapting if needed.
+// Variants with no tool run behind them (base, perfmem, perfdel, and the
+// hand adaptation) have no report; asking for one is an error rather than a
+// silent nil.
+func (s *Suite) Report(bench string, v Variant) (*ssp.Report, error) {
+	r, err := variantRequest(bench, sim.InOrder, v)
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.machineConfig(key.Model)
-	switch key.Variant {
-	case VarPerfMem:
-		cfg.Mem.PerfectMemory = true
-	case VarPerfDel:
-		cfg.Mem.PerfectDelinquent = true
-		cfg.Mem.DelinquentIDs = mem.NewIDSet(ps.del...)
-	}
-	return s.execute(ctx, key, cfg, dp, ps.want, instrument, true)
-}
-
-// execute runs one simulation under the suite's full machine-lifecycle and
-// validation discipline (see simulate's doc comment): pooled machine, panic
-// containment, watchdog and answer-checksum gates, conservation check and —
-// when narrate is set — Progress narration for uninstrumented runs.
-func (s *Suite) execute(ctx context.Context, key RunKey, cfg sim.Config, dp *decode.Program, want uint64, instrument func(*sim.Machine), narrate bool) (res *sim.Result, err error) {
-	m := s.pool.Get(cfg, dp)
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("%s: panic during simulation: %v", key, r)
-		}
-	}()
-	if instrument != nil {
-		instrument(m)
-	}
-	start := time.Now()
-	res, err = m.RunContext(ctx)
+	b, err := s.binary(context.Background(), r)
 	if err != nil {
 		return nil, err
 	}
-	if res.TimedOut {
-		return nil, fmt.Errorf("%s: watchdog expired", key)
+	if b.rep == nil {
+		return nil, fmt.Errorf("exp: %s/%s has no tool report (only the ssp-adapted variants produce one)", bench, v)
 	}
-	if got := m.Mem.Load(workloads.ResultAddr); got != want {
-		return nil, fmt.Errorf("%s: checksum %d, want %d", key, got, want)
-	}
-	// Clean completion: the Result is detached from the machine, so the
-	// machine can go back to the pool before the result is validated or
-	// cached.
-	s.pool.Put(m)
-	if instrument != nil {
-		// Instrumented runs feed the caller, not the figures: the hooks may
-		// have detached the stats recorder the conservation layer checks, and
-		// Progress only narrates fresh matrix cells.
-		return res, nil
-	}
-	// Every result that feeds a figure must be internally consistent; a
-	// violation here means a simulator accounting bug, not a bad variant.
-	if err := check.Conservation(res); err != nil {
-		return nil, fmt.Errorf("%s: %w", key, err)
-	}
-	if narrate && s.Progress != nil {
-		s.Progress(key, res, time.Since(start))
-	}
-	return res, nil
+	return b.rep, nil
 }
 
-// optVariant returns a short display tag for an options-parameterized cell:
-// "ssp@" plus the first 8 hex digits of the canonical option key's SHA-256.
-// It appears in RunKey-shaped progress lines and error messages; cache maps
-// always use the full Options.Key().
-func optVariant(opt ssp.Options) Variant {
-	sum := sha256.Sum256([]byte(opt.Key()))
-	return Variant("ssp@" + hex.EncodeToString(sum[:4]))
-}
-
-// ProgramOptions adapts a benchmark with an arbitrary option set, memoized
-// on the canonical option key. It is the options-parameterized analogue of
-// program(bench, VarSSP): the tuner's search points go through here so
-// repeated probes of the same configuration coalesce.
+// ProgramOptions returns the binary and tool report of a benchmark adapted
+// with an arbitrary option set: the binary stage's cell, shared with
+// RunOptions and with any preset variant of equal options.
 func (s *Suite) ProgramOptions(ctx context.Context, bench string, opt ssp.Options) (*ir.Program, *ssp.Report, error) {
-	ps, err := s.prog(ctx, bench)
+	b, err := s.binary(ctx, newRequest(bench, "", sim.InOrder, &opt))
 	if err != nil {
 		return nil, nil, err
 	}
-	key := opt.Key()
-	ps.mu.Lock()
-	c, ok := ps.optVariants[key]
-	if !ok {
-		c = new(flight.Cell[variantProg])
-		ps.optVariants[key] = c
-	}
-	ps.mu.Unlock()
-	vp, err := c.Do(ctx, func(ctx context.Context) (variantProg, error) {
-		p, rep, err := ssp.Adapt(ps.orig, ps.prof, opt, bench)
-		if err != nil {
-			return variantProg{}, fmt.Errorf("%s/%s: adapt: %w", bench, optVariant(opt), err)
-		}
-		return variantProg{prog: p, rep: rep}, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return vp.prog, vp.rep, nil
-}
-
-// predecodedOptions links and predecodes an options-adapted binary once per
-// (bench, canonical option key); both machine models share the image.
-func (s *Suite) predecodedOptions(ctx context.Context, bench string, opt ssp.Options) (*decode.Program, error) {
-	key := optDecodeKey{bench, opt.Key()}
-	s.mu.Lock()
-	c, ok := s.optDecs[key]
-	if !ok {
-		c = new(flight.Cell[*decode.Program])
-		s.optDecs[key] = c
-	}
-	s.mu.Unlock()
-	return c.Do(ctx, func(ctx context.Context) (*decode.Program, error) {
-		p, _, err := s.ProgramOptions(ctx, bench, opt)
-		if err != nil {
-			return nil, err
-		}
-		img, err := ir.Link(p)
-		if err != nil {
-			return nil, err
-		}
-		dp := sim.Predecode(img)
-		sim.ThreadedProgram(dp) // warm the chain compile (see predecoded)
-		return dp, nil
-	})
-}
-
-// RunOptions simulates a benchmark adapted with an arbitrary option set,
-// with the same caching, coalescing, and validation as RunContext. The cell
-// key embeds Options.Key(), so configurations differing in any single knob
-// get distinct cells.
-func (s *Suite) RunOptions(ctx context.Context, bench string, model sim.Model, opt ssp.Options) (*sim.Result, error) {
-	key := optRunKey{bench, model, opt.Key()}
-	s.mu.Lock()
-	c, ok := s.optRuns[key]
-	if !ok {
-		c = new(flight.Cell[*sim.Result])
-		s.optRuns[key] = c
-	}
-	s.mu.Unlock()
-	return c.Do(ctx, func(ctx context.Context) (*sim.Result, error) {
-		ps, err := s.prog(ctx, bench)
-		if err != nil {
-			return nil, err
-		}
-		dp, err := s.predecodedOptions(ctx, bench, opt)
-		if err != nil {
-			return nil, err
-		}
-		rk := RunKey{bench, model, optVariant(opt)}
-		return s.execute(ctx, rk, s.machineConfig(model), dp, ps.want, nil, true)
-	})
+	return b.prog, b.rep, nil
 }
 
 // Workload exposes a benchmark's built program, its expected final-answer
@@ -562,17 +583,44 @@ func (s *Suite) RunOptions(ctx context.Context, bench string, model sim.Model, o
 // The returned structures are shared with the suite's caches — callers must
 // treat them as read-only. The closed-loop tuner re-adapts from these.
 func (s *Suite) Workload(ctx context.Context, bench string) (*ir.Program, uint64, *profile.Profile, error) {
-	ps, err := s.prog(ctx, bench)
+	p, err := s.program(ctx, newRequest(bench, "", sim.InOrder, nil))
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	return ps.orig, ps.want, ps.prof, nil
+	return p.orig, p.want, p.prof, nil
 }
 
-// MachineConfig exposes the simulator configuration the suite's cells run
-// with at its scale, so out-of-suite simulations (the tuner's re-profiling
-// rounds) are comparable with cached cells.
-func (s *Suite) MachineConfig(model sim.Model) sim.Config { return s.machineConfig(model) }
+// Served is a served job's handle on its run-stage cell (see Suite.Served).
+type Served struct {
+	s *Suite
+	r request
+	c *runCell
+}
+
+// Served returns the run-stage cell of one served job: a built-in benchmark
+// (bench) or a program in the ir syntax (src), run on model as-is (opt nil)
+// or adapted with opt. It is the cell Run, RunOptions, and the tuner resolve
+// for the same program, treatment, and model, so served jobs and experiment
+// cells answer from one cache.
+func (s *Suite) Served(bench, src string, model sim.Model, opt *ssp.Options) Served {
+	r := newRequest(bench, src, model, opt)
+	return Served{s, r, cellOf(&s.mu, s.runs, r.runKey)}
+}
+
+// Cycles is the live cycle count of the cell's served computation; requests
+// coalesced onto it all watch the one simulation actually running. It stays
+// 0 while a matrix or tuner run, which keeps the default stats hook,
+// computes the cell.
+func (h Served) Cycles() int64 { return h.c.cycles.Load() }
+
+// Do resolves the served cell and reports whether this request computed it.
+// Only the computing request calls admit, before any work, and releases what
+// it acquired when done. The report is the binary's tool report (nil for an
+// unadapted run).
+func (h Served) Do(ctx context.Context, admit func(context.Context) (release func(), err error)) (*sim.Result, *ssp.Report, bool, error) {
+	v, ran, err := h.c.do(ctx, h.s, h.r, admit)
+	return v.res, v.rep, ran, err
+}
 
 // Simulate runs an arbitrary program under the suite's machine-lifecycle and
 // validation discipline (pooled machine, watchdog, answer checksum against
@@ -585,7 +633,14 @@ func (s *Suite) Simulate(ctx context.Context, label string, model sim.Model, p *
 		return nil, fmt.Errorf("%s: link: %w", label, err)
 	}
 	rk := RunKey{label, model, "external"}
-	return s.execute(ctx, rk, s.machineConfig(model), sim.Predecode(img), want, nil, false)
+	res, _, err := s.execute(ctx, rk, s.MachineConfig(model), sim.Predecode(img), &program{want: want, check: true}, nil)
+	if err != nil {
+		return nil, err
+	}
+	if err := check.Conservation(res); err != nil {
+		return nil, fmt.Errorf("%s: %w", rk, err)
+	}
+	return res, nil
 }
 
 // Speedup returns cycles(reference)/cycles(treatment).

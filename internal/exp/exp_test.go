@@ -2,8 +2,10 @@ package exp
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"ssp/internal/check"
 	"ssp/internal/sim"
@@ -283,7 +285,7 @@ func TestRunInstrumentedDoesNotPoisonCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cached.FastForwards == 0 {
-		t.Fatal("matrix cell did not fast-forward (machineConfig should enable it)")
+		t.Fatal("matrix cell did not fast-forward (MachineConfig should enable it)")
 	}
 
 	// A per-cycle observer without bulk-skip support: the machine must fall
@@ -406,5 +408,44 @@ func TestOptionsCellsNeverSharedAcrossConfigs(t *testing.T) {
 	}
 	if legacy.Cycles != resA.Cycles {
 		t.Fatalf("options-keyed default run (%d cycles) disagrees with VarSSP cell (%d cycles)", resA.Cycles, legacy.Cycles)
+	}
+}
+
+// TestPresetIsOptionsCell: a named variant is a preset onto the options-keyed
+// pipeline, not a second cache — VarSSP and the default options resolve to
+// one run cell (one simulation, one Progress line, one *sim.Result) and one
+// binary cell (one report).
+func TestPresetIsOptionsCell(t *testing.T) {
+	s := NewSuite(ScaleTest)
+	ctx := context.Background()
+	var narrated []RunKey // both calls run on this goroutine
+	s.Progress = func(k RunKey, _ *sim.Result, _ time.Duration) { narrated = append(narrated, k) }
+	preset, err := s.Run("mcf", sim.InOrder, VarSSP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaOpts, err := s.RunOptions(ctx, "mcf", sim.InOrder, ssp.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if preset != viaOpts {
+		t.Fatal("VarSSP and RunOptions(DefaultOptions) returned different results")
+	}
+	if want := []RunKey{{"mcf", sim.InOrder, VarSSP}}; !reflect.DeepEqual(narrated, want) {
+		t.Fatalf("Progress fired for %v, want once for %v", narrated, want)
+	}
+	rep, err := s.Report("mcf", VarSSP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, optRep, err := s.ProgramOptions(ctx, "mcf", ssp.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep != optRep {
+		t.Fatal("Report(VarSSP) and ProgramOptions(DefaultOptions) returned different reports")
+	}
+	if n := s.Cells(); n != 1 {
+		t.Fatalf("suite holds %d run cells, want 1", n)
 	}
 }

@@ -22,7 +22,7 @@ type Fig2Row struct {
 
 // Figure2 runs the perfect-memory / perfect-delinquent bound study.
 func (s *Suite) Figure2() ([]Fig2Row, error) {
-	if err := s.presimulate(Fig2Keys()); err != nil {
+	if err := s.RunAll(Fig2Keys(), s.Workers); err != nil {
 		return nil, err
 	}
 	var rows []Fig2Row
@@ -221,7 +221,7 @@ type Fig8Row struct {
 
 // Figure8 runs the headline speedup study.
 func (s *Suite) Figure8() ([]Fig8Row, error) {
-	if err := s.presimulate(Fig8Keys()); err != nil {
+	if err := s.RunAll(Fig8Keys(), s.Workers); err != nil {
 		return nil, err
 	}
 	var rows []Fig8Row
@@ -261,15 +261,16 @@ type Fig9Row struct {
 
 // Figure9 computes the delinquent-load satisfaction breakdown.
 func (s *Suite) Figure9() ([]Fig9Row, error) {
-	if err := s.presimulate(Fig8Keys()); err != nil {
+	if err := s.RunAll(Fig8Keys(), s.Workers); err != nil {
 		return nil, err
 	}
 	var rows []Fig9Row
 	for _, b := range PaperBenchmarks() {
-		ps, err := s.prog(context.Background(), b)
+		p, err := s.program(context.Background(), newRequest(b, "", sim.InOrder, nil))
 		if err != nil {
 			return nil, err
 		}
+		del := p.delinquent()
 		row := Fig9Row{Bench: b}
 		for _, c := range []struct {
 			label string
@@ -288,7 +289,7 @@ func (s *Suite) Figure9() ([]Fig9Row, error) {
 			var acc, l1 uint64
 			missBuckets := map[string]uint64{}
 			var missTotal uint64
-			for _, id := range ps.del {
+			for _, id := range del {
 				st := res.Hier.ByLoad()[id]
 				if st == nil {
 					continue
@@ -342,7 +343,7 @@ type Fig10Row struct {
 
 // Figure10 computes normalized cycle breakdowns.
 func (s *Suite) Figure10() ([]Fig10Row, error) {
-	if err := s.presimulate(Fig8Keys()); err != nil {
+	if err := s.RunAll(Fig8Keys(), s.Workers); err != nil {
 		return nil, err
 	}
 	var rows []Fig10Row
@@ -392,7 +393,7 @@ type Sec45Row struct {
 
 // Section45 runs the automatic-vs-hand study on mcf and health.
 func (s *Suite) Section45() ([]Sec45Row, error) {
-	if err := s.presimulate(Sec45Keys()); err != nil {
+	if err := s.RunAll(Sec45Keys(), s.Workers); err != nil {
 		return nil, err
 	}
 	var rows []Sec45Row
@@ -430,7 +431,7 @@ func (s *Suite) Ablations(benches []string) ([]AblationRow, error) {
 	if benches == nil {
 		benches = PaperBenchmarks()
 	}
-	if err := s.presimulate(AblationKeys(benches)); err != nil {
+	if err := s.RunAll(AblationKeys(benches), s.Workers); err != nil {
 		return nil, err
 	}
 	var rows []AblationRow

@@ -82,8 +82,12 @@ func TestCancelledCellRetries(t *testing.T) {
 	// after 500 instructions, well inside the run.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	r, err := variantRequest("mcf", sim.InOrder, VarBase)
+	if err != nil {
+		t.Fatal(err)
+	}
 	start := time.Now()
-	_, err := s.simulate(ctx, RunKey{"mcf", sim.InOrder, VarBase}, func(m *sim.Machine) {
+	_, _, err = s.compute(ctx, r, func(m *sim.Machine) {
 		m.AttachExec(&cancelHook{cancel: cancel, left: 500})
 	})
 	if !errors.Is(err, context.Canceled) {

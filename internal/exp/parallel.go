@@ -73,12 +73,6 @@ func (s *Suite) RunAllContext(ctx context.Context, keys []RunKey, workers int) e
 	return nil
 }
 
-// presimulate is the figure drivers' entry point: fan the figure's cells out
-// over the suite's configured worker count.
-func (s *Suite) presimulate(keys []RunKey) error {
-	return s.RunAll(keys, s.Workers)
-}
-
 func dedupKeys(keys []RunKey) []RunKey {
 	seen := make(map[RunKey]bool, len(keys))
 	out := keys[:0:0]

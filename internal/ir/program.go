@@ -84,7 +84,12 @@ func (f *Func) BlockByLabel(label string) *Block {
 // Renumber refreshes Block.Index after structural edits.
 func (f *Func) Renumber() {
 	for i, b := range f.Blocks {
-		b.Index = i
+		// Store only what changed: renumbering an already numbered
+		// function writes nothing, so analyses that renumber (cfg.Build)
+		// may share one numbered program across goroutines.
+		if b.Index != i {
+			b.Index = i
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"time"
 
+	"ssp/internal/exp"
 	"ssp/internal/ir"
 	"ssp/internal/sim"
 	"ssp/internal/ssp"
@@ -192,10 +193,19 @@ func (s *JobSpec) normalize(defaultTimeout time.Duration) (job, error) {
 	return j, nil
 }
 
+// scale is the experiment scale the job runs at.
+func (j job) scale() exp.Scale {
+	if j.Test {
+		return exp.ScaleTest
+	}
+	return exp.ScalePaper
+}
+
 // key is the job's content address: the hex SHA-256 of its canonical form.
 // Identical work — same program, same scale, same model, same treatment,
 // same options — hashes identically no matter how the client phrased the
-// request, so duplicates coalesce and repeats hit the cache.
+// request. It names the job in responses and keys the tune-result memo;
+// plain jobs coalesce and hit on the suite's run cell for the same work.
 func (j job) key() string {
 	canon := struct {
 		Bench   string
@@ -217,28 +227,10 @@ func (j job) key() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// progKey identifies a built+profiled program: which program, at which scale.
-// Variants and options are absent — every treatment of a program shares one
-// build and one profiling run.
-type progKey struct {
-	Bench  string
-	Source string
-	Test   bool
-}
-
-// buildKey identifies one adapted, linked, predecoded binary. Model is
-// absent: the predecoded image is config-independent, so the in-order and
-// OOO cells share it (same sharing exp.Suite exploits).
-type buildKey struct {
-	progKey
-	Variant string
-	Options ssp.Options
-}
-
-// JobResult is the cached, client-visible outcome of a job: the stat vector
-// the paper's figures are computed from. Field names match the golden-stats
-// baseline (internal/exp/testdata/golden_stats.json) so results can be
-// compared against it byte-for-byte.
+// JobResult is the client-visible outcome of a job: the stat vector of the
+// cached run that the paper's figures are computed from. Field names match
+// the golden-stats baseline (internal/exp/testdata/golden_stats.json) so
+// results can be compared against it byte-for-byte.
 type JobResult struct {
 	Cycles      int64
 	Breakdown   [sim.NumCategories]int64
@@ -258,8 +250,8 @@ type JobResult struct {
 	Slices int `json:",omitempty"`
 }
 
-func toJobResult(res *sim.Result, slices int) *JobResult {
-	return &JobResult{
+func toJobResult(res *sim.Result, rep *ssp.Report) *JobResult {
+	jr := &JobResult{
 		Cycles:      res.Cycles,
 		Breakdown:   res.Breakdown,
 		MainInstrs:  res.MainInstrs,
@@ -271,8 +263,11 @@ func toJobResult(res *sim.Result, slices int) *JobResult {
 		MemL1Hits:   res.Hier.Totals.Hits[0][0],
 		MissCycles:  res.Hier.Totals.MissCycles,
 		TLBMisses:   res.Hier.Totals.TLBMisses,
-		Slices:      slices,
 	}
+	if rep != nil {
+		jr.Slices = rep.NumSlices()
+	}
+	return jr
 }
 
 // JobResponse is the envelope around a completed job: the result plus

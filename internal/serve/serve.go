@@ -1,15 +1,17 @@
 // Package serve is the serving layer over the adapt+simulate pipeline: a
 // long-running HTTP service that accepts jobs (a built-in benchmark or a
-// source program, a machine model, a treatment, tool options), runs the same
-// profile → adapt → simulate pipeline the experiment suite runs, and
-// memoizes results behind content-addressed singleflight cells so identical
-// jobs — concurrent or repeated — cost one simulation.
+// source program, a machine model, a treatment, tool options) and resolves
+// each through the experiment suite's pipeline, so identical jobs —
+// concurrent or repeated — cost one simulation.
 //
-// The server shares its building blocks with internal/exp rather than
-// wrapping it: flight.Cell for coalescing and memoization, sim.Pool for
-// machine reuse (clean completions only), and the exact machine
-// configuration the suite uses, so a served result is byte-identical to the
-// corresponding matrix cell in the golden-stats baseline.
+// The server is a thin client of internal/exp: one exp.Suite per scale is
+// its only program, binary, and run cache, with the suite's machine
+// configuration, machine pool, and validation discipline, and the
+// closed-loop tuner of tune-mode jobs wraps the same suites. A served result
+// is therefore the corresponding matrix cell itself — byte-identical to the
+// golden-stats baseline — and a job the tuner or the matrix already ran is a
+// cache hit. What the server adds is HTTP: admission and 429s, worker slots,
+// SSE progress, safety vetting of source IR, drain, and the tune-result memo.
 //
 // Capacity is explicit: Workers simulations run at once, Queue more may wait
 // admitted, and everything beyond that is rejected immediately with HTTP 429
@@ -22,23 +24,18 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"ssp/internal/check"
 	"ssp/internal/exp"
 	"ssp/internal/flight"
 	"ssp/internal/ir"
-	"ssp/internal/profile"
 	"ssp/internal/sim"
-	"ssp/internal/sim/decode"
 	"ssp/internal/ssp"
 	"ssp/internal/tune"
-	"ssp/internal/workloads"
 )
 
 // ErrBusy is returned (as HTTP 429) when the server is at capacity: every
@@ -50,8 +47,9 @@ var errDraining = errors.New("serve: draining")
 
 // Config sizes a Server.
 type Config struct {
-	// Workers is the number of simulations allowed to run concurrently.
-	// 0 means runtime.GOMAXPROCS(0).
+	// Workers is the number of served runs allowed to compute
+	// concurrently, and each tune search's fan-out. 0 means
+	// runtime.GOMAXPROCS(0).
 	Workers int
 	// Queue is how many admitted jobs may wait for a worker beyond the
 	// ones running; past Workers+Queue in flight, requests are rejected
@@ -84,31 +82,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// progSet is one program built and profiled at one scale, shared by every
-// variant, option set, and model over it.
-type progSet struct {
-	orig *ir.Program
-	// want is the expected final checksum; check is false for source
-	// programs, which carry no expected value.
-	want  uint64
-	check bool
-	prof  *profile.Profile
-}
-
-// build is one adapted, linked, predecoded binary.
-type build struct {
-	dp     *decode.Program
-	slices int
-}
-
-// runCell is one job key's memoization slot plus the live cycle counter its
-// SSE streams read. The counter is shared: coalesced requests all watch the
-// one simulation that is actually running.
-type runCell struct {
-	cell   flight.Cell[*JobResult]
-	cycles atomic.Int64
-}
-
 // Server is the HTTP handler. Construct with New; the zero value is not
 // usable.
 type Server struct {
@@ -129,20 +102,16 @@ type Server struct {
 	admitMu sync.Mutex
 	wg      sync.WaitGroup
 
-	mu     sync.Mutex
-	progs  map[progKey]*flight.Cell[*progSet]
-	builds map[buildKey]*flight.Cell[*build]
-	runs   map[string]*runCell
+	// tuners holds the closed-loop tuner of each scale (indexed by
+	// exp.Scale); its Suite is that scale's one pipeline cache, which plain
+	// jobs and tune searches both resolve through.
+	tuners [2]*tune.Tuner
+
+	mu sync.Mutex
 	// tunes memoizes tune-mode jobs by the same content key scheme; the
 	// key covers the tune parameters, so searches with different rounds,
 	// epsilon, or grid never share a cell.
 	tunes map[string]*flight.Cell[*tune.Result]
-	// tuners holds one lazily-built closed-loop tuner per scale (keyed by
-	// "is test scale"). Each owns its own exp.Suite, whose caches the
-	// tuner's repeated adapt+simulate rounds coalesce through.
-	tuners map[bool]*tune.Tuner
-
-	pool sim.Pool
 
 	requests atomic.Int64 // jobs accepted for processing
 	hits     atomic.Int64 // served without running a simulation
@@ -155,13 +124,14 @@ type Server struct {
 // New returns a ready-to-serve Server.
 func New(cfg Config) *Server {
 	s := &Server{
-		cfg:    cfg.withDefaults(),
-		start:  time.Now(),
-		progs:  make(map[progKey]*flight.Cell[*progSet]),
-		builds: make(map[buildKey]*flight.Cell[*build]),
-		runs:   make(map[string]*runCell),
-		tunes:  make(map[string]*flight.Cell[*tune.Result]),
-		tuners: make(map[bool]*tune.Tuner),
+		cfg:   cfg.withDefaults(),
+		start: time.Now(),
+		tunes: make(map[string]*flight.Cell[*tune.Result]),
+	}
+	for _, sc := range []exp.Scale{exp.ScaleTest, exp.ScalePaper} {
+		suite := exp.NewSuite(sc)
+		suite.Workers = s.cfg.Workers
+		s.tuners[sc] = tune.New(suite)
 	}
 	s.sem = make(chan struct{}, s.cfg.Workers)
 	s.mux = http.NewServeMux()
@@ -219,8 +189,14 @@ type Stats struct {
 // callers like the load harness).
 func (s *Server) Snapshot() Stats {
 	s.mu.Lock()
-	cells := len(s.runs) + len(s.tunes)
+	cells := len(s.tunes)
 	s.mu.Unlock()
+	var pool sim.PoolStats
+	for _, tn := range s.tuners {
+		cells += tn.Suite.Cells()
+		ps := tn.Suite.PoolStats()
+		pool.Gets, pool.Hits, pool.Puts = pool.Gets+ps.Gets, pool.Hits+ps.Hits, pool.Puts+ps.Puts
+	}
 	return Stats{
 		UptimeSec: time.Since(s.start).Seconds(),
 		Requests:  s.requests.Load(),
@@ -232,7 +208,7 @@ func (s *Server) Snapshot() Stats {
 		InFlight:  s.inflight.Load(),
 		Draining:  s.draining.Load(),
 		Cells:     cells,
-		Pool:      s.pool.Stats(),
+		Pool:      pool,
 	}
 }
 
@@ -311,15 +287,16 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), j.timeout)
 	defer cancel()
 
+	key := j.key()
 	if j.Tune != nil {
 		start := time.Now()
-		res, hit, err := s.runTune(ctx, j)
+		res, hit, err := s.runTune(ctx, j, key)
 		if err != nil {
 			http.Error(w, err.Error(), statusOf(err))
 			return
 		}
 		writeJSON(w, JobResponse{
-			Key:    j.key(),
+			Key:    key,
 			Cached: hit,
 			WallMS: float64(time.Since(start)) / float64(time.Millisecond),
 			Tune:   res,
@@ -327,19 +304,19 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	rc := s.cellFor(j.key())
+	h := s.served(j)
 	if wantsSSE(r) {
-		s.streamJob(ctx, w, j, rc)
+		s.streamJob(ctx, w, key, h)
 		return
 	}
 	start := time.Now()
-	res, hit, err := s.runJob(ctx, j, rc)
+	res, hit, err := s.runJob(ctx, h)
 	if err != nil {
 		http.Error(w, err.Error(), statusOf(err))
 		return
 	}
 	writeJSON(w, JobResponse{
-		Key:    j.key(),
+		Key:    key,
 		Cached: hit,
 		WallMS: float64(time.Since(start)) / float64(time.Millisecond),
 		Result: res,
@@ -347,33 +324,57 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // runTune resolves a tune-mode job through its memoization cell. The job
-// holds one worker slot for admission accounting; the search's own
-// simulations run on the tuner's experiment suite, whose worker pool is
-// sized like the server's.
-func (s *Server) runTune(ctx context.Context, j job) (res *tune.Result, hit bool, err error) {
+// takes no worker slot: its search resolves cells of the shared suite, one of
+// which a served request waiting for a slot may be computing, so a slot held
+// by the search could wait on itself. Admission (Workers+Queue) still bounds
+// it, and the search fans out over the suite's Workers.
+func (s *Server) runTune(ctx context.Context, j job, key string) (res *tune.Result, hit bool, err error) {
 	s.mu.Lock()
-	c, ok := s.tunes[j.key()]
+	c, ok := s.tunes[key]
 	if !ok {
 		c = new(flight.Cell[*tune.Result])
-		s.tunes[j.key()] = c
+		s.tunes[key] = c
 	}
 	s.mu.Unlock()
 	ran := false
 	res, err = c.Do(ctx, func(ctx context.Context) (*tune.Result, error) {
 		ran = true
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
 		grid := tune.FullGrid()
 		if j.Tune.Grid == "quick" {
 			grid = tune.QuickGrid()
 		}
 		params := tune.Params{MaxRounds: j.Tune.Rounds, Epsilon: j.Tune.Epsilon}
-		return s.tunerFor(j.Test).Tune(ctx, j.Bench, j.Model, params, grid)
+		return s.tuners[j.scale()].Tune(ctx, j.Bench, j.Model, params, grid)
 	})
+	if s.account(ran, err) {
+		return nil, false, err
+	}
+	return res, !ran, nil
+}
+
+// runJob resolves one admitted job through its run cell in the suite of its
+// scale, reporting whether this request was served without running a
+// simulation (a cached outcome or a coalesced ride on another request's run).
+func (s *Server) runJob(ctx context.Context, h exp.Served) (*JobResult, bool, error) {
+	res, rep, ran, err := h.Do(ctx, s.acquire)
+	if s.account(ran, err) {
+		return nil, false, err
+	}
+	return toJobResult(res, rep), !ran, nil
+}
+
+// served returns the job's handle on its run cell.
+func (s *Server) served(j job) exp.Served {
+	var opt *ssp.Options
+	if j.Variant == varSSP {
+		opt = &j.Options
+	}
+	return s.tuners[j.scale()].Suite.Served(j.Bench, j.Source, j.Model, opt)
+}
+
+// account counts one resolved job — a miss if this request computed it, a
+// hit otherwise, and a failure on error — and reports whether it failed.
+func (s *Server) account(ran bool, err error) bool {
 	if ran {
 		s.misses.Add(1)
 	} else {
@@ -381,208 +382,19 @@ func (s *Server) runTune(ctx context.Context, j job) (res *tune.Result, hit bool
 	}
 	if err != nil {
 		s.failures.Add(1)
-		return nil, false, err
 	}
-	return res, !ran, nil
+	return err != nil
 }
 
-// tunerFor returns the closed-loop tuner for one scale, building it (and its
-// experiment suite) on first use.
-func (s *Server) tunerFor(test bool) *tune.Tuner {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tn, ok := s.tuners[test]
-	if !ok {
-		scale := exp.ScalePaper
-		if test {
-			scale = exp.ScaleTest
-		}
-		suite := exp.NewSuite(scale)
-		suite.Workers = s.cfg.Workers
-		tn = tune.New(suite)
-		s.tuners[test] = tn
+// acquire takes a worker slot for the one request that computes a run cell;
+// waiting here is the admission queue.
+func (s *Server) acquire(ctx context.Context) (func(), error) {
+	select {
+	case s.sem <- struct{}{}:
+		return func() { <-s.sem }, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
-	return tn
-}
-
-// runJob resolves one admitted job through its memoization cell, reporting
-// whether this request was served without running a simulation (a cached
-// outcome or a coalesced ride on another request's run).
-func (s *Server) runJob(ctx context.Context, j job, rc *runCell) (res *JobResult, hit bool, err error) {
-	ran := false
-	res, err = rc.cell.Do(ctx, func(ctx context.Context) (*JobResult, error) {
-		ran = true
-		// Only the actual runner needs a worker slot; waiting here is the
-		// admission queue.
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		return s.compute(ctx, j, &rc.cycles)
-	})
-	if ran {
-		s.misses.Add(1)
-	} else {
-		s.hits.Add(1)
-	}
-	if err != nil {
-		s.failures.Add(1)
-		return nil, false, err
-	}
-	return res, !ran, nil
-}
-
-func (s *Server) cellFor(key string) *runCell {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rc, ok := s.runs[key]
-	if !ok {
-		rc = new(runCell)
-		s.runs[key] = rc
-	}
-	return rc
-}
-
-// machineConfig mirrors exp.Suite.machineConfig exactly — same defaults,
-// same tiny-memory scaling, same watchdog, fast-forward on — so served
-// results are byte-identical to the experiment matrix and the golden-stats
-// baseline.
-func machineConfig(model sim.Model, test bool) sim.Config {
-	var c sim.Config
-	if model == sim.InOrder {
-		c = sim.DefaultInOrder()
-	} else {
-		c = sim.DefaultOOO()
-	}
-	if test {
-		c.UseTinyMem()
-	}
-	c.MaxCycles = 4_000_000_000
-	c.FastForward = true
-	return c
-}
-
-// progSetFor builds and profiles the job's program once per (program, scale);
-// every option set, variant, and model over it shares the result.
-func (s *Server) progSetFor(ctx context.Context, j job) (*progSet, error) {
-	key := progKey{j.Bench, j.Source, j.Test}
-	s.mu.Lock()
-	c, ok := s.progs[key]
-	if !ok {
-		c = new(flight.Cell[*progSet])
-		s.progs[key] = c
-	}
-	s.mu.Unlock()
-	return c.Do(ctx, func(ctx context.Context) (*progSet, error) {
-		ps := new(progSet)
-		if j.Bench != "" {
-			spec, err := workloads.ByName(j.Bench)
-			if err != nil {
-				return nil, err
-			}
-			scale := spec.Scale
-			if j.Test {
-				scale = spec.TestScale
-			}
-			ps.orig, ps.want = spec.Build(scale)
-			ps.check = true
-		} else {
-			p, err := ir.Parse(j.Source)
-			if err != nil {
-				return nil, err
-			}
-			ps.orig = p
-		}
-		// Profile on the in-order model at the job's scale, like the
-		// experiment suite: one profiling run feeds every treatment.
-		prof, err := profile.CollectContext(ctx, ps.orig, machineConfig(sim.InOrder, j.Test))
-		if err != nil {
-			return nil, fmt.Errorf("profile: %w", err)
-		}
-		ps.prof = prof
-		return ps, nil
-	})
-}
-
-// buildFor adapts (for ssp variants), links, and predecodes the job's binary
-// once per (program, scale, variant, options); both machine models share it.
-func (s *Server) buildFor(ctx context.Context, j job, ps *progSet) (*build, error) {
-	key := buildKey{progKey{j.Bench, j.Source, j.Test}, j.Variant, j.Options}
-	s.mu.Lock()
-	c, ok := s.builds[key]
-	if !ok {
-		c = new(flight.Cell[*build])
-		s.builds[key] = c
-	}
-	s.mu.Unlock()
-	return c.Do(ctx, func(ctx context.Context) (*build, error) {
-		p := ps.orig
-		b := new(build)
-		if j.Variant == varSSP {
-			label := j.Bench
-			if label == "" {
-				label = "source"
-			}
-			adapted, rep, err := ssp.Adapt(p, ps.prof, j.Options, label)
-			if err != nil {
-				return nil, fmt.Errorf("adapt: %w", err)
-			}
-			p, b.slices = adapted, rep.NumSlices()
-		}
-		img, err := ir.Link(p)
-		if err != nil {
-			return nil, err
-		}
-		b.dp = sim.Predecode(img)
-		return b, nil
-	})
-}
-
-// compute runs the full pipeline for one job: build+profile (cached),
-// adapt+predecode (cached), then simulate on a pooled machine with the
-// progress hook installed. Machine lifecycle follows the suite's discipline:
-// only a clean, verified completion returns its machine to the pool; every
-// other exit — error, cancellation, watchdog, checksum mismatch, panic —
-// discards it. A panic (a simulator bug, tripped by one job's program) is
-// recovered into that job's error instead of taking the server down.
-func (s *Server) compute(ctx context.Context, j job, cycles *atomic.Int64) (res *JobResult, err error) {
-	ps, err := s.progSetFor(ctx, j)
-	if err != nil {
-		return nil, err
-	}
-	b, err := s.buildFor(ctx, j, ps)
-	if err != nil {
-		return nil, err
-	}
-	m := s.pool.Get(machineConfig(j.Model, j.Test), b.dp)
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("panic during simulation: %v", r)
-		}
-	}()
-	// ProgressHooks keeps the default accounting bit-for-bit (the result
-	// stays cacheable and golden-comparable) while exposing the live cycle
-	// count to this job's SSE streams.
-	m.SetCycleHooks(sim.ProgressHooks{C: cycles})
-	r, err := m.RunContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if r.TimedOut {
-		return nil, fmt.Errorf("watchdog expired after %d cycles", r.Cycles)
-	}
-	if ps.check {
-		if got := m.Mem.Load(workloads.ResultAddr); got != ps.want {
-			return nil, fmt.Errorf("checksum %d, want %d", got, ps.want)
-		}
-	}
-	s.pool.Put(m)
-	if err := check.Conservation(r); err != nil {
-		return nil, err
-	}
-	return toJobResult(r, b.slices), nil
 }
 
 // UnsafeResponse is the HTTP 422 payload for source jobs whose IR fails the
@@ -603,7 +415,7 @@ func (s *Server) vetSource(j job) (*ssp.SafetyReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := ssp.AnalyzeSafety(p, machineConfig(j.Model, j.Test).MaxSpecInstrs)
+	rep := ssp.AnalyzeSafety(p, s.tuners[j.scale()].Suite.MachineConfig(j.Model).MaxSpecInstrs)
 	return rep, rep.Err()
 }
 

@@ -616,3 +616,54 @@ func TestTuneKeying(t *testing.T) {
 		}
 	}
 }
+
+// TestTuneSharesSuiteCache: with a single worker slot, a tune job and plain
+// jobs for the round-0 cells of its quick grid run at once. Neither may
+// deadlock on the other: a plain job computing a cell holds the slot while
+// the search waits on that cell, so the search itself must never hold the
+// slot. Afterwards a plain job that only the search ran (the mcf/in-order
+// baseline) is a hit — tune searches and plain jobs share one cache.
+func TestTuneSharesSuiteCache(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, EnableTune: true})
+	const timeoutMS = 60_000 // a deadlock surfaces as a 504, not a hang
+	var plain []JobSpec
+	for _, opts := range []string{`{}`, `{"ChainUnroll":2}`, `{"ChainUnroll":3}`} {
+		plain = append(plain, JobSpec{Bench: "mcf", Model: "in-order", Variant: "ssp",
+			Options: json.RawMessage(opts), TimeoutMS: timeoutMS})
+	}
+	codes := make(chan int, len(plain))
+	for _, spec := range plain {
+		go func(spec JobSpec) {
+			body, _ := json.Marshal(spec)
+			resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				codes <- 0
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}(spec)
+	}
+	code, _, msg := post(t, ts, JobSpec{Bench: "mcf", Model: "in-order",
+		Tune: &TuneSpec{Rounds: 2, Grid: "quick"}, TimeoutMS: timeoutMS})
+	if code != http.StatusOK {
+		t.Fatalf("tune job: HTTP %d: %s", code, msg)
+	}
+	for range plain {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("plain job alongside the tune job: HTTP %d", code)
+		}
+	}
+	before := s.Snapshot()
+	code, jr, msg := post(t, ts, JobSpec{Bench: "mcf", Model: "in-order"})
+	if code != http.StatusOK {
+		t.Fatalf("base job: HTTP %d: %s", code, msg)
+	}
+	if !jr.Cached {
+		t.Error("base job after the tune search was not a cache hit")
+	}
+	if after := s.Snapshot(); after.Misses != before.Misses {
+		t.Errorf("base job after the tune search counted a miss (%d -> %d)", before.Misses, after.Misses)
+	}
+}

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"ssp/internal/exp"
 )
 
 // progressInterval is how often a streaming job reports its cycle count.
@@ -66,13 +68,13 @@ type errorEvent struct {
 // actually running it), then exactly one terminal "result" or "error" event.
 // The HTTP status is 200 regardless — errors ride inside the stream, as SSE
 // requires once the header is out.
-func (s *Server) streamJob(ctx context.Context, w http.ResponseWriter, j job, rc *runCell) {
+func (s *Server) streamJob(ctx context.Context, w http.ResponseWriter, key string, h exp.Served) {
 	sse, err := newSSE(w)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotImplemented)
 		return
 	}
-	sse.event("queued", map[string]string{"key": j.key()})
+	sse.event("queued", map[string]string{"key": key})
 
 	start := time.Now()
 	type outcome struct {
@@ -82,7 +84,7 @@ func (s *Server) streamJob(ctx context.Context, w http.ResponseWriter, j job, rc
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, hit, err := s.runJob(ctx, j, rc)
+		res, hit, err := s.runJob(ctx, h)
 		done <- outcome{res, hit, err}
 	}()
 
@@ -97,28 +99,17 @@ func (s *Server) streamJob(ctx context.Context, w http.ResponseWriter, j job, rc
 				return
 			}
 			sse.event("result", JobResponse{
-				Key:    j.key(),
+				Key:    key,
 				Cached: o.hit,
 				WallMS: float64(time.Since(start)) / float64(time.Millisecond),
 				Result: o.res,
 			})
 			return
 		case <-tick.C:
-			if c := rc.cycles.Load(); c != last {
+			if c := h.Cycles(); c != last {
 				last = c
 				sse.event("progress", progressEvent{Cycles: c})
 			}
-		case <-ctx.Done():
-			// Client gone or deadline hit; the runner (if it is ours)
-			// stops via the same ctx. Drain the outcome so the goroutine
-			// exits, then report if anyone is still listening.
-			o := <-done
-			if o.err == nil {
-				sse.event("result", JobResponse{Key: j.key(), Cached: o.hit, Result: o.res})
-			} else {
-				sse.event("error", errorEvent{Status: statusOf(o.err), Error: o.err.Error()})
-			}
-			return
 		}
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"ssp/internal/check"
@@ -217,9 +218,6 @@ func (t *Tuner) Tune(ctx context.Context, bench string, model sim.Model, params 
 	if workers < 1 {
 		workers = 1
 	}
-	if workers > len(grid) {
-		workers = len(grid)
-	}
 	cands := make([]*Candidate, len(grid))
 	errs := make([]error, len(grid))
 	sem := make(chan struct{}, workers)
@@ -230,7 +228,7 @@ func (t *Tuner) Tune(ctx context.Context, bench string, model sim.Model, params 
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			cands[i], errs[i] = t.candidate(ctx, bench, model, params, gp, base.Cycles)
+			cands[i], errs[i] = t.candidate(ctx, bench, model, params, gp, base)
 		}(i, gp)
 	}
 	wg.Wait()
@@ -271,7 +269,7 @@ func (t *Tuner) Tune(ctx context.Context, bench string, model sim.Model, params 
 }
 
 // candidate evaluates one grid point through the memoized cell layer.
-func (t *Tuner) candidate(ctx context.Context, bench string, model sim.Model, params Params, gp GridPoint, baseCycles int64) (*Candidate, error) {
+func (t *Tuner) candidate(ctx context.Context, bench string, model sim.Model, params Params, gp GridPoint, base *sim.Result) (*Candidate, error) {
 	key := fmt.Sprintf("%s|%s|%d|%g|%s", bench, model, params.MaxRounds, params.Epsilon, gp.Options.Key())
 	t.mu.Lock()
 	c, ok := t.cands[key]
@@ -281,22 +279,19 @@ func (t *Tuner) candidate(ctx context.Context, bench string, model sim.Model, pa
 	}
 	t.mu.Unlock()
 	return c.Do(ctx, func(ctx context.Context) (*Candidate, error) {
-		return t.loop(ctx, bench, model, params, gp, baseCycles)
+		return t.loop(ctx, bench, model, params, gp, base)
 	})
 }
 
 // loop runs the adaptive re-profiling loop for one configuration.
-func (t *Tuner) loop(ctx context.Context, bench string, model sim.Model, params Params, gp GridPoint, baseCycles int64) (*Candidate, error) {
+func (t *Tuner) loop(ctx context.Context, bench string, model sim.Model, params Params, gp GridPoint, baseRes *sim.Result) (*Candidate, error) {
 	cand := &Candidate{Label: gp.Label, Options: gp.Options}
 	opt := gp.Options
 	orig, want, prof, err := t.Suite.Workload(ctx, bench)
 	if err != nil {
 		return nil, err
 	}
-	baseRes, err := t.Suite.RunContext(ctx, bench, model, exp.VarBase)
-	if err != nil {
-		return nil, err
-	}
+	baseCycles := baseRes.Cycles
 
 	// Round 0: the ordinary one-shot adaptation, through the suite's
 	// options-keyed cells (conservation-checked inside).
@@ -401,7 +396,7 @@ func (t *Tuner) loop(ctx context.Context, bench string, model sim.Model, params 
 			ResidualMissCycles: resProf.TotalMissCycles,
 		}, bench, model, gp.Label)
 
-		if len(newTargets) == 0 && abs(sp-prev) <= params.Epsilon*prev {
+		if len(newTargets) == 0 && math.Abs(sp-prev) <= params.Epsilon*prev {
 			cand.Converged = true
 			break
 		}
@@ -438,13 +433,6 @@ func sliceRegions(rep *ssp.Report) []string {
 		}
 	}
 	return out
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 func scaleName(s exp.Scale) string {
