@@ -156,6 +156,16 @@ func run(o options, stdout io.Writer) error {
 		}
 		rep.Results = append(rep.Results, res)
 	}
+	if !o.quiet {
+		rounds := 0
+		for _, res := range rep.Results {
+			for _, c := range res.Candidates {
+				rounds += len(c.Rounds)
+			}
+		}
+		// Rounds whose images coincide share one simulation in the suite.
+		fmt.Fprintf(os.Stderr, "%d rounds, %d simulations\n", rounds, s.PoolStats().Gets)
+	}
 	if o.outFile != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {

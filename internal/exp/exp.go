@@ -6,10 +6,12 @@
 // the ablations of the design choices called out in DESIGN.md.
 //
 // A Suite is the one cache of the profile → adapt → relink → run flow
-// (Figure 1): three content-keyed stages of singleflight cells — program,
-// binary, run — that the figure drivers, the closed-loop tuner, and the
-// serving layer all resolve through, so duplicate in-flight requests
-// coalesce onto one computation instead of racing or double-simulating.
+// (Figure 1): stages of singleflight cells — program, binary, run, and
+// under the run stage the simulation itself, keyed by the content of the
+// image it executes — that the figure drivers, the closed-loop tuner, and
+// the serving layer all resolve through, so duplicate in-flight requests
+// coalesce onto one computation and identical images, however they were
+// produced, are simulated once.
 // RunAll fans the experiment matrix out over a worker pool; the figure
 // drivers use it to presimulate their cells in parallel before the (cheap,
 // cache-hitting) serial table-assembly loops.
@@ -94,20 +96,24 @@ type Suite struct {
 	// fully serial suite.
 	Workers int
 
-	// Progress, when non-nil, is called once per newly simulated cell with
-	// the cell's key, its result, and the simulation's wall time. Cached
-	// hits do not fire it. It may be called from many goroutines at once.
+	// Progress, when non-nil, is called once per simulation the suite
+	// performs, with the key of the request that performed it, the result,
+	// and the simulation's wall time. Cached hits, and requests whose image
+	// was already simulated, do not fire it. It may be called from many
+	// goroutines at once.
 	Progress func(key RunKey, res *sim.Result, wall time.Duration)
 
 	// One cell map per stage, each keyed by the stage's inputs: programs by
 	// benchmark name or source hash, binaries by program and treatment
 	// ("base", "hand", or the canonical ssp.Options.Key() — never a summary
 	// of it, so configurations differing in any knob never share a cell),
-	// runs by binary, model, and memory treatment.
+	// runs by binary, model, and memory treatment, and simulations by the
+	// content of what they execute (simKey).
 	mu    sync.Mutex
 	progs map[string]*flight.Cell[*program]
 	bins  map[binKey]*flight.Cell[*binary]
 	runs  map[runKey]*runCell
+	sims  map[simKey]*flight.Cell[*sim.Result]
 
 	// pool recycles machines across runs: Machine.Reset rebinds a machine
 	// to a new (config, program) while reusing its memory pages, hierarchy,
@@ -136,6 +142,20 @@ type runKey struct {
 	binKey
 	model sim.Model
 	mem   Variant
+}
+
+// simKey identifies one simulation by what it executes: the predecoded
+// image's digest (decode.Program.Digest), the model, the memory treatment
+// ("", "perfmem", or "perfdel" with its delinquent load IDs), and the answer
+// checksum the run must leave when check is set. How the image was produced
+// — benchmark, variant, options, tuner round — is not part of it, so
+// identical images share one simulation.
+type simKey struct {
+	image [sha256.Size]byte
+	model sim.Model
+	mem   string
+	want  uint64
+	check bool
 }
 
 // request is one resolved trip through the pipeline: the stage keys plus
@@ -239,12 +259,13 @@ func (p *program) delinquent() []int {
 }
 
 // binary is the binary stage's value: one treatment of a program, linked and
-// predecoded with its chains compiled, plus the tool report that produced it
+// predecoded, with the image's digest and the tool report that produced it
 // (nil for the original program and the hand adaptation).
 type binary struct {
-	prog *ir.Program
-	rep  *ssp.Report
-	dp   *decode.Program
+	prog  *ir.Program
+	rep   *ssp.Report
+	dp    *decode.Program
+	image [sha256.Size]byte
 }
 
 // runCell is one run-stage cell. cycles is the live cycle count a served
@@ -268,6 +289,7 @@ func NewSuite(s Scale) *Suite {
 		progs:   make(map[string]*flight.Cell[*program]),
 		bins:    make(map[binKey]*flight.Cell[*binary]),
 		runs:    make(map[runKey]*runCell),
+		sims:    make(map[simKey]*flight.Cell[*sim.Result]),
 	}
 }
 
@@ -379,21 +401,18 @@ func (s *Suite) binary(ctx context.Context, r request) (*binary, error) {
 			return nil, err
 		}
 		b.dp = sim.Predecode(img)
-		// Warm the closure-threaded chain compile inside the coalesced
-		// cell: every machine over this image shares the sidecar, so no
-		// run pays the compile inside a timed simulation.
-		sim.ThreadedProgram(b.dp)
+		b.image = b.dp.Digest()
 		return b, nil
 	})
 }
 
 // do resolves the run cell c of request r, computing it on first use and
-// reporting whether this caller computed it. Every cached result passed the
-// conservation layer and was narrated to Progress once. admit, when non-nil,
-// marks a served run: only the caller that computes the cell calls it (the
-// serving layer's worker slot; hits and coalesced waiters never do), and the
-// run publishes the cell's live cycle count through sim.ProgressHooks, which
-// keeps the default accounting bit-for-bit.
+// reporting whether this caller computed it. admit, when non-nil, marks a
+// served run: only the caller that computes the cell calls it (the serving
+// layer's worker slot; hits and coalesced waiters never do), and if that
+// caller also performs the simulation, it publishes the cell's live cycle
+// count through sim.ProgressHooks, which keeps the default accounting
+// bit-for-bit.
 func (c *runCell) do(ctx context.Context, s *Suite, r request, admit func(context.Context) (func(), error)) (run, bool, error) {
 	ran := false
 	v, err := c.Do(ctx, func(ctx context.Context) (run, error) {
@@ -407,19 +426,12 @@ func (c *runCell) do(ctx context.Context, s *Suite, r request, admit func(contex
 			defer release()
 			setup = func(m *sim.Machine) { m.SetCycleHooks(sim.ProgressHooks{C: &c.cycles}) }
 		}
-		v, wall, err := s.compute(ctx, r, setup)
+		b, k, cfg, err := s.prepare(ctx, r)
 		if err != nil {
 			return run{}, err
 		}
-		// Every cached result must be internally consistent; a violation
-		// here means a simulator accounting bug, not a bad treatment.
-		if err := check.Conservation(v.res); err != nil {
-			return run{}, fmt.Errorf("%s: %w", r.label(), err)
-		}
-		if s.Progress != nil {
-			s.Progress(r.label(), v.res, wall)
-		}
-		return v, nil
+		res, err := s.simulate(ctx, k, r.label(), cfg, b.dp, setup)
+		return run{res, b.rep}, err
 	})
 	return v, ran, err
 }
@@ -430,32 +442,73 @@ func (s *Suite) resolve(ctx context.Context, r request) (run, error) {
 	return v, err
 }
 
-// compute runs r through the program and binary stages and simulates the
-// binary (no caching; the run stage wraps it, and RunInstrumented calls it
-// directly). setup, when non-nil, instruments the machine first.
-func (s *Suite) compute(ctx context.Context, r request, setup func(*sim.Machine)) (run, time.Duration, error) {
+// prepare resolves r through the program and binary stages to the
+// simulation it asks for: the binary, the simulation's key, and its machine
+// configuration.
+func (s *Suite) prepare(ctx context.Context, r request) (*binary, simKey, sim.Config, error) {
 	p, err := s.program(ctx, r)
 	if err != nil {
-		return run{}, 0, err
+		return nil, simKey{}, sim.Config{}, err
 	}
 	b, err := s.binary(ctx, r)
 	if err != nil {
-		return run{}, 0, err
+		return nil, simKey{}, sim.Config{}, err
 	}
+	k := simKey{image: b.image, model: r.model, mem: string(r.mem), want: p.want, check: p.check}
 	cfg := s.MachineConfig(r.model)
 	switch r.mem {
 	case VarPerfMem:
 		cfg.Mem.PerfectMemory = true
 	case VarPerfDel:
+		ids := p.delinquent()
 		cfg.Mem.PerfectDelinquent = true
-		cfg.Mem.DelinquentIDs = mem.NewIDSet(p.delinquent()...)
+		cfg.Mem.DelinquentIDs = mem.NewIDSet(ids...)
+		k.mem = fmt.Sprint(VarPerfDel, ids)
 	}
-	res, wall, err := s.execute(ctx, r.label(), cfg, b.dp, p, setup)
+	return b, k, cfg, nil
+}
+
+// simulate resolves the sim-stage cell k: its first caller runs dp on cfg
+// and validates the result; concurrent and later callers with the same
+// content share it. Every cached result passed the conservation layer.
+// The simulation is narrated to Progress under the label of the caller that
+// performed it. setup, when non-nil, instruments the machine; it must leave
+// the Result bit-for-bit what an uninstrumented run produces.
+func (s *Suite) simulate(ctx context.Context, k simKey, label RunKey, cfg sim.Config, dp *decode.Program, setup func(*sim.Machine)) (*sim.Result, error) {
+	return cellOf(&s.mu, s.sims, k).Do(ctx, func(ctx context.Context) (*sim.Result, error) {
+		// Warm the closure-threaded chain compile before the timed run:
+		// every machine over this image shares the sidecar.
+		sim.ThreadedProgram(dp)
+		res, wall, err := s.execute(ctx, label, k, cfg, dp, setup)
+		if err != nil {
+			return nil, err
+		}
+		// Every cached result must be internally consistent; a violation
+		// here means a simulator accounting bug, not a bad treatment.
+		if err := check.Conservation(res); err != nil {
+			return nil, fmt.Errorf("%s: %w", label, err)
+		}
+		if s.Progress != nil {
+			s.Progress(label, res, wall)
+		}
+		return res, nil
+	})
+}
+
+// compute runs r through the program and binary stages and simulates the
+// binary outside every cache (RunInstrumented). setup, when non-nil,
+// instruments the machine first.
+func (s *Suite) compute(ctx context.Context, r request, setup func(*sim.Machine)) (run, time.Duration, error) {
+	b, k, cfg, err := s.prepare(ctx, r)
+	if err != nil {
+		return run{}, 0, err
+	}
+	res, wall, err := s.execute(ctx, r.label(), k, cfg, b.dp, setup)
 	return run{res, b.rep}, wall, err
 }
 
-// execute runs one simulation under the suite's machine-lifecycle discipline
-// and returns its result and wall time.
+// execute runs one simulation of k under the suite's machine-lifecycle
+// discipline and returns its result and wall time.
 //
 // The machine goes back to the pool only after a clean completion — Run
 // returned, the watchdog did not fire, and the answer checksum matched (when
@@ -465,7 +518,7 @@ func (s *Suite) compute(ctx context.Context, r request, setup func(*sim.Machine)
 // A panic is recovered and reported as the run's error rather than unwinding
 // into a worker pool: one bad hook or one simulator bug fails its own cell
 // (and, in the serving layer, its own request) instead of the whole process.
-func (s *Suite) execute(ctx context.Context, label RunKey, cfg sim.Config, dp *decode.Program, p *program, setup func(*sim.Machine)) (res *sim.Result, wall time.Duration, err error) {
+func (s *Suite) execute(ctx context.Context, label RunKey, k simKey, cfg sim.Config, dp *decode.Program, setup func(*sim.Machine)) (res *sim.Result, wall time.Duration, err error) {
 	m := s.pool.Get(cfg, dp)
 	defer func() {
 		if r := recover(); r != nil {
@@ -484,8 +537,8 @@ func (s *Suite) execute(ctx context.Context, label RunKey, cfg sim.Config, dp *d
 	if res.TimedOut {
 		return nil, 0, fmt.Errorf("%s: watchdog expired after %d cycles", label, res.Cycles)
 	}
-	if got := m.Mem.Load(workloads.ResultAddr); p.check && got != p.want {
-		return nil, 0, fmt.Errorf("%s: checksum %d, want %d", label, got, p.want)
+	if got := m.Mem.Load(workloads.ResultAddr); k.check && got != k.want {
+		return nil, 0, fmt.Errorf("%s: checksum %d, want %d", label, got, k.want)
 	}
 	// Clean completion: the Result is detached from the machine, so the
 	// machine can go back to the pool before the result is validated or
@@ -610,7 +663,7 @@ func (s *Suite) Served(bench, src string, model sim.Model, opt *ssp.Options) Ser
 // Cycles is the live cycle count of the cell's served computation; requests
 // coalesced onto it all watch the one simulation actually running. It stays
 // 0 while a matrix or tuner run, which keeps the default stats hook,
-// computes the cell.
+// computes the cell, and when the cell's image was already simulated.
 func (h Served) Cycles() int64 { return h.c.cycles.Load() }
 
 // Do resolves the served cell and reports whether this request computed it.
@@ -622,25 +675,23 @@ func (h Served) Do(ctx context.Context, admit func(context.Context) (release fun
 	return v.res, v.rep, ran, err
 }
 
-// Simulate runs an arbitrary program under the suite's machine-lifecycle and
-// validation discipline (pooled machine, watchdog, answer checksum against
-// want, conservation) without entering any cache: the program is the
-// caller's own, so the suite has no key for it. Progress does not fire. The
-// closed-loop tuner runs its re-adapted round images through here.
+// Simulate runs an arbitrary program on model under the suite's
+// machine-lifecycle and validation discipline (pooled machine, watchdog,
+// answer checksum against want, conservation) through the simulation stage:
+// the linked image's content is the key, so a program whose image the suite
+// already simulated with the same answer check — an earlier call's, or any
+// run cell's — returns that result without simulating again, and concurrent
+// identical calls coalesce. A simulation it performs is narrated to
+// Progress as label/model/external. The closed-loop tuner runs its
+// re-adapted round images through here.
 func (s *Suite) Simulate(ctx context.Context, label string, model sim.Model, p *ir.Program, want uint64) (*sim.Result, error) {
 	img, err := ir.Link(p)
 	if err != nil {
 		return nil, fmt.Errorf("%s: link: %w", label, err)
 	}
-	rk := RunKey{label, model, "external"}
-	res, _, err := s.execute(ctx, rk, s.MachineConfig(model), sim.Predecode(img), &program{want: want, check: true}, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := check.Conservation(res); err != nil {
-		return nil, fmt.Errorf("%s: %w", rk, err)
-	}
-	return res, nil
+	dp := sim.Predecode(img)
+	k := simKey{image: dp.Digest(), model: model, want: want, check: true}
+	return s.simulate(ctx, k, RunKey{label, model, "external"}, s.MachineConfig(model), dp, nil)
 }
 
 // Speedup returns cycles(reference)/cycles(treatment).

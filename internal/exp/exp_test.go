@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -447,5 +448,78 @@ func TestPresetIsOptionsCell(t *testing.T) {
 	}
 	if n := s.Cells(); n != 1 {
 		t.Fatalf("suite holds %d run cells, want 1", n)
+	}
+}
+
+// TestSimulateSharesImageCells: the simulation stage is keyed by what runs,
+// not by who asks. A copy of a binary the suite already ran comes back from
+// Simulate as that run cell's own result without a new simulation; another
+// model is another cell, and concurrent identical calls coalesce onto one
+// simulation; a different answer check never reuses the cached success.
+func TestSimulateSharesImageCells(t *testing.T) {
+	s := NewSuite(ScaleTest)
+	ctx := context.Background()
+	var mu sync.Mutex
+	var narrated []RunKey
+	s.Progress = func(k RunKey, _ *sim.Result, _ time.Duration) {
+		mu.Lock()
+		defer mu.Unlock()
+		narrated = append(narrated, k)
+	}
+	opt := ssp.DefaultOptions()
+	res, err := s.RunOptions(ctx, "mcf", sim.InOrder, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, _, err := s.ProgramOptions(ctx, "mcf", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, _, err := s.Workload(ctx, "mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gets := s.PoolStats().Gets
+	got, err := s.Simulate(ctx, "copy", sim.InOrder, prog.Clone(), want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != res {
+		t.Fatal("Simulate of the run cell's image returned a different result")
+	}
+	if n := s.PoolStats().Gets - gets; n != 0 {
+		t.Fatalf("Simulate of an already simulated image ran %d simulations", n)
+	}
+
+	const callers = 6
+	results := make([]*sim.Result, callers)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			r, err := s.Simulate(ctx, "copy", sim.OOO, prog.Clone(), want)
+			if err != nil {
+				t.Error(err)
+			}
+			results[i] = r
+		}(i)
+	}
+	wg.Wait()
+	for _, r := range results {
+		if r == nil || r != results[0] || r == res {
+			t.Fatal("concurrent Simulate calls on a new model did not share one fresh cell")
+		}
+	}
+	if n := s.PoolStats().Gets - gets; n != 1 {
+		t.Fatalf("%d concurrent identical Simulate calls ran %d simulations, want 1", callers, n)
+	}
+
+	if _, err := s.Simulate(ctx, "wrong-answer", sim.InOrder, prog.Clone(), want+1); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("a different answer check reused the cached success: err = %v", err)
+	}
+	// One narration per simulation: the RunOptions cell's and the OOO one.
+	if len(narrated) != 2 || narrated[1] != (RunKey{"copy", sim.OOO, "external"}) {
+		t.Fatalf("Progress fired for %v, want once per simulation", narrated)
 	}
 }

@@ -5,8 +5,8 @@
 // concurrent or repeated — cost one simulation.
 //
 // The server is a thin client of internal/exp: one exp.Suite per scale is
-// its only program, binary, and run cache, with the suite's machine
-// configuration, machine pool, and validation discipline, and the
+// its only program, binary, run, and simulation cache, with the suite's
+// machine configuration, machine pool, and validation discipline, and the
 // closed-loop tuner of tune-mode jobs wraps the same suites. A served result
 // is therefore the corresponding matrix cell itself — byte-identical to the
 // golden-stats baseline — and a job the tuner or the matrix already ran is a

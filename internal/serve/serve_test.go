@@ -667,3 +667,46 @@ func TestTuneSharesSuiteCache(t *testing.T) {
 		t.Errorf("base job after the tune search counted a miss (%d -> %d)", before.Misses, after.Misses)
 	}
 }
+
+// TestSameImageJobsShareSimulation: two option jobs whose adaptations are
+// the same image are two requests but one simulation. The second job
+// computes its own run cell, so it is a miss and answers cached: false, yet
+// the suite's machine pool hands out no machine for it, and its result is
+// the first job's.
+func TestSameImageJobsShareSimulation(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	spec := JobSpec{Bench: "mcf", Model: "in-order", Variant: "ssp"}
+	code, first, msg := post(t, ts, spec)
+	if code != http.StatusOK {
+		t.Fatalf("default job: %d %s", code, msg)
+	}
+	before := s.Snapshot()
+	// A tighter chain bound leaves mcf's test-scale slice unchanged.
+	spec.Options = json.RawMessage(`{"ChainBound": 64}`)
+	code, second, msg := post(t, ts, spec)
+	if code != http.StatusOK {
+		t.Fatalf("bound=64 job: %d %s", code, msg)
+	}
+	after := s.Snapshot()
+	if second.Key == first.Key || second.Cached {
+		t.Fatalf("a job with different options was served as a hit (key %s, cached %v)", second.Key, second.Cached)
+	}
+	if after.Misses != before.Misses+1 || after.Cells != before.Cells+1 {
+		t.Fatalf("misses %d -> %d, cells %d -> %d; want one more of each",
+			before.Misses, after.Misses, before.Cells, after.Cells)
+	}
+	if after.Pool.Gets != before.Pool.Gets {
+		t.Fatalf("the same image was simulated again (pool gets %d -> %d)", before.Pool.Gets, after.Pool.Gets)
+	}
+	a, err := json.Marshal(first.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(second.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("jobs sharing one simulation returned different results")
+	}
+}

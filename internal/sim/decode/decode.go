@@ -16,11 +16,13 @@
 //
 // A Program is immutable after Predecode and carries no machine state, so one
 // predecoded image is safely shared by any number of machines across models
-// and goroutines — exp.Suite caches one per (benchmark, variant) and runs
-// every matrix cell against it.
+// and goroutines — exp.Suite caches one per binary and runs every matrix
+// cell against it.
 package decode
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"sync"
 
 	"ssp/internal/ir"
@@ -182,11 +184,50 @@ type Program struct {
 // Threaded returns the per-image threaded-code sidecar, invoking build at
 // most once over the Program's lifetime (concurrent callers block on the
 // first build). The cache key is the Program identity: exp.Suite memoizes
-// one Program per (benchmark, variant), so the compile is amortized exactly
-// like the predecode itself.
+// one Program per binary, so the compile is amortized exactly like the
+// predecode itself.
 func (p *Program) Threaded(build func() any) any {
 	p.thrOnce.Do(func() { p.thr = build() })
 	return p.thr
+}
+
+// Digest returns a SHA-256 over everything the engines execute from this
+// image: the entry PC, every decoded instruction with the linked-block
+// leaders the threaded core compiles over, and the initial memory. Programs
+// with equal digests run identically on every engine and machine
+// configuration, however they were produced, so exp.Suite keys its
+// simulation cells on the digest.
+func (p *Program) Digest() [sha256.Size]byte {
+	h := sha256.New()
+	buf := make([]byte, 0, 64*len(p.Code)+16)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(p.Img.Entry))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(p.Code)))
+	for pc := range p.Code {
+		d := &p.Code[pc]
+		leader := byte(0)
+		if pc > 0 && p.Img.BlockOf[pc] != p.Img.BlockOf[pc-1] {
+			leader = 1
+		}
+		buf = append(buf, leader, byte(d.H), byte(d.FU), byte(d.Lat), byte(d.Op), byte(d.Qp),
+			byte(d.Rd), byte(d.Ra), byte(d.Rb), byte(d.Pd1), byte(d.Pd2), byte(d.Bd), byte(d.Bs),
+			byte(d.Fd), byte(d.Fa), byte(d.Fb), byte(d.Fc), byte(d.Cond))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(d.Tgt))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(d.ID))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(d.Imm))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(d.Disp))
+		for _, locs := range [2][]ir.Loc{d.Uses, d.Defs} {
+			buf = append(buf, byte(len(locs)))
+			for _, l := range locs {
+				buf = binary.LittleEndian.AppendUint16(buf, uint16(l))
+			}
+		}
+	}
+	// A hash.Hash never returns a write error.
+	h.Write(buf)
+	p.Mem.WriteTo(h)
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 // Classify maps an opcode to its function-unit and latency classes.

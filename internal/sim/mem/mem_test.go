@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -125,6 +126,45 @@ func TestSnapshotExplicitZeroPage(t *testing.T) {
 	}
 	if dst.Checksum() != src.Checksum() {
 		t.Fatal("checksum differs after install over dirty memory")
+	}
+}
+
+// TestSnapshotWriteTo: the encoding is a function of the installed memory
+// alone — map iteration order cannot move it — and any change to a word,
+// an address, or the resident page set changes it.
+func TestSnapshotWriteTo(t *testing.T) {
+	enc := func(img map[uint64]uint64) string {
+		var b strings.Builder
+		n, err := NewSnapshot(img).WriteTo(&b)
+		if err != nil || n != int64(b.Len()) {
+			t.Fatalf("WriteTo = %d, %v; wrote %d bytes", n, err, b.Len())
+		}
+		return b.String()
+	}
+	img := map[uint64]uint64{0x1000: 1, 0x1008: 2, 1 << 40: 3}
+	for a := uint64(0); a < 4096; a += 8 {
+		img[0x100000+a] = a
+	}
+	base := enc(img)
+	if len(base) != 3*(8+4096) {
+		t.Fatalf("encoding is %d bytes, want 3 pages of 8+4096", len(base))
+	}
+	for i := 0; i < 20; i++ {
+		if enc(img) != base {
+			t.Fatal("encoding depends on map iteration order")
+		}
+	}
+	variants := []map[uint64]uint64{
+		{0x1000: 1, 0x1008: 3, 1 << 40: 3},            // a word
+		{0x1000: 1, 0x1010: 2, 1 << 40: 3},            // an address in the page
+		{0x1000: 1, 0x1008: 2, 1<<40 + 4096: 3},       // an outlier page index
+		{0x1000: 1, 0x1008: 2, 1 << 40: 3, 0x9000: 0}, // an explicit zero page
+	}
+	short := enc(map[uint64]uint64{0x1000: 1, 0x1008: 2, 1 << 40: 3})
+	for i, v := range variants {
+		if enc(v) == short {
+			t.Errorf("variant %d encodes like the original", i)
+		}
 	}
 }
 

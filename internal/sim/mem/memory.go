@@ -6,7 +6,11 @@
 // partial hits — the "Partial" categories of Figure 9.
 package mem
 
-import "sort"
+import (
+	"encoding/binary"
+	"io"
+	"sort"
+)
 
 // pageBits selects a 4KB page (512 words) for the sparse memory.
 const pageBits = 9
@@ -225,6 +229,27 @@ func (m *Memory) InstallSnapshot(s *Snapshot) {
 	for i, idx := range s.idxs {
 		*m.ensurePage(idx) = *s.pages[i]
 	}
+}
+
+// WriteTo writes the snapshot's canonical encoding to w: each resident
+// page's index followed by its words, little-endian, in increasing page
+// order. Snapshots with equal encodings install identical memories, so a
+// hash of the encoding can key a content-addressed cache.
+func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
+	buf := make([]byte, 0, 8*(1+len(page{})))
+	var n int64
+	for i, idx := range s.idxs {
+		buf = binary.LittleEndian.AppendUint64(buf[:0], idx)
+		for _, v := range s.pages[i] {
+			buf = binary.LittleEndian.AppendUint64(buf, v)
+		}
+		m, err := w.Write(buf)
+		n += int64(m)
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
 }
 
 // Footprint returns the number of resident pages (for tests).

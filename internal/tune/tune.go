@@ -17,7 +17,10 @@
 // (ChainUnroll, region depth, chain bound), each grid point evaluated with
 // its own adaptive loop on the exp.Suite worker pool, memoized per
 // (bench, model, params, options) so repeated tuning requests — the serving
-// layer's tune mode — coalesce and hit cache.
+// layer's tune mode — coalesce and hit cache. Round images run through the
+// suite's simulation cells, which are keyed by image content: re-adapts
+// against residual profiles often land on one image across rounds and grid
+// points, and each distinct image is simulated once.
 //
 // Targets accumulate across rounds (the union of every round's ranking)
 // because re-profiling an adapted image shows covered loads as healthy: a

@@ -152,3 +152,31 @@ func TestCancelledTuneReturnsCtxErr(t *testing.T) {
 		t.Fatal("cancelled tune succeeded")
 	}
 }
+
+// TestTuneSimulatesEachImageOnce: the search's rounds resolve through the
+// suite's content-keyed simulation cells, so a round image identical to one
+// already simulated — an earlier round's, another grid point's, or a round
+// 0 cell's — costs no simulation. Distinct images give distinct cycle
+// counts on these workloads, so the suite must have run exactly one
+// simulation per distinct round cycle count, plus the baseline.
+func TestTuneSimulatesEachImageOnce(t *testing.T) {
+	for _, bench := range []string{"mcf", "rand.2p"} {
+		tn := testTuner()
+		res, err := tn.Tune(context.Background(), bench, sim.InOrder, Params{MaxRounds: 3}, FullGrid())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds, distinct := 0, map[int64]bool{}
+		for _, c := range res.Candidates {
+			for _, r := range c.Rounds {
+				rounds++
+				distinct[r.Cycles] = true
+			}
+		}
+		sims := tn.Suite.PoolStats().Gets
+		if want := int64(1 + len(distinct)); sims != want {
+			t.Errorf("%s: %d rounds with %d distinct cycle counts ran %d simulations, want %d",
+				bench, rounds, len(distinct), sims, want)
+		}
+	}
+}
