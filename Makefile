@@ -1,19 +1,18 @@
 GO ?= go
 
-.PHONY: check fmt vet test race alloc-gate bench-module bench bench-diff bench-smoke bench-gate sspcheck predecode-sweep fastforward-sweep hotpath-sweep safety-sweep threaded-sweep fuzz-smoke cover serve-smoke serve-load tune-smoke tune-bench table2 table2-check
+.PHONY: check fmt vet test race alloc-gate bench-module bench bench-diff bench-smoke bench-gate sspcheck strategy-sweep safety-sweep fuzz-smoke cover serve-smoke serve-load tune-smoke tune-bench table2 table2-check
 
 # check is the full gate: formatting, vet, the test suite under the race
 # detector (the concurrent experiment engine is exercised by internal/exp's
 # determinism and coalescing tests), the allocation-regression gate (the race
-# run skips it — instrumentation allocates), the differential/metamorphic
-# fuzz sweep over 32 fixed seeds (internal/check), the 500-seed fast-forward
-# equivalence sweep, the 200-seed hot-path/machine-reuse equivalence sweep,
-# the 32-seed speculation-safety sweep (static budget certificates, dynamic
-# budget oracle, adversarial mutants), the 200-seed threaded-core
-# equivalence sweep, and a short native-fuzzing smoke of the parser, the
-# adaptation tool, and the threaded execution core; and the benchmark
-# module's vet and tests.
-check: fmt vet race alloc-gate bench-module sspcheck fastforward-sweep hotpath-sweep safety-sweep threaded-sweep fuzz-smoke
+# run skips it — instrumentation allocates), the benchmark module's vet and
+# tests, and the same three sweeps the CI check job runs — the
+# differential/metamorphic fuzz sweep over 32 fixed seeds (internal/check),
+# the 500-seed execution-strategy equivalence sweep, and the 32-seed
+# speculation-safety sweep (static budget certificates, dynamic budget
+# oracle, adversarial mutants) — plus a short native-fuzzing smoke of the
+# parser, the adaptation tool, and the threaded execution core.
+check: fmt vet race alloc-gate bench-module sspcheck strategy-sweep safety-sweep fuzz-smoke
 
 # bench-module vets and tests the benchmark under bench/, a module of its own
 # (replace ssp => ../) that the root module's build and tests never compile:
@@ -28,25 +27,14 @@ bench-module:
 sspcheck:
 	$(GO) run ./cmd/sspcheck -seeds 32
 
-# predecode-sweep is the regression gate for the decode-once execution core:
-# fresh vs shared vs stats-off machines must agree bit-for-bit per seed.
-predecode-sweep:
-	$(GO) run ./cmd/sspcheck -seeds 32 -predecode
-
-# fastforward-sweep is the regression gate for the stall-aware fast-forward
-# timing core: per-cycle vs fast-forwarded runs must agree bit-for-bit —
-# cycles, breakdowns, histograms, and memory statistics — on the original and
-# SSP-adapted program of every seed, under both machine models.
-fastforward-sweep:
-	$(GO) run ./cmd/sspcheck -seeds 500 -fastforward
-
-# hotpath-sweep is the regression gate for the flattened hot-path data layout
-# and the exp.Suite machine pool: a single machine Reset and reused across
-# models and programs must agree bit-for-bit with fresh machines — cycles,
-# breakdowns, histograms, and per-load memory statistics — on the original
-# and SSP-adapted program of every seed.
-hotpath-sweep:
-	$(GO) run ./cmd/sspcheck -seeds 200 -hotpath
+# strategy-sweep is the regression gate for every host-side execution
+# strategy (check.StrategyEquivalence): per seed, the original and the
+# SSP-adapted program, under both machine models, must give the same Result
+# bit for bit — cycles, breakdowns, histograms, per-load memory statistics —
+# with threaded chains or table dispatch, fast-forward on or off, a fresh or
+# a shared decode, a fresh or a Reset-reused machine, and stats on or off.
+strategy-sweep:
+	$(GO) run ./cmd/sspcheck -seeds 500 -strategy
 
 # safety-sweep is the regression gate for the speculation-safety verifier:
 # per seed, every adapted slice must carry a violation-free static budget
@@ -55,14 +43,6 @@ hotpath-sweep:
 # exactly that class.
 safety-sweep:
 	$(GO) run ./cmd/sspcheck -seeds 32 -safety
-
-# threaded-sweep is the regression gate for the closure-threaded execution
-# core: per seed, interpreting and simulating over compiled per-block chains
-# must agree bit-for-bit with table dispatch — entire Result, original and
-# SSP-adapted program, both machine models, fresh/shared/rerun/stats-off
-# machines, fast-forward off and on.
-threaded-sweep:
-	$(GO) run ./cmd/sspcheck -seeds 200 -threaded
 
 # alloc-gate runs the allocation-regression tests without the race detector
 # (whose instrumentation allocates): the per-access hot path must stay at

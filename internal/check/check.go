@@ -24,8 +24,10 @@
 package check
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"ssp/internal/ir"
 	"ssp/internal/profile"
@@ -66,31 +68,28 @@ func hasSSP(p *ir.Program) bool {
 	return found
 }
 
-// run executes one engine over a predecoded image and applies the
-// conservation layer to its result. Callers predecode once and share the
-// program across every engine and configuration of a check.
-func run(cfg sim.Config, dp *decode.Program) (*sim.Result, error) {
-	return runMachine(sim.NewPredecoded(cfg, dp))
-}
-
-// runMachine executes an already-built machine and applies the conservation
-// layer, for callers that manage machine construction themselves (the
-// hot-path gate reuses one machine across runs via Machine.Reset).
+// runMachine executes a machine and applies finished to its result.
 func runMachine(m *sim.Machine) (*sim.Result, error) {
 	res, err := m.Run()
 	if err != nil {
 		return nil, err
 	}
-	if res.TimedOut {
-		return nil, fmt.Errorf("%v: watchdog expired after %d cycles", m.Cfg.Model, res.Cycles)
-	}
-	if res.MainKilled {
-		return nil, fmt.Errorf("%v: main thread executed thread_kill_self", m.Cfg.Model)
-	}
-	if err := Conservation(res); err != nil {
+	if err := finished(res); err != nil {
 		return nil, fmt.Errorf("%v: %w", m.Cfg.Model, err)
 	}
 	return res, nil
+}
+
+// finished rejects a run the watchdog cut short or whose main thread killed
+// itself, and applies the conservation layer.
+func finished(res *sim.Result) error {
+	if res.TimedOut {
+		return fmt.Errorf("watchdog expired after %d cycles", res.Cycles)
+	}
+	if res.MainKilled {
+		return errors.New("main thread executed thread_kill_self")
+	}
+	return Conservation(res)
 }
 
 // compareRegs diffs two main-thread register files, optionally skipping the
@@ -126,7 +125,7 @@ func Differential(cfgs []sim.Config, p *ir.Program, maxInstrs int64) error {
 	}
 	refSum := ref.Mem.Checksum()
 	for _, cfg := range cfgs {
-		res, err := run(cfg, dp)
+		res, err := runMachine(sim.NewPredecoded(cfg, dp))
 		if err != nil {
 			return fmt.Errorf("check: differential: %w", err)
 		}
@@ -159,11 +158,11 @@ func Metamorphic(cfgs []sim.Config, orig, adapted *ir.Program) error {
 	}
 	dpO, dpA := sim.Predecode(imgO), sim.Predecode(imgA)
 	for _, cfg := range cfgs {
-		resO, err := run(cfg, dpO)
+		resO, err := runMachine(sim.NewPredecoded(cfg, dpO))
 		if err != nil {
 			return fmt.Errorf("check: metamorphic original: %w", err)
 		}
-		resA, err := run(cfg, dpA)
+		resA, err := runMachine(sim.NewPredecoded(cfg, dpA))
 		if err != nil {
 			return fmt.Errorf("check: metamorphic adapted: %w", err)
 		}
@@ -249,124 +248,160 @@ func reconcile(s *mem.LoadStat, what string) error {
 	return nil
 }
 
-// PredecodeEquivalence asserts that the predecode layer is semantically
-// inert (the regression gate for the decode-once refactor): for every
-// configured machine model, an engine over a privately predecoded image, two
-// consecutive engines over one shared predecoded image, and an engine with
-// per-cycle stats instrumentation detached all agree on the architectural
-// triple — final main-thread registers, memory checksum, and retired
-// main-thread instruction count. The repeated shared run would expose any
-// engine mutating the supposedly immutable decode; the stats-off run would
-// expose timing or architectural state leaking through the hook layer.
-func PredecodeEquivalence(cfgs []sim.Config, p *ir.Program) error {
-	img, err := ir.Link(p)
-	if err != nil {
-		return fmt.Errorf("check: link: %w", err)
-	}
-	shared := sim.Predecode(img)
-	for _, cfg := range cfgs {
-		fresh, err := run(cfg, sim.Predecode(img))
-		if err != nil {
-			return fmt.Errorf("check: predecode %v: fresh: %w", cfg.Model, err)
-		}
-		first, err := run(cfg, shared)
-		if err != nil {
-			return fmt.Errorf("check: predecode %v: shared: %w", cfg.Model, err)
-		}
-		second, err := run(cfg, shared)
-		if err != nil {
-			return fmt.Errorf("check: predecode %v: shared rerun: %w", cfg.Model, err)
-		}
-		// Stats-off run: Breakdown/SpecActiveHist are deliberately empty, so
-		// it bypasses run()'s conservation layer.
-		fast := sim.NewPredecoded(cfg, shared)
-		fast.DisableStats()
-		quick, err := fast.Run()
-		if err != nil {
-			return fmt.Errorf("check: predecode %v: stats-off: %w", cfg.Model, err)
-		}
-		if quick.TimedOut {
-			return fmt.Errorf("check: predecode %v: stats-off: watchdog expired", cfg.Model)
-		}
-		for _, alt := range []struct {
-			what string
-			res  *sim.Result
-		}{
-			{"shared decode vs fresh decode", first},
-			{"shared decode rerun vs fresh decode", second},
-			{"stats-off vs fresh decode", quick},
-		} {
-			if err := compareRegs(alt.res.FinalRegs, fresh.FinalRegs, false, alt.what); err != nil {
-				return fmt.Errorf("check: predecode %v: %w", cfg.Model, err)
-			}
-			if alt.res.MemChecksum != fresh.MemChecksum {
-				return fmt.Errorf("check: predecode %v: %s: memory checksum %#x vs %#x", cfg.Model, alt.what, alt.res.MemChecksum, fresh.MemChecksum)
-			}
-			if alt.res.MainInstrs != fresh.MainInstrs {
-				return fmt.Errorf("check: predecode %v: %s: retired %d main instrs vs %d", cfg.Model, alt.what, alt.res.MainInstrs, fresh.MainInstrs)
-			}
-			if alt.res.Cycles != fresh.Cycles {
-				return fmt.Errorf("check: predecode %v: %s: %d cycles vs %d", cfg.Model, alt.what, alt.res.Cycles, fresh.Cycles)
-			}
-		}
-	}
-	return nil
+// point is one execution strategy of the StrategyEquivalence lattice: the
+// two engine knobs, where the predecoded image comes from, which machine
+// runs it, and whether the per-cycle stats recorder is attached.
+type point struct {
+	threaded     bool // Config.Threaded: closure-threaded chains vs table dispatch
+	ff           bool // Config.FastForward: stall jumps vs per-cycle timing
+	freshDecode  bool // a private Predecode (and chain compile) vs the shared one
+	freshMachine bool // a newly built machine vs the one Reset machine
+	statsOff     bool // Machine.DisableStats before the run
 }
 
-// FastForwardEquivalence asserts that the stall-aware fast-forward timing
-// core is an execution strategy, not a model change (the regression gate for
-// fastforward.go): for every configured machine model, a per-cycle run and a
-// fast-forwarded run of the same predecoded image agree bit-for-bit on the
-// complete result — cycles, architectural state, every cell of the Figure 10
-// breakdown and the utilization histogram, the event counters, and the full
-// per-load memory-system statistics. A stats-off pair is compared as well,
-// since detaching the cycle hook removes the pending-fill classification
-// events and exercises the shorter event set. The fast run must also pass
-// the conservation layer (run() applies it), which is what makes the bulk
-// crediting honest rather than merely internally consistent.
-func FastForwardEquivalence(cfgs []sim.Config, p *ir.Program) error {
-	img, err := ir.Link(p)
-	if err != nil {
-		return fmt.Errorf("check: link: %w", err)
+func (pt point) String() string {
+	s := fmt.Sprintf("threaded=%s ff=%s decode=%s machine=%s", pick(pt.threaded, "on", "off"),
+		pick(pt.ff, "on", "off"), pick(pt.freshDecode, "fresh", "shared"), pick(pt.freshMachine, "fresh", "reset"))
+	if pt.statsOff {
+		s += " stats=off"
 	}
-	dp := sim.Predecode(img)
-	for _, cfg := range cfgs {
-		slowCfg, fastCfg := cfg, cfg
-		slowCfg.FastForward, fastCfg.FastForward = false, true
-		slow, err := run(slowCfg, dp)
+	return s
+}
+
+func pick(b bool, yes, no string) string {
+	if b {
+		return yes
+	}
+	return no
+}
+
+// lattice lists every point in run order. The first is the reference the
+// others are compared against: table dispatch, per-cycle timing and stats
+// on, over the shared decode on a newly built machine.
+var lattice = []point{
+	{freshMachine: true},
+	{threaded: true, ff: true, freshDecode: true, freshMachine: true},
+	{}, {ff: true}, {threaded: true}, {threaded: true, ff: true},
+	{statsOff: true}, {ff: true, statsOff: true}, {threaded: true, statsOff: true}, {threaded: true, ff: true, statsOff: true},
+}
+
+// StrategyEquivalence asserts that no host-side execution strategy changes
+// a result: for every configured model and every given program, each
+// lattice point must match the reference on the whole sim.Result
+// (sameTiming), and every run must pass the conservation layer. The points
+// are Threaded × FastForward on the shared decode, one fresh private decode
+// (threaded=on ff=on), and each Threaded × FastForward pair again with stats
+// off, checked through a projection that takes Breakdown and
+// SpecActiveHist — the only fields the stats recorder writes — from the
+// reference. All shared-decode points after the reference run on one
+// machine, Reset between runs and walked point-major over the (model,
+// program) cells, so it crosses model and program switches both ways and
+// every Threaded/FastForward/stats change. The interpreter's chain walker
+// is also checked against its table loop. A failure names its cell and both
+// points, e.g. "ooo prog 1 threaded=on ff=on decode=shared machine=reset vs
+// threaded=off ff=off decode=shared machine=fresh: cycles 813 vs 812".
+//
+// Where the comparisons of the four per-strategy gates it replaces went:
+//   - predecode (fresh vs shared decode, shared rerun, stats off):
+//     decode=fresh; every later shared point reruns the reference's decode;
+//     the stats=off points.
+//   - fast-forward (per-cycle vs ff, stats on and off): the ff=on points.
+//   - hot path (Reset-reused vs fresh machine across models and programs):
+//     every machine=reset point vs its cell's fresh-machine reference.
+//   - threaded (fresh, shared and warm-rerun compiles vs table at ff off
+//     and on; stats off; interpreter): decode=fresh (the compile does not
+//     depend on the config); the first threaded shared point compiles the
+//     shared chains and later ones rerun them warm; threaded=on stats=off;
+//     the interpreter check.
+func StrategyEquivalence(cfgs []sim.Config, progs ...*ir.Program) error {
+	return strategyEquivalence(cfgs, nil, progs...)
+}
+
+// strategyEquivalence is StrategyEquivalence with a hook that may alter each
+// point's Result before it is checked, so tests can show every point is
+// actually compared.
+func strategyEquivalence(cfgs []sim.Config, perturb func(cfg sim.Config, prog int, pt point, r *sim.Result), progs ...*ir.Program) error {
+	imgs := make([]*ir.Image, len(progs))
+	dps := make([]*decode.Program, len(progs))
+	for pi, p := range progs {
+		img, err := ir.Link(p)
 		if err != nil {
-			return fmt.Errorf("check: fastforward %v: per-cycle: %w", cfg.Model, err)
+			return fmt.Errorf("check: strategy: link prog %d: %w", pi, err)
 		}
-		fast, err := run(fastCfg, dp)
+		imgs[pi], dps[pi] = img, sim.Predecode(img)
+		off, on := cfgs[0], cfgs[0]
+		off.Threaded, on.Threaded = false, true
+		tbl, err := sim.InterpretPredecoded(off, dps[pi], maxInterpInstrs)
 		if err != nil {
-			return fmt.Errorf("check: fastforward %v: fast: %w", cfg.Model, err)
+			return fmt.Errorf("check: strategy: prog %d table interpreter: %w", pi, err)
 		}
-		if err := sameTiming(fast, slow); err != nil {
-			return fmt.Errorf("check: fastforward %v: %w", cfg.Model, err)
+		thr, err := sim.InterpretPredecoded(on, dps[pi], maxInterpInstrs)
+		if err == nil {
+			err = compareRegs(thr.Regs, tbl.Regs, false, "regs")
 		}
-		// Stats-off pair: no cycle hook means no pending-fill events bound
-		// the jumps, so the core must stay cycle-exact on timing alone.
-		var offRes [2]*sim.Result
-		for i, c := range []sim.Config{slowCfg, fastCfg} {
-			m := sim.NewPredecoded(c, dp)
+		if err == nil && (thr.Instrs != tbl.Instrs || thr.Mem.Checksum() != tbl.Mem.Checksum()) {
+			err = fmt.Errorf("%d instrs, checksum %#x vs %d, %#x", thr.Instrs, thr.Mem.Checksum(), tbl.Instrs, tbl.Mem.Checksum())
+		}
+		if err != nil {
+			return fmt.Errorf("check: strategy: prog %d chain interpreter vs table: %w", pi, err)
+		}
+	}
+	var shared *sim.Machine
+	exec := func(pt point, ci, pi int, ref *sim.Result) (*sim.Result, error) {
+		cfg := cfgs[ci]
+		cfg.Threaded, cfg.FastForward = pt.threaded, pt.ff
+		dp := dps[pi]
+		if pt.freshDecode {
+			dp = sim.Predecode(imgs[pi])
+		}
+		m := shared
+		if pt.freshMachine || m == nil {
+			m = sim.NewPredecoded(cfg, dp)
+		} else {
+			m.Reset(cfg, dp)
+		}
+		if !pt.freshMachine {
+			shared = m
+		}
+		if pt.statsOff {
 			m.DisableStats()
-			r, err := m.Run()
-			if err != nil {
-				return fmt.Errorf("check: fastforward %v: stats-off: %w", cfg.Model, err)
+		}
+		name := fmt.Sprintf("%v prog %d %v", cfg.Model, pi, pt)
+		res, err := m.Run()
+		if err != nil {
+			return nil, fmt.Errorf("check: strategy: %s: %w", name, err)
+		}
+		if perturb != nil {
+			perturb(cfgs[ci], pi, pt, res)
+		}
+		if pt.statsOff {
+			proj := *res
+			proj.Breakdown, proj.SpecActiveHist = ref.Breakdown, ref.SpecActiveHist
+			res = &proj
+		}
+		if err := finished(res); err != nil {
+			return nil, fmt.Errorf("check: strategy: %s: %w", name, err)
+		}
+		if ref != nil {
+			if err := sameTiming(res, ref); err != nil {
+				return nil, fmt.Errorf("check: strategy: %s vs %v: %w", name, lattice[0], err)
 			}
-			if r.TimedOut {
-				return fmt.Errorf("check: fastforward %v: stats-off: watchdog expired", cfg.Model)
+		}
+		return res, nil
+	}
+	refs := make([]*sim.Result, len(cfgs)*len(dps))
+	for _, pt := range lattice {
+		for ci := range cfgs {
+			for pi := range dps {
+				k := ci*len(dps) + pi
+				res, err := exec(pt, ci, pi, refs[k])
+				if err != nil {
+					return err
+				}
+				if refs[k] == nil {
+					refs[k] = res
+				}
 			}
-			offRes[i] = r
-		}
-		if err := compareRegs(offRes[1].FinalRegs, offRes[0].FinalRegs, false, "stats-off fast vs per-cycle"); err != nil {
-			return fmt.Errorf("check: fastforward %v: %w", cfg.Model, err)
-		}
-		if offRes[1].Cycles != offRes[0].Cycles {
-			return fmt.Errorf("check: fastforward %v: stats-off: %d cycles vs %d", cfg.Model, offRes[1].Cycles, offRes[0].Cycles)
-		}
-		if offRes[1].MemChecksum != offRes[0].MemChecksum {
-			return fmt.Errorf("check: fastforward %v: stats-off: memory checksum %#x vs %#x", cfg.Model, offRes[1].MemChecksum, offRes[0].MemChecksum)
 		}
 	}
 	return nil
@@ -374,155 +409,60 @@ func FastForwardEquivalence(cfgs []sim.Config, p *ir.Program) error {
 
 // sameTiming diffs two results field by field, excluding only the
 // FastForwards/FastForwardedCycles strategy counters (which describe how the
-// host got there, not where the simulated machine ended up).
-func sameTiming(fast, slow *sim.Result) error {
-	if err := compareRegs(fast.FinalRegs, slow.FinalRegs, false, "fast vs per-cycle"); err != nil {
+// host got there, not where the simulated machine ended up). Errors read
+// "<field> <a> vs <b>".
+func sameTiming(a, b *sim.Result) error {
+	if err := compareRegs(a.FinalRegs, b.FinalRegs, false, "regs"); err != nil {
 		return err
 	}
 	for _, c := range []struct {
-		what       string
-		fast, slow int64
+		what string
+		a, b uint64
 	}{
-		{"cycles", fast.Cycles, slow.Cycles},
-		{"main instrs", fast.MainInstrs, slow.MainInstrs},
-		{"spec instrs", fast.SpecInstrs, slow.SpecInstrs},
-		{"spawns", fast.Spawns, slow.Spawns},
-		{"spawns ignored", fast.SpawnsIgnored, slow.SpawnsIgnored},
-		{"chk taken", fast.ChkTaken, slow.ChkTaken},
-		{"mispredicts", fast.Mispredicts, slow.Mispredicts},
-		{"spec stores", fast.SpecStores, slow.SpecStores},
+		{"cycles", uint64(a.Cycles), uint64(b.Cycles)},
+		{"main instrs", uint64(a.MainInstrs), uint64(b.MainInstrs)},
+		{"spec instrs", uint64(a.SpecInstrs), uint64(b.SpecInstrs)},
+		{"spawns", uint64(a.Spawns), uint64(b.Spawns)},
+		{"spawns ignored", uint64(a.SpawnsIgnored), uint64(b.SpawnsIgnored)},
+		{"chk taken", uint64(a.ChkTaken), uint64(b.ChkTaken)},
+		{"mispredicts", uint64(a.Mispredicts), uint64(b.Mispredicts)},
+		{"spec stores", uint64(a.SpecStores), uint64(b.SpecStores)},
+		{"memory checksum", a.MemChecksum, b.MemChecksum},
+		{"prefetches issued", a.Hier.PrefetchIssued, b.Hier.PrefetchIssued},
+		{"prefetches useful", a.Hier.PrefetchUseful, b.Hier.PrefetchUseful},
+		{"prefetches dropped", a.Hier.DroppedPrefetches, b.Hier.DroppedPrefetches},
 	} {
-		if c.fast != c.slow {
-			return fmt.Errorf("%s: %d vs %d", c.what, c.fast, c.slow)
+		if c.a != c.b {
+			return fmt.Errorf("%s %d vs %d", c.what, c.a, c.b)
 		}
 	}
-	if fast.MemChecksum != slow.MemChecksum {
-		return fmt.Errorf("memory checksum %#x vs %#x", fast.MemChecksum, slow.MemChecksum)
+	if a.Breakdown != b.Breakdown {
+		return fmt.Errorf("breakdown %v vs %v", a.Breakdown, b.Breakdown)
 	}
-	for cat := sim.Category(0); cat < sim.NumCategories; cat++ {
-		if fast.Breakdown[cat] != slow.Breakdown[cat] {
-			return fmt.Errorf("breakdown[%v]: %d vs %d", cat, fast.Breakdown[cat], slow.Breakdown[cat])
-		}
+	if !slices.Equal(a.SpecActiveHist, b.SpecActiveHist) {
+		return fmt.Errorf("utilization histogram %v vs %v", a.SpecActiveHist, b.SpecActiveHist)
 	}
-	if len(fast.SpecActiveHist) != len(slow.SpecActiveHist) {
-		return fmt.Errorf("utilization histogram length %d vs %d", len(fast.SpecActiveHist), len(slow.SpecActiveHist))
+	if a.Hier.Totals != b.Hier.Totals {
+		return fmt.Errorf("memory totals %+v vs %+v", a.Hier.Totals, b.Hier.Totals)
 	}
-	for k := range fast.SpecActiveHist {
-		if fast.SpecActiveHist[k] != slow.SpecActiveHist[k] {
-			return fmt.Errorf("utilization[%d]: %d vs %d", k, fast.SpecActiveHist[k], slow.SpecActiveHist[k])
-		}
+	aLoads, bLoads := a.Hier.ByLoad(), b.Hier.ByLoad()
+	if len(aLoads) != len(bLoads) {
+		return fmt.Errorf("per-load stat count %d vs %d", len(aLoads), len(bLoads))
 	}
-	if fast.Hier.Totals != slow.Hier.Totals {
-		return fmt.Errorf("memory totals %+v vs %+v", fast.Hier.Totals, slow.Hier.Totals)
-	}
-	fastLoads, slowLoads := fast.Hier.ByLoad(), slow.Hier.ByLoad()
-	if len(fastLoads) != len(slowLoads) {
-		return fmt.Errorf("per-load stat count %d vs %d", len(fastLoads), len(slowLoads))
-	}
-	for id, fs := range fastLoads {
-		ss := slowLoads[id]
-		if ss == nil || *fs != *ss {
-			return fmt.Errorf("per-load stats for load %d diverge: %+v vs %+v", id, fs, ss)
+	for id, as := range aLoads {
+		if bs := bLoads[id]; bs == nil || *as != *bs {
+			return fmt.Errorf("per-load stats for load %d %+v vs %+v", id, as, bs)
 		}
 	}
 	return nil
 }
 
-// FastForwardSeed runs the fast-forward equivalence gate on an original and
-// an adapted random program from one seed; sweeping it over N seeds is the
-// regression net for the stall-jump core (cmd/sspcheck -fastforward). The
-// adapted program matters: speculative threads exercise the round-robin
-// cursor replay and the multi-thread veto paths that a single-threaded run
-// never reaches.
-func FastForwardSeed(seed int64, cfgs []sim.Config) error {
-	p := workloads.RandomProgram(seed)
-	if err := FastForwardEquivalence(cfgs, p); err != nil {
-		return fmt.Errorf("seed %d: original: %w", seed, err)
-	}
-	prof, err := profile.Collect(p, cfgs[0])
-	if err != nil {
-		return fmt.Errorf("seed %d: profile: %w", seed, err)
-	}
-	adapted, _, err := ssp.Adapt(p, prof, ssp.DefaultOptions(), fmt.Sprintf("seed%d", seed))
-	if err != nil {
-		return fmt.Errorf("seed %d: adapt: %w", seed, err)
-	}
-	if err := FastForwardEquivalence(cfgs, adapted); err != nil {
-		return fmt.Errorf("seed %d: adapted: %w", seed, err)
-	}
-	return nil
-}
-
-// HotPathEquivalence asserts that the flattened hot-path data layout (radix
-// page table, dense per-load stats, ring-buffer windows) and Machine.Reset
-// reuse are invisible in results (the regression gate for the map-free
-// memory/stats refactor): for every configured machine model and every given
-// program, a run on a single machine that is Reset and reused across all
-// (model, program) cells — crossing model switches, program switches, and
-// dirty caches/predictors/stat tables — must agree bit-for-bit with a run on
-// a freshly constructed machine: cycles, breakdowns, histograms, event
-// counters, and the complete per-load memory statistics (sameTiming). Every
-// run also passes the conservation layer, so the dense stat table has to
-// reconcile exactly like the map it replaced.
-func HotPathEquivalence(cfgs []sim.Config, progs ...*ir.Program) error {
-	dps := make([]*decode.Program, len(progs))
-	for i, p := range progs {
-		img, err := ir.Link(p)
-		if err != nil {
-			return fmt.Errorf("check: link program %d: %w", i, err)
-		}
-		dps[i] = sim.Predecode(img)
-	}
-	fresh := make([][]*sim.Result, len(cfgs))
-	for ci, cfg := range cfgs {
-		fresh[ci] = make([]*sim.Result, len(dps))
-		for pi, dp := range dps {
-			r, err := run(cfg, dp)
-			if err != nil {
-				return fmt.Errorf("check: hotpath %v: fresh program %d: %w", cfg.Model, pi, err)
-			}
-			fresh[ci][pi] = r
-		}
-	}
-	// One machine walks every cell in sequence; each Reset must scrub the
-	// previous cell's state (pages, caches, TLB, predictor, windows, stats)
-	// without losing the layout reuse the hot path depends on.
-	var m *sim.Machine
-	reused := func(ci, pi int) error {
-		cfg, dp := cfgs[ci], dps[pi]
-		if m == nil {
-			m = sim.NewPredecoded(cfg, dp)
-		} else {
-			m.Reset(cfg, dp)
-		}
-		r, err := runMachine(m)
-		if err != nil {
-			return fmt.Errorf("check: hotpath %v: reused program %d: %w", cfg.Model, pi, err)
-		}
-		if err := sameTiming(r, fresh[ci][pi]); err != nil {
-			return fmt.Errorf("check: hotpath %v: reused machine, program %d: %w", cfg.Model, pi, err)
-		}
-		return nil
-	}
-	for ci := range cfgs {
-		for pi := range dps {
-			if err := reused(ci, pi); err != nil {
-				return err
-			}
-		}
-	}
-	// Close the loop: Reset from the last cell back to the first, so the
-	// sweep also covers the final-model -> first-model transition.
-	return reused(0, 0)
-}
-
-// HotPathSeed runs the hot-path equivalence gate on an original and an
-// adapted random program from one seed; sweeping it over N seeds is the
-// regression net for the flattened data layout and machine pooling
-// (cmd/sspcheck -hotpath). The adapted program matters: prefetches exercise
-// the ring-buffer accuracy window and spawns exercise per-thread buffer
-// reuse, which the original program never touches.
-func HotPathSeed(seed int64, cfgs []sim.Config) error {
+// StrategySeed profiles and adapts one seeded random program once and gates
+// the original and the adapted program together (cmd/sspcheck -strategy).
+// The adapted program reaches what an original never does: budget
+// enforcement, kill paths, round-robin replay under stall jumps, per-thread
+// buffer reuse and the prefetch window.
+func StrategySeed(seed int64, cfgs []sim.Config) error {
 	p := workloads.RandomProgram(seed)
 	prof, err := profile.Collect(p, cfgs[0])
 	if err != nil {
@@ -532,149 +472,8 @@ func HotPathSeed(seed int64, cfgs []sim.Config) error {
 	if err != nil {
 		return fmt.Errorf("seed %d: adapt: %w", seed, err)
 	}
-	if err := HotPathEquivalence(cfgs, p, adapted); err != nil {
+	if err := StrategyEquivalence(cfgs, p, adapted); err != nil {
 		return fmt.Errorf("seed %d: %w", seed, err)
-	}
-	return nil
-}
-
-// PredecodeSeed runs the predecode-equivalence gate on one random program;
-// sweeping it over N seeds is the regression net for the table-dispatch
-// execution core (cmd/sspcheck -predecode).
-func PredecodeSeed(seed int64, cfgs []sim.Config) error {
-	if err := PredecodeEquivalence(cfgs, workloads.RandomProgram(seed)); err != nil {
-		return fmt.Errorf("seed %d: %w", seed, err)
-	}
-	return nil
-}
-
-// ThreadedEquivalence asserts that the closure-threaded execution core
-// (internal/sim/threaded) is an execution strategy, not a model change (the
-// regression gate for the threaded-code refactor): for every configured
-// machine model, with fast-forwarding both off and on, a table-dispatch run
-// and threaded runs of the same program agree bit-for-bit on the complete
-// result — cycles, architectural state, every cell of the Figure 10 breakdown
-// and the utilization histogram, the event counters, and the full per-load
-// memory statistics. The threaded side runs three ways: over a privately
-// predecoded image (fresh chain compile), over a shared predecoded image
-// (memoized compile), and a rerun over the same shared image (warm sidecar) —
-// the rerun would expose an engine mutating the supposedly immutable compiled
-// chains. A stats-off pair is compared as well, since detaching the cycle
-// hook exercises the devirtualized default-stats path's absence. Finally the
-// functional interpreter's chain walker is compared against its table loop on
-// final registers, instruction count, and memory checksum.
-func ThreadedEquivalence(cfgs []sim.Config, p *ir.Program) error {
-	img, err := ir.Link(p)
-	if err != nil {
-		return fmt.Errorf("check: link: %w", err)
-	}
-	shared := sim.Predecode(img)
-
-	// Functional interpreter: chains vs table loop.
-	icOff, icOn := cfgs[0], cfgs[0]
-	icOff.Threaded, icOn.Threaded = false, true
-	tblI, err := sim.InterpretPredecoded(icOff, shared, maxInterpInstrs)
-	if err != nil {
-		return fmt.Errorf("check: threaded: table interpret: %w", err)
-	}
-	thrI, err := sim.InterpretPredecoded(icOn, shared, maxInterpInstrs)
-	if err != nil {
-		return fmt.Errorf("check: threaded: chain interpret: %w", err)
-	}
-	if err := compareRegs(thrI.Regs, tblI.Regs, false, "chain interpreter vs table"); err != nil {
-		return fmt.Errorf("check: threaded: %w", err)
-	}
-	if thrI.Instrs != tblI.Instrs {
-		return fmt.Errorf("check: threaded: chain interpreter retired %d instrs, table %d", thrI.Instrs, tblI.Instrs)
-	}
-	if thrI.Mem.Checksum() != tblI.Mem.Checksum() {
-		return fmt.Errorf("check: threaded: chain interpreter checksum %#x, table %#x", thrI.Mem.Checksum(), tblI.Mem.Checksum())
-	}
-
-	for _, cfg := range cfgs {
-		for _, ff := range []bool{false, true} {
-			off, on := cfg, cfg
-			off.Threaded, on.Threaded = false, true
-			off.FastForward, on.FastForward = ff, ff
-			ref, err := run(off, shared)
-			if err != nil {
-				return fmt.Errorf("check: threaded %v ff=%v: table: %w", cfg.Model, ff, err)
-			}
-			fresh, err := run(on, sim.Predecode(img))
-			if err != nil {
-				return fmt.Errorf("check: threaded %v ff=%v: fresh: %w", cfg.Model, ff, err)
-			}
-			first, err := run(on, shared)
-			if err != nil {
-				return fmt.Errorf("check: threaded %v ff=%v: shared: %w", cfg.Model, ff, err)
-			}
-			second, err := run(on, shared)
-			if err != nil {
-				return fmt.Errorf("check: threaded %v ff=%v: shared rerun: %w", cfg.Model, ff, err)
-			}
-			for _, alt := range []struct {
-				what string
-				res  *sim.Result
-			}{
-				{"fresh compile", fresh},
-				{"shared compile", first},
-				{"shared compile rerun", second},
-			} {
-				if err := sameTiming(alt.res, ref); err != nil {
-					return fmt.Errorf("check: threaded %v ff=%v: %s vs table: %w", cfg.Model, ff, alt.what, err)
-				}
-			}
-			// Stats-off pair: Breakdown/SpecActiveHist are deliberately
-			// empty, bypassing run()'s conservation layer, and the engines'
-			// devirtualized default-stats branch is not taken.
-			var offRes [2]*sim.Result
-			for i, c := range []sim.Config{off, on} {
-				m := sim.NewPredecoded(c, shared)
-				m.DisableStats()
-				r, err := m.Run()
-				if err != nil {
-					return fmt.Errorf("check: threaded %v ff=%v: stats-off: %w", cfg.Model, ff, err)
-				}
-				if r.TimedOut {
-					return fmt.Errorf("check: threaded %v ff=%v: stats-off: watchdog expired", cfg.Model, ff)
-				}
-				offRes[i] = r
-			}
-			if err := compareRegs(offRes[1].FinalRegs, offRes[0].FinalRegs, false, "stats-off threaded vs table"); err != nil {
-				return fmt.Errorf("check: threaded %v ff=%v: %w", cfg.Model, ff, err)
-			}
-			if offRes[1].Cycles != offRes[0].Cycles {
-				return fmt.Errorf("check: threaded %v ff=%v: stats-off: %d cycles vs %d", cfg.Model, ff, offRes[1].Cycles, offRes[0].Cycles)
-			}
-			if offRes[1].MemChecksum != offRes[0].MemChecksum {
-				return fmt.Errorf("check: threaded %v ff=%v: stats-off: memory checksum %#x vs %#x", cfg.Model, ff, offRes[1].MemChecksum, offRes[0].MemChecksum)
-			}
-		}
-	}
-	return nil
-}
-
-// ThreadedSeed runs the threaded-equivalence gate on an original and an
-// adapted random program from one seed; sweeping it over N seeds is the
-// regression net for the closure-threaded execution core (cmd/sspcheck
-// -threaded). The adapted program matters: chk.c stubs, spawns and
-// speculative slices exercise the engines' budget enforcement and kill paths
-// under the pure-step fast lanes, which an original program never reaches.
-func ThreadedSeed(seed int64, cfgs []sim.Config) error {
-	p := workloads.RandomProgram(seed)
-	if err := ThreadedEquivalence(cfgs, p); err != nil {
-		return fmt.Errorf("seed %d: original: %w", seed, err)
-	}
-	prof, err := profile.Collect(p, cfgs[0])
-	if err != nil {
-		return fmt.Errorf("seed %d: profile: %w", seed, err)
-	}
-	adapted, _, err := ssp.Adapt(p, prof, ssp.DefaultOptions(), fmt.Sprintf("seed%d", seed))
-	if err != nil {
-		return fmt.Errorf("seed %d: adapt: %w", seed, err)
-	}
-	if err := ThreadedEquivalence(cfgs, adapted); err != nil {
-		return fmt.Errorf("seed %d: adapted: %w", seed, err)
 	}
 	return nil
 }

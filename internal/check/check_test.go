@@ -1,6 +1,8 @@
 package check
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -133,74 +135,31 @@ func TestDifferentialInstrCounts(t *testing.T) {
 	}
 }
 
-// TestPredecodeEquivalenceSweep: sharing one predecoded image across engines,
-// reruns, and stats-off machines is semantically invisible, over a sweep of
-// seeded random programs (the regression gate for the table-dispatch
-// execution core; cmd/sspcheck -predecode widens the sweep).
-func TestPredecodeEquivalenceSweep(t *testing.T) {
+// TestStrategyEquivalenceSweep: every execution-strategy point agrees with
+// the reference run over a sweep of seeded random programs, original and
+// SSP-adapted, on both machine models (cmd/sspcheck -strategy widens the
+// sweep; make strategy-sweep runs 500 seeds).
+func TestStrategyEquivalenceSweep(t *testing.T) {
 	n := int64(6)
 	if testing.Short() {
 		n = 2
 	}
 	cfgs := Configs(true)
 	for seed := int64(0); seed < n; seed++ {
-		if err := PredecodeSeed(seed, cfgs); err != nil {
+		if err := StrategySeed(seed, cfgs); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// TestPredecodeEquivalenceAdapted: the gate also holds for an SSP-adapted
-// binary, whose chk.c/spawn handlers exercise the context-management paths a
-// random SSP-free program never reaches.
-func TestPredecodeEquivalenceAdapted(t *testing.T) {
-	_, adapted := adaptMcf(t)
-	if err := PredecodeEquivalence(Configs(true), adapted); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFastForwardEquivalenceSweep: the stall-jump timing core produces
-// bit-for-bit identical results to per-cycle simulation over a sweep of
-// seeded random programs, original and SSP-adapted, on both machine models
-// (cmd/sspcheck -fastforward widens the sweep to hundreds of seeds).
-func TestFastForwardEquivalenceSweep(t *testing.T) {
-	n := int64(6)
-	if testing.Short() {
-		n = 2
-	}
-	cfgs := Configs(true)
-	for seed := int64(0); seed < n; seed++ {
-		if err := FastForwardSeed(seed, cfgs); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestThreadedEquivalenceSweep: the closure-threaded execution core produces
-// bit-for-bit identical results to table dispatch over a sweep of seeded
-// random programs, original and SSP-adapted, on both machine models, with
-// fast-forward off and on (cmd/sspcheck -threaded widens the sweep to 200+
-// seeds; make threaded-sweep runs it in CI).
-func TestThreadedEquivalenceSweep(t *testing.T) {
-	n := int64(6)
-	if testing.Short() {
-		n = 2
-	}
-	cfgs := Configs(true)
-	for seed := int64(0); seed < n; seed++ {
-		if err := ThreadedSeed(seed, cfgs); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestThreadedEquivalenceBenchmarks: the threaded gate holds on all seven
-// paper benchmarks, baseline and SSP-adapted, under both machine models. It
-// also asserts the chains actually compile and fuse on every benchmark: a
-// silently unthreadable image would pass equivalence trivially through the
-// table fallback while the simulator quietly lost its speedup.
-func TestThreadedEquivalenceBenchmarks(t *testing.T) {
+// TestStrategyEquivalenceBenchmarks: the strategy gate holds on all twelve
+// workloads, baseline and SSP-adapted, under both machine models — the
+// surface the experiment matrix runs. It also asserts that the knobs really
+// do something there: the fast-forward core jumps on every baseline, and
+// every image compiles to fused closure chains. A silently disabled
+// strategy would pass equivalence trivially while the pipeline quietly lost
+// its speedup.
+func TestStrategyEquivalenceBenchmarks(t *testing.T) {
 	cfgs := Configs(true)
 	for _, spec := range workloads.All() {
 		spec := spec
@@ -210,9 +169,6 @@ func TestThreadedEquivalenceBenchmarks(t *testing.T) {
 			}
 			t.Parallel()
 			orig, _ := spec.Build(spec.TestScale)
-			if err := ThreadedEquivalence(cfgs, orig); err != nil {
-				t.Fatalf("baseline: %v", err)
-			}
 			prof, err := profile.Collect(orig, cfgs[0])
 			if err != nil {
 				t.Fatal(err)
@@ -221,8 +177,18 @@ func TestThreadedEquivalenceBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ThreadedEquivalence(cfgs, adapted); err != nil {
-				t.Fatalf("adapted: %v", err)
+			if err := StrategyEquivalence(cfgs, orig, adapted); err != nil {
+				t.Fatal(err)
+			}
+			for _, cfg := range cfgs {
+				cfg.FastForward = true
+				res, err := sim.RunProgram(cfg, orig)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.FastForwards == 0 {
+					t.Errorf("%v: fast-forward core never jumped on %s", cfg.Model, spec.Name)
+				}
 			}
 			for _, p := range []*ir.Program{orig, adapted} {
 				img, err := ir.Link(p)
@@ -241,94 +207,87 @@ func TestThreadedEquivalenceBenchmarks(t *testing.T) {
 	}
 }
 
-// TestHotPathEquivalenceSweep: a single machine Reset and reused across
-// models and programs produces results bit-for-bit identical to fresh
-// machines, over a sweep of seeded random programs, original and SSP-adapted
-// (the regression gate for the flattened hot-path data layout and the
-// exp.Suite machine pool; cmd/sspcheck -hotpath widens the sweep to 200+
-// seeds).
-func TestHotPathEquivalenceSweep(t *testing.T) {
-	n := int64(6)
-	if testing.Short() {
-		n = 2
+// moveHit moves one full hit of the lowest-numbered load that has one to the
+// next memory level: the load's access count, the totals and conservation
+// all still hold, so only the per-load comparison can notice.
+func moveHit(r *sim.Result) {
+	loads := r.Hier.ByLoad()
+	ids := make([]int, 0, len(loads))
+	for id := range loads {
+		ids = append(ids, id)
 	}
-	cfgs := Configs(true)
-	for seed := int64(0); seed < n; seed++ {
-		if err := HotPathSeed(seed, cfgs); err != nil {
-			t.Fatal(err)
+	sort.Ints(ids)
+	for _, id := range ids {
+		s := loads[id]
+		for lvl := range s.Hits {
+			if s.Hits[lvl][0] > 0 {
+				s.Hits[lvl][0]--
+				s.Hits[(lvl+1)%len(s.Hits)][0]++
+				return
+			}
 		}
 	}
+	panic("no load with a full hit")
 }
 
-// TestHotPathEquivalenceBenchmarks: the hot-path gate holds across the full
-// experiment matrix surface — all seven paper benchmarks, baseline and
-// SSP-adapted, under both machine models — driving every cell through one
-// reused machine exactly as exp.Suite's pool does.
-func TestHotPathEquivalenceBenchmarks(t *testing.T) {
+// TestStrategyEquivalenceCatchesEveryPoint: the gate really compares every
+// point. Perturbing one point's Result in one cell — an extra cycle, one
+// per-load hit, one mispredict, one dropped prefetch, one register bit, each kept consistent
+// enough to pass conservation on its own — must fail the gate, and
+// the error must name that cell and point. A perturbed reference fails the
+// first comparison made against it, whose error names the reference as its
+// other side.
+func TestStrategyEquivalenceCatchesEveryPoint(t *testing.T) {
+	orig := workloads.RandomProgram(1)
 	cfgs := Configs(true)
-	for _, spec := range workloads.All() {
-		spec := spec
-		t.Run(spec.Name, func(t *testing.T) {
-			if testing.Short() && spec.Name != "mcf" {
-				t.Skip("short mode: mcf only")
-			}
-			t.Parallel()
-			orig, _ := spec.Build(spec.TestScale)
-			prof, err := profile.Collect(orig, cfgs[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			adapted, _, err := ssp.Adapt(orig, prof, ssp.DefaultOptions(), spec.Name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := HotPathEquivalence(cfgs, orig, adapted); err != nil {
-				t.Fatal(err)
-			}
-		})
+	prof, err := profile.Collect(orig, cfgs[0])
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestFastForwardEquivalenceBenchmarks: the gate holds on all seven paper
-// benchmarks, baseline and SSP-adapted, under both machine models — the
-// exact configurations the experiment matrix runs with fast-forward enabled.
-// It also asserts the jumps actually fire on the baselines: a silently
-// disabled core would pass equivalence trivially while the experiment
-// pipeline quietly lost its speedup.
-func TestFastForwardEquivalenceBenchmarks(t *testing.T) {
-	cfgs := Configs(true)
-	for _, spec := range workloads.All() {
-		spec := spec
-		t.Run(spec.Name, func(t *testing.T) {
-			if testing.Short() && spec.Name != "mcf" {
-				t.Skip("short mode: mcf only")
-			}
-			t.Parallel()
-			orig, _ := spec.Build(spec.TestScale)
-			if err := FastForwardEquivalence(cfgs, orig); err != nil {
-				t.Fatalf("baseline: %v", err)
-			}
-			prof, err := profile.Collect(orig, cfgs[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			adapted, _, err := ssp.Adapt(orig, prof, ssp.DefaultOptions(), spec.Name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := FastForwardEquivalence(cfgs, adapted); err != nil {
-				t.Fatalf("adapted: %v", err)
-			}
-			for _, cfg := range cfgs {
-				cfg.FastForward = true
-				res, err := sim.RunProgram(cfg, orig)
-				if err != nil {
-					t.Fatal(err)
+	adapted, _, err := ssp.Adapt(orig, prof, ssp.DefaultOptions(), "seed1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := StrategyEquivalence(cfgs, adapted); err != nil {
+		t.Fatalf("clean gate: %v", err)
+	}
+	perturbations := []struct {
+		name string
+		mut  func(*sim.Result)
+	}{
+		{"cycle", func(r *sim.Result) {
+			r.Cycles++
+			r.Breakdown[0]++
+			r.SpecActiveHist[0]++
+		}},
+		{"per-load hit", moveHit},
+		{"mispredict", func(r *sim.Result) { r.Mispredicts++ }},
+		{"prefetch", func(r *sim.Result) { r.Hier.DroppedPrefetches++ }},
+		{"register", func(r *sim.Result) { r.FinalRegs[1] ^= 1 }},
+	}
+	target := cfgs[len(cfgs)-1].Model
+	prefix := fmt.Sprintf("%v prog 0 ", target)
+	for _, pt := range lattice {
+		for _, pert := range perturbations {
+			pt, pert := pt, pert
+			t.Run(pert.name+"/"+pt.String(), func(t *testing.T) {
+				err := strategyEquivalence(cfgs, func(cfg sim.Config, _ int, at point, r *sim.Result) {
+					if cfg.Model == target && at == pt {
+						pert.mut(r)
+					}
+				}, adapted)
+				if err == nil {
+					t.Fatal("perturbed point passed the gate")
 				}
-				if res.FastForwards == 0 {
-					t.Errorf("%v: fast-forward core never jumped on %s", cfg.Model, spec.Name)
+				msg, cell := err.Error(), prefix+pt.String()
+				named := strings.Contains(msg, cell+": ") || strings.Contains(msg, cell+" vs ")
+				if pt == lattice[0] {
+					named = named || strings.Contains(msg, prefix) && strings.Contains(msg, " vs "+pt.String()+": ")
 				}
-			}
-		})
+				if !named {
+					t.Fatalf("error does not name %q: %v", cell, err)
+				}
+			})
+		}
 	}
 }

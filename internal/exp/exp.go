@@ -330,7 +330,7 @@ func (s *Suite) MachineConfig(model sim.Model) sim.Config {
 	}
 	c.MaxCycles = 4_000_000_000
 	// Runs use the stall-jump timing core: results are bit-for-bit
-	// identical to per-cycle simulation (check.FastForwardEquivalence gates
+	// identical to per-cycle simulation (check.StrategyEquivalence gates
 	// this), and the paper-scale benchmarks spend most of their cycles
 	// fully stalled, so regeneration gets several times faster for free.
 	c.FastForward = true

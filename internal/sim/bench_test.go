@@ -216,7 +216,7 @@ func BenchmarkInOrderRandom(b *testing.B) { benchEngine(b, DefaultInOrder(), ran
 
 // BenchmarkInOrderFF measures the in-order model with the stall-aware
 // fast-forward timing core on: bit-identical results (the
-// check.FastForwardEquivalence gate), far fewer simulated-one-at-a-time
+// check.StrategyEquivalence gate), far fewer simulated-one-at-a-time
 // cycles on this memory-bound workload.
 func BenchmarkInOrderFF(b *testing.B) { benchEngine(b, withFF(DefaultInOrder()), benchProgram(b)) }
 

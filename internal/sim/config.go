@@ -100,7 +100,7 @@ type Config struct {
 	// per-block specialized closure chains; the functional interpreter
 	// executes the chains directly and the cycle engines run the per-PC
 	// pure-step closures under their unchanged timing loops. Semantically
-	// inert — check.ThreadedEquivalence asserts bit-identical Results with
+	// inert — check.StrategyEquivalence asserts bit-identical Results with
 	// it on and off — and on by default; turning it off keeps the
 	// table-dispatch path as the differential reference.
 	Threaded bool
@@ -111,7 +111,7 @@ type Config struct {
 	// engine computes the next-event cycle from the pending completion
 	// times and jumps there in one step, bulk-crediting the skipped cycles
 	// into the Breakdown and SpecActiveHist accounting. The jump is
-	// semantically inert: check.FastForwardEquivalence asserts bit-for-bit
+	// semantically inert: check.StrategyEquivalence asserts bit-for-bit
 	// identical results with it on and off. Machines that spend most
 	// cycles stalled on memory (the paper's Figure 10 machines) simulate
 	// several times faster.

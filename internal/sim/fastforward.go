@@ -13,7 +13,7 @@ package sim
 // utilization accounting in bulk through the CycleSkipper hook, and the
 // round-robin selection cursor is advanced exactly as the skipped selection
 // passes would have advanced it, so a fast-forwarded run is bit-for-bit
-// identical to a per-cycle run (check.FastForwardEquivalence).
+// identical to a per-cycle run (check.StrategyEquivalence).
 //
 // The event set a jump respects:
 //

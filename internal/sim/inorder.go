@@ -311,7 +311,7 @@ func (m *Machine) issueInOrder(t *Thread, budget int, intU, memU, brU, fpU *int)
 // exactly — structural-hazard check, scoreboard, per-instruction accounting,
 // speculative budget enforcement, scoreboard writeback — only the archEffect
 // round-trip and its post-execution switches are gone.
-// check.ThreadedEquivalence holds the two paths bit-identical.
+// check.StrategyEquivalence holds the two paths bit-identical.
 func (m *Machine) issueStepsInOrder(t *Thread, budget int, intU, memU, brU, fpU *int) (k int, cont bool, lvl mem.Level, onLoad bool) {
 	pc := t.pc
 	steps := m.steps

@@ -212,7 +212,7 @@ func NewPredecoded(cfg Config, dp *decode.Program) *Machine {
 // hierarchy (when the cache geometry is unchanged), the thread contexts and
 // their per-thread buffers, and the branch predictor tables. A Reset machine
 // runs bit-for-bit identically to a freshly constructed one — the
-// check.HotPathEquivalence gate and the hot-path sweep enforce this — which
+// check.StrategyEquivalence gate and the strategy sweep enforce this — which
 // is what lets exp.Suite pool machines across matrix cells.
 //
 // Results returned by earlier runs stay valid: Run detaches the hierarchy
@@ -355,7 +355,7 @@ func (m *Machine) Interrupt() { m.stop.Store(true) }
 // simulated cycle, or one fast-forward hop when the timing core is jumping —
 // and RunContext returns nil and ctx.Err() instead of running on to the
 // watchdog limit. A cancelled machine holds a half-finished run; Reset
-// restores it completely (the hot-path equivalence gate proves Reset equals
+// restores it completely (check.StrategyEquivalence proves Reset equals
 // fresh construction), but pooling layers discard it anyway and only recycle
 // machines from clean completions.
 func (m *Machine) RunContext(ctx context.Context) (*Result, error) {

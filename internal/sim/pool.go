@@ -11,7 +11,7 @@ import (
 // (config, program) via Machine.Reset — reusing its memory page frames,
 // hierarchy, predictor tables, and per-thread buffers — or builds a fresh one
 // when the pool is empty. A Reset machine runs bit-for-bit identically to a
-// freshly constructed one (the check.HotPathEquivalence gate enforces this),
+// freshly constructed one (check.StrategyEquivalence enforces this),
 // which is what makes pooling safe at all.
 //
 // Discipline: Put only machines whose run completed cleanly — the Result

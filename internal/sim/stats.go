@@ -88,7 +88,7 @@ type Result struct {
 	// credited to the breakdown in bulk instead of being simulated one at
 	// a time). Both are zero when Config.FastForward is off. They describe
 	// the host-side execution strategy, not the simulated machine, so the
-	// equivalence gates in internal/check deliberately exclude them.
+	// strategy gate in internal/check deliberately excludes them.
 	FastForwards        int64
 	FastForwardedCycles int64
 

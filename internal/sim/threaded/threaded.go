@@ -28,7 +28,7 @@
 // (node.n, Block.NBody) and the static IDs of any folded loads
 // (Block.LoadIDs), so instruction-exact accounting — the interpreter's
 // maxInstrs ceiling in particular — never drifts from table dispatch.
-// check.ThreadedEquivalence holds both consumers to bit-identical results
+// check.StrategyEquivalence holds both consumers to bit-identical results
 // against the table-dispatch reference.
 package threaded
 

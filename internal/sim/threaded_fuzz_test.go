@@ -15,7 +15,8 @@ import (
 // register file, and the memory checksum, including on which side of the
 // ceiling the run lands (both succeed or both report the identical error).
 // The full-Result timing equivalence (both engines, stats, fast-forward) is
-// covered per seed by check.ThreadedSeed, which is too slow for a fuzz loop.
+// covered per seed by check.StrategySeed, which is too slow for a fuzz loop;
+// the lattice, in turn, never varies the instruction ceiling fuzzed here.
 func FuzzThreadedEquivalence(f *testing.F) {
 	for _, seed := range []int64{0, 7, 42} {
 		f.Add(seed, uint8(0))
