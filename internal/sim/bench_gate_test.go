@@ -123,3 +123,82 @@ func median(ds []time.Duration) time.Duration {
 	}
 	return ds[len(ds)/2]
 }
+
+// TestOOOCostGate is the regression gate on the out-of-order engine's
+// per-cycle cost, run by `make bench-gate` beside TestThreadedSpeedupGate
+// and skipped the same way without SSP_BENCH_GATE=1.
+//
+// It measures what the OOO wakeup/select machinery costs relative to the
+// in-order engine on the same host: OOO ns per simulated cycle over in-order
+// ns per simulated cycle, both engines timed in one process with
+// interleaved trials. Two regimes are gated:
+//   - "mcf-ff": the memory-bound mcf kernel with fast-forward on, where
+//     stall detection and jump length dominate (the experiment matrix's
+//     regime);
+//   - "alu": the dense-issue ALU loop, where nearly every cycle selects and
+//     wakes several records and there is little stall to skip.
+//
+// The committed baselines are BENCH_sim.json's "ooo".gate; a ratio more than
+// 10% above its baseline fails.
+func TestOOOCostGate(t *testing.T) {
+	if os.Getenv("SSP_BENCH_GATE") == "" {
+		t.Skip("set SSP_BENCH_GATE=1 to run the timing gate (make bench-gate)")
+	}
+	raw, err := os.ReadFile("../../BENCH_sim.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench struct {
+		OOO struct {
+			Gate map[string]float64 `json:"gate"`
+		} `json:"ooo"`
+	}
+	if err := json.Unmarshal(raw, &bench); err != nil {
+		t.Fatal(err)
+	}
+	if len(bench.OOO.Gate) == 0 {
+		t.Fatal("BENCH_sim.json has no ooo.gate baseline ratios")
+	}
+	measured := map[string]float64{
+		"mcf-ff": oooCostRatio(t, 9, 5, withFF(DefaultOOO()), withFF(DefaultInOrder()), benchNamed(t, "mcf", 3000)),
+		"alu":    oooCostRatio(t, 7, 1, DefaultOOO(), DefaultInOrder(), aluProgram(t)),
+	}
+	for name, committed := range bench.OOO.Gate {
+		got, ok := measured[name]
+		if !ok {
+			t.Errorf("%s: baseline ratio committed but not measured by the gate", name)
+			continue
+		}
+		ceiling := committed * 1.1
+		if got > ceiling {
+			t.Errorf("%s: OOO/in-order ns per cycle %.2fx regressed >10%% above the committed %.2fx (ceiling %.2fx)",
+				name, got, committed, ceiling)
+		} else {
+			t.Logf("%s: %.2fx (committed %.2fx)", name, got, committed)
+		}
+	}
+}
+
+// oooCostRatio returns the OOO engine's ns per simulated cycle over the
+// in-order engine's on one program, from the medians of interleaved trials,
+// each trial running its engine reps times on one Reset machine.
+func oooCostRatio(t *testing.T, trials, reps int, ooo, inorder Config, dp *decode.Program) float64 {
+	var cycles [2]int64
+	engine := func(cfg Config, cyc *int64) func() {
+		cfg.UseTinyMem()
+		m := NewPredecoded(cfg, dp)
+		return func() {
+			for i := 0; i < reps; i++ {
+				m.Reset(cfg, dp)
+				res, err := m.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				*cyc = res.Cycles
+			}
+		}
+	}
+	// ratio is median(second)/median(first): OOO time over in-order time.
+	r := ratio(trials, engine(inorder, &cycles[0]), engine(ooo, &cycles[1]))
+	return r * float64(cycles[0]) / float64(cycles[1])
+}

@@ -23,6 +23,7 @@ package decode
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"sync"
 
 	"ssp/internal/ir"
@@ -38,7 +39,15 @@ const (
 	FUMem
 	FUBr
 	FUFP
+	// NumFUClasses sizes per-class tables.
+	NumFUClasses
 )
+
+// MaxUses bounds len(Decoded.Uses): ir.Instr.AppendUses yields at most the
+// qualifying predicate plus three operands (fma's three FP sources).
+// Predecode enforces it, so the OOO engine sizes its per-record source links
+// to it with no overflow path.
+const MaxUses = 4
 
 // LatClass names an execution latency independently of machine configuration;
 // the machine resolves it to cycles against its Config (MulLat, FPLat,
@@ -354,6 +363,9 @@ func Predecode(img *ir.Image) *Program {
 		in := &img.Code[pc].I
 		u0 := len(uses)
 		uses = in.AppendUses(uses)
+		if len(uses)-u0 > MaxUses {
+			panic(fmt.Sprintf("decode: pc %d (%v) reads %d locations, more than MaxUses=%d", pc, in.Op, len(uses)-u0, MaxUses))
+		}
 		d0 := len(defs)
 		defs = in.AppendDefs(defs)
 		offs[pc] = [4]int{u0, len(uses), d0, len(defs)}

@@ -104,3 +104,39 @@ func TestDigestCoversEveryField(t *testing.T) {
 		t.Error("changing one data word left the digest unchanged")
 	}
 }
+
+// TestUsesBoundedByMaxUses pins the decode-time invariant the OOO engine's
+// fixed-size source links rely on: for every opcode, an instruction with a
+// non-trivial qualifying predicate and every operand field set to a real
+// register (the most reads AppendUses can yield for that opcode) reads at
+// most MaxUses locations, and the bound is tight. Every built-in workload
+// and a range of random programs then decode within it.
+func TestUsesBoundedByMaxUses(t *testing.T) {
+	most := 0
+	for op := ir.Op(0); op < ir.NumOps; op++ {
+		in := ir.Instr{Op: op, Qp: 5, Rd: 3, Ra: 4, Rb: 6, Bd: 1, Bs: 2, Fd: 10, Fa: 11, Fb: 12, Fc: 13}
+		n := len(in.AppendUses(nil))
+		if n > MaxUses {
+			t.Errorf("%v reads %d locations, more than MaxUses=%d", op, n, MaxUses)
+		}
+		most = max(most, n)
+	}
+	if most != MaxUses {
+		t.Errorf("widest opcode reads %d locations; MaxUses=%d is not tight", most, MaxUses)
+	}
+	var progs []*ir.Program
+	for _, spec := range workloads.All() {
+		p, _ := spec.Build(spec.TestScale)
+		progs = append(progs, p)
+	}
+	for seed := int64(0); seed < 16; seed++ {
+		progs = append(progs, workloads.RandomProgram(seed))
+	}
+	for i, p := range progs {
+		for pc, d := range predecode(t, p).Code {
+			if len(d.Uses) > MaxUses {
+				t.Fatalf("program %d pc %d: %d uses", i, pc, len(d.Uses))
+			}
+		}
+	}
+}

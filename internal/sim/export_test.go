@@ -1,0 +1,5 @@
+package sim
+
+// RunAudited exposes runAudited to the external tests, which can import the
+// adaptation tool (it depends on this package through internal/profile).
+var RunAudited = runAudited

@@ -20,9 +20,13 @@ package sim
 //   - every active thread's front-end stall expiry (frontStallUntil);
 //   - in-order: the ready cycle of the first unready source of the
 //     instruction each thread is blocked on (the scoreboard stall);
-//   - OOO: the completion (doneAt) of every issued-but-incomplete window
-//     record — completions drive retirement, wakeup, full-window drain,
-//     waitDrain drain, and blocked-branch resolution;
+//   - OOO: the completion (doneAt) of the ROB head, since retirement is in
+//     order and retirement alone drives full-window drain, waitDrain drain,
+//     and thread termination; and the ready cycle of every
+//     reservation-station entry whose producers have all issued, since only
+//     an issue wakes a consumer, resolves a blocked branch, or changes the
+//     station. An entry still waiting on an unissued producer needs no
+//     event: that producer is older, so it is in the station too;
 //   - the completion of any of the main thread's pending cache fills,
 //     because the Figure 10 category of a stalled cycle depends on the
 //     deepest *outstanding* fill (a jump across a fill completion could
@@ -95,10 +99,13 @@ func (m *Machine) fastForwardInOrder(main *Thread, s CycleStats) {
 
 // fastForwardOOO attempts a stall jump on the out-of-order model after a
 // cycle in which nothing retired, issued, or dispatched. Every active thread
-// must have dispatch blocked and no issuable window record; the events are
-// the completions of issued-but-unfinished records plus front-stall
-// expiries. A thread with a data-ready unissued record vetoes the jump (it
-// only failed to issue because selection passed it over this cycle).
+// must have dispatch blocked and no issuable reservation-station entry; the
+// events are front-stall expiries, the ROB head's completion, and the
+// earliest ready cycle among the station's entries. A thread with a
+// data-ready entry vetoes the jump (it only failed to issue because
+// selection passed it over this cycle). Nothing here scans the window: the
+// station and its cached wakeup state are the same ones the select loop
+// reads.
 func (m *Machine) fastForwardOOO(main *Thread, s CycleStats) {
 	if !m.ffEligible() {
 		return
@@ -119,36 +126,25 @@ func (m *Machine) fastForwardOOO(main *Thread, s CycleStats) {
 			w.full() || (w.waitDrain && w.size() > 0)) {
 			return
 		}
-		if t.frontStallUntil > m.now && t.frontStallUntil < next {
-			next = t.frontStallUntil
+		if t.frontStallUntil > m.now {
+			next = min(next, t.frontStallUntil)
 		}
-		considered := 0
-		for a := w.headAbs; a < w.tailAbs; a++ {
-			r := w.at(a)
-			if r.issued {
-				if r.doneAt > m.now && r.doneAt < next {
-					next = r.doneAt
-				}
-				continue
-			}
-			if considered >= m.Cfg.RSSize {
-				// Outside the reservation-station view: not a wakeup
-				// candidate until older records issue, which the issued-
-				// record events already bound.
-				continue
-			}
-			considered++
-			ready := true
-			for si := 0; si < r.nsrc; si++ {
-				if !w.srcReady(r.srcs[si], m.now) {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				return
+		// Retirement is in order, so only the head's completion can retire
+		// anything (an unissued head's doneAt is notIssued, past any event).
+		if w.headAbs < w.tailAbs {
+			if d := w.at(w.headAbs).doneAt; d > m.now {
+				next = min(next, d)
 			}
 		}
+		// An issuable entry, or a future entry already due (its thread was
+		// not selected this cycle, so nothing promoted it), vetoes the jump.
+		// Otherwise the next issue is at futureMin. A station entry still
+		// waiting on an unissued producer needs no event: that producer is
+		// older and unissued, so it is in the station too.
+		if w.nIssuable > 0 || w.futureMin <= m.now {
+			return
+		}
+		next = min(next, w.futureMin)
 	}
 	m.ffJump(main, s, next, eligible)
 }
@@ -163,10 +159,8 @@ func (m *Machine) ffJump(main *Thread, s CycleStats, next int64, eligible uint64
 		// Never jump across a completion of one of main's pending fills:
 		// the breakdown category of a stalled cycle is the deepest
 		// outstanding fill's level, which changes at each completion.
-		for _, p := range main.pending {
-			if p.readyAt > m.now && p.readyAt < next {
-				next = p.readyAt
-			}
+		if _, any := main.deepestOutstanding(m.now); any && main.pendNext < next {
+			next = main.pendNext
 		}
 	}
 	if e, ok := m.Hier.EarliestPending(m.now); ok && e < next {

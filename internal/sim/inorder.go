@@ -264,7 +264,7 @@ func (m *Machine) issueInOrder(t *Thread, budget int, intU, memU, brU, fpU *int)
 				if m.cycle != nil {
 					// Only the cycle hook's accounting consumes (and
 					// compacts) pending fills; don't grow them unhooked.
-					t.pending = append(t.pending, pendingFill{readyAt: m.now + acc.Latency, level: acc.Level})
+					t.addFill(m.now+acc.Latency, acc.Level)
 				}
 			}
 		case memStore:

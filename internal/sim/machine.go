@@ -55,8 +55,14 @@ type Thread struct {
 	sb [ir.NumLocs]sbEntry
 
 	// pending tracks outstanding cache fills (for accounting; only
-	// maintained while cycle hooks are installed).
-	pending []pendingFill
+	// maintained while cycle hooks are installed). pendDeep and pendNext
+	// cache the deepest level among them and their earliest readyAt: until
+	// the clock reaches pendNext no fill completes, so deepestOutstanding
+	// answers from the cache instead of rescanning. The zero pendNext of a
+	// fresh context forces one rescan, which also sets it.
+	pending  []pendingFill
+	pendDeep mem.Level
+	pendNext int64
 
 	// OOO state (nil on the in-order model).
 	win *window
@@ -88,23 +94,38 @@ type pendingFill struct {
 	level   mem.Level
 }
 
+// addFill records an outstanding cache fill, folding it into the cached
+// deepest level and earliest completion.
+func (t *Thread) addFill(readyAt int64, level mem.Level) {
+	if len(t.pending) == 0 || level > t.pendDeep {
+		t.pendDeep = level
+	}
+	if len(t.pending) == 0 || readyAt < t.pendNext {
+		t.pendNext = readyAt
+	}
+	t.pending = append(t.pending, pendingFill{readyAt: readyAt, level: level})
+}
+
 // deepestOutstanding returns the deepest level among outstanding fills, or
-// (0,false) when none remain. Completed entries are compacted away.
+// (0,false) when none remain. Once a fill has completed (now reaches
+// pendNext), completed entries are compacted away and the cache rebuilt.
+// Afterwards every pending fill is outstanding and pendNext is the earliest
+// completion among them.
 func (t *Thread) deepestOutstanding(now int64) (mem.Level, bool) {
-	out := t.pending[:0]
-	var deepest mem.Level
-	found := false
-	for _, p := range t.pending {
-		if p.readyAt > now {
-			out = append(out, p)
-			if !found || p.level > deepest {
-				deepest = p.level
-				found = true
+	if now >= t.pendNext {
+		out := t.pending[:0]
+		var deepest mem.Level
+		next := ffNoEvent
+		for _, p := range t.pending {
+			if p.readyAt > now {
+				out = append(out, p)
+				deepest = max(deepest, p.level)
+				next = min(next, p.readyAt)
 			}
 		}
+		t.pending, t.pendDeep, t.pendNext = out, deepest, next
 	}
-	t.pending = out
-	return deepest, found
+	return t.pendDeep, len(t.pending) > 0
 }
 
 // Machine simulates one program on one machine model. Its execution core is
@@ -121,6 +142,8 @@ type Machine struct {
 	// machine's resolution of the config-independent latency classes.
 	code []decode.Decoded
 	lat  [decode.NumLatClasses]int64
+	// units is the OOO model's per-cycle function-unit budget by class.
+	units fuBudget
 
 	threads []*Thread
 	now     int64
@@ -231,6 +254,13 @@ func (m *Machine) Reset(cfg Config, dp *decode.Program) {
 		m.steps = nil
 		m.stepInfo = nil
 	}
+	m.units = fuBudget{
+		decode.FUNone: cfg.IssueWidth,
+		decode.FUInt:  cfg.IntUnits,
+		decode.FUMem:  cfg.MemPorts,
+		decode.FUBr:   cfg.BrUnits,
+		decode.FUFP:   cfg.FPUnits,
+	}
 	m.lat = [decode.NumLatClasses]int64{
 		decode.Lat1:   1,
 		decode.Lat2:   2,
@@ -322,7 +352,7 @@ func (m *Machine) startThread(c *Thread, pc int, parent *Thread) {
 	c.InLIB = parent.OutLIB
 	c.frontStallUntil = m.now + m.Cfg.SpawnStartup
 	if m.Cfg.Model == OOO {
-		c.win = win.reset(m.Cfg.ROBSize)
+		c.win = win.reset(m.Cfg.ROBSize, m.Cfg.RSSize)
 	}
 }
 
