@@ -31,8 +31,9 @@ sspcheck:
 # strategy (check.StrategyEquivalence): per seed, the original and the
 # SSP-adapted program, under both machine models, must give the same Result
 # bit for bit — cycles, breakdowns, histograms, per-load memory statistics —
-# with threaded chains or table dispatch, fast-forward on or off, a fresh or
-# a shared decode, a fresh or a Reset-reused machine, and stats on or off.
+# with fast-forward on or off, a fresh or a shared decode, a fresh or a
+# Reset-reused machine, and stats on or off; the interpreter's chain walker
+# must match its per-PC loop.
 strategy-sweep:
 	$(GO) run ./cmd/sspcheck -seeds 500 -strategy
 
@@ -156,10 +157,11 @@ bench-smoke:
 
 # bench-gate is the benchstat-style regression gate on the execution core,
 # with ratios measured in-process (machine-portable, unlike raw ns/op): the
-# threaded/table speedups must not fall more than 10% below their baselines
-# in BENCH_sim.json ("threaded".gate), and the OOO/in-order ns-per-cycle
-# ratios on mcf with fast-forward and on the dense-issue ALU loop must not
-# rise more than 10% above theirs ("ooo".gate). CI runs it in the
-# bench-smoke job.
+# chain walker's speedups over the per-PC interpreter loop and the in-order
+# engine's batch-issue ratio must not fall more than 10% below their
+# baselines in BENCH_sim.json ("threaded".gate), and the OOO/in-order
+# ns-per-cycle ratios on mcf with fast-forward and on the dense-issue ALU
+# loop must not rise more than 10% above theirs ("ooo".gate). CI runs it in
+# the bench-smoke job.
 bench-gate:
 	SSP_BENCH_GATE=1 $(GO) test -count=1 -run 'TestThreadedSpeedupGate|TestOOOCostGate' -v ./internal/sim

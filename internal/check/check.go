@@ -249,10 +249,9 @@ func reconcile(s *mem.LoadStat, what string) error {
 }
 
 // point is one execution strategy of the StrategyEquivalence lattice: the
-// two engine knobs, where the predecoded image comes from, which machine
+// fast-forward knob, where the predecoded image comes from, which machine
 // runs it, and whether the per-cycle stats recorder is attached.
 type point struct {
-	threaded     bool // Config.Threaded: closure-threaded chains vs table dispatch
 	ff           bool // Config.FastForward: stall jumps vs per-cycle timing
 	freshDecode  bool // a private Predecode (and chain compile) vs the shared one
 	freshMachine bool // a newly built machine vs the one Reset machine
@@ -260,8 +259,8 @@ type point struct {
 }
 
 func (pt point) String() string {
-	s := fmt.Sprintf("threaded=%s ff=%s decode=%s machine=%s", pick(pt.threaded, "on", "off"),
-		pick(pt.ff, "on", "off"), pick(pt.freshDecode, "fresh", "shared"), pick(pt.freshMachine, "fresh", "reset"))
+	s := fmt.Sprintf("ff=%s decode=%s machine=%s", pick(pt.ff, "on", "off"),
+		pick(pt.freshDecode, "fresh", "shared"), pick(pt.freshMachine, "fresh", "reset"))
 	if pt.statsOff {
 		s += " stats=off"
 	}
@@ -276,43 +275,42 @@ func pick(b bool, yes, no string) string {
 }
 
 // lattice lists every point in run order. The first is the reference the
-// others are compared against: table dispatch, per-cycle timing and stats
-// on, over the shared decode on a newly built machine.
+// others are compared against: per-cycle timing and stats on, over the
+// shared decode on a newly built machine.
 var lattice = []point{
 	{freshMachine: true},
-	{threaded: true, ff: true, freshDecode: true, freshMachine: true},
-	{}, {ff: true}, {threaded: true}, {threaded: true, ff: true},
-	{statsOff: true}, {ff: true, statsOff: true}, {threaded: true, statsOff: true}, {threaded: true, ff: true, statsOff: true},
+	{ff: true, freshDecode: true, freshMachine: true},
+	{}, {ff: true},
+	{statsOff: true}, {ff: true, statsOff: true},
 }
 
 // StrategyEquivalence asserts that no host-side execution strategy changes
 // a result: for every configured model and every given program, each
 // lattice point must match the reference on the whole sim.Result
 // (sameTiming), and every run must pass the conservation layer. The points
-// are Threaded × FastForward on the shared decode, one fresh private decode
-// (threaded=on ff=on), and each Threaded × FastForward pair again with stats
-// off, checked through a projection that takes Breakdown and
-// SpecActiveHist — the only fields the stats recorder writes — from the
-// reference. All shared-decode points after the reference run on one
-// machine, Reset between runs and walked point-major over the (model,
-// program) cells, so it crosses model and program switches both ways and
-// every Threaded/FastForward/stats change. The interpreter's chain walker
-// is also checked against its table loop. A failure names its cell and both
-// points, e.g. "ooo prog 1 threaded=on ff=on decode=shared machine=reset vs
-// threaded=off ff=off decode=shared machine=fresh: cycles 813 vs 812".
+// are FastForward off and on over the shared decode, one fresh private
+// decode (ff=on), and each FastForward setting again with stats off,
+// checked through a projection that takes Breakdown and SpecActiveHist —
+// the only fields the stats recorder writes — from the reference. All
+// shared-decode points after the reference run on one machine, Reset
+// between runs and walked point-major over the (model, program) cells, so
+// it crosses model and program switches both ways and every
+// FastForward/stats change. The interpreter's chain walker is also checked
+// against its per-PC loop (sim.InterpretStepwise). A failure names its cell
+// and both points, e.g. "ooo prog 1 ff=on decode=shared machine=reset vs
+// ff=off decode=shared machine=fresh: cycles 813 vs 812".
 //
-// Where the comparisons of the four per-strategy gates it replaces went:
+// Where the comparisons of the four per-strategy gates it replaced went:
 //   - predecode (fresh vs shared decode, shared rerun, stats off):
 //     decode=fresh; every later shared point reruns the reference's decode;
 //     the stats=off points.
 //   - fast-forward (per-cycle vs ff, stats on and off): the ff=on points.
 //   - hot path (Reset-reused vs fresh machine across models and programs):
 //     every machine=reset point vs its cell's fresh-machine reference.
-//   - threaded (fresh, shared and warm-rerun compiles vs table at ff off
-//     and on; stats off; interpreter): decode=fresh (the compile does not
-//     depend on the config); the first threaded shared point compiles the
-//     shared chains and later ones rerun them warm; threaded=on stats=off;
-//     the interpreter check.
+//   - threaded (chains vs per-PC execution): the interpreter check. The
+//     engines' table-dispatch axis went with its code: every pure opcode
+//     now has one definition, the compiled step, which TestOpcodeSemantics
+//     in internal/sim specifies.
 func StrategyEquivalence(cfgs []sim.Config, progs ...*ir.Program) error {
 	return strategyEquivalence(cfgs, nil, progs...)
 }
@@ -329,27 +327,25 @@ func strategyEquivalence(cfgs []sim.Config, perturb func(cfg sim.Config, prog in
 			return fmt.Errorf("check: strategy: link prog %d: %w", pi, err)
 		}
 		imgs[pi], dps[pi] = img, sim.Predecode(img)
-		off, on := cfgs[0], cfgs[0]
-		off.Threaded, on.Threaded = false, true
-		tbl, err := sim.InterpretPredecoded(off, dps[pi], maxInterpInstrs)
+		ref, err := sim.InterpretStepwise(cfgs[0], dps[pi], maxInterpInstrs)
 		if err != nil {
-			return fmt.Errorf("check: strategy: prog %d table interpreter: %w", pi, err)
+			return fmt.Errorf("check: strategy: prog %d per-PC interpreter: %w", pi, err)
 		}
-		thr, err := sim.InterpretPredecoded(on, dps[pi], maxInterpInstrs)
+		thr, err := sim.InterpretPredecoded(cfgs[0], dps[pi], maxInterpInstrs)
 		if err == nil {
-			err = compareRegs(thr.Regs, tbl.Regs, false, "regs")
+			err = compareRegs(thr.Regs, ref.Regs, false, "regs")
 		}
-		if err == nil && (thr.Instrs != tbl.Instrs || thr.Mem.Checksum() != tbl.Mem.Checksum()) {
-			err = fmt.Errorf("%d instrs, checksum %#x vs %d, %#x", thr.Instrs, thr.Mem.Checksum(), tbl.Instrs, tbl.Mem.Checksum())
+		if err == nil && (thr.Instrs != ref.Instrs || thr.Mem.Checksum() != ref.Mem.Checksum()) {
+			err = fmt.Errorf("%d instrs, checksum %#x vs %d, %#x", thr.Instrs, thr.Mem.Checksum(), ref.Instrs, ref.Mem.Checksum())
 		}
 		if err != nil {
-			return fmt.Errorf("check: strategy: prog %d chain interpreter vs table: %w", pi, err)
+			return fmt.Errorf("check: strategy: prog %d chain interpreter vs per-PC loop: %w", pi, err)
 		}
 	}
 	var shared *sim.Machine
 	exec := func(pt point, ci, pi int, ref *sim.Result) (*sim.Result, error) {
 		cfg := cfgs[ci]
-		cfg.Threaded, cfg.FastForward = pt.threaded, pt.ff
+		cfg.FastForward = pt.ff
 		dp := dps[pi]
 		if pt.freshDecode {
 			dp = sim.Predecode(imgs[pi])

@@ -10,17 +10,27 @@ import (
 )
 
 // TestThreadedSpeedupGate is the benchstat-style regression gate on the
-// closure-threaded execution core, run by `make bench-gate` (and the CI
-// bench-smoke job) with SSP_BENCH_GATE=1; it skips otherwise so ordinary
-// `go test` runs stay free of timing-sensitive assertions.
+// closure-threaded execution core's two fast paths, run by `make bench-gate`
+// (and the CI bench-smoke job) with SSP_BENCH_GATE=1; it skips otherwise so
+// ordinary `go test` runs stay free of timing-sensitive assertions.
 //
 // Absolute ns/op is machine-dependent, so the committed baseline in
-// BENCH_sim.json ("threaded".gate) records speedup *ratios* — threaded over
-// table dispatch, measured in the same process, same machine, back to back —
-// which port across hosts. The gate re-measures each ratio (median of
-// several interleaved trials, to shrug off scheduler noise) and fails if one
-// regressed more than 10% below its committed value: the benchstat
-// significance rule, applied to the numbers the threaded core exists to move.
+// BENCH_sim.json ("threaded".gate) records speedup *ratios*, each measured
+// in the same process, same machine, interleaved, which port across hosts:
+//   - "BenchmarkInterpret", "BenchmarkInterpretALU": the interpreter's chain
+//     walker (block chains, superinstruction fusion) over its per-PC loop
+//     (InterpretStepwise), on mcf and on the ALU loop;
+//   - "BenchmarkInOrderALU": the in-order engine at full issue width over
+//     the same engine at issue width 1, on the ALU loop. At width 1 every
+//     issue call issues one instruction, so batch issue has nothing to
+//     amortize; at full width one call issues the loop's four integer
+//     operations of a cycle as one batch of pure steps. Issuing one pure
+//     step per call at full width takes the ratio from ~1.45 to ~1.12.
+//
+// The gate re-measures each ratio (median of interleaved trials, to shrug
+// off scheduler noise) and fails if one regressed more than 10% below its
+// committed value: the benchstat significance rule, applied to the numbers
+// the fast paths exist to move.
 func TestThreadedSpeedupGate(t *testing.T) {
 	if os.Getenv("SSP_BENCH_GATE") == "" {
 		t.Skip("set SSP_BENCH_GATE=1 to run the timing gate (make bench-gate)")
@@ -43,41 +53,47 @@ func TestThreadedSpeedupGate(t *testing.T) {
 
 	alu := aluProgram(t)
 	mcf := benchNamed(t, "mcf", 3000)
-	interp := func(cfg Config, dp *decode.Program, reps int) func() {
+	interp := func(run interpretFn, dp *decode.Program, reps int) func() {
+		cfg := DefaultInOrder()
 		cfg.UseTinyMem()
 		return func() {
 			for i := 0; i < reps; i++ {
-				if _, err := InterpretPredecoded(cfg, dp, 1<<40); err != nil {
+				if _, err := run(cfg, dp, 1<<40); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 	}
-	engine := func(cfg Config, dp *decode.Program) func() {
+	engine := func(cfg Config, dp *decode.Program, reps int) func() {
 		cfg.UseTinyMem()
 		m := NewPredecoded(cfg, dp)
 		return func() {
-			m.Reset(cfg, dp)
-			if _, err := m.Run(); err != nil {
-				t.Fatal(err)
+			for i := 0; i < reps; i++ {
+				m.Reset(cfg, dp)
+				if _, err := m.Run(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
 
+	oneWide := DefaultInOrder()
+	oneWide.IssueWidth = 1
+	// Every pair takes the same fifteen interleaved trials, and the
+	// interpreter trials repeat their runs so that each lasts tens of
+	// milliseconds: fewer or shorter trials on a shared host let a median
+	// swing past the 10% band.
+	const trials = 15
 	measured := map[string]float64{
-		"BenchmarkInterpretALU": ratio(7,
-			interp(DefaultInOrder(), alu, 1),
-			interp(withTable(DefaultInOrder()), alu, 1)),
-		// The engine pair is the noisiest (one ~60ms run per trial), so it
-		// takes the most trials for the median to settle.
-		"BenchmarkInOrderALU": ratio(9,
-			engine(DefaultInOrder(), alu),
-			engine(withTable(DefaultInOrder()), alu)),
-		// The mcf interpreter pair is short per run, so each trial batches
-		// repetitions; it is the BenchmarkInterpret regression gate proper.
-		"BenchmarkInterpret": ratio(9,
-			interp(DefaultInOrder(), mcf, 20),
-			interp(withTable(DefaultInOrder()), mcf, 20)),
+		"BenchmarkInterpretALU": ratio(trials,
+			interp(InterpretPredecoded, alu, 3),
+			interp(InterpretStepwise, alu, 3)),
+		"BenchmarkInOrderALU": ratio(trials,
+			engine(DefaultInOrder(), alu, 1),
+			engine(oneWide, alu, 1)),
+		"BenchmarkInterpret": ratio(trials,
+			interp(InterpretPredecoded, mcf, 60),
+			interp(InterpretStepwise, mcf, 60)),
 	}
 	for name, committed := range bench.Threaded.Gate {
 		got, ok := measured[name]
@@ -87,7 +103,7 @@ func TestThreadedSpeedupGate(t *testing.T) {
 		}
 		floor := committed * 0.9
 		if got < floor {
-			t.Errorf("%s: threaded/table speedup %.2fx regressed >10%% below the committed %.2fx (floor %.2fx)",
+			t.Errorf("%s: speedup %.2fx regressed >10%% below the committed %.2fx (floor %.2fx)",
 				name, got, committed, floor)
 		} else {
 			t.Logf("%s: %.2fx (committed %.2fx)", name, got, committed)
@@ -95,24 +111,24 @@ func TestThreadedSpeedupGate(t *testing.T) {
 	}
 }
 
-// ratio returns median(table time) / median(threaded time) over the given
-// number of interleaved trials. Interleaving (threaded, table, threaded, ...)
-// rather than back-to-back blocks keeps slow drifts in machine load from
-// biasing one side.
-func ratio(trials int, threaded, table func()) float64 {
-	threaded() // warm both paths (chain compile, page faults, caches)
-	table()
-	th := make([]time.Duration, 0, trials)
-	tb := make([]time.Duration, 0, trials)
+// ratio returns median(ref time) / median(fast time) over the given number
+// of interleaved trials. Interleaving (fast, ref, fast, ...) rather than
+// back-to-back blocks keeps slow drifts in machine load from biasing one
+// side.
+func ratio(trials int, fast, ref func()) float64 {
+	fast() // warm both paths (chain compile, page faults, caches)
+	ref()
+	ft := make([]time.Duration, 0, trials)
+	rt := make([]time.Duration, 0, trials)
 	for i := 0; i < trials; i++ {
 		start := time.Now()
-		threaded()
-		th = append(th, time.Since(start))
+		fast()
+		ft = append(ft, time.Since(start))
 		start = time.Now()
-		table()
-		tb = append(tb, time.Since(start))
+		ref()
+		rt = append(rt, time.Since(start))
 	}
-	return float64(median(tb)) / float64(median(th))
+	return float64(median(rt)) / float64(median(ft))
 }
 
 func median(ds []time.Duration) time.Duration {

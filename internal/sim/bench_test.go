@@ -9,10 +9,10 @@ import (
 )
 
 // benchNamed links and predecodes one named benchmark workload at the given
-// scale. The decode (and, with Config.Threaded on, the memoized chain
-// compile) happens once, outside the timed loop — the pattern every real
-// consumer (exp.Suite, check) follows. BENCH_sim.json tracks the benchmarks
-// across refactors of the execution core.
+// scale. The decode (and the memoized chain compile) happens once, outside
+// the timed loop — the pattern every real consumer (exp.Suite, check)
+// follows. BENCH_sim.json tracks the benchmarks across refactors of the
+// execution core.
 func benchNamed(b testing.TB, name string, scale int) *decode.Program {
 	b.Helper()
 	spec, err := workloads.ByName(name)
@@ -41,8 +41,8 @@ func benchProgram(b testing.TB) *decode.Program {
 // model sustains its full four-integer-unit issue rate and no loads ever
 // stall it. It is the workload where execution dispatch — not the memory
 // hierarchy — dominates, so it isolates the cycle engines' per-instruction
-// issue cost: the speedup floor the threaded core is gated on (≥1.5x) is
-// measured here, table dispatch vs compiled chains.
+// issue cost and the interpreter's dispatch cost; TestThreadedSpeedupGate
+// measures its ratios here.
 func aluProgram(b testing.TB) *decode.Program {
 	b.Helper()
 	p := ir.NewProgram("main")
@@ -89,26 +89,25 @@ func randomProgram(b testing.TB) *decode.Program {
 	return Predecode(img)
 }
 
-// withTable turns the closure-threaded execution core off, keeping the
-// table-dispatch path as the measured baseline the *Table benchmarks track.
-func withTable(cfg Config) Config {
-	cfg.Threaded = false
-	return cfg
-}
-
 func withFF(cfg Config) Config {
 	cfg.FastForward = true
 	return cfg
 }
 
+// interpretFn is one of the interpreter's two execution strategies:
+// InterpretPredecoded (the chain walker) or InterpretStepwise (the per-PC
+// loop).
+type interpretFn func(Config, *decode.Program, int64) (*InterpResult, error)
+
 // benchInterp measures the functional interpreter on one workload: pure
 // architectural execution, no timing model.
-func benchInterp(b *testing.B, cfg Config, dp *decode.Program) {
+func benchInterp(b *testing.B, interp interpretFn, dp *decode.Program) {
+	cfg := DefaultInOrder()
 	cfg.UseTinyMem()
 	b.ResetTimer()
 	var instrs int64
 	for i := 0; i < b.N; i++ {
-		r, err := InterpretPredecoded(cfg, dp, 1<<40)
+		r, err := interp(cfg, dp, 1<<40)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -117,34 +116,35 @@ func benchInterp(b *testing.B, cfg Config, dp *decode.Program) {
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
 }
 
-// BenchmarkInterpret measures the functional interpreter on the primary
-// workload, with the threaded chains (the default configuration).
-func BenchmarkInterpret(b *testing.B) { benchInterp(b, DefaultInOrder(), benchProgram(b)) }
+// BenchmarkInterpret measures the functional interpreter's chain walker on
+// the primary workload.
+func BenchmarkInterpret(b *testing.B) { benchInterp(b, InterpretPredecoded, benchProgram(b)) }
 
-// BenchmarkInterpretTable is the same interpretation over per-PC table
-// dispatch — the before/after pair behind the threaded core's ≥2x
-// interpreter gate.
-func BenchmarkInterpretTable(b *testing.B) {
-	benchInterp(b, withTable(DefaultInOrder()), benchProgram(b))
+// BenchmarkInterpretStepwise is the same interpretation through the per-PC
+// loop — the pair behind TestThreadedSpeedupGate's interpreter ratios.
+func BenchmarkInterpretStepwise(b *testing.B) {
+	benchInterp(b, InterpretStepwise, benchProgram(b))
 }
 
 // BenchmarkInterpretMulti measures the interpreter on the multi-phase mcf
 // variant: several hot regions, several compiled chain families.
 func BenchmarkInterpretMulti(b *testing.B) {
-	benchInterp(b, DefaultInOrder(), benchNamed(b, "mcf.multi", 2000))
+	benchInterp(b, InterpretPredecoded, benchNamed(b, "mcf.multi", 2000))
 }
 
 // BenchmarkInterpretRandom measures the interpreter on the seeded random
 // program family the check and fuzz layers sweep.
-func BenchmarkInterpretRandom(b *testing.B) { benchInterp(b, DefaultInOrder(), randomProgram(b)) }
+func BenchmarkInterpretRandom(b *testing.B) {
+	benchInterp(b, InterpretPredecoded, randomProgram(b))
+}
 
 // BenchmarkInterpretALU measures the interpreter on the non-memory-bound ALU
 // loop, where chain execution pays off most.
-func BenchmarkInterpretALU(b *testing.B) { benchInterp(b, DefaultInOrder(), aluProgram(b)) }
+func BenchmarkInterpretALU(b *testing.B) { benchInterp(b, InterpretPredecoded, aluProgram(b)) }
 
-// BenchmarkInterpretALUTable is the ALU loop over table dispatch.
-func BenchmarkInterpretALUTable(b *testing.B) {
-	benchInterp(b, withTable(DefaultInOrder()), aluProgram(b))
+// BenchmarkInterpretALUStepwise is the ALU loop through the per-PC loop.
+func BenchmarkInterpretALUStepwise(b *testing.B) {
+	benchInterp(b, InterpretStepwise, aluProgram(b))
 }
 
 // benchEngine measures one cycle-level engine on a workload, reporting
@@ -176,33 +176,17 @@ func benchEngine(b *testing.B, cfg Config, dp *decode.Program) {
 // BenchmarkInOrder measures the 12-stage in-order pipeline model.
 func BenchmarkInOrder(b *testing.B) { benchEngine(b, DefaultInOrder(), benchProgram(b)) }
 
-// BenchmarkInOrderTable is the in-order model over table dispatch only.
-func BenchmarkInOrderTable(b *testing.B) {
-	benchEngine(b, withTable(DefaultInOrder()), benchProgram(b))
-}
-
 // BenchmarkOOO measures the 16-stage out-of-order pipeline model.
 func BenchmarkOOO(b *testing.B) { benchEngine(b, DefaultOOO(), benchProgram(b)) }
 
-// BenchmarkOOOTable is the OOO model over table dispatch only.
-func BenchmarkOOOTable(b *testing.B) { benchEngine(b, withTable(DefaultOOO()), benchProgram(b)) }
-
 // BenchmarkInOrderALU / BenchmarkOOOALU measure the cycle engines on the
-// non-memory-bound ALU loop: nearly every instruction takes the pure-step
-// lane, so the pair with their *Table twins is the engines' dispatch-cost
-// speedup (the ≥1.5x cycle-loop gate; see TestThreadedSpeedupGate).
+// non-memory-bound ALU loop, where nearly every instruction is a pure step:
+// the engines' per-instruction issue cost, with in-order batch issue at work
+// (see TestThreadedSpeedupGate and TestOOOCostGate).
 func BenchmarkInOrderALU(b *testing.B) { benchEngine(b, DefaultInOrder(), aluProgram(b)) }
 
-// BenchmarkInOrderALUTable is the ALU loop on the in-order model, table path.
-func BenchmarkInOrderALUTable(b *testing.B) {
-	benchEngine(b, withTable(DefaultInOrder()), aluProgram(b))
-}
-
-// BenchmarkOOOALU is the ALU loop on the OOO model, threaded path.
+// BenchmarkOOOALU is the ALU loop on the OOO model.
 func BenchmarkOOOALU(b *testing.B) { benchEngine(b, DefaultOOO(), aluProgram(b)) }
-
-// BenchmarkOOOALUTable is the ALU loop on the OOO model, table path.
-func BenchmarkOOOALUTable(b *testing.B) { benchEngine(b, withTable(DefaultOOO()), aluProgram(b)) }
 
 // BenchmarkInOrderMulti measures the in-order model on the multi-phase mcf
 // variant, covering multi-region adapted-style control flow.

@@ -95,16 +95,6 @@ type Config struct {
 	// capture (the profiling pass of Figure 1).
 	Profile bool
 
-	// Threaded enables the closure-threaded execution core
-	// (internal/sim/threaded): the predecoded image is compiled once into
-	// per-block specialized closure chains; the functional interpreter
-	// executes the chains directly and the cycle engines run the per-PC
-	// pure-step closures under their unchanged timing loops. Semantically
-	// inert — check.StrategyEquivalence asserts bit-identical Results with
-	// it on and off — and on by default; turning it off keeps the
-	// table-dispatch path as the differential reference.
-	Threaded bool
-
 	// FastForward enables the stall-aware fast-forward timing core
 	// (fastforward.go): when the machine is fully stalled — no thread can
 	// issue, dispatch, or retire anything until a known future cycle — the
@@ -148,7 +138,6 @@ func DefaultInOrder() Config {
 		RetireWidth:       6,
 		MaxSpecInstrs:     1 << 20,
 		MaxCycles:         2_000_000_000,
-		Threaded:          true,
 	}
 }
 

@@ -4,15 +4,17 @@
 // the OOO model) ever re-inspects ir.Instr on the per-dynamic-instruction hot
 // path. Each Decoded carries:
 //
-//   - a direct handler index (H) — the engines' architectural execution is a
-//     table dispatch, with the immediate/register addressing forms of the hot
-//     ALU and compare opcodes split into separate handlers;
+//   - a handler kind (H), with the immediate/register addressing forms of
+//     the hot ALU and compare opcodes split into separate kinds: the threaded
+//     compiler specializes pure instructions on it, and the engines dispatch
+//     memory and control instructions through a table indexed by it;
 //   - the function-unit class and a config-independent latency class (the
 //     machine resolves LatClass against its Config once, in a 5-entry table);
 //   - all scalar operands copied out of the ir.Instr (registers, predicates,
 //     immediates, displacements) plus the pre-resolved branch/spawn target;
-//   - the use/def location sets, sub-sliced from two shared backing arrays so
-//     scoreboard and rename walks stay on a contiguous allocation.
+//   - the use/def location sets, inline in fixed-size arrays, so the
+//     scoreboard and rename walks read one 64-byte record per PC and chase
+//     no pointer.
 //
 // A Program is immutable after Predecode and carries no machine state, so one
 // predecoded image is safely shared by any number of machines across models
@@ -43,11 +45,16 @@ const (
 	NumFUClasses
 )
 
-// MaxUses bounds len(Decoded.Uses): ir.Instr.AppendUses yields at most the
+// MaxUses bounds Decoded.NU: ir.Instr.AppendUses yields at most the
 // qualifying predicate plus three operands (fma's three FP sources).
 // Predecode enforces it, so the OOO engine sizes its per-record source links
 // to it with no overflow path.
 const MaxUses = 4
+
+// MaxDefs bounds Decoded.ND: ir.Instr.AppendDefs yields at most two
+// locations (a compare's predicate pair, a post-increment load's
+// destination and base). Predecode enforces it.
+const MaxDefs = 2
 
 // LatClass names an execution latency independently of machine configuration;
 // the machine resolves it to cycles against its Config (MulLat, FPLat,
@@ -70,9 +77,11 @@ const (
 	NumLatClasses
 )
 
-// Handler indexes the engines' architectural-execution dispatch table. The
-// hot two-operand opcodes are split by addressing form (register vs
-// immediate) so handlers read exactly the fields they need.
+// Handler names an instruction's execution kind: what the threaded compiler
+// specializes a pure instruction on, and the index of a memory or control
+// instruction in the engines' dispatch table. The hot two-operand opcodes
+// are split by addressing form (register vs immediate) so each kind reads
+// exactly the fields it needs.
 type Handler uint8
 
 const (
@@ -159,10 +168,11 @@ type Decoded struct {
 	Imm  int64
 	Disp int64
 
-	// Uses and Defs are the location sets the scoreboard and rename stages
-	// walk; they alias the Program's shared backing arrays.
-	Uses []ir.Loc
-	Defs []ir.Loc
+	// Uses[:NU] and Defs[:ND] are the location sets the scoreboard and
+	// rename stages walk.
+	Uses   [MaxUses]ir.Loc
+	Defs   [MaxDefs]ir.Loc
+	NU, ND uint8
 }
 
 // Program is an immutable predecoded image.
@@ -224,7 +234,7 @@ func (p *Program) Digest() [sha256.Size]byte {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(d.ID))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(d.Imm))
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(d.Disp))
-		for _, locs := range [2][]ir.Loc{d.Uses, d.Defs} {
+		for _, locs := range [2][]ir.Loc{d.Uses[:d.NU], d.Defs[:d.ND]} {
 			buf = append(buf, byte(len(locs)))
 			for _, l := range locs {
 				buf = binary.LittleEndian.AppendUint16(buf, uint16(l))
@@ -353,23 +363,7 @@ func handlerOf(in *ir.Instr) Handler {
 // immutable and safe for concurrent sharing.
 func Predecode(img *ir.Image) *Program {
 	code := make([]Decoded, len(img.Code))
-	// Two shared backing arrays keep every instruction's use/def sets on
-	// contiguous memory instead of len(Code) tiny allocations. The arrays
-	// may reallocate while growing, so per-PC offsets are recorded first and
-	// the sub-slices bound after the final backing is known.
-	var uses, defs []ir.Loc
-	offs := make([][4]int, len(img.Code))
-	for pc := range img.Code {
-		in := &img.Code[pc].I
-		u0 := len(uses)
-		uses = in.AppendUses(uses)
-		if len(uses)-u0 > MaxUses {
-			panic(fmt.Sprintf("decode: pc %d (%v) reads %d locations, more than MaxUses=%d", pc, in.Op, len(uses)-u0, MaxUses))
-		}
-		d0 := len(defs)
-		defs = in.AppendDefs(defs)
-		offs[pc] = [4]int{u0, len(uses), d0, len(defs)}
-	}
+	var locs []ir.Loc
 	for pc := range img.Code {
 		l := &img.Code[pc]
 		in := &l.I
@@ -393,9 +387,16 @@ func Predecode(img *ir.Image) *Program {
 		case HLiw, HLir:
 			d.Imm = in.Imm & (ir.LIBSlots - 1)
 		}
-		o := offs[pc]
-		d.Uses = uses[o[0]:o[1]:o[1]]
-		d.Defs = defs[o[2]:o[3]:o[3]]
+		locs = in.AppendUses(locs[:0])
+		if len(locs) > MaxUses {
+			panic(fmt.Sprintf("decode: pc %d (%v) reads %d locations, more than MaxUses=%d", pc, in.Op, len(locs), MaxUses))
+		}
+		d.NU = uint8(copy(d.Uses[:], locs))
+		locs = in.AppendDefs(locs[:0])
+		if len(locs) > MaxDefs {
+			panic(fmt.Sprintf("decode: pc %d (%v) writes %d locations, more than MaxDefs=%d", pc, in.Op, len(locs), MaxDefs))
+		}
+		d.ND = uint8(copy(d.Defs[:], locs))
 	}
 	maxID := 0
 	for pc := range code {

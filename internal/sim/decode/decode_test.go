@@ -2,7 +2,9 @@ package decode
 
 import (
 	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"ssp/internal/ir"
 	"ssp/internal/workloads"
@@ -64,7 +66,12 @@ func TestDigestIsContent(t *testing.T) {
 func TestDigestCoversEveryField(t *testing.T) {
 	p := predecode(t, workloads.RandomProgram(5))
 	base := p.Digest()
+	// An instruction that reads and writes, so the first use and the first
+	// def are both content.
 	pc := len(p.Code) / 2
+	for p.Code[pc].NU == 0 || p.Code[pc].ND == 0 {
+		pc++
+	}
 	typ := reflect.TypeOf(Decoded{})
 	for i := 0; i < typ.NumField(); i++ {
 		q := withCode(p)
@@ -74,9 +81,8 @@ func TestDigestCoversEveryField(t *testing.T) {
 			f.SetUint(f.Uint() + 1)
 		case reflect.Int32, reflect.Int64:
 			f.SetInt(f.Int() + 1)
-		case reflect.Slice:
-			grown := reflect.AppendSlice(reflect.MakeSlice(f.Type(), 0, f.Len()+1), f)
-			f.Set(reflect.Append(grown, reflect.Zero(f.Type().Elem())))
+		case reflect.Array:
+			f.Index(0).SetUint(f.Index(0).Uint() + 1)
 		default:
 			t.Fatalf("Decoded.%s: unhandled kind %s", typ.Field(i).Name, f.Kind())
 		}
@@ -105,24 +111,36 @@ func TestDigestCoversEveryField(t *testing.T) {
 	}
 }
 
-// TestUsesBoundedByMaxUses pins the decode-time invariant the OOO engine's
-// fixed-size source links rely on: for every opcode, an instruction with a
+// TestUsesBoundedByMaxUses pins the decode-time invariants the fixed-size
+// operand arrays rely on: for every opcode, an instruction with a
 // non-trivial qualifying predicate and every operand field set to a real
-// register (the most reads AppendUses can yield for that opcode) reads at
-// most MaxUses locations, and the bound is tight. Every built-in workload
-// and a range of random programs then decode within it.
+// register (the most AppendUses and AppendDefs can yield for that opcode)
+// reads at most MaxUses and writes at most MaxDefs locations, and both
+// bounds are tight. Every built-in workload and a range of random programs
+// then decode within them, into records of at most 64 bytes.
 func TestUsesBoundedByMaxUses(t *testing.T) {
-	most := 0
+	mostUses, mostDefs := 0, 0
 	for op := ir.Op(0); op < ir.NumOps; op++ {
-		in := ir.Instr{Op: op, Qp: 5, Rd: 3, Ra: 4, Rb: 6, Bd: 1, Bs: 2, Fd: 10, Fa: 11, Fb: 12, Fc: 13}
+		in := ir.Instr{Op: op, Qp: 5, Rd: 3, Ra: 4, Rb: 6, Pd1: 7, Pd2: 8, Bd: 1, Bs: 2, Fd: 10, Fa: 11, Fb: 12, Fc: 13, PostInc: 8}
 		n := len(in.AppendUses(nil))
 		if n > MaxUses {
 			t.Errorf("%v reads %d locations, more than MaxUses=%d", op, n, MaxUses)
 		}
-		most = max(most, n)
+		mostUses = max(mostUses, n)
+		n = len(in.AppendDefs(nil))
+		if n > MaxDefs {
+			t.Errorf("%v writes %d locations, more than MaxDefs=%d", op, n, MaxDefs)
+		}
+		mostDefs = max(mostDefs, n)
 	}
-	if most != MaxUses {
-		t.Errorf("widest opcode reads %d locations; MaxUses=%d is not tight", most, MaxUses)
+	if mostUses != MaxUses {
+		t.Errorf("widest opcode reads %d locations; MaxUses=%d is not tight", mostUses, MaxUses)
+	}
+	if mostDefs != MaxDefs {
+		t.Errorf("widest opcode writes %d locations; MaxDefs=%d is not tight", mostDefs, MaxDefs)
+	}
+	if size := unsafe.Sizeof(Decoded{}); size > 64 {
+		t.Errorf("Decoded is %d bytes, more than one 64-byte line", size)
 	}
 	var progs []*ir.Program
 	for _, spec := range workloads.All() {
@@ -133,9 +151,15 @@ func TestUsesBoundedByMaxUses(t *testing.T) {
 		progs = append(progs, workloads.RandomProgram(seed))
 	}
 	for i, p := range progs {
-		for pc, d := range predecode(t, p).Code {
-			if len(d.Uses) > MaxUses {
-				t.Fatalf("program %d pc %d: %d uses", i, pc, len(d.Uses))
+		dp := predecode(t, p)
+		for pc := range dp.Code {
+			d := &dp.Code[pc]
+			in := &dp.Img.Code[pc].I
+			if uses := in.AppendUses(nil); !slices.Equal(d.Uses[:d.NU], uses) {
+				t.Fatalf("program %d pc %d: uses %v, want %v", i, pc, d.Uses[:d.NU], uses)
+			}
+			if defs := in.AppendDefs(nil); !slices.Equal(d.Defs[:d.ND], defs) {
+				t.Fatalf("program %d pc %d: defs %v, want %v", i, pc, d.Defs[:d.ND], defs)
 			}
 		}
 	}

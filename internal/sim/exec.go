@@ -32,29 +32,41 @@ const (
 	memPrefetch
 )
 
-// handlerFn is one entry of the architectural dispatch table. Handlers read
-// their operands from the predecoded record and write machine state plus the
-// parts of the effect that differ from the fall-through default.
+// handlerFn is one entry of the architectural dispatch table for memory and
+// control instructions. Handlers read their operands from the predecoded
+// record and write machine state plus the parts of the effect that differ
+// from the fall-through default.
 type handlerFn func(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect)
 
 // execArch performs the architectural effects of the instruction at pc for
 // thread t: register, predicate, branch-register, memory, live-in buffer,
 // spawn and chk.c context effects, and the next PC. Timing (latencies, FU
-// occupancy, penalties) is the engines' business. Dispatch is one indexed
-// call through the handler table — the per-opcode switch is gone, and the
-// instruction is never re-inspected beyond its predecoded record.
+// occupancy, penalties) is the engines' business.
+//
+// A pure instruction runs the image's compiled step (threaded.Program.Steps),
+// the one definition of its semantics, which applies its own qualifying
+// predicate. It leaves the engines nothing to time beyond its latency and
+// always falls through to pc+1, so execArch returns a nil effect for it. A
+// memory or control instruction dispatches through the handler table,
+// because its effect on the engines — the access the timing model charges,
+// speculative-store suppression, spawn and chk.c — goes beyond the
+// architectural state a step writes.
 func (m *Machine) execArch(t *Thread, pc int) *archEffect {
 	if m.exec != nil {
 		m.exec.Exec(m, t, pc)
 	}
-	d := &m.code[pc]
+	if s := m.steps[pc]; s != nil {
+		s(&t.Ctx)
+		return nil
+	}
 	// The effect lives in a Machine-resident scratch slot, returned by
 	// pointer: handlers receive it across an indirect call (which would
 	// force a heap allocation were it a local), and the engines read it in
-	// place instead of copying 48 bytes per executed instruction. The slot
-	// is dead once the caller's timing logic for the instruction ends;
+	// place instead of copying it per executed instruction. The slot is
+	// dead once the caller's timing logic for the instruction ends;
 	// execArch is never reentered within one instruction.
 	ef := &m.ef
+	d := &m.code[pc]
 	*ef = archEffect{nextPC: pc + 1, memID: int(d.ID)}
 	if d.Qp != ir.PTrue && !t.Preds[d.Qp] {
 		ef.nullified = true
@@ -67,170 +79,22 @@ func (m *Machine) execArch(t *Thread, pc int) *archEffect {
 	return ef
 }
 
+// handlers covers exactly the handler kinds with no compiled step.
 var handlers = [decode.NumHandlers]handlerFn{
-	decode.HNop:       hNop,
-	decode.HAdd:       hAdd,
-	decode.HAddI:      hAddI,
-	decode.HSub:       hSub,
-	decode.HSubI:      hSubI,
-	decode.HMul:       hMul,
-	decode.HMulI:      hMulI,
-	decode.HAnd:       hAnd,
-	decode.HAndI:      hAndI,
-	decode.HOr:        hOr,
-	decode.HOrI:       hOrI,
-	decode.HXor:       hXor,
-	decode.HXorI:      hXorI,
-	decode.HShl:       hShl,
-	decode.HShlI:      hShlI,
-	decode.HShr:       hShr,
-	decode.HShrI:      hShrI,
-	decode.HMov:       hMov,
-	decode.HMovI:      hMovI,
-	decode.HCmp:       hCmp,
-	decode.HCmpI:      hCmpI,
-	decode.HLd:        hLd,
-	decode.HLdPI:      hLdPI,
-	decode.HSt:        hSt,
-	decode.HLfetch:    hLfetch,
-	decode.HBr:        hBr,
-	decode.HCall:      hCall,
-	decode.HCallB:     hCallB,
-	decode.HRet:       hRet,
-	decode.HMovBR:     hMovBR,
-	decode.HMovBRFunc: hMovBRFunc,
-	decode.HMovFromBR: hMovFromBR,
-	decode.HChk:       hChk,
-	decode.HSpawn:     hSpawn,
-	decode.HLiw:       hLiw,
-	decode.HLir:       hLir,
-	decode.HKill:      hKill,
-	decode.HHalt:      hHalt,
-	decode.HFAdd:      hFAdd,
-	decode.HFSub:      hFSub,
-	decode.HFMul:      hFMul,
-	decode.HFMA:       hFMA,
-	decode.HFLd:       hFLd,
-	decode.HFSt:       hFSt,
-	decode.HFCmp:      hFCmp,
-	decode.HSetF:      hSetF,
-	decode.HGetF:      hGetF,
-}
-
-func hNop(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {}
-
-func hAdd(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.SetReg(d.Rd, t.Regs[d.Ra]+t.Regs[d.Rb])
-}
-
-func hAddI(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.SetReg(d.Rd, t.Regs[d.Ra]+uint64(d.Imm))
-}
-
-func hSub(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.SetReg(d.Rd, t.Regs[d.Ra]-t.Regs[d.Rb])
-}
-
-func hSubI(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.SetReg(d.Rd, t.Regs[d.Ra]-uint64(d.Imm))
-}
-
-func hMul(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.SetReg(d.Rd, t.Regs[d.Ra]*t.Regs[d.Rb])
-}
-
-func hMulI(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.SetReg(d.Rd, t.Regs[d.Ra]*uint64(d.Imm))
-}
-
-func hAnd(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.SetReg(d.Rd, t.Regs[d.Ra]&t.Regs[d.Rb])
-}
-
-func hAndI(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.SetReg(d.Rd, t.Regs[d.Ra]&uint64(d.Imm))
-}
-
-func hOr(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.SetReg(d.Rd, t.Regs[d.Ra]|t.Regs[d.Rb])
-}
-
-func hOrI(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.SetReg(d.Rd, t.Regs[d.Ra]|uint64(d.Imm))
-}
-
-func hXor(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.SetReg(d.Rd, t.Regs[d.Ra]^t.Regs[d.Rb])
-}
-
-func hXorI(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.SetReg(d.Rd, t.Regs[d.Ra]^uint64(d.Imm))
-}
-
-func hShl(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.SetReg(d.Rd, t.Regs[d.Ra]<<(t.Regs[d.Rb]&63))
-}
-
-func hShlI(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.SetReg(d.Rd, t.Regs[d.Ra]<<(uint64(d.Imm)&63))
-}
-
-func hShr(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.SetReg(d.Rd, t.Regs[d.Ra]>>(t.Regs[d.Rb]&63))
-}
-
-func hShrI(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.SetReg(d.Rd, t.Regs[d.Ra]>>(uint64(d.Imm)&63))
-}
-
-func hMov(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.SetReg(d.Rd, t.Regs[d.Ra])
-}
-
-func hMovI(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.SetReg(d.Rd, uint64(d.Imm))
-}
-
-// cmpResult evaluates an integer comparison.
-func cmpResult(cond ir.Cond, a, b uint64) bool {
-	switch cond {
-	case ir.CondEQ:
-		return a == b
-	case ir.CondNE:
-		return a != b
-	case ir.CondLT:
-		return int64(a) < int64(b)
-	case ir.CondLE:
-		return int64(a) <= int64(b)
-	case ir.CondGT:
-		return int64(a) > int64(b)
-	case ir.CondGE:
-		return int64(a) >= int64(b)
-	case ir.CondLTU:
-		return a < b
-	case ir.CondGEU:
-		return a >= b
-	}
-	return false
-}
-
-// setPreds writes a compare's complementary predicate pair; writes to the
-// hardwired p0 are dropped.
-func setPreds(t *Thread, d *decode.Decoded, r bool) {
-	if d.Pd1 != ir.PTrue {
-		t.Preds[d.Pd1] = r
-	}
-	if d.Pd2 != ir.PTrue {
-		t.Preds[d.Pd2] = !r
-	}
-}
-
-func hCmp(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	setPreds(t, d, cmpResult(d.Cond, t.Regs[d.Ra], t.Regs[d.Rb]))
-}
-
-func hCmpI(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	setPreds(t, d, cmpResult(d.Cond, t.Regs[d.Ra], uint64(d.Imm)))
+	decode.HLd:     hLd,
+	decode.HLdPI:   hLdPI,
+	decode.HSt:     hSt,
+	decode.HLfetch: hLfetch,
+	decode.HBr:     hBr,
+	decode.HCall:   hCall,
+	decode.HCallB:  hCallB,
+	decode.HRet:    hRet,
+	decode.HChk:    hChk,
+	decode.HSpawn:  hSpawn,
+	decode.HKill:   hKill,
+	decode.HHalt:   hHalt,
+	decode.HFLd:    hFLd,
+	decode.HFSt:    hFSt,
 }
 
 func hLd(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
@@ -289,18 +153,6 @@ func hRet(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
 	ef.nextPC = int(t.BRs[d.Bs])
 }
 
-func hMovBR(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.BRs[d.Bd] = t.Regs[d.Ra]
-}
-
-func hMovBRFunc(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.BRs[d.Bd] = uint64(d.Tgt)
-}
-
-func hMovFromBR(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.SetReg(d.Rd, t.BRs[d.Bs])
-}
-
 func hChk(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
 	if t.spec || m.noSpec || m.now-t.lastChkTaken < m.Cfg.SpawnCooldown {
 		return
@@ -331,14 +183,6 @@ func hSpawn(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
 	}
 }
 
-func hLiw(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.OutLIB[d.Imm] = t.Regs[d.Ra] // slot pre-masked at decode
-}
-
-func hLir(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.SetReg(d.Rd, t.InLIB[d.Imm]) // slot pre-masked at decode
-}
-
 func hKill(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
 	ef.kill = true
 }
@@ -349,22 +193,6 @@ func hHalt(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
 	} else {
 		ef.halt = true
 	}
-}
-
-func hFAdd(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.SetFR(d.Fd, t.FR(d.Fa)+t.FR(d.Fb))
-}
-
-func hFSub(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.SetFR(d.Fd, t.FR(d.Fa)-t.FR(d.Fb))
-}
-
-func hFMul(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.SetFR(d.Fd, t.FR(d.Fa)*t.FR(d.Fb))
-}
-
-func hFMA(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.SetFR(d.Fd, t.FR(d.Fa)*t.FR(d.Fb)+t.FR(d.Fc))
 }
 
 func hFLd(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
@@ -382,32 +210,4 @@ func hFSt(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
 		m.Mem.Store(addr, math.Float64bits(t.FR(d.Fa)))
 		ef.memKind, ef.memAddr = memStore, addr
 	}
-}
-
-func hFCmp(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	a, b := t.FR(d.Fa), t.FR(d.Fb)
-	var r bool
-	switch d.Cond {
-	case ir.CondEQ:
-		r = a == b
-	case ir.CondNE:
-		r = a != b
-	case ir.CondLT, ir.CondLTU:
-		r = a < b
-	case ir.CondLE:
-		r = a <= b
-	case ir.CondGT:
-		r = a > b
-	case ir.CondGE, ir.CondGEU:
-		r = a >= b
-	}
-	setPreds(t, d, r)
-}
-
-func hSetF(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.SetFR(d.Fd, math.Float64frombits(t.Regs[d.Ra]))
-}
-
-func hGetF(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	t.SetReg(d.Rd, math.Float64bits(t.FR(d.Fa)))
 }

@@ -81,7 +81,8 @@ func (m *Machine) fastForwardInOrder(main *Thread, s CycleStats) {
 		// function units are free — nothing issued this cycle — so a
 		// structural stall is impossible.)
 		blocked := false
-		for _, loc := range m.code[t.pc].Uses {
+		d := &m.code[t.pc]
+		for _, loc := range d.Uses[:d.NU] {
 			if r := t.sb[loc].ready; r > m.now {
 				blocked = true
 				if r < next {

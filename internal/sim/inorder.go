@@ -21,7 +21,6 @@ func (m *Machine) runInOrder() {
 	cfgIntU, cfgMemU, cfgBrU, cfgFpU := m.Cfg.IntUnits, m.Cfg.MemPorts, m.Cfg.BrUnits, m.Cfg.FPUnits
 	issueWidth := m.Cfg.IssueWidth
 	fastForward := m.Cfg.FastForward
-	steps := m.steps
 	for !m.mainDone {
 		if m.now >= maxCycles {
 			m.res.TimedOut = true
@@ -76,19 +75,7 @@ func (m *Machine) runInOrder() {
 		for ti := 0; ti < n; ti++ {
 			t := sel[ti]
 			for s := 0; s < slots; {
-				// Dispatch straight into the batched pure-step lane when
-				// the thread sits on a compiled step (the common case on
-				// ALU-dense code), skipping the per-call issueInOrder
-				// preamble; the lane and the table path are interchangeable
-				// per instruction, so the split is invisible to results.
-				var k int
-				var cont, onLoad bool
-				var lvl mem.Level
-				if steps != nil && t.active && t.frontStallUntil <= m.now && steps[t.pc] != nil {
-					k, cont, lvl, onLoad = m.issueStepsInOrder(t, slots-s, &intU, &memU, &brU, &fpU)
-				} else {
-					k, cont, lvl, onLoad = m.issueInOrder(t, slots-s, &intU, &memU, &brU, &fpU)
-				}
+				k, cont, lvl, onLoad := m.issueInOrder(t, slots-s, &intU, &memU, &brU, &fpU)
 				s += k
 				if k > 0 {
 					issuedAny = true
@@ -182,59 +169,115 @@ func missCategory(lvl mem.Level) Category {
 	}
 }
 
-// issueInOrder tries to issue up to budget instructions from t. It reports
-// how many issued (more than one only on the threaded pure-step fast lane),
-// whether the thread may continue issuing this cycle, and — when blocked —
-// whether the block is a scoreboard stall on an outstanding load and at
-// which level.
+// issueInOrder issues up to budget instructions from t in program order. It
+// reports how many issued, whether the thread may continue issuing this
+// cycle, and — when blocked — whether the block is a scoreboard stall on an
+// outstanding load and at which level.
+//
+// Consecutive pure instructions — those with a compiled step: no memory
+// access, no control transfer, no halt or kill, next PC always pc+1 — issue
+// as one batch without returning to the cycle loop, each one still through
+// the structural-hazard check, the scoreboard, the accounting, the
+// speculative budget and the scoreboard writeback. A memory or control
+// instruction goes through execArch and issueEffect and ends the call: it
+// may redirect fetch, stall the front end, or end the thread.
 func (m *Machine) issueInOrder(t *Thread, budget int, intU, memU, brU, fpU *int) (k int, cont bool, lvl mem.Level, onLoad bool) {
 	if !t.active || t.frontStallUntil > m.now {
 		return 0, false, 0, false
 	}
-	pc := t.pc
-	d := &m.code[pc]
-	// The caller (runInOrder) routes instructions with compiled pure steps
-	// to issueStepsInOrder before getting here, so this path only sees
-	// table-dispatch instructions.
-	// Structural hazard: required unit busy.
-	switch d.FU {
-	case decode.FUInt:
-		if *intU == 0 {
-			return 0, false, 0, false
+	pc, now := t.pc, m.now
+	code, steps := m.code, m.steps
+	// Per-instruction bookkeeping — the exec hook and the speculative budget
+	// check — is only needed for speculative threads or when an external
+	// oracle is attached; on the plain main-thread path the batch's counters
+	// are settled once at its end instead (nothing observes them mid-batch:
+	// pure steps reach no hook, no memory system, and no kill/halt).
+	perInstr := t.spec || m.exec != nil
+	for {
+		d := &code[pc]
+		// Structural hazard: required unit busy.
+		var u *int
+		switch d.FU {
+		case decode.FUInt:
+			u = intU
+		case decode.FUMem:
+			u = memU // liw/lir occupy a memory port too
+		case decode.FUBr:
+			u = brU
+		case decode.FUFP:
+			u = fpU
 		}
-	case decode.FUMem:
-		if *memU == 0 {
-			return 0, false, 0, false
+		if u != nil && *u == 0 {
+			break
 		}
-	case decode.FUBr:
-		if *brU == 0 {
-			return 0, false, 0, false
-		}
-	case decode.FUFP:
-		if *fpU == 0 {
-			return 0, false, 0, false
-		}
-	}
-	// Scoreboard: all sources ready.
-	for _, loc := range d.Uses {
-		if e := &t.sb[loc]; e.ready > m.now {
-			if e.loadLevel != 0 {
-				return 0, false, mem.Level(e.loadLevel - 1), true
+		// Scoreboard: all sources ready.
+		for _, loc := range d.Uses[:d.NU] {
+			if e := &t.sb[loc]; e.ready > now {
+				if e.loadLevel != 0 {
+					lvl, onLoad = mem.Level(e.loadLevel-1), true
+				}
+				goto out
 			}
-			return 0, false, 0, false
+		}
+		if u != nil {
+			*u--
+		}
+		s := steps[pc]
+		if s == nil {
+			t.pc = pc
+			if !perInstr {
+				t.instrs += int64(k)
+				m.res.MainInstrs += int64(k)
+			}
+			return k + 1, m.issueEffect(t, pc, d), 0, false
+		}
+		if perInstr {
+			if m.exec != nil {
+				m.exec.Exec(m, t, pc)
+			}
+			s(&t.Ctx)
+			k++
+			t.instrs++
+			if t.spec {
+				m.res.SpecInstrs++
+				// >= for the same reason as issueEffect: the activation
+				// never exceeds the certified MaxSpecInstrs budget.
+				if t.instrs >= m.Cfg.MaxSpecInstrs {
+					t.pc = pc + 1
+					m.killThread(t)
+					return k, false, 0, false
+				}
+			} else {
+				m.res.MainInstrs++
+			}
+		} else {
+			s(&t.Ctx)
+			k++
+		}
+		lat := m.lat[d.Lat]
+		for _, loc := range d.Defs[:d.ND] {
+			t.sb[loc] = sbEntry{ready: now + lat}
+		}
+		pc++
+		if k == budget {
+			cont = true
+			break
 		}
 	}
-	switch d.FU {
-	case decode.FUInt:
-		*intU--
-	case decode.FUMem:
-		*memU--
-	case decode.FUBr:
-		*brU--
-	case decode.FUFP:
-		*fpU--
+out:
+	t.pc = pc
+	if !perInstr {
+		t.instrs += int64(k)
+		m.res.MainInstrs += int64(k)
 	}
+	return k, cont, lvl, onLoad
+}
 
+// issueEffect executes the memory or control instruction d at pc, whose
+// hazards issueInOrder has cleared and whose unit it has taken, and applies
+// its timing: the memory access, branch prediction, the chk.c flush, and
+// kill or halt. It reports whether the thread may keep issuing this cycle.
+func (m *Machine) issueEffect(t *Thread, pc int, d *decode.Decoded) bool {
 	ef := m.execArch(t, pc)
 	t.instrs++
 	if t.spec {
@@ -251,7 +294,7 @@ func (m *Machine) issueInOrder(t *Thread, budget int, intU, memU, brU, fpU *int)
 
 	// Default completion time for defined locations.
 	lat := m.lat[d.Lat]
-	for _, loc := range d.Defs {
+	for _, loc := range d.Defs[:d.ND] {
 		t.sb[loc] = sbEntry{ready: m.now + lat}
 	}
 	if !ef.nullified {
@@ -292,112 +335,12 @@ func (m *Machine) issueInOrder(t *Thread, budget int, intU, memU, brU, fpU *int)
 			m.res.MainKilled = true
 			m.mainDone = true
 		}
-		return 1, false, 0, false
+		return false
 	}
 	if ef.halt {
 		m.mainDone = true
-		return 1, false, 0, false
+		return false
 	}
 	t.pc = ef.nextPC
-	return 1, ef.nextPC == pc+1, 0, false
-}
-
-// issueStepsInOrder is issueInOrder's fast lane for instructions the threaded
-// core compiled to pure steps: no memory access, no control transfer, no
-// halt/kill, next PC always pc+1. It batches: as long as the next instruction
-// also has a pure step and the slot budget lasts, it keeps issuing without
-// returning to the cycle loop, amortizing the per-call overhead the table
-// path pays per instruction. Each constituent issue replicates the table path
-// exactly — structural-hazard check, scoreboard, per-instruction accounting,
-// speculative budget enforcement, scoreboard writeback — only the archEffect
-// round-trip and its post-execution switches are gone.
-// check.StrategyEquivalence holds the two paths bit-identical.
-func (m *Machine) issueStepsInOrder(t *Thread, budget int, intU, memU, brU, fpU *int) (k int, cont bool, lvl mem.Level, onLoad bool) {
-	pc := t.pc
-	steps := m.steps
-	info := m.stepInfo
-	now := m.now
-	// Per-instruction bookkeeping — the exec hook and the speculative budget
-	// check — is only needed for speculative threads or when an external
-	// oracle is attached; on the plain main-thread path the counters are
-	// settled once at loop exit instead (nothing observes them mid-batch:
-	// pure steps reach no hook, no memory system, and no kill/halt).
-	perInstr := t.spec || m.exec != nil
-	s := steps[pc] // non-nil: the caller dispatched here on it
-	for {
-		// The compact StepInfo record carries everything the issue loop
-		// needs — operand locations, FU, latency class — in one fixed-size
-		// read, with no decode-table Uses/Defs slice chases.
-		si := &info[pc]
-		var u *int
-		switch si.FU {
-		case decode.FUInt:
-			u = intU
-		case decode.FUMem:
-			u = memU // liw/lir occupy a memory port
-		case decode.FUBr:
-			u = brU
-		case decode.FUFP:
-			u = fpU
-		}
-		if u != nil && *u == 0 {
-			break
-		}
-		// Scoreboard: all sources ready.
-		for i := 0; i < int(si.NU); i++ {
-			if e := &t.sb[si.Uses[i]]; e.ready > now {
-				if e.loadLevel != 0 {
-					lvl, onLoad = mem.Level(e.loadLevel-1), true
-				}
-				goto out
-			}
-		}
-		if u != nil {
-			*u--
-		}
-		if perInstr {
-			if m.exec != nil {
-				m.exec.Exec(m, t, pc)
-			}
-			s(&t.Ctx)
-			k++
-			t.instrs++
-			if t.spec {
-				m.res.SpecInstrs++
-				// >= for the same reason as the table path: the activation
-				// never exceeds the certified MaxSpecInstrs budget.
-				if t.instrs >= m.Cfg.MaxSpecInstrs {
-					pc++
-					t.pc = pc
-					m.killThread(t)
-					return k, false, 0, false
-				}
-			} else {
-				m.res.MainInstrs++
-			}
-		} else {
-			s(&t.Ctx)
-			k++
-		}
-		lat := m.lat[si.Lat]
-		for i := 0; i < int(si.ND); i++ {
-			t.sb[si.Defs[i]] = sbEntry{ready: now + lat}
-		}
-		pc++
-		if k == budget {
-			cont = true
-			break
-		}
-		if s = steps[pc]; s == nil {
-			cont = true
-			break
-		}
-	}
-out:
-	t.pc = pc
-	if !perInstr {
-		t.instrs += int64(k)
-		m.res.MainInstrs += int64(k)
-	}
-	return k, cont, lvl, onLoad
+	return ef.nextPC == pc+1
 }

@@ -32,27 +32,41 @@ func Interpret(cfg Config, img *ir.Image, maxInstrs int64) (*InterpResult, error
 }
 
 // InterpretPredecoded is Interpret over an already-predecoded image, for
-// callers that share one decode across engines and configurations.
+// callers that share one decode across engines and configurations. It walks
+// the image's compiled block chains — no machine, no per-PC loop — and falls
+// back to InterpretStepwise only for a program whose control flow the chains
+// cannot represent.
 func InterpretPredecoded(cfg Config, dp *decode.Program, maxInstrs int64) (*InterpResult, error) {
-	if cfg.Threaded && !cfg.Profile {
-		// The threaded core executes the compiled block chains directly —
-		// no machine, no dispatch table, no per-PC loop. Profiling runs
-		// need the per-instruction exec hook and stay on the table path;
-		// so does any program whose control flow the chains cannot
-		// represent (the rare ErrUnthreadable fallthrough below).
-		if r, err, ok := interpretThreaded(dp, maxInstrs); ok {
-			return r, err
-		}
+	if r, err, ok := interpretThreaded(dp, maxInstrs); ok {
+		return r, err
 	}
-	m := NewPredecoded(cfg, dp)
+	return InterpretStepwise(cfg, dp, maxInstrs)
+}
+
+// InterpretStepwise is the interpreter's per-PC loop: one execArch per
+// dynamic instruction on a machine in no-speculation mode. It is the
+// fallback for images the chains cannot represent, and the reference the
+// chain walker is held to (check.StrategyEquivalence,
+// FuzzThreadedEquivalence): the same instruction count, registers, memory
+// and errors.
+func InterpretStepwise(cfg Config, dp *decode.Program, maxInstrs int64) (*InterpResult, error) {
+	return NewPredecoded(cfg, dp).interpret(maxInstrs)
+}
+
+// interpret runs the per-PC loop on a machine fresh from Reset.
+func (m *Machine) interpret(maxInstrs int64) (*InterpResult, error) {
 	m.noSpec = true
 	t := m.main()
 	t.active = true
-	t.pc = dp.Img.Entry
+	t.pc = m.Img.Entry
 	var n int64
 	for n < maxInstrs {
 		ef := m.execArch(t, t.pc)
 		n++
+		if ef == nil {
+			t.pc++
+			continue
+		}
 		if ef.halt {
 			return &InterpResult{Instrs: n, Regs: t.Regs, Mem: m.Mem}, nil
 		}
@@ -67,7 +81,7 @@ func InterpretPredecoded(cfg Config, dp *decode.Program, maxInstrs int64) (*Inte
 // interpretThreaded runs the main thread over the closure-threaded chains.
 // The false return means the chains cannot represent the program's control
 // flow (statically, or a dynamic branch-register target mid-block) and the
-// caller must fall back to table dispatch — the fallback re-executes from a
+// caller must fall back to the per-PC loop — the fallback re-executes from a
 // fresh memory image, so a mid-run bailout is still exact.
 func interpretThreaded(dp *decode.Program, maxInstrs int64) (*InterpResult, error, bool) {
 	tp := ThreadedProgram(dp)

@@ -23,8 +23,8 @@ const libSlots = ir.LIBSlots
 // threaded.Ctx, the same structure the closure-threaded execution core's
 // compiled closures write, so the engines can run specialized steps against
 // thread state with no copying or indirection. Ctx.Mem stays nil on engine
-// threads (their memory instructions take the table path, where the
-// hierarchy timing lives).
+// threads (their memory instructions go through the handler table, where
+// the hierarchy timing lives).
 type Thread struct {
 	idx    int
 	active bool
@@ -129,8 +129,9 @@ func (t *Thread) deepestOutstanding(now int64) (mem.Level, bool) {
 }
 
 // Machine simulates one program on one machine model. Its execution core is
-// predecoded: architectural execution dispatches through a handler table over
-// the dense decode.Decoded sidecar, never through ir.Instr.
+// predecoded: architectural execution runs the image's compiled pure steps
+// and a handler table for memory and control instructions, over the dense
+// decode.Decoded sidecar, never through ir.Instr.
 type Machine struct {
 	Cfg  Config
 	Img  *ir.Image
@@ -151,14 +152,11 @@ type Machine struct {
 	// ef is execArch's scratch effect slot (see exec.go).
 	ef archEffect
 
-	// thr is the closure-threaded compile of the image (nil with
-	// Config.Threaded off) and steps its per-PC pure-step array: for
-	// instructions with no memory, control, or machine-level effect the
-	// engines call the specialized closure instead of the dispatch table.
-	// Both are shared and immutable, memoized on the decode.Program.
-	thr      *threaded.Program
-	steps    []threaded.Step
-	stepInfo []threaded.StepInfo
+	// steps is the per-PC pure-step array of the image's closure-threaded
+	// compile: for instructions with no memory, control, or machine-level
+	// effect it is the only definition of their semantics. Shared and
+	// immutable, memoized on the decode.Program.
+	steps []threaded.Step
 
 	// exec and cycle are the instrumentation hook points (hooks.go). exec
 	// is nil unless a tracer/profiler is attached; cycle defaults to the
@@ -212,8 +210,8 @@ func Predecode(img *ir.Image) *decode.Program { return decode.Predecode(img) }
 // ThreadedProgram returns the closure-threaded compile of a predecoded
 // image, building it at most once per decode.Program (the compile is
 // memoized on the sidecar, so sharing the decode shares the chains).
-// Machines with Config.Threaded do this on Reset; exp.Suite calls it
-// eagerly so matrix cells never pay the compile inside a timed run.
+// Machines do this on Reset; exp.Suite calls it eagerly so matrix cells
+// never pay the compile inside a timed run.
 func ThreadedProgram(dp *decode.Program) *threaded.Program {
 	return dp.Threaded(func() any { return threaded.Compile(dp) }).(*threaded.Program)
 }
@@ -245,15 +243,7 @@ func (m *Machine) Reset(cfg Config, dp *decode.Program) {
 	m.Cfg = cfg
 	m.Img = dp.Img
 	m.code = dp.Code
-	if cfg.Threaded {
-		m.thr = ThreadedProgram(dp)
-		m.steps = m.thr.Steps
-		m.stepInfo = m.thr.Info
-	} else {
-		m.thr = nil
-		m.steps = nil
-		m.stepInfo = nil
-	}
+	m.steps = ThreadedProgram(dp).Steps
 	m.units = fuBudget{
 		decode.FUNone: cfg.IssueWidth,
 		decode.FUInt:  cfg.IntUnits,

@@ -166,7 +166,7 @@ func (w *window) enter(d *decode.Decoded, lat, now int64) *wrec {
 	r := &w.recs[a&w.mask]
 	r.lat, r.doneAt, r.cons, r.memKind, r.fu = lat, notIssued, 0, memNone, d.FU
 	var ready, slot int64
-	for _, loc := range d.Uses {
+	for _, loc := range d.Uses[:d.NU] {
 		pa := w.rename[loc]
 		if pa < w.headAbs {
 			continue
@@ -182,7 +182,7 @@ func (w *window) enter(d *decode.Decoded, lat, now int64) *wrec {
 		}
 	}
 	w.wake[a&w.mask] = slot*pendingUnit + ready
-	for _, loc := range d.Defs {
+	for _, loc := range d.Defs[:d.ND] {
 		w.rename[loc] = a
 	}
 	w.tailAbs = a + 1
@@ -458,83 +458,56 @@ func (m *Machine) dispatchOOO(t *Thread, slots int) int {
 	if !t.active || t.win == nil {
 		return 0
 	}
-	for k := 0; k < slots; k++ {
-		w := t.win
-		if t.frontStallUntil > m.now || w.blocked >= 0 || w.haltAfterDrain || w.full() {
-			return k
+	w := t.win
+	if t.frontStallUntil > m.now || w.blocked >= 0 || w.haltAfterDrain {
+		return 0
+	}
+	if w.waitDrain {
+		if w.size() > 0 {
+			return 0
 		}
-		if w.waitDrain {
-			if w.size() > 0 {
-				return k
-			}
-			w.waitDrain = false
-		}
+		w.waitDrain = false
+	}
+	// Within the bundle only the instructions that end it (below) change
+	// the conditions above, so the window's free room is the one bound left.
+	n := min(slots, w.cap-w.size())
+	for k := 0; k < n; k++ {
 		pc := t.pc
 		d := &m.code[pc]
-		if m.steps != nil {
-			if s := m.steps[pc]; s != nil {
-				// Pure-step fast path: no memory access, no control
-				// transfer, no halt — the record claims its ring slot and
-				// renames exactly as below, minus the archEffect round-trip.
-				if m.exec != nil {
-					m.exec.Exec(m, t, pc)
-				}
-				s(&t.Ctx)
-				t.instrs++
-				killed := false
-				if t.spec {
-					m.res.SpecInstrs++
-					// >= for the same reason as the table path below.
-					if t.instrs >= m.Cfg.MaxSpecInstrs {
-						killed = true
-					}
-				} else {
-					m.res.MainInstrs++
-				}
-				w.enter(d, m.lat[d.Lat], m.now)
-				if killed {
-					w.haltAfterDrain = true
-					return k + 1
-				}
-				t.pc = pc + 1
-				continue
-			}
-		}
 		ef := m.execArch(t, pc)
 		t.instrs++
+		kill := false
 		if t.spec {
 			m.res.SpecInstrs++
 			// >= for the same reason as the in-order engine: the activation
 			// never exceeds the certified MaxSpecInstrs budget.
-			if t.instrs >= m.Cfg.MaxSpecInstrs {
-				ef.kill = true
-			}
+			kill = t.instrs >= m.Cfg.MaxSpecInstrs
 		} else {
 			m.res.MainInstrs++
 		}
 
-		// Claim the ring slot at the next absolute position; full() above
+		// Claim the ring slot at the next absolute position; n above
 		// guarantees it is free.
 		a := w.tailAbs
 		r := w.enter(d, m.lat[d.Lat], m.now)
-		if !ef.nullified && ef.memKind != memNone {
-			r.memKind, r.memAddr, r.memID = ef.memKind, ef.memAddr, ef.memID
-		}
-
-		if ef.brCond {
-			if m.Pred.PredictAndTrain(uint64(pc), ef.brTaken && !ef.nullified) {
-				m.res.Mispredicts++
-				w.blocked = a
+		next := pc + 1
+		if ef != nil {
+			if !ef.nullified && ef.memKind != memNone {
+				r.memKind, r.memAddr, r.memID = ef.memKind, ef.memAddr, ef.memID
 			}
-		}
-		if d.Op == ir.OpChk && ef.nextPC != pc+1 {
-			// Taken chk.c: the exception is recognized at retirement, so
-			// the stub cannot dispatch until everything older has left
-			// the pipe, and the refetch pays the flush penalty.
-			w.waitDrain = true
-			t.frontStallUntil = m.now + m.Cfg.SpawnFlushPenalty
-		}
-		if ef.kill || ef.halt {
+			if ef.brCond {
+				if m.Pred.PredictAndTrain(uint64(pc), ef.brTaken && !ef.nullified) {
+					m.res.Mispredicts++
+					w.blocked = a
+				}
+			}
+			if d.Op == ir.OpChk && ef.nextPC != pc+1 {
+				// Taken chk.c: the exception is recognized at retirement,
+				// so the stub cannot dispatch until everything older has
+				// left the pipe, and the refetch pays the flush penalty.
+				w.waitDrain = true
+				t.frontStallUntil = m.now + m.Cfg.SpawnFlushPenalty
+			}
 			if ef.kill && !t.spec {
 				// thread_kill_self on the non-speculative thread. Drain and
 				// end the run like a halt (so the in-order and OOO models
@@ -542,13 +515,17 @@ func (m *Machine) dispatchOOO(t *Thread, slots int) int {
 				// RunProgram reports it instead of silently succeeding.
 				m.res.MainKilled = true
 			}
+			kill = kill || ef.kill || ef.halt
+			next = ef.nextPC
+		}
+		if kill {
 			w.haltAfterDrain = true
 			return k + 1
 		}
-		t.pc = ef.nextPC
-		if ef.nextPC != pc+1 {
-			return k + 1 // control transfer ends the fetch bundle
+		t.pc = next
+		if next != pc+1 || w.blocked >= 0 {
+			return k + 1 // a control transfer or a mispredict ends the bundle
 		}
 	}
-	return slots
+	return n
 }

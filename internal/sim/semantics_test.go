@@ -346,25 +346,12 @@ func semanticsExecutors() []semanticsExecutor {
 		return x, x.Mem
 	}
 	stepwise := func(t *testing.T, dp *decode.Program, in [ir.LIBSlots]uint64) (*threaded.Ctx, *mem.Memory) {
-		cfg := testInOrder()
-		cfg.Threaded = false
-		m := NewPredecoded(cfg, dp)
-		m.noSpec = true
-		th := m.main()
-		th.InLIB = in
-		th.active = true
-		th.pc = dp.Img.Entry
-		for n := 0; ; n++ {
-			if n == 1000 {
-				t.Fatal("no halt")
-			}
-			ef := m.execArch(th, th.pc)
-			if ef.halt || ef.kill {
-				break
-			}
-			th.pc = ef.nextPC
+		m := NewPredecoded(testInOrder(), dp)
+		m.main().InLIB = in
+		if _, err := m.interpret(1000); err != nil {
+			t.Fatal(err)
 		}
-		return &th.Ctx, m.Mem
+		return &m.main().Ctx, m.Mem
 	}
 	engine := func(cfg Config) func(t *testing.T, dp *decode.Program, in [ir.LIBSlots]uint64) (*threaded.Ctx, *mem.Memory) {
 		return func(t *testing.T, dp *decode.Program, in [ir.LIBSlots]uint64) (*threaded.Ctx, *mem.Memory) {
@@ -380,17 +367,11 @@ func semanticsExecutors() []semanticsExecutor {
 			return &m.main().Ctx, m.Mem
 		}
 	}
-	table := func(cfg Config) Config {
-		cfg.Threaded = false
-		return cfg
-	}
 	return []semanticsExecutor{
 		{"chains", chains},
 		{"stepwise", stepwise},
 		{"in-order", engine(testInOrder())},
-		{"in-order/table", engine(table(testInOrder()))},
 		{"ooo", engine(testOOO())},
-		{"ooo/table", engine(table(testOOO()))},
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // fuseWidth bounds how many constituent instructions one superinstruction
 // fuses. Eight covers every latch/body idiom the adapter emits while keeping
 // the interpreter's instruction-ceiling check within one bundle of the
-// table-dispatch boundary (the check can only fire between nodes; no node
+// per-PC loop's boundary (the check can only fire between nodes; no node
 // contains a halt, so the halt-vs-limit outcome is still exact).
 const fuseWidth = 8
 
@@ -26,7 +26,6 @@ func Compile(dp *decode.Program) *Program {
 		BlockOf:    blockOf,
 		BlockStart: make([]bool, n),
 		Steps:      make([]Step, n),
-		Info:       make([]StepInfo, n),
 		NInstrs:    n,
 	}
 	for _, b := range blocks {
@@ -34,15 +33,11 @@ func Compile(dp *decode.Program) *Program {
 			p.BlockStart[b.Start] = true
 		}
 	}
-	// Per-PC pure steps for the cycle engines: specialized architectural
-	// execution for instructions with no memory, control, or machine-level
-	// effect. Valid even when the chains are not.
+	// Per-PC pure steps: specialized architectural execution for every
+	// instruction with no memory, control, or machine-level effect. Valid
+	// even when the chains are not.
 	for pc := range dp.Code {
 		d := &dp.Code[pc]
-		si := &p.Info[pc]
-		if len(d.Uses) > len(si.Uses) || len(d.Defs) > len(si.Defs) {
-			continue // cannot describe the operands compactly: no step
-		}
 		if s, pure, ok := stepFor(d); ok && pure {
 			s = guard(d.Qp, s)
 			if s == nil {
@@ -50,10 +45,6 @@ func Compile(dp *decode.Program) *Program {
 			}
 			p.Steps[pc] = s
 			p.NSteps++
-			si.NU = uint8(copy(si.Uses[:], d.Uses))
-			si.ND = uint8(copy(si.Defs[:], d.Defs))
-			si.FU = d.FU
-			si.Lat = d.Lat
 		}
 	}
 	p.Blocks = make([]Block, 0, len(blocks))
@@ -69,8 +60,8 @@ func Compile(dp *decode.Program) *Program {
 	return p
 }
 
-// nopStep is the shared closure for instructions with no architectural
-// effect; a non-nil entry keeps the engines' step fast path on them.
+// nopStep is the shared closure for pure instructions with no architectural
+// effect, so every pure PC has a step.
 func nopStep(*Ctx) {}
 
 // guard wraps a step with its qualifying predicate, specialized away for the
@@ -318,7 +309,7 @@ func isControl(h decode.Handler) bool {
 	return false
 }
 
-// cmpResult evaluates an integer comparison (mirrors the table handlers).
+// cmpResult evaluates an integer comparison.
 func cmpResult(cond ir.Cond, a, b uint64) bool {
 	switch cond {
 	case ir.CondEQ:
@@ -355,12 +346,13 @@ func frRead(f ir.FR) func(x *Ctx) float64 {
 // frWritable reports whether fd is a real (non-hardwired) FP destination.
 func frWritable(f ir.FR) bool { return f != ir.FZero && f != ir.FOne }
 
-// stepFor builds the unpredicated specialized closure for one instruction.
-// It returns the closure (nil when the instruction has no architectural
-// effect), whether the instruction is pure — no memory, control, or
-// machine-level effect, so the cycle engines may execute the closure under
-// their own timing — and whether a body closure exists at all (false for
-// control transfers, which compile to block exits instead).
+// stepFor builds the unpredicated specialized closure for one instruction:
+// the one definition of every pure opcode's semantics. It returns the
+// closure (nil when the instruction has no architectural effect), whether
+// the instruction is pure — no memory, control, or machine-level effect, so
+// the cycle engines may execute the closure under their own timing — and
+// whether a body closure exists at all (false for control transfers, which
+// compile to block exits instead).
 func stepFor(d *decode.Decoded) (s Step, pure bool, ok bool) {
 	rd, ra, rb := d.Rd, d.Ra, d.Rb
 	imm := uint64(d.Imm)
@@ -523,7 +515,8 @@ func stepFor(d *decode.Decoded) (s Step, pure bool, ok bool) {
 
 	// Memory instructions: chain-executable (the interpreter is main-only,
 	// no-speculation, so stores are architectural), but not pure — the
-	// engines keep them on the table path where the hierarchy timing lives.
+	// engines execute them through sim's handlers, where the hierarchy
+	// timing and speculative-store suppression live.
 	case decode.HLd:
 		disp := uint64(d.Disp)
 		if rd == ir.RegZero {
@@ -611,8 +604,7 @@ func cmpStep(d *decode.Decoded) Step {
 	}
 }
 
-// fcmpStep specializes an FP compare (mirrors the table handler's relation
-// semantics: LTU/GEU collapse onto their signed forms for floats).
+// fcmpStep specializes an FP compare on its live predicate destinations.
 func fcmpStep(d *decode.Decoded) Step {
 	cond := d.Cond
 	pd1, pd2 := d.Pd1, d.Pd2
@@ -621,22 +613,7 @@ func fcmpStep(d *decode.Decoded) Step {
 	}
 	fa, fb := frRead(d.Fa), frRead(d.Fb)
 	return func(x *Ctx) {
-		a, b := fa(x), fb(x)
-		var r bool
-		switch cond {
-		case ir.CondEQ:
-			r = a == b
-		case ir.CondNE:
-			r = a != b
-		case ir.CondLT, ir.CondLTU:
-			r = a < b
-		case ir.CondLE:
-			r = a <= b
-		case ir.CondGT:
-			r = a > b
-		case ir.CondGE, ir.CondGEU:
-			r = a >= b
-		}
+		r := fcmpResult(cond, fa(x), fb(x))
 		if pd1 != ir.PTrue {
 			x.Preds[pd1] = r
 		}
@@ -644,4 +621,24 @@ func fcmpStep(d *decode.Decoded) Step {
 			x.Preds[pd2] = !r
 		}
 	}
+}
+
+// fcmpResult evaluates an FP comparison. Floats have no unsigned order, so
+// LTU and GEU fold onto LT and GE; every relation but NE is false on NaN.
+func fcmpResult(cond ir.Cond, a, b float64) bool {
+	switch cond {
+	case ir.CondEQ:
+		return a == b
+	case ir.CondNE:
+		return a != b
+	case ir.CondLT, ir.CondLTU:
+		return a < b
+	case ir.CondLE:
+		return a <= b
+	case ir.CondGT:
+		return a > b
+	case ir.CondGE, ir.CondGEU:
+		return a >= b
+	}
+	return false
 }

@@ -15,21 +15,22 @@
 // Two consumers, two products:
 //
 //   - Chains (Blocks): the functional interpreter executes them directly,
-//     block to block, never touching the dispatch table. Chains model
-//     main-thread no-speculation semantics only (chk.c falls through, spawn
-//     is a nop, stores execute) — exactly the interpreter's contract.
-//   - Steps: a per-PC array of pure-step closures the cycle-level engines
-//     use for architectural execution under their existing timing loops. A
-//     step exists only for instructions with no memory, control, or
-//     machine-level effect, so the engines' timing, stats, budget
-//     enforcement, and fast-forward logic are untouched by construction.
+//     block to block. Chains model main-thread no-speculation semantics only
+//     (chk.c falls through, spawn is a nop, stores execute) — exactly the
+//     interpreter's contract.
+//   - Steps: a per-PC array of pure-step closures, one for every instruction
+//     with no memory, control, or machine-level effect. They are the only
+//     definition of those opcodes: the cycle-level engines and the per-PC
+//     interpreter loop run them under their own timing and accounting, and
+//     only memory and control instructions reach sim's handler table.
 //
-// Fused superinstructions report their constituent instruction count
-// (node.n, Block.NBody) and the static IDs of any folded loads
-// (Block.LoadIDs), so instruction-exact accounting — the interpreter's
-// maxInstrs ceiling in particular — never drifts from table dispatch.
-// check.StrategyEquivalence holds both consumers to bit-identical results
-// against the table-dispatch reference.
+// Chains and steps are built by the same specializer (stepFor), so the chain
+// body of a pure instruction is its step. Fused superinstructions report
+// their constituent instruction count (node.n, Block.NBody) and the static
+// IDs of any folded loads (Block.LoadIDs), so instruction-exact accounting —
+// the interpreter's maxInstrs ceiling in particular — never drifts from the
+// per-PC loop. check.StrategyEquivalence holds the chain walker to
+// bit-identical results against that loop.
 package threaded
 
 import (
@@ -37,7 +38,6 @@ import (
 	"fmt"
 
 	"ssp/internal/ir"
-	"ssp/internal/sim/decode"
 	"ssp/internal/sim/mem"
 )
 
@@ -56,9 +56,8 @@ type Ctx struct {
 	OutLIB [ir.LIBSlots]uint64
 
 	// Mem is the data memory chain closures load from and store to. Only
-	// the interpreter attaches one; engine threads leave it nil (their
-	// memory instructions stay on the table-dispatch path, where timing
-	// lives).
+	// the chain walker attaches one; engine threads leave it nil (their
+	// memory instructions go through sim's handlers, where timing lives).
 	Mem *mem.Memory
 
 	// Dyn receives the dynamic target PC of a ret/callb block exit; Run
@@ -106,20 +105,6 @@ type node struct {
 	pc  int32 // PC of the first constituent
 }
 
-// StepInfo is the compact per-PC scoreboard record backing Program.Info:
-// the operand locations, function-unit class, and latency class of a pure
-// step, inlined into one 16-byte fixed-size struct so the cycle engines'
-// issue loop never chases the decode table's Uses/Defs slice backing arrays.
-// Capacities cover every pure instruction (at most qp + three sources, two
-// destinations); an instruction that would not fit simply gets no step.
-type StepInfo struct {
-	Uses   [4]ir.Loc
-	Defs   [2]ir.Loc
-	NU, ND uint8
-	FU     decode.FUClass
-	Lat    decode.LatClass
-}
-
 // Block is one compiled basic block: the body chain plus a single exit
 // closure that returns the successor block index (or a negative exit code).
 type Block struct {
@@ -163,15 +148,10 @@ type Program struct {
 	BlockOf    []int32
 	BlockStart []bool
 
-	// Steps is the per-PC pure-step array for the cycle engines; a nil
-	// entry means the instruction has memory, control, or machine-level
-	// effects and must take the table-dispatch path.
+	// Steps is the per-PC pure-step array; a nil entry means the
+	// instruction has memory, control, or machine-level effects and is
+	// executed by sim's handler table instead.
 	Steps []Step
-	// Info is the per-PC compact scoreboard record, valid exactly where
-	// Steps is non-nil. One fixed-size record per PC keeps the engines'
-	// issue loop free of the decode table's slice indirections: operand
-	// locations, function unit, and latency class all sit on one line.
-	Info []StepInfo
 
 	// Unthreadable marks an image whose chains could not be built (a
 	// control transfer not at a block boundary — impossible for linked
@@ -196,12 +176,12 @@ const (
 // ErrUnthreadable reports that chain execution cannot (or can no longer)
 // represent the program's control flow — an unthreadable image, an entry
 // that is not a block start, or a dynamic jump to mid-block. The caller
-// falls back to table dispatch; the Ctx is dead.
+// falls back to the per-PC loop; the Ctx is dead.
 var ErrUnthreadable = errors.New("threaded: program not chain-executable")
 
 // LimitError reports that execution would exceed the instruction ceiling —
-// the same condition, at the same instruction boundary, as the table-dispatch
-// interpreter's limit.
+// the same condition, at the same instruction boundary, as the per-PC
+// interpreter loop's limit.
 type LimitError struct{ Max int64 }
 
 func (e *LimitError) Error() string {
@@ -217,8 +197,8 @@ func (e *KillError) Error() string {
 
 // Run executes the chains from entry until halt, kill, or the instruction
 // ceiling, and returns the number of dynamic instructions executed. The
-// count — and the halt/kill/limit outcome — is bit-identical to the
-// table-dispatch interpreter on the same image: superinstructions carry
+// count — and the halt/kill/limit outcome — is bit-identical to the per-PC
+// interpreter loop on the same image: superinstructions carry
 // their constituent counts, and a chain can never cross the ceiling
 // mid-node without erroring exactly where the per-PC loop would have.
 func (p *Program) Run(x *Ctx, entry int, maxInstrs int64) (int64, error) {

@@ -14,13 +14,14 @@ import (
 
 const maxInstrs = 100_000_000
 
-// tableInterp runs the table-dispatch reference interpreter.
-func tableInterp(t *testing.T, dp *decode.Program, limit int64) (*sim.InterpResult, error) {
+// stepwiseInterp runs the reference interpreter: sim's per-PC loop, which
+// executes pure instructions through their steps and memory and control
+// instructions through sim's handler table, one PC at a time.
+func stepwiseInterp(t *testing.T, dp *decode.Program, limit int64) (*sim.InterpResult, error) {
 	t.Helper()
 	cfg := sim.DefaultInOrder()
 	cfg.UseTinyMem()
-	cfg.Threaded = false
-	return sim.InterpretPredecoded(cfg, dp, limit)
+	return sim.InterpretStepwise(cfg, dp, limit)
 }
 
 // runChains compiles and executes the chains directly, bypassing sim's
@@ -38,7 +39,7 @@ func runChains(t *testing.T, dp *decode.Program, limit int64) (*threaded.Ctx, in
 }
 
 // TestChainsMatchTableInterpreter: direct chain execution agrees with the
-// table-dispatch interpreter on final registers, instruction count, and
+// per-PC interpreter loop on final registers, instruction count, and
 // memory checksum, over random programs and every paper benchmark.
 func TestChainsMatchTableInterpreter(t *testing.T) {
 	var dps []*decode.Program
@@ -58,48 +59,48 @@ func TestChainsMatchTableInterpreter(t *testing.T) {
 		dps = append(dps, decode.Predecode(img))
 	}
 	for i, dp := range dps {
-		ref, err := tableInterp(t, dp, maxInstrs)
+		ref, err := stepwiseInterp(t, dp, maxInstrs)
 		if err != nil {
-			t.Fatalf("program %d: table: %v", i, err)
+			t.Fatalf("program %d: per-PC: %v", i, err)
 		}
 		x, n, err := runChains(t, dp, maxInstrs)
 		if err != nil {
 			t.Fatalf("program %d: chains: %v", i, err)
 		}
 		if n != ref.Instrs {
-			t.Fatalf("program %d: chains retired %d instrs, table %d", i, n, ref.Instrs)
+			t.Fatalf("program %d: chains retired %d instrs, per-PC %d", i, n, ref.Instrs)
 		}
 		if x.Regs != ref.Regs {
-			t.Fatalf("program %d: final registers diverge:\nchains %v\ntable  %v", i, x.Regs, ref.Regs)
+			t.Fatalf("program %d: final registers diverge:\nchains %v\nper-PC %v", i, x.Regs, ref.Regs)
 		}
 		if x.Mem.Checksum() != ref.Mem.Checksum() {
-			t.Fatalf("program %d: memory checksum %#x, table %#x", i, x.Mem.Checksum(), ref.Mem.Checksum())
+			t.Fatalf("program %d: memory checksum %#x, per-PC %#x", i, x.Mem.Checksum(), ref.Mem.Checksum())
 		}
 	}
 }
 
 // TestLimitBoundaryExact: the instruction ceiling trips at exactly the same
-// boundary as the table interpreter — a limit of N-1 errors, a limit of
+// boundary as the per-PC interpreter loop — a limit of N-1 errors, a limit of
 // exactly N (the program's dynamic length, whose final instruction is halt)
 // succeeds — including when the final block's exit is a fused two-instruction
 // cmp+br (covered by whichever programs fuse their latch; the equality with
-// the table path holds regardless).
+// the per-PC loop holds regardless).
 func TestLimitBoundaryExact(t *testing.T) {
 	img, err := ir.Link(workloads.RandomProgram(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dp := decode.Predecode(img)
-	ref, err := tableInterp(t, dp, maxInstrs)
+	ref, err := stepwiseInterp(t, dp, maxInstrs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := ref.Instrs
 	for _, limit := range []int64{1, n / 2, n - 1, n, n + 1} {
-		refR, refErr := tableInterp(t, dp, limit)
+		refR, refErr := stepwiseInterp(t, dp, limit)
 		_, cn, chErr := runChains(t, dp, limit)
 		if (refErr == nil) != (chErr == nil) {
-			t.Fatalf("limit %d: table err %v, chains err %v", limit, refErr, chErr)
+			t.Fatalf("limit %d: per-PC err %v, chains err %v", limit, refErr, chErr)
 		}
 		if refErr != nil {
 			if _, ok := chErr.(*threaded.LimitError); !ok {
@@ -108,13 +109,13 @@ func TestLimitBoundaryExact(t *testing.T) {
 			continue
 		}
 		if cn != refR.Instrs {
-			t.Fatalf("limit %d: chains retired %d, table %d", limit, cn, refR.Instrs)
+			t.Fatalf("limit %d: chains retired %d, per-PC %d", limit, cn, refR.Instrs)
 		}
 	}
 }
 
 // TestKillReportsPC: a main-thread kill surfaces as KillError carrying the
-// faulting PC, and sim's interpreter converts it to the table path's exact
+// faulting PC, and sim's interpreter converts it to the per-PC loop's exact
 // error string.
 func TestKillReportsPC(t *testing.T) {
 	p := ir.NewProgram("main")
@@ -132,15 +133,15 @@ func TestKillReportsPC(t *testing.T) {
 	if !ok {
 		t.Fatalf("chains error %v, want KillError", chErr)
 	}
-	_, refErr := tableInterp(t, dp, maxInstrs)
+	_, refErr := stepwiseInterp(t, dp, maxInstrs)
 	if refErr == nil {
-		t.Fatal("table interpreter accepted a kill")
+		t.Fatal("per-PC interpreter accepted a kill")
 	}
 	cfg := sim.DefaultInOrder()
 	cfg.UseTinyMem()
 	_, thrErr := sim.InterpretPredecoded(cfg, dp, maxInstrs)
 	if thrErr == nil || thrErr.Error() != refErr.Error() {
-		t.Fatalf("threaded interpreter error %q, table %q", thrErr, refErr)
+		t.Fatalf("chain interpreter error %q, per-PC %q", thrErr, refErr)
 	}
 	if !strings.Contains(refErr.Error(), "kill") {
 		t.Fatalf("unexpected kill error: %v", refErr)
@@ -153,8 +154,9 @@ func TestKillReportsPC(t *testing.T) {
 // TestCompileCoverage: the compile stage accounts for every static
 // instruction exactly once — the per-block constituent counts (body chain
 // plus exit) sum to the image size — and actually fuses: the benchmarks'
-// ALU-dense inner loops must produce multi-constituent superinstructions and
-// engine pure steps.
+// ALU-dense inner loops must produce multi-constituent superinstructions. It
+// also pins the steps' contract with sim's handler table: exactly the
+// instructions without a memory or control handler get a step.
 func TestCompileCoverage(t *testing.T) {
 	for _, spec := range workloads.All() {
 		p, _ := spec.Build(spec.TestScale)
@@ -209,10 +211,32 @@ func TestCompileCoverage(t *testing.T) {
 		if tp.Supers == 0 || tp.Fused == 0 {
 			t.Fatalf("%s: no fusion happened (supers=%d fused=%d)", spec.Name, tp.Supers, tp.Fused)
 		}
-		if tp.NSteps == 0 {
-			t.Fatalf("%s: no engine pure steps compiled", spec.Name)
+		steps := 0
+		for pc := range dp.Code {
+			h := dp.Code[pc].H
+			if want := !memOrControl(h); (tp.Steps[pc] != nil) != want {
+				t.Fatalf("%s: pc %d (%v): step present %v, want %v", spec.Name, pc, dp.Code[pc].Op, !want, want)
+			}
+			if tp.Steps[pc] != nil {
+				steps++
+			}
+		}
+		if steps == 0 || steps != tp.NSteps {
+			t.Fatalf("%s: %d pure steps, NSteps %d", spec.Name, steps, tp.NSteps)
 		}
 	}
+}
+
+// memOrControl reports whether a handler kind executes through sim's handler
+// table rather than a compiled step.
+func memOrControl(h decode.Handler) bool {
+	switch h {
+	case decode.HLd, decode.HLdPI, decode.HSt, decode.HLfetch, decode.HFLd, decode.HFSt,
+		decode.HBr, decode.HCall, decode.HCallB, decode.HRet, decode.HChk, decode.HSpawn,
+		decode.HKill, decode.HHalt:
+		return true
+	}
+	return false
 }
 
 // TestCtxHardwired: the architectural register conventions hold — r0 writes

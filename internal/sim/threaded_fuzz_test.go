@@ -11,12 +11,13 @@ import (
 // fuzzed seed: the input picks a workloads.RandomProgram and an instruction
 // ceiling, and the property is architectural equivalence — interpreting the
 // program over compiled per-block chains must agree bit-for-bit with the
-// table-dispatch reference on the retired instruction count, the final
-// register file, and the memory checksum, including on which side of the
-// ceiling the run lands (both succeed or both report the identical error).
-// The full-Result timing equivalence (both engines, stats, fast-forward) is
-// covered per seed by check.StrategySeed, which is too slow for a fuzz loop;
-// the lattice, in turn, never varies the instruction ceiling fuzzed here.
+// per-PC interpreter loop (InterpretStepwise) on the retired instruction
+// count, the final register file, and the memory checksum, including on
+// which side of the ceiling the run lands (both succeed or both report the
+// identical error). The full-Result timing equivalence (both engines, stats,
+// fast-forward) is covered per seed by check.StrategySeed, which is too slow
+// for a fuzz loop; the lattice, in turn, never varies the instruction
+// ceiling fuzzed here.
 func FuzzThreadedEquivalence(f *testing.F) {
 	for _, seed := range []int64{0, 7, 42} {
 		f.Add(seed, uint8(0))
@@ -37,29 +38,27 @@ func FuzzThreadedEquivalence(f *testing.F) {
 			// exact-boundary contract of the per-node limit pre-check.
 			limit = int64(limitBits) * 37
 		}
-		tcfg := DefaultInOrder()
-		tcfg.UseTinyMem()
-		ccfg := tcfg
-		ccfg.Threaded = false
-		ref, refErr := InterpretPredecoded(ccfg, dp, limit)
-		got, gotErr := InterpretPredecoded(tcfg, dp, limit)
+		cfg := DefaultInOrder()
+		cfg.UseTinyMem()
+		ref, refErr := InterpretStepwise(cfg, dp, limit)
+		got, gotErr := InterpretPredecoded(cfg, dp, limit)
 		if (refErr == nil) != (gotErr == nil) {
-			t.Fatalf("seed %d limit %d: table err %v, threaded err %v", seed, limit, refErr, gotErr)
+			t.Fatalf("seed %d limit %d: per-PC err %v, chains err %v", seed, limit, refErr, gotErr)
 		}
 		if refErr != nil {
 			if refErr.Error() != gotErr.Error() {
-				t.Fatalf("seed %d limit %d: table err %q, threaded err %q", seed, limit, refErr, gotErr)
+				t.Fatalf("seed %d limit %d: per-PC err %q, chains err %q", seed, limit, refErr, gotErr)
 			}
 			return
 		}
 		if got.Instrs != ref.Instrs {
-			t.Fatalf("seed %d limit %d: threaded retired %d instrs, table %d", seed, limit, got.Instrs, ref.Instrs)
+			t.Fatalf("seed %d limit %d: chains retired %d instrs, per-PC %d", seed, limit, got.Instrs, ref.Instrs)
 		}
 		if got.Regs != ref.Regs {
-			t.Fatalf("seed %d limit %d: final registers diverge:\nthreaded %v\ntable    %v", seed, limit, got.Regs, ref.Regs)
+			t.Fatalf("seed %d limit %d: final registers diverge:\nchains %v\nper-PC %v", seed, limit, got.Regs, ref.Regs)
 		}
 		if got.Mem.Checksum() != ref.Mem.Checksum() {
-			t.Fatalf("seed %d limit %d: memory checksum %#x, table %#x", seed, limit, got.Mem.Checksum(), ref.Mem.Checksum())
+			t.Fatalf("seed %d limit %d: memory checksum %#x, per-PC %#x", seed, limit, got.Mem.Checksum(), ref.Mem.Checksum())
 		}
 	})
 }
