@@ -308,9 +308,9 @@ var lattice = []point{
 //   - hot path (Reset-reused vs fresh machine across models and programs):
 //     every machine=reset point vs its cell's fresh-machine reference.
 //   - threaded (chains vs per-PC execution): the interpreter check. The
-//     engines' table-dispatch axis went with its code: every pure opcode
-//     now has one definition, the compiled step, which TestOpcodeSemantics
-//     in internal/sim specifies.
+//     engines have one definition of every pure opcode, the compiled step
+//     (specified by TestOpcodeSemantics in internal/sim), so they have no
+//     second semantics to compare.
 func StrategyEquivalence(cfgs []sim.Config, progs ...*ir.Program) error {
 	return strategyEquivalence(cfgs, nil, progs...)
 }

@@ -25,8 +25,8 @@ type archWant struct {
 	mem map[uint64]uint64
 }
 
-// s turns a signed literal into the register word it is stored as.
-func s(v int64) uint64 { return uint64(v) }
+// word turns a signed literal into the register word it is stored as.
+func word(v int64) uint64 { return uint64(v) }
 
 // semanticsInLIB is the incoming live-in buffer every case starts with, so
 // lir has something to read on the main thread.
@@ -67,7 +67,7 @@ var semanticsCases = []struct {
 	or r7 = r1, r2
 	xor r8 = r1, r2
 	mov r9 = r2`,
-		want: archWant{r: map[ir.Reg]uint64{1: 7, 2: s(-3), 3: 4, 4: s(-10), 5: s(-21), 6: 5, 7: s(-1), 8: s(-6), 9: s(-3)}},
+		want: archWant{r: map[ir.Reg]uint64{1: 7, 2: word(-3), 3: 4, 4: word(-10), 5: word(-21), 6: 5, 7: word(-1), 8: word(-6), 9: word(-3)}},
 	},
 	{
 		name: "alu immediate forms",
@@ -79,7 +79,7 @@ var semanticsCases = []struct {
 	and r5 = r1, 0x24
 	or r6 = r1, 3
 	xor r7 = r1, 0xff`,
-		want: archWant{r: map[ir.Reg]uint64{1: 100, 2: 99, 3: s(-150), 4: 300, 5: 0x24, 6: 103, 7: 155}},
+		want: archWant{r: map[ir.Reg]uint64{1: 100, 2: 99, 3: word(-150), 4: 300, 5: 0x24, 6: 103, 7: 155}},
 	},
 	{
 		name: "shift counts of 64 and more wrap modulo 64",
@@ -94,7 +94,7 @@ var semanticsCases = []struct {
 	shr r8 = r1, 63
 	movi r9 = 1
 	shl r10 = r9, r3`,
-		want: archWant{r: map[ir.Reg]uint64{1: s(-1), 2: 64, 3: 65, 4: s(-1), 5: math.MaxInt64, 6: 1 << 63, 7: s(-1), 8: 1, 9: 1, 10: 2}},
+		want: archWant{r: map[ir.Reg]uint64{1: word(-1), 2: 64, 3: 65, 4: word(-1), 5: math.MaxInt64, 6: 1 << 63, 7: word(-1), 8: 1, 9: 1, 10: 2}},
 	},
 	{
 		name: "writes to the hardwired r0, f0 and f1 are dropped",
@@ -136,7 +136,7 @@ var semanticsCases = []struct {
 	cmp.ltu p19, p20 = r1, 0
 	cmp.geu p21, p22 = r1, 0`,
 		want: archWant{
-			r: map[ir.Reg]uint64{1: s(-1), 2: 1},
+			r: map[ir.Reg]uint64{1: word(-1), 2: 1},
 			p: []ir.PR{1, 4, 5, 7, 9, 12, 13, 16, 17, 20, 21},
 		},
 	},
@@ -213,9 +213,9 @@ out:
 	setf f9 = r0`,
 		want: archWant{
 			r: map[ir.Reg]uint64{1: 0x4008000000000000, 2: 0x4024000000000000, 3: 0x7ff0000000000001,
-				4: 0x7ff0000000000001, 5: s(-2), 6: s(-2)},
+				4: 0x7ff0000000000001, 5: word(-2), 6: word(-2)},
 			f: map[ir.FR]uint64{2: 0x4008000000000000, 3: 0x4010000000000000, 4: 0x4000000000000000,
-				5: 0x4022000000000000, 6: 0x4024000000000000, 7: 0x7ff0000000000001, 8: s(-2)},
+				5: 0x4022000000000000, 6: 0x4024000000000000, 7: 0x7ff0000000000001, 8: word(-2)},
 		},
 	},
 	{
