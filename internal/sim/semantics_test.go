@@ -324,15 +324,11 @@ entry:
 	},
 }
 
-// semanticsExecutor runs a predecoded case to its halt from the given
-// incoming live-in buffer and returns the main thread's final state and
-// memory.
-type semanticsExecutor struct {
-	name string
-	run  func(t *testing.T, dp *decode.Program, in [ir.LIBSlots]uint64) (*threaded.Ctx, *mem.Memory)
-}
+// archRun runs a predecoded case to its halt from the given incoming
+// live-in buffer and returns the main thread's final state and memory.
+type archRun func(t *testing.T, dp *decode.Program, in [ir.LIBSlots]uint64) (*threaded.Ctx, *mem.Memory)
 
-func semanticsExecutors() []semanticsExecutor {
+func semanticsExecutors() map[string]archRun {
 	chains := func(t *testing.T, dp *decode.Program, in [ir.LIBSlots]uint64) (*threaded.Ctx, *mem.Memory) {
 		tp := ThreadedProgram(dp)
 		if tp.Unthreadable {
@@ -353,7 +349,7 @@ func semanticsExecutors() []semanticsExecutor {
 		}
 		return &m.main().Ctx, m.Mem
 	}
-	engine := func(cfg Config) func(t *testing.T, dp *decode.Program, in [ir.LIBSlots]uint64) (*threaded.Ctx, *mem.Memory) {
+	engine := func(cfg Config) archRun {
 		return func(t *testing.T, dp *decode.Program, in [ir.LIBSlots]uint64) (*threaded.Ctx, *mem.Memory) {
 			m := NewPredecoded(cfg, dp)
 			m.main().InLIB = in
@@ -367,11 +363,11 @@ func semanticsExecutors() []semanticsExecutor {
 			return &m.main().Ctx, m.Mem
 		}
 	}
-	return []semanticsExecutor{
-		{"chains", chains},
-		{"stepwise", stepwise},
-		{"in-order", engine(testInOrder())},
-		{"ooo", engine(testOOO())},
+	return map[string]archRun{
+		"chains":   chains,
+		"stepwise": stepwise,
+		"in-order": engine(testInOrder()),
+		"ooo":      engine(testOOO()),
 	}
 }
 
@@ -407,14 +403,14 @@ func TestOpcodeSemantics(t *testing.T) {
 		for i, v := range c.want.lib {
 			want.OutLIB[i] = v
 		}
-		for _, ex := range semanticsExecutors() {
-			got, gm := ex.run(t, dp, semanticsInLIB())
+		for name, run := range semanticsExecutors() {
+			got, gm := run(t, dp, semanticsInLIB())
 			if errs := diffArch(got, &want); len(errs) > 0 {
-				t.Errorf("%s on %s:\n\t%s", c.name, ex.name, strings.Join(errs, "\n\t"))
+				t.Errorf("%s on %s:\n\t%s", c.name, name, strings.Join(errs, "\n\t"))
 			}
 			for a, v := range c.want.mem {
 				if g := gm.Load(a); g != v {
-					t.Errorf("%s on %s: mem[%#x] = %#x, want %#x", c.name, ex.name, a, g, v)
+					t.Errorf("%s on %s: mem[%#x] = %#x, want %#x", c.name, name, a, g, v)
 				}
 			}
 		}
