@@ -171,7 +171,7 @@ out:
 		want: archWant{r: map[ir.Reg]uint64{1: 3, 2: 4}, p: []ir.PR{7, 9}},
 	},
 	{
-		name: "fcmp on NaN, and ltu/geu fold onto lt/ge",
+		name: "fcmp on NaN, and ltu and geu fold onto lt and ge",
 		body: `
 	movi r1 = 0x7ff8000000000000
 	setf f2 = r1
@@ -195,7 +195,7 @@ out:
 		},
 	},
 	{
-		name: "fp arithmetic and setf/getf bit moves",
+		name: "fp arithmetic and setf and getf bit moves",
 		body: `
 	movi r1 = 0x4008000000000000
 	setf f2 = r1
@@ -244,7 +244,7 @@ out:
 		},
 	},
 	{
-		name: "liw/lir slots are masked to the buffer size",
+		name: "liw and lir slots are masked to the buffer size",
 		body: `
 	movi r1 = 42
 	liw [3] = r1
@@ -377,43 +377,49 @@ func semanticsExecutors() map[string]archRun {
 // walker, the per-PC interpreter loop and both cycle engines.
 func TestOpcodeSemantics(t *testing.T) {
 	for _, c := range semanticsCases {
-		src := "program entry=main\nfunc main formals=0 {\nentry:" + c.body + "\n\thalt\n}\n" + c.extra + semanticsData
-		p, err := ir.Parse(src)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		img, err := ir.Link(p)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		dp := Predecode(img)
-		want := threaded.Ctx{InLIB: semanticsInLIB()}
-		for r, v := range c.want.r {
-			want.Regs[r] = v
-		}
-		for _, pr := range c.want.p {
-			want.Preds[pr] = true
-		}
-		for b, v := range c.want.b {
-			want.BRs[b] = v
-		}
-		for f, v := range c.want.f {
-			want.FRegs[f] = math.Float64frombits(v)
-		}
-		for i, v := range c.want.lib {
-			want.OutLIB[i] = v
-		}
-		for name, run := range semanticsExecutors() {
-			got, gm := run(t, dp, semanticsInLIB())
-			if errs := diffArch(got, &want); len(errs) > 0 {
-				t.Errorf("%s on %s:\n\t%s", c.name, name, strings.Join(errs, "\n\t"))
+		t.Run(c.name, func(t *testing.T) {
+			src := "program entry=main\nfunc main formals=0 {\nentry:" + c.body + "\n\thalt\n}\n" + c.extra + semanticsData
+			p, err := ir.Parse(src)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for a, v := range c.want.mem {
-				if g := gm.Load(a); g != v {
-					t.Errorf("%s on %s: mem[%#x] = %#x, want %#x", c.name, name, a, g, v)
-				}
+			img, err := ir.Link(p)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			dp := Predecode(img)
+			want := threaded.Ctx{InLIB: semanticsInLIB()}
+			for r, v := range c.want.r {
+				want.Regs[r] = v
+			}
+			for _, pr := range c.want.p {
+				want.Preds[pr] = true
+			}
+			for b, v := range c.want.b {
+				want.BRs[b] = v
+			}
+			for f, v := range c.want.f {
+				want.FRegs[f] = math.Float64frombits(v)
+			}
+			for i, v := range c.want.lib {
+				want.OutLIB[i] = v
+			}
+			for name, run := range semanticsExecutors() {
+				// One subtest per executor, so a run that fails to halt
+				// on one of them still leaves the others checked.
+				t.Run(name, func(t *testing.T) {
+					got, gm := run(t, dp, semanticsInLIB())
+					if errs := diffArch(got, &want); len(errs) > 0 {
+						t.Errorf("\n\t%s", strings.Join(errs, "\n\t"))
+					}
+					for a, v := range c.want.mem {
+						if g := gm.Load(a); g != v {
+							t.Errorf("mem[%#x] = %#x, want %#x", a, g, v)
+						}
+					}
+				})
+			}
+		})
 	}
 }
 
