@@ -11,7 +11,8 @@ GO ?= go
 # the 500-seed execution-strategy equivalence sweep, and the 32-seed
 # speculation-safety sweep (static budget certificates, dynamic budget
 # oracle, adversarial mutants) — plus a short native-fuzzing smoke of the
-# parser, the adaptation tool, and the threaded execution core.
+# parser, the adaptation tool, the safety certifier on untrusted IR, and the
+# threaded execution core.
 check: fmt vet race alloc-gate bench-module sspcheck strategy-sweep safety-sweep fuzz-smoke
 
 # bench-module vets and tests the benchmark under bench/, a module of its own
@@ -56,6 +57,7 @@ alloc-gate:
 fuzz-smoke:
 	$(GO) test ./internal/ir -run '^$$' -fuzz FuzzParseAsmRoundTrip -fuzztime 30s
 	$(GO) test ./internal/ssp -run '^$$' -fuzz FuzzAdaptRandomProgram -fuzztime 30s
+	$(GO) test ./internal/ssp -run '^$$' -fuzz FuzzAnalyzeSafety -fuzztime 30s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzThreadedEquivalence -fuzztime 30s
 
 # cover enforces the coverage floor over the whole module (statement coverage,

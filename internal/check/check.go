@@ -488,16 +488,7 @@ func Seed(seed int64, cfgs []sim.Config) error {
 	if err != nil {
 		return fmt.Errorf("seed %d: profile: %w", seed, err)
 	}
-	r := rand.New(rand.NewSource(seed))
-	opt := ssp.DefaultOptions()
-	opt.Chaining = r.Intn(4) != 0
-	opt.LoopRotation = r.Intn(4) != 0
-	opt.CondPrediction = r.Intn(4) != 0
-	opt.SpeculativeSlicing = r.Intn(4) != 0
-	if r.Intn(3) == 0 {
-		opt.ChainUnroll = 2 + r.Intn(2)
-	}
-	adapted, _, err := ssp.Adapt(p, prof, opt, fmt.Sprintf("seed%d", seed))
+	adapted, _, err := ssp.Adapt(p, prof, seedOptions(seed), fmt.Sprintf("seed%d", seed))
 	if err != nil {
 		return fmt.Errorf("seed %d: adapt: %w", seed, err)
 	}
@@ -508,4 +499,19 @@ func Seed(seed int64, cfgs []sim.Config) error {
 		return fmt.Errorf("seed %d: %w", seed, err)
 	}
 	return nil
+}
+
+// seedOptions is the seed-derived adaptation option mix Seed and SafetySeed
+// share, so the two sweeps adapt each seed under the same configuration.
+func seedOptions(seed int64) ssp.Options {
+	r := rand.New(rand.NewSource(seed))
+	opt := ssp.DefaultOptions()
+	opt.Chaining = r.Intn(4) != 0
+	opt.LoopRotation = r.Intn(4) != 0
+	opt.CondPrediction = r.Intn(4) != 0
+	opt.SpeculativeSlicing = r.Intn(4) != 0
+	if r.Intn(3) == 0 {
+		opt.ChainUnroll = 2 + r.Intn(2)
+	}
+	return opt
 }

@@ -73,7 +73,7 @@ func TestBrokenAdaptationCaught(t *testing.T) {
 	b.InsertAt(len(b.Instrs)-1, st)
 	f.Renumber()
 
-	if err := ssp.VerifyAttachments(adapted); err == nil {
+	if _, err := ssp.VerifyAttachments(adapted); err == nil {
 		t.Error("VerifyAttachments accepted a slice containing a store")
 	}
 	err := Metamorphic(Configs(true), orig, adapted)

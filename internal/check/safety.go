@@ -2,7 +2,6 @@ package check
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ssp/internal/ir"
 	"ssp/internal/profile"
@@ -71,8 +70,8 @@ func SafetyEquivalence(cfgs []sim.Config, adapted *ir.Program) error {
 	}
 	dp := sim.Predecode(img)
 	for _, cfg := range cfgs {
-		rep, err := ssp.VerifySafety(adapted, cfg.MaxSpecInstrs)
-		if err != nil {
+		rep := ssp.AnalyzeSafety(adapted, cfg.MaxSpecInstrs)
+		if err := rep.Err(); err != nil {
 			return fmt.Errorf("check: safety %v: static: %w", cfg.Model, err)
 		}
 		if mb := rep.MaxBudget(); mb > cfg.MaxSpecInstrs {
@@ -90,27 +89,19 @@ func SafetyEquivalence(cfgs []sim.Config, adapted *ir.Program) error {
 }
 
 // SafetySeed drives the speculation-safety layer from one seed: generate a
-// random program, adapt it with a seed-derived option mix (the same mix
-// check.Seed uses, so the two sweeps cover the same configurations), run the
-// static+dynamic equivalence gate on both engines, then the adversarial
-// sweep — every injected violation class must be rejected with exactly that
-// class. Sweeping it over N seeds is cmd/sspcheck -safety.
+// random program, adapt it with the seed-derived option mix (seedOptions,
+// shared with check.Seed, so the two sweeps cover the same
+// configurations), run the static+dynamic equivalence gate on both engines,
+// then the adversarial sweep — every injected violation class must be
+// rejected with exactly that class. Sweeping it over N seeds is
+// cmd/sspcheck -safety.
 func SafetySeed(seed int64, cfgs []sim.Config) error {
 	p := workloads.RandomProgram(seed)
 	prof, err := profile.Collect(p, cfgs[0])
 	if err != nil {
 		return fmt.Errorf("seed %d: profile: %w", seed, err)
 	}
-	r := rand.New(rand.NewSource(seed))
-	opt := ssp.DefaultOptions()
-	opt.Chaining = r.Intn(4) != 0
-	opt.LoopRotation = r.Intn(4) != 0
-	opt.CondPrediction = r.Intn(4) != 0
-	opt.SpeculativeSlicing = r.Intn(4) != 0
-	if r.Intn(3) == 0 {
-		opt.ChainUnroll = 2 + r.Intn(2)
-	}
-	adapted, rep, err := ssp.Adapt(p, prof, opt, fmt.Sprintf("seed%d", seed))
+	adapted, rep, err := ssp.Adapt(p, prof, seedOptions(seed), fmt.Sprintf("seed%d", seed))
 	if err != nil {
 		return fmt.Errorf("seed %d: adapt: %w", seed, err)
 	}

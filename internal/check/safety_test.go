@@ -57,8 +57,8 @@ func TestSafetySeedsClean(t *testing.T) {
 func TestSafetyOracleDetectsOverrun(t *testing.T) {
 	_, adapted := adaptMcf(t)
 	cfg := Configs(true)[0]
-	rep, err := ssp.VerifySafety(adapted, cfg.MaxSpecInstrs)
-	if err != nil {
+	rep := ssp.AnalyzeSafety(adapted, cfg.MaxSpecInstrs)
+	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
 	budgets := rep.Budgets()

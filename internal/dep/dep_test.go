@@ -2,7 +2,6 @@ package dep
 
 import (
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -104,60 +103,6 @@ func TestFigure3ControlDeps(t *testing.T) {
 	}
 }
 
-func TestFigure3SCC(t *testing.T) {
-	p, f, ins := figure3()
-	a, d, cmp, br := ins[0], ins[3], ins[4], ins[5]
-	dg := buildGraph(t, p, f)
-	// SCC over the loop instructions, following data (incl. carried) and
-	// control dependences — the scheduler's view (§3.2.1.2.1).
-	var nodes []int
-	for _, in := range ins {
-		nodes = append(nodes, dg.NodeByID(in.ID))
-	}
-	adj := func(n int) []int {
-		var out []int
-		for _, e := range dg.DataSuccs[n] {
-			out = append(out, e.To)
-		}
-		// control successors: nodes that list n as a control pred
-		for _, m := range nodes {
-			for _, c := range dg.CtrlPreds[m] {
-				if c == n {
-					out = append(out, m)
-				}
-			}
-		}
-		return out
-	}
-	comps := SCC(nodes, adj)
-	// Expect one non-degenerate SCC = {A, D, cmp, br} and two degenerate
-	// ones (the loads B and C), matching Figure 5(a).
-	var nonDegen [][]int
-	degen := 0
-	for _, comp := range comps {
-		if IsDegenerate(comp, adj) {
-			degen++
-		} else {
-			nonDegen = append(nonDegen, comp)
-		}
-	}
-	if len(nonDegen) != 1 || degen != 2 {
-		t.Fatalf("got %d non-degenerate and %d degenerate SCCs, want 1 and 2: %v", len(nonDegen), degen, comps)
-	}
-	want := []int{dg.NodeByID(a.ID), dg.NodeByID(d.ID), dg.NodeByID(cmp.ID), dg.NodeByID(br.ID)}
-	got := append([]int(nil), nonDegen[0]...)
-	sort.Ints(want)
-	sort.Ints(got)
-	if len(got) != len(want) {
-		t.Fatalf("non-degenerate SCC = %v, want %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("non-degenerate SCC = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestEntryDefs(t *testing.T) {
 	// A function that uses its formal argument r32 before defining it.
 	p := ir.NewProgram("main")
@@ -238,89 +183,6 @@ func TestHeightsSerialChain(t *testing.T) {
 	// The chain is serial: available ILP should be low (< 2).
 	if ilp := dg.AvailableILP(nodes, lat); ilp >= 2 {
 		t.Errorf("AvailableILP = %v, want < 2 for a serial pointer chain", ilp)
-	}
-}
-
-// TestQuickSCCPartition: property — SCC returns a partition of the node set,
-// and every cycle's nodes land in the same component.
-func TestQuickSCCPartition(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(20)
-		adjm := make([][]int, n)
-		for i := range adjm {
-			for k := 0; k < r.Intn(4); k++ {
-				adjm[i] = append(adjm[i], r.Intn(n))
-			}
-		}
-		nodes := make([]int, n)
-		for i := range nodes {
-			nodes[i] = i
-		}
-		adj := func(i int) []int { return adjm[i] }
-		comps := SCC(nodes, adj)
-		seen := make([]int, n)
-		for i := range seen {
-			seen[i] = -1
-		}
-		for ci, comp := range comps {
-			for _, v := range comp {
-				if seen[v] != -1 {
-					t.Logf("node %d in two components", v)
-					return false
-				}
-				seen[v] = ci
-			}
-		}
-		for _, s := range seen {
-			if s == -1 {
-				return false
-			}
-		}
-		// Mutual reachability within components; check via DFS.
-		reaches := func(a, b int) bool {
-			vis := make([]bool, n)
-			stack := []int{a}
-			vis[a] = true
-			for len(stack) > 0 {
-				x := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				if x == b {
-					return true
-				}
-				for _, s := range adjm[x] {
-					if !vis[s] {
-						vis[s] = true
-						stack = append(stack, s)
-					}
-				}
-			}
-			return false
-		}
-		for a := 0; a < n; a++ {
-			for b := 0; b < n; b++ {
-				mutual := a != b && reaches(a, b) && reaches(b, a)
-				if mutual != (a != b && seen[a] == seen[b]) {
-					t.Logf("seed %d: nodes %d,%d mutual=%v comp=%v", seed, a, b, mutual, seen[a] == seen[b])
-					return false
-				}
-			}
-		}
-		// Reverse-topological order: no forward edge from an earlier
-		// component to a later one... i.e. every cross edge u->v must have
-		// comp(v) earlier (already emitted) than comp(u).
-		for a := 0; a < n; a++ {
-			for _, b := range adjm[a] {
-				if seen[a] != seen[b] && seen[b] > seen[a] {
-					t.Logf("seed %d: edge %d->%d violates reverse-topological component order", seed, a, b)
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -70,8 +70,8 @@ type TuneSpec struct {
 }
 
 // job is a validated, canonicalized JobSpec: defaults applied, model names
-// normalized, options concretized. Everything in it except timeout feeds the
-// cache key.
+// normalized, options concretized. Everything in it except timeout and prog
+// feeds the cache key.
 type job struct {
 	Bench   string
 	Source  string
@@ -82,6 +82,8 @@ type job struct {
 	Tune    *tuneJob // non-nil switches the job into tuning mode
 
 	timeout time.Duration
+	// prog is Source parsed once by normalize; source vetting reads it.
+	prog *ir.Program
 }
 
 // tuneJob is a TuneSpec with defaults applied — the canonical form that
@@ -110,10 +112,11 @@ func (s *JobSpec) normalize(defaultTimeout time.Duration) (job, error) {
 		}
 		j.Bench = s.Bench
 	case s.Source != "":
-		if _, err := ir.Parse(s.Source); err != nil {
+		p, err := ir.Parse(s.Source)
+		if err != nil {
 			return j, fmt.Errorf("source: %w", err)
 		}
-		j.Source = s.Source
+		j.Source, j.prog = s.Source, p
 	default:
 		return j, fmt.Errorf("specify bench or source")
 	}

@@ -32,7 +32,6 @@ import (
 
 	"ssp/internal/exp"
 	"ssp/internal/flight"
-	"ssp/internal/ir"
 	"ssp/internal/sim"
 	"ssp/internal/ssp"
 	"ssp/internal/tune"
@@ -411,11 +410,7 @@ type UnsafeResponse struct {
 // without slices pass trivially. The report is returned either way so the
 // 422 path can hand it to the client.
 func (s *Server) vetSource(j job) (*ssp.SafetyReport, error) {
-	p, err := ir.Parse(j.Source) // normalize already proved it parses
-	if err != nil {
-		return nil, err
-	}
-	rep := ssp.AnalyzeSafety(p, s.tuners[j.scale()].Suite.MachineConfig(j.Model).MaxSpecInstrs)
+	rep := ssp.AnalyzeSafety(j.prog, s.tuners[j.scale()].Suite.MachineConfig(j.Model).MaxSpecInstrs)
 	return rep, rep.Err()
 }
 

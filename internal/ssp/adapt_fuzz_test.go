@@ -58,17 +58,14 @@ func FuzzAdaptRandomProgram(f *testing.F) {
 		if err := adapted.Validate(); err != nil {
 			t.Fatalf("seed %d optBits %#x: adapted binary fails Validate: %v", seed, optBits, err)
 		}
-		if err := VerifyAttachments(adapted); err != nil {
-			t.Fatalf("seed %d optBits %#x: adapted binary fails VerifyAttachments: %v", seed, optBits, err)
-		}
-		// The safety verifier must certify every tool output: a budget at
-		// or under the ceiling and zero violations. Its negative corpus is
-		// exercised too — every mutant of the adapted binary must be
-		// rejected with the injected class (skipped when the adaptation
-		// emitted no slices; there is nothing to corrupt).
-		srep, err := VerifySafety(adapted, DefaultSafetyCeiling)
+		// The attachment and safety verifier must certify every tool
+		// output: a budget at or under the ceiling and zero violations. Its
+		// negative corpus is exercised too — every mutant of the adapted
+		// binary must be rejected with the injected class (skipped when the
+		// adaptation emitted no slices; there is nothing to corrupt).
+		srep, err := VerifyAttachments(adapted)
 		if err != nil {
-			t.Fatalf("seed %d optBits %#x: adapted binary fails VerifySafety: %v", seed, optBits, err)
+			t.Fatalf("seed %d optBits %#x: adapted binary fails VerifyAttachments: %v", seed, optBits, err)
 		}
 		if srep.MaxBudget() > DefaultSafetyCeiling {
 			t.Fatalf("seed %d optBits %#x: certified budget %d exceeds ceiling", seed, optBits, srep.MaxBudget())

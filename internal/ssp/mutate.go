@@ -2,7 +2,6 @@ package ssp
 
 import (
 	"fmt"
-	"strings"
 
 	"ssp/internal/ir"
 )
@@ -98,10 +97,7 @@ func InjectUnsafe(p *ir.Program, class SafetyClass) (*ir.Program, bool) {
 func firstSlice(p *ir.Program) (*ir.Func, string) {
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
-			if rest, ok := strings.CutPrefix(b.Label, "ssp_slice_"); ok && !strings.Contains(rest, "_") {
-				return f, b.Label
-			}
-			if b.Label == "hand_slice" {
+			if isSliceRoot(b.Label) {
 				return f, b.Label
 			}
 		}

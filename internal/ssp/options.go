@@ -62,7 +62,7 @@ type Options struct {
 	// spawn condition").
 	CondPrediction bool
 	// LoopRotation enables the dependence-reduction reordering that places
-	// the loop-carried recurrence (the non-degenerate SCCs) at the top of
+	// the loop-carried recurrence (the critical sub-slice) at the top of
 	// the generated do-across loop body (§3.2.1.1-3.2.1.2).
 	LoopRotation bool
 	// Chaining allows chaining SP at all; disabled, every slice is

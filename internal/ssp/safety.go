@@ -3,8 +3,8 @@ package ssp
 import (
 	"fmt"
 	"sort"
-	"strings"
 
+	"ssp/internal/cfg"
 	"ssp/internal/ir"
 )
 
@@ -172,30 +172,16 @@ func (r *SafetyReport) Budgets() map[string]int64 {
 func AnalyzeSafety(p *ir.Program, ceiling int64) *SafetyReport {
 	rep := &SafetyReport{Ceiling: ceiling}
 	for _, f := range p.Funcs {
-		var roots []string
 		for _, b := range f.Blocks {
-			if rest, ok := strings.CutPrefix(b.Label, "ssp_slice_"); ok && !strings.Contains(rest, "_") {
-				roots = append(roots, b.Label)
+			if !isSliceRoot(b.Label) {
+				continue
 			}
-			if b.Label == "hand_slice" {
-				roots = append(roots, b.Label)
-			}
-		}
-		for _, root := range roots {
-			cert, viols := analyzeSlice(f, root, ceiling)
+			cert, viols := analyzeSlice(f, b.Label, ceiling)
 			rep.Slices = append(rep.Slices, cert)
 			rep.Violations = append(rep.Violations, viols...)
 		}
 	}
 	return rep
-}
-
-// VerifySafety is AnalyzeSafety folded to a verdict: the report plus its
-// Err(). The tool's self-check and the serving layer's admission gate both
-// go through it.
-func VerifySafety(p *ir.Program, ceiling int64) (*SafetyReport, error) {
-	rep := AnalyzeSafety(p, ceiling)
-	return rep, rep.Err()
 }
 
 // node is one instruction-level CFG position: region-block index and
@@ -325,7 +311,7 @@ func analyzeSlice(f *ir.Func, root string, ceiling int64) (SliceSafety, []Safety
 				push(node{n.b, n.i + 1})
 			}
 		case ir.OpSpawn:
-			if rest, ok := strings.CutPrefix(in.Target, "ssp_slice_"); (ok && !strings.Contains(rest, "_")) || in.Target == "hand_slice" {
+			if isSliceRoot(in.Target) {
 				spawns = append(spawns, chainSpawn{bi: n.b, in: in})
 			} else {
 				bad(SafetyEscape, "%s: reachable spawn targets %q, which is not a slice root", b.Label, in.Target)
@@ -355,20 +341,37 @@ func analyzeSlice(f *ir.Func, root string, ceiling int64) (SliceSafety, []Safety
 		}
 	}
 
-	// Loop structure: DFS back edges over the reachable block graph, then
-	// dominators to separate structured (natural) loops from irreducible
-	// tangles the budget cannot decompose.
-	succs := make([][]int, len(blocks))
-	for _, e := range edges {
-		succs[e.from] = append(succs[e.from], e.to)
-	}
-	back := findBackEdges(len(blocks), succs, idx[root])
-	for i := range edges {
-		if back[[2]int{edges[i].from, edges[i].to}] {
-			edges[i].back = true
+	// Loop structure over the reachable block graph. The graph puts the
+	// root at node 0, cfg's entry: region index r is node r with the root
+	// and index 0 swapped, so toNode is its own inverse. The retreating
+	// edges of its reverse postorder are the DFS back edges (removing them
+	// leaves the graph acyclic), and the dominator tree separates
+	// structured (natural) loops from irreducible tangles the budget cannot
+	// decompose.
+	rootIdx := idx[root]
+	toNode := func(r int) int {
+		switch r {
+		case rootIdx:
+			return 0
+		case 0:
+			return rootIdx
 		}
+		return r
 	}
-	dom := dominators(len(blocks), succs, idx[root])
+	g := &cfg.Graph{Succs: make([][]int, len(blocks)), Preds: make([][]int, len(blocks))}
+	for _, e := range edges {
+		from, to := toNode(e.from), toNode(e.to)
+		g.Succs[from] = append(g.Succs[from], to)
+		g.Preds[to] = append(g.Preds[to], from)
+	}
+	order := make([]int, len(blocks))
+	for i, n := range g.RPO() {
+		order[n] = i
+	}
+	for i := range edges {
+		edges[i].back = order[toNode(edges[i].to)] <= order[toNode(edges[i].from)]
+	}
+	dom := cfg.Dominators(g)
 
 	// Classify every backedge: unconditional or stuck guards are
 	// violations; countdown guards yield a static iteration bound; latch
@@ -386,7 +389,7 @@ func analyzeSlice(f *ir.Func, root string, ceiling int64) (SliceSafety, []Safety
 		}
 		cert.Backedges++
 		head, tail := e.to, e.from
-		body := loopBody(len(blocks), edges, head, tail)
+		body := loopBody(g, toNode, head, tail)
 		if e.guard == nil || e.guard.Qp == ir.PTrue {
 			bad(SafetyUnboundedLoop, "unconditional backedge %s -> %s", blocks[tail].Label, blocks[head].Label)
 			continue
@@ -401,7 +404,7 @@ func analyzeSlice(f *ir.Func, root string, ceiling int64) (SliceSafety, []Safety
 			bad(SafetyUnboundedLoop, "backedge %s -> %s: guard p%d compares loop-invariant values", blocks[tail].Label, blocks[head].Label, q)
 			continue
 		}
-		if !dom[tail][head] {
+		if !dom.Dominates(toNode(head), toNode(tail)) {
 			// Irreducible: sound fallback is the hardware ceiling.
 			dynamic = true
 			cert.Obligations = append(cert.Obligations, fmt.Sprintf("termination: irreducible backedge %s -> %s bounded by the hardware ceiling (%d)", blocks[tail].Label, blocks[head].Label, ceiling))
@@ -483,103 +486,11 @@ func analyzeSlice(f *ir.Func, root string, ceiling int64) (SliceSafety, []Safety
 	return cert, viols
 }
 
-// findBackEdges classifies the graph's edges by iterative DFS from root and
-// returns the set of back edges (target on the active DFS stack). Removing
-// them leaves the graph acyclic.
-func findBackEdges(n int, succs [][]int, root int) map[[2]int]bool {
-	back := map[[2]int]bool{}
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]int, n)
-	type frame struct{ b, next int }
-	stack := []frame{{root, 0}}
-	color[root] = gray
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.next < len(succs[f.b]) {
-			s := succs[f.b][f.next]
-			f.next++
-			switch color[s] {
-			case white:
-				color[s] = gray
-				stack = append(stack, frame{s, 0})
-			case gray:
-				back[[2]int{f.b, s}] = true
-			}
-			continue
-		}
-		color[f.b] = black
-		stack = stack[:len(stack)-1]
-	}
-	return back
-}
-
-// dominators computes the dominator relation over the reachable block graph
-// by the standard iterative dataflow: dom[b] = {b} ∪ ⋂ dom(preds).
-func dominators(n int, succs [][]int, root int) [][]bool {
-	preds := make([][]int, n)
-	for b, ss := range succs {
-		for _, s := range ss {
-			preds[s] = append(preds[s], b)
-		}
-	}
-	dom := make([][]bool, n)
-	for b := range dom {
-		dom[b] = make([]bool, n)
-		if b == root {
-			dom[b][root] = true
-			continue
-		}
-		for i := range dom[b] {
-			dom[b][i] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for b := 0; b < n; b++ {
-			if b == root {
-				continue
-			}
-			next := make([]bool, n)
-			first := true
-			for _, p := range preds[b] {
-				if first {
-					copy(next, dom[p])
-					first = false
-					continue
-				}
-				for i := range next {
-					next[i] = next[i] && dom[p][i]
-				}
-			}
-			if first { // unreachable: keep the all-set
-				continue
-			}
-			next[b] = true
-			for i := range next {
-				if next[i] != dom[b][i] {
-					dom[b] = next
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return dom
-}
-
-// loopBody returns the blocks of the loop closed by backedge tail -> head:
-// head plus everything that reaches tail without passing through head
-// (computed on the reversed edge set).
-func loopBody(n int, edges []blockEdge, head, tail int) []int {
-	preds := make([][]int, n)
-	for _, e := range edges {
-		preds[e.to] = append(preds[e.to], e.from)
-	}
-	in := make([]bool, n)
+// loopBody returns the region indexes of the loop closed by backedge
+// tail -> head, in layout order: head plus everything that reaches tail
+// without passing through head (walked over the graph's predecessors).
+func loopBody(g *cfg.Graph, toNode func(int) int, head, tail int) []int {
+	in := make([]bool, len(g.Preds))
 	in[head] = true
 	in[tail] = true
 	work := []int{tail}
@@ -589,8 +500,8 @@ func loopBody(n int, edges []blockEdge, head, tail int) []int {
 		if b == head {
 			continue
 		}
-		for _, p := range preds[b] {
-			if !in[p] {
+		for _, p := range g.Preds[toNode(b)] {
+			if p = toNode(p); !in[p] {
 				in[p] = true
 				work = append(work, p)
 			}

@@ -1,11 +1,15 @@
 package ssp
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"ssp/internal/handtuned"
 	"ssp/internal/ir"
+	"ssp/internal/profile"
 	"ssp/internal/workloads"
 )
 
@@ -51,8 +55,8 @@ func TestSafetyCertifiesAdaptedBenchmarks(t *testing.T) {
 			}
 			// Re-verifying the emitted binary from scratch must agree with
 			// the self-certification.
-			rep2, err := VerifySafety(enh, DefaultSafetyCeiling)
-			if err != nil {
+			rep2 := AnalyzeSafety(enh, DefaultSafetyCeiling)
+			if err := rep2.Err(); err != nil {
 				t.Errorf("%s/%s: re-verification failed: %v", spec.Name, v.name, err)
 			}
 			if rep2.MaxBudget() != rep.Safety.MaxBudget() {
@@ -92,8 +96,8 @@ func TestSafetyCertifiesHandAdaptations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := VerifySafety(hand, DefaultSafetyCeiling)
-		if err != nil {
+		rep := AnalyzeSafety(hand, DefaultSafetyCeiling)
+		if err := rep.Err(); err != nil {
 			t.Fatalf("%s hand: %v", name, err)
 		}
 		if len(rep.Slices) == 0 {
@@ -140,8 +144,8 @@ func TestSafetyBudgetArithmetic(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := VerifySafety(p, DefaultSafetyCeiling)
-	if err != nil {
+	rep := AnalyzeSafety(p, DefaultSafetyCeiling)
+	if err := rep.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Slices) != 1 {
@@ -197,11 +201,75 @@ func TestSafetyAcceptsProgramsWithoutSlices(t *testing.T) {
 		t.Fatal(err)
 	}
 	orig, _ := spec.Build(spec.TestScale)
-	rep, err := VerifySafety(orig, DefaultSafetyCeiling)
-	if err != nil {
+	rep := AnalyzeSafety(orig, DefaultSafetyCeiling)
+	if err := rep.Err(); err != nil {
 		t.Fatalf("plain program rejected: %v", err)
 	}
 	if len(rep.Slices) != 0 || len(rep.Violations) != 0 {
 		t.Fatalf("plain program produced a non-empty report: %+v", rep)
 	}
+}
+
+// FuzzAnalyzeSafety drives the certifier with untrusted IR, the way the
+// serving layer vets submitted source. For any program ir.Parse accepts,
+// the analysis must not panic, must be deterministic, must fold to a nil
+// Err exactly when it reports no violation, and must certify every
+// violation-free slice with a budget in [1, ceiling]: each such path ends
+// in a reachable kill, and a larger static budget is itself a violation.
+// Seeds: the parser's testdata programs plus every InjectUnsafe mutant of
+// one adapted random program.
+func FuzzAnalyzeSafety(f *testing.F) {
+	files, err := filepath.Glob(filepath.Join("..", "ir", "testdata", "*.ssp"))
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no seed programs: %v", err)
+	}
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	p := workloads.RandomProgram(0)
+	prof, err := profile.Collect(p, tinyConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	adapted, _, err := Adapt(p, prof, DefaultOptions(), "fuzz")
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The certifier never reads the data image; dropping it keeps the seeds
+	// small, so the fuzzer spends its time mutating code, not minimizing data.
+	clear(adapted.Data)
+	f.Add(ir.Format(adapted))
+	for _, class := range UnsafeClasses {
+		m, ok := InjectUnsafe(adapted, class)
+		if !ok {
+			f.Fatalf("no slice to inject %q into", class)
+		}
+		f.Add(ir.Format(m))
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := ir.Parse(src)
+		if err != nil {
+			return
+		}
+		rep := AnalyzeSafety(p, DefaultSafetyCeiling)
+		if again := AnalyzeSafety(p, DefaultSafetyCeiling); !reflect.DeepEqual(rep, again) {
+			t.Fatalf("two analyses differ:\n%+v\n%+v", rep, again)
+		}
+		if (rep.Err() == nil) != (len(rep.Violations) == 0) {
+			t.Fatalf("Err() = %v with %d violations", rep.Err(), len(rep.Violations))
+		}
+		bad := map[string]bool{}
+		for _, v := range rep.Violations {
+			bad[v.Slice] = true
+		}
+		for _, s := range rep.Slices {
+			if !bad[s.Slice] && (s.Budget < 1 || s.Budget > rep.Ceiling) {
+				t.Fatalf("violation-free slice %s certified budget %d outside [1, %d]", s.Slice, s.Budget, rep.Ceiling)
+			}
+		}
+	})
 }

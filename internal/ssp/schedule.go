@@ -46,8 +46,9 @@ type Schedule struct {
 	Predicted bool
 
 	// Critical and NonCritical are node indices in emission order: the
-	// critical sub-slice (the SCC-tightened recurrence plus spawn
-	// condition) runs before the spawn point, the rest after (§3.2.1.2).
+	// critical sub-slice (the backward closure of the live-ins the next
+	// iteration consumes, plus the spawn condition) runs before the spawn
+	// point, the rest after (§3.2.1.2).
 	Critical    []int
 	NonCritical []int
 	// Lfetch marks target nodes to emit as prefetches: a delinquent load
@@ -259,8 +260,8 @@ func (t *Tool) regionIters(region *cfg.Region) (iters, entries, trips float64) {
 }
 
 // schedule derives the full Schedule for a slice: dependence reduction
-// (rotation, condition prediction), SCC-based critical/non-critical
-// partitioning, list scheduling, slack computation, and model selection.
+// (rotation, condition prediction), critical/non-critical partitioning by
+// backward closure, list scheduling, slack computation, and model selection.
 // It returns nil when the slice yields no usable schedule.
 func (t *Tool) schedule(sl *Slice) *Schedule {
 	sch := &Schedule{Lfetch: map[int]bool{}}
@@ -327,7 +328,7 @@ func (t *Tool) schedule(sl *Slice) *Schedule {
 
 	// Critical sub-slice (§3.2.1.2.1): the closure that advances the
 	// live-in values the next iteration's prefetch computation actually
-	// consumes — the SCC-tightened recurrence — plus, when the condition
+	// consumes — the loop-carried recurrence — plus, when the condition
 	// is real, the spawn-condition chain. Live-ins that only feed a
 	// predicted-away condition (e.g. a traversal bound whose compare was
 	// predicted) are not advanced before the spawn: this is the

@@ -216,14 +216,12 @@ func AdaptTargets(orig *ir.Program, prof *profile.Profile, opt Options, label st
 	if err := p.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("ssp: adapted program invalid: %w", err)
 	}
-	if err := VerifyAttachments(p); err != nil {
-		return nil, nil, fmt.Errorf("ssp: self-check failed: %w", err)
-	}
-	// Speculation-safety self-certification: every emitted slice must carry
-	// a budget certificate at or under the hardware ceiling (safety.go).
-	srep, err := VerifySafety(p, DefaultSafetyCeiling)
+	// Self-check and speculation-safety self-certification in one pass:
+	// every emitted slice must carry a budget certificate at or under the
+	// hardware ceiling (safety.go).
+	srep, err := VerifyAttachments(p)
 	if err != nil {
-		return nil, nil, fmt.Errorf("ssp: safety self-check failed: %w", err)
+		return nil, nil, fmt.Errorf("ssp: self-check failed: %w", err)
 	}
 	t.report.Safety = srep
 	return p, t.report, nil

@@ -14,11 +14,6 @@ import (
 //   - a stub block consists of live-in copies (plus at most a countdown
 //     staging move) and ends with a spawn;
 //   - spawn targets resolve to slice blocks (or stub-local labels);
-//   - slice regions pass the speculation-safety analysis (AnalyzeSafety):
-//     no reachable instruction can write memory or escape the region — the
-//     speculative thread can never alter main-thread architectural state
-//     (§2) — and every path from the slice root reaches kill within a
-//     bounded instruction budget, not merely "some kill appears somewhere";
 //   - the live-in slots a slice reads (lir) — in any block of its region, at
 //     any position — are a subset of the slots every spawner of that slice
 //     writes (liw) before the spawn, so no thread reads an uninitialized
@@ -27,9 +22,18 @@ import (
 //     (ir.LIBSlots); the hardware wraps out-of-range slots modulo the buffer
 //     size, silently aliasing two live-ins.
 //
-// The code generator runs it after every adaptation; it is exported so
-// hand-adapted binaries (and tests) can be checked against the same rules.
-func VerifyAttachments(p *ir.Program) error {
+// It then certifies every slice region once with the speculation-safety
+// analysis (AnalyzeSafety at DefaultSafetyCeiling): no reachable
+// instruction can write memory or escape the region — the speculative
+// thread can never alter main-thread architectural state (§2) — and every
+// path from the slice root reaches kill within a bounded instruction
+// budget. It returns that report (nil when a Figure 7 check fails) and the
+// first failure.
+//
+// The code generator runs it after every adaptation and attaches the
+// report; it is exported so hand-adapted binaries (and tests) can be
+// checked against the same rules.
+func VerifyAttachments(p *ir.Program) (*SafetyReport, error) {
 	for _, f := range p.Funcs {
 		stubs := map[string]*ir.Block{}
 		slices := map[string]*ir.Block{}
@@ -37,12 +41,7 @@ func VerifyAttachments(p *ir.Program) error {
 			if strings.HasPrefix(b.Label, "ssp_stub_") || strings.HasPrefix(b.Label, "hand_stub") {
 				stubs[b.Label] = b
 			}
-			// Root slice blocks only: continuation blocks such as
-			// "ssp_slice_3_loop" belong to their root's region.
-			if rest, ok := strings.CutPrefix(b.Label, "ssp_slice_"); ok && !strings.Contains(rest, "_") {
-				slices[b.Label] = b
-			}
-			if b.Label == "hand_slice" {
+			if isSliceRoot(b.Label) {
 				slices[b.Label] = b
 			}
 		}
@@ -62,7 +61,7 @@ func VerifyAttachments(p *ir.Program) error {
 			}
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// Live-in buffer slot range: out-of-range immediates wrap modulo
 		// the buffer in hardware, silently aliasing two live-ins.
@@ -75,7 +74,7 @@ func VerifyAttachments(p *ir.Program) error {
 			}
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// lir demand per slice: every slot read anywhere in the slice's
 		// region — continuation blocks and post-prologue reads included.
@@ -95,7 +94,7 @@ func VerifyAttachments(p *ir.Program) error {
 		for label, stub := range stubs {
 			n := len(stub.Instrs)
 			if n == 0 || stub.Instrs[n-1].Op != ir.OpSpawn {
-				return fmt.Errorf("ssp: %s/%s: stub does not end in spawn", f.Name, label)
+				return nil, fmt.Errorf("ssp: %s/%s: stub does not end in spawn", f.Name, label)
 			}
 			for _, in := range stub.Instrs[:n-1] {
 				switch in.Op {
@@ -103,7 +102,7 @@ func VerifyAttachments(p *ir.Program) error {
 				case ir.OpMovI, ir.OpMov:
 					// countdown staging through the reserved scratch
 				default:
-					return fmt.Errorf("ssp: %s/%s: unexpected %v in stub", f.Name, label, in)
+					return nil, fmt.Errorf("ssp: %s/%s: unexpected %v in stub", f.Name, label, in)
 				}
 			}
 		}
@@ -137,20 +136,19 @@ func VerifyAttachments(p *ir.Program) error {
 			}
 		})
 		if err != nil {
-			return err
-		}
-		// Slice termination and isolation: the speculation-safety analysis
-		// (safety.go) proves, path-sensitively over the region CFG, that no
-		// reachable instruction stores, calls, or escapes the region and that
-		// every path reaches kill within a bounded instruction budget — the
-		// all-paths strengthening of the old "any kill anywhere" scan.
-		for label := range slices {
-			if _, vs := analyzeSlice(f, label, DefaultSafetyCeiling); len(vs) > 0 {
-				return fmt.Errorf("ssp: %s", vs[0])
-			}
+			return nil, err
 		}
 	}
-	return nil
+	rep := AnalyzeSafety(p, DefaultSafetyCeiling)
+	return rep, rep.Err()
+}
+
+// isSliceRoot reports whether a block label names a slice root: the tool's
+// "ssp_slice_N" or the hand adaptations' "hand_slice". Continuation blocks
+// such as "ssp_slice_3_loop" belong to their root's region.
+func isSliceRoot(label string) bool {
+	rest, ok := strings.CutPrefix(label, "ssp_slice_")
+	return ok && !strings.Contains(rest, "_") || label == "hand_slice"
 }
 
 // sliceBody resolves a spawn target to its slice block within f.

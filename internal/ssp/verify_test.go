@@ -12,7 +12,7 @@ import (
 func TestVerifyAcceptsToolOutput(t *testing.T) {
 	for _, name := range []string{"mcf", "em3d", "treeadd.df", "health"} {
 		_, enh, _, _ := adaptWorkload(t, name, DefaultOptions())
-		if err := VerifyAttachments(enh); err != nil {
+		if _, err := VerifyAttachments(enh); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
@@ -26,7 +26,7 @@ func TestVerifyAcceptsHandAdaptations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := VerifyAttachments(hand); err != nil {
+		if _, err := VerifyAttachments(hand); err != nil {
 			t.Errorf("%s hand: %v", name, err)
 		}
 	}
@@ -38,7 +38,7 @@ func corrupt(t *testing.T, what string, fn func(*ir.Program)) {
 	t.Helper()
 	_, enh, _, _ := adaptWorkload(t, "mcf", DefaultOptions())
 	fn(enh)
-	if err := VerifyAttachments(enh); err == nil {
+	if _, err := VerifyAttachments(enh); err == nil {
 		t.Errorf("%s: verification accepted a corrupted binary", what)
 	}
 }
@@ -139,7 +139,7 @@ func TestVerifyRejectsKillOnOneBranchArm(t *testing.T) {
 	enh.Assign(br)
 	b.InsertAt(0, br)
 	f.Renumber()
-	err := VerifyAttachments(enh)
+	_, err := VerifyAttachments(enh)
 	if err == nil {
 		t.Fatal("verification accepted a slice whose kill is on only one branch arm")
 	}
