@@ -165,6 +165,91 @@ func TestSafetyBudgetArithmetic(t *testing.T) {
 	}
 }
 
+// TestSafetyLoopClassification pins the region-graph analysis on loops
+// that span blocks, which tool output (single-block loops) never has: a
+// two-block countdown loop is natural — its header dominates its latch — and
+// certifies a static budget even when a continuation block precedes the
+// root in layout; a loop entered at two blocks is irreducible and falls back
+// to the hardware ceiling.
+func TestSafetyLoopClassification(t *testing.T) {
+	natural := func() *ir.Program {
+		p := ir.NewProgram("main")
+		fb := ir.NewFunc(p, "main")
+		e := fb.Block("entry")
+		e.Chk("ssp_stub_0")
+		e.Halt()
+		stub := fb.Block("ssp_stub_0")
+		stub.Liw(0, 7)
+		stub.MovI(ScratchGR, 5)
+		stub.Liw(1, ScratchGR)
+		stub.Spawn("ssp_slice_0")
+		fb.Block("ssp_slice_0_done").Kill()
+		root := fb.Block("ssp_slice_0")
+		root.Lir(7, 0)
+		root.Lir(ScratchGR, 1)
+		head := fb.Block("ssp_slice_0_head")
+		head.Lfetch(7, 0)
+		head.AddI(7, 7, 8)
+		latch := fb.Block("ssp_slice_0_latch")
+		latch.AddI(ScratchGR, ScratchGR, -1)
+		latch.CmpI(ir.CondGT, 63, 62, ScratchGR, 0)
+		latch.On(63).Br("ssp_slice_0_head")
+		fb.Block("ssp_slice_0_exit").Br("ssp_slice_0_done")
+		return p
+	}()
+	irreducible := func() *ir.Program {
+		p := ir.NewProgram("main")
+		fb := ir.NewFunc(p, "main")
+		fb.Block("entry").Halt()
+		root := fb.Block("ssp_slice_0")
+		root.Lir(7, 0)
+		root.CmpI(ir.CondLT, 20, 21, 7, 64)
+		root.On(20).Br("ssp_slice_0_b")
+		a := fb.Block("ssp_slice_0_a")
+		a.AddI(7, 7, 8)
+		a.CmpI(ir.CondLT, 24, 25, 7, 4096)
+		a.On(24).Br("ssp_slice_0_b")
+		fb.Block("ssp_slice_0_akill").Kill()
+		b := fb.Block("ssp_slice_0_b")
+		b.Lfetch(7, 0)
+		b.CmpI(ir.CondLT, 22, 23, 7, 4096)
+		b.On(22).Br("ssp_slice_0_a")
+		fb.Block("ssp_slice_0_bkill").Kill()
+		return p
+	}()
+	for _, tc := range []struct {
+		name   string
+		p      *ir.Program
+		static bool
+		budget int64
+	}{
+		// prologue 2 + one acyclic pass of head 2 and latch 3 + 5 collapsed
+		// iterations of 5 + exit branch 1 + kill 1.
+		{"natural", natural, true, 2 + 5 + 5*5 + 1 + 1},
+		{"irreducible", irreducible, false, DefaultSafetyCeiling},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.p.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			rep := AnalyzeSafety(tc.p, DefaultSafetyCeiling)
+			if err := rep.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Slices) != 1 {
+				t.Fatalf("certified %d slices, want 1", len(rep.Slices))
+			}
+			s := rep.Slices[0]
+			if s.Static != tc.static || s.Budget != tc.budget || s.Backedges != 1 {
+				t.Fatalf("static %v budget %d backedges %d, want %v %d 1 (%+v)", s.Static, s.Budget, s.Backedges, tc.static, tc.budget, s)
+			}
+			if irr := strings.Contains(strings.Join(s.Obligations, "\n"), "irreducible"); irr == tc.static {
+				t.Fatalf("irreducible obligation present = %v, want %v: %v", irr, !tc.static, s.Obligations)
+			}
+		})
+	}
+}
+
 // TestSafetyRejectsStuckLoopGuard pins the loop-variance obligation: a
 // backedge guard recomputed each iteration from values the loop never
 // changes is still an infinite loop, and the verifier must say so.
