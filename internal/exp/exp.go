@@ -396,14 +396,22 @@ func (s *Suite) binary(ctx context.Context, r request) (*binary, error) {
 		if err != nil {
 			return nil, err
 		}
-		img, err := ir.Link(b.prog)
-		if err != nil {
-			return nil, err
-		}
-		b.dp = sim.Predecode(img)
-		b.image = b.dp.Digest()
-		return b, nil
+		b.dp, b.image, err = predecode(b.prog)
+		return b, err
 	})
+}
+
+// predecode links, predecodes, and digests p: the one path from a program to
+// what the simulation stage executes and keys on. The data image's snapshot
+// and hash are built once per sealed image, so an adapted program, which
+// shares its original's image, pays here only for its code.
+func predecode(p *ir.Program) (*decode.Program, [sha256.Size]byte, error) {
+	img, err := ir.Link(p)
+	if err != nil {
+		return nil, [sha256.Size]byte{}, err
+	}
+	dp := sim.Predecode(img)
+	return dp, dp.Digest(), nil
 }
 
 // do resolves the run cell c of request r, computing it on first use and
@@ -685,12 +693,11 @@ func (h Served) Do(ctx context.Context, admit func(context.Context) (release fun
 // Progress as label/model/external. The closed-loop tuner runs its
 // re-adapted round images through here.
 func (s *Suite) Simulate(ctx context.Context, label string, model sim.Model, p *ir.Program, want uint64) (*sim.Result, error) {
-	img, err := ir.Link(p)
+	dp, digest, err := predecode(p)
 	if err != nil {
 		return nil, fmt.Errorf("%s: link: %w", label, err)
 	}
-	dp := sim.Predecode(img)
-	k := simKey{image: dp.Digest(), model: model, want: want, check: true}
+	k := simKey{image: digest, model: model, want: want, check: true}
 	return s.simulate(ctx, k, RunKey{label, model, "external"}, s.MachineConfig(model), dp, nil)
 }
 

@@ -109,10 +109,10 @@ func Format(p *Program) string {
 		}
 		sb.WriteString("}\n")
 	}
-	if len(p.Data) > 0 {
+	if p.Data.Len() > 0 {
 		sb.WriteString("\ndata {\n")
-		for _, a := range p.SortedDataAddrs() {
-			fmt.Fprintf(&sb, "\t0x%x: %d\n", a, p.Data[a])
+		for _, a := range p.Data.Addrs() {
+			fmt.Fprintf(&sb, "\t0x%x: %d\n", a, p.Data.Word(a))
 		}
 		sb.WriteString("}\n")
 	}

@@ -29,8 +29,9 @@ type Image struct {
 	blockKeys []string
 	BlockOf   []int
 
-	// Data is the initial memory image (64-bit words at byte addresses).
-	Data map[uint64]uint64
+	// Data is the initial memory image, sealed and shared with the program
+	// it was linked from; never nil.
+	Data *DataImage
 }
 
 // BlockKey returns the "func.label" key of the block containing pc.
@@ -53,7 +54,10 @@ func Link(p *Program) (*Image, error) {
 	im := &Image{
 		FuncEntries: make(map[string]int),
 		BlockStarts: make(map[string]int),
-		Data:        p.Data,
+		Data:        p.sharedData(),
+	}
+	if im.Data == nil {
+		im.Data = new(DataImage)
 	}
 	// First pass: assign addresses.
 	pc := 0

@@ -1,9 +1,6 @@
 package ir
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Block is a basic block: a labelled, straight-line instruction sequence.
 // Control may enter only at the top. A block ends either with a terminating
@@ -115,10 +112,9 @@ type Program struct {
 	Funcs []*Func
 	Entry string
 
-	// Data is the static data image: 64-bit words at byte addresses,
-	// installed into simulated memory before execution (the workload
-	// builders' heaps live here).
-	Data map[uint64]uint64
+	// Data is the static data image. Write it with SetWord; clones and
+	// linked images share it by pointer (see DataImage).
+	Data *DataImage
 
 	nextID int
 }
@@ -126,7 +122,7 @@ type Program struct {
 // NewProgram returns an empty program whose entry point is the given
 // function name.
 func NewProgram(entry string) *Program {
-	return &Program{Entry: entry, Data: make(map[uint64]uint64), nextID: 1}
+	return &Program{Entry: entry, nextID: 1}
 }
 
 // NewID allocates a fresh, program-unique instruction ID.
@@ -200,18 +196,12 @@ func (p *Program) NumInstrs() int {
 	return n
 }
 
-// SetWord stores a 64-bit word into the static data image.
-func (p *Program) SetWord(addr, val uint64) { p.Data[addr] = val }
-
-// Clone returns a deep copy of the program. Instruction IDs are preserved,
-// so profiles collected against the original remain valid for the clone;
-// this is how the post-pass tool adapts a binary without touching the
-// original (Figure 1's two-pass flow).
+// Clone returns a deep copy of the program's code that shares its sealed
+// data image. Instruction IDs are preserved, so profiles collected against
+// the original remain valid for the clone; this is how the post-pass tool
+// adapts a binary without touching the original (Figure 1's two-pass flow).
 func (p *Program) Clone() *Program {
-	q := &Program{Entry: p.Entry, Data: make(map[uint64]uint64, len(p.Data)), nextID: p.nextID}
-	for a, v := range p.Data {
-		q.Data[a] = v
-	}
+	q := &Program{Entry: p.Entry, Data: p.sharedData(), nextID: p.nextID}
 	for _, f := range p.Funcs {
 		nf := q.AddFunc(f.Name)
 		nf.NumFormals = f.NumFormals
@@ -225,17 +215,6 @@ func (p *Program) Clone() *Program {
 		nf.Renumber()
 	}
 	return q
-}
-
-// SortedDataAddrs returns the static data addresses in increasing order
-// (deterministic iteration for tests and image building).
-func (p *Program) SortedDataAddrs() []uint64 {
-	addrs := make([]uint64, 0, len(p.Data))
-	for a := range p.Data {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	return addrs
 }
 
 // Validate checks structural invariants: unique function names, unique block

@@ -184,7 +184,8 @@ type Program struct {
 	Code []Decoded
 	// Mem is the data segment pre-paged into the simulator's memory layout,
 	// so machine construction installs it by page copy instead of a word-at-
-	// a-time map walk.
+	// a-time map walk. It is built once per sealed data image and shared by
+	// every Program over that image (see dataOf).
 	Mem *mem.Snapshot
 	// MaxID is the largest static instruction ID in the image; machines
 	// presize their dense per-load stat tables from it so the counting path
@@ -212,13 +213,13 @@ func (p *Program) Threaded(build func() any) any {
 
 // Digest returns a SHA-256 over everything the engines execute from this
 // image: the entry PC, every decoded instruction with the linked-block
-// leaders the threaded core compiles over, and the initial memory. Programs
-// with equal digests run identically on every engine and machine
+// leaders the threaded core compiles over, and then the data image's own
+// SHA-256 (over its snapshot encoding, computed once per sealed image).
+// Programs with equal digests run identically on every engine and machine
 // configuration, however they were produced, so exp.Suite keys its
 // simulation cells on the digest.
 func (p *Program) Digest() [sha256.Size]byte {
-	h := sha256.New()
-	buf := make([]byte, 0, 64*len(p.Code)+16)
+	buf := make([]byte, 0, 64*len(p.Code)+16+sha256.Size)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(p.Img.Entry))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(p.Code)))
 	for pc := range p.Code {
@@ -241,12 +242,29 @@ func (p *Program) Digest() [sha256.Size]byte {
 			}
 		}
 	}
-	// A hash.Hash never returns a write error.
-	h.Write(buf)
-	p.Mem.WriteTo(h)
-	var sum [sha256.Size]byte
-	h.Sum(sum[:0])
-	return sum
+	buf = append(buf, dataOf(p.Img.Data).sum[:]...)
+	return sha256.Sum256(buf)
+}
+
+// sealedData is what the predecode layer derives from one sealed data
+// image: its snapshot and the SHA-256 of the snapshot's encoding.
+type sealedData struct {
+	snap *mem.Snapshot
+	sum  [sha256.Size]byte
+}
+
+// dataOf returns d's snapshot and content hash, building them at most once
+// per image (the memo lives on the image): every adapted binary shares its
+// original's image, so re-adapting never re-pages or re-hashes the data.
+func dataOf(d *ir.DataImage) *sealedData {
+	return d.Memo(func() any {
+		s := &sealedData{snap: mem.NewSnapshot(d.Range)}
+		h := sha256.New()
+		// A hash.Hash never returns a write error.
+		s.snap.WriteTo(h)
+		h.Sum(s.sum[:0])
+		return s
+	}).(*sealedData)
 }
 
 // Classify maps an opcode to its function-unit and latency classes.
@@ -404,5 +422,5 @@ func Predecode(img *ir.Image) *Program {
 			maxID = id
 		}
 	}
-	return &Program{Img: img, Code: code, Mem: mem.NewSnapshot(img.Data), MaxID: maxID}
+	return &Program{Img: img, Code: code, Mem: dataOf(img.Data).snap, MaxID: maxID}
 }

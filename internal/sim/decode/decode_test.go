@@ -104,10 +104,30 @@ func TestDigestCoversEveryField(t *testing.T) {
 	}
 
 	prog := workloads.RandomProgram(5)
-	addrs := prog.SortedDataAddrs()
-	prog.SetWord(addrs[len(addrs)/2], prog.Data[addrs[len(addrs)/2]]+1)
+	addrs := prog.Data.Addrs()
+	a := addrs[len(addrs)/2]
+	prog.SetWord(a, prog.Data.Word(a)+1)
 	if predecode(t, prog).Digest() == base {
 		t.Error("changing one data word left the digest unchanged")
+	}
+}
+
+// TestPredecodeSharesDataSnapshot: programs that share one data image — an
+// original, its clone, and a relinked copy — predecode to one snapshot, and
+// the digest's data half is computed once per image: a program whose image
+// differs gets a snapshot of its own.
+func TestPredecodeSharesDataSnapshot(t *testing.T) {
+	p := workloads.RandomProgram(6)
+	first := predecode(t, p)
+	for _, q := range []*ir.Program{p, p.Clone(), p.Clone().Clone()} {
+		if dp := predecode(t, q); dp.Mem != first.Mem {
+			t.Fatal("two predecodes of one data image built two snapshots")
+		}
+	}
+	q := p.Clone()
+	q.SetWord(0x8, 1)
+	if predecode(t, q).Mem == first.Mem {
+		t.Fatal("a written copy shares the original's snapshot")
 	}
 }
 

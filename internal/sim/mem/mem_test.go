@@ -26,11 +26,20 @@ func TestMemoryLoadStore(t *testing.T) {
 	}
 }
 
+// words adapts a map image to NewSnapshot's range-function form.
+func words(img map[uint64]uint64) func(func(addr, val uint64)) {
+	return func(store func(addr, val uint64)) {
+		for a, v := range img {
+			store(a, v)
+		}
+	}
+}
+
 func TestMemoryInstall(t *testing.T) {
 	m := NewMemory()
-	m.Install(map[uint64]uint64{8: 1, 16: 2})
+	m.InstallSnapshot(NewSnapshot(words(map[uint64]uint64{8: 1, 16: 2})))
 	if m.Load(8) != 1 || m.Load(16) != 2 {
-		t.Fatal("Install lost data")
+		t.Fatal("InstallSnapshot lost data")
 	}
 }
 
@@ -72,7 +81,7 @@ func TestMemoryOutlierAddresses(t *testing.T) {
 	if m.Footprint() != 2 {
 		t.Fatalf("footprint = %d, want 2 pages", m.Footprint())
 	}
-	s := NewSnapshot(map[uint64]uint64{low: 1, high: 2, high + 8: 3})
+	s := NewSnapshot(words(map[uint64]uint64{low: 1, high: 2, high + 8: 3}))
 	m2 := NewMemory()
 	m2.InstallSnapshot(s)
 	if m2.Load(high) != 2 || m2.Load(low) != 1 || m2.Load(high+8) != 3 {
@@ -93,8 +102,9 @@ func TestMemoryOutlierAddresses(t *testing.T) {
 // checksum as a memory that never touched it, and must scrub any stale data
 // a reused frame held from a previous program.
 func TestSnapshotExplicitZeroPage(t *testing.T) {
-	// 0x10000 exists only as an explicit zero word: Install creates its page.
-	s := NewSnapshot(map[uint64]uint64{0x2000: 42, 0x10000: 0})
+	// 0x10000 exists only as an explicit zero word: NewSnapshot creates its
+	// page.
+	s := NewSnapshot(words(map[uint64]uint64{0x2000: 42, 0x10000: 0}))
 
 	src := NewMemory()
 	src.InstallSnapshot(s)
@@ -135,7 +145,7 @@ func TestSnapshotExplicitZeroPage(t *testing.T) {
 func TestSnapshotWriteTo(t *testing.T) {
 	enc := func(img map[uint64]uint64) string {
 		var b strings.Builder
-		n, err := NewSnapshot(img).WriteTo(&b)
+		n, err := NewSnapshot(words(img)).WriteTo(&b)
 		if err != nil || n != int64(b.Len()) {
 			t.Fatalf("WriteTo = %d, %v; wrote %d bytes", n, err, b.Len())
 		}

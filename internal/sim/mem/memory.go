@@ -136,13 +136,6 @@ func (m *Memory) Store(addr, val uint64) {
 	p[w&(1<<pageBits-1)] = val
 }
 
-// Install copies a data image into memory.
-func (m *Memory) Install(img map[uint64]uint64) {
-	for a, v := range img {
-		m.Store(a, v)
-	}
-}
-
 // forEachPage visits every resident page in ascending page-index order.
 // Outlier pages always sort after radix pages (their indices are beyond the
 // radix span by construction).
@@ -180,22 +173,25 @@ func (m *Memory) Reset() {
 }
 
 // Snapshot is a data image pre-paged into this memory's layout, built once
-// and installed many times: each Install of a map image walks the map and
-// re-stores word by word, while installing a snapshot copies whole pages.
-// The predecode layer builds one per ir.Image so every machine over that
-// image (every matrix cell, every differential run) skips the map walk.
+// and installed many times: installing a snapshot copies whole pages
+// instead of storing the image word by word.
+// The predecode layer builds one per sealed ir.DataImage, so every machine
+// over every image that shares that data (every matrix cell, every adapted
+// binary, every differential run) skips the map walk.
 type Snapshot struct {
 	idxs  []uint64
 	pages []*page
 }
 
-// NewSnapshot pre-pages a data image. The resident page set and contents are
-// exactly those Install(img) would produce — including pages that exist only
-// to hold explicit zero words — so installing the snapshot is observationally
-// identical to installing the map.
-func NewSnapshot(img map[uint64]uint64) *Snapshot {
+// NewSnapshot pre-pages a data image given by its range function: each
+// calls store once per word (ir.DataImage.Range has this shape). The
+// resident page set and contents are exactly those storing every word into
+// a fresh memory would produce — including pages that exist only to hold
+// explicit zero words — so installing the snapshot is observationally
+// identical to installing the words one by one.
+func NewSnapshot(each func(store func(addr, val uint64))) *Snapshot {
 	m := NewMemory()
-	m.Install(img)
+	each(m.Store)
 	s := &Snapshot{
 		idxs:  make([]uint64, 0, m.resident),
 		pages: make([]*page, 0, m.resident),

@@ -215,9 +215,7 @@ func TestMemFootprintExceedsL3AtScale(t *testing.T) {
 	for _, s := range All() {
 		p, _ := s.Build(s.Scale)
 		lines := map[uint64]bool{}
-		for a := range p.Data {
-			lines[a>>6] = true
-		}
+		p.Data.Range(func(a, _ uint64) { lines[a>>6] = true })
 		bytes := len(lines) * 64
 		if bytes < mem.Default().L3Size {
 			t.Errorf("%s: data image touches %d bytes of lines < L3 %d", s.Name, bytes, mem.Default().L3Size)
