@@ -16,8 +16,9 @@
 //     threads never attempt a store (Result.SpecStores == 0).
 //  3. Conservation: every sim.Result is internally consistent — the cycle
 //     breakdown and the context-utilization histogram each sum to Cycles,
-//     cache hit counts reconcile with access counts at every level, and the
-//     spawn accounting covers every taken chk.c.
+//     cache hit counts reconcile with access counts at every level, the
+//     spawn accounting covers every taken chk.c, and a profiled run's
+//     per-PC counts sum to the retired main-thread instructions.
 //
 // All layers are fed by workloads.RandomProgram, so any violation reproduces
 // from its seed alone (cmd/sspcheck -seed N).
@@ -225,6 +226,17 @@ func Conservation(res *sim.Result) error {
 			return fmt.Errorf("check: conservation: per-load accesses sum to %d, totals %d", perLoad, res.Hier.Totals.Accesses)
 		}
 	}
+	// A profiled run counts each retired main-thread instruction at its PC
+	// exactly once; the profile's frequencies rest on this.
+	if res.PCCount != nil {
+		var n uint64
+		for _, c := range res.PCCount {
+			n += c
+		}
+		if n != uint64(res.MainInstrs) {
+			return fmt.Errorf("check: conservation: profile counts sum to %d, main instrs %d", n, res.MainInstrs)
+		}
+	}
 	// Every taken chk.c redirects the main thread into a straight-line stub
 	// that ends in spawn, so — on runs that finished — each taken check
 	// produced a spawn attempt (started or ignored); chained slices only
@@ -250,12 +262,14 @@ func reconcile(s *mem.LoadStat, what string) error {
 
 // point is one execution strategy of the StrategyEquivalence lattice: the
 // fast-forward knob, where the predecoded image comes from, which machine
-// runs it, and whether the per-cycle stats recorder is attached.
+// runs it, whether the per-cycle stats recorder is attached, and whether
+// the profiling exec hook is.
 type point struct {
 	ff           bool // Config.FastForward: stall jumps vs per-cycle timing
 	freshDecode  bool // a private Predecode (and chain compile) vs the shared one
 	freshMachine bool // a newly built machine vs the one Reset machine
 	statsOff     bool // Machine.DisableStats before the run
+	profile      bool // Config.Profile: per-PC counts and call edges
 }
 
 func (pt point) String() string {
@@ -263,6 +277,9 @@ func (pt point) String() string {
 		pick(pt.freshDecode, "fresh", "shared"), pick(pt.freshMachine, "fresh", "reset"))
 	if pt.statsOff {
 		s += " stats=off"
+	}
+	if pt.profile {
+		s += " profile=on"
 	}
 	return s
 }
@@ -276,29 +293,34 @@ func pick(b bool, yes, no string) string {
 
 // lattice lists every point in run order. The first is the reference the
 // others are compared against: per-cycle timing and stats on, over the
-// shared decode on a newly built machine.
+// shared decode on a newly built machine. The last is how the experiment
+// suite takes its in-order baseline: a profiled run that is also the cached
+// baseline cell.
 var lattice = []point{
 	{freshMachine: true},
 	{ff: true, freshDecode: true, freshMachine: true},
 	{}, {ff: true},
 	{statsOff: true}, {ff: true, statsOff: true},
+	{ff: true, profile: true},
 }
 
 // StrategyEquivalence asserts that no host-side execution strategy changes
 // a result: for every configured model and every given program, each
 // lattice point must match the reference on the whole sim.Result
-// (sameTiming), and every run must pass the conservation layer. The points
+// (SameTiming), and every run must pass the conservation layer. The points
 // are FastForward off and on over the shared decode, one fresh private
-// decode (ff=on), and each FastForward setting again with stats off,
-// checked through a projection that takes Breakdown and SpecActiveHist —
-// the only fields the stats recorder writes — from the reference. All
+// decode (ff=on), each FastForward setting again with stats off, checked
+// through a projection that takes Breakdown and SpecActiveHist — the only
+// fields the stats recorder writes — from the reference, and one profiled
+// run (ff=on), whose PCCount and CallEdges SameTiming does not compare: a
+// profiled baseline is the unprofiled one plus its profile. All
 // shared-decode points after the reference run on one machine, Reset
 // between runs and walked point-major over the (model, program) cells, so
 // it crosses model and program switches both ways and every
-// FastForward/stats change. The interpreter's chain walker is also checked
-// against its per-PC loop (sim.InterpretStepwise). A failure names its cell
-// and both points, e.g. "ooo prog 1 ff=on decode=shared machine=reset vs
-// ff=off decode=shared machine=fresh: cycles 813 vs 812".
+// FastForward/stats/profile change. The interpreter's chain walker is also
+// checked against its per-PC loop (sim.InterpretStepwise). A failure names
+// its cell and both points, e.g. "ooo prog 1 ff=on decode=shared
+// machine=reset vs ff=off decode=shared machine=fresh: cycles 813 vs 812".
 //
 // Where the comparisons of the four per-strategy gates it replaced went:
 //   - predecode (fresh vs shared decode, shared rerun, stats off):
@@ -346,6 +368,7 @@ func strategyEquivalence(cfgs []sim.Config, perturb func(cfg sim.Config, prog in
 	exec := func(pt point, ci, pi int, ref *sim.Result) (*sim.Result, error) {
 		cfg := cfgs[ci]
 		cfg.FastForward = pt.ff
+		cfg.Profile = pt.profile
 		dp := dps[pi]
 		if pt.freshDecode {
 			dp = sim.Predecode(imgs[pi])
@@ -379,7 +402,7 @@ func strategyEquivalence(cfgs []sim.Config, perturb func(cfg sim.Config, prog in
 			return nil, fmt.Errorf("check: strategy: %s: %w", name, err)
 		}
 		if ref != nil {
-			if err := sameTiming(res, ref); err != nil {
+			if err := SameTiming(res, ref); err != nil {
 				return nil, fmt.Errorf("check: strategy: %s vs %v: %w", name, lattice[0], err)
 			}
 		}
@@ -403,11 +426,12 @@ func strategyEquivalence(cfgs []sim.Config, perturb func(cfg sim.Config, prog in
 	return nil
 }
 
-// sameTiming diffs two results field by field, excluding only the
+// SameTiming diffs two results field by field, excluding only the
 // FastForwards/FastForwardedCycles strategy counters (which describe how the
-// host got there, not where the simulated machine ended up). Errors read
-// "<field> <a> vs <b>".
-func sameTiming(a, b *sim.Result) error {
+// host got there, not where the simulated machine ended up) and the
+// profile's PCCount and CallEdges (which only a profiled run records).
+// Errors read "<field> <a> vs <b>".
+func SameTiming(a, b *sim.Result) error {
 	if err := compareRegs(a.FinalRegs, b.FinalRegs, false, "regs"); err != nil {
 		return err
 	}

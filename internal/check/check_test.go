@@ -86,15 +86,18 @@ func TestBrokenAdaptationCaught(t *testing.T) {
 }
 
 // TestConservationDetectsTampering: each invariant of layer 3 actually
-// fires when its quantity is perturbed.
+// fires when its quantity is perturbed. The run is profiled, so the
+// profile-count invariant is live too.
 func TestConservationDetectsTampering(t *testing.T) {
 	spec, err := workloads.ByName("mcf")
 	if err != nil {
 		t.Fatal(err)
 	}
 	p, _ := spec.Build(spec.TestScale)
+	cfg := Configs(true)[0]
+	cfg.Profile = true
 	fresh := func() *sim.Result {
-		res, err := sim.RunProgram(Configs(true)[0], p)
+		res, err := sim.RunProgram(cfg, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,6 +120,7 @@ func TestConservationDetectsTampering(t *testing.T) {
 			}
 		}},
 		{"spawn accounting", func(r *sim.Result) { r.ChkTaken = r.Spawns + r.SpawnsIgnored + 1 }},
+		{"profile counts", func(r *sim.Result) { r.PCCount[len(r.PCCount)-1]++ }},
 	}
 	for _, tc := range tamper {
 		r := fresh()
@@ -236,7 +240,8 @@ func moveHit(r *sim.Result) {
 // enough to pass conservation on its own — must fail the gate, and
 // the error must name that cell and point. A perturbed reference fails the
 // first comparison made against it, whose error names the reference as its
-// other side.
+// other side. At the profiled point, one extra profile count must trip the
+// conservation layer.
 func TestStrategyEquivalenceCatchesEveryPoint(t *testing.T) {
 	orig := workloads.RandomProgram(1)
 	cfgs := Configs(true)
@@ -252,23 +257,28 @@ func TestStrategyEquivalenceCatchesEveryPoint(t *testing.T) {
 		t.Fatalf("clean gate: %v", err)
 	}
 	perturbations := []struct {
-		name string
-		mut  func(*sim.Result)
+		name     string
+		mut      func(*sim.Result)
+		profiled bool // applies only at points that profile
 	}{
 		{"cycle", func(r *sim.Result) {
 			r.Cycles++
 			r.Breakdown[0]++
 			r.SpecActiveHist[0]++
-		}},
-		{"per-load hit", moveHit},
-		{"mispredict", func(r *sim.Result) { r.Mispredicts++ }},
-		{"prefetch", func(r *sim.Result) { r.Hier.DroppedPrefetches++ }},
-		{"register", func(r *sim.Result) { r.FinalRegs[1] ^= 1 }},
+		}, false},
+		{"per-load hit", moveHit, false},
+		{"mispredict", func(r *sim.Result) { r.Mispredicts++ }, false},
+		{"prefetch", func(r *sim.Result) { r.Hier.DroppedPrefetches++ }, false},
+		{"register", func(r *sim.Result) { r.FinalRegs[1] ^= 1 }, false},
+		{"profile count", func(r *sim.Result) { r.PCCount[0]++ }, true},
 	}
 	target := cfgs[len(cfgs)-1].Model
 	prefix := fmt.Sprintf("%v prog 0 ", target)
 	for _, pt := range lattice {
 		for _, pert := range perturbations {
+			if pert.profiled && !pt.profile {
+				continue
+			}
 			pt, pert := pt, pert
 			t.Run(pert.name+"/"+pt.String(), func(t *testing.T) {
 				err := strategyEquivalence(cfgs, func(cfg sim.Config, _ int, at point, r *sim.Result) {

@@ -241,15 +241,19 @@ func variantOptions(v Variant) (ssp.Options, bool) {
 	return opt, true
 }
 
-// program is the program stage's value: one program built (or parsed) and
-// profiled at the suite's scale, shared by every treatment and model over
-// it. want is the expected final-answer checksum when check is set (built-in
-// benchmarks; source programs carry none).
+// program is the program stage's value: one program built (or parsed),
+// predecoded, and profiled at the suite's scale, shared by every treatment
+// and model over it. want is the expected final-answer checksum when check
+// is set (built-in benchmarks; source programs carry none). dp and image are
+// the original's predecoded image and digest, which the base treatment's
+// binary reuses.
 type program struct {
 	orig  *ir.Program
 	want  uint64
 	check bool
 	prof  *profile.Profile
+	dp    *decode.Program
+	image [sha256.Size]byte
 }
 
 // delinquent is the program's delinquent-load set under the default tool
@@ -337,10 +341,10 @@ func (s *Suite) MachineConfig(model sim.Model) sim.Config {
 	return c
 }
 
-// program builds or parses r's program and profiles it, once per program.
-// The program is published already numbered: analyses that build CFGs over
-// it (cfg.Build renumbers blocks) then only read it, so concurrent
-// adaptations of one shared program never write to it.
+// program builds or parses r's program, predecodes it, and profiles it, once
+// per program. The program is published already numbered: analyses that
+// build CFGs over it (cfg.Build renumbers blocks) then only read it, so
+// concurrent adaptations of one shared program never write to it.
 func (s *Suite) program(ctx context.Context, r request) (*program, error) {
 	return cellOf(&s.mu, s.progs, r.prog).Do(ctx, func(ctx context.Context) (*program, error) {
 		p := new(program)
@@ -365,14 +369,43 @@ func (s *Suite) program(ctx context.Context, r request) (*program, error) {
 		for _, f := range p.orig.Funcs {
 			f.Renumber()
 		}
-		// One profiling run on the in-order model feeds every treatment.
-		prof, err := profile.CollectContext(ctx, p.orig, s.MachineConfig(sim.InOrder))
-		if err != nil {
-			return nil, fmt.Errorf("%s: profile: %w", r.label().Bench, err)
+		if err := s.profile(ctx, r.label().Bench, p, s.MachineConfig(sim.InOrder)); err != nil {
+			return nil, err
 		}
-		p.prof = prof
 		return p, nil
 	})
+}
+
+// profile predecodes p's original and derives its profile from one
+// profiling run on cfg, the in-order model: Figure 1's profiling pass,
+// which feeds every treatment. That run is the in-order baseline cell
+// itself. It goes through the simulation stage under the base cell's key
+// and label, so it gets the machine lifecycle, the answer check and the
+// conservation layer of any cell, and every later request for the baseline
+// — matrix, served job, or tuner — hits it instead of simulating the
+// original again. Errors read "<bench>: profile: ...".
+func (s *Suite) profile(ctx context.Context, bench string, p *program, cfg sim.Config) error {
+	var err error
+	if p.dp, p.image, err = predecode(p.orig); err != nil {
+		return fmt.Errorf("%s: profile: %w", bench, err)
+	}
+	label := RunKey{bench, sim.InOrder, VarBase}
+	k := simKey{image: p.image, model: sim.InOrder, want: p.want, check: p.check}
+	cfg.Profile = true
+	_, res, err := s.simulate(ctx, k, label, cfg, p.dp, nil)
+	if err == nil && res == nil {
+		// The cell already held an unprofiled run of this image (another
+		// program with the same image got there first): profile outside
+		// the cache.
+		if res, _, err = s.execute(ctx, label, k, cfg, p.dp, nil); err == nil {
+			err = check.Conservation(res)
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("%s: profile: %w", bench, err)
+	}
+	p.prof = profile.FromResult(p.orig, p.dp.Img, cfg.Mem, res)
+	return nil
 }
 
 // binary adapts (for the hand and tool treatments), links, and predecodes
@@ -385,6 +418,9 @@ func (s *Suite) binary(ctx context.Context, r request) (*binary, error) {
 		}
 		b := &binary{prog: p.orig}
 		switch {
+		case r.treat == treatBase:
+			b.dp, b.image = p.dp, p.image
+			return b, nil
 		case r.treat == treatHand:
 			b.prog, err = handtuned.Adapt(r.bench, p.orig)
 		case r.opt != nil:
@@ -438,7 +474,7 @@ func (c *runCell) do(ctx context.Context, s *Suite, r request, admit func(contex
 		if err != nil {
 			return run{}, err
 		}
-		res, err := s.simulate(ctx, k, r.label(), cfg, b.dp, setup)
+		res, _, err := s.simulate(ctx, k, r.label(), cfg, b.dp, setup)
 		return run{res, b.rep}, err
 	})
 	return v, ran, err
@@ -482,8 +518,14 @@ func (s *Suite) prepare(ctx context.Context, r request) (*binary, simKey, sim.Co
 // The simulation is narrated to Progress under the label of the caller that
 // performed it. setup, when non-nil, instruments the machine; it must leave
 // the Result bit-for-bit what an uninstrumented run produces.
-func (s *Suite) simulate(ctx context.Context, k simKey, label RunKey, cfg sim.Config, dp *decode.Program, setup func(*sim.Machine)) (*sim.Result, error) {
-	return cellOf(&s.mu, s.sims, k).Do(ctx, func(ctx context.Context) (*sim.Result, error) {
+//
+// full is the Result of the simulation this caller performed, nil for every
+// other caller. With cfg.Profile set, the cell caches and narrates a copy
+// without PCCount and CallEdges: the Result an unprofiled run of the image
+// gives (check.StrategyEquivalence gates this), so a profiling run can
+// stand as the cell.
+func (s *Suite) simulate(ctx context.Context, k simKey, label RunKey, cfg sim.Config, dp *decode.Program, setup func(*sim.Machine)) (cached, full *sim.Result, err error) {
+	cached, err = cellOf(&s.mu, s.sims, k).Do(ctx, func(ctx context.Context) (*sim.Result, error) {
 		// Warm the closure-threaded chain compile before the timed run:
 		// every machine over this image shares the sidecar.
 		sim.ThreadedProgram(dp)
@@ -496,11 +538,18 @@ func (s *Suite) simulate(ctx context.Context, k simKey, label RunKey, cfg sim.Co
 		if err := check.Conservation(res); err != nil {
 			return nil, fmt.Errorf("%s: %w", label, err)
 		}
+		full = res
+		if cfg.Profile {
+			base := *res
+			base.PCCount, base.CallEdges = nil, nil
+			res = &base
+		}
 		if s.Progress != nil {
 			s.Progress(label, res, wall)
 		}
 		return res, nil
 	})
+	return cached, full, err
 }
 
 // compute runs r through the program and binary stages and simulates the
@@ -640,7 +689,8 @@ func (s *Suite) ProgramOptions(ctx context.Context, bench string, opt ssp.Option
 }
 
 // Workload exposes a benchmark's built program, its expected final-answer
-// checksum, and the offline profile (building and profiling on first use).
+// checksum, and the offline profile (building and profiling on first use;
+// the profiling run also fills the in-order baseline cell).
 // The returned structures are shared with the suite's caches — callers must
 // treat them as read-only. The closed-loop tuner re-adapts from these.
 func (s *Suite) Workload(ctx context.Context, bench string) (*ir.Program, uint64, *profile.Profile, error) {
@@ -698,7 +748,8 @@ func (s *Suite) Simulate(ctx context.Context, label string, model sim.Model, p *
 		return nil, fmt.Errorf("%s: link: %w", label, err)
 	}
 	k := simKey{image: digest, model: model, want: want, check: true}
-	return s.simulate(ctx, k, RunKey{label, model, "external"}, s.MachineConfig(model), dp, nil)
+	res, _, err := s.simulate(ctx, k, RunKey{label, model, "external"}, s.MachineConfig(model), dp, nil)
+	return res, err
 }
 
 // Speedup returns cycles(reference)/cycles(treatment).

@@ -415,7 +415,8 @@ func TestOptionsCellsNeverSharedAcrossConfigs(t *testing.T) {
 // TestPresetIsOptionsCell: a named variant is a preset onto the options-keyed
 // pipeline, not a second cache — VarSSP and the default options resolve to
 // one run cell (one simulation, one Progress line, one *sim.Result) and one
-// binary cell (one report).
+// binary cell (one report). The only other simulation is the program
+// stage's profiling run, narrated as the in-order baseline cell it is.
 func TestPresetIsOptionsCell(t *testing.T) {
 	s := NewSuite(ScaleTest)
 	ctx := context.Background()
@@ -432,8 +433,8 @@ func TestPresetIsOptionsCell(t *testing.T) {
 	if preset != viaOpts {
 		t.Fatal("VarSSP and RunOptions(DefaultOptions) returned different results")
 	}
-	if want := []RunKey{{"mcf", sim.InOrder, VarSSP}}; !reflect.DeepEqual(narrated, want) {
-		t.Fatalf("Progress fired for %v, want once for %v", narrated, want)
+	if want := []RunKey{{"mcf", sim.InOrder, VarBase}, {"mcf", sim.InOrder, VarSSP}}; !reflect.DeepEqual(narrated, want) {
+		t.Fatalf("Progress fired for %v, want once each for %v", narrated, want)
 	}
 	rep, err := s.Report("mcf", VarSSP)
 	if err != nil {
@@ -518,8 +519,9 @@ func TestSimulateSharesImageCells(t *testing.T) {
 	if _, err := s.Simulate(ctx, "wrong-answer", sim.InOrder, prog.Clone(), want+1); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("a different answer check reused the cached success: err = %v", err)
 	}
-	// One narration per simulation: the RunOptions cell's and the OOO one.
-	if len(narrated) != 2 || narrated[1] != (RunKey{"copy", sim.OOO, "external"}) {
+	// One narration per simulation: the profiling run (the baseline cell),
+	// the RunOptions cell's, and the OOO one.
+	if len(narrated) != 3 || narrated[0] != (RunKey{"mcf", sim.InOrder, VarBase}) || narrated[2] != (RunKey{"copy", sim.OOO, "external"}) {
 		t.Fatalf("Progress fired for %v, want once per simulation", narrated)
 	}
 }

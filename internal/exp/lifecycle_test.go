@@ -8,7 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"ssp/internal/check"
+	"ssp/internal/profile"
 	"ssp/internal/sim"
+	"ssp/internal/workloads"
 )
 
 // panicHook is an exec hook that panics after a set number of instructions —
@@ -21,13 +24,29 @@ func (h *panicHook) Exec(m *sim.Machine, t *sim.Thread, pc int) {
 	}
 }
 
+// profiled builds and profiles mcf in a new suite and checks the profiling
+// run's pool traffic: one machine out, and back after its clean completion.
+func profiled(t *testing.T) *Suite {
+	t.Helper()
+	s := NewSuite(ScaleTest)
+	if _, _, _, err := s.Workload(context.Background(), "mcf"); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.PoolStats(); st.Gets != 1 || st.Puts != 1 {
+		t.Fatalf("profiling run: pool %+v, want 1 get and 1 put", st)
+	}
+	return s
+}
+
 // TestPanickedRunDiscardsMachine: a run that panics mid-simulation must (a)
 // surface as an error, not a panic, and (b) never return its machine to the
 // pool — the next cell must run on a fresh or cleanly-recycled machine and
 // produce exactly the reference result.
 func TestPanickedRunDiscardsMachine(t *testing.T) {
-	s := NewSuite(ScaleTest)
-	_, err := s.RunInstrumented("mcf", sim.InOrder, VarBase, func(m *sim.Machine) {
+	// The in-order baseline is the profiling run's cell, so the cell that
+	// panics and is then computed cleanly is the OOO baseline.
+	s := profiled(t)
+	_, err := s.RunInstrumented("mcf", sim.OOO, VarBase, func(m *sim.Machine) {
 		m.AttachExec(&panicHook{left: 100})
 	})
 	if err == nil {
@@ -36,17 +55,17 @@ func TestPanickedRunDiscardsMachine(t *testing.T) {
 	if !strings.Contains(err.Error(), "panic during simulation") {
 		t.Fatalf("panic not surfaced in the error: %v", err)
 	}
-	if puts := s.PoolStats().Puts; puts != 0 {
-		t.Fatalf("panicked run returned a machine to the pool (Puts=%d)", puts)
+	if st := s.PoolStats(); st.Gets != 2 || st.Puts != 1 {
+		t.Fatalf("panicked run returned a machine to the pool (pool %+v, want 2 gets and 1 put)", st)
 	}
 
 	// The next run of the same cell must be clean and byte-identical to a
 	// fresh suite's result.
-	got, err := s.Run("mcf", sim.InOrder, VarBase)
+	got, err := s.Run("mcf", sim.OOO, VarBase)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewSuite(ScaleTest).Run("mcf", sim.InOrder, VarBase)
+	want, err := NewSuite(ScaleTest).Run("mcf", sim.OOO, VarBase)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +95,7 @@ func (h *cancelHook) Exec(m *sim.Machine, t *sim.Thread, pc int) {
 // machine, and a later call with a live context recomputes the cell
 // correctly.
 func TestCancelledCellRetries(t *testing.T) {
-	s := NewSuite(ScaleTest)
+	s := profiled(t)
 
 	// Deterministic mid-run cancellation: an exec hook pulls the trigger
 	// after 500 instructions, well inside the run.
@@ -96,8 +115,8 @@ func TestCancelledCellRetries(t *testing.T) {
 	if wall := time.Since(start); wall > 5*time.Second {
 		t.Errorf("cancellation took %v", wall)
 	}
-	if puts := s.PoolStats().Puts; puts != 0 {
-		t.Fatalf("cancelled run returned its machine to the pool (Puts=%d)", puts)
+	if st := s.PoolStats(); st.Gets != 2 || st.Puts != 1 {
+		t.Fatalf("cancelled run returned its machine to the pool (pool %+v, want 2 gets and 1 put)", st)
 	}
 
 	// A cancelled context surfaced through the public cache path must not
@@ -130,5 +149,116 @@ func TestRunAllContextCancel(t *testing.T) {
 	err := s.RunAllContext(ctx, MatrixKeys(), 2)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
+	}
+}
+
+// TestProfileRunIsBaselineCell: the program stage's profiling run is the
+// in-order baseline cell. For every benchmark, building the workload and
+// then asking for its in-order baseline costs one simulation; the cached
+// baseline carries no profile and matches an uncached rerun; the profile
+// matches profile.Collect's; and the base binary reuses the program stage's
+// predecoded image.
+func TestProfileRunIsBaselineCell(t *testing.T) {
+	ctx := context.Background()
+	for _, bench := range Benchmarks() {
+		s := NewSuite(ScaleTest)
+		orig, _, prof, err := s.Workload(ctx, bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := s.Run(bench, sim.InOrder, VarBase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gets := s.PoolStats().Gets; gets != 1 {
+			t.Errorf("%s: workload and in-order baseline cost %d simulations, want 1", bench, gets)
+		}
+		if base.PCCount != nil || base.CallEdges != nil {
+			t.Errorf("%s: cached baseline carries the profile's counts", bench)
+		}
+		rerun, err := s.RunInstrumented(bench, sim.InOrder, VarBase, func(*sim.Machine) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := check.SameTiming(base, rerun); err != nil {
+			t.Errorf("%s: cached baseline vs uncached rerun: %v", bench, err)
+		}
+		want, err := profile.Collect(orig, s.MachineConfig(sim.InOrder))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(prof, want) {
+			t.Errorf("%s: suite profile differs from profile.Collect", bench)
+		}
+		r, err := variantRequest(bench, sim.InOrder, VarBase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := s.program(ctx, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := s.binary(ctx, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.dp != p.dp || b.image != p.image {
+			t.Errorf("%s: base binary predecoded the original again", bench)
+		}
+	}
+}
+
+// TestProfileAfterUnprofiledCell: when the baseline's image was already
+// simulated without a profile, the program stage still gets its profile, by
+// one profiled run outside the cache, and the cell keeps its result.
+func TestProfileAfterUnprofiledCell(t *testing.T) {
+	ctx := context.Background()
+	spec, err := workloads.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig, want := spec.Build(spec.TestScale)
+	s := NewSuite(ScaleTest)
+	first, err := s.Simulate(ctx, "copy", sim.InOrder, orig, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, prof, err := s.Workload(ctx, "mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(prof.InstrFreq) == 0 || prof.Cycles != first.Cycles {
+		t.Fatalf("profile not derived from a full run: %d instrs, %d cycles (baseline %d)", len(prof.InstrFreq), prof.Cycles, first.Cycles)
+	}
+	base, err := s.Run("mcf", sim.InOrder, VarBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base != first {
+		t.Error("baseline cell lost the earlier simulation's result")
+	}
+	if st := s.PoolStats(); st.Gets != 2 || st.Puts != 2 {
+		t.Errorf("pool %+v, want 2 gets and 2 puts", st)
+	}
+}
+
+// TestProfileErrorPrefix: a failed profiling run, the watchdog's included,
+// reports "<bench>: profile: ".
+func TestProfileErrorPrefix(t *testing.T) {
+	spec, err := workloads.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &program{check: true}
+	p.orig, p.want = spec.Build(spec.TestScale)
+	s := NewSuite(ScaleTest)
+	cfg := s.MachineConfig(sim.InOrder)
+	cfg.MaxCycles = 1000
+	err = s.profile(context.Background(), "mcf", p, cfg)
+	if err == nil || !strings.HasPrefix(err.Error(), "mcf: profile: ") || !strings.Contains(err.Error(), "watchdog") {
+		t.Fatalf("watchdog during profiling: err = %v", err)
+	}
+	if p.prof != nil {
+		t.Error("a failed profiling run left a profile")
 	}
 }

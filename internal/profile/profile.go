@@ -58,13 +58,24 @@ func CollectContext(ctx context.Context, p *ir.Program, cfg sim.Config) (*Profil
 	if res.TimedOut {
 		return nil, fmt.Errorf("profile: run timed out after %d cycles", res.Cycles)
 	}
+	return FromResult(p, img, cfg.Mem, res), nil
+}
+
+// FromResult derives the feedback bundle from a finished run of img, the
+// linked image of p, taken with Config.Profile set under the memory
+// configuration memCfg. It reads res without modifying it; the profile's
+// load statistics point into res.Hier, so treat both as read-only
+// afterwards. A caller that already simulates the original binary — the
+// experiment suite's in-order baseline — profiles it this way without a
+// second run.
+func FromResult(p *ir.Program, img *ir.Image, memCfg mem.Config, res *sim.Result) *Profile {
 	pr := &Profile{
 		InstrFreq: make(map[int]uint64),
 		BlockFreq: make(map[string]uint64),
 		Loads:     make(map[int]*mem.LoadStat),
 		CallEdges: make(map[int]map[string]uint64),
 		Cycles:    res.Cycles,
-		MemCfg:    cfg.Mem,
+		MemCfg:    memCfg,
 	}
 	for pc, count := range res.PCCount {
 		if count == 0 {
@@ -95,7 +106,7 @@ func CollectContext(ctx context.Context, p *ir.Program, cfg sim.Config) (*Profil
 		}
 		pr.CallEdges[callID] = m
 	}
-	return pr, nil
+	return pr
 }
 
 // DelinquentLoads returns the IDs of the static loads that together account

@@ -3,11 +3,13 @@ package profile
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"ssp/internal/ir"
 	"ssp/internal/sim"
 	"ssp/internal/sim/mem"
+	"ssp/internal/workloads"
 )
 
 func tinyConfig() sim.Config {
@@ -153,6 +155,39 @@ func TestDelinquentLoadsBoundaries(t *testing.T) {
 }
 
 func idsString(ids []int) string { return fmt.Sprint(ids) }
+
+// TestFromResult: the profile derived from a profiled run on a pooled,
+// Reset-reused machine with fast-forward on — how the experiment suite takes
+// its baseline — deep-equals Collect's profile from a fresh machine, for
+// every test-scale benchmark.
+func TestFromResult(t *testing.T) {
+	cfg := sim.DefaultInOrder()
+	cfg.UseTinyMem()
+	cfg.FastForward = true
+	var pool sim.Pool
+	for _, spec := range workloads.All() {
+		p, _ := spec.Build(spec.TestScale)
+		want, err := Collect(p, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		img, err := ir.Link(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := cfg
+		run.Profile = true
+		m := pool.Get(run, sim.Predecode(img))
+		res, err := m.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		pool.Put(m)
+		if got := FromResult(p, img, cfg.Mem, res); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: FromResult differs from Collect", spec.Name)
+		}
+	}
+}
 
 func TestRebaseRestrictsToProgramLoads(t *testing.T) {
 	p := loopProgram(4, 500)

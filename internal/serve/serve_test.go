@@ -491,8 +491,10 @@ func TestStatz(t *testing.T) {
 	if st.Requests != 3 || st.Misses != 1 || st.Hits != 2 || st.Cells != 1 {
 		t.Errorf("statz after 3 identical jobs: %+v", st)
 	}
-	if st.Pool.Puts != 1 {
-		t.Errorf("pool puts = %d, want 1 (one clean simulation)", st.Pool.Puts)
+	// Two clean simulations: the in-order profiling run, which is also the
+	// program's baseline cell, and the OOO job's own.
+	if st.Pool.Gets != 2 || st.Pool.Puts != 2 {
+		t.Errorf("pool %+v, want 2 gets and 2 puts (two clean simulations)", st.Pool)
 	}
 }
 
