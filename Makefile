@@ -1,19 +1,15 @@
 GO ?= go
 
-.PHONY: check fmt vet test race alloc-gate bench-module bench bench-diff bench-smoke bench-gate sspcheck strategy-sweep safety-sweep fuzz-smoke cover serve-smoke serve-load tune-smoke tune-bench table2 table2-check
+.PHONY: check fmt vet test race alloc-gate bench-module bench bench-diff bench-smoke bench-gate sspcheck fuzz-smoke cover serve-smoke serve-load tune-smoke tune-bench table2 table2-check
 
 # check is the full gate: formatting, vet, the test suite under the race
 # detector (the concurrent experiment engine is exercised by internal/exp's
 # determinism and coalescing tests), the allocation-regression gate (the race
 # run skips it — instrumentation allocates), the benchmark module's vet and
-# tests, and the same three sweeps the CI check job runs — the
-# differential/metamorphic fuzz sweep over 32 fixed seeds (internal/check),
-# the 500-seed execution-strategy equivalence sweep, and the 32-seed
-# speculation-safety sweep (static budget certificates, dynamic budget
-# oracle, adversarial mutants) — plus a short native-fuzzing smoke of the
-# parser, the adaptation tool, the safety certifier on untrusted IR, and the
-# threaded execution core.
-check: fmt vet race alloc-gate bench-module sspcheck strategy-sweep safety-sweep fuzz-smoke
+# tests, the 500-seed validation sweep the CI check job runs (sspcheck), and
+# a short native-fuzzing smoke of the parser, the adaptation tool, the safety
+# certifier on untrusted IR, and the threaded execution core.
+check: fmt vet race alloc-gate bench-module sspcheck fuzz-smoke
 
 # bench-module vets and tests the benchmark under bench/, a module of its own
 # (replace ssp => ../) that the root module's build and tests never compile:
@@ -23,28 +19,19 @@ bench-module:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
-# sspcheck runs 32 seeded random programs through all three validation
-# layers; reproduce a reported failure with: go run ./cmd/sspcheck -seed N
+# sspcheck is the validation sweep (check.Seed): per seed, a random program
+# and its adaptations under the default and a seed-derived option mix pass
+# the differential, metamorphic and conservation layers; the
+# speculation-safety layer (static budget certificates, the dynamic budget
+# oracle on both engines, every injected violation class rejected as that
+# class); the lift layer (adapting a lifted image, and relifting an adapted
+# one, keep the image digest); and the execution-strategy layer (the whole
+# Result bit for bit with fast-forward on or off, a fresh or a shared
+# decode, a fresh or a Reset-reused machine, stats on or off, and a profiled
+# run; the interpreter's chain walker against its per-PC loop). Reproduce a
+# reported failure with: go run ./cmd/sspcheck -seed N
 sspcheck:
-	$(GO) run ./cmd/sspcheck -seeds 32
-
-# strategy-sweep is the regression gate for every host-side execution
-# strategy (check.StrategyEquivalence): per seed, the original and the
-# SSP-adapted program, under both machine models, must give the same Result
-# bit for bit — cycles, breakdowns, histograms, per-load memory statistics —
-# with fast-forward on or off, a fresh or a shared decode, a fresh or a
-# Reset-reused machine, and stats on or off; the interpreter's chain walker
-# must match its per-PC loop.
-strategy-sweep:
-	$(GO) run ./cmd/sspcheck -seeds 500 -strategy
-
-# safety-sweep is the regression gate for the speculation-safety verifier:
-# per seed, every adapted slice must carry a violation-free static budget
-# certificate, a dynamic run on both engines under the budget oracle must
-# stay inside it, and every injected violation class must be rejected with
-# exactly that class.
-safety-sweep:
-	$(GO) run ./cmd/sspcheck -seeds 32 -safety
+	$(GO) run ./cmd/sspcheck -seeds 500
 
 # alloc-gate runs the allocation-regression tests without the race detector
 # (whose instrumentation allocates): the per-access hot path must stay at

@@ -55,9 +55,9 @@ func main() {
 	// Usage errors exit 2 before any work (or profiling) starts; run
 	// errors exit 1 after run returns, so its deferred cleanup — the
 	// profile stop in particular — always fires.
-	sc, err := parseScale(*scale)
+	sc, err := exp.ParseScale(*scale)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
+		fmt.Fprintln(os.Stderr, "experiments: -scale:", err)
 		os.Exit(2)
 	}
 	wanted, err := parseOnly(*only)
@@ -89,18 +89,6 @@ func run(o options) error {
 	}
 	want := func(k string) bool { return len(o.wanted) == 0 || o.wanted[k] }
 	return emit(s, want, o.envelope)
-}
-
-// parseScale maps the -scale flag to a suite scale, rejecting typos instead
-// of silently falling back to paper scale.
-func parseScale(s string) (exp.Scale, error) {
-	switch s {
-	case "paper":
-		return exp.ScalePaper, nil
-	case "test":
-		return exp.ScaleTest, nil
-	}
-	return 0, fmt.Errorf("unknown -scale %q (valid: paper, test)", s)
 }
 
 // parseOnly validates the -only subset against the known exhibit keys, so a

@@ -7,20 +7,6 @@ import (
 	"ssp/internal/exp"
 )
 
-func TestParseScale(t *testing.T) {
-	if sc, err := parseScale("paper"); err != nil || sc != exp.ScalePaper {
-		t.Fatalf("paper: %v %v", sc, err)
-	}
-	if sc, err := parseScale("test"); err != nil || sc != exp.ScaleTest {
-		t.Fatalf("test: %v %v", sc, err)
-	}
-	if _, err := parseScale("tset"); err == nil {
-		t.Fatal("accepted a typoed -scale")
-	} else if !strings.Contains(err.Error(), "paper") {
-		t.Fatalf("error does not list valid scales: %v", err)
-	}
-}
-
 func TestParseOnly(t *testing.T) {
 	w, err := parseOnly("")
 	if err != nil || len(w) != 0 {

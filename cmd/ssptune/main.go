@@ -50,9 +50,9 @@ func main() {
 		bench   = flag.String("bench", "mcf", "comma-separated benchmarks (see cmd/experiments)")
 		model   = flag.String("model", "in-order", "machine model: in-order or ooo")
 		scale   = flag.String("scale", "paper", "experiment scale: paper or test")
-		rounds  = flag.Int("rounds", 3, "max re-profiling rounds per candidate (after the one-shot round 0)")
-		eps     = flag.Float64("eps", 0.02, "relative speedup-delta convergence threshold")
-		grid    = flag.String("grid", "full", "search grid: full or quick")
+		rounds  = flag.Int("rounds", tune.DefaultMaxRounds, "max re-profiling rounds per candidate (after the one-shot round 0)")
+		eps     = flag.Float64("eps", tune.DefaultEpsilon, "relative speedup-delta convergence threshold")
+		grid    = flag.String("grid", tune.DefaultGrid, "search grid: full or quick")
 		workers = flag.Int("workers", runtime.NumCPU(), "parallel simulations (1 = serial)")
 		jsonOut = flag.Bool("json", false, "print the JSON report to stdout instead of tables")
 		outFile = flag.String("out", "", "also write the JSON report to this file")
@@ -91,29 +91,15 @@ func parse(bench, model, scale string, rounds int, eps float64, grid string, wor
 	if len(o.benches) == 0 {
 		return o, fmt.Errorf("no benchmarks given")
 	}
-	switch model {
-	case "in-order", "io":
-		o.model = sim.InOrder
-	case "ooo", "out-of-order":
-		o.model = sim.OOO
-	default:
-		return o, fmt.Errorf("unknown -model %q (valid: in-order, ooo)", model)
+	var err error
+	if o.model, err = sim.ParseModel(model); err != nil {
+		return o, fmt.Errorf("-model: %w", err)
 	}
-	switch scale {
-	case "paper":
-		o.scale = exp.ScalePaper
-	case "test":
-		o.scale = exp.ScaleTest
-	default:
-		return o, fmt.Errorf("unknown -scale %q (valid: paper, test)", scale)
+	if o.scale, err = exp.ParseScale(scale); err != nil {
+		return o, fmt.Errorf("-scale: %w", err)
 	}
-	switch grid {
-	case "full":
-		o.grid = tune.FullGrid()
-	case "quick":
-		o.grid = tune.QuickGrid()
-	default:
-		return o, fmt.Errorf("unknown -grid %q (valid: full, quick)", grid)
+	if o.grid, err = tune.Grid(grid); err != nil {
+		return o, fmt.Errorf("-grid: %w", err)
 	}
 	if rounds < 1 {
 		return o, fmt.Errorf("-rounds must be at least 1, got %d", rounds)

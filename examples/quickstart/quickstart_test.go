@@ -1,7 +1,8 @@
-// Quickstart: build a pointer-chasing kernel in the IR, profile it, run the
-// post-pass SSP tool, and measure the speedup on the in-order research
-// Itanium model — the full Figure 1 flow in one file.
-package main
+// Package quickstart_test is the Figure 1 flow in one function: build a
+// pointer-chasing kernel in the IR, profile it, run the post-pass SSP tool,
+// and measure the speedup on the in-order research Itanium model. Run it
+// with: go test -v ./examples/quickstart
+package quickstart_test
 
 import (
 	"fmt"
@@ -14,11 +15,12 @@ import (
 	"ssp/internal/ssp"
 )
 
-func main() {
+func Example() {
 	// 1. A "first compilation pass" output: a loop summing a field of
 	//    records reached through a pointer array, with records scattered
-	//    over a working set larger than the L3 cache.
-	const n = 80000
+	//    over a working set eight times the size of the test memory
+	//    system's 16 KB L3.
+	const n = 2000
 	p := ir.NewProgram("main")
 	ptrBase := uint64(0x100000)
 	recBase := ptrBase + n*8 + 0x10000
@@ -49,12 +51,12 @@ func main() {
 	// 2. Profiling pass (Figure 1): identify delinquent loads, block
 	//    frequencies, expected latencies.
 	cfg := sim.DefaultInOrder()
+	cfg.UseTinyMem()
 	prof, err := profile.Collect(p, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	dels := prof.DelinquentLoads(0.9, 10)
-	fmt.Printf("delinquent loads (>=90%% of %d miss cycles): %v\n", prof.TotalMissCycles, dels)
+	fmt.Printf("delinquent loads (>=90%% of %d miss cycles): %v\n", prof.TotalMissCycles, prof.DelinquentLoads(0.9, 10))
 
 	// 3. Post-pass adaptation: slice, schedule, place triggers, attach.
 	enh, rep, err := ssp.Adapt(p, prof, ssp.DefaultOptions(), "quickstart")
@@ -66,8 +68,7 @@ func main() {
 		if s.Chaining {
 			model = "chaining"
 		}
-		fmt.Printf("slice in %s: %s SP, %d instructions, %d live-ins\n",
-			s.Region, model, s.Size, s.LiveIns)
+		fmt.Printf("slice in %s: %s SP, %d instructions, %d live-ins\n", s.Region, model, s.Size, s.LiveIns)
 	}
 
 	// 4. Measure both binaries on the in-order model.
@@ -80,7 +81,12 @@ func main() {
 	}
 	base, fast := run(p), run(enh)
 	fmt.Printf("baseline: %d cycles (IPC %.3f)\n", base.Cycles, base.IPC())
-	fmt.Printf("SSP:      %d cycles (IPC %.3f), %d speculative threads\n",
-		fast.Cycles, fast.IPC(), fast.Spawns)
+	fmt.Printf("SSP:      %d cycles (IPC %.3f), %d speculative threads\n", fast.Cycles, fast.IPC(), fast.Spawns)
 	fmt.Printf("speedup:  %.2fx\n", float64(base.Cycles)/float64(fast.Cycles))
+	// Output:
+	// delinquent loads (>=90% of 517800 miss cycles): [6 5]
+	// slice in main:loop@b1: chaining SP, 5 instructions, 2 live-ins
+	// baseline: 531957 cycles (IPC 0.026)
+	// SSP:      138944 cycles (IPC 0.106), 2261 speculative threads
+	// speedup:  3.83x
 }

@@ -3,8 +3,7 @@
 // "does not alter the architectural state of the main thread", and the whole
 // evaluation rests on three engines — the functional interpreter, the
 // in-order model, and the OOO model — agreeing on what a program does while
-// disagreeing only on when. This package asserts exactly that, in three
-// layers:
+// disagreeing only on when. This package asserts exactly that, in layers:
 //
 //  1. Differential: the same linked image, executed by the interpreter and
 //     both cycle models, yields identical final main-thread registers,
@@ -19,18 +18,26 @@
 //     cache hit counts reconcile with access counts at every level, the
 //     spawn accounting covers every taken chk.c, and a profiled run's
 //     per-PC counts sum to the retired main-thread instructions.
+//  4. Strategy: no host-side execution strategy changes a Result
+//     (StrategyEquivalence).
+//  5. Safety: every slice's static budget certificate holds on both engines
+//     (SafetyEquivalence), and every injected violation is rejected.
+//  6. Lift: adapting a lifted image, and relifting an adapted one, keep the
+//     image (LiftEquivalence).
 //
-// All layers are fed by workloads.RandomProgram, so any violation reproduces
-// from its seed alone (cmd/sspcheck -seed N).
+// Seed runs every layer on one workloads.RandomProgram, so any violation
+// reproduces from its seed alone (cmd/sspcheck -seed N).
 package check
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
 
 	"ssp/internal/ir"
+	"ssp/internal/lift"
 	"ssp/internal/profile"
 	"ssp/internal/sim"
 	"ssp/internal/sim/decode"
@@ -477,32 +484,18 @@ func SameTiming(a, b *sim.Result) error {
 	return nil
 }
 
-// StrategySeed profiles and adapts one seeded random program once and gates
-// the original and the adapted program together (cmd/sspcheck -strategy).
-// The adapted program reaches what an original never does: budget
-// enforcement, kill paths, round-robin replay under stall jumps, per-thread
-// buffer reuse and the prefetch window.
-func StrategySeed(seed int64, cfgs []sim.Config) error {
-	p := workloads.RandomProgram(seed)
-	prof, err := profile.Collect(p, cfgs[0])
-	if err != nil {
-		return fmt.Errorf("seed %d: profile: %w", seed, err)
-	}
-	adapted, _, err := ssp.Adapt(p, prof, ssp.DefaultOptions(), fmt.Sprintf("seed%d", seed))
-	if err != nil {
-		return fmt.Errorf("seed %d: adapt: %w", seed, err)
-	}
-	if err := StrategyEquivalence(cfgs, p, adapted); err != nil {
-		return fmt.Errorf("seed %d: %w", seed, err)
-	}
-	return nil
-}
-
-// Seed drives all three layers from one seed: generate a random program,
-// differentially validate it, adapt it with a seed-derived option mix
-// (ssp.Adapt runs Validate and VerifyAttachments internally), then validate
-// the adapted binary differentially and metamorphically. The same seed
-// always reproduces the same programs and verdict.
+// Seed drives every validation layer from one seed. It generates a random
+// program and validates it differentially, profiles it once, and adapts it
+// under each distinct option set of {ssp.DefaultOptions(), seedOptions(seed)}
+// (ssp.Adapt certifies every slice itself). Each adapted program then passes
+// the differential, metamorphic and speculation-safety layers, and the
+// adversarial sweep when it has slices. The lift layer checks the
+// binary-only round trips, and one StrategyEquivalence call gates the
+// original and every adapted program together; the adapted programs reach
+// what an original never does there: budget enforcement, kill paths,
+// round-robin replay under stall jumps, per-thread buffer reuse and the
+// prefetch window. The same seed always reproduces the same programs and
+// verdict.
 func Seed(seed int64, cfgs []sim.Config) error {
 	p := workloads.RandomProgram(seed)
 	if err := Differential(cfgs, p, maxInterpInstrs); err != nil {
@@ -512,21 +505,121 @@ func Seed(seed int64, cfgs []sim.Config) error {
 	if err != nil {
 		return fmt.Errorf("seed %d: profile: %w", seed, err)
 	}
-	adapted, _, err := ssp.Adapt(p, prof, seedOptions(seed), fmt.Sprintf("seed%d", seed))
-	if err != nil {
-		return fmt.Errorf("seed %d: adapt: %w", seed, err)
+	opts := []ssp.Options{ssp.DefaultOptions()}
+	if o := seedOptions(seed); o != opts[0] {
+		opts = append(opts, o)
 	}
-	if err := Differential(cfgs, adapted, maxInterpInstrs); err != nil {
-		return fmt.Errorf("seed %d: adapted: %w", seed, err)
+	progs := []*ir.Program{p}
+	for i, opt := range opts {
+		fail := func(what string, err error) error {
+			return fmt.Errorf("seed %d: options %d: %s%w", seed, i, what, err)
+		}
+		adapted, rep, err := ssp.Adapt(p, prof, opt, fmt.Sprintf("seed%d", seed))
+		if err == nil && rep.Safety == nil {
+			err = errors.New("the report carries no safety certificate")
+		}
+		if err != nil {
+			return fail("adapt: ", err)
+		}
+		if err := Differential(cfgs, adapted, maxInterpInstrs); err != nil {
+			return fail("adapted: ", err)
+		}
+		if err := Metamorphic(cfgs, p, adapted); err != nil {
+			return fail("", err)
+		}
+		if err := SafetyEquivalence(cfgs, adapted); err != nil {
+			return fail("", err)
+		}
+		if rep.NumSlices() > 0 {
+			if err := ssp.CheckUnsafe(adapted, cfgs[0].MaxSpecInstrs); err != nil {
+				return fail("adversarial: ", err)
+			}
+		}
+		progs = append(progs, adapted)
 	}
-	if err := Metamorphic(cfgs, p, adapted); err != nil {
+	if err := LiftEquivalence(cfgs[0], opts, p, progs[1:]...); err != nil {
+		return fmt.Errorf("seed %d: %w", seed, err)
+	}
+	if err := StrategyEquivalence(cfgs, progs...); err != nil {
 		return fmt.Errorf("seed %d: %w", seed, err)
 	}
 	return nil
 }
 
-// seedOptions is the seed-derived adaptation option mix Seed and SafetySeed
-// share, so the two sweeps adapt each seed under the same configuration.
+// LiftEquivalence is the binary-only layer. The paper builds SSP as a
+// post-pass so the same tool can run "when the source code is not
+// available" (§2.2). That holds exactly when lifting a linked image loses
+// nothing the tool or the engines use, so two round trips must keep the
+// image, compared by decode.Program.Digest (every decoded field, every
+// block leader and the data image):
+//   - profiling and adapting Lift(Link(orig)) under opts[i] gives the image
+//     that adapting orig under opts[i] gave, adapted[i];
+//   - Link(Lift(Link(q))) is q's image, for orig and every adapted program.
+//     Only the adapted programs carry chk.c, spawn, stub and slice blocks.
+func LiftEquivalence(cfg sim.Config, opts []ssp.Options, orig *ir.Program, adapted ...*ir.Program) error {
+	if len(opts) != len(adapted) {
+		return fmt.Errorf("check: lift: %d option sets for %d adapted programs", len(opts), len(adapted))
+	}
+	lifted, err := relift(orig)
+	if err != nil {
+		return err
+	}
+	prof, err := profile.Collect(lifted, cfg)
+	if err != nil {
+		return fmt.Errorf("check: lift: profile the lifted original: %w", err)
+	}
+	for i, opt := range opts {
+		la, _, err := ssp.Adapt(lifted, prof, opt, "lifted")
+		if err == nil {
+			err = sameImage(la, adapted[i])
+		}
+		if err != nil {
+			return fmt.Errorf("check: lift: adapting the lifted original under options %d: %w", i, err)
+		}
+	}
+	for i, q := range append([]*ir.Program{orig}, adapted...) {
+		back, err := relift(q)
+		if err != nil {
+			return err
+		}
+		if err := sameImage(back, q); err != nil {
+			return fmt.Errorf("check: lift: prog %d round trip: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// relift returns Lift(Link(p)).
+func relift(p *ir.Program) (*ir.Program, error) {
+	img, err := ir.Link(p)
+	if err != nil {
+		return nil, fmt.Errorf("check: lift: link: %w", err)
+	}
+	q, err := lift.Lift(img)
+	if err != nil {
+		return nil, fmt.Errorf("check: lift: %w", err)
+	}
+	return q, nil
+}
+
+// sameImage reports whether two programs link to images with equal digests.
+func sameImage(got, want *ir.Program) error {
+	var d [2][sha256.Size]byte
+	for i, p := range []*ir.Program{got, want} {
+		img, err := ir.Link(p)
+		if err != nil {
+			return fmt.Errorf("link: %w", err)
+		}
+		d[i] = sim.Predecode(img).Digest()
+	}
+	if d[0] != d[1] {
+		return fmt.Errorf("image digest %x, want %x", d[0][:8], d[1][:8])
+	}
+	return nil
+}
+
+// seedOptions is the seed-derived adaptation option mix. About one seed in
+// five draws exactly the defaults, so Seed adapts it once.
 func seedOptions(seed int64) ssp.Options {
 	r := rand.New(rand.NewSource(seed))
 	opt := ssp.DefaultOptions()

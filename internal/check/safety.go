@@ -4,14 +4,12 @@ import (
 	"fmt"
 
 	"ssp/internal/ir"
-	"ssp/internal/profile"
 	"ssp/internal/sim"
 	"ssp/internal/sim/decode"
 	"ssp/internal/ssp"
-	"ssp/internal/workloads"
 )
 
-// This file is the seventh validation layer: speculation-safety equivalence.
+// This file is the speculation-safety layer.
 // The static half (ssp.AnalyzeSafety) proves per-slice instruction budgets;
 // the dynamic half attaches an instruction-level oracle to both cycle
 // engines and asserts that no speculative thread ever executes outside a
@@ -83,37 +81,6 @@ func SafetyEquivalence(cfgs []sim.Config, adapted *ir.Program) error {
 		}
 		if o.err != nil {
 			return fmt.Errorf("check: safety %v: dynamic oracle: %w", cfg.Model, o.err)
-		}
-	}
-	return nil
-}
-
-// SafetySeed drives the speculation-safety layer from one seed: generate a
-// random program, adapt it with the seed-derived option mix (seedOptions,
-// shared with check.Seed, so the two sweeps cover the same
-// configurations), run the static+dynamic equivalence gate on both engines,
-// then the adversarial sweep — every injected violation class must be
-// rejected with exactly that class. Sweeping it over N seeds is
-// cmd/sspcheck -safety.
-func SafetySeed(seed int64, cfgs []sim.Config) error {
-	p := workloads.RandomProgram(seed)
-	prof, err := profile.Collect(p, cfgs[0])
-	if err != nil {
-		return fmt.Errorf("seed %d: profile: %w", seed, err)
-	}
-	adapted, rep, err := ssp.Adapt(p, prof, seedOptions(seed), fmt.Sprintf("seed%d", seed))
-	if err != nil {
-		return fmt.Errorf("seed %d: adapt: %w", seed, err)
-	}
-	if rep.Safety == nil {
-		return fmt.Errorf("seed %d: adaptation report carries no safety certificate", seed)
-	}
-	if err := SafetyEquivalence(cfgs, adapted); err != nil {
-		return fmt.Errorf("seed %d: %w", seed, err)
-	}
-	if rep.NumSlices() > 0 {
-		if err := ssp.CheckUnsafe(adapted, cfgs[0].MaxSpecInstrs); err != nil {
-			return fmt.Errorf("seed %d: adversarial: %w", seed, err)
 		}
 	}
 	return nil

@@ -32,25 +32,6 @@ func TestSafetyWorkloadOracle(t *testing.T) {
 	}
 }
 
-// TestSafetySeedsClean sweeps the safety layer — static certificate, dynamic
-// budget oracle on both engines, and the adversarial mutant corpus — over a
-// sample of seeds, including the fuzz-corpus seeds that exercise multi-region
-// portfolios (8, 16) and every slice shape the budget analysis decomposes
-// (9, 23: latch-guarded loops, predicted countdowns, unrolled chains).
-// cmd/sspcheck -safety covers the full 32-seed sweep.
-func TestSafetySeedsClean(t *testing.T) {
-	seeds := []int64{0, 1, 7, 8, 9, 16, 23, -3}
-	if testing.Short() {
-		seeds = seeds[:2]
-	}
-	cfgs := Configs(true)
-	for _, seed := range seeds {
-		if err := SafetySeed(seed, cfgs); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestSafetyOracleDetectsOverrun tampers with a certificate to prove the
 // dynamic half actually fires: shrinking a region's budget below what the
 // slice really executes must trip the oracle on a real run.

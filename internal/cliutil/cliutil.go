@@ -99,14 +99,13 @@ func StartProfiles(cpuPath, memPath string) (stop func(), err error) {
 // MachineConfig builds a simulator configuration for "in-order" or "ooo",
 // optionally with the scaled-down test memory system.
 func MachineConfig(model string, tiny bool) (sim.Config, error) {
-	var c sim.Config
-	switch model {
-	case "in-order", "io":
-		c = sim.DefaultInOrder()
-	case "ooo", "out-of-order":
+	m, err := sim.ParseModel(model)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	c := sim.DefaultInOrder()
+	if m == sim.OOO {
 		c = sim.DefaultOOO()
-	default:
-		return c, fmt.Errorf("unknown model %q (want in-order or ooo)", model)
 	}
 	if tiny {
 		c.UseTinyMem()

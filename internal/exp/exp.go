@@ -51,6 +51,24 @@ const (
 	ScalePaper
 )
 
+func (s Scale) String() string {
+	if s == ScaleTest {
+		return "test"
+	}
+	return "paper"
+}
+
+// ParseScale maps a scale name, "paper" or "test", to its Scale.
+func ParseScale(name string) (Scale, error) {
+	switch name {
+	case "paper":
+		return ScalePaper, nil
+	case "test":
+		return ScaleTest, nil
+	}
+	return 0, fmt.Errorf("unknown scale %q (want paper or test)", name)
+}
+
 // Variant names a binary/machine treatment of a benchmark. Each is a preset
 // onto the pipeline's keys: a binary treatment (the original program, the
 // hand adaptation, or the tool with preset options) plus a memory treatment.
@@ -568,9 +586,10 @@ func (s *Suite) compute(ctx context.Context, r request, setup func(*sim.Machine)
 // discipline and returns its result and wall time.
 //
 // The machine goes back to the pool only after a clean completion — Run
-// returned, the watchdog did not fire, and the answer checksum matched (when
-// the program has one). Every other exit (simulation error, cancellation,
-// watchdog, checksum mismatch, or a panic out of an instrumentation hook)
+// returned, the watchdog did not fire, the main thread did not kill itself,
+// and the answer checksum matched (when the program has one). Every other
+// exit (simulation error, cancellation, watchdog, a main-thread kill,
+// checksum mismatch, or a panic out of an instrumentation hook)
 // discards it, so a poisoned machine can never resurface under a later run.
 // A panic is recovered and reported as the run's error rather than unwinding
 // into a worker pool: one bad hook or one simulator bug fails its own cell
@@ -593,6 +612,9 @@ func (s *Suite) execute(ctx context.Context, label RunKey, k simKey, cfg sim.Con
 	}
 	if res.TimedOut {
 		return nil, 0, fmt.Errorf("%s: watchdog expired after %d cycles", label, res.Cycles)
+	}
+	if res.MainKilled {
+		return nil, 0, fmt.Errorf("%s: main thread executed thread_kill_self", label)
 	}
 	if got := m.Mem.Load(workloads.ResultAddr); k.check && got != k.want {
 		return nil, 0, fmt.Errorf("%s: checksum %d, want %d", label, got, k.want)

@@ -241,6 +241,21 @@ func TestMeans(t *testing.T) {
 	}
 }
 
+// TestParseScale: both scale names parse and round-trip through String, and
+// a typo is an error that lists the valid names.
+func TestParseScale(t *testing.T) {
+	for _, want := range []Scale{ScalePaper, ScaleTest} {
+		if sc, err := ParseScale(want.String()); err != nil || sc != want {
+			t.Fatalf("%s: %v %v", want, sc, err)
+		}
+	}
+	if _, err := ParseScale("tset"); err == nil {
+		t.Fatal("accepted a typoed scale")
+	} else if !strings.Contains(err.Error(), "paper") {
+		t.Fatalf("error does not list valid scales: %v", err)
+	}
+}
+
 func TestSuiteCachesRuns(t *testing.T) {
 	s := NewSuite(ScaleTest)
 	r1, err := s.Run("mcf", sim.InOrder, VarBase)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ssp/internal/check"
+	"ssp/internal/ir"
 	"ssp/internal/profile"
 	"ssp/internal/sim"
 	"ssp/internal/workloads"
@@ -71,6 +72,41 @@ func TestPanickedRunDiscardsMachine(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("run after a panicked cell diverged from a fresh suite")
+	}
+}
+
+// killSource is a program whose main thread ends in thread_kill_self
+// instead of halt.
+func killSource() string {
+	p := ir.NewProgram("main")
+	e := ir.NewFunc(p, "main").Block("entry")
+	e.MovI(20, 5)
+	e.Kill()
+	return ir.Format(p)
+}
+
+// TestMainKillFailsRun: a run whose main thread kills itself never finished
+// the program. The first such run is the in-order profiling run, so on both
+// models the job is an error naming that run. No result is cached (a
+// repeated request gets the same error, as for any deterministic failure),
+// and the machine is dropped instead of pooled.
+func TestMainKillFailsRun(t *testing.T) {
+	s := NewSuite(ScaleTest)
+	src := killSource()
+	const want = "source/in-order/base: main thread executed thread_kill_self"
+	for _, model := range []sim.Model{sim.InOrder, sim.OOO} {
+		for try := 0; try < 2; try++ {
+			res, _, _, err := s.Served("", src, model, nil).Do(context.Background(), nil)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%v try %d: err = %v, want %q", model, try, err, want)
+			}
+			if res != nil {
+				t.Fatalf("%v try %d: a killed run returned a result", model, try)
+			}
+		}
+	}
+	if st := s.PoolStats(); st.Gets != 1 || st.Puts != 0 {
+		t.Fatalf("the killed run returned its machine to the pool (pool %+v, want 1 get and 0 puts)", st)
 	}
 }
 

@@ -115,12 +115,12 @@ func Lift(img *ir.Image) (*ir.Program, error) {
 		tgt := int(img.Code[pc].Tgt)
 		switch in.Op {
 		case ir.OpBr, ir.OpChk:
-			in.Target = liftLocalLabel(starts, funcOf, pc, tgt, labelOf)
+			in.Target = liftLocalLabel(starts, funcOf, tgt, labelOf)
 		case ir.OpSpawn:
 			if funcOf[tgt] == funcOf[pc] {
-				in.Target = liftLocalLabel(starts, funcOf, pc, tgt, labelOf)
+				in.Target = liftLocalLabel(starts, funcOf, tgt, labelOf)
 			} else {
-				in.Target = nameOf(funcOf[tgt]) + "." + liftLocalLabel(starts, funcOf, tgt, tgt, labelOf)
+				in.Target = nameOf(funcOf[tgt]) + "." + liftLocalLabel(starts, funcOf, tgt, labelOf)
 			}
 		case ir.OpCall:
 			in.Target = nameOf(funcOf[tgt])
@@ -151,11 +151,10 @@ func Lift(img *ir.Image) (*ir.Program, error) {
 	return p, nil
 }
 
-// liftLocalLabel names the target block within pc's function.
-func liftLocalLabel(starts []int, funcOf []int, pc, tgt int, labelOf func(int) string) string {
+// liftLocalLabel names the block at tgt within its function.
+func liftLocalLabel(starts []int, funcOf []int, tgt int, labelOf func(int) string) string {
 	if tgt == starts[funcOf[tgt]] {
 		return "entry"
 	}
-	_ = pc
 	return labelOf(tgt)
 }

@@ -1,6 +1,7 @@
 package lift
 
 import (
+	"crypto/sha256"
 	"testing"
 
 	"ssp/internal/ir"
@@ -19,41 +20,78 @@ func tinyConfig() sim.Config {
 	return c
 }
 
+// digest is the content address of p's linked image: every decoded field,
+// every block leader and the data image.
+func digest(t *testing.T, p *ir.Program) [sha256.Size]byte {
+	t.Helper()
+	img, err := ir.Link(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim.Predecode(img).Digest()
+}
+
+// relift returns Lift(Link(p)).
+func relift(t *testing.T, p *ir.Program) *ir.Program {
+	t.Helper()
+	img, err := ir.Link(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := Lift(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// TestLiftRoundTripsEveryBenchmark: on every benchmark, the binary-only flow
+// keeps the image exactly. Relinking the lifted original gives the original
+// image, and it still computes the benchmark's checksum. Profiling and
+// adapting the lifted original gives the image adapting the source program
+// gives. Relinking the lifted adapted program gives the adapted image; only
+// this direction lifts chk.c, spawn, stub and slice blocks.
 func TestLiftRoundTripsEveryBenchmark(t *testing.T) {
 	for _, s := range workloads.All() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
+			t.Parallel()
 			p, want := s.Build(s.TestScale / 2)
-			img, err := ir.Link(p)
+			lifted := relift(t, p)
+			if digest(t, lifted) != digest(t, p) {
+				t.Fatal("relinked lifted original differs from the original image")
+			}
+			img, err := ir.Link(lifted)
 			if err != nil {
 				t.Fatal(err)
 			}
-			lifted, err := Lift(img)
-			if err != nil {
-				t.Fatal(err)
-			}
-			img2, err := ir.Link(lifted)
-			if err != nil {
-				t.Fatalf("relink: %v", err)
-			}
-			if len(img2.Code) != len(img.Code) {
-				t.Fatalf("code length changed: %d -> %d", len(img.Code), len(img2.Code))
-			}
-			for pc := range img.Code {
-				if img.Code[pc].I.Op != img2.Code[pc].I.Op || img.Code[pc].Tgt != img2.Code[pc].Tgt {
-					t.Fatalf("pc %d differs: %v/%d vs %v/%d", pc,
-						img.Code[pc].I.Op, img.Code[pc].Tgt, img2.Code[pc].I.Op, img2.Code[pc].Tgt)
-				}
-				if img.Code[pc].I.ID != img2.Code[pc].I.ID {
-					t.Fatalf("pc %d: ID changed %d -> %d", pc, img.Code[pc].I.ID, img2.Code[pc].I.ID)
-				}
-			}
-			m := sim.New(tinyConfig(), img2)
+			m := sim.New(tinyConfig(), img)
 			if _, err := m.Run(); err != nil {
 				t.Fatal(err)
 			}
 			if got := m.Mem.Load(workloads.ResultAddr); got != want {
 				t.Fatalf("lifted checksum = %d, want %d", got, want)
+			}
+
+			var adapted [2]*ir.Program
+			for i, q := range []*ir.Program{p, lifted} {
+				prof, err := profile.Collect(q, tinyConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				var rep *ssp.Report
+				if adapted[i], rep, err = ssp.Adapt(q, prof, ssp.DefaultOptions(), s.Name); err != nil {
+					t.Fatal(err)
+				}
+				if rep.NumSlices() == 0 {
+					t.Fatal("no slices: the adapted round trip would lift no chk.c, spawn or slice block")
+				}
+			}
+			if digest(t, adapted[1]) != digest(t, adapted[0]) {
+				t.Fatal("adapting the lifted original gives another image than adapting the source")
+			}
+			if digest(t, relift(t, adapted[0])) != digest(t, adapted[0]) {
+				t.Fatal("relinked lifted adapted program differs from the adapted image")
 			}
 		})
 	}
@@ -133,43 +171,5 @@ func TestLiftedBinaryIsAdaptable(t *testing.T) {
 func TestLiftRejectsEmptyImage(t *testing.T) {
 	if _, err := Lift(&ir.Image{}); err == nil {
 		t.Fatal("Lift accepted an empty image")
-	}
-}
-
-func TestLiftEnhancedBinary(t *testing.T) {
-	// Lifting an already-enhanced binary (with chk/stub/slice layout and
-	// cross-block spawns) must round-trip too.
-	spec, _ := workloads.ByName("mcf")
-	p, want := spec.Build(spec.TestScale / 2)
-	prof, err := profile.Collect(p, tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	enh, _, err := ssp.Adapt(p, prof, ssp.DefaultOptions(), "mcf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := ir.Link(enh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lifted, err := Lift(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img2, err := ir.Link(lifted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := sim.New(tinyConfig(), img2)
-	res, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Mem.Load(workloads.ResultAddr); got != want {
-		t.Fatalf("lifted enhanced checksum = %d, want %d", got, want)
-	}
-	if res.Spawns == 0 {
-		t.Fatal("lifted enhanced binary spawned nothing")
 	}
 }

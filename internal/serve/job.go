@@ -60,12 +60,14 @@ type JobSpec struct {
 // an explicitly-default spec share one cache key.
 type TuneSpec struct {
 	// Rounds is the max number of re-profiling rounds per candidate after
-	// the one-shot round 0 (tune.Params.MaxRounds). 0 means 3.
+	// the one-shot round 0 (tune.Params.MaxRounds). 0 means
+	// tune.DefaultMaxRounds.
 	Rounds int `json:"rounds,omitempty"`
 	// Epsilon is the relative speedup-delta convergence threshold
-	// (tune.Params.Epsilon). 0 means 0.02.
+	// (tune.Params.Epsilon). 0 means tune.DefaultEpsilon.
 	Epsilon float64 `json:"epsilon,omitempty"`
-	// Grid selects the search grid: "full" (default) or "quick".
+	// Grid selects the search grid (tune.Grid): "full" or "quick". Empty
+	// means tune.DefaultGrid.
 	Grid string `json:"grid,omitempty"`
 }
 
@@ -120,14 +122,11 @@ func (s *JobSpec) normalize(defaultTimeout time.Duration) (job, error) {
 	default:
 		return j, fmt.Errorf("specify bench or source")
 	}
-	switch s.Model {
-	case "in-order", "io":
-		j.Model = sim.InOrder
-	case "ooo", "out-of-order":
-		j.Model = sim.OOO
-	default:
-		return j, fmt.Errorf("unknown model %q (want in-order or ooo)", s.Model)
+	m, err := sim.ParseModel(s.Model)
+	if err != nil {
+		return j, err
 	}
+	j.Model = m
 	switch s.Variant {
 	case "", varBase:
 		j.Variant = varBase
@@ -136,14 +135,13 @@ func (s *JobSpec) normalize(defaultTimeout time.Duration) (job, error) {
 	default:
 		return j, fmt.Errorf("unknown variant %q (want base or ssp)", s.Variant)
 	}
-	switch s.Scale {
-	case "", "test":
-		j.Test = true
-	case "paper":
-		j.Test = false
-	default:
-		return j, fmt.Errorf("unknown scale %q (want test or paper)", s.Scale)
+	scale := exp.ScaleTest
+	if s.Scale != "" {
+		if scale, err = exp.ParseScale(s.Scale); err != nil {
+			return j, err
+		}
 	}
+	j.Test = scale == exp.ScaleTest
 	j.Options = ssp.DefaultOptions()
 	if len(s.Options) > 0 && string(s.Options) != "null" {
 		if j.Variant != varSSP {
@@ -169,20 +167,19 @@ func (s *JobSpec) normalize(defaultTimeout time.Duration) (job, error) {
 			return j, fmt.Errorf("negative tune rounds")
 		}
 		if t.Rounds == 0 {
-			t.Rounds = 3
+			t.Rounds = tune.DefaultMaxRounds
 		}
 		if t.Epsilon < 0 {
 			return j, fmt.Errorf("negative tune epsilon")
 		}
 		if t.Epsilon == 0 {
-			t.Epsilon = 0.02
+			t.Epsilon = tune.DefaultEpsilon
 		}
-		switch t.Grid {
-		case "":
-			t.Grid = "full"
-		case "full", "quick":
-		default:
-			return j, fmt.Errorf("unknown tune grid %q (want full or quick)", t.Grid)
+		if t.Grid == "" {
+			t.Grid = tune.DefaultGrid
+		}
+		if _, err := tune.Grid(t.Grid); err != nil {
+			return j, fmt.Errorf("tune: %w", err)
 		}
 		j.Tune = &t
 	}

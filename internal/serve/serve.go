@@ -338,9 +338,9 @@ func (s *Server) runTune(ctx context.Context, j job, key string) (res *tune.Resu
 	ran := false
 	res, err = c.Do(ctx, func(ctx context.Context) (*tune.Result, error) {
 		ran = true
-		grid := tune.FullGrid()
-		if j.Tune.Grid == "quick" {
-			grid = tune.QuickGrid()
+		grid, err := tune.Grid(j.Tune.Grid)
+		if err != nil {
+			return nil, err
 		}
 		params := tune.Params{MaxRounds: j.Tune.Rounds, Epsilon: j.Tune.Epsilon}
 		return s.tuners[j.scale()].Tune(ctx, j.Bench, j.Model, params, grid)

@@ -119,6 +119,28 @@ func TestSourceJob(t *testing.T) {
 	}
 }
 
+// TestMainKillSourceFails: a source program whose main thread kills itself
+// is a failed job, not a 200. Each submission counts one failure, and a
+// repeated submission fails again: no result was cached for it.
+func TestMainKillSourceFails(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	p := ir.NewProgram("main")
+	e := ir.NewFunc(p, "main").Block("entry")
+	e.MovI(20, 5)
+	e.Kill()
+	// The last job repeats the first.
+	for _, model := range []string{"in-order", "ooo", "in-order"} {
+		before := s.Snapshot().Failures
+		code, _, msg := post(t, ts, JobSpec{Source: ir.Format(p), Model: model})
+		if code == http.StatusOK || !strings.Contains(msg, "thread_kill_self") {
+			t.Fatalf("%s: HTTP %d (%s), want a failed job naming the kill", model, code, msg)
+		}
+		if got := s.Snapshot().Failures - before; got != 1 {
+			t.Errorf("%s: failures counter moved by %d, want 1", model, got)
+		}
+	}
+}
+
 // TestUnsafeSourceRejected: user-submitted IR whose slice regions fail the
 // speculation-safety verifier is a 422 with the machine-readable report —
 // every time, because rejected programs never enter a cache cell. Safe

@@ -10,7 +10,11 @@
 // thread to a free context (§2.1, §3.4.2).
 package sim
 
-import "ssp/internal/sim/mem"
+import (
+	"fmt"
+
+	"ssp/internal/sim/mem"
+)
 
 // Model selects the pipeline organization.
 type Model uint8
@@ -29,6 +33,18 @@ func (m Model) String() string {
 		return "in-order"
 	}
 	return "ooo"
+}
+
+// ParseModel maps a model name to its Model: "in-order" or "io" for
+// InOrder, "ooo" or "out-of-order" for OOO.
+func ParseModel(name string) (Model, error) {
+	switch name {
+	case "in-order", "io":
+		return InOrder, nil
+	case "ooo", "out-of-order":
+		return OOO, nil
+	}
+	return 0, fmt.Errorf("unknown model %q (want in-order or ooo)", name)
 }
 
 // Config holds all machine parameters. Defaults mirror Table 1.

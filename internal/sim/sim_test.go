@@ -10,6 +10,19 @@ import (
 	"ssp/internal/sim/mem"
 )
 
+// TestParseModel pins every accepted model spelling; serve job keys and
+// the command-line flags all parse through it.
+func TestParseModel(t *testing.T) {
+	for name, want := range map[string]Model{"in-order": InOrder, "io": InOrder, "ooo": OOO, "out-of-order": OOO} {
+		if m, err := ParseModel(name); err != nil || m != want {
+			t.Errorf("%s: %v %v, want %v", name, m, err, want)
+		}
+	}
+	if _, err := ParseModel("vliw"); err == nil {
+		t.Error("accepted an unknown model")
+	}
+}
+
 // tinyMem returns a scaled-down memory system so that small unit-test
 // workloads exercise every level of the hierarchy quickly.
 func tinyMem() mem.Config {

@@ -15,7 +15,7 @@ import (
 // count, the final register file, and the memory checksum, including on
 // which side of the ceiling the run lands (both succeed or both report the
 // identical error). The full-Result timing equivalence (both engines, stats,
-// fast-forward) is covered per seed by check.StrategySeed, which is too slow
+// fast-forward) is covered per seed by check.Seed, which is too slow
 // for a fuzz loop; the lattice, in turn, never varies the instruction
 // ceiling fuzzed here.
 func FuzzThreadedEquivalence(f *testing.F) {

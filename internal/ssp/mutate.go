@@ -13,7 +13,7 @@ import (
 // every adapted benchmark, so a regression that silently accepts a stray
 // store or an unbounded backedge fails a test instead of shipping. It lives
 // in the package proper (not a _test file) so both the ssp test suite and
-// the check package's adversarial sweep (cmd/sspcheck -safety) share one
+// the check package's adversarial sweep (check.Seed, make sspcheck) share one
 // mutator.
 
 // UnsafeClasses lists the violation classes InjectUnsafe can manufacture,

@@ -114,7 +114,7 @@ type SliceSafety struct {
 
 // SafetyReport is the machine-readable outcome of AnalyzeSafety: one
 // certificate per slice plus every violation found. It rides ssp.Report
-// (the tool self-certifies each adaptation), cmd/sspcheck -safety, and the
+// (the tool self-certifies each adaptation), check.Seed, and the
 // serving layer's 422 response for unsafe submitted IR.
 type SafetyReport struct {
 	// Ceiling is the per-activation instruction ceiling the certificates

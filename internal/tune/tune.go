@@ -50,24 +50,32 @@ import (
 // around it.
 var ErrGate = errors.New("tune: round failed validation gate")
 
+// The tuner's defaults: what a zero Params field means, and the grid a
+// search runs when none is named.
+const (
+	DefaultMaxRounds = 3
+	DefaultEpsilon   = 0.02
+	DefaultGrid      = "full"
+)
+
 // Params bounds one adaptive loop.
 type Params struct {
 	// MaxRounds caps the re-profiling iterations run after the one-shot
 	// adaptation (round 0), so a trajectory holds at most MaxRounds+1
-	// entries. Zero means the default of 3.
+	// entries. Zero means DefaultMaxRounds.
 	MaxRounds int
 	// Epsilon is the relative speedup-delta convergence threshold: a round
 	// that discovers no new targets and moves the speedup by at most
-	// Epsilon×previous ends the loop. Zero means the default of 0.02.
+	// Epsilon×previous ends the loop. Zero means DefaultEpsilon.
 	Epsilon float64
 }
 
 func (p Params) withDefaults() Params {
 	if p.MaxRounds <= 0 {
-		p.MaxRounds = 3
+		p.MaxRounds = DefaultMaxRounds
 	}
 	if p.Epsilon <= 0 {
-		p.Epsilon = 0.02
+		p.Epsilon = DefaultEpsilon
 	}
 	return p
 }
@@ -77,6 +85,18 @@ func (p Params) withDefaults() Params {
 type GridPoint struct {
 	Label   string      `json:"label"`
 	Options ssp.Options `json:"options"`
+}
+
+// Grid returns the search grid of a name: "full" (FullGrid) or "quick"
+// (QuickGrid).
+func Grid(name string) ([]GridPoint, error) {
+	switch name {
+	case "full":
+		return FullGrid(), nil
+	case "quick":
+		return QuickGrid(), nil
+	}
+	return nil, fmt.Errorf("unknown grid %q (want full or quick)", name)
 }
 
 // QuickGrid is the smoke-test search: the default configuration plus the
@@ -246,7 +266,7 @@ func (t *Tuner) Tune(ctx context.Context, bench string, model sim.Model, params 
 	res := &Result{
 		Bench:      bench,
 		Model:      model.String(),
-		Scale:      scaleName(t.Suite.Scale),
+		Scale:      t.Suite.Scale.String(),
 		BaseCycles: base.Cycles,
 		Candidates: cands,
 	}
@@ -436,11 +456,4 @@ func sliceRegions(rep *ssp.Report) []string {
 		}
 	}
 	return out
-}
-
-func scaleName(s exp.Scale) string {
-	if s == exp.ScaleTest {
-		return "test"
-	}
-	return "paper"
 }

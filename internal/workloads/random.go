@@ -17,7 +17,7 @@ import (
 // (ssp.ScratchGR, p62/p63) so they are always adaptable, and every program
 // stores its checksum to ResultAddr and halts, like the named workloads.
 //
-// The generator feeds all three layers of internal/check: the same seed
+// The generator feeds every layer of internal/check: the same seed
 // always yields the same program, so any violation is reproducible from the
 // seed alone.
 func RandomProgram(seed int64) *ir.Program {
