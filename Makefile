@@ -148,9 +148,10 @@ bench-smoke:
 # with ratios measured in-process (machine-portable, unlike raw ns/op): the
 # chain walker's speedups over the per-PC interpreter loop and the in-order
 # engine's batch-issue ratio must not fall more than 10% below their
-# baselines in BENCH_sim.json ("threaded".gate), and the OOO/in-order
-# ns-per-cycle ratios on mcf with fast-forward and on the dense-issue ALU
-# loop must not rise more than 10% above theirs ("ooo".gate). CI runs it in
+# baselines in BENCH_sim.json ("threaded".gate), and each cycle engine's ns
+# per simulated cycle over the chain walker's ns per instruction, on mcf with
+# fast-forward and on the dense-issue ALU loop, must not rise more than 10%
+# above its baselines ("inorder".cost_gate, "ooo".cost_gate). CI runs it in
 # the bench-smoke job.
 bench-gate:
-	SSP_BENCH_GATE=1 $(GO) test -count=1 -run 'TestThreadedSpeedupGate|TestOOOCostGate' -v ./internal/sim
+	SSP_BENCH_GATE=1 $(GO) test -count=1 -run 'TestThreadedSpeedupGate|TestEngineCostGate' -v ./internal/sim

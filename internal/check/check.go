@@ -383,8 +383,8 @@ func strategyEquivalence(cfgs []sim.Config, perturb func(cfg sim.Config, prog in
 		m := shared
 		if pt.freshMachine || m == nil {
 			m = sim.NewPredecoded(cfg, dp)
-		} else {
-			m.Reset(cfg, dp)
+		} else if err := m.Reset(cfg, dp); err != nil {
+			return nil, fmt.Errorf("check: strategy: %w", err)
 		}
 		if !pt.freshMachine {
 			shared = m

@@ -140,23 +140,36 @@ func median(ds []time.Duration) time.Duration {
 	return ds[len(ds)/2]
 }
 
-// TestOOOCostGate is the regression gate on the out-of-order engine's
+// TestEngineCostGate is the regression gate on each cycle engine's
 // per-cycle cost, run by `make bench-gate` beside TestThreadedSpeedupGate
 // and skipped the same way without SSP_BENCH_GATE=1.
 //
-// It measures what the OOO wakeup/select machinery costs relative to the
-// in-order engine on the same host: OOO ns per simulated cycle over in-order
-// ns per simulated cycle, both engines timed in one process with
-// interleaved trials. Two regimes are gated:
+// Each row measures one engine's ns per simulated cycle over the chain
+// walker's ns per instruction on the same program, both timed in one
+// process with interleaved trials — the reference TestThreadedSpeedupGate
+// already uses. The walker moves with neither engine, so a change that
+// speeds one engine up cannot trip the other's row (as it could when the
+// gate was the OOO/in-order ratio). Two regimes per engine:
 //   - "mcf-ff": the memory-bound mcf kernel with fast-forward on, where
 //     stall detection and jump length dominate (the experiment matrix's
 //     regime);
 //   - "alu": the dense-issue ALU loop, where nearly every cycle selects and
-//     wakes several records and there is little stall to skip.
+//     issues and there is little stall to skip.
 //
-// The committed baselines are BENCH_sim.json's "ooo".gate; a ratio more than
-// 10% above its baseline fails.
-func TestOOOCostGate(t *testing.T) {
+// The committed baselines are BENCH_sim.json's "ooo".cost_gate and
+// "inorder".cost_gate; a ratio more than 10% above its baseline fails.
+//
+// What the ceiling lets through: on a shared 2-vCPU host, single gate runs
+// of one unchanged tree spread about ±20% around their median (longer
+// trials and per-trial pairing did not narrow it consistently), so each
+// baseline is the largest value seen in the calibration runs. Measured from
+// the median run, a row therefore passes a regression of up to about 25%
+// (in-order alu) to 38% (OOO mcf-ff). The gate catches gross regressions — a
+// per-cycle rescan reads 3x its row or more — but not a return of either
+// engine to its speed before the wake cache and masks, which is 0-20%
+// slower on these rows; the alternated bench/run.sh runs recorded in
+// BENCH_sim.json are the evidence for gains of that size.
+func TestEngineCostGate(t *testing.T) {
 	if os.Getenv("SSP_BENCH_GATE") == "" {
 		t.Skip("set SSP_BENCH_GATE=1 to run the timing gate (make bench-gate)")
 	}
@@ -164,57 +177,77 @@ func TestOOOCostGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	type row struct {
+		Gate map[string]float64 `json:"cost_gate"`
+	}
 	var bench struct {
-		OOO struct {
-			Gate map[string]float64 `json:"gate"`
-		} `json:"ooo"`
+		OOO     row `json:"ooo"`
+		InOrder row `json:"inorder"`
 	}
 	if err := json.Unmarshal(raw, &bench); err != nil {
 		t.Fatal(err)
 	}
-	if len(bench.OOO.Gate) == 0 {
-		t.Fatal("BENCH_sim.json has no ooo.gate baseline ratios")
-	}
-	measured := map[string]float64{
-		"mcf-ff": oooCostRatio(t, 9, 5, withFF(DefaultOOO()), withFF(DefaultInOrder()), benchNamed(t, "mcf", 3000)),
-		"alu":    oooCostRatio(t, 7, 1, DefaultOOO(), DefaultInOrder(), aluProgram(t)),
-	}
-	for name, committed := range bench.OOO.Gate {
-		got, ok := measured[name]
-		if !ok {
-			t.Errorf("%s: baseline ratio committed but not measured by the gate", name)
-			continue
+	mcf, alu := benchNamed(t, "mcf", 3000), aluProgram(t)
+	for _, e := range []struct {
+		name string
+		gate map[string]float64
+		cfg  Config
+	}{
+		{"inorder", bench.InOrder.Gate, DefaultInOrder()},
+		{"ooo", bench.OOO.Gate, DefaultOOO()},
+	} {
+		if len(e.gate) == 0 {
+			t.Fatalf("BENCH_sim.json has no %s.cost_gate baselines", e.name)
 		}
-		ceiling := committed * 1.1
-		if got > ceiling {
-			t.Errorf("%s: OOO/in-order ns per cycle %.2fx regressed >10%% above the committed %.2fx (ceiling %.2fx)",
-				name, got, committed, ceiling)
-		} else {
-			t.Logf("%s: %.2fx (committed %.2fx)", name, got, committed)
+		measured := map[string]float64{
+			"mcf-ff": engineCost(t, 15, 5, 60, withFF(e.cfg), mcf),
+			"alu":    engineCost(t, 15, 1, 3, e.cfg, alu),
+		}
+		for name, committed := range e.gate {
+			got, ok := measured[name]
+			if !ok {
+				t.Errorf("%s/%s: baseline committed but not measured by the gate", e.name, name)
+				continue
+			}
+			ceiling := committed * 1.1
+			if got > ceiling {
+				t.Errorf("%s/%s: ns per cycle over walker ns per instruction %.2fx regressed >10%% above the committed %.2fx (ceiling %.2fx)",
+					e.name, name, got, committed, ceiling)
+			} else {
+				t.Logf("%s/%s: %.2fx (committed %.2fx)", e.name, name, got, committed)
+			}
 		}
 	}
 }
 
-// oooCostRatio returns the OOO engine's ns per simulated cycle over the
-// in-order engine's on one program, from the medians of interleaved trials,
-// each trial running its engine reps times on one Reset machine.
-func oooCostRatio(t *testing.T, trials, reps int, ooo, inorder Config, dp *decode.Program) float64 {
-	var cycles [2]int64
-	engine := func(cfg Config, cyc *int64) func() {
-		cfg.UseTinyMem()
-		m := NewPredecoded(cfg, dp)
-		return func() {
-			for i := 0; i < reps; i++ {
-				m.Reset(cfg, dp)
-				res, err := m.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				*cyc = res.Cycles
+// engineCost returns an engine's ns per simulated cycle over the chain
+// walker's ns per instruction on one program, from the medians of
+// interleaved trials: each trial runs the engine reps times on one Reset
+// machine, and the walker walkReps times.
+func engineCost(t *testing.T, trials, reps, walkReps int, cfg Config, dp *decode.Program) float64 {
+	cfg.UseTinyMem()
+	var cycles, instrs int64
+	m := NewPredecoded(cfg, dp)
+	engine := func() {
+		for i := 0; i < reps; i++ {
+			m.Reset(cfg, dp)
+			res, err := m.Run()
+			if err != nil {
+				t.Fatal(err)
 			}
+			cycles = res.Cycles
 		}
 	}
-	// ratio is median(second)/median(first): OOO time over in-order time.
-	r := ratio(trials, engine(inorder, &cycles[0]), engine(ooo, &cycles[1]))
-	return r * float64(cycles[0]) / float64(cycles[1])
+	walk := func() {
+		for i := 0; i < walkReps; i++ {
+			res, err := InterpretPredecoded(cfg, dp, 1<<40)
+			if err != nil {
+				t.Fatal(err)
+			}
+			instrs = res.Instrs
+		}
+	}
+	// ratio is median(second)/median(first): engine time over walker time.
+	r := ratio(trials, walk, engine)
+	return r * float64(int64(walkReps)*instrs) / float64(int64(reps)*cycles)
 }

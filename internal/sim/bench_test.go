@@ -182,7 +182,7 @@ func BenchmarkOOO(b *testing.B) { benchEngine(b, DefaultOOO(), benchProgram(b)) 
 // BenchmarkInOrderALU / BenchmarkOOOALU measure the cycle engines on the
 // non-memory-bound ALU loop, where nearly every instruction is a pure step:
 // the engines' per-instruction issue cost, with in-order batch issue at work
-// (see TestThreadedSpeedupGate and TestOOOCostGate).
+// (see TestThreadedSpeedupGate and TestEngineCostGate).
 func BenchmarkInOrderALU(b *testing.B) { benchEngine(b, DefaultInOrder(), aluProgram(b)) }
 
 // BenchmarkOOOALU is the ALU loop on the OOO model.

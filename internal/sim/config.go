@@ -124,6 +124,43 @@ type Config struct {
 	FastForward bool
 }
 
+// Validate reports a configuration the engines cannot run: one that would
+// never issue (no issue bandwidth or no unit of some class, no thread
+// selected per cycle, an OOO window that holds or retires nothing) and so
+// spin silently to the watchdog, or one wider than the engines' bitmaps —
+// the speculative-context mask and the fill-buffer valid mask are one 64-bit
+// word each, and the per-cycle selection array holds maxSelect threads.
+// Reset and RunContext return its error.
+func (c *Config) Validate() error {
+	type field struct {
+		name string
+		v    int
+	}
+	units := []field{
+		{"IssueWidth", c.IssueWidth},
+		{"IntUnits", c.IntUnits}, {"FPUnits", c.FPUnits},
+		{"BrUnits", c.BrUnits}, {"MemPorts", c.MemPorts},
+	}
+	if c.Model == OOO {
+		units = append(units, field{"ROBSize", c.ROBSize}, field{"RSSize", c.RSSize}, field{"RetireWidth", c.RetireWidth})
+	}
+	for _, f := range units {
+		if f.v < 1 {
+			return fmt.Errorf("sim: config %s = %d, want at least 1", f.name, f.v)
+		}
+	}
+	if c.ThreadsPerCycle < 1 || c.ThreadsPerCycle > maxSelect {
+		return fmt.Errorf("sim: config ThreadsPerCycle = %d, want 1..%d", c.ThreadsPerCycle, maxSelect)
+	}
+	if c.Contexts < 1 || c.Contexts > 64 {
+		return fmt.Errorf("sim: config Contexts = %d, want 1..64", c.Contexts)
+	}
+	if n := c.Mem.FillBufferEntries; n < 1 || n > 64 {
+		return fmt.Errorf("sim: config Mem.FillBufferEntries = %d, want 1..64", n)
+	}
+	return nil
+}
+
 // UseTinyMem shrinks the cache hierarchy to the scaled-down test machine
 // (1KB L1 / 4KB L2 / 16KB L3). It is the single definition of the "test"
 // memory system shared by exp.ScaleTest and the CLI -tiny flag.

@@ -1,5 +1,7 @@
 package sim
 
+import "math/bits"
+
 // The stall-aware fast-forward timing core. The paper's machines spend
 // 80-90% of their cycles stalled on memory (Figure 10); simulating each of
 // those cycles individually is wasted work, because a fully stalled machine
@@ -19,7 +21,8 @@ package sim
 //
 //   - every active thread's front-end stall expiry (frontStallUntil);
 //   - in-order: the ready cycle of the first unready source of the
-//     instruction each thread is blocked on (the scoreboard stall);
+//     instruction each thread is blocked on (the scoreboard stall, read
+//     from the thread's wake cache when the issue path just filled it);
 //   - OOO: the completion (doneAt) of the ROB head, since retirement is in
 //     order and retirement alone drives full-window drain, waitDrain drain,
 //     and thread termination; and the ready cycle of every
@@ -39,14 +42,63 @@ package sim
 const ffNoEvent = int64(1) << 62
 
 // maxSelect is the engines' per-cycle thread-selection capacity (the size of
-// their sel arrays); stepRR mirrors the same bound.
+// their sel arrays).
 const maxSelect = 8
 
+// pickSpec is the engines' one speculative thread-selection pass: from the
+// round-robin cursor rr it visits contexts in wrapped index order, takes up
+// to ThreadsPerCycle-1 of those set in eligible (bit i = threads[i] may be
+// picked this cycle) while the selection holds fewer than maxSelect
+// threads, and moves the cursor past each pick. The scan position after a
+// pick is the new cursor plus the number of contexts visited so far, as in
+// a per-context scan whose cursor moves under it. Picks are appended to
+// sel[n:] when sel is non-nil; pickSpec returns the new cursor and count.
+func (m *Machine) pickSpec(rr int, eligible uint64, sel *[maxSelect]*Thread, n int) (int, int) {
+	ctxs := len(m.threads)
+	limit := min(n+m.Cfg.ThreadsPerCycle-1, maxSelect)
+	for scan := 0; eligible != 0 && n < limit; scan++ {
+		idx := rr + scan
+		if idx >= ctxs {
+			idx -= ctxs
+		}
+		// The next eligible context at or after idx, wrapping past the end.
+		next := bits.TrailingZeros64(eligible >> idx << idx)
+		if next == 64 {
+			next = bits.TrailingZeros64(eligible) + ctxs
+		}
+		if scan += next - idx; scan >= ctxs {
+			break
+		}
+		if next >= ctxs {
+			next -= ctxs
+		}
+		if sel != nil {
+			sel[n] = m.threads[next]
+		}
+		n++
+		if rr = next + 1; rr == ctxs {
+			rr = 0
+		}
+	}
+	return rr, n
+}
+
+// slotTable returns the per-thread issue slots for each selection size: the
+// whole width for main alone, an even share otherwise.
+func (m *Machine) slotTable() (t [maxSelect + 1]int) {
+	t[1] = m.Cfg.IssueWidth
+	for n := 2; n <= maxSelect; n++ {
+		t[n] = m.Cfg.IssueWidth / n
+	}
+	return t
+}
+
 // ffEligible reports whether the machine may fast-forward at all: the
-// feature must be on, the installed cycle hook (if any) must understand bulk
-// crediting, and the context count must fit the selection-cursor bitmask.
+// feature must be on and the installed cycle hook (if any) must understand
+// bulk crediting. (The context count always fits the selection-cursor
+// bitmask: Config.Validate caps it at 64.)
 func (m *Machine) ffEligible() bool {
-	return m.Cfg.FastForward && (m.cycle == nil || m.skip != nil) && len(m.threads) <= 64
+	return m.Cfg.FastForward && (m.cycle == nil || m.skip != nil)
 }
 
 // fastForwardInOrder attempts a stall jump on the in-order model after a
@@ -61,10 +113,10 @@ func (m *Machine) fastForwardInOrder(main *Thread, s CycleStats) {
 	}
 	next := ffNoEvent
 	var eligible uint64
-	for _, t := range m.threads {
-		if !t.active {
-			continue
-		}
+	// Main (context 0, active while the run goes on) and every active
+	// speculative context.
+	for live := m.specMask | 1; live != 0; live &= live - 1 {
+		t := m.threads[bits.TrailingZeros64(live)]
 		if t.frontStallUntil > m.now {
 			if t.frontStallUntil < next {
 				next = t.frontStallUntil
@@ -76,23 +128,20 @@ func (m *Machine) fastForwardInOrder(main *Thread, s CycleStats) {
 			// rotating over these during the stall.
 			eligible |= 1 << uint(t.idx)
 		}
-		// Scoreboard probe, mirroring issueInOrder: the thread is blocked
-		// iff a source of the instruction at its pc is not ready. (All
-		// function units are free — nothing issued this cycle — so a
+		// The thread is blocked iff a source of the instruction at its pc
+		// is not ready: the wake cache answers for every thread issue just
+		// tried this cycle, the scoreboard for one selection passed over.
+		// (All function units are free — nothing issued this cycle — so a
 		// structural stall is impossible.)
-		blocked := false
-		d := &m.code[t.pc]
-		for _, loc := range d.Uses[:d.NU] {
-			if r := t.sb[loc].ready; r > m.now {
-				blocked = true
-				if r < next {
-					next = r
-				}
-				break
+		if !t.waiting(m.now) {
+			e := t.sb.stall(&m.code[t.pc], m.now)
+			if e == nil {
+				return
 			}
+			t.block(t.pc, e)
 		}
-		if !blocked {
-			return
+		if t.wakeAt < next {
+			next = t.wakeAt
 		}
 	}
 	m.ffJump(main, s, next, eligible)
@@ -113,10 +162,8 @@ func (m *Machine) fastForwardOOO(main *Thread, s CycleStats) {
 	}
 	next := ffNoEvent
 	var eligible uint64
-	for _, t := range m.threads {
-		if !t.active || t.win == nil {
-			continue
-		}
+	for live := m.specMask | 1; live != 0; live &= live - 1 {
+		t := m.threads[bits.TrailingZeros64(live)]
 		if t != main {
 			eligible |= 1 << uint(t.idx)
 		}
@@ -220,20 +267,9 @@ func (m *Machine) advanceRR(k int64, eligible uint64) {
 	}
 }
 
-// stepRR runs one thread-selection pass over a static eligible set (bit i
-// set = threads[i] is active and selectable this cycle), mirroring the
-// engines' selection loops: scan from the cursor, take up to
-// ThreadsPerCycle-1 speculative threads, move the cursor past each pick.
+// stepRR runs one thread-selection pass over a static eligible set: the
+// engines' own pass, with main already selected and the picks discarded.
 func (m *Machine) stepRR(rr int, eligible uint64) int {
-	picked, n := 0, 1
-	for scan := 0; scan < len(m.threads) && picked < m.Cfg.ThreadsPerCycle-1 && n < maxSelect; scan++ {
-		idx := (rr + scan) % len(m.threads)
-		if eligible&(1<<uint(idx)) == 0 {
-			continue
-		}
-		n++
-		picked++
-		rr = (idx + 1) % len(m.threads)
-	}
+	rr, _ = m.pickSpec(rr, eligible, nil, 1)
 	return rr
 }

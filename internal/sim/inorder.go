@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/bits"
+
 	"ssp/internal/ir"
 	"ssp/internal/sim/decode"
 	"ssp/internal/sim/mem"
@@ -19,8 +21,8 @@ func (m *Machine) runInOrder() {
 	// every issued instruction amortizes — down to real work.
 	maxCycles := m.Cfg.MaxCycles
 	cfgIntU, cfgMemU, cfgBrU, cfgFpU := m.Cfg.IntUnits, m.Cfg.MemPorts, m.Cfg.BrUnits, m.Cfg.FPUnits
-	issueWidth := m.Cfg.IssueWidth
 	fastForward := m.Cfg.FastForward
+	slotsFor := m.slotTable()
 	for !m.mainDone {
 		if m.now >= maxCycles {
 			m.res.TimedOut = true
@@ -37,36 +39,21 @@ func (m *Machine) runInOrder() {
 		intU, memU, brU, fpU := cfgIntU, cfgMemU, cfgBrU, cfgFpU
 
 		// Thread selection: the non-speculative thread has priority; the
-		// remaining bundle goes to speculative threads round-robin. With no
-		// live speculative thread (every baseline cycle) the scan is skipped.
-		n := 0
-		sel[n] = main
-		n++
+		// remaining bundle goes to speculative threads round-robin, over
+		// those not front-stalled. With no live speculative thread (every
+		// baseline cycle) selection is skipped.
+		sel[0] = main
+		n := 1
 		if m.liveSpec > 0 {
-			for scan, picked := 0, 0; scan < len(m.threads) && picked < m.Cfg.ThreadsPerCycle-1 && n < len(sel); scan++ {
-				// m.rr moves on every pick, so the index is recomputed from
-				// it each iteration; rr and scan are both < len, so one
-				// conditional subtract replaces the modulo.
-				idx := m.rr + scan
-				if idx >= len(m.threads) {
-					idx -= len(m.threads)
-				}
-				t := m.threads[idx]
-				if t == main || !t.active || t.frontStallUntil > m.now {
-					continue
-				}
-				sel[n] = t
-				n++
-				picked++
-				if m.rr = t.idx + 1; m.rr == len(m.threads) {
-					m.rr = 0
+			var eligible uint64
+			for live := m.specMask &^ 1; live != 0; live &= live - 1 {
+				if i := bits.TrailingZeros64(live); m.threads[i].frontStallUntil <= m.now {
+					eligible |= 1 << i
 				}
 			}
+			m.rr, n = m.pickSpec(m.rr, eligible, &sel, n)
 		}
-		slots := issueWidth
-		if n > 1 {
-			slots /= n
-		}
+		slots := slotsFor[n]
 
 		issuedMain := 0
 		issuedAny := false
@@ -74,6 +61,19 @@ func (m *Machine) runInOrder() {
 		stalledOnLoad := false
 		for ti := 0; ti < n; ti++ {
 			t := sel[ti]
+			if t.waiting(m.now) {
+				// Still blocked where the scoreboard last stopped the
+				// thread; issueInOrder would return this answer without
+				// issuing. (A thread that blocked since issued nothing,
+				// so it is still active and not front-stalled. The
+				// structural check that precedes the scoreboard cannot
+				// change the answer either: main, the only thread whose
+				// level is read, is issued first, with every unit free.)
+				if lvl, onLoad := t.wakeLoad(); onLoad && t == main {
+					stalledOnLoad, stallLevel = true, lvl
+				}
+				continue
+			}
 			for s := 0; s < slots; {
 				k, cont, lvl, onLoad := m.issueInOrder(t, slots-s, &intU, &memU, &brU, &fpU)
 				s += k
@@ -172,7 +172,9 @@ func missCategory(lvl mem.Level) Category {
 // issueInOrder issues up to budget instructions from t in program order. It
 // reports how many issued, whether the thread may continue issuing this
 // cycle, and — when blocked — whether the block is a scoreboard stall on an
-// outstanding load and at which level.
+// outstanding load and at which level. A scoreboard block fills the
+// thread's wake cache, which the cycle loop and the fast-forward probe read
+// instead of calling again while it holds.
 //
 // Consecutive pure instructions — those with a compiled step: no memory
 // access, no control transfer, no halt or kill, next PC always pc+1 — issue
@@ -211,13 +213,10 @@ func (m *Machine) issueInOrder(t *Thread, budget int, intU, memU, brU, fpU *int)
 			break
 		}
 		// Scoreboard: all sources ready.
-		for _, loc := range d.Uses[:d.NU] {
-			if e := &t.sb[loc]; e.ready > now {
-				if e.loadLevel != 0 {
-					lvl, onLoad = mem.Level(e.loadLevel-1), true
-				}
-				goto out
-			}
+		if e := t.sb.stall(d, now); e != nil {
+			t.block(pc, e)
+			lvl, onLoad = t.wakeLoad()
+			break
 		}
 		if u != nil {
 			*u--
@@ -256,7 +255,7 @@ func (m *Machine) issueInOrder(t *Thread, budget int, intU, memU, brU, fpU *int)
 		}
 		lat := m.lat[d.Lat]
 		for _, loc := range d.Defs[:d.ND] {
-			t.sb[loc] = sbEntry{ready: now + lat}
+			t.sb.set(loc, sbEntry{ready: now + lat})
 		}
 		pc++
 		if k == budget {
@@ -264,7 +263,6 @@ func (m *Machine) issueInOrder(t *Thread, budget int, intU, memU, brU, fpU *int)
 			break
 		}
 	}
-out:
 	t.pc = pc
 	if !perInstr {
 		t.instrs += int64(k)
@@ -295,21 +293,23 @@ func (m *Machine) issueEffect(t *Thread, pc int, d *decode.Decoded) bool {
 	// Default completion time for defined locations.
 	lat := m.lat[d.Lat]
 	for _, loc := range d.Defs[:d.ND] {
-		t.sb[loc] = sbEntry{ready: m.now + lat}
+		t.sb.set(loc, sbEntry{ready: m.now + lat})
 	}
 	if !ef.nullified {
 		switch ef.memKind {
 		case memLoad:
 			acc := m.Hier.Access(ef.memID, ef.memAddr, m.now, true)
-			t.sb[ef.loadDest].ready = m.now + acc.Latency
+			e := t.sb.slot[ef.loadDest]
+			e.ready = m.now + acc.Latency
 			if acc.Level != mem.L1 {
-				t.sb[ef.loadDest].loadLevel = uint8(acc.Level) + 1
+				e.loadLevel = uint8(acc.Level) + 1
 				if m.cycle != nil {
 					// Only the cycle hook's accounting consumes (and
 					// compacts) pending fills; don't grow them unhooked.
 					t.addFill(m.now+acc.Latency, acc.Level)
 				}
 			}
+			t.sb.set(ef.loadDest, e)
 		case memStore:
 			m.Hier.Access(ef.memID, ef.memAddr, m.now, true)
 		case memPrefetch:

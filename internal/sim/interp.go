@@ -50,6 +50,9 @@ func InterpretPredecoded(cfg Config, dp *decode.Program, maxInstrs int64) (*Inte
 // FuzzThreadedEquivalence): the same instruction count, registers, memory
 // and errors.
 func InterpretStepwise(cfg Config, dp *decode.Program, maxInstrs int64) (*InterpResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	return NewPredecoded(cfg, dp).interpret(maxInstrs)
 }
 

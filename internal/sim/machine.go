@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"ssp/internal/ir"
@@ -18,20 +19,59 @@ import (
 // (Table 2).
 const libSlots = ir.LIBSlots
 
-// Thread is one hardware thread context. Its architectural state — register
-// files, predicates, branch registers, live-in buffers — is the embedded
+// Thread is one hardware thread context: the state of its current
+// activation, and the per-context buffers that outlive activations.
+type Thread struct {
+	activation
+
+	// sb is the in-order scoreboard. It survives activations, like pending
+	// and win: a spawn clears only the slots the context's last activation
+	// wrote instead of zeroing the whole array with the activation.
+	sb scoreboard
+
+	// pending tracks outstanding cache fills (for accounting; only
+	// maintained while cycle hooks are installed). Its backing array is
+	// reused across activations; pendDeep and pendNext cache over it.
+	pending []pendingFill
+
+	// OOO state (nil on the in-order model).
+	win *window
+}
+
+// activation is a thread context's per-activation state, zeroed by every
+// spawn on the context. Its architectural state — register files,
+// predicates, branch registers, live-in buffers — is the embedded
 // threaded.Ctx, the same structure the closure-threaded execution core's
 // compiled closures write, so the engines can run specialized steps against
 // thread state with no copying or indirection. Ctx.Mem stays nil on engine
 // threads (their memory instructions go through the handler table, where
 // the hierarchy timing lives).
-type Thread struct {
+type activation struct {
+	// The fields the cycle loops read for every selected thread come
+	// first, ahead of the 2 KB of architectural state, so that selection
+	// and a blocked thread's issue attempt touch one host cache line.
 	idx    int
 	active bool
 	spec   bool
+	// wakeLevel, wakePC and wakeAt are the scoreboard wake cache: when
+	// the instruction at wakePC blocked on the scoreboard, wakeAt is the
+	// ready cycle of its first unready source and wakeLevel that source's
+	// loadLevel. While the thread is still at wakePC and the clock is
+	// before wakeAt the instruction is still blocked on the same source —
+	// only the thread's own issue writes its scoreboard, and to issue
+	// wakePC the clock must reach wakeAt — so the issue path and the
+	// fast-forward probe answer from here without reading the scoreboard.
+	// A zero wakeAt (fresh activation) never hits.
+	wakeLevel uint8
+	pc        int
+	// frontStallUntil blocks issue/dispatch until the given cycle
+	// (misprediction refill, spawn flush, thread startup).
+	frontStallUntil int64
+	wakePC          int
+	wakeAt          int64
+	instrs          int64
 
 	threaded.Ctx
-	pc int
 
 	// resumePC is where the main thread resumes after a chk.c stub, set
 	// when the exception is taken and consumed by the stub's spawn
@@ -39,33 +79,16 @@ type Thread struct {
 	// executing the stub block as its recovery code").
 	resumePC int
 
-	// frontStallUntil blocks issue/dispatch until the given cycle
-	// (misprediction refill, spawn flush, thread startup).
-	frontStallUntil int64
 	// lastChkTaken rate-limits chk.c exceptions (Config.SpawnCooldown).
 	lastChkTaken int64
 
-	instrs int64
-
-	// In-order scoreboard: per-location ready cycle and, for locations
-	// produced by an outstanding load, the satisfying level + 1. One array
-	// of pairs rather than two parallel arrays: the issue loop touches
-	// ready and loadLevel of the same location back to back, so pairing
-	// them halves the bounds checks and keeps both on one cache line.
-	sb [ir.NumLocs]sbEntry
-
-	// pending tracks outstanding cache fills (for accounting; only
-	// maintained while cycle hooks are installed). pendDeep and pendNext
-	// cache the deepest level among them and their earliest readyAt: until
-	// the clock reaches pendNext no fill completes, so deepestOutstanding
-	// answers from the cache instead of rescanning. The zero pendNext of a
-	// fresh context forces one rescan, which also sets it.
-	pending  []pendingFill
+	// pendDeep and pendNext cache the deepest level among the thread's
+	// pending fills and their earliest readyAt: until the clock reaches
+	// pendNext no fill completes, so deepestOutstanding answers from the
+	// cache instead of rescanning. The zero pendNext of a fresh activation
+	// forces one rescan, which also sets it.
 	pendDeep mem.Level
 	pendNext int64
-
-	// OOO state (nil on the in-order model).
-	win *window
 }
 
 // sbEntry is one in-order scoreboard slot: the cycle its location becomes
@@ -74,6 +97,64 @@ type Thread struct {
 type sbEntry struct {
 	ready     int64
 	loadLevel uint8
+}
+
+// scoreboard is the in-order scoreboard: one slot per architectural
+// location, as an array of pairs rather than two parallel arrays (the issue
+// loop touches ready and loadLevel of the same location back to back).
+//
+// dirty marks the slots written since the last clear; an activation writes
+// a handful of the NumLocs slots, so the next spawn on the context (and
+// Reset) zeroes only those. Every write goes through set.
+type scoreboard struct {
+	slot  [ir.NumLocs]sbEntry
+	dirty [(ir.NumLocs + 63) / 64]uint64
+}
+
+// set writes slot loc and marks it dirty.
+func (s *scoreboard) set(loc ir.Loc, e sbEntry) {
+	s.slot[loc] = e
+	s.dirty[loc>>6] |= 1 << (loc & 63)
+}
+
+// clear zeroes every slot marked dirty.
+func (s *scoreboard) clear() {
+	for w, word := range s.dirty {
+		for ; word != 0; word &= word - 1 {
+			s.slot[w<<6|bits.TrailingZeros64(word)] = sbEntry{}
+		}
+		s.dirty[w] = 0
+	}
+}
+
+// stall returns the first source of d that is not ready at now, or nil.
+func (s *scoreboard) stall(d *decode.Decoded, now int64) *sbEntry {
+	for _, loc := range d.Uses[:d.NU] {
+		if e := &s.slot[loc]; e.ready > now {
+			return e
+		}
+	}
+	return nil
+}
+
+// waiting reports whether the wake cache proves t still blocked on the
+// scoreboard at now.
+func (t *Thread) waiting(now int64) bool {
+	return t.pc == t.wakePC && now < t.wakeAt
+}
+
+// wakeLoad returns the wake cache's blocking source as issueInOrder reports
+// it: whether an outstanding load produces it, and from which level.
+func (t *Thread) wakeLoad() (mem.Level, bool) {
+	if t.wakeLevel == 0 {
+		return 0, false
+	}
+	return mem.Level(t.wakeLevel - 1), true
+}
+
+// block fills the wake cache: the instruction at pc waits on source e.
+func (t *Thread) block(pc int, e *sbEntry) {
+	t.wakePC, t.wakeAt, t.wakeLevel = pc, e.ready, e.loadLevel
 }
 
 // Context returns the hardware context index of the thread.
@@ -187,12 +268,15 @@ type Machine struct {
 
 	mainDone bool
 	rr       int // round-robin cursor over speculative threads
-	// liveSpec counts active speculative threads, maintained at the single
-	// activation/deactivation points (startThread/killThread). It lets the
-	// per-cycle paths skip the thread-selection scan and index the
-	// utilization histogram without walking every context; Conservation's
-	// sum(SpecActiveHist) == Cycles invariant cross-checks it every run.
+	// liveSpec counts active speculative threads and specMask holds them
+	// (bit i = threads[i]), both maintained at the single
+	// activation/deactivation points (startThread/killThread). They let
+	// the per-cycle paths skip thread selection, select over the mask
+	// instead of walking every context, and index the utilization
+	// histogram; Conservation's sum(SpecActiveHist) == Cycles invariant
+	// cross-checks liveSpec every run.
 	liveSpec int
+	specMask uint64
 }
 
 // New builds a machine for the image under the given configuration,
@@ -217,13 +301,14 @@ func ThreadedProgram(dp *decode.Program) *threaded.Program {
 }
 
 // NewPredecoded builds a machine over an already-predecoded image.
+// A machine built for an invalid configuration (Config.Validate) reports the
+// error from Run.
 func NewPredecoded(cfg Config, dp *decode.Program) *Machine {
 	m := &Machine{
 		Mem:  mem.NewMemory(),
-		Hier: mem.NewHierarchy(cfg.Mem),
 		Pred: bpred.New(),
 	}
-	m.Reset(cfg, dp)
+	_ = m.Reset(cfg, dp) // an invalid cfg fails Run with the same error
 	return m
 }
 
@@ -239,8 +324,14 @@ func NewPredecoded(cfg Config, dp *decode.Program) *Machine {
 // Results returned by earlier runs stay valid: Run detaches the hierarchy
 // statistics, and Reset allocates fresh histogram/profile slices instead of
 // clearing the ones previous Results still reference.
-func (m *Machine) Reset(cfg Config, dp *decode.Program) {
+//
+// An invalid configuration (Config.Validate) is recorded but builds nothing;
+// Reset returns its error, and so does every Run until a valid Reset.
+func (m *Machine) Reset(cfg Config, dp *decode.Program) error {
 	m.Cfg = cfg
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	m.Img = dp.Img
 	m.code = dp.Code
 	m.steps = ThreadedProgram(dp).Steps
@@ -258,7 +349,7 @@ func (m *Machine) Reset(cfg Config, dp *decode.Program) {
 		decode.LatFP:  cfg.FPLat,
 		decode.LatLIB: cfg.LIBCopyLat,
 	}
-	if mem.SameGeometry(m.Hier.Cfg, cfg.Mem) {
+	if m.Hier != nil && mem.SameGeometry(m.Hier.Cfg, cfg.Mem) {
 		m.Hier.Cfg = cfg.Mem
 		m.Hier.Reset()
 	} else {
@@ -271,16 +362,15 @@ func (m *Machine) Reset(cfg Config, dp *decode.Program) {
 	if len(m.threads) != cfg.Contexts {
 		m.threads = make([]*Thread, cfg.Contexts)
 		for i := range m.threads {
-			m.threads[i] = &Thread{idx: i, resumePC: -1, lastChkTaken: -1 << 40}
+			m.threads[i] = &Thread{activation: activation{idx: i, resumePC: -1, lastChkTaken: -1 << 40}}
 		}
 	} else {
 		for i, t := range m.threads {
-			pending := t.pending[:0]
-			win := t.win
-			*t = Thread{idx: i, resumePC: -1, lastChkTaken: -1 << 40}
-			t.pending = pending
-			if cfg.Model == OOO {
-				t.win = win
+			t.activation = activation{idx: i, resumePC: -1, lastChkTaken: -1 << 40}
+			t.sb.clear()
+			t.pending = t.pending[:0]
+			if cfg.Model != OOO {
+				t.win = nil
 			}
 		}
 	}
@@ -293,6 +383,7 @@ func (m *Machine) Reset(cfg Config, dp *decode.Program) {
 	m.mainDone = false
 	m.rr = 0
 	m.liveSpec = 0
+	m.specMask = 0
 	m.SetCycleHooks(statsHooks{})
 	if cfg.Profile {
 		m.res.PCCount = make([]uint64, len(dp.Code))
@@ -305,6 +396,7 @@ func (m *Machine) Reset(cfg Config, dp *decode.Program) {
 	// speculative. Sizing it Contexts (and guarding the index) silently
 	// dropped that last bucket, breaking sum(SpecActiveHist) == Cycles.
 	m.res.SpecActiveHist = make([]int64, cfg.Contexts+1)
+	return nil
 }
 
 // recordUtilization tallies the number of active speculative contexts this
@@ -331,18 +423,18 @@ func (m *Machine) freeContext() *Thread {
 // the parent's outgoing live-in buffer — the inter-thread communication path
 // through the RSE backing store (§2.1).
 func (m *Machine) startThread(c *Thread, pc int, parent *Thread) {
-	idx := c.idx
-	// The pending slice and OOO window keep their backing arrays across the
-	// context's lifetimes, so steady-state spawning allocates nothing.
-	pending := c.pending[:0]
-	win := c.win
-	*c = Thread{idx: idx, active: true, spec: true, pc: pc, resumePC: -1}
+	// The scoreboard, pending slice and OOO window keep their backing
+	// arrays across the context's lifetimes, so steady-state spawning
+	// allocates nothing and zeroes only what the last activation wrote.
+	c.sb.clear()
+	c.activation = activation{idx: c.idx, active: true, spec: true, pc: pc, resumePC: -1}
 	m.liveSpec++
-	c.pending = pending
+	m.specMask |= 1 << c.idx
+	c.pending = c.pending[:0]
 	c.InLIB = parent.OutLIB
 	c.frontStallUntil = m.now + m.Cfg.SpawnStartup
 	if m.Cfg.Model == OOO {
-		c.win = win.reset(m.Cfg.ROBSize, m.Cfg.RSSize)
+		c.win = c.win.reset(m.Cfg.ROBSize, m.Cfg.RSSize)
 	}
 }
 
@@ -351,6 +443,7 @@ func (m *Machine) startThread(c *Thread, pc int, parent *Thread) {
 func (m *Machine) killThread(t *Thread) {
 	if t.active && t.spec {
 		m.liveSpec--
+		m.specMask &^= 1 << t.idx
 	}
 	t.active = false
 }
@@ -386,6 +479,9 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 		m.stop.Store(false)
 		cancel := context.AfterFunc(ctx, m.Interrupt)
 		defer cancel()
+	}
+	if err := m.Cfg.Validate(); err != nil {
+		return nil, err
 	}
 	m.main().active = true
 	m.main().pc = m.Img.Entry

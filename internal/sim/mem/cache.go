@@ -1,5 +1,14 @@
 package mem
 
+// way is one cache or TLB entry: its biased tag (0 = invalid, tag 0 reserved
+// via a +1 bias) and its LRU stamp. The pair is stored together so a set's
+// scan reads one host cache line per way group instead of one from a tag
+// array and another from a parallel LRU array.
+type way struct {
+	tag uint64
+	lru int64
+}
+
 // Cache is one level of set-associative cache with LRU replacement. Only
 // tags are tracked: data always comes from the flat Memory (timing and
 // contents are decoupled, as in trace-driven simulators).
@@ -7,8 +16,7 @@ type Cache struct {
 	ways     int
 	sets     int
 	lineBits uint
-	tags     []uint64 // sets*ways entries; 0 = invalid (tag 0 reserved via +1 bias)
-	lru      []int64
+	w        []way // sets*ways entries, set-major
 	clock    int64
 }
 
@@ -25,24 +33,24 @@ func NewCache(sizeBytes, ways, lineBytes int) *Cache {
 		ways:     ways,
 		sets:     sets,
 		lineBits: lb,
-		tags:     make([]uint64, sets*ways),
-		lru:      make([]int64, sets*ways),
+		w:        make([]way, sets*ways),
 	}
 }
 
-// line returns the line address (addr with offset bits stripped).
-func (c *Cache) line(addr uint64) uint64 { return addr >> c.lineBits }
+// set returns the ways of the set holding biased line tag ln.
+func (c *Cache) set(ln uint64) []way {
+	base := (int(ln) & (c.sets - 1)) * c.ways
+	return c.w[base : base+c.ways]
+}
 
 // Lookup probes the cache; on a hit the line's LRU stamp is refreshed.
 func (c *Cache) Lookup(addr uint64) bool {
-	ln := c.line(addr) + 1
-	set := int(ln) & (c.sets - 1)
-	base := set * c.ways
-	tags := c.tags[base : base+c.ways]
-	for w := range tags {
-		if tags[w] == ln {
+	ln := addr>>c.lineBits + 1
+	set := c.set(ln)
+	for i := range set {
+		if set[i].tag == ln {
 			c.clock++
-			c.lru[base+w] = c.clock
+			set[i].lru = c.clock
 			return true
 		}
 	}
@@ -52,35 +60,29 @@ func (c *Cache) Lookup(addr uint64) bool {
 // Insert fills the line, evicting the LRU way if the set is full. Inserting
 // a line already present just refreshes it.
 func (c *Cache) Insert(addr uint64) {
-	ln := c.line(addr) + 1
-	set := int(ln) & (c.sets - 1)
-	base := set * c.ways
-	tags := c.tags[base : base+c.ways]
-	lru := c.lru[base : base+c.ways]
+	ln := addr>>c.lineBits + 1
+	set := c.set(ln)
 	victim := 0
 	c.clock++
-	for w := range tags {
-		if tags[w] == ln {
-			lru[w] = c.clock
+	for i := range set {
+		w := &set[i]
+		if w.tag == ln {
+			w.lru = c.clock
 			return
 		}
-		if tags[w] == 0 {
-			victim = w
+		if w.tag == 0 {
+			victim = i
 			break
 		}
-		if lru[w] < lru[victim] {
-			victim = w
+		if w.lru < set[victim].lru {
+			victim = i
 		}
 	}
-	tags[victim] = ln
-	lru[victim] = c.clock
+	set[victim] = way{tag: ln, lru: c.clock}
 }
 
 // Reset invalidates the whole cache.
 func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.lru[i] = 0
-	}
+	clear(c.w)
 	c.clock = 0
 }

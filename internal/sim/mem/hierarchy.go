@@ -1,5 +1,7 @@
 package mem
 
+import "math/bits"
+
 // Level identifies where an access was satisfied.
 type Level uint8
 
@@ -40,7 +42,9 @@ type Config struct {
 	// Latencies in cycles to satisfy an access from each level.
 	L1Lat, L2Lat, L3Lat, MemLat int64
 
-	// FillBufferEntries bounds the number of lines in transit.
+	// FillBufferEntries bounds the number of lines in transit: 1..64, the
+	// width of the hierarchy's fill-buffer valid mask (sim.Config.Validate
+	// rejects anything else before a hierarchy is built).
 	FillBufferEntries int
 
 	// TLBEntries/TLBWays/TLBPageBytes size the data TLB; TLBPenalty is the
@@ -123,12 +127,12 @@ func (s *LoadStat) L1MissRate() float64 {
 	return float64(miss) / float64(s.Accesses)
 }
 
-// fbEntry is a fill-buffer slot: a line in transit.
+// fbEntry is a fill-buffer slot: a line in transit. Whether the slot is in
+// use is its bit in Hierarchy.fbMask.
 type fbEntry struct {
 	line    uint64
 	readyAt int64
 	level   Level
-	valid   bool
 }
 
 // fbNever is the cached-earliest sentinel when no fill is in flight.
@@ -142,9 +146,10 @@ const fbNever = int64(1) << 62
 //
 // Per-load statistics live in a dense slice indexed by static instruction ID
 // (the decode layer assigns small contiguous IDs); the exported map view is
-// materialized on demand by ByLoad. The fill buffer keeps a live-entry count
-// and a cached earliest completion so the common no-fill-pending case costs
-// two compares instead of a scan.
+// materialized on demand by ByLoad. The fill buffer keeps a valid mask and
+// a cached earliest completion so the common no-fill-pending case costs two
+// compares instead of a scan, and every search visits only the slots in use,
+// in ascending slot order.
 type Hierarchy struct {
 	Cfg       Config
 	lineShift uint
@@ -152,8 +157,9 @@ type Hierarchy struct {
 	l2        *Cache
 	l3        *Cache
 	fb        []fbEntry
-	fbLive    int   // valid fill-buffer entries
-	fbReady   int64 // min readyAt over valid entries; fbNever when none
+	fbMask    uint64 // bit i set = fb[i] holds a line in transit
+	fbFull    uint64 // fbMask with every slot in use
+	fbReady   int64  // min readyAt over valid entries; fbNever when none
 	tlb       *TLB
 
 	// loads holds per-instruction-ID stats densely; byLoad caches the map
@@ -218,6 +224,7 @@ func NewHierarchy(cfg Config) *Hierarchy {
 		l2:      NewCache(cfg.L2Size, cfg.L2Ways, cfg.LineBytes),
 		l3:      NewCache(cfg.L3Size, cfg.L3Ways, cfg.LineBytes),
 		fb:      make([]fbEntry, cfg.FillBufferEntries),
+		fbFull:  ^uint64(0) >> (64 - cfg.FillBufferEntries),
 		fbReady: fbNever,
 	}
 	h.lineShift = uint(lineBits(cfg.LineBytes))
@@ -302,22 +309,19 @@ func (h *Hierarchy) DetachStats() *Hierarchy {
 // installing their lines into the hierarchy (inclusive fill). When nothing
 // has completed — the overwhelmingly common case — this is two compares.
 func (h *Hierarchy) drain(now int64) {
-	if h.fbLive == 0 || h.fbReady > now {
+	if h.fbMask == 0 || h.fbReady > now {
 		return
 	}
 	ready := fbNever
-	for i := range h.fb {
+	for live := h.fbMask; live != 0; live &= live - 1 {
+		i := bits.TrailingZeros64(live)
 		e := &h.fb[i]
-		if !e.valid {
-			continue
-		}
 		if e.readyAt <= now {
 			addr := e.line << h.lineShift
 			h.l1.Insert(addr)
 			h.l2.Insert(addr)
 			h.l3.Insert(addr)
-			e.valid = false
-			h.fbLive--
+			h.fbMask &^= 1 << i
 		} else if e.readyAt < ready {
 			ready = e.readyAt
 		}
@@ -332,7 +336,7 @@ func (h *Hierarchy) drain(now int64) {
 // access by any thread from a miss into a hit, so the machine's timing is
 // only provably static up to this boundary.
 func (h *Hierarchy) EarliestPending(now int64) (int64, bool) {
-	if h.fbLive == 0 {
+	if h.fbMask == 0 {
 		return 0, false
 	}
 	if h.fbReady > now {
@@ -341,9 +345,9 @@ func (h *Hierarchy) EarliestPending(now int64) (int64, bool) {
 	// Some entries have completed but not yet drained; scan for the
 	// earliest strictly beyond now.
 	earliest, any := int64(0), false
-	for i := range h.fb {
-		e := &h.fb[i]
-		if e.valid && e.readyAt > now && (!any || e.readyAt < earliest) {
+	for live := h.fbMask; live != 0; live &= live - 1 {
+		e := &h.fb[bits.TrailingZeros64(live)]
+		if e.readyAt > now && (!any || e.readyAt < earliest) {
 			earliest, any = e.readyAt, true
 		}
 	}
@@ -410,20 +414,26 @@ func (h *Hierarchy) Access(id int, addr uint64, now int64, count bool) Access {
 	return res
 }
 
+// inFlight returns the fill-buffer entry carrying line, or nil. A line is in
+// transit at most once: both access paths search here before allocating.
+func (h *Hierarchy) inFlight(line uint64) *fbEntry {
+	for live := h.fbMask; live != 0; live &= live - 1 {
+		if e := &h.fb[bits.TrailingZeros64(live)]; e.line == line {
+			return e
+		}
+	}
+	return nil
+}
+
 func (h *Hierarchy) access(addr uint64, now int64) Access {
 	line := addr >> h.lineShift
 	// Partial hit: the line is already in transit.
-	if h.fbLive > 0 {
-		for i := range h.fb {
-			e := &h.fb[i]
-			if e.valid && e.line == line {
-				lat := e.readyAt - now
-				if lat < 1 {
-					lat = 1
-				}
-				return Access{Level: e.level, Partial: true, Latency: lat + h.Cfg.L1Lat}
-			}
+	if e := h.inFlight(line); e != nil {
+		lat := e.readyAt - now
+		if lat < 1 {
+			lat = 1
 		}
+		return Access{Level: e.level, Partial: true, Latency: lat + h.Cfg.L1Lat}
 	}
 	if h.l1.Lookup(addr) {
 		return Access{Level: L1, Latency: h.Cfg.L1Lat}
@@ -443,28 +453,20 @@ func (h *Hierarchy) access(addr uint64, now int64) Access {
 	// is full of in-flight entries the request waits for the earliest
 	// completion (back pressure).
 	extra := int64(0)
-	if h.fbLive == len(h.fb) {
-		// Full: the cached earliest completion is exactly the scan the
-		// original code performed here.
+	if h.fbMask == h.fbFull {
+		// Full: wait for the earliest completion, which drain then frees.
 		extra = h.fbReady - now
 		if extra < 0 {
 			extra = 0
 		}
 		h.drain(h.fbReady)
 	}
-	slot := -1
-	for i := range h.fb {
-		if !h.fb[i].valid {
-			slot = i
-			break
-		}
-	}
-	if slot == -1 {
-		slot = 0 // defensive; drain always frees at least one
-	}
+	// The lowest free slot: drain always frees at least one of a full
+	// buffer, since fbReady is a valid entry's completion.
+	slot := bits.TrailingZeros64(^h.fbMask)
 	readyAt := now + extra + lat
-	h.fb[slot] = fbEntry{line: line, readyAt: readyAt, level: lvl, valid: true}
-	h.fbLive++
+	h.fb[slot] = fbEntry{line: line, readyAt: readyAt, level: lvl}
+	h.fbMask |= 1 << slot
 	if readyAt < h.fbReady {
 		h.fbReady = readyAt
 	}
@@ -482,17 +484,13 @@ func (h *Hierarchy) Prefetch(id int, addr uint64, now int64) Access {
 	}
 	h.drain(now)
 	line := addr >> h.lineShift
-	if h.fbLive > 0 {
-		for i := range h.fb {
-			if h.fb[i].valid && h.fb[i].line == line {
-				return Access{Level: h.fb[i].level, Partial: true, Latency: 1}
-			}
-		}
+	if e := h.inFlight(line); e != nil {
+		return Access{Level: e.level, Partial: true, Latency: 1}
 	}
 	if h.l1.Lookup(addr) {
 		return Access{Level: L1, Latency: h.Cfg.L1Lat}
 	}
-	if h.fbLive == len(h.fb) {
+	if h.fbMask == h.fbFull {
 		h.DroppedPrefetches++
 		return Access{Level: L1, Latency: 1}
 	}
@@ -507,10 +505,8 @@ func (h *Hierarchy) Reset() {
 	h.l1.Reset()
 	h.l2.Reset()
 	h.l3.Reset()
-	for i := range h.fb {
-		h.fb[i] = fbEntry{}
-	}
-	h.fbLive = 0
+	clear(h.fb)
+	h.fbMask = 0
 	h.fbReady = fbNever
 	if h.tlb != nil {
 		h.tlb.Reset()

@@ -8,9 +8,13 @@ type TLB struct {
 	ways     int
 	sets     int
 	pageBits uint
-	tags     []uint64
-	lru      []int64
+	w        []way // entries, set-major
 	clock    int64
+	// mru indexes the entry that hit or was filled last. Consecutive
+	// accesses mostly touch the same page, so Translate tests it before
+	// scanning the set; a page lives in at most one way, so a match there
+	// is the hit the scan would find.
+	mru int
 }
 
 // NewTLB builds a TLB with the given entry count, associativity, and page
@@ -24,8 +28,7 @@ func NewTLB(entries, ways, pageBytes int) *TLB {
 		ways:     ways,
 		sets:     entries / ways,
 		pageBits: pb,
-		tags:     make([]uint64, entries),
-		lru:      make([]int64, entries),
+		w:        make([]way, entries),
 	}
 }
 
@@ -33,32 +36,36 @@ func NewTLB(entries, ways, pageBytes int) *TLB {
 // whether the access missed.
 func (t *TLB) Translate(addr uint64) (missed bool) {
 	page := addr>>t.pageBits + 1
-	set := int(page) & (t.sets - 1)
-	base := set * t.ways
-	victim := base
 	t.clock++
-	for w := 0; w < t.ways; w++ {
-		i := base + w
-		if t.tags[i] == page {
-			t.lru[i] = t.clock
+	if e := &t.w[t.mru]; e.tag == page {
+		e.lru = t.clock
+		return false
+	}
+	base := (int(page) & (t.sets - 1)) * t.ways
+	set := t.w[base : base+t.ways]
+	victim := 0
+	for i := range set {
+		e := &set[i]
+		if e.tag == page {
+			e.lru = t.clock
+			t.mru = base + i
 			return false
 		}
-		if t.tags[i] == 0 {
+		// The last invalid way, else the first least recently used one.
+		if e.tag == 0 {
 			victim = i
-		} else if t.tags[victim] != 0 && t.lru[i] < t.lru[victim] {
+		} else if set[victim].tag != 0 && e.lru < set[victim].lru {
 			victim = i
 		}
 	}
-	t.tags[victim] = page
-	t.lru[victim] = t.clock
+	set[victim] = way{tag: page, lru: t.clock}
+	t.mru = base + victim
 	return true
 }
 
 // Reset invalidates all entries.
 func (t *TLB) Reset() {
-	for i := range t.tags {
-		t.tags[i] = 0
-		t.lru[i] = 0
-	}
+	clear(t.w)
 	t.clock = 0
+	t.mru = 0
 }

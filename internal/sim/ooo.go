@@ -244,6 +244,7 @@ func (m *Machine) runOOO() {
 	main := m.main()
 	main.win = main.win.reset(m.Cfg.ROBSize, m.Cfg.RSSize)
 	var sel [maxSelect]*Thread
+	slotsFor := m.slotTable()
 
 	for !m.mainDone {
 		if m.now >= m.Cfg.MaxCycles {
@@ -256,18 +257,12 @@ func (m *Machine) runOOO() {
 		}
 		m.now++
 
-		// Retire; a drained speculative thread that executed kill frees
-		// its context here (retirement-stage termination). With no live
-		// speculative thread only main can retire.
+		// Retire, over main (context 0) and the active speculative
+		// contexts; a drained speculative thread that executed kill frees
+		// its context here (retirement-stage termination).
 		retired := false
-		retireSet := m.threads
-		if m.liveSpec == 0 {
-			retireSet = m.threads[:1]
-		}
-		for _, t := range retireSet {
-			if !t.active || t.win == nil {
-				continue
-			}
+		for live := m.specMask | 1; live != 0; live &= live - 1 {
+			t := m.threads[bits.TrailingZeros64(live)]
 			w := t.win
 			for k := 0; k < m.Cfg.RetireWidth && w.headAbs < w.tailAbs; k++ {
 				if w.at(w.headAbs).doneAt > m.now {
@@ -282,34 +277,12 @@ func (m *Machine) runOOO() {
 		}
 
 		// Select threads (main first) for issue and dispatch bandwidth.
-		n := 0
-		sel[n] = main
-		n++
+		sel[0] = main
+		n := 1
 		if m.liveSpec > 0 {
-			for scan, picked := 0, 0; scan < len(m.threads) && picked < m.Cfg.ThreadsPerCycle-1 && n < len(sel); scan++ {
-				// m.rr moves on every pick, so the index is recomputed from
-				// it each iteration; rr and scan are both < len, so one
-				// conditional subtract replaces the modulo.
-				idx := m.rr + scan
-				if idx >= len(m.threads) {
-					idx -= len(m.threads)
-				}
-				t := m.threads[idx]
-				if t == main || !t.active {
-					continue
-				}
-				sel[n] = t
-				n++
-				picked++
-				if m.rr = t.idx + 1; m.rr == len(m.threads) {
-					m.rr = 0
-				}
-			}
+			m.rr, n = m.pickSpec(m.rr, m.specMask&^1, &sel, n)
 		}
-		slots := m.Cfg.IssueWidth
-		if n > 1 {
-			slots /= n
-		}
+		slots := slotsFor[n]
 
 		// Issue (wakeup/select).
 		fus := m.units

@@ -38,7 +38,7 @@ func (p *Pool) Get(cfg Config, dp *decode.Program) *Machine {
 	if v := p.p.Get(); v != nil {
 		p.hits.Add(1)
 		m := v.(*Machine)
-		m.Reset(cfg, dp)
+		_ = m.Reset(cfg, dp) // an invalid cfg fails the machine's Run with the same error
 		return m
 	}
 	return NewPredecoded(cfg, dp)
