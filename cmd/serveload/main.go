@@ -65,6 +65,26 @@ func main() {
 	}
 }
 
+// writeReport writes rep to path. Keys of an existing file that the report
+// does not set (recorded experiments beside the load numbers) are kept.
+func writeReport(path string, rep report) error {
+	fields := make(map[string]json.RawMessage)
+	if old, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(old, &fields); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+	}
+	data, _ := json.Marshal(rep)
+	if err := json.Unmarshal(data, &fields); err != nil {
+		return err
+	}
+	out, err := json.MarshalIndent(fields, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(out, '\n'), 0o644)
+}
+
 // goldenCell is the validated stat subset, field-compatible with both the
 // golden baseline file and the server's result payload.
 type goldenCell struct {
@@ -105,7 +125,11 @@ type report struct {
 		P99 float64 `json:"p99"`
 		Max float64 `json:"max"`
 	} `json:"latency_ms"`
-	Server serve.Stats `json:"server"`
+	// CacheBytes and Evictions are the server's pipeline-cache resident
+	// bytes and evictions at the end of the run (from /statz).
+	CacheBytes int64       `json:"cache_bytes"`
+	Evictions  int64       `json:"evictions"`
+	Server     serve.Stats `json:"server"`
 }
 
 func run(o options) error {
@@ -212,11 +236,12 @@ func run(o options) error {
 	if err := fetchJSON(client, base+"/statz", &rep.Server); err != nil {
 		return fmt.Errorf("statz: %w", err)
 	}
+	rep.CacheBytes, rep.Evictions = rep.Server.Cache.Bytes, rep.Server.Cache.Evictions
 
 	out, _ := json.MarshalIndent(rep, "", "  ")
 	fmt.Println(string(out))
 	if o.Out != "" {
-		if err := os.WriteFile(o.Out, append(out, '\n'), 0o644); err != nil {
+		if err := writeReport(o.Out, rep); err != nil {
 			return err
 		}
 	}

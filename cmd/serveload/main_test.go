@@ -1,7 +1,10 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -45,5 +48,32 @@ func TestQuantileMS(t *testing.T) {
 	}
 	if got := quantileMS(ds, 0.01); got != 1 {
 		t.Errorf("p1 of 1..4ms = %v, want 1 (clamped)", got)
+	}
+}
+
+// TestWriteReportKeepsRecords: -out replaces the load numbers of an existing
+// report and keeps every other key recorded in the file.
+func TestWriteReportKeepsRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "serve.json")
+	if err := os.WriteFile(path, []byte(`{"jobs": 1, "recorded": {"pairs": [1, 2]}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeReport(path, report{Jobs: 144, Evictions: 3}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Jobs      int             `json:"jobs"`
+		Evictions int64           `json:"evictions"`
+		Recorded  json.RawMessage `json:"recorded"`
+	}
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Jobs != 144 || got.Evictions != 3 || !strings.Contains(string(got.Recorded), `"pairs"`) {
+		t.Errorf("rewritten report:\n%s", data)
 	}
 }

@@ -9,13 +9,22 @@
 //
 //	sspserved -addr :8344 -workers 8 -queue 64
 //	sspserved -tune                      # also admit tune-mode jobs
+//	sspserved -cache-mb 64               # 64 MiB pipeline cache per scale
 //
 // Endpoints:
 //
 //	POST /jobs     submit a job (JSON body; SSE stream with
 //	               "Accept: text/event-stream")
 //	GET  /healthz  liveness (503 while draining)
-//	GET  /statz    counters: requests, hit/miss, capacity, machine pool
+//	GET  /statz    counters: requests, hit/miss, capacity, machine pool,
+//	               and the pipeline cache (resident bytes, entries and
+//	               evictions per stage)
+//
+// The server keeps one pipeline cache per scale (test and paper). Each is
+// bounded by -cache-mb: past it, the least recently useful completed cells
+// are evicted and recomputed on their next request. The default, 0, is
+// 32 MiB for the test scale and 256 MiB for the paper scale, which hold the
+// whole 48-cell matrix of either; -1 keeps every cell.
 //
 // Source jobs are vetted by the speculation-safety verifier before
 // admission: if the submitted IR carries slice regions that cannot be proved
@@ -53,6 +62,7 @@ type options struct {
 	Timeout    time.Duration
 	DrainGrace time.Duration
 	EnableTune bool
+	CacheMB    int64
 
 	CPUProfile, MemProfile string
 }
@@ -65,6 +75,7 @@ func main() {
 	flag.DurationVar(&o.Timeout, "timeout", 120*time.Second, "default per-job deadline")
 	flag.DurationVar(&o.DrainGrace, "drain-grace", 30*time.Second, "how long to wait for in-flight jobs on shutdown")
 	flag.BoolVar(&o.EnableTune, "tune", false, "admit tune-mode jobs (closed-loop options search; many simulations per job)")
+	flag.Int64Var(&o.CacheMB, "cache-mb", 0, "pipeline cache budget per scale in MiB (0 = 32 test, 256 paper; -1 = unbounded)")
 	flag.StringVar(&o.CPUProfile, "cpuprofile", "", "write a host CPU profile here")
 	flag.StringVar(&o.MemProfile, "memprofile", "", "write a host heap profile here")
 	flag.Parse()
@@ -90,6 +101,7 @@ func run(parent context.Context, o options, ready chan<- string) error {
 		Queue:          o.Queue,
 		DefaultTimeout: o.Timeout,
 		EnableTune:     o.EnableTune,
+		CacheBytes:     o.CacheMB << 20,
 	})
 	ln, err := net.Listen("tcp", o.Addr)
 	if err != nil {

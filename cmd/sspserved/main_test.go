@@ -134,3 +134,34 @@ func TestRunBadAddr(t *testing.T) {
 		t.Fatal("run accepted an unusable address")
 	}
 }
+
+// TestRunCacheFlag: -cache-mb sets each scale's pipeline-cache budget, and
+// /statz reports it.
+func TestRunCacheFlag(t *testing.T) {
+	for _, tc := range []struct {
+		mb, want int64
+	}{
+		{0, (32 + 256) << 20},
+		{4, 2 * 4 << 20},
+		{-1, 0},
+	} {
+		base, cancel, done := startServed(t, options{Timeout: time.Minute, DrainGrace: 30 * time.Second, CacheMB: tc.mb})
+		var st serve.Stats
+		resp, err := http.Get(base + "/statz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Cache.BudgetBytes != tc.want {
+			t.Errorf("-cache-mb %d: statz budget %d bytes, want %d", tc.mb, st.Cache.BudgetBytes, tc.want)
+		}
+		cancel()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+}

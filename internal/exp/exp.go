@@ -24,11 +24,9 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ssp/internal/check"
-	"ssp/internal/flight"
 	"ssp/internal/handtuned"
 	"ssp/internal/ir"
 	"ssp/internal/profile"
@@ -117,21 +115,35 @@ type Suite struct {
 	// Progress, when non-nil, is called once per simulation the suite
 	// performs, with the key of the request that performed it, the result,
 	// and the simulation's wall time. Cached hits, and requests whose image
-	// was already simulated, do not fire it. It may be called from many
+	// was already simulated, do not fire it; a simulation the budget
+	// evicted fires it again when recomputed. It may be called from many
 	// goroutines at once.
 	Progress func(key RunKey, res *sim.Result, wall time.Duration)
 
-	// One cell map per stage, each keyed by the stage's inputs: programs by
-	// benchmark name or source hash, binaries by program and treatment
-	// ("base", "hand", or the canonical ssp.Options.Key() — never a summary
-	// of it, so configurations differing in any knob never share a cell),
-	// runs by binary, model, and memory treatment, and simulations by the
-	// content of what they execute (simKey).
-	mu    sync.Mutex
-	progs map[string]*flight.Cell[*program]
-	bins  map[binKey]*flight.Cell[*binary]
-	runs  map[runKey]*runCell
-	sims  map[simKey]*flight.Cell[*sim.Result]
+	// Budget, when positive, bounds the approximate bytes the completed
+	// cells of every stage (and of every Memo over the suite) keep
+	// resident: past it, cells are evicted by recency (cache.go). Zero,
+	// NewSuite's default, keeps every cell for the suite's life. Set it
+	// before the suite's first use.
+	Budget int64
+
+	// One cell stage per pipeline step, each keyed by the step's inputs:
+	// programs by benchmark name or source hash, binaries by program and
+	// treatment ("base", "hand", or the canonical ssp.Options.Key() — never
+	// a summary of it, so configurations differing in any knob never share
+	// a cell), runs by binary, model, and memory treatment, and simulations
+	// by the content of what they execute (simKey). mu guards every stage
+	// and the CLOCK queue (clock from index hand on) of the cells charged
+	// against Budget, which hold used bytes.
+	mu     sync.Mutex
+	progs  *stage[string, *program]
+	bins   *stage[binKey, *binary]
+	runs   *stage[runKey, run]
+	sims   *stage[simKey, *sim.Result]
+	stages []interface{ stats() (string, StageStats) }
+	clock  []resident
+	hand   int
+	used   int64
 
 	// pool recycles machines across runs: Machine.Reset rebinds a machine
 	// to a new (config, program) while reusing its memory pages, hierarchy,
@@ -181,6 +193,7 @@ type simKey struct {
 type request struct {
 	runKey
 	bench, src string       // the program: a built-in benchmark or source text
+	parsed     *ir.Program  // src already parsed, when the caller has it
 	opt        *ssp.Options // the tool's options when treat is their key
 	variant    Variant      // the named variant requested, if any
 }
@@ -290,13 +303,6 @@ type binary struct {
 	image [sha256.Size]byte
 }
 
-// runCell is one run-stage cell. cycles is the live cycle count a served
-// computation publishes (sim.ProgressHooks) for coalesced requests to watch.
-type runCell struct {
-	flight.Cell[run]
-	cycles atomic.Int64
-}
-
 // run is the run stage's value: the result and its binary's tool report.
 type run struct {
 	res *sim.Result
@@ -305,14 +311,13 @@ type run struct {
 
 // NewSuite returns an empty suite at the given scale.
 func NewSuite(s Scale) *Suite {
-	return &Suite{
-		Scale:   s,
-		Workers: runtime.GOMAXPROCS(0),
-		progs:   make(map[string]*flight.Cell[*program]),
-		bins:    make(map[binKey]*flight.Cell[*binary]),
-		runs:    make(map[runKey]*runCell),
-		sims:    make(map[simKey]*flight.Cell[*sim.Result]),
-	}
+	suite := &Suite{Scale: s, Workers: runtime.GOMAXPROCS(0)}
+	suite.progs = newStage[string, *program](suite, "program")
+	suite.bins = newStage[binKey, *binary](suite, "binary")
+	suite.runs = newStage[runKey, run](suite, "run")
+	suite.sims = newStage[simKey, *sim.Result](suite, "sim")
+	suite.sims.chances = simChances
+	return suite
 }
 
 // PoolStats reports the suite's machine-reuse counters.
@@ -322,19 +327,7 @@ func (s *Suite) PoolStats() sim.PoolStats { return s.pool.Stats() }
 func (s *Suite) Cells() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.runs)
-}
-
-// cellOf returns m's cell for k, creating it on first use.
-func cellOf[K comparable, C any](mu *sync.Mutex, m map[K]*C, k K) *C {
-	mu.Lock()
-	defer mu.Unlock()
-	c, ok := m[k]
-	if !ok {
-		c = new(C)
-		m[k] = c
-	}
-	return c
+	return len(s.runs.cells)
 }
 
 // MachineConfig returns the simulator configuration every run of the suite
@@ -362,11 +355,16 @@ func (s *Suite) MachineConfig(model sim.Model) sim.Config {
 // program builds or parses r's program, predecodes it, and profiles it, once
 // per program. The program is published already numbered: analyses that
 // build CFGs over it (cfg.Build renumbers blocks) then only read it, so
-// concurrent adaptations of one shared program never write to it.
-func (s *Suite) program(ctx context.Context, r request) (*program, error) {
-	return cellOf(&s.mu, s.progs, r.prog).Do(ctx, func(ctx context.Context) (*program, error) {
+// concurrent adaptations of one shared program never write to it. The
+// program cell, and the profiling run's sim cell when this call computes
+// it, stay pinned on l.
+func (s *Suite) program(ctx context.Context, r request, l *lease) (*program, error) {
+	p, _, err := do(ctx, s, lookup(s, s.progs, r.prog, l), programBytes, func(ctx context.Context) (*program, error) {
 		p := new(program)
-		if r.src == "" {
+		switch {
+		case r.parsed != nil:
+			p.orig = r.parsed
+		case r.src == "":
 			spec, err := workloads.ByName(r.bench)
 			if err != nil {
 				return nil, err
@@ -377,7 +375,7 @@ func (s *Suite) program(ctx context.Context, r request) (*program, error) {
 			}
 			p.orig, p.want = spec.Build(scale)
 			p.check = true
-		} else {
+		default:
 			orig, err := ir.Parse(r.src)
 			if err != nil {
 				return nil, err
@@ -387,11 +385,12 @@ func (s *Suite) program(ctx context.Context, r request) (*program, error) {
 		for _, f := range p.orig.Funcs {
 			f.Renumber()
 		}
-		if err := s.profile(ctx, r.label().Bench, p, s.MachineConfig(sim.InOrder)); err != nil {
+		if err := s.profile(ctx, r.label().Bench, p, s.MachineConfig(sim.InOrder), l); err != nil {
 			return nil, err
 		}
 		return p, nil
 	})
+	return p, err
 }
 
 // profile predecodes p's original and derives its profile from one
@@ -402,7 +401,7 @@ func (s *Suite) program(ctx context.Context, r request) (*program, error) {
 // conservation layer of any cell, and every later request for the baseline
 // — matrix, served job, or tuner — hits it instead of simulating the
 // original again. Errors read "<bench>: profile: ...".
-func (s *Suite) profile(ctx context.Context, bench string, p *program, cfg sim.Config) error {
+func (s *Suite) profile(ctx context.Context, bench string, p *program, cfg sim.Config, l *lease) error {
 	var err error
 	if p.dp, p.image, err = predecode(p.orig); err != nil {
 		return fmt.Errorf("%s: profile: %w", bench, err)
@@ -410,7 +409,7 @@ func (s *Suite) profile(ctx context.Context, bench string, p *program, cfg sim.C
 	label := RunKey{bench, sim.InOrder, VarBase}
 	k := simKey{image: p.image, model: sim.InOrder, want: p.want, check: p.check}
 	cfg.Profile = true
-	_, res, err := s.simulate(ctx, k, label, cfg, p.dp, nil)
+	_, res, err := s.simulate(ctx, k, label, cfg, p.dp, nil, l)
 	if err == nil && res == nil {
 		// The cell already held an unprofiled run of this image (another
 		// program with the same image got there first): profile outside
@@ -427,10 +426,15 @@ func (s *Suite) profile(ctx context.Context, bench string, p *program, cfg sim.C
 }
 
 // binary adapts (for the hand and tool treatments), links, and predecodes
-// r's binary once per (program, treatment).
-func (s *Suite) binary(ctx context.Context, r request) (*binary, error) {
-	return cellOf(&s.mu, s.bins, r.binKey).Do(ctx, func(ctx context.Context) (*binary, error) {
-		p, err := s.program(ctx, r)
+// r's binary once per (program, treatment). The binary cell and the
+// program cell it reads stay pinned on l.
+func (s *Suite) binary(ctx context.Context, r request, l *lease) (*binary, error) {
+	size := binaryBytes
+	if r.treat == treatBase {
+		size = func(*binary) int64 { return cellBytes } // the program's own image
+	}
+	b, _, err := do(ctx, s, lookup(s, s.bins, r.binKey, l), size, func(ctx context.Context) (*binary, error) {
+		p, err := s.program(ctx, r, l)
 		if err != nil {
 			return nil, err
 		}
@@ -453,6 +457,7 @@ func (s *Suite) binary(ctx context.Context, r request) (*binary, error) {
 		b.dp, b.image, err = predecode(b.prog)
 		return b, err
 	})
+	return b, err
 }
 
 // predecode links, predecodes, and digests p: the one path from a program to
@@ -468,17 +473,15 @@ func predecode(p *ir.Program) (*decode.Program, [sha256.Size]byte, error) {
 	return dp, dp.Digest(), nil
 }
 
-// do resolves the run cell c of request r, computing it on first use and
+// run resolves the run cell c of request r, computing it on first use and
 // reporting whether this caller computed it. admit, when non-nil, marks a
 // served run: only the caller that computes the cell calls it (the serving
 // layer's worker slot; hits and coalesced waiters never do), and if that
 // caller also performs the simulation, it publishes the cell's live cycle
 // count through sim.ProgressHooks, which keeps the default accounting
-// bit-for-bit.
-func (c *runCell) do(ctx context.Context, s *Suite, r request, admit func(context.Context) (func(), error)) (run, bool, error) {
-	ran := false
-	v, err := c.Do(ctx, func(ctx context.Context) (run, error) {
-		ran = true
+// bit-for-bit. The computation pins every cell it resolves until it ends.
+func (s *Suite) run(ctx context.Context, c *cell[runKey, run], r request, admit func(context.Context) (func(), error)) (run, bool, error) {
+	return do(ctx, s, c, runBytes, func(ctx context.Context) (run, error) {
 		var setup func(*sim.Machine)
 		if admit != nil {
 			release, err := admit(ctx)
@@ -488,31 +491,32 @@ func (c *runCell) do(ctx context.Context, s *Suite, r request, admit func(contex
 			defer release()
 			setup = func(m *sim.Machine) { m.SetCycleHooks(sim.ProgressHooks{C: &c.cycles}) }
 		}
-		b, k, cfg, err := s.prepare(ctx, r)
+		var l lease
+		defer s.release(&l)
+		b, k, cfg, err := s.prepare(ctx, r, &l)
 		if err != nil {
 			return run{}, err
 		}
-		res, _, err := s.simulate(ctx, k, r.label(), cfg, b.dp, setup)
+		res, _, err := s.simulate(ctx, k, r.label(), cfg, b.dp, setup, &l)
 		return run{res, b.rep}, err
 	})
-	return v, ran, err
 }
 
 // resolve returns r's run-stage value through its cell.
 func (s *Suite) resolve(ctx context.Context, r request) (run, error) {
-	v, _, err := cellOf(&s.mu, s.runs, r.runKey).do(ctx, s, r, nil)
+	v, _, err := s.run(ctx, lookup(s, s.runs, r.runKey, nil), r, nil)
 	return v, err
 }
 
 // prepare resolves r through the program and binary stages to the
 // simulation it asks for: the binary, the simulation's key, and its machine
-// configuration.
-func (s *Suite) prepare(ctx context.Context, r request) (*binary, simKey, sim.Config, error) {
-	p, err := s.program(ctx, r)
+// configuration. Both cells stay pinned on l.
+func (s *Suite) prepare(ctx context.Context, r request, l *lease) (*binary, simKey, sim.Config, error) {
+	p, err := s.program(ctx, r, l)
 	if err != nil {
 		return nil, simKey{}, sim.Config{}, err
 	}
-	b, err := s.binary(ctx, r)
+	b, err := s.binary(ctx, r, l)
 	if err != nil {
 		return nil, simKey{}, sim.Config{}, err
 	}
@@ -541,9 +545,9 @@ func (s *Suite) prepare(ctx context.Context, r request) (*binary, simKey, sim.Co
 // other caller. With cfg.Profile set, the cell caches and narrates a copy
 // without PCCount and CallEdges: the Result an unprofiled run of the image
 // gives (check.StrategyEquivalence gates this), so a profiling run can
-// stand as the cell.
-func (s *Suite) simulate(ctx context.Context, k simKey, label RunKey, cfg sim.Config, dp *decode.Program, setup func(*sim.Machine)) (cached, full *sim.Result, err error) {
-	cached, err = cellOf(&s.mu, s.sims, k).Do(ctx, func(ctx context.Context) (*sim.Result, error) {
+// stand as the cell. The sim cell stays pinned on l when l is non-nil.
+func (s *Suite) simulate(ctx context.Context, k simKey, label RunKey, cfg sim.Config, dp *decode.Program, setup func(*sim.Machine), l *lease) (cached, full *sim.Result, err error) {
+	cached, _, err = do(ctx, s, lookup(s, s.sims, k, l), resultBytes, func(ctx context.Context) (*sim.Result, error) {
 		// Warm the closure-threaded chain compile before the timed run:
 		// every machine over this image shares the sidecar.
 		sim.ThreadedProgram(dp)
@@ -574,7 +578,9 @@ func (s *Suite) simulate(ctx context.Context, k simKey, label RunKey, cfg sim.Co
 // binary outside every cache (RunInstrumented). setup, when non-nil,
 // instruments the machine first.
 func (s *Suite) compute(ctx context.Context, r request, setup func(*sim.Machine)) (run, time.Duration, error) {
-	b, k, cfg, err := s.prepare(ctx, r)
+	var l lease
+	defer s.release(&l)
+	b, k, cfg, err := s.prepare(ctx, r, &l)
 	if err != nil {
 		return run{}, 0, err
 	}
@@ -689,7 +695,9 @@ func (s *Suite) Report(bench string, v Variant) (*ssp.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	b, err := s.binary(context.Background(), r)
+	var l lease
+	defer s.release(&l)
+	b, err := s.binary(context.Background(), r, &l)
 	if err != nil {
 		return nil, err
 	}
@@ -703,7 +711,9 @@ func (s *Suite) Report(bench string, v Variant) (*ssp.Report, error) {
 // with an arbitrary option set: the binary stage's cell, shared with
 // RunOptions and with any preset variant of equal options.
 func (s *Suite) ProgramOptions(ctx context.Context, bench string, opt ssp.Options) (*ir.Program, *ssp.Report, error) {
-	b, err := s.binary(ctx, newRequest(bench, "", sim.InOrder, &opt))
+	var l lease
+	defer s.release(&l)
+	b, err := s.binary(ctx, newRequest(bench, "", sim.InOrder, &opt), &l)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -716,7 +726,7 @@ func (s *Suite) ProgramOptions(ctx context.Context, bench string, opt ssp.Option
 // The returned structures are shared with the suite's caches — callers must
 // treat them as read-only. The closed-loop tuner re-adapts from these.
 func (s *Suite) Workload(ctx context.Context, bench string) (*ir.Program, uint64, *profile.Profile, error) {
-	p, err := s.program(ctx, newRequest(bench, "", sim.InOrder, nil))
+	p, err := s.program(ctx, newRequest(bench, "", sim.InOrder, nil), nil)
 	if err != nil {
 		return nil, 0, nil, err
 	}
@@ -727,17 +737,21 @@ func (s *Suite) Workload(ctx context.Context, bench string) (*ir.Program, uint64
 type Served struct {
 	s *Suite
 	r request
-	c *runCell
+	c *cell[runKey, run]
 }
 
 // Served returns the run-stage cell of one served job: a built-in benchmark
 // (bench) or a program in the ir syntax (src), run on model as-is (opt nil)
 // or adapted with opt. It is the cell Run, RunOptions, and the tuner resolve
 // for the same program, treatment, and model, so served jobs and experiment
-// cells answer from one cache.
-func (s *Suite) Served(bench, src string, model sim.Model, opt *ssp.Options) Served {
+// cells answer from one cache. parsed, when non-nil, is src already parsed
+// (the serving layer parses a source once, to vet it): the program stage
+// takes it instead of parsing src again and renumbers it, so the caller
+// hands it over. The program cell is keyed by src's hash either way.
+func (s *Suite) Served(bench, src string, parsed *ir.Program, model sim.Model, opt *ssp.Options) Served {
 	r := newRequest(bench, src, model, opt)
-	return Served{s, r, cellOf(&s.mu, s.runs, r.runKey)}
+	r.parsed = parsed
+	return Served{s, r, lookup(s, s.runs, r.runKey, nil)}
 }
 
 // Cycles is the live cycle count of the cell's served computation; requests
@@ -751,7 +765,7 @@ func (h Served) Cycles() int64 { return h.c.cycles.Load() }
 // it acquired when done. The report is the binary's tool report (nil for an
 // unadapted run).
 func (h Served) Do(ctx context.Context, admit func(context.Context) (release func(), err error)) (*sim.Result, *ssp.Report, bool, error) {
-	v, ran, err := h.c.do(ctx, h.s, h.r, admit)
+	v, ran, err := h.s.run(ctx, h.c, h.r, admit)
 	return v.res, v.rep, ran, err
 }
 
@@ -770,7 +784,7 @@ func (s *Suite) Simulate(ctx context.Context, label string, model sim.Model, p *
 		return nil, fmt.Errorf("%s: link: %w", label, err)
 	}
 	k := simKey{image: digest, model: model, want: want, check: true}
-	res, _, err := s.simulate(ctx, k, RunKey{label, model, "external"}, s.MachineConfig(model), dp, nil)
+	res, _, err := s.simulate(ctx, k, RunKey{label, model, "external"}, s.MachineConfig(model), dp, nil, nil)
 	return res, err
 }
 

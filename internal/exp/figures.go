@@ -266,7 +266,7 @@ func (s *Suite) Figure9() ([]Fig9Row, error) {
 	}
 	var rows []Fig9Row
 	for _, b := range PaperBenchmarks() {
-		p, err := s.program(context.Background(), newRequest(b, "", sim.InOrder, nil))
+		p, err := s.program(context.Background(), newRequest(b, "", sim.InOrder, nil), nil)
 		if err != nil {
 			return nil, err
 		}

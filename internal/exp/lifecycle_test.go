@@ -96,7 +96,7 @@ func TestMainKillFailsRun(t *testing.T) {
 	const want = "source/in-order/base: main thread executed thread_kill_self"
 	for _, model := range []sim.Model{sim.InOrder, sim.OOO} {
 		for try := 0; try < 2; try++ {
-			res, _, _, err := s.Served("", src, model, nil).Do(context.Background(), nil)
+			res, _, _, err := s.Served("", src, nil, model, nil).Do(context.Background(), nil)
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("%v try %d: err = %v, want %q", model, try, err, want)
 			}
@@ -230,11 +230,11 @@ func TestProfileRunIsBaselineCell(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := s.program(ctx, r)
+		p, err := s.program(ctx, r, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := s.binary(ctx, r)
+		b, err := s.binary(ctx, r, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +290,7 @@ func TestProfileErrorPrefix(t *testing.T) {
 	s := NewSuite(ScaleTest)
 	cfg := s.MachineConfig(sim.InOrder)
 	cfg.MaxCycles = 1000
-	err = s.profile(context.Background(), "mcf", p, cfg)
+	err = s.profile(context.Background(), "mcf", p, cfg, nil)
 	if err == nil || !strings.HasPrefix(err.Error(), "mcf: profile: ") || !strings.Contains(err.Error(), "watchdog") {
 		t.Fatalf("watchdog during profiling: err = %v", err)
 	}

@@ -37,6 +37,9 @@ func uncacheable(err error) bool {
 		errors.Is(err, ErrTransient))
 }
 
+// Cacheable reports whether Do caches an outcome that ends with err.
+func Cacheable(err error) bool { return !uncacheable(err) }
+
 // run is one attempt at computing a cell's value. done is closed when val/err
 // are final.
 type run[T any] struct {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // buildLoop constructs the paper's Figure 3 mcf-style loop:
@@ -75,6 +76,49 @@ func TestFormatParseRoundTrip(t *testing.T) {
 	text2 := Format(q)
 	if text != text2 {
 		t.Fatalf("round trip mismatch:\n--- first ---\n%s\n--- second ---\n%s", text, text2)
+	}
+}
+
+// TestParseDoesNotPinSource: every name a parsed program keeps (its entry,
+// function names, block labels and branch and call targets) is a copy, not
+// a substring of the source, so a cached program does not keep the whole
+// submitted text alive.
+func TestParseDoesNotPinSource(t *testing.T) {
+	p := buildLoop(t)
+	NewFunc(p, "callee").Block("entry").Ret(0)
+	NewBlockBuilder(p, p.Funcs[0], p.Funcs[0].Blocks[0]).Call("callee")
+	src := Format(p)
+	q, err := Parse(src)
+	if err != nil {
+		t.Fatalf("Parse: %v\n%s", err, src)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	hi := lo + uintptr(len(src))
+	inSource := func(s string) bool {
+		a := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return s != "" && a >= lo && a < hi
+	}
+	names := []string{q.Entry}
+	targets := 0
+	for _, f := range q.Funcs {
+		names = append(names, f.Name)
+		for _, b := range f.Blocks {
+			names = append(names, b.Label)
+			for _, in := range b.Instrs {
+				if in.Target != "" {
+					names = append(names, in.Target)
+					targets++
+				}
+			}
+		}
+	}
+	if targets < 2 {
+		t.Fatalf("test program has %d targets, want a branch and a call", targets)
+	}
+	for _, n := range names {
+		if inSource(n) {
+			t.Errorf("name %q points into the source text", n)
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 //	func NAME formals=N { LABEL: INSTR... } ...
 //	data { 0xADDR: VALUE ... }
 func Parse(src string) (*Program, error) {
-	pr := &parser{}
+	pr := &parser{names: make(map[string]string)}
 	lines := strings.Split(src, "\n")
 	for n, raw := range lines {
 		line := raw
@@ -44,6 +44,21 @@ type parser struct {
 	fn     *Func
 	bb     *BlockBuilder
 	inData bool
+	// names holds one copy of every name the program keeps (its entry,
+	// function names, block labels and branch targets), so the parsed
+	// program does not pin the source text its names were cut from.
+	names map[string]string
+}
+
+// name returns a copy of s that does not share the source text's memory,
+// the same copy for every occurrence of s.
+func (pr *parser) name(s string) string {
+	if c, ok := pr.names[s]; ok {
+		return c
+	}
+	c := strings.Clone(s)
+	pr.names[c] = c
+	return c
 }
 
 func (pr *parser) line(line string) error {
@@ -54,7 +69,7 @@ func (pr *parser) line(line string) error {
 		if !ok {
 			return fmt.Errorf("expected 'program entry=NAME'")
 		}
-		pr.p = NewProgram(strings.TrimSpace(entry))
+		pr.p = NewProgram(pr.name(strings.TrimSpace(entry)))
 		return nil
 	case strings.HasPrefix(line, "func "):
 		if pr.p == nil {
@@ -65,7 +80,7 @@ func (pr *parser) line(line string) error {
 		if len(fields) < 1 {
 			return fmt.Errorf("malformed func header")
 		}
-		pr.fn = pr.p.AddFunc(fields[0])
+		pr.fn = pr.p.AddFunc(pr.name(fields[0]))
 		for _, f := range fields[1:] {
 			if v, ok := strings.CutPrefix(f, "formals="); ok {
 				n, err := strconv.Atoi(v)
@@ -111,7 +126,7 @@ func (pr *parser) line(line string) error {
 	}
 	if strings.HasSuffix(line, ":") && !strings.ContainsAny(line, " \t") {
 		label := strings.TrimSuffix(line, ":")
-		pr.bb = NewBlockBuilder(pr.p, pr.fn, pr.fn.AddBlock(label))
+		pr.bb = NewBlockBuilder(pr.p, pr.fn, pr.fn.AddBlock(pr.name(label)))
 		return nil
 	}
 	if pr.bb == nil {
@@ -120,6 +135,9 @@ func (pr *parser) line(line string) error {
 	in, err := parseInstr(line)
 	if err != nil {
 		return err
+	}
+	if in.Target != "" {
+		in.Target = pr.name(in.Target)
 	}
 	pr.p.Assign(in)
 	pr.bb.B.Append(in)

@@ -84,7 +84,9 @@ type job struct {
 	Tune    *tuneJob // non-nil switches the job into tuning mode
 
 	timeout time.Duration
-	// prog is Source parsed once by normalize; source vetting reads it.
+	// prog is Source parsed once by normalize: source vetting reads it,
+	// then the suite's program stage takes it over instead of parsing the
+	// text again.
 	prog *ir.Program
 }
 

@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"ssp/internal/exp"
-	"ssp/internal/flight"
 	"ssp/internal/sim"
 	"ssp/internal/ssp"
 	"ssp/internal/tune"
@@ -63,7 +62,19 @@ type Config struct {
 	// searches that cost many simulations each. Off by default; without
 	// it tune jobs are rejected with 403.
 	EnableTune bool
+	// CacheBytes is the byte budget of each scale's pipeline cache (its
+	// exp.Suite, tune results included): past it, completed cells are
+	// evicted by recency and recomputed on their next request. 0 means
+	// 32 MiB for the test scale and 256 MiB for the paper scale; a
+	// negative value keeps every cell.
+	CacheBytes int64
 }
+
+// defaultCacheBytes is each scale's default cache budget, indexed by
+// exp.Scale. All 48 test-scale matrix cells retain about 5 MB and all 48
+// paper-scale cells about 143 MB, so a server that only answers the matrix
+// never evicts.
+var defaultCacheBytes = [2]int64{exp.ScaleTest: 32 << 20, exp.ScalePaper: 256 << 20}
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -106,11 +117,11 @@ type Server struct {
 	// jobs and tune searches both resolve through.
 	tuners [2]*tune.Tuner
 
-	mu sync.Mutex
-	// tunes memoizes tune-mode jobs by the same content key scheme; the
-	// key covers the tune parameters, so searches with different rounds,
-	// epsilon, or grid never share a cell.
-	tunes map[string]*flight.Cell[*tune.Result]
+	// tunes memoizes tune-mode jobs of each scale by the same content key
+	// scheme, under that scale's cache budget; the key covers the tune
+	// parameters, so searches with different rounds, epsilon, or grid
+	// never share a cell.
+	tunes [2]*exp.Memo[*tune.Result]
 
 	requests atomic.Int64 // jobs accepted for processing
 	hits     atomic.Int64 // served without running a simulation
@@ -122,15 +133,18 @@ type Server struct {
 
 // New returns a ready-to-serve Server.
 func New(cfg Config) *Server {
-	s := &Server{
-		cfg:   cfg.withDefaults(),
-		start: time.Now(),
-		tunes: make(map[string]*flight.Cell[*tune.Result]),
-	}
+	s := &Server{cfg: cfg.withDefaults(), start: time.Now()}
 	for _, sc := range []exp.Scale{exp.ScaleTest, exp.ScalePaper} {
 		suite := exp.NewSuite(sc)
 		suite.Workers = s.cfg.Workers
+		switch b := s.cfg.CacheBytes; {
+		case b > 0:
+			suite.Budget = b
+		case b == 0:
+			suite.Budget = defaultCacheBytes[sc]
+		}
 		s.tuners[sc] = tune.New(suite)
+		s.tunes[sc] = exp.NewMemo(suite, "tune", tuneResultBytes)
 	}
 	s.sem = make(chan struct{}, s.cfg.Workers)
 	s.mux = http.NewServeMux()
@@ -180,21 +194,23 @@ type Stats struct {
 	Unsafe    int64         `json:"unsafe"`
 	InFlight  int64         `json:"in_flight"`
 	Draining  bool          `json:"draining"`
-	Cells     int           `json:"cells"`
+	Cells     int           `json:"cells"` // resident run cells and tune results
 	Pool      sim.PoolStats `json:"pool"`
+	// Cache is the pipeline caches' accounting, summed over both scales:
+	// budget, resident bytes, evictions, and entries, bytes and evictions
+	// per stage.
+	Cache exp.CacheStats `json:"cache"`
 }
 
 // Snapshot returns the server's counters (the /statz payload, for in-process
 // callers like the load harness).
 func (s *Server) Snapshot() Stats {
-	s.mu.Lock()
-	cells := len(s.tunes)
-	s.mu.Unlock()
 	var pool sim.PoolStats
+	var cache exp.CacheStats
 	for _, tn := range s.tuners {
-		cells += tn.Suite.Cells()
 		ps := tn.Suite.PoolStats()
 		pool.Gets, pool.Hits, pool.Puts = pool.Gets+ps.Gets, pool.Hits+ps.Hits, pool.Puts+ps.Puts
+		cache.Add(tn.Suite.CacheStats())
 	}
 	return Stats{
 		UptimeSec: time.Since(s.start).Seconds(),
@@ -206,8 +222,9 @@ func (s *Server) Snapshot() Stats {
 		Unsafe:    s.unsafe.Load(),
 		InFlight:  s.inflight.Load(),
 		Draining:  s.draining.Load(),
-		Cells:     cells,
+		Cells:     cache.Stages["run"].Entries + cache.Stages["tune"].Entries,
 		Pool:      pool,
+		Cache:     cache,
 	}
 }
 
@@ -328,16 +345,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // by the search could wait on itself. Admission (Workers+Queue) still bounds
 // it, and the search fans out over the suite's Workers.
 func (s *Server) runTune(ctx context.Context, j job, key string) (res *tune.Result, hit bool, err error) {
-	s.mu.Lock()
-	c, ok := s.tunes[key]
-	if !ok {
-		c = new(flight.Cell[*tune.Result])
-		s.tunes[key] = c
-	}
-	s.mu.Unlock()
-	ran := false
-	res, err = c.Do(ctx, func(ctx context.Context) (*tune.Result, error) {
-		ran = true
+	res, ran, err := s.tunes[j.scale()].Do(ctx, key, func(ctx context.Context) (*tune.Result, error) {
 		grid, err := tune.Grid(j.Tune.Grid)
 		if err != nil {
 			return nil, err
@@ -368,8 +376,12 @@ func (s *Server) served(j job) exp.Served {
 	if j.Variant == varSSP {
 		opt = &j.Options
 	}
-	return s.tuners[j.scale()].Suite.Served(j.Bench, j.Source, j.Model, opt)
+	return s.tuners[j.scale()].Suite.Served(j.Bench, j.Source, j.prog, j.Model, opt)
 }
+
+// tuneResultBytes charges a tune result for itself: its candidates are the
+// tuner's cells, charged there.
+func tuneResultBytes(r *tune.Result) int64 { return 512 + 8*int64(len(r.Candidates)) }
 
 // account counts one resolved job — a miss if this request computed it, a
 // hit otherwise, and a failure on error — and reports whether it failed.

@@ -513,6 +513,15 @@ func TestStatz(t *testing.T) {
 	if st.Requests != 3 || st.Misses != 1 || st.Hits != 2 || st.Cells != 1 {
 		t.Errorf("statz after 3 identical jobs: %+v", st)
 	}
+	// The default budgets hold the job's cells: one program, its base
+	// binary, the run, and two simulations (the in-order profiling run and
+	// the OOO job's).
+	c := st.Cache
+	if c.BudgetBytes != defaultCacheBytes[exp.ScaleTest]+defaultCacheBytes[exp.ScalePaper] || c.Evictions != 0 ||
+		c.Stages["program"].Entries != 1 || c.Stages["binary"].Entries != 1 || c.Stages["run"].Entries != 1 ||
+		c.Stages["sim"].Entries != 2 || c.Bytes <= 0 {
+		t.Errorf("statz cache after 3 identical jobs: %+v", c)
+	}
 	// Two clean simulations: the in-order profiling run, which is also the
 	// program's baseline cell, and the OOO job's own.
 	if st.Pool.Gets != 2 || st.Pool.Puts != 2 {
@@ -732,5 +741,85 @@ func TestSameImageJobsShareSimulation(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("jobs sharing one simulation returned different results")
+	}
+}
+
+// TestSourceResubmitHits: a source job is parsed once per request and the
+// suite keys its program by the text's hash, so resubmitting the same text
+// is a cache hit with the same result.
+func TestSourceResubmitHits(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	spec := JobSpec{Source: ir.Format(workloads.RandomProgram(7)), Model: "in-order", Variant: "ssp"}
+	code, first, msg := post(t, ts, spec)
+	if code != http.StatusOK {
+		t.Fatalf("source job: HTTP %d: %s", code, msg)
+	}
+	code, again, msg := post(t, ts, spec)
+	if code != http.StatusOK {
+		t.Fatalf("resubmitted source job: HTTP %d: %s", code, msg)
+	}
+	if first.Cached || !again.Cached || *first.Result != *again.Result {
+		t.Errorf("cached %v then %v, results %+v and %+v; want a miss, then a hit with the same result",
+			first.Cached, again.Cached, first.Result, again.Result)
+	}
+}
+
+// TestEvictedJobRecomputed: under a 1-byte budget every completed cell is
+// evicted, so a resubmitted job is computed again (Cached false) and
+// returns byte-identical JSON; /statz counts the evictions.
+func TestEvictedJobRecomputed(t *testing.T) {
+	s, ts := newTestServer(t, Config{CacheBytes: 1})
+	for _, spec := range []JobSpec{
+		{Source: ir.Format(workloads.RandomProgram(8)), Model: "ooo", Variant: "ssp"},
+		{Bench: "mcf", Model: "in-order", Variant: "ssp"},
+	} {
+		var bodies [2][]byte
+		for i := range bodies {
+			code, jr, msg := post(t, ts, spec)
+			if code != http.StatusOK {
+				t.Fatalf("submission %d: HTTP %d: %s", i, code, msg)
+			}
+			if jr.Cached {
+				t.Errorf("submission %d was served from an evicted cell", i)
+			}
+			var err error
+			if bodies[i], err = json.Marshal(jr.Result); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(bodies[0], bodies[1]) {
+			t.Errorf("recomputed result differs:\n%s\n%s", bodies[0], bodies[1])
+		}
+	}
+	st := s.Snapshot()
+	if st.Cells != 0 || st.Cache.Bytes != 0 || st.Cache.Stages["run"].Evictions != 4 || st.Cache.Stages["sim"].Evictions == 0 {
+		t.Errorf("statz after evicting every cell: cells %d, cache %+v", st.Cells, st.Cache)
+	}
+}
+
+// TestTuneResultsEvicted: tune results live under the same budget as the
+// pipeline's cells; an evicted one is searched again to the same result.
+func TestTuneResultsEvicted(t *testing.T) {
+	s, ts := newTestServer(t, Config{EnableTune: true, CacheBytes: 1})
+	spec := JobSpec{Bench: "mcf", Model: "in-order", Tune: &TuneSpec{Rounds: 1, Grid: "quick"}}
+	var bodies [2][]byte
+	for i := range bodies {
+		code, jr, msg := post(t, ts, spec)
+		if code != http.StatusOK {
+			t.Fatalf("tune job %d: HTTP %d: %s", i, code, msg)
+		}
+		if jr.Cached {
+			t.Errorf("tune job %d was served from an evicted cell", i)
+		}
+		var err error
+		if bodies[i], err = json.Marshal(jr.Tune); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Error("the recomputed tune result differs")
+	}
+	if st := s.Snapshot().Cache.Stages; st["tune"].Evictions != 2 || st["tune"].Entries != 0 || st["tune.candidate"].Evictions == 0 {
+		t.Errorf("tune stages after two searches under a 1-byte budget: %+v", st)
 	}
 }

@@ -288,21 +288,37 @@ func (h *Hierarchy) ByLoad() map[int]*LoadStat {
 }
 
 // DetachStats returns a self-contained statistics-only copy of the
-// hierarchy: totals, prefetch counters, and the per-load table with the map
-// view pre-materialized. Results hold the detached copy so the machine (and
-// its hierarchy) can be Reset and reused without corrupting previously
-// returned Results.
+// hierarchy: totals, prefetch counters, and the per-load statistics of the
+// accessed IDs only, held once: the map view points into one compact slice
+// and is the copy's whole per-load table. Results hold the detached copy so
+// the machine (and its hierarchy) can be Reset and reused without
+// corrupting previously returned Results.
 func (h *Hierarchy) DetachStats() *Hierarchy {
-	d := &Hierarchy{
+	n := 0
+	for i := range h.loads {
+		if h.loads[i].Accesses != 0 {
+			n++
+		}
+	}
+	stats := make([]LoadStat, 0, n)
+	byLoad := make(map[int]*LoadStat, n)
+	for i := range h.loads {
+		if h.loads[i].Accesses == 0 {
+			continue
+		}
+		stats = append(stats, h.loads[i])
+		s := &stats[len(stats)-1]
+		s.ID = i
+		byLoad[i] = s
+	}
+	return &Hierarchy{
 		Cfg:               h.Cfg,
 		Totals:            h.Totals,
 		DroppedPrefetches: h.DroppedPrefetches,
 		PrefetchIssued:    h.PrefetchIssued,
 		PrefetchUseful:    h.PrefetchUseful,
-		loads:             append([]LoadStat(nil), h.loads...),
+		byLoad:            byLoad,
 	}
-	d.ByLoad()
-	return d
 }
 
 // drain completes any fill-buffer entries that have arrived by now,

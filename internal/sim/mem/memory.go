@@ -183,6 +183,9 @@ type Snapshot struct {
 	pages []*page
 }
 
+// Pages returns the number of pages the snapshot holds.
+func (s *Snapshot) Pages() int { return len(s.pages) }
+
 // NewSnapshot pre-pages a data image given by its range function: each
 // calls store once per word (ir.DataImage.Range has this shape). The
 // resident page set and contents are exactly those storing every word into

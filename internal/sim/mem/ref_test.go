@@ -386,6 +386,14 @@ func TestQuickCacheModel(t *testing.T) {
 			t.Logf("seed %d: per-load stats diverged", seed)
 			return false
 		}
+		// A detached copy holds the same statistics and keeps them when the
+		// hierarchy is reset for reuse.
+		d := h.DetachStats()
+		h.Reset()
+		if d.Totals != ref.totals || d.PrefetchUseful != ref.useful || !reflect.DeepEqual(d.ByLoad(), ref.loads) {
+			t.Logf("seed %d: detached stats diverged", seed)
+			return false
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(1))}); err != nil {

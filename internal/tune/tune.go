@@ -39,7 +39,6 @@ import (
 
 	"ssp/internal/check"
 	"ssp/internal/exp"
-	"ssp/internal/flight"
 	"ssp/internal/sim"
 	"ssp/internal/ssp"
 )
@@ -203,13 +202,23 @@ type Tuner struct {
 	// may be called from many goroutines at once.
 	Progress func(format string, args ...any)
 
-	mu    sync.Mutex
-	cands map[string]*flight.Cell[*Candidate]
+	// cands memoizes evaluated grid points under the suite's cache budget.
+	cands *exp.Memo[*Candidate]
 }
 
 // New returns a Tuner over the given suite.
 func New(s *exp.Suite) *Tuner {
-	return &Tuner{Suite: s, cands: make(map[string]*flight.Cell[*Candidate])}
+	return &Tuner{Suite: s, cands: exp.NewMemo(s, "tune.candidate", candidateBytes)}
+}
+
+// candidateBytes approximates what a memoized candidate retains: the
+// record and its rounds' target and region lists.
+func candidateBytes(c *Candidate) int64 {
+	n := int64(512)
+	for _, r := range c.Rounds {
+		n += 256 + 8*int64(len(r.Targets)+len(r.NewTargets)) + 64*int64(len(r.Skipped)+len(r.Regions)+len(r.NewRegions))
+	}
+	return n
 }
 
 func (t *Tuner) logf(format string, args ...any) {
@@ -294,16 +303,10 @@ func (t *Tuner) Tune(ctx context.Context, bench string, model sim.Model, params 
 // candidate evaluates one grid point through the memoized cell layer.
 func (t *Tuner) candidate(ctx context.Context, bench string, model sim.Model, params Params, gp GridPoint, base *sim.Result) (*Candidate, error) {
 	key := fmt.Sprintf("%s|%s|%d|%g|%s", bench, model, params.MaxRounds, params.Epsilon, gp.Options.Key())
-	t.mu.Lock()
-	c, ok := t.cands[key]
-	if !ok {
-		c = new(flight.Cell[*Candidate])
-		t.cands[key] = c
-	}
-	t.mu.Unlock()
-	return c.Do(ctx, func(ctx context.Context) (*Candidate, error) {
+	c, _, err := t.cands.Do(ctx, key, func(ctx context.Context) (*Candidate, error) {
 		return t.loop(ctx, bench, model, params, gp, base)
 	})
+	return c, err
 }
 
 // loop runs the adaptive re-profiling loop for one configuration.
