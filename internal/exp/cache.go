@@ -278,10 +278,9 @@ const (
 	// instrBytes is one IR instruction with its share of blocks, labels
 	// and function records.
 	instrBytes = 160
-	// wordBytes is one data-image word: a map slot with growth slack.
-	wordBytes = 36
-	// pageBytes is one pre-paged snapshot page with its index.
-	pageBytes = 4096 + 16
+	// pageBytes is one data-image page: its words, its presence mask and
+	// its page-table slot.
+	pageBytes = 4096 + 80 + 8
 	// pcBytes is one linked and predecoded PC: the linked instruction, its
 	// per-PC tables, the decoded form and its compiled chain step.
 	pcBytes = 320
@@ -292,13 +291,9 @@ const (
 )
 
 // programBytes charges a program cell with everything its binaries share:
-// the original IR, its data image and the image's snapshot, the original's
-// decode, and the profile.
+// the original IR, its data image, the original's decode, and the profile.
 func programBytes(p *program) int64 {
-	n := cellBytes + irBytes(p.orig) + int64(p.orig.Data.Len())*wordBytes + decodeBytes(p.dp)
-	if p.dp.Mem != nil {
-		n += int64(p.dp.Mem.Pages()) * pageBytes
-	}
+	n := cellBytes + irBytes(p.orig) + int64(p.orig.Data.Pages())*pageBytes + decodeBytes(p.dp)
 	if pr := p.prof; pr != nil {
 		n += int64(len(pr.InstrFreq)+len(pr.BlockFreq))*48 + int64(len(pr.Loads))*loadBytes
 	}

@@ -461,9 +461,9 @@ func (s *Suite) binary(ctx context.Context, r request, l *lease) (*binary, error
 }
 
 // predecode links, predecodes, and digests p: the one path from a program to
-// what the simulation stage executes and keys on. The data image's snapshot
-// and hash are built once per sealed image, so an adapted program, which
-// shares its original's image, pays here only for its code.
+// what the simulation stage executes and keys on. The data image's hash is
+// computed once per sealed image, so an adapted program, which shares its
+// original's image, pays here only for its code.
 func predecode(p *ir.Program) (*decode.Program, [sha256.Size]byte, error) {
 	img, err := ir.Link(p)
 	if err != nil {

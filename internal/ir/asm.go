@@ -111,9 +111,7 @@ func Format(p *Program) string {
 	}
 	if p.Data.Len() > 0 {
 		sb.WriteString("\ndata {\n")
-		for _, a := range p.Data.Addrs() {
-			fmt.Fprintf(&sb, "\t0x%x: %d\n", a, p.Data.Word(a))
-		}
+		p.Data.Range(func(a, v uint64) { fmt.Fprintf(&sb, "\t0x%x: %d\n", a, v) })
 		sb.WriteString("}\n")
 	}
 	return sb.String()

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -132,7 +133,15 @@ func TestParseRejectsGarbage(t *testing.T) {
 		"program entry=main\nfunc main {\nentry:\n ld8 r1 = r2\n}", // bad mem operand
 		"program entry=main\nfunc main {\nentry:\n br\n}",
 		"program entry=main\nfunc main {\nentry:\n cmp.zz p1,p2 = r1, r2\n}",
+		"program entry=main\nfunc main {\nentry:\n halt\n}\ndata {\n0x2003: 1\n}", // unaligned data address
 	}
+	// A data section one page past the page cap.
+	var sparse strings.Builder
+	sparse.WriteString("program entry=main\nfunc main {\nentry:\n halt\n}\ndata {\n")
+	for i := 0; i <= MaxParsedDataPages; i++ {
+		fmt.Fprintf(&sparse, "0x%x: 1\n", 0x100000+i<<12)
+	}
+	cases = append(cases, sparse.String())
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse accepted %q", src)

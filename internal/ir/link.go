@@ -30,7 +30,7 @@ type Image struct {
 	BlockOf   []int
 
 	// Data is the initial memory image, sealed and shared with the program
-	// it was linked from; never nil.
+	// it was linked from.
 	Data *DataImage
 }
 
@@ -55,9 +55,6 @@ func Link(p *Program) (*Image, error) {
 		FuncEntries: make(map[string]int),
 		BlockStarts: make(map[string]int),
 		Data:        p.sharedData(),
-	}
-	if im.Data == nil {
-		im.Data = new(DataImage)
 	}
 	// First pass: assign addresses.
 	pc := 0

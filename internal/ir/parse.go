@@ -4,7 +4,15 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"ssp/internal/pages"
 )
+
+// MaxParsedDataPages bounds a parsed data section's page table in 4 KB pages,
+// its radix leaves included: 16 MiB, twice the largest built-in image
+// (treeadd, 2048 pages at paper scale), however sparse the source. Programs
+// built through SetWord are trusted and unbounded.
+const MaxParsedDataPages = 4096
 
 // Parse reads the textual assembly syntax produced by Format and returns the
 // program. Each instruction is assigned a fresh ID in textual order.
@@ -14,6 +22,9 @@ import (
 //	program entry=NAME
 //	func NAME formals=N { LABEL: INSTR... } ...
 //	data { 0xADDR: VALUE ... }
+//
+// Data addresses must be 8-byte aligned, and the data section may span at
+// most MaxParsedDataPages pages.
 func Parse(src string) (*Program, error) {
 	pr := &parser{names: make(map[string]string)}
 	lines := strings.Split(src, "\n")
@@ -118,7 +129,13 @@ func (pr *parser) line(line string) error {
 		if err != nil {
 			return fmt.Errorf("bad data value: %v", err)
 		}
+		if a&7 != 0 {
+			return fmt.Errorf("data address %#x is not 8-byte aligned", a)
+		}
 		pr.p.SetWord(a, v)
+		if d := pr.p.Data; d.t.Len()+d.t.Leaves()*pages.LeafPages > MaxParsedDataPages {
+			return fmt.Errorf("data section spans more than %d pages", MaxParsedDataPages)
+		}
 		return nil
 	}
 	if pr.fn == nil {

@@ -71,9 +71,9 @@ type Config struct {
 }
 
 // defaultCacheBytes is each scale's default cache budget, indexed by
-// exp.Scale. All 48 test-scale matrix cells retain about 5 MB and all 48
-// paper-scale cells about 143 MB, so a server that only answers the matrix
-// never evicts.
+// exp.Scale. All 48 test-scale matrix cells (12 benchmarks, both models,
+// base and ssp) charge about 2.7 MB and all 48 paper-scale cells about
+// 67 MB, so a server that only answers the matrix never evicts.
 var defaultCacheBytes = [2]int64{exp.ScaleTest: 32 << 20, exp.ScalePaper: 256 << 20}
 
 func (c Config) withDefaults() Config {

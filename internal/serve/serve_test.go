@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -821,5 +822,44 @@ func TestTuneResultsEvicted(t *testing.T) {
 	}
 	if st := s.Snapshot().Cache.Stages; st["tune"].Evictions != 2 || st["tune"].Entries != 0 || st["tune.candidate"].Evictions == 0 {
 		t.Errorf("tune stages after two searches under a 1-byte budget: %+v", st)
+	}
+}
+
+// TestSparsePageSourceRejected: a source whose data section puts one word on
+// each of many distinct pages, or on each of many distinct page-table
+// leaves, is a 400 once it passes ir.MaxParsedDataPages, and handling it
+// allocates under 32 MiB in all, so the live heap grows by less than that.
+func TestSparsePageSourceRejected(t *testing.T) {
+	s := New(Config{})
+	for _, layout := range []struct {
+		name    string
+		entries int
+		stride  uint64
+	}{
+		{"pages", 4 * ir.MaxParsedDataPages, 4 << 10},
+		{"leaves", 6000, 8 << 20},
+	} {
+		var src strings.Builder
+		src.WriteString("program entry=main\nfunc main formals=0 {\nentry:\n\thalt\n}\ndata {\n")
+		for i := 0; i < layout.entries; i++ {
+			fmt.Fprintf(&src, "\t0x%x: 1\n", 0x100000+uint64(i)*layout.stride)
+		}
+		src.WriteString("}\n")
+		body, err := json.Marshal(JobSpec{Source: src.String(), Model: "in-order"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))
+		runtime.ReadMemStats(&after)
+		if w.Code != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d, want 400: %s", layout.name, w.Code, w.Body)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 32<<20 {
+			t.Errorf("%s: handling the job allocated %d MiB, over 32", layout.name, grew>>20)
+		}
 	}
 }

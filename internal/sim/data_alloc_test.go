@@ -80,12 +80,54 @@ func TestSharedDataImageAllocs(t *testing.T) {
 	}
 }
 
+// liveHeap returns the live heap's size after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestDataImageHeapAllocs bounds what a program's data costs to keep: it
+// takes paper-scale mcf through build, Link, Predecode, and Digest, and the
+// heap all that retains must stay within 1.25 times the cost of the data
+// image's pages and their presence masks. The data is stored once, as the
+// pages machines install by page copy; a second copy of the words (a word
+// map, a pre-paged snapshot) would double it.
+func TestDataImageHeapAllocs(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	spec, err := workloads.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := liveHeap()
+	p, _ := spec.Build(spec.Scale)
+	img, err := ir.Link(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp := sim.Predecode(img)
+	dp.Digest()
+	retained := liveHeap() - before
+	runtime.KeepAlive(dp)
+
+	words, pages := p.Data.Len(), p.Data.Pages()
+	pageCost := uint64(pages) * (4096 + 64)
+	t.Logf("%d words on %d pages: retained %d B, %.1f B/word; pages and masks %.1f B/word",
+		words, pages, retained, float64(retained)/float64(words), float64(pageCost)/float64(words))
+	if limit := pageCost + pageCost/4; retained > limit {
+		t.Errorf("retained %d B, over 1.25x the %d B its pages cost", retained, pageCost)
+	}
+}
+
 // BenchmarkDataImageStages times, on paper-scale mcf whose image has been
 // predecoded once, the three steps every adapted binary takes that once
 // handled the whole data image: Clone (what ssp.Adapt does to the
-// original), Link + Predecode of the clone, and Digest. It touches no
-// DataImage API, so the same file also builds against a map-based data
-// image for an A/B comparison (BENCH_sim.json "data_image").
+// original), Link + Predecode of the clone, and Digest. Each shares the
+// sealed image by pointer, so none of them should cost in proportion to
+// its words.
 func BenchmarkDataImageStages(b *testing.B) {
 	spec, err := workloads.ByName("mcf")
 	if err != nil {

@@ -29,7 +29,6 @@ import (
 	"sync"
 
 	"ssp/internal/ir"
-	"ssp/internal/sim/mem"
 )
 
 // FUClass groups opcodes by the function unit they occupy.
@@ -182,11 +181,6 @@ type Program struct {
 	Img *ir.Image
 	// Code is the dense sidecar, indexed by PC.
 	Code []Decoded
-	// Mem is the data segment pre-paged into the simulator's memory layout,
-	// so machine construction installs it by page copy instead of a word-at-
-	// a-time map walk. It is built once per sealed data image and shared by
-	// every Program over that image (see dataOf).
-	Mem *mem.Snapshot
 	// MaxID is the largest static instruction ID in the image; machines
 	// presize their dense per-load stat tables from it so the counting path
 	// never allocates.
@@ -214,7 +208,7 @@ func (p *Program) Threaded(build func() any) any {
 // Digest returns a SHA-256 over everything the engines execute from this
 // image: the entry PC, every decoded instruction with the linked-block
 // leaders the threaded core compiles over, and then the data image's own
-// SHA-256 (over its snapshot encoding, computed once per sealed image).
+// SHA-256 (ir.DataImage.Sum, computed once per sealed image).
 // Programs with equal digests run identically on every engine and machine
 // configuration, however they were produced, so exp.Suite keys its
 // simulation cells on the digest.
@@ -242,29 +236,9 @@ func (p *Program) Digest() [sha256.Size]byte {
 			}
 		}
 	}
-	buf = append(buf, dataOf(p.Img.Data).sum[:]...)
+	sum := p.Img.Data.Sum()
+	buf = append(buf, sum[:]...)
 	return sha256.Sum256(buf)
-}
-
-// sealedData is what the predecode layer derives from one sealed data
-// image: its snapshot and the SHA-256 of the snapshot's encoding.
-type sealedData struct {
-	snap *mem.Snapshot
-	sum  [sha256.Size]byte
-}
-
-// dataOf returns d's snapshot and content hash, building them at most once
-// per image (the memo lives on the image): every adapted binary shares its
-// original's image, so re-adapting never re-pages or re-hashes the data.
-func dataOf(d *ir.DataImage) *sealedData {
-	return d.Memo(func() any {
-		s := &sealedData{snap: mem.NewSnapshot(d.Range)}
-		h := sha256.New()
-		// A hash.Hash never returns a write error.
-		s.snap.WriteTo(h)
-		h.Sum(s.sum[:0])
-		return s
-	}).(*sealedData)
 }
 
 // Classify maps an opcode to its function-unit and latency classes.
@@ -422,5 +396,5 @@ func Predecode(img *ir.Image) *Program {
 			maxID = id
 		}
 	}
-	return &Program{Img: img, Code: code, Mem: dataOf(img.Data).snap, MaxID: maxID}
+	return &Program{Img: img, Code: code, MaxID: maxID}
 }

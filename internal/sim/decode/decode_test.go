@@ -19,10 +19,10 @@ func predecode(t *testing.T, p *ir.Program) *Program {
 	return Predecode(img)
 }
 
-// withCode returns a Program over p's image and memory with its own copy of
-// the decoded table, for perturbing one instruction.
+// withCode returns a Program over p's image with its own copy of the decoded
+// table, for perturbing one instruction.
 func withCode(p *Program) *Program {
-	return &Program{Img: p.Img, Code: append([]Decoded(nil), p.Code...), Mem: p.Mem, MaxID: p.MaxID}
+	return &Program{Img: p.Img, Code: append([]Decoded(nil), p.Code...), MaxID: p.MaxID}
 }
 
 // TestDigestIsContent: independently built, cloned, and relabelled copies of
@@ -93,13 +93,13 @@ func TestDigestCoversEveryField(t *testing.T) {
 
 	img := *p.Img
 	img.Entry++
-	if (&Program{Img: &img, Code: p.Code, Mem: p.Mem}).Digest() == base {
+	if (&Program{Img: &img, Code: p.Code}).Digest() == base {
 		t.Error("moving the entry PC left the digest unchanged")
 	}
 	img = *p.Img
 	img.BlockOf = append([]int(nil), p.Img.BlockOf...)
 	img.BlockOf[pc] = -1 // pc now starts a block of its own
-	if (&Program{Img: &img, Code: p.Code, Mem: p.Mem}).Digest() == base {
+	if (&Program{Img: &img, Code: p.Code}).Digest() == base {
 		t.Error("splitting a block left the digest unchanged")
 	}
 
@@ -112,22 +112,22 @@ func TestDigestCoversEveryField(t *testing.T) {
 	}
 }
 
-// TestPredecodeSharesDataSnapshot: programs that share one data image — an
-// original, its clone, and a relinked copy — predecode to one snapshot, and
-// the digest's data half is computed once per image: a program whose image
-// differs gets a snapshot of its own.
-func TestPredecodeSharesDataSnapshot(t *testing.T) {
+// TestPredecodeSharesDataImage: programs that share one data image — an
+// original, its clone, and a relinked copy — predecode to one shared page
+// table, and the digest's data half is computed once per image: a program
+// whose image differs gets a page table of its own.
+func TestPredecodeSharesDataImage(t *testing.T) {
 	p := workloads.RandomProgram(6)
 	first := predecode(t, p)
 	for _, q := range []*ir.Program{p, p.Clone(), p.Clone().Clone()} {
-		if dp := predecode(t, q); dp.Mem != first.Mem {
-			t.Fatal("two predecodes of one data image built two snapshots")
+		if dp := predecode(t, q); dp.Img.Data != first.Img.Data {
+			t.Fatal("two predecodes of one data image hold two page tables")
 		}
 	}
 	q := p.Clone()
 	q.SetWord(0x8, 1)
-	if predecode(t, q).Mem == first.Mem {
-		t.Fatal("a written copy shares the original's snapshot")
+	if predecode(t, q).Img.Data == first.Img.Data {
+		t.Fatal("a written copy shares the original's page table")
 	}
 }
 

@@ -92,7 +92,7 @@ func interpretThreaded(dp *decode.Program, maxInstrs int64) (*InterpResult, erro
 		return nil, nil, false
 	}
 	x := &threaded.Ctx{Mem: mem.NewMemory()}
-	x.Mem.InstallSnapshot(dp.Mem)
+	x.Mem.Install(dp.Img.Data)
 	n, err := tp.Run(x, dp.Img.Entry, maxInstrs)
 	switch e := err.(type) {
 	case nil:

@@ -357,7 +357,7 @@ func (m *Machine) Reset(cfg Config, dp *decode.Program) error {
 	}
 	m.Hier.PresizeLoads(dp.MaxID + 1)
 	m.Mem.Reset()
-	m.Mem.InstallSnapshot(dp.Mem)
+	m.Mem.Install(dp.Img.Data)
 	m.Pred.Reset()
 	if len(m.threads) != cfg.Contexts {
 		m.threads = make([]*Thread, cfg.Contexts)

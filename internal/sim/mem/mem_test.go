@@ -2,9 +2,10 @@ package mem
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
+
+	"ssp/internal/ir"
 )
 
 func TestMemoryLoadStore(t *testing.T) {
@@ -26,20 +27,20 @@ func TestMemoryLoadStore(t *testing.T) {
 	}
 }
 
-// words adapts a map image to NewSnapshot's range-function form.
-func words(img map[uint64]uint64) func(func(addr, val uint64)) {
-	return func(store func(addr, val uint64)) {
-		for a, v := range img {
-			store(a, v)
-		}
+// image returns a data image holding words.
+func image(words map[uint64]uint64) *ir.DataImage {
+	p := ir.NewProgram("main")
+	for a, v := range words {
+		p.SetWord(a, v)
 	}
+	return p.Data
 }
 
 func TestMemoryInstall(t *testing.T) {
 	m := NewMemory()
-	m.InstallSnapshot(NewSnapshot(words(map[uint64]uint64{8: 1, 16: 2})))
+	m.Install(image(map[uint64]uint64{8: 1, 16: 2}))
 	if m.Load(8) != 1 || m.Load(16) != 2 {
-		t.Fatal("InstallSnapshot lost data")
+		t.Fatal("Install lost data")
 	}
 }
 
@@ -68,7 +69,7 @@ func TestQuickMemory(t *testing.T) {
 
 // TestMemoryOutlierAddresses: addresses beyond the dense radix span fall to
 // the outlier map but behave identically — including page sharing, Reset,
-// snapshot round-trips, and checksum ordering.
+// image installs, and checksum ordering.
 func TestMemoryOutlierAddresses(t *testing.T) {
 	m := NewMemory()
 	low, high := uint64(0x1000), uint64(1)<<40
@@ -81,14 +82,13 @@ func TestMemoryOutlierAddresses(t *testing.T) {
 	if m.Footprint() != 2 {
 		t.Fatalf("footprint = %d, want 2 pages", m.Footprint())
 	}
-	s := NewSnapshot(words(map[uint64]uint64{low: 1, high: 2, high + 8: 3}))
 	m2 := NewMemory()
-	m2.InstallSnapshot(s)
+	m2.Install(image(map[uint64]uint64{low: 1, high: 2, high + 8: 3}))
 	if m2.Load(high) != 2 || m2.Load(low) != 1 || m2.Load(high+8) != 3 {
-		t.Fatal("snapshot lost outlier page")
+		t.Fatal("install lost outlier page")
 	}
 	if m.Checksum() != m2.Checksum() {
-		t.Fatal("checksum differs between stored and snapshot-installed memory")
+		t.Fatal("checksum differs between stored and installed memory")
 	}
 	m.Reset()
 	if m.Load(high) != 0 || m.Load(low) != 0 {
@@ -96,18 +96,17 @@ func TestMemoryOutlierAddresses(t *testing.T) {
 	}
 }
 
-// TestSnapshotExplicitZeroPage: a page whose every word has been stored as
-// zero is semantically identical to an untouched page — installing a
-// snapshot that carries such a page must produce the same loads and the same
+// TestInstallExplicitZeroPage: a page whose every word has been stored as
+// zero is semantically identical to an untouched page — installing an image
+// that carries such a page must produce the same loads and the same
 // checksum as a memory that never touched it, and must scrub any stale data
 // a reused frame held from a previous program.
-func TestSnapshotExplicitZeroPage(t *testing.T) {
-	// 0x10000 exists only as an explicit zero word: NewSnapshot creates its
-	// page.
-	s := NewSnapshot(words(map[uint64]uint64{0x2000: 42, 0x10000: 0}))
+func TestInstallExplicitZeroPage(t *testing.T) {
+	// 0x10000 holds only an explicit zero word: the image has its page.
+	s := image(map[uint64]uint64{0x2000: 42, 0x10000: 0})
 
 	src := NewMemory()
-	src.InstallSnapshot(s)
+	src.Install(s)
 	if src.Footprint() != 2 {
 		t.Fatalf("footprint = %d, want 2 (explicit-zero page dropped)", src.Footprint())
 	}
@@ -124,12 +123,12 @@ func TestSnapshotExplicitZeroPage(t *testing.T) {
 	dst.Store(0x2000, 7)
 	dst.Store(0x999000, 7)
 	dst.Reset()
-	dst.InstallSnapshot(s)
+	dst.Install(s)
 	if got := dst.Load(0x10008); got != 0 {
-		t.Fatalf("stale word survived snapshot install: %d", got)
+		t.Fatalf("stale word survived install: %d", got)
 	}
 	if dst.Load(0x2000) != 42 || dst.Load(0x10000) != 0 {
-		t.Fatal("snapshot install wrong data")
+		t.Fatal("install wrong data")
 	}
 	if dst.Load(0x999000) != 0 {
 		t.Fatal("Reset+install left a page from the previous program")
@@ -137,44 +136,13 @@ func TestSnapshotExplicitZeroPage(t *testing.T) {
 	if dst.Checksum() != src.Checksum() {
 		t.Fatal("checksum differs after install over dirty memory")
 	}
-}
 
-// TestSnapshotWriteTo: the encoding is a function of the installed memory
-// alone — map iteration order cannot move it — and any change to a word,
-// an address, or the resident page set changes it.
-func TestSnapshotWriteTo(t *testing.T) {
-	enc := func(img map[uint64]uint64) string {
-		var b strings.Builder
-		n, err := NewSnapshot(words(img)).WriteTo(&b)
-		if err != nil || n != int64(b.Len()) {
-			t.Fatalf("WriteTo = %d, %v; wrote %d bytes", n, err, b.Len())
-		}
-		return b.String()
-	}
-	img := map[uint64]uint64{0x1000: 1, 0x1008: 2, 1 << 40: 3}
-	for a := uint64(0); a < 4096; a += 8 {
-		img[0x100000+a] = a
-	}
-	base := enc(img)
-	if len(base) != 3*(8+4096) {
-		t.Fatalf("encoding is %d bytes, want 3 pages of 8+4096", len(base))
-	}
-	for i := 0; i < 20; i++ {
-		if enc(img) != base {
-			t.Fatal("encoding depends on map iteration order")
-		}
-	}
-	variants := []map[uint64]uint64{
-		{0x1000: 1, 0x1008: 3, 1 << 40: 3},            // a word
-		{0x1000: 1, 0x1010: 2, 1 << 40: 3},            // an address in the page
-		{0x1000: 1, 0x1008: 2, 1<<40 + 4096: 3},       // an outlier page index
-		{0x1000: 1, 0x1008: 2, 1 << 40: 3, 0x9000: 0}, // an explicit zero page
-	}
-	short := enc(map[uint64]uint64{0x1000: 1, 0x1008: 2, 1 << 40: 3})
-	for i, v := range variants {
-		if enc(v) == short {
-			t.Errorf("variant %d encodes like the original", i)
-		}
+	// Without a Reset, the install itself overwrites each image page whole.
+	dirty := NewMemory()
+	dirty.Store(0x10008, 7)
+	dirty.Install(s)
+	if got := dirty.Load(0x10008); got != 0 {
+		t.Fatalf("install left a stale word on an explicit-zero page: %d", got)
 	}
 }
 

@@ -335,7 +335,7 @@ func semanticsExecutors() map[string]archRun {
 			t.Fatal("case compiled unthreadable")
 		}
 		x := &threaded.Ctx{Mem: mem.NewMemory(), InLIB: in}
-		x.Mem.InstallSnapshot(dp.Mem)
+		x.Mem.Install(dp.Img.Data)
 		if _, err := tp.Run(x, dp.Img.Entry, 1000); err != nil {
 			t.Fatal(err)
 		}

@@ -33,7 +33,7 @@ func runChains(t *testing.T, dp *decode.Program, limit int64) (*threaded.Ctx, in
 		t.Fatal("compile marked a linked image unthreadable")
 	}
 	x := &threaded.Ctx{Mem: mem.NewMemory()}
-	x.Mem.InstallSnapshot(dp.Mem)
+	x.Mem.Install(dp.Img.Data)
 	n, err := tp.Run(x, dp.Img.Entry, limit)
 	return x, n, err
 }
