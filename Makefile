@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet test race alloc-gate bench-module bench bench-diff bench-smoke bench-gate sspcheck fuzz-smoke cover serve-smoke serve-load tune-smoke tune-bench table2 table2-check
+.PHONY: check fmt vet test race alloc-gate bench-module bench bench-diff bench-smoke bench-gate sspcheck fuzz-smoke cover serve-smoke serve-load tune-smoke tune-bench table2 table2-check tools-smoke
 
 # check is the full gate: formatting, vet, the test suite under the race
 # detector (the concurrent experiment engine is exercised by internal/exp's
@@ -8,8 +8,9 @@ GO ?= go
 # run skips it — instrumentation allocates), the benchmark module's vet and
 # tests, the 500-seed validation sweep the CI check job runs (sspcheck), and
 # a short native-fuzzing smoke of the parser, the adaptation tool, the safety
-# certifier on untrusted IR, and the threaded execution core.
-check: fmt vet race alloc-gate bench-module sspcheck fuzz-smoke
+# certifier on untrusted IR, and the threaded execution core, and Figure 1's
+# file flow through the command-line tools (tools-smoke).
+check: fmt vet race alloc-gate bench-module sspcheck fuzz-smoke tools-smoke
 
 # bench-module vets and tests the benchmark under bench/, a module of its own
 # (replace ssp => ../) that the root module's build and tests never compile:
@@ -111,6 +112,16 @@ serve-load:
 # -require-converged makes a non-converging search a hard failure.
 tune-smoke:
 	$(GO) run ./cmd/ssptune -scale test -bench mcf -rounds 2 -grid quick -quiet -require-converged
+
+# tools-smoke runs Figure 1's file flow end to end through the command-line
+# tools at test scale: sspprof writes mcf's profile, sspgen adapts mcf with
+# that profile, and simrun runs the adapted binary. Any error fails it. The
+# files live in a temporary directory.
+tools-smoke:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && set -x && \
+	$(GO) run ./cmd/sspprof -bench mcf -scale test -out $$d/p.json && \
+	$(GO) run ./cmd/sspgen -bench mcf -scale test -profile $$d/p.json -out $$d/e.ssp && \
+	$(GO) run ./cmd/simrun -in $$d/e.ssp -scale test
 
 # tune-bench runs the full options grid on mcf at paper scale (the §4.5
 # configuration) and writes BENCH_tune.json: the best configuration and the

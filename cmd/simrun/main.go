@@ -6,134 +6,101 @@
 //
 //	simrun -in prog.ssp -model in-order
 //	simrun -bench mcf -model ooo -loads
-//	simrun -bench mcf -check
+//	simrun -bench mcf -scale test -check
 //
-// On watchdog expiry the collected statistics are still printed (marked
-// partial) and the command exits non-zero.
+// The run is exp.Suite's run cell for the program at the named scale, as a
+// served job's is: every program is first profiled on the in-order model,
+// and a run that hits the watchdog, kills its main thread, leaves the wrong
+// answer (built-in benchmarks) or breaks a conservation rule is an error.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
 	"ssp/internal/check"
 	"ssp/internal/cliutil"
-	"ssp/internal/ir"
+	"ssp/internal/exp"
 	"ssp/internal/sim"
 	"ssp/internal/sim/mem"
-	"ssp/internal/workloads"
 )
 
-// options bundles the command-line parameters of one simrun invocation.
-type options struct {
-	In, Bench   string
-	Scale       int
-	Model       string
-	Tiny, Loads bool
-	// Check runs the internal/check validation layers: a differential run
-	// across the interpreter and both cycle models before simulating, and
-	// the conservation invariants on the reported result.
-	Check bool
-	// MaxCycles overrides the watchdog when positive.
-	MaxCycles int64
-}
-
 func main() {
-	var o options
-	flag.StringVar(&o.In, "in", "", "input assembly file")
-	flag.StringVar(&o.Bench, "bench", "", "built-in benchmark name")
-	flag.IntVar(&o.Scale, "scale", 0, "benchmark scale (0 = default)")
-	flag.StringVar(&o.Model, "model", "in-order", "machine model: in-order or ooo")
-	flag.BoolVar(&o.Tiny, "tiny", false, "use the scaled-down test memory system")
-	flag.BoolVar(&o.Loads, "loads", false, "print the per-static-load cache profile")
-	flag.BoolVar(&o.Check, "check", false, "validate the run with the internal/check layers")
-	flag.Int64Var(&o.MaxCycles, "maxcycles", 0, "watchdog cycle limit (0 = model default)")
-	flag.Parse()
-	if err := run(o); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "simrun:", err)
 		os.Exit(1)
 	}
 }
 
-func run(o options) error {
-	p, want, err := cliutil.LoadProgram(o.In, o.Bench, o.Scale)
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("simrun", flag.ExitOnError)
+	var (
+		in    = fs.String("in", "", "input assembly file")
+		bench = fs.String("bench", "", "built-in benchmark name")
+		scale = fs.String("scale", "paper", "experiment scale: paper or test")
+		model = fs.String("model", "in-order", "machine model: in-order or ooo")
+		loads = fs.Bool("loads", false, "print the per-static-load cache profile")
+		chk   = fs.Bool("check", false, "first check that the interpreter and both cycle models agree on the program")
+	)
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits with status 2
+	input, err := cliutil.ReadInput(*in, *bench, *scale)
 	if err != nil {
 		return err
 	}
-	cfg, err := cliutil.MachineConfig(o.Model, o.Tiny)
+	m, err := sim.ParseModel(*model)
 	if err != nil {
 		return err
 	}
-	if o.MaxCycles > 0 {
-		cfg.MaxCycles = o.MaxCycles
+	ctx := context.Background()
+	s := exp.NewSuite(input.Scale)
+	orig, want, _, _, err := s.Original(ctx, input.Bench, input.Src)
+	if err != nil {
+		return err
 	}
-	if o.Check {
-		if err := check.Differential(check.Configs(o.Tiny), p, 1_000_000_000); err != nil {
+	if *chk {
+		if err := check.Differential(check.Configs(input.Scale == exp.ScaleTest), orig, 1_000_000_000); err != nil {
 			return err
 		}
-		fmt.Println("check:        differential + conservation layers passed")
+		fmt.Fprintln(stdout, "check:        differential layer passed")
 	}
-	img, err := ir.Link(p)
+	res, _, _, err := s.Served(input.Bench, input.Src, nil, m, nil).Do(ctx, nil)
 	if err != nil {
 		return err
 	}
-	m := sim.New(cfg, img)
-	res, err := m.Run()
-	if err != nil {
-		return err
+	if input.Bench != "" {
+		fmt.Fprintf(stdout, "checksum:     %d (verified)\n", want)
 	}
-	if o.Bench != "" && !res.TimedOut && !res.MainKilled {
-		// Benchmark programs carry an expected checksum; a mismatch means
-		// the run (or an adaptation applied to it) corrupted architectural
-		// state, exactly what Suite.Run guards against in the experiments.
-		if got := m.Mem.Load(workloads.ResultAddr); got != want {
-			return fmt.Errorf("%s: checksum %d, want %d", o.Bench, got, want)
-		}
-		fmt.Printf("checksum:     %d (verified)\n", want)
-	}
-	printStats(cfg, res, o.Loads)
-	if res.TimedOut {
-		return fmt.Errorf("watchdog expired after %d cycles (statistics above are partial)", res.Cycles)
-	}
-	if res.MainKilled {
-		return fmt.Errorf("main thread executed thread_kill_self (statistics above are partial)")
-	}
-	if o.Check {
-		if err := check.Conservation(res); err != nil {
-			return err
-		}
-	}
+	printStats(stdout, m, res, *loads)
 	return nil
 }
 
-func printStats(cfg sim.Config, res *sim.Result, loads bool) {
-	fmt.Printf("model:        %s\n", cfg.Model)
-	if res.TimedOut {
-		fmt.Printf("TIMED OUT:    statistics below are partial\n")
-	}
-	fmt.Printf("cycles:       %d\n", res.Cycles)
-	fmt.Printf("instructions: %d main, %d speculative\n", res.MainInstrs, res.SpecInstrs)
-	fmt.Printf("ipc:          %.3f\n", res.IPC())
-	fmt.Printf("mispredicts:  %d\n", res.Mispredicts)
-	fmt.Printf("ssp:          %d chk taken, %d spawns, %d ignored\n", res.ChkTaken, res.Spawns, res.SpawnsIgnored)
+func printStats(w io.Writer, model sim.Model, res *sim.Result, loads bool) {
+	fmt.Fprintf(w, "model:        %s\n", model)
+	fmt.Fprintf(w, "cycles:       %d\n", res.Cycles)
+	fmt.Fprintf(w, "instructions: %d main, %d speculative\n", res.MainInstrs, res.SpecInstrs)
+	fmt.Fprintf(w, "ipc:          %.3f\n", res.IPC())
+	fmt.Fprintf(w, "mispredicts:  %d\n", res.Mispredicts)
+	fmt.Fprintf(w, "ssp:          %d chk taken, %d spawns, %d ignored\n", res.ChkTaken, res.Spawns, res.SpawnsIgnored)
 	if res.Hier.PrefetchIssued > 0 {
-		fmt.Printf("prefetch:     %d issued, %d useful (accuracy %.2f), %d dropped\n",
+		fmt.Fprintf(w, "prefetch:     %d issued, %d useful (accuracy %.2f), %d dropped\n",
 			res.Hier.PrefetchIssued, res.Hier.PrefetchUseful,
 			res.Hier.PrefetchAccuracy(), res.Hier.DroppedPrefetches)
 	}
 	if len(res.SpecActiveHist) > 0 && res.Spawns > 0 {
-		fmt.Printf("spec contexts active (cycles): ")
+		fmt.Fprintf(w, "spec contexts active (cycles): ")
 		for k, c := range res.SpecActiveHist {
-			fmt.Printf("%d:%d ", k, c)
+			fmt.Fprintf(w, "%d:%d ", k, c)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if res.Cycles > 0 {
-		fmt.Printf("breakdown:\n")
+		fmt.Fprintf(w, "breakdown:\n")
 		for cat := sim.Category(0); cat < sim.NumCategories; cat++ {
-			fmt.Printf("  %-11s %12d (%5.1f%%)\n", cat, res.Breakdown[cat],
+			fmt.Fprintf(w, "  %-11s %12d (%5.1f%%)\n", cat, res.Breakdown[cat],
 				100*float64(res.Breakdown[cat])/float64(res.Cycles))
 		}
 	}
@@ -146,13 +113,18 @@ func printStats(cfg sim.Config, res *sim.Result, loads bool) {
 		for id, s := range res.Hier.ByLoad() {
 			rows = append(rows, row{id, s})
 		}
-		sort.Slice(rows, func(i, j int) bool { return rows[i].s.MissCycles > rows[j].s.MissCycles })
-		fmt.Printf("loads (by miss cycles):\n")
+		sort.Slice(rows, func(i, j int) bool {
+			if rows[i].s.MissCycles != rows[j].s.MissCycles {
+				return rows[i].s.MissCycles > rows[j].s.MissCycles
+			}
+			return rows[i].id < rows[j].id
+		})
+		fmt.Fprintf(w, "loads (by miss cycles):\n")
 		for i, r := range rows {
 			if i >= 20 {
 				break
 			}
-			fmt.Printf("  id=%-5d acc=%-9d missrate=%.3f misscycles=%-10d L2=%d/%d L3=%d/%d Mem=%d/%d\n",
+			fmt.Fprintf(w, "  id=%-5d acc=%-9d missrate=%.3f misscycles=%-10d L2=%d/%d L3=%d/%d Mem=%d/%d\n",
 				r.id, r.s.Accesses, r.s.L1MissRate(), r.s.MissCycles,
 				r.s.Hits[mem.L2][0], r.s.Hits[mem.L2][1],
 				r.s.Hits[mem.L3][0], r.s.Hits[mem.L3][1],

@@ -8,10 +8,14 @@
 //
 //	sspdot -bench mcf -func main -what cfg
 //	sspdot -in prog.ssp -func main -what dep -block loop > dep.dot
-//	sspdot -bench mcf.multi -what slices > portfolio.dot
+//	sspdot -bench mcf.multi -scale test -what slices > portfolio.dot
+//
+// -what slices draws exp.Suite's adapted binary at the named scale, under
+// the tool's default options; cfg and dep only load the program.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -21,50 +25,46 @@ import (
 	"ssp/internal/cfg"
 	"ssp/internal/cliutil"
 	"ssp/internal/dep"
+	"ssp/internal/exp"
 	"ssp/internal/ir"
-	"ssp/internal/profile"
-	"ssp/internal/sim"
 	"ssp/internal/ssp"
 )
 
 func main() {
-	var (
-		in    = flag.String("in", "", "input assembly file")
-		bench = flag.String("bench", "", "built-in benchmark name")
-		scale = flag.Int("scale", 1000, "benchmark scale")
-		fn    = flag.String("func", "main", "function to render")
-		what  = flag.String("what", "cfg", "what to render: cfg, dep, or slices")
-		block = flag.String("block", "", "for -what dep: restrict to this block's instructions (default: whole function)")
-	)
-	flag.Parse()
-	if err := run(os.Stdout, *in, *bench, *scale, *fn, *what, *block); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "sspdot:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, in, bench string, scale int, fnName, what, block string) error {
-	p, _, err := cliutil.LoadProgram(in, bench, scale)
+func run(args []string, w, _ io.Writer) error {
+	fs := flag.NewFlagSet("sspdot", flag.ExitOnError)
+	var (
+		in    = fs.String("in", "", "input assembly file")
+		bench = fs.String("bench", "", "built-in benchmark name")
+		scale = fs.String("scale", "paper", "experiment scale: paper or test")
+		fn    = fs.String("func", "main", "function to render")
+		what  = fs.String("what", "cfg", "what to render: cfg, dep, or slices")
+		block = fs.String("block", "", "for -what dep: restrict to this block's instructions (default: whole function)")
+	)
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits with status 2
+	input, err := cliutil.ReadInput(*in, *bench, *scale)
 	if err != nil {
 		return err
 	}
-	if what == "slices" {
-		// Profile and adapt the loaded program, then draw its portfolio.
-		// The tiny memory hierarchy makes small -scale runs delinquent, so
-		// the rendered portfolio matches what the test-scale suite builds.
-		sc := sim.DefaultInOrder()
-		sc.UseTinyMem()
-		prof, err := profile.Collect(p, sc)
-		if err != nil {
-			return err
-		}
-		adapted, rep, err := ssp.Adapt(p, prof, ssp.DefaultOptions(), bench)
+	if *what == "slices" {
+		adapted, rep, err := exp.NewSuite(input.Scale).Adapted(context.Background(), input.Bench, input.Src, ssp.DefaultOptions())
 		if err != nil {
 			return err
 		}
 		fmt.Fprint(w, slicesDot(adapted, rep))
 		return nil
 	}
+	p, err := input.Load()
+	if err != nil {
+		return err
+	}
+	fnName := *fn
 	f := p.FuncByName(fnName)
 	if f == nil {
 		return fmt.Errorf("function %q not found", fnName)
@@ -76,20 +76,20 @@ func run(w io.Writer, in, bench string, scale int, fnName, what, block string) e
 	dom := cfg.Dominators(g)
 	pdom := cfg.Postdominators(g)
 	lf := cfg.FindLoops(g, dom)
-	switch what {
+	switch *what {
 	case "cfg":
 		fmt.Fprint(w, g.Dot(lf))
 	case "dep":
 		dg := dep.Build(p, f, g, dom, pdom)
 		var nodes []int
-		if block == "" {
+		if *block == "" {
 			for n := range dg.Nodes {
 				nodes = append(nodes, n)
 			}
 		} else {
-			b := f.BlockByLabel(block)
+			b := f.BlockByLabel(*block)
 			if b == nil {
-				return fmt.Errorf("block %q not found in %s", block, fnName)
+				return fmt.Errorf("block %q not found in %s", *block, fnName)
 			}
 			for _, inr := range b.Instrs {
 				if n := dg.NodeByID(inr.ID); n >= 0 {
@@ -99,7 +99,7 @@ func run(w io.Writer, in, bench string, scale int, fnName, what, block string) e
 		}
 		fmt.Fprint(w, dg.Dot(fnName, nodes))
 	default:
-		return fmt.Errorf("unknown -what %q (want cfg, dep, or slices)", what)
+		return fmt.Errorf("unknown -what %q (want cfg, dep, or slices)", *what)
 	}
 	return nil
 }

@@ -1,16 +1,11 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
+	"io"
 	"strings"
 	"testing"
 
-	"ssp/internal/ir"
-	"ssp/internal/profile"
-	"ssp/internal/sim"
-	"ssp/internal/ssp"
-	"ssp/internal/workloads"
+	"ssp/internal/cliutil/clitest"
 )
 
 // checkDot applies structural DOT validation: a digraph header, balanced
@@ -29,43 +24,40 @@ func checkDot(t *testing.T, out string) {
 	}
 }
 
+// TestPinnedOutput: the renderings are byte-identical to what sspdot
+// printed when it built, profiled and adapted programs by hand, recorded
+// from `sspdot -bench mcf.multi -scale 1100 -what slices|cfg` (the
+// benchmark's test size; slices were profiled on the test memory system,
+// which -scale test names now).
+func TestPinnedOutput(t *testing.T) {
+	clitest.Pin(t, run, "sspdot_slices", "-bench mcf.multi -scale test -what slices")
+	clitest.Pin(t, run, "sspdot_cfg", "-bench mcf.multi -scale test -what cfg")
+}
+
 // TestRunBenchmarkGraphs renders both graph kinds for a built-in benchmark.
 func TestRunBenchmarkGraphs(t *testing.T) {
 	for _, what := range []string{"cfg", "dep"} {
 		var out strings.Builder
-		if err := run(&out, "", "mcf", 100, "main", what, ""); err != nil {
+		if err := run([]string{"-bench", "mcf", "-scale", "test", "-what", what}, &out, io.Discard); err != nil {
 			t.Fatalf("-what %s: %v", what, err)
 		}
 		checkDot(t, out.String())
 	}
+	for _, scale := range []string{"1500", "-5", "tset"} { // not scale names
+		if err := run([]string{"-bench", "mcf", "-scale", scale}, io.Discard, io.Discard); err == nil {
+			t.Errorf("-scale %s: accepted", scale)
+		}
+	}
 }
 
-// TestRunAdaptedBinary round-trips an SSP-adapted binary through the textual
-// assembly (-in) and renders its CFG: the rendered graph must show the
-// attachment structure the tool injected — the stub and the p-slice blocks.
+// TestRunAdaptedBinary renders an SSP-adapted binary read as textual
+// assembly (-in; sspgen's pinned output for mcf.ssp): the rendered graph
+// must show the attachment structure the tool injected — the stub and the
+// p-slice blocks.
 func TestRunAdaptedBinary(t *testing.T) {
-	spec, err := workloads.ByName("mcf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig, _ := spec.Build(spec.TestScale)
-	cfg := sim.DefaultInOrder()
-	cfg.UseTinyMem()
-	prof, err := profile.Collect(orig, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adapted, _, err := ssp.Adapt(orig, prof, ssp.DefaultOptions(), "mcf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "adapted.ssp")
-	if err := os.WriteFile(path, []byte(ir.Format(adapted)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
+	path := clitest.Dir + "/sspgen_file.stdout"
 	var out strings.Builder
-	if err := run(&out, path, "", 0, "main", "cfg", ""); err != nil {
+	if err := run([]string{"-in", path}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	checkDot(t, out.String())
@@ -77,16 +69,16 @@ func TestRunAdaptedBinary(t *testing.T) {
 
 	// Dependence graph of the injected slice body.
 	var dout strings.Builder
-	if err := run(&dout, path, "", 0, "main", "dep", "ssp_slice_0"); err != nil {
+	if err := run([]string{"-in", path, "-what", "dep", "-block", "ssp_slice_0"}, &dout, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	checkDot(t, dout.String())
 
 	// Error paths surface as errors, not DOT on stdout.
-	if err := run(&out, path, "", 0, "nosuchfunc", "cfg", ""); err == nil {
+	if err := run([]string{"-in", path, "-func", "nosuchfunc"}, &out, io.Discard); err == nil {
 		t.Error("run accepted an unknown function")
 	}
-	if err := run(&out, path, "", 0, "main", "bogus", ""); err == nil {
+	if err := run([]string{"-in", path, "-what", "bogus"}, &out, io.Discard); err == nil {
 		t.Error("run accepted an unknown -what")
 	}
 }
@@ -95,12 +87,8 @@ func TestRunAdaptedBinary(t *testing.T) {
 // benchmark: one cluster per independent p-slice, each rooted at its own
 // trigger site, with the spawn edges that arm the precomputation.
 func TestRunSlicePortfolio(t *testing.T) {
-	spec, err := workloads.ByName("mcf.multi")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out strings.Builder
-	if err := run(&out, "", "mcf.multi", spec.TestScale, "main", "slices", ""); err != nil {
+	if err := run([]string{"-bench", "mcf.multi", "-scale", "test", "-what", "slices"}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	dot := out.String()

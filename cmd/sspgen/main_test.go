@@ -1,28 +1,32 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"ssp/internal/cliutil/clitest"
 	"ssp/internal/ir"
-	"ssp/internal/workloads"
 )
 
+// TestPinnedOutput: the adapted binary and the report on stderr are
+// byte-identical to what sspgen printed when it profiled and adapted by
+// hand, recorded from `sspgen -bench mcf.multi -scale 1100 -tiny` (the
+// benchmark's test size on the test memory system, which -scale test names
+// now) and from the file hand-off `sspgen -in mcf.ssp -profile
+// mcf.prof.json`, whose profile sspprof wrote for that file.
+func TestPinnedOutput(t *testing.T) {
+	clitest.Pin(t, run, "sspgen_multi", "-bench mcf.multi -scale test")
+	clitest.Pin(t, run, "sspgen_file", "-in "+clitest.Dir+"/mcf.ssp -profile "+clitest.Dir+"/mcf.prof.json")
+}
+
+// TestRunFilePipeline profiles and adapts an assembly file through the
+// suite: the output carries the attachments and parses back.
 func TestRunFilePipeline(t *testing.T) {
-	dir := t.TempDir()
-	spec, err := workloads.ByName("mcf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, _ := spec.Build(800)
-	in := filepath.Join(dir, "mcf.ssp")
-	if err := os.WriteFile(in, []byte(ir.Format(p)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out := filepath.Join(dir, "mcf.enh.ssp")
-	if err := run(in, "", 0, "", true, out, 0.9, true, true, true, true); err != nil {
+	out := filepath.Join(t.TempDir(), "mcf.enh.ssp")
+	if err := run([]string{"-in", clitest.Dir + "/mcf.ssp", "-scale", "test", "-out", out}, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	text, err := os.ReadFile(out)
@@ -41,24 +45,19 @@ func TestRunFilePipeline(t *testing.T) {
 	}
 }
 
-func TestRunBenchShortcut(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "x.ssp")
-	if err := run("", "vpr", 512, "", true, out, 0.9, true, true, true, true); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(out); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunErrors(t *testing.T) {
-	if err := run("", "", 0, "", true, "", 0.9, true, true, true, true); err == nil {
-		t.Fatal("accepted neither -in nor -bench")
+	for _, args := range []string{
+		"-scale test",                               // neither -in nor -bench
+		"-in /no/such/file.ssp -scale test",         // missing input
+		"-bench mcf -profile /no/such/profile.json", // missing profile
+	} {
+		if err := run(strings.Fields(args), io.Discard, io.Discard); err == nil {
+			t.Errorf("%s: accepted", args)
+		}
 	}
-	if err := run("/no/such/file.ssp", "", 0, "", true, "", 0.9, true, true, true, true); err == nil {
-		t.Fatal("accepted missing input")
-	}
-	if err := run("", "mcf", 800, "/no/such/profile.json", true, "", 0.9, true, true, true, true); err == nil {
-		t.Fatal("accepted missing profile")
+	for _, scale := range []string{"1500", "-5", "tset"} { // not scale names
+		if err := run([]string{"-bench", "mcf", "-scale", scale}, io.Discard, io.Discard); err == nil {
+			t.Errorf("-scale %s: accepted", scale)
+		}
 	}
 }

@@ -3,7 +3,7 @@
 // block frequencies, dynamic call graph) that cmd/sspgen consumes.
 //
 // With -hot-blocks it instead prints the top-N basic blocks by dynamic
-// instruction share (from the same dense per-PC stats), annotated with what
+// instruction share (from the same profile's instruction counts), annotated with what
 // the closure-threaded execution core compiled each block to — chain nodes,
 // fused constituents, exit width — so superinstruction fusion coverage on
 // the actually-hot code is inspectable per benchmark.
@@ -11,11 +11,17 @@
 // Usage:
 //
 //	sspprof -in prog.ssp -out prog.prof.json
-//	sspprof -bench mcf -scale 20000 -out mcf.prof.json
-//	sspprof -bench mcf -tiny -hot-blocks 10
+//	sspprof -bench mcf -out mcf.prof.json
+//	sspprof -bench mcf -scale test -hot-blocks 10
+//
+// The profile is the one exp.Suite takes of every program it runs: the
+// in-order profiling run at the named scale (-scale paper, the Table 1
+// machine and working sets, or -scale test), watchdog, answer checksum and
+// conservation check included.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -23,47 +29,44 @@ import (
 	"sort"
 
 	"ssp/internal/cliutil"
-	"ssp/internal/ir"
+	"ssp/internal/exp"
 	"ssp/internal/profile"
 	"ssp/internal/sim"
+	"ssp/internal/sim/decode"
 )
 
 func main() {
-	var (
-		in    = flag.String("in", "", "input assembly file")
-		bench = flag.String("bench", "", "built-in benchmark name (em3d, health, mst, treeadd.df, treeadd.bf, mcf, vpr)")
-		scale = flag.Int("scale", 0, "benchmark scale (0 = default)")
-		model = flag.String("model", "in-order", "machine model: in-order or ooo")
-		tiny  = flag.Bool("tiny", false, "use the scaled-down test memory system")
-		out   = flag.String("out", "", "output profile path (default stdout)")
-		hot   = flag.Int("hot-blocks", 0, "print the top-N blocks by dynamic instruction share instead of a profile bundle")
-	)
-	flag.Parse()
-	if err := run(*in, *bench, *scale, *model, *tiny, *out, *hot); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "sspprof:", err)
 		os.Exit(1)
 	}
 }
 
-func run(in, bench string, scale int, model string, tiny bool, out string, hot int) error {
-	p, _, err := cliutil.LoadProgram(in, bench, scale)
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("sspprof", flag.ExitOnError)
+	var (
+		in    = fs.String("in", "", "input assembly file")
+		bench = fs.String("bench", "", "built-in benchmark name (see cmd/experiments)")
+		scale = fs.String("scale", "paper", "experiment scale: paper or test")
+		out   = fs.String("out", "", "output profile path (default stdout)")
+		hot   = fs.Int("hot-blocks", 0, "print the top-N blocks by dynamic instruction share instead of a profile bundle")
+	)
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits with status 2
+	input, err := cliutil.ReadInput(*in, *bench, *scale)
 	if err != nil {
 		return err
 	}
-	cfg, err := cliutil.MachineConfig(model, tiny)
+	_, _, pr, dp, err := exp.NewSuite(input.Scale).Original(context.Background(), input.Bench, input.Src)
 	if err != nil {
 		return err
 	}
-	if hot > 0 {
-		return hotBlocks(os.Stdout, p, cfg, hot)
+	if *hot > 0 {
+		hotBlocks(stdout, pr, dp, *hot)
+		return nil
 	}
-	pr, err := profile.Collect(p, cfg)
-	if err != nil {
-		return err
-	}
-	w := os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
+	w := stdout
+	if *out != "" {
+		f, err := os.Create(*out)
 		if err != nil {
 			return err
 		}
@@ -74,30 +77,17 @@ func run(in, bench string, scale int, model string, tiny bool, out string, hot i
 		return err
 	}
 	dels := pr.DelinquentLoads(0.9, 10)
-	fmt.Fprintf(os.Stderr, "profiled %d cycles; %d loads cover >=90%% of %d miss cycles: %v\n",
+	fmt.Fprintf(stderr, "profiled %d cycles; %d loads cover >=90%% of %d miss cycles: %v\n",
 		pr.Cycles, len(dels), pr.TotalMissCycles, dels)
 	return nil
 }
 
-// hotBlocks runs the program once with dense per-PC profiling, aggregates
-// the counts over the threaded core's basic blocks, and prints the top-N by
-// dynamic instruction share with each block's compiled-chain shape.
-func hotBlocks(w io.Writer, p *ir.Program, cfg sim.Config, n int) error {
-	img, err := ir.Link(p)
-	if err != nil {
-		return err
-	}
-	dp := sim.Predecode(img)
-	cfg.Profile = true
-	res, err := sim.NewPredecoded(cfg, dp).Run()
-	if err != nil {
-		return err
-	}
-	if res.TimedOut {
-		return fmt.Errorf("hot-blocks: run timed out after %d cycles", res.Cycles)
-	}
+// hotBlocks aggregates the profile's main-thread instruction counts over the
+// threaded core's basic blocks of dp, the profiled image, and prints the
+// top-N by dynamic instruction share with each block's compiled-chain shape.
+func hotBlocks(w io.Writer, pr *profile.Profile, dp *decode.Program, n int) {
+	img := dp.Img
 	tp := sim.ThreadedProgram(dp)
-
 	type row struct {
 		block  int
 		instrs uint64
@@ -107,7 +97,10 @@ func hotBlocks(w io.Writer, p *ir.Program, cfg sim.Config, n int) error {
 	for bi := range tp.Blocks {
 		rows[bi].block = bi
 	}
-	for pc, count := range res.PCCount {
+	// Instruction IDs are unique within a program, so each PC's count is
+	// its instruction's.
+	for pc := range img.Code {
+		count := pr.InstrFreq[img.Code[pc].I.ID]
 		total += count
 		rows[tp.BlockOf[pc]].instrs += count
 	}
@@ -140,5 +133,4 @@ func hotBlocks(w io.Writer, p *ir.Program, cfg sim.Config, n int) error {
 		fmt.Fprintf(w, "%4d  %6.2f%%  %6.2f%%  %12d  %-24s  %-11s  %s\n",
 			i+1, share, cum, r.instrs, img.BlockKey(int(b.Start)), fmt.Sprintf("[%d,%d)", b.Start, b.End), chain)
 	}
-	return nil
 }

@@ -1,19 +1,27 @@
 package main
 
 import (
-	"bytes"
+	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
-	"ssp/internal/cliutil"
+	"ssp/internal/cliutil/clitest"
 	"ssp/internal/profile"
 )
 
+// TestPinnedOutput: the profile bundle and the hot-block table are
+// byte-identical to what sspprof printed when it profiled by hand, recorded
+// from `sspprof -bench mcf -scale 1500 -tiny [-hot-blocks 10]` (mcf's test
+// size on the test memory system, which -scale test names now).
+func TestPinnedOutput(t *testing.T) {
+	clitest.Pin(t, run, "sspprof_mcf", "-bench mcf -scale test")
+	clitest.Pin(t, run, "sspprof_hot", "-bench mcf -scale test -hot-blocks 10")
+}
+
 func TestProfilePipeline(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "p.json")
-	if err := run("", "mcf", 800, "in-order", true, out, 0); err != nil {
+	if err := run([]string{"-bench", "mcf", "-scale", "test", "-out", out}, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(out)
@@ -33,34 +41,13 @@ func TestProfilePipeline(t *testing.T) {
 	}
 }
 
-func TestHotBlocks(t *testing.T) {
-	p, _, err := cliutil.LoadProgram("", "mcf", 800)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := cliutil.MachineConfig("in-order", true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := hotBlocks(&buf, p, cfg, 5); err != nil {
-		t.Fatal(err)
-	}
-	got := buf.String()
-	if !strings.Contains(got, "hot blocks: top") {
-		t.Fatalf("missing header:\n%s", got)
-	}
-	// mcf's pointer-chase loop dominates; its chain shape must be reported.
-	if !strings.Contains(got, "main.loop") || !strings.Contains(got, "fused=") {
-		t.Fatalf("missing hot-loop row with chain shape:\n%s", got)
-	}
-}
-
 func TestProfileErrors(t *testing.T) {
-	if err := run("", "nosuch", 0, "in-order", true, "", 0); err == nil {
+	if err := run([]string{"-bench", "nosuch", "-scale", "test"}, io.Discard, io.Discard); err == nil {
 		t.Fatal("accepted unknown benchmark")
 	}
-	if err := run("", "mcf", 400, "warpdrive", true, "", 0); err == nil {
-		t.Fatal("accepted unknown model")
+	for _, scale := range []string{"1500", "-5", "tset"} { // not scale names
+		if err := run([]string{"-bench", "mcf", "-scale", scale}, io.Discard, io.Discard); err == nil {
+			t.Errorf("-scale %s: accepted", scale)
+		}
 	}
 }

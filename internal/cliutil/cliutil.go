@@ -1,6 +1,6 @@
-// Package cliutil holds the input plumbing shared by the command-line
-// tools: loading programs from assembly files or from the built-in
-// benchmark generators, and selecting machine configurations.
+// Package cliutil holds the plumbing shared by the command-line tools: the
+// program a tool runs, named as a served job names it, and host-side
+// profiling of a tool run.
 package cliutil
 
 import (
@@ -10,43 +10,51 @@ import (
 	"runtime/pprof"
 	"sync"
 
+	"ssp/internal/exp"
 	"ssp/internal/ir"
-	"ssp/internal/sim"
-	"ssp/internal/workloads"
 )
 
-// LoadProgram returns a program from an assembly file (in) or from a
-// built-in benchmark generator (bench at the given scale; scale 0 selects
-// the benchmark's default experiment scale). Exactly one of in and bench
-// must be set.
-//
-// For benchmark inputs the second return is the expected final checksum the
-// program stores to workloads.ResultAddr, so callers can verify a run
-// computed the right answer. Assembly files carry no expected value; the
-// checksum is 0 and not meaningful for them.
-func LoadProgram(in, bench string, scale int) (*ir.Program, uint64, error) {
+// Input is the program a tool runs, named as a served job names it: a
+// built-in benchmark (Bench) or the text (Src) of an assembly file (Path),
+// at a named scale. Tools that simulate resolve it through an exp.Suite at
+// Scale, the one pipeline every run goes through.
+type Input struct {
+	Bench, Path, Src string
+	Scale            exp.Scale
+}
+
+// ReadInput resolves the -in FILE, -bench NAME and -scale paper|test flags
+// the tools share. Exactly one of in and bench must be set.
+func ReadInput(in, bench, scale string) (Input, error) {
+	s, err := exp.ParseScale(scale)
+	if err != nil {
+		return Input{}, err
+	}
+	i := Input{Bench: bench, Path: in, Scale: s}
 	switch {
 	case in != "" && bench != "":
-		return nil, 0, fmt.Errorf("specify either -in or -bench, not both")
+		return i, fmt.Errorf("specify either -in or -bench, not both")
 	case in != "":
 		src, err := os.ReadFile(in)
-		if err != nil {
-			return nil, 0, err
+		if err == nil && len(src) == 0 {
+			err = fmt.Errorf("%s: empty file", in) // an empty Src names no program
 		}
-		p, err := ir.Parse(string(src))
-		return p, 0, err
-	case bench != "":
-		spec, err := workloads.ByName(bench)
-		if err != nil {
-			return nil, 0, err
-		}
-		if scale == 0 {
-			scale = spec.Scale
-		}
-		p, want := spec.Build(scale)
-		return p, want, nil
+		i.Src = string(src)
+		return i, err
+	case bench == "":
+		return i, fmt.Errorf("specify -in FILE or -bench NAME")
 	}
-	return nil, 0, fmt.Errorf("specify -in FILE or -bench NAME")
+	return i, nil
+}
+
+// Load returns the input's program without simulating it: the file parsed,
+// or the benchmark built at the input's scale (exp.Build).
+func (i Input) Load() (*ir.Program, error) {
+	if i.Path != "" {
+		return ir.Parse(i.Src)
+	}
+	p, _, err := exp.Build(i.Bench, i.Scale)
+	return p, err
 }
 
 // StartProfiles begins host-side CPU and/or heap profiling for a tool run
@@ -94,21 +102,4 @@ func StartProfiles(cpuPath, memPath string) (stop func(), err error) {
 			}
 		})
 	}, nil
-}
-
-// MachineConfig builds a simulator configuration for "in-order" or "ooo",
-// optionally with the scaled-down test memory system.
-func MachineConfig(model string, tiny bool) (sim.Config, error) {
-	m, err := sim.ParseModel(model)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	c := sim.DefaultInOrder()
-	if m == sim.OOO {
-		c = sim.DefaultOOO()
-	}
-	if tiny {
-		c.UseTinyMem()
-	}
-	return c, nil
 }

@@ -5,72 +5,76 @@ import (
 	"path/filepath"
 	"testing"
 
+	"ssp/internal/exp"
 	"ssp/internal/ir"
-	"ssp/internal/workloads"
 )
 
-func TestLoadProgramFromBench(t *testing.T) {
-	p, want, err := LoadProgram("", "mcf", 500)
+func TestReadInputBench(t *testing.T) {
+	in, err := ReadInput("", "mcf", "test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.FuncByName("main") == nil {
-		t.Fatal("benchmark program lacks main")
+	if in.Bench != "mcf" || in.Src != "" || in.Scale != exp.ScaleTest {
+		t.Fatalf("input %+v", in)
 	}
-	// The returned checksum must match the generator's own expectation, so
-	// simrun can verify benchmark runs the way Suite.Run does.
-	spec, _ := workloads.ByName("mcf")
-	if _, specWant := spec.Build(500); want != specWant {
-		t.Fatalf("checksum %d, spec.Build says %d", want, specWant)
+	p, err := in.Load()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := LoadProgram("", "nosuch", 0); err == nil {
-		t.Fatal("accepted unknown benchmark")
+	// The loader sizes a benchmark as the suite does.
+	want, _, err := exp.Build("mcf", exp.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ir.Format(p) != ir.Format(want) {
+		t.Fatal("loaded benchmark differs from exp.Build's at the same scale")
+	}
+	if _, err := (Input{Bench: "nosuch"}).Load(); err == nil {
+		t.Fatal("loaded an unknown benchmark")
 	}
 }
 
-func TestLoadProgramFromFile(t *testing.T) {
-	p, _, _ := LoadProgram("", "mcf", 300)
+func TestReadInputFile(t *testing.T) {
+	p, _, err := exp.Build("mcf", exp.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "prog.ssp")
 	if err := os.WriteFile(path, []byte(ir.Format(p)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	q, want, err := LoadProgram(path, "", 0)
+	in, err := ReadInput(path, "", "paper")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want != 0 {
-		t.Fatalf("file inputs carry no expected checksum, got %d", want)
+	if in.Src != ir.Format(p) || in.Scale != exp.ScalePaper {
+		t.Fatalf("file input: scale %v, %d bytes of source", in.Scale, len(in.Src))
+	}
+	q, err := in.Load()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if q.NumInstrs() != p.NumInstrs() {
 		t.Fatalf("file round trip: %d instrs vs %d", q.NumInstrs(), p.NumInstrs())
 	}
 }
 
-func TestLoadProgramArgErrors(t *testing.T) {
-	if _, _, err := LoadProgram("", "", 0); err == nil {
-		t.Fatal("accepted neither -in nor -bench")
+func TestReadInputErrors(t *testing.T) {
+	empty := filepath.Join(t.TempDir(), "empty.ssp")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := LoadProgram("x.ssp", "mcf", 0); err == nil {
-		t.Fatal("accepted both -in and -bench")
-	}
-	if _, _, err := LoadProgram("/nonexistent/file.ssp", "", 0); err == nil {
-		t.Fatal("accepted missing file")
-	}
-}
-
-func TestMachineConfig(t *testing.T) {
-	io, err := MachineConfig("in-order", false)
-	if err != nil || io.Model.String() != "in-order" {
-		t.Fatalf("in-order: %v %v", io.Model, err)
-	}
-	ooo, err := MachineConfig("ooo", true)
-	if err != nil || ooo.Model.String() != "ooo" {
-		t.Fatalf("ooo: %v %v", ooo.Model, err)
-	}
-	if ooo.Mem.L1Size != 1<<10 {
-		t.Fatal("tiny flag ignored")
-	}
-	if _, err := MachineConfig("weird", false); err == nil {
-		t.Fatal("accepted unknown model")
+	for _, tc := range []struct{ in, bench, scale string }{
+		{empty, "", "test"},                   // no program in the file
+		{"", "", "test"},                      // neither -in nor -bench
+		{"x.ssp", "mcf", "test"},              // both
+		{"/nonexistent/file.ssp", "", "test"}, // missing file
+		{"", "mcf", "1500"},                   // an element count is not a scale
+		{"", "mcf", "-5"},
+		{"", "mcf", "tset"},
+	} {
+		if _, err := ReadInput(tc.in, tc.bench, tc.scale); err == nil {
+			t.Errorf("ReadInput(%q, %q, %q) accepted", tc.in, tc.bench, tc.scale)
+		}
 	}
 }

@@ -208,11 +208,19 @@ func TestTinyBudgetStillCoalesces(t *testing.T) {
 		var wg sync.WaitGroup
 		var ran atomic.Int64
 		results := make([]*sim.Result, burst)
+		// Every request takes its handle before any of them runs, as
+		// requests that all arrive while the first is in flight do: a
+		// request arriving after the cell completed and left would
+		// rightly compute it again.
+		handles := make([]Served, burst)
+		for i := range handles {
+			handles[i] = s.Served("mcf", "", nil, tc.model, tc.opt)
+		}
 		for i := range results {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				res, _, r, err := s.Served("mcf", "", nil, tc.model, tc.opt).Do(context.Background(), nil)
+				res, _, r, err := handles[i].Do(context.Background(), nil)
 				if err != nil {
 					t.Error(err)
 				}

@@ -67,6 +67,23 @@ func ParseScale(name string) (Scale, error) {
 	return 0, fmt.Errorf("unknown scale %q (want paper or test)", name)
 }
 
+// Build builds a built-in benchmark at s: at its experiment size at paper
+// scale, at its test size at test scale. The second result is the checksum
+// the program leaves at workloads.ResultAddr. Every program the suite and the
+// tools build is sized here.
+func Build(bench string, s Scale) (*ir.Program, uint64, error) {
+	spec, err := workloads.ByName(bench)
+	if err != nil {
+		return nil, 0, err
+	}
+	n := spec.Scale
+	if s == ScaleTest {
+		n = spec.TestScale
+	}
+	p, want := spec.Build(n)
+	return p, want, nil
+}
+
 // Variant names a binary/machine treatment of a benchmark. Each is a preset
 // onto the pipeline's keys: a binary treatment (the original program, the
 // hand adaptation, or the tool with preset options) plus a memory treatment.
@@ -361,26 +378,18 @@ func (s *Suite) MachineConfig(model sim.Model) sim.Config {
 func (s *Suite) program(ctx context.Context, r request, l *lease) (*program, error) {
 	p, _, err := do(ctx, s, lookup(s, s.progs, r.prog, l), programBytes, func(ctx context.Context) (*program, error) {
 		p := new(program)
+		var err error
 		switch {
 		case r.parsed != nil:
 			p.orig = r.parsed
 		case r.src == "":
-			spec, err := workloads.ByName(r.bench)
-			if err != nil {
-				return nil, err
-			}
-			scale := spec.Scale
-			if s.Scale == ScaleTest {
-				scale = spec.TestScale
-			}
-			p.orig, p.want = spec.Build(scale)
+			p.orig, p.want, err = Build(r.bench, s.Scale)
 			p.check = true
 		default:
-			orig, err := ir.Parse(r.src)
-			if err != nil {
-				return nil, err
-			}
-			p.orig = orig
+			p.orig, err = ir.Parse(r.src)
+		}
+		if err != nil {
+			return nil, err
 		}
 		for _, f := range p.orig.Funcs {
 			f.Renumber()
@@ -574,20 +583,6 @@ func (s *Suite) simulate(ctx context.Context, k simKey, label RunKey, cfg sim.Co
 	return cached, full, err
 }
 
-// compute runs r through the program and binary stages and simulates the
-// binary outside every cache (RunInstrumented). setup, when non-nil,
-// instruments the machine first.
-func (s *Suite) compute(ctx context.Context, r request, setup func(*sim.Machine)) (run, time.Duration, error) {
-	var l lease
-	defer s.release(&l)
-	b, k, cfg, err := s.prepare(ctx, r, &l)
-	if err != nil {
-		return run{}, 0, err
-	}
-	res, wall, err := s.execute(ctx, r.label(), k, cfg, b.dp, setup)
-	return run{res, b.rep}, wall, err
-}
-
 // execute runs one simulation of k under the suite's machine-lifecycle
 // discipline and returns its result and wall time.
 //
@@ -663,29 +658,6 @@ func (s *Suite) RunOptions(ctx context.Context, bench string, model sim.Model, o
 	return out.res, err
 }
 
-// RunInstrumented simulates a benchmark variant on a fresh machine with the
-// given instrumentation installed (tracers, external profilers, per-cycle
-// observers — anything that calls AttachExec or SetCycleHooks). The result is
-// computed outside the memoization layer and never enters it: an instrumented
-// rerun of a cached cell must not poison the cache (a hook can legitimately
-// change what the Result carries — DisableStats empties the breakdown — and a
-// per-cycle hook without bulk-skip support turns the fast-forward core off,
-// changing the strategy counters), and conversely a cached hit must not
-// silently skip the caller's hooks. Progress does not fire and the
-// conservation layer is not applied, since instrumentation may detach the
-// stats recorder that upholds it.
-func (s *Suite) RunInstrumented(bench string, model sim.Model, v Variant, instrument func(*sim.Machine)) (*sim.Result, error) {
-	if instrument == nil {
-		return nil, fmt.Errorf("exp: RunInstrumented without an instrument function (use Run)")
-	}
-	r, err := variantRequest(bench, model, v)
-	if err != nil {
-		return nil, err
-	}
-	out, _, err := s.compute(context.Background(), r, instrument)
-	return out.res, err
-}
-
 // Report returns the tool report for an adapted variant, adapting if needed.
 // Variants with no tool run behind them (base, perfmem, perfdel, and the
 // hand adaptation) have no report; asking for one is an error rather than a
@@ -707,30 +679,45 @@ func (s *Suite) Report(bench string, v Variant) (*ssp.Report, error) {
 	return b.rep, nil
 }
 
-// ProgramOptions returns the binary and tool report of a benchmark adapted
-// with an arbitrary option set: the binary stage's cell, shared with
-// RunOptions and with any preset variant of equal options.
-func (s *Suite) ProgramOptions(ctx context.Context, bench string, opt ssp.Options) (*ir.Program, *ssp.Report, error) {
+// Original returns the program cell of a built-in benchmark (bench) or a
+// program in the ir syntax (src), the identity a served job names: the
+// original program, its expected final-answer checksum (0 for a source
+// program), its in-order profile, and its predecoded image. It builds or
+// parses and profiles on first use; the profiling run also fills the
+// in-order baseline cell. The returned structures are shared with the
+// suite's caches — callers must treat them as read-only.
+func (s *Suite) Original(ctx context.Context, bench, src string) (*ir.Program, uint64, *profile.Profile, *decode.Program, error) {
+	p, err := s.program(ctx, newRequest(bench, src, sim.InOrder, nil), nil)
+	if err != nil {
+		return nil, 0, nil, nil, err
+	}
+	return p.orig, p.want, p.prof, p.dp, nil
+}
+
+// Adapted returns the binary cell of a built-in benchmark (bench) or a
+// program in the ir syntax (src) adapted with opt: the adapted program and
+// its tool report, shared with RunOptions, served jobs and any preset
+// variant of equal options.
+func (s *Suite) Adapted(ctx context.Context, bench, src string, opt ssp.Options) (*ir.Program, *ssp.Report, error) {
 	var l lease
 	defer s.release(&l)
-	b, err := s.binary(ctx, newRequest(bench, "", sim.InOrder, &opt), &l)
+	b, err := s.binary(ctx, newRequest(bench, src, sim.InOrder, &opt), &l)
 	if err != nil {
 		return nil, nil, err
 	}
 	return b.prog, b.rep, nil
 }
 
-// Workload exposes a benchmark's built program, its expected final-answer
-// checksum, and the offline profile (building and profiling on first use;
-// the profiling run also fills the in-order baseline cell).
-// The returned structures are shared with the suite's caches — callers must
-// treat them as read-only. The closed-loop tuner re-adapts from these.
+// ProgramOptions is Adapted for a built-in benchmark.
+func (s *Suite) ProgramOptions(ctx context.Context, bench string, opt ssp.Options) (*ir.Program, *ssp.Report, error) {
+	return s.Adapted(ctx, bench, "", opt)
+}
+
+// Workload is Original for a built-in benchmark, without the image. The
+// closed-loop tuner re-adapts from these.
 func (s *Suite) Workload(ctx context.Context, bench string) (*ir.Program, uint64, *profile.Profile, error) {
-	p, err := s.program(ctx, newRequest(bench, "", sim.InOrder, nil), nil)
-	if err != nil {
-		return nil, 0, nil, err
-	}
-	return p.orig, p.want, p.prof, nil
+	orig, want, prof, _, err := s.Original(ctx, bench, "")
+	return orig, want, prof, err
 }
 
 // Served is a served job's handle on its run-stage cell (see Suite.Served).

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"ssp/internal/check"
 	"ssp/internal/sim"
 	"ssp/internal/ssp"
 )
@@ -286,89 +285,6 @@ func TestSuiteChecksumGuard(t *testing.T) {
 		t.Fatalf("speedup = %v", sp)
 	}
 }
-
-// cycleCounter is a per-cycle observer that deliberately does NOT implement
-// sim.CycleSkipper: installing it must turn the fast-forward core off, so it
-// sees every single simulated cycle.
-type cycleCounter struct{ n int64 }
-
-func (c *cycleCounter) Cycle(m *sim.Machine, main *sim.Thread, s sim.CycleStats) { c.n++ }
-
-func TestRunInstrumentedDoesNotPoisonCache(t *testing.T) {
-	s := NewSuite(ScaleTest)
-	cached, err := s.Run("mcf", sim.InOrder, VarBase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached.FastForwards == 0 {
-		t.Fatal("matrix cell did not fast-forward (MachineConfig should enable it)")
-	}
-
-	// A per-cycle observer without bulk-skip support: the machine must fall
-	// back to per-cycle simulation, and the observer must see every cycle.
-	var counter cycleCounter
-	traced, err := s.RunInstrumented("mcf", sim.InOrder, VarBase, func(m *sim.Machine) {
-		m.SetCycleHooks(&counter)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counter.n != traced.Cycles {
-		t.Fatalf("observer saw %d cycles, run took %d", counter.n, traced.Cycles)
-	}
-	if traced.FastForwards != 0 {
-		t.Fatal("fast-forward jumped past a per-cycle observer")
-	}
-	if traced.Cycles != cached.Cycles {
-		t.Fatalf("instrumented run took %d cycles, cached cell %d", traced.Cycles, cached.Cycles)
-	}
-	// Replacing the stats hook empties the breakdown — exactly the Result
-	// shape that must never be handed out as the cached matrix cell.
-	if traced.Breakdown == cached.Breakdown {
-		t.Fatal("instrumented result has the cached cell's breakdown; expected it empty")
-	}
-
-	// The cached cell is untouched: same pointer, still conservation-clean.
-	again, err := s.Run("mcf", sim.InOrder, VarBase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != cached {
-		t.Fatal("instrumented rerun evicted the cached cell")
-	}
-	if err := check.Conservation(again); err != nil {
-		t.Fatalf("cached cell corrupted by instrumented rerun: %v", err)
-	}
-
-	// An exec-level hook keeps the default stats recorder (and its skipper),
-	// so the instrumented result must match the cached cell bit-for-bit while
-	// still observing every retired main instruction.
-	var execs int64
-	observed, err := s.RunInstrumented("mcf", sim.InOrder, VarBase, func(m *sim.Machine) {
-		m.AttachExec(execFunc(func(m *sim.Machine, th *sim.Thread, pc int) { execs++ }))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if observed == cached {
-		t.Fatal("RunInstrumented returned the cached cell itself")
-	}
-	if observed.Cycles != cached.Cycles || observed.Breakdown != cached.Breakdown {
-		t.Fatal("passively instrumented run diverged from the cached cell")
-	}
-	if execs != observed.MainInstrs+observed.SpecInstrs {
-		t.Fatalf("exec hook saw %d instructions, run retired %d", execs, observed.MainInstrs+observed.SpecInstrs)
-	}
-
-	if _, err := s.RunInstrumented("mcf", sim.InOrder, VarBase, nil); err == nil {
-		t.Fatal("RunInstrumented accepted a nil instrument function")
-	}
-}
-
-// execFunc adapts a function to sim.ExecHooks.
-type execFunc func(*sim.Machine, *sim.Thread, int)
-
-func (f execFunc) Exec(m *sim.Machine, t *sim.Thread, pc int) { f(m, t, pc) }
 
 // TestOptionsCellsNeverSharedAcrossConfigs is the poisoning regression for
 // the options-keyed memoization: two configurations that differ only in

@@ -25,6 +25,21 @@ func (h *panicHook) Exec(m *sim.Machine, t *sim.Thread, pc int) {
 	}
 }
 
+// executeUncached resolves r through the program and binary stages and runs
+// its simulation through execute, outside the sim cell, with setup
+// instrumenting the machine first: the machine lifecycle (pool discipline,
+// panic containment, cancellation) without a cache in the way.
+func executeUncached(ctx context.Context, s *Suite, r request, setup func(*sim.Machine)) (*sim.Result, error) {
+	var l lease
+	defer s.release(&l)
+	b, k, cfg, err := s.prepare(ctx, r, &l)
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := s.execute(ctx, r.label(), k, cfg, b.dp, setup)
+	return res, err
+}
+
 // profiled builds and profiles mcf in a new suite and checks the profiling
 // run's pool traffic: one machine out, and back after its clean completion.
 func profiled(t *testing.T) *Suite {
@@ -47,7 +62,11 @@ func TestPanickedRunDiscardsMachine(t *testing.T) {
 	// The in-order baseline is the profiling run's cell, so the cell that
 	// panics and is then computed cleanly is the OOO baseline.
 	s := profiled(t)
-	_, err := s.RunInstrumented("mcf", sim.OOO, VarBase, func(m *sim.Machine) {
+	r, err := variantRequest("mcf", sim.OOO, VarBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = executeUncached(context.Background(), s, r, func(m *sim.Machine) {
 		m.AttachExec(&panicHook{left: 100})
 	})
 	if err == nil {
@@ -142,7 +161,7 @@ func TestCancelledCellRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, _, err = s.compute(ctx, r, func(m *sim.Machine) {
+	_, err = executeUncached(ctx, s, r, func(m *sim.Machine) {
 		m.AttachExec(&cancelHook{cancel: cancel, left: 500})
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -212,7 +231,14 @@ func TestProfileRunIsBaselineCell(t *testing.T) {
 		if base.PCCount != nil || base.CallEdges != nil {
 			t.Errorf("%s: cached baseline carries the profile's counts", bench)
 		}
-		rerun, err := s.RunInstrumented(bench, sim.InOrder, VarBase, func(*sim.Machine) {})
+		if base.FastForwards == 0 {
+			t.Errorf("%s: baseline did not fast-forward (MachineConfig should enable it)", bench)
+		}
+		r, err := variantRequest(bench, sim.InOrder, VarBase)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rerun, err := executeUncached(ctx, s, r, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,10 +251,6 @@ func TestProfileRunIsBaselineCell(t *testing.T) {
 		}
 		if !reflect.DeepEqual(prof, want) {
 			t.Errorf("%s: suite profile differs from profile.Collect", bench)
-		}
-		r, err := variantRequest(bench, sim.InOrder, VarBase)
-		if err != nil {
-			t.Fatal(err)
 		}
 		p, err := s.program(ctx, r, nil)
 		if err != nil {

@@ -163,7 +163,7 @@ func (c *Config) Validate() error {
 
 // UseTinyMem shrinks the cache hierarchy to the scaled-down test machine
 // (1KB L1 / 4KB L2 / 16KB L3). It is the single definition of the "test"
-// memory system shared by exp.ScaleTest and the CLI -tiny flag.
+// memory system: exp.ScaleTest, which every CLI names -scale test.
 func (c *Config) UseTinyMem() {
 	c.Mem.L1Size = 1 << 10
 	c.Mem.L2Size = 4 << 10

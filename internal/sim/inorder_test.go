@@ -190,3 +190,36 @@ func TestRespawnAcrossJump(t *testing.T) {
 		t.Fatalf("%d jumps over a blocked speculative thread, %d spawns on one context", w.blocked, res.Spawns)
 	}
 }
+
+// cycleCounter is a per-cycle observer that does not implement
+// CycleSkipper.
+type cycleCounter struct{ n int64 }
+
+func (c *cycleCounter) Cycle(*Machine, *Thread, CycleStats) { c.n++ }
+
+// TestPerCycleHookDisablesFastForward: a cycle hook that cannot bulk-skip
+// turns fast-forwarding off on its machine, so it sees every simulated
+// cycle, and the run takes the cycles the fast-forwarded run takes.
+func TestPerCycleHookDisablesFastForward(t *testing.T) {
+	cfg := testInOrder()
+	cfg.FastForward = true
+	dp := Predecode(mustLink(t, chaseProgram(200, false)))
+	ff, err := NewPredecoded(cfg, dp).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ff.FastForwards == 0 {
+		t.Fatal("the pointer chase never fast-forwarded")
+	}
+	m := NewPredecoded(cfg, dp)
+	var c cycleCounter
+	m.SetCycleHooks(&c)
+	res, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FastForwards != 0 || c.n != res.Cycles || res.Cycles != ff.Cycles {
+		t.Fatalf("observed run: %d jumps, hook saw %d of %d cycles (fast-forwarded run: %d)",
+			res.FastForwards, c.n, res.Cycles, ff.Cycles)
+	}
+}

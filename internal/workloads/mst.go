@@ -82,9 +82,9 @@ func buildMst(n int) (*ir.Program, uint64) {
 
 	fb := ir.NewFunc(p, "main")
 	e := fb.Block("entry")
-	e.MovI(14, 0)        // i -> key via LCG
-	e.MovI(15, int64(n)) // limit
-	e.MovI(16, lc)       // key accumulator: key = (key + la) mod n (incremental LCG)
+	e.MovI(14, 0)           // i -> key via LCG
+	e.MovI(15, int64(n))    // limit
+	e.MovI(16, lc%int64(n)) // key accumulator: key = (key + la) mod n (incremental LCG)
 	e.MovI(20, 0)
 	loop := fb.Block("loop")
 	loop.Nop() // trigger padding

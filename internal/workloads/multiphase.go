@@ -309,7 +309,7 @@ func buildMstMulti(n int) (*ir.Program, uint64) {
 	e := fb.Block("entry")
 	e.MovI(14, 0)
 	e.MovI(15, int64(n))
-	e.MovI(16, lc)
+	e.MovI(16, lc%int64(n))
 	e.MovI(20, 0)
 	l1 := fb.Block("lookup")
 	l1.Nop() // trigger padding

@@ -36,8 +36,8 @@ type Spec struct {
 	// TestScale is a small element count for unit tests against the
 	// scaled-down memory system.
 	TestScale int
-	// Build constructs the program at the given scale and returns it with
-	// the expected checksum.
+	// Build constructs the program at the given scale, which must be at
+	// least 1, and returns it with the expected checksum.
 	Build func(scale int) (*ir.Program, uint64)
 	// MinSlices is the number of independent p-slices the adaptation tool is
 	// expected to build for this kernel (0 means 1). The single-hot-region

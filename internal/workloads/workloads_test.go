@@ -222,3 +222,26 @@ func TestMemFootprintExceedsL3AtScale(t *testing.T) {
 		}
 	}
 }
+
+// TestSmallScales: every benchmark builds a terminating program at 1 to 16
+// elements, and the interpreter leaves the promised checksum. (mst's lookup
+// key once started at 11 unreduced mod n, so at n <= 11 the first key was
+// absent and the chain walk never ended.)
+func TestSmallScales(t *testing.T) {
+	for _, s := range All() {
+		for n := 1; n <= 16; n++ {
+			p, want := s.Build(n)
+			img, err := ir.Link(p)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", s.Name, n, err)
+			}
+			r, err := sim.Interpret(tinyConfig(), img, 10_000_000)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", s.Name, n, err)
+			}
+			if got := r.Mem.Load(ResultAddr); got != want {
+				t.Errorf("%s/%d: checksum = %d, want %d", s.Name, n, got, want)
+			}
+		}
+	}
+}
