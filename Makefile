@@ -6,11 +6,14 @@ GO ?= go
 # detector (the concurrent experiment engine is exercised by internal/exp's
 # determinism and coalescing tests), the allocation-regression gate (the race
 # run skips it — instrumentation allocates), the benchmark module's vet and
-# tests, the 500-seed validation sweep the CI check job runs (sspcheck), and
-# a short native-fuzzing smoke of the parser, the adaptation tool, the safety
-# certifier on untrusted IR, and the threaded execution core, and Figure 1's
-# file flow through the command-line tools (tools-smoke).
-check: fmt vet race alloc-gate bench-module sspcheck fuzz-smoke tools-smoke
+# tests, the 500-seed validation sweep the CI check job runs (sspcheck), a
+# short native-fuzzing smoke of the parser, the adaptation tool, the safety
+# certifier on untrusted IR, and the threaded execution core, Figure 1's
+# file flow through the command-line tools (tools-smoke), and the gates CI
+# runs as jobs of their own: the served matrix validated against the golden
+# stats with SSE progress streams (serve-smoke), the closed-loop tuner
+# (tune-smoke), and the paper-scale Table 2 envelope (table2-check).
+check: fmt vet race alloc-gate bench-module sspcheck fuzz-smoke tools-smoke serve-smoke tune-smoke table2-check
 
 # bench-module vets and tests the benchmark under bench/, a module of its own
 # (replace ssp => ../) that the root module's build and tests never compile:
@@ -28,8 +31,8 @@ bench-module:
 # class); the lift layer (adapting a lifted image, and relifting an adapted
 # one, keep the image digest); and the execution-strategy layer (the whole
 # Result bit for bit with fast-forward on or off, a fresh or a shared
-# decode, a fresh or a Reset-reused machine, stats on or off, and a profiled
-# run; the interpreter's chain walker against its per-PC loop). Reproduce a
+# decode, a fresh or a Reset-reused machine, and a profiled run; the
+# interpreter's chain walker against its per-PC loop). Reproduce a
 # reported failure with: go run ./cmd/sspcheck -seed N
 sspcheck:
 	$(GO) run ./cmd/sspcheck -seeds 500

@@ -269,22 +269,17 @@ func reconcile(s *mem.LoadStat, what string) error {
 
 // point is one execution strategy of the StrategyEquivalence lattice: the
 // fast-forward knob, where the predecoded image comes from, which machine
-// runs it, whether the per-cycle stats recorder is attached, and whether
-// the profiling exec hook is.
+// runs it, and whether the profiling exec hook is attached.
 type point struct {
 	ff           bool // Config.FastForward: stall jumps vs per-cycle timing
 	freshDecode  bool // a private Predecode (and chain compile) vs the shared one
 	freshMachine bool // a newly built machine vs the one Reset machine
-	statsOff     bool // Machine.DisableStats before the run
 	profile      bool // Config.Profile: per-PC counts and call edges
 }
 
 func (pt point) String() string {
 	s := fmt.Sprintf("ff=%s decode=%s machine=%s", pick(pt.ff, "on", "off"),
 		pick(pt.freshDecode, "fresh", "shared"), pick(pt.freshMachine, "fresh", "reset"))
-	if pt.statsOff {
-		s += " stats=off"
-	}
 	if pt.profile {
 		s += " profile=on"
 	}
@@ -299,15 +294,13 @@ func pick(b bool, yes, no string) string {
 }
 
 // lattice lists every point in run order. The first is the reference the
-// others are compared against: per-cycle timing and stats on, over the
-// shared decode on a newly built machine. The last is how the experiment
-// suite takes its in-order baseline: a profiled run that is also the cached
-// baseline cell.
+// others are compared against: per-cycle timing over the shared decode on a
+// newly built machine. The last is how the experiment suite takes its
+// in-order baseline: a profiled run that is also the cached baseline cell.
 var lattice = []point{
 	{freshMachine: true},
 	{ff: true, freshDecode: true, freshMachine: true},
 	{}, {ff: true},
-	{statsOff: true}, {ff: true, statsOff: true},
 	{ff: true, profile: true},
 }
 
@@ -316,24 +309,23 @@ var lattice = []point{
 // lattice point must match the reference on the whole sim.Result
 // (SameTiming), and every run must pass the conservation layer. The points
 // are FastForward off and on over the shared decode, one fresh private
-// decode (ff=on), each FastForward setting again with stats off, checked
-// through a projection that takes Breakdown and SpecActiveHist — the only
-// fields the stats recorder writes — from the reference, and one profiled
-// run (ff=on), whose PCCount and CallEdges SameTiming does not compare: a
-// profiled baseline is the unprofiled one plus its profile. All
-// shared-decode points after the reference run on one machine, Reset
-// between runs and walked point-major over the (model, program) cells, so
-// it crosses model and program switches both ways and every
-// FastForward/stats/profile change. The interpreter's chain walker is also
-// checked against its per-PC loop (sim.InterpretStepwise). A failure names
-// its cell and both points, e.g. "ooo prog 1 ff=on decode=shared
-// machine=reset vs ff=off decode=shared machine=fresh: cycles 813 vs 812".
+// decode (ff=on), and one profiled run (ff=on), whose PCCount and CallEdges
+// SameTiming does not compare: a profiled baseline is the unprofiled one
+// plus its profile. All shared-decode points after the reference run on one
+// machine, Reset between runs and walked point-major over the (model,
+// program) cells, so it crosses model and program switches both ways and
+// every FastForward/profile change. The Figure 10 breakdown and the
+// utilization histogram are part of every compared Result: the engines
+// account them inline on every run, with no mode that leaves them out. The
+// interpreter's chain walker is also checked against its per-PC loop
+// (sim.InterpretStepwise). A failure names its cell and both points, e.g.
+// "ooo prog 1 ff=on decode=shared machine=reset vs ff=off decode=shared
+// machine=fresh: cycles 813 vs 812".
 //
 // Where the comparisons of the four per-strategy gates it replaced went:
-//   - predecode (fresh vs shared decode, shared rerun, stats off):
-//     decode=fresh; every later shared point reruns the reference's decode;
-//     the stats=off points.
-//   - fast-forward (per-cycle vs ff, stats on and off): the ff=on points.
+//   - predecode (fresh vs shared decode, shared rerun): decode=fresh; every
+//     later shared point reruns the reference's decode.
+//   - fast-forward (per-cycle vs ff): the ff=on points.
 //   - hot path (Reset-reused vs fresh machine across models and programs):
 //     every machine=reset point vs its cell's fresh-machine reference.
 //   - threaded (chains vs per-PC execution): the interpreter check. The
@@ -389,9 +381,6 @@ func strategyEquivalence(cfgs []sim.Config, perturb func(cfg sim.Config, prog in
 		if !pt.freshMachine {
 			shared = m
 		}
-		if pt.statsOff {
-			m.DisableStats()
-		}
 		name := fmt.Sprintf("%v prog %d %v", cfg.Model, pi, pt)
 		res, err := m.Run()
 		if err != nil {
@@ -399,11 +388,6 @@ func strategyEquivalence(cfgs []sim.Config, perturb func(cfg sim.Config, prog in
 		}
 		if perturb != nil {
 			perturb(cfgs[ci], pi, pt, res)
-		}
-		if pt.statsOff {
-			proj := *res
-			proj.Breakdown, proj.SpecActiveHist = ref.Breakdown, ref.SpecActiveHist
-			res = &proj
 		}
 		if err := finished(res); err != nil {
 			return nil, fmt.Errorf("check: strategy: %s: %w", name, err)

@@ -250,10 +250,24 @@ func moveHit(r *sim.Result) {
 	panic("no load with a full hit")
 }
 
+// shift moves one count from the first non-zero entry of s to the next
+// entry, keeping the sum that conservation checks.
+func shift(s []int64) {
+	for i, v := range s {
+		if v > 0 {
+			s[i]--
+			s[(i+1)%len(s)]++
+			return
+		}
+	}
+}
+
 // TestStrategyEquivalenceCatchesEveryPoint: the gate really compares every
 // point. Perturbing one point's Result in one cell — an extra cycle, one
-// per-load hit, one mispredict, one dropped prefetch, one register bit, each kept consistent
-// enough to pass conservation on its own — must fail the gate, and
+// cycle moved between breakdown categories or utilization buckets, one
+// per-load hit, one mispredict, one dropped prefetch, one register bit, each
+// kept consistent enough to pass conservation on its own — must fail the
+// gate, and
 // the error must name that cell and point. A perturbed reference fails the
 // first comparison made against it, whose error names the reference as its
 // other side. At the profiled point, one extra profile count must trip the
@@ -282,6 +296,8 @@ func TestStrategyEquivalenceCatchesEveryPoint(t *testing.T) {
 			r.Breakdown[0]++
 			r.SpecActiveHist[0]++
 		}, false},
+		{"breakdown", func(r *sim.Result) { shift(r.Breakdown[:]) }, false},
+		{"utilization", func(r *sim.Result) { shift(r.SpecActiveHist) }, false},
 		{"per-load hit", moveHit, false},
 		{"mispredict", func(r *sim.Result) { r.Mispredicts++ }, false},
 		{"prefetch", func(r *sim.Result) { r.Hier.DroppedPrefetches++ }, false},

@@ -487,8 +487,8 @@ func predecode(p *ir.Program) (*decode.Program, [sha256.Size]byte, error) {
 // served run: only the caller that computes the cell calls it (the serving
 // layer's worker slot; hits and coalesced waiters never do), and if that
 // caller also performs the simulation, it publishes the cell's live cycle
-// count through sim.ProgressHooks, which keeps the default accounting
-// bit-for-bit. The computation pins every cell it resolves until it ends.
+// count through sim.ProgressHooks, a clock observer that cannot change the
+// Result. The computation pins every cell it resolves until it ends.
 func (s *Suite) run(ctx context.Context, c *cell[runKey, run], r request, admit func(context.Context) (func(), error)) (run, bool, error) {
 	return do(ctx, s, c, runBytes, func(ctx context.Context) (run, error) {
 		var setup func(*sim.Machine)
@@ -713,13 +713,6 @@ func (s *Suite) ProgramOptions(ctx context.Context, bench string, opt ssp.Option
 	return s.Adapted(ctx, bench, "", opt)
 }
 
-// Workload is Original for a built-in benchmark, without the image. The
-// closed-loop tuner re-adapts from these.
-func (s *Suite) Workload(ctx context.Context, bench string) (*ir.Program, uint64, *profile.Profile, error) {
-	orig, want, prof, _, err := s.Original(ctx, bench, "")
-	return orig, want, prof, err
-}
-
 // Served is a served job's handle on its run-stage cell (see Suite.Served).
 type Served struct {
 	s *Suite
@@ -743,8 +736,8 @@ func (s *Suite) Served(bench, src string, parsed *ir.Program, model sim.Model, o
 
 // Cycles is the live cycle count of the cell's served computation; requests
 // coalesced onto it all watch the one simulation actually running. It stays
-// 0 while a matrix or tuner run, which keeps the default stats hook,
-// computes the cell, and when the cell's image was already simulated.
+// 0 while a matrix or tuner run, which attaches no observer, computes the
+// cell, and when the cell's image was already simulated.
 func (h Served) Cycles() int64 { return h.c.cycles.Load() }
 
 // Do resolves the served cell and reports whether this request computed it.

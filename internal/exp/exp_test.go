@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ssp/internal/check"
 	"ssp/internal/sim"
 	"ssp/internal/ssp"
 )
@@ -407,7 +408,7 @@ func TestSimulateSharesImageCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want, _, err := s.Workload(ctx, "mcf")
+	_, want, _, _, err := s.Original(ctx, "mcf", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,5 +455,52 @@ func TestSimulateSharesImageCells(t *testing.T) {
 	// the RunOptions cell's, and the OOO one.
 	if len(narrated) != 3 || narrated[0] != (RunKey{"mcf", sim.InOrder, VarBase}) || narrated[2] != (RunKey{"copy", sim.OOO, "external"}) {
 		t.Fatalf("Progress fired for %v, want once per simulation", narrated)
+	}
+}
+
+// TestServedProgressCounter: a served request that computes its cell
+// publishes the simulation's clock, which ends at the Result's cycle count;
+// a second request on the handle is a hit on the same Result; and observing
+// the run changes nothing in it — it equals the same key run on a fresh
+// suite, where no observer is attached.
+func TestServedProgressCounter(t *testing.T) {
+	ctx := context.Background()
+	admit := func(context.Context) (func(), error) { return func() {}, nil }
+	opt := ssp.DefaultOptions()
+	for _, tc := range []struct {
+		model sim.Model
+		opt   *ssp.Options
+	}{
+		{sim.OOO, nil},
+		{sim.InOrder, &opt},
+	} {
+		s := NewSuite(ScaleTest)
+		h := s.Served("mcf", "", nil, tc.model, tc.opt)
+		res, _, ran, err := h.Do(ctx, admit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ran || h.Cycles() != res.Cycles || res.Cycles == 0 {
+			t.Fatalf("%s: computed %v, progress counter %d, result %d cycles", tc.model, ran, h.Cycles(), res.Cycles)
+		}
+		again, _, ran, err := h.Do(ctx, admit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ran || again != res {
+			t.Fatalf("%s: second request computed %v, same result %v", tc.model, ran, again == res)
+		}
+		var want *sim.Result
+		if tc.opt == nil {
+			want, err = NewSuite(ScaleTest).RunContext(ctx, "mcf", tc.model, VarBase)
+		} else {
+			want, err = NewSuite(ScaleTest).RunOptions(ctx, "mcf", tc.model, *tc.opt)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := check.SameTiming(res, want); err != nil {
+			t.Fatalf("%s: observed run vs unobserved: %v", tc.model, err)
+		}
 	}
 }

@@ -45,7 +45,7 @@ func executeUncached(ctx context.Context, s *Suite, r request, setup func(*sim.M
 func profiled(t *testing.T) *Suite {
 	t.Helper()
 	s := NewSuite(ScaleTest)
-	if _, _, _, err := s.Workload(context.Background(), "mcf"); err != nil {
+	if _, _, _, _, err := s.Original(context.Background(), "mcf", ""); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.PoolStats(); st.Gets != 1 || st.Puts != 1 {
@@ -217,7 +217,7 @@ func TestProfileRunIsBaselineCell(t *testing.T) {
 	ctx := context.Background()
 	for _, bench := range Benchmarks() {
 		s := NewSuite(ScaleTest)
-		orig, _, prof, err := s.Workload(ctx, bench)
+		orig, _, prof, _, err := s.Original(ctx, bench, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +281,7 @@ func TestProfileAfterUnprofiledCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, prof, err := s.Workload(ctx, "mcf")
+	_, _, prof, _, err := s.Original(ctx, "mcf", "")
 	if err != nil {
 		t.Fatal(err)
 	}

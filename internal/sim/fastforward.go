@@ -1,6 +1,10 @@
 package sim
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"ssp/internal/sim/mem"
+)
 
 // The stall-aware fast-forward timing core. The paper's machines spend
 // 80-90% of their cycles stalled on memory (Figure 10); simulating each of
@@ -12,8 +16,8 @@ import "math/bits"
 // selection artifact that the next cycle could resolve), computes the
 // earliest cycle at which anything can change, and jumps the clock there in
 // one step. The skipped cycles are credited to the breakdown and
-// utilization accounting in bulk through the CycleSkipper hook, and the
-// round-robin selection cursor is advanced exactly as the skipped selection
+// utilization accounting in bulk (accountCycles), and the round-robin
+// selection cursor is advanced exactly as the skipped selection
 // passes would have advanced it, so a fast-forwarded run is bit-for-bit
 // identical to a per-cycle run (check.StrategyEquivalence).
 //
@@ -93,24 +97,15 @@ func (m *Machine) slotTable() (t [maxSelect + 1]int) {
 	return t
 }
 
-// ffEligible reports whether the machine may fast-forward at all: the
-// feature must be on and the installed cycle hook (if any) must understand
-// bulk crediting. (The context count always fits the selection-cursor
-// bitmask: Config.Validate caps it at 64.)
-func (m *Machine) ffEligible() bool {
-	return m.Cfg.FastForward && (m.cycle == nil || m.skip != nil)
-}
-
 // fastForwardInOrder attempts a stall jump on the in-order model after a
 // cycle in which no thread issued. It verifies every active thread is
 // time-blocked — front-end stalled, or scoreboard-stalled on an outstanding
 // completion — and jumps to just before the earliest unblocking event. A
 // thread that could issue (it lost the per-cycle thread-selection lottery,
 // nothing more) vetoes the jump, since the very next cycle would pick it.
-func (m *Machine) fastForwardInOrder(main *Thread, s CycleStats) {
-	if !m.ffEligible() {
-		return
-	}
+// onLoad and lvl are main's scoreboard stall this cycle, as the cycle loop
+// accounted it.
+func (m *Machine) fastForwardInOrder(main *Thread, onLoad bool, lvl mem.Level) {
 	next := ffNoEvent
 	var eligible uint64
 	// Main (context 0, active while the run goes on) and every active
@@ -144,7 +139,7 @@ func (m *Machine) fastForwardInOrder(main *Thread, s CycleStats) {
 			next = t.wakeAt
 		}
 	}
-	m.ffJump(main, s, next, eligible)
+	m.ffJump(main, onLoad, lvl, next, eligible)
 }
 
 // fastForwardOOO attempts a stall jump on the out-of-order model after a
@@ -156,10 +151,7 @@ func (m *Machine) fastForwardInOrder(main *Thread, s CycleStats) {
 // selection passed it over this cycle). Nothing here scans the window: the
 // station and its cached wakeup state are the same ones the select loop
 // reads.
-func (m *Machine) fastForwardOOO(main *Thread, s CycleStats) {
-	if !m.ffEligible() {
-		return
-	}
+func (m *Machine) fastForwardOOO(main *Thread) {
 	next := ffNoEvent
 	var eligible uint64
 	for live := m.specMask | 1; live != 0; live &= live - 1 {
@@ -194,22 +186,21 @@ func (m *Machine) fastForwardOOO(main *Thread, s CycleStats) {
 		}
 		next = min(next, w.futureMin)
 	}
-	m.ffJump(main, s, next, eligible)
+	m.ffJump(main, false, 0, next, eligible)
 }
 
 // ffJump performs the jump: clamp the next-event cycle against the
 // classification events and the watchdog, bulk-credit the skipped cycles,
-// advance the selection cursor, and move the clock. s is the CycleStats of
-// the cycle just simulated; since nothing can issue before the jump target,
-// every skipped cycle would have produced the same stats.
-func (m *Machine) ffJump(main *Thread, s CycleStats, next int64, eligible uint64) {
-	if m.cycle != nil {
-		// Never jump across a completion of one of main's pending fills:
-		// the breakdown category of a stalled cycle is the deepest
-		// outstanding fill's level, which changes at each completion.
-		if _, any := main.deepestOutstanding(m.now); any && main.pendNext < next {
-			next = main.pendNext
-		}
+// advance the selection cursor, and move the clock. Nothing issued in the
+// cycle just simulated and nothing can issue before the jump target, so
+// every skipped cycle is accounted as that cycle was: no main issue, and
+// main's scoreboard stall (onLoad, from level lvl) if it had one.
+func (m *Machine) ffJump(main *Thread, onLoad bool, lvl mem.Level, next int64, eligible uint64) {
+	// Never jump across a completion of one of main's pending fills: the
+	// breakdown category of a stalled cycle is the deepest outstanding
+	// fill's level, which changes at each completion.
+	if _, any := main.deepestOutstanding(m.now); any && main.pendNext < next {
+		next = main.pendNext
 	}
 	if e, ok := m.Hier.EarliestPending(m.now); ok && e < next {
 		next = e
@@ -228,15 +219,16 @@ func (m *Machine) ffJump(main *Thread, s CycleStats, next int64, eligible uint64
 	if k <= 0 {
 		return
 	}
-	if m.skip != nil {
-		m.skip.Skip(m, main, s, k)
-	}
+	m.accountCycles(main, 0, onLoad, lvl, k)
 	if eligible != 0 {
 		m.advanceRR(k, eligible)
 	}
 	m.res.FastForwards++
 	m.res.FastForwardedCycles += k
 	m.now = target
+	if m.cycle != nil {
+		m.cycle.Jump(m, k)
+	}
 }
 
 // advanceRR advances the round-robin selection cursor exactly as k
@@ -244,6 +236,7 @@ func (m *Machine) ffJump(main *Thread, s CycleStats, next int64, eligible uint64
 // times. With a static eligible set the cursor's next value is a pure
 // function of its current value, so its orbit enters a cycle within
 // len(threads)+1 steps; the final position follows by modular arithmetic.
+// (Config.Validate caps the context count at 64, the width of eligible.)
 func (m *Machine) advanceRR(k int64, eligible uint64) {
 	var firstAt [64]int64
 	var orbit [65]int

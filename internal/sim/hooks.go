@@ -4,98 +4,46 @@ import (
 	"sync/atomic"
 
 	"ssp/internal/ir"
-	"ssp/internal/sim/mem"
 )
 
 // ExecHooks observes every architecturally executed instruction, fired at the
 // top of execArch before any state changes (so a hook sees the pre-execution
 // register file). The machine carries no hook by default: the per-instruction
-// cost of instrumentation-off is a single nil check. Tracing (Tracer) and PC
-// profiling (profileHooks) are both implemented on this interface.
+// cost of instrumentation-off is a single nil check. PC profiling
+// (profileHooks) and the safety-budget oracle in internal/check are both
+// implemented on this interface.
 type ExecHooks interface {
 	// Exec is called once per executed instruction, including nullified
 	// ones (a predicated-off instruction still occupies an issue slot).
 	Exec(m *Machine, t *Thread, pc int)
 }
 
-// CycleStats is what the cycle-level engines hand the per-cycle hook: the
-// main thread's issue outcome this cycle, which the default stats hook turns
-// into the Figure 10 breakdown.
-type CycleStats struct {
-	// IssuedMain is how many instructions the main thread issued.
-	IssuedMain int
-	// StalledOnLoad reports whether the main thread's first blocked
-	// instruction was scoreboard-stalled on an outstanding load, and
-	// StallLevel the level satisfying that load (in-order model only).
-	StalledOnLoad bool
-	StallLevel    mem.Level
-}
-
-// CycleHooks observes every simulated cycle of the cycle-level engines. The
-// default is statsHooks (cycle breakdown + context-utilization histogram);
-// DisableStats removes it for pure-throughput runs, at the price of a Result
-// whose Breakdown/SpecActiveHist are empty (and therefore fail
-// check.Conservation, deliberately).
+// CycleHooks observes the clock of the cycle-level engines. It is nil by
+// default and only ever observes: the Figure 10 breakdown and the
+// utilization histogram are accounted inline by the engines whether or not
+// an observer is attached, and the fast-forward core jumps exactly as it
+// would without one, so an observed run's Result is bit-for-bit an
+// unobserved run's.
 type CycleHooks interface {
-	Cycle(m *Machine, main *Thread, s CycleStats)
+	// Cycle is called after each simulated cycle has been accounted.
+	Cycle(m *Machine)
+	// Jump is called after each fast-forward jump, with the clock already
+	// at the jump target; cycles is how many cycles the jump skipped.
+	Jump(m *Machine, cycles int64)
 }
 
-// CycleSkipper is the optional bulk extension of CycleHooks consumed by the
-// fast-forward timing core (fastforward.go). When the machine is fully
-// stalled it does not simulate the dead cycles one at a time; instead it
-// calls Skip once with the CycleStats every skipped cycle would have
-// produced (nothing issues during a full stall, so they are all identical)
-// and the number of cycles skipped. A hook that implements Cycle but not
-// Skip — a per-cycle tracer, say — automatically disables fast-forwarding
-// on its machine: the engines only jump when the installed hook understands
-// bulk crediting, so per-cycle observers never miss a cycle.
-type CycleSkipper interface {
-	Skip(m *Machine, main *Thread, s CycleStats, cycles int64)
-}
-
-// statsHooks is the default CycleHooks: it maintains Result.Breakdown and
-// Result.SpecActiveHist exactly as the engines did before the hook layer
-// existed, so default-configured results are bit-identical. Its Skip
-// implementation credits a fast-forwarded stall in bulk: k cycles land in
-// the same breakdown category and the same utilization bucket that k
-// per-cycle calls would have produced, so every conservation invariant
-// (sum == Cycles) holds exactly across jumps.
-type statsHooks struct{}
-
-func (statsHooks) Cycle(m *Machine, main *Thread, s CycleStats) {
-	m.accountCycle(main, s.IssuedMain, s.StalledOnLoad, s.StallLevel)
-	m.recordUtilization()
-}
-
-func (statsHooks) Skip(m *Machine, main *Thread, s CycleStats, cycles int64) {
-	m.accountCycles(main, s.IssuedMain, s.StalledOnLoad, s.StallLevel, cycles)
-	m.res.SpecActiveHist[m.liveSpec] += cycles
-}
-
-// ProgressHooks is statsHooks plus a live cycle counter: it keeps the exact
-// default accounting (the Result stays bit-identical, so a run observed this
-// way is still cacheable and still passes the golden-stats and conservation
-// gates) while publishing the machine's current cycle to C after every cycle
-// and every fast-forward jump. Because it implements Skip, installing it does
-// not turn the fast-forward core off. The serving layer installs one per job
-// to stream progress over SSE without giving up memoization.
+// ProgressHooks publishes the machine's current cycle to C after every
+// simulated cycle and every fast-forward jump. The serving layer installs
+// one per job to stream progress over SSE without giving up memoization.
 type ProgressHooks struct {
-	inner statsHooks
 	// C receives the count of completed simulated cycles; read it with
 	// Load from any goroutine.
 	C *atomic.Int64
 }
 
-func (p ProgressHooks) Cycle(m *Machine, main *Thread, s CycleStats) {
-	p.inner.Cycle(m, main, s)
-	p.C.Store(m.now)
-}
+func (p ProgressHooks) Cycle(m *Machine) { p.C.Store(m.now) }
 
-func (p ProgressHooks) Skip(m *Machine, main *Thread, s CycleStats, cycles int64) {
-	p.inner.Skip(m, main, s, cycles)
-	// Skip fires before the engine advances m.now to the jump target.
-	p.C.Store(m.now + cycles)
-}
+func (p ProgressHooks) Jump(m *Machine, _ int64) { p.C.Store(m.now) }
 
 // profileHooks maintains Result.PCCount and Result.CallEdges when
 // Config.Profile is set. It lives on the exec hook so profiling is free when
@@ -126,8 +74,8 @@ func (profileHooks) Exec(m *Machine, t *Thread, pc int) {
 	edges[tgt]++
 }
 
-// execChain fans one exec event out to two hooks, letting a tracer and the
-// profiler coexist.
+// execChain fans one exec event out to two hooks, letting an external hook
+// and the profiler coexist.
 type execChain struct{ a, b ExecHooks }
 
 func (c execChain) Exec(m *Machine, t *Thread, pc int) {
@@ -135,8 +83,10 @@ func (c execChain) Exec(m *Machine, t *Thread, pc int) {
 	c.b.Exec(m, t, pc)
 }
 
-// attachExec adds an exec hook, chaining after any already installed.
-func (m *Machine) attachExec(h ExecHooks) {
+// AttachExec installs an instruction-level hook (external profilers and
+// oracles), chaining after any already installed. Hooks fire in attachment
+// order.
+func (m *Machine) AttachExec(h ExecHooks) {
 	if m.exec == nil {
 		m.exec = h
 	} else {
@@ -144,27 +94,9 @@ func (m *Machine) attachExec(h ExecHooks) {
 	}
 }
 
-// AttachExec installs an instruction-level hook (tracers, external
-// profilers). Hooks fire in attachment order.
-func (m *Machine) AttachExec(h ExecHooks) { m.attachExec(h) }
-
-// SetCycleHooks replaces the per-cycle hook. Passing nil disables per-cycle
-// instrumentation entirely (see DisableStats). The machine's cached
-// CycleSkipper view is refreshed alongside: a replacement hook without bulk
-// Skip support turns the fast-forward core off for this machine.
-func (m *Machine) SetCycleHooks(h CycleHooks) {
-	m.cycle = h
-	m.skip, _ = h.(CycleSkipper)
-	// The cycle loops call the default stats recorder directly (no
-	// interface dispatch) when it is the installed hook — the common case
-	// for every matrix/serving run.
-	_, m.statsDefault = h.(statsHooks)
-}
-
-// DisableStats detaches the default per-cycle stats recorder. The run gets
-// faster; the Result's Breakdown and SpecActiveHist stay zero and no longer
-// satisfy check.Conservation — use only for throughput measurements.
-func (m *Machine) DisableStats() { m.SetCycleHooks(nil) }
+// SetCycleHooks installs a clock observer, replacing any installed one; nil
+// detaches it. Reset detaches it too.
+func (m *Machine) SetCycleHooks(h CycleHooks) { m.cycle = h }
 
 // Now returns the current simulated cycle, for hook implementations.
 func (m *Machine) Now() int64 { return m.now }

@@ -94,44 +94,32 @@ func (m *Machine) runInOrder() {
 				break
 			}
 		}
-		if m.statsDefault {
-			// Devirtualized default stats recorder (same effect as the
-			// interface call below, minus the dynamic dispatch), with the
-			// dominant case inlined: a cycle that issued main instructions
-			// with no outstanding fill is pure execution.
-			if issuedMain > 0 && len(main.pending) == 0 {
-				m.res.Breakdown[CatExec]++
-			} else {
-				m.accountCycle(main, issuedMain, stalledOnLoad, stallLevel)
-			}
-			m.recordUtilization()
-		} else if m.cycle != nil {
-			m.cycle.Cycle(m, main, CycleStats{
-				IssuedMain:    issuedMain,
-				StalledOnLoad: stalledOnLoad,
-				StallLevel:    stallLevel,
-			})
+		// The Figure 10 accounting, with the dominant case inline: a cycle
+		// that issued main instructions with no outstanding fill is pure
+		// execution.
+		if issuedMain > 0 && len(main.pending) == 0 {
+			m.res.Breakdown[CatExec]++
+			m.res.SpecActiveHist[m.liveSpec]++
+		} else {
+			m.accountCycles(main, issuedMain, stalledOnLoad, stallLevel, 1)
+		}
+		if m.cycle != nil {
+			m.cycle.Cycle(m)
 		}
 		if fastForward && !issuedAny && !m.mainDone {
-			m.fastForwardInOrder(main, CycleStats{
-				IssuedMain:    issuedMain,
-				StalledOnLoad: stalledOnLoad,
-				StallLevel:    stallLevel,
-			})
+			m.fastForwardInOrder(main, stalledOnLoad, stallLevel)
 		}
 	}
 }
 
-// accountCycle classifies the cycle for the Figure 10 breakdown.
-func (m *Machine) accountCycle(main *Thread, issuedMain int, stalledOnLoad bool, stallLevel mem.Level) {
-	m.accountCycles(main, issuedMain, stalledOnLoad, stallLevel, 1)
-}
-
-// accountCycles classifies k consecutive identical cycles in one step — the
-// bulk form behind both per-cycle accounting (k=1) and fast-forward stall
-// crediting. The fast-forward core guarantees the classification is constant
-// over the k cycles: it never jumps across a completion of one of main's
-// pending fills, so the deepest outstanding level cannot change mid-span.
+// accountCycles credits k consecutive identical cycles to the Figure 10
+// breakdown and the utilization histogram in one step — the bulk form behind
+// both per-cycle accounting (k=1) and fast-forward stall crediting. The
+// fast-forward core guarantees the classification is constant over the k
+// cycles: it never jumps across a completion of one of main's pending fills,
+// so the deepest outstanding level cannot change mid-span, and no thread
+// starts or ends during a jump. Every cycle lands in exactly one category
+// and one bucket, so each sums to Cycles (asserted by check.Conservation).
 func (m *Machine) accountCycles(main *Thread, issuedMain int, stalledOnLoad bool, stallLevel mem.Level, k int64) {
 	var cat Category
 	switch {
@@ -153,6 +141,7 @@ func (m *Machine) accountCycles(main *Thread, issuedMain int, stalledOnLoad bool
 		}
 	}
 	m.res.Breakdown[cat] += k
+	m.res.SpecActiveHist[m.liveSpec] += k
 }
 
 // missCategory maps the level that satisfies an outstanding load to the
@@ -303,11 +292,7 @@ func (m *Machine) issueEffect(t *Thread, pc int, d *decode.Decoded) bool {
 			e.ready = m.now + acc.Latency
 			if acc.Level != mem.L1 {
 				e.loadLevel = uint8(acc.Level) + 1
-				if m.cycle != nil {
-					// Only the cycle hook's accounting consumes (and
-					// compacts) pending fills; don't grow them unhooked.
-					t.addFill(m.now+acc.Latency, acc.Level)
-				}
+				t.addFill(m.now+acc.Latency, acc.Level)
 			}
 			t.sb.set(ef.loadDest, e)
 		case memStore:

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -158,14 +159,14 @@ func TestStartThreadClearsContext(t *testing.T) {
 	}
 }
 
-// jumpWatch counts fast-forward jumps taken while context 1 holds a
+// jumpWatch counts fast-forward jumps that leave context 1 holding a
 // speculative thread blocked on its scoreboard (answered from the wake
 // cache).
 type jumpWatch struct{ blocked int }
 
-func (*jumpWatch) Cycle(*Machine, *Thread, CycleStats) {}
+func (*jumpWatch) Cycle(*Machine) {}
 
-func (w *jumpWatch) Skip(m *Machine, _ *Thread, _ CycleStats, _ int64) {
+func (w *jumpWatch) Jump(m *Machine, _ int64) {
 	if c := m.threads[1]; c.active && c.spec && c.waiting(m.now) {
 		w.blocked++
 	}
@@ -191,35 +192,46 @@ func TestRespawnAcrossJump(t *testing.T) {
 	}
 }
 
-// cycleCounter is a per-cycle observer that does not implement
-// CycleSkipper.
-type cycleCounter struct{ n int64 }
+// clockWatch counts the cycles a cycle observer is told about.
+type clockWatch struct{ cycles, jumps, jumped int64 }
 
-func (c *cycleCounter) Cycle(*Machine, *Thread, CycleStats) { c.n++ }
+func (c *clockWatch) Cycle(*Machine) { c.cycles++ }
 
-// TestPerCycleHookDisablesFastForward: a cycle hook that cannot bulk-skip
-// turns fast-forwarding off on its machine, so it sees every simulated
-// cycle, and the run takes the cycles the fast-forwarded run takes.
-func TestPerCycleHookDisablesFastForward(t *testing.T) {
-	cfg := testInOrder()
-	cfg.FastForward = true
-	dp := Predecode(mustLink(t, chaseProgram(200, false)))
-	ff, err := NewPredecoded(cfg, dp).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ff.FastForwards == 0 {
-		t.Fatal("the pointer chase never fast-forwarded")
-	}
-	m := NewPredecoded(cfg, dp)
-	var c cycleCounter
-	m.SetCycleHooks(&c)
-	res, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FastForwards != 0 || c.n != res.Cycles || res.Cycles != ff.Cycles {
-		t.Fatalf("observed run: %d jumps, hook saw %d of %d cycles (fast-forwarded run: %d)",
-			res.FastForwards, c.n, res.Cycles, ff.Cycles)
+func (c *clockWatch) Jump(_ *Machine, k int64) { c.jumps++; c.jumped += k }
+
+// TestCycleObserverOnlyObserves: an attached cycle observer is told about
+// every simulated cycle and every jump, and changes nothing — on both
+// engines, fast-forwarded or not, the observed run's Result, jumps included,
+// is the unobserved run's.
+func TestCycleObserverOnlyObserves(t *testing.T) {
+	dp := Predecode(mustLink(t, chaseProgram(200, true)))
+	for _, base := range []Config{testInOrder(), testOOO()} {
+		for _, ff := range []bool{false, true} {
+			cfg := base
+			cfg.FastForward = ff
+			want, err := NewPredecoded(cfg, dp).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := NewPredecoded(cfg, dp)
+			var c clockWatch
+			m.SetCycleHooks(&c)
+			got, err := m.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ff && got.FastForwards == 0 {
+				t.Fatalf("%v: the pointer chase never fast-forwarded", cfg.Model)
+			}
+			if c.cycles+c.jumped != got.Cycles || c.jumps != got.FastForwards || c.jumped != got.FastForwardedCycles {
+				t.Fatalf("%v ff=%v: observer saw %d cycles and %d jumps over %d, run took %d cycles and %d jumps over %d",
+					cfg.Model, ff, c.cycles, c.jumps, c.jumped, got.Cycles, got.FastForwards, got.FastForwardedCycles)
+			}
+			if got.Cycles != want.Cycles || got.Breakdown != want.Breakdown || got.FastForwards != want.FastForwards ||
+				!slices.Equal(got.SpecActiveHist, want.SpecActiveHist) {
+				t.Fatalf("%v ff=%v: observed run differs: %d cycles %v vs %d cycles %v",
+					cfg.Model, ff, got.Cycles, got.Breakdown, want.Cycles, want.Breakdown)
+			}
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 
 	"ssp/internal/ir"
@@ -108,18 +107,11 @@ func interpretThreaded(dp *decode.Program, maxInstrs int64) (*InterpResult, erro
 
 // RunProgram links and runs a program under the given configuration.
 func RunProgram(cfg Config, p *ir.Program) (*Result, error) {
-	return RunProgramContext(context.Background(), cfg, p)
-}
-
-// RunProgramContext is RunProgram under a context: a cancelled run returns
-// ctx.Err() promptly (see Machine.RunContext) instead of simulating on to
-// the watchdog limit.
-func RunProgramContext(ctx context.Context, cfg Config, p *ir.Program) (*Result, error) {
 	img, err := ir.Link(p)
 	if err != nil {
 		return nil, err
 	}
-	res, err := New(cfg, img).RunContext(ctx)
+	res, err := New(cfg, img).Run()
 	if err != nil {
 		return nil, err
 	}

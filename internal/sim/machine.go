@@ -29,9 +29,9 @@ type Thread struct {
 	// wrote instead of zeroing the whole array with the activation.
 	sb scoreboard
 
-	// pending tracks outstanding cache fills (for accounting; only
-	// maintained while cycle hooks are installed). Its backing array is
-	// reused across activations; pendDeep and pendNext cache over it.
+	// pending tracks outstanding cache fills for the Figure 10
+	// accounting. Its backing array is reused across activations; pendDeep
+	// and pendNext cache over it.
 	pending []pendingFill
 
 	// OOO state (nil on the in-order model).
@@ -239,18 +239,11 @@ type Machine struct {
 	// immutable, memoized on the decode.Program.
 	steps []threaded.Step
 
-	// exec and cycle are the instrumentation hook points (hooks.go). exec
-	// is nil unless a tracer/profiler is attached; cycle defaults to the
-	// stats recorder behind the Figure 10 breakdown and the utilization
-	// histogram, and can be detached for pure-throughput runs. skip caches
-	// cycle's CycleSkipper view (nil when cycle cannot bulk-credit), the
-	// gate the fast-forward core checks before jumping. statsDefault
-	// records that cycle is exactly the default stats recorder, letting
-	// the cycle loops call it devirtualized.
-	exec         ExecHooks
-	cycle        CycleHooks
-	skip         CycleSkipper
-	statsDefault bool
+	// exec and cycle are the instrumentation hook points (hooks.go), both
+	// nil unless something is attached: exec for the profiler or an
+	// external oracle, cycle for a clock observer.
+	exec  ExecHooks
+	cycle CycleHooks
 
 	// noSpec suppresses all speculative-thread creation: chk.c never takes
 	// its exception and spawn requests are counted but ignored. It is the
@@ -379,16 +372,16 @@ func (m *Machine) Reset(cfg Config, dp *decode.Program) error {
 	m.res = Result{}
 	m.ef = archEffect{}
 	m.exec = nil
+	m.cycle = nil
 	m.noSpec = false
 	m.mainDone = false
 	m.rr = 0
 	m.liveSpec = 0
 	m.specMask = 0
-	m.SetCycleHooks(statsHooks{})
 	if cfg.Profile {
 		m.res.PCCount = make([]uint64, len(dp.Code))
 		m.res.CallEdges = make(map[int]map[int]uint64)
-		m.attachExec(profileHooks{})
+		m.AttachExec(profileHooks{})
 	}
 	// Buckets 0..Contexts: normally at most Contexts-1 speculative threads
 	// exist (the main thread holds context 0), but a freed main context can
@@ -397,13 +390,6 @@ func (m *Machine) Reset(cfg Config, dp *decode.Program) error {
 	// dropped that last bucket, breaking sum(SpecActiveHist) == Cycles.
 	m.res.SpecActiveHist = make([]int64, cfg.Contexts+1)
 	return nil
-}
-
-// recordUtilization tallies the number of active speculative contexts this
-// cycle. Every cycle lands in exactly one bucket, so the histogram always
-// sums to Cycles (asserted by check.Conservation).
-func (m *Machine) recordUtilization() {
-	m.res.SpecActiveHist[m.liveSpec]++
 }
 
 // main returns the main thread (context 0).

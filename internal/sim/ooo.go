@@ -307,17 +307,12 @@ func (m *Machine) runOOO() {
 		if main.win.haltAfterDrain && main.win.size() == 0 {
 			m.mainDone = true
 		}
-		stats := CycleStats{IssuedMain: issuedMain}
-		if m.statsDefault {
-			// Devirtualized default stats recorder (same effect as the
-			// interface call below, minus the dynamic dispatch).
-			m.accountCycle(main, issuedMain, false, 0)
-			m.recordUtilization()
-		} else if m.cycle != nil {
-			m.cycle.Cycle(m, main, stats)
+		m.accountCycles(main, issuedMain, false, 0, 1)
+		if m.cycle != nil {
+			m.cycle.Cycle(m)
 		}
 		if m.Cfg.FastForward && !retired && issuedTotal == 0 && dispatched == 0 && !m.mainDone {
-			m.fastForwardOOO(main, stats)
+			m.fastForwardOOO(main)
 		}
 	}
 }
@@ -390,9 +385,7 @@ func (m *Machine) issueRec(t *Thread, w *window, r *wrec, a int64) {
 	case memLoad:
 		acc := m.Hier.Access(r.memID, r.memAddr, m.now, true)
 		r.doneAt = m.now + acc.Latency
-		if acc.Level != mem.L1 && m.cycle != nil {
-			// Only the cycle hook's accounting consumes (and compacts)
-			// pending fills; don't grow them unhooked.
+		if acc.Level != mem.L1 {
 			t.addFill(r.doneAt, acc.Level)
 		}
 	case memStore:

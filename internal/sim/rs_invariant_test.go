@@ -11,10 +11,9 @@ import (
 // rsAuditor checks the OOO reservation station against a recomputation from
 // the window after every simulated cycle. As an exec hook it records, for
 // each record about to be dispatched, the live producers the rename table
-// names for its sources; as the cycle hook it keeps the default statistics
-// (Skip included, so fast-forward stays on) and audits every active window.
+// names for its sources; as the cycle observer it audits every active window
+// after each simulated cycle.
 type rsAuditor struct {
-	statsHooks
 	tb testing.TB
 	// srcs[ctx][a&mask] lists the producer positions of the record at
 	// absolute position a in context ctx, as renamed at its dispatch.
@@ -58,14 +57,17 @@ func (c *rsAuditor) Exec(m *Machine, t *Thread, pc int) {
 	c.srcs[t.idx][w.tailAbs&w.mask] = ps
 }
 
-func (c *rsAuditor) Cycle(m *Machine, main *Thread, s CycleStats) {
-	c.statsHooks.Cycle(m, main, s)
+func (c *rsAuditor) Cycle(m *Machine) {
 	for _, t := range m.threads {
 		if t.active && t.win != nil {
 			c.audit(m, t)
 		}
 	}
 }
+
+// Jump audits nothing: a jump moves only the clock, and the first cycle
+// after it is audited.
+func (*rsAuditor) Jump(*Machine, int64) {}
 
 func (c *rsAuditor) audit(m *Machine, t *Thread) {
 	tb, w, now := c.tb, t.win, m.now
@@ -207,11 +209,12 @@ func runAudited(tb testing.TB, m *Machine, cfg Config, dp *decode.Program) (*Res
 // almost always full and refills on every issue, and the issuable bitmap is
 // narrower than a word), per-cycle and fast-forwarded. Each station shape
 // keeps one machine, Reset across its runs, and each audited result must
-// equal a fresh unaudited machine's.
+// equal a fresh unaudited machine's. Both timing strategies must reach an
+// idle station and records outside a full one.
 func TestRSInvariantRandomPrograms(t *testing.T) {
 	small := testOOO()
 	small.ROBSize, small.RSSize = 8, 2
-	var cov RSCoverage
+	cov := map[bool]*RSCoverage{false: {}, true: {}} // by FastForward
 	for _, base := range []Config{testOOO(), small} {
 		var m *Machine
 		for seed := int64(1); seed <= 12; seed++ {
@@ -227,22 +230,26 @@ func TestRSInvariantRandomPrograms(t *testing.T) {
 					m = NewPredecoded(cfg, dp)
 				}
 				got, c := runAudited(t, m, cfg, dp)
-				cov.Cycles += c.Cycles
-				cov.Idle += c.Idle
-				cov.Outside += c.Outside
+				ci := cov[ff]
+				ci.Cycles += c.Cycles
+				ci.Idle += c.Idle
+				ci.Outside += c.Outside
 				want, err := NewPredecoded(cfg, dp).Run()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got.Cycles != want.Cycles || got.Breakdown != want.Breakdown || got.FinalRegs != want.FinalRegs {
+				if got.Cycles != want.Cycles || got.Breakdown != want.Breakdown || got.FinalRegs != want.FinalRegs ||
+					got.FastForwards != want.FastForwards {
 					t.Fatalf("seed %d rob %d ff %v: audited run differs (cycles %d vs %d)",
 						seed, cfg.ROBSize, ff, got.Cycles, want.Cycles)
 				}
 			}
 		}
 	}
-	if cov.Idle == 0 || cov.Outside == 0 {
-		t.Fatalf("audit never saw an idle station (%d) or records outside a full one (%d)", cov.Idle, cov.Outside)
+	for ff, c := range cov {
+		if c.Idle == 0 || c.Outside == 0 {
+			t.Fatalf("ff=%v: audit never saw an idle station (%d) or records outside a full one (%d)", ff, c.Idle, c.Outside)
+		}
+		t.Logf("ff=%v: %d audited cycles, %d idle, %d with records outside the station", ff, c.Cycles, c.Idle, c.Outside)
 	}
-	t.Logf("%d audited cycles, %d idle, %d with records outside the station", cov.Cycles, cov.Idle, cov.Outside)
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -539,41 +538,6 @@ func TestQuickDifferentialEngines(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTracerCapturesInterleaving(t *testing.T) {
-	var buf strings.Builder
-	p := chaseProgram(120, true)
-	img, err := ir.Link(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := New(testInOrder(), img)
-	m.Attach(&Tracer{W: &buf, MaxLines: 50_000})
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "main") || !strings.Contains(out, "spec") {
-		t.Fatal("trace lacks main/speculative interleaving")
-	}
-	if !strings.Contains(out, "lfetch") || !strings.Contains(out, "chk.c") {
-		t.Fatal("trace lacks SSP instructions")
-	}
-}
-
-func TestTracerRespectsBudget(t *testing.T) {
-	var buf strings.Builder
-	p := chaseProgram(200, false)
-	img, _ := ir.Link(p)
-	m := New(testInOrder(), img)
-	m.Attach(&Tracer{W: &buf, MaxLines: 10})
-	if _, err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(buf.String(), "\n"); n != 10 {
-		t.Fatalf("trace emitted %d lines, budget 10", n)
 	}
 }
 

@@ -313,7 +313,7 @@ func (t *Tuner) candidate(ctx context.Context, bench string, model sim.Model, pa
 func (t *Tuner) loop(ctx context.Context, bench string, model sim.Model, params Params, gp GridPoint, baseRes *sim.Result) (*Candidate, error) {
 	cand := &Candidate{Label: gp.Label, Options: gp.Options}
 	opt := gp.Options
-	orig, want, prof, err := t.Suite.Workload(ctx, bench)
+	orig, want, prof, _, err := t.Suite.Original(ctx, bench, "")
 	if err != nil {
 		return nil, err
 	}
