@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -538,6 +539,70 @@ func TestQuickDifferentialEngines(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// execLog is an exec hook that counts what it is told about, split by
+// thread kind and by SSP opcode, and records its place in a shared order.
+type execLog struct {
+	id          int
+	order       *[]int
+	main, spec  int64
+	lfetch, chk int64
+	mainPC      []uint64
+}
+
+func (l *execLog) Exec(m *Machine, t *Thread, pc int) {
+	if l.order != nil && len(*l.order) < 4 {
+		*l.order = append(*l.order, l.id)
+	}
+	if t.spec {
+		l.spec++
+	} else {
+		l.main++
+		l.mainPC[pc]++
+	}
+	switch m.code[pc].Op {
+	case ir.OpLfetch:
+		l.lfetch++
+	case ir.OpChk:
+		l.chk++
+	}
+}
+
+// TestAttachExecSeesInterleaving: hooks installed with AttachExec see the
+// interleaved stream of main and speculative instructions, SSP opcodes
+// included; two hooks fire in attachment order, and alongside the profiler
+// each sees exactly the main-thread PCs the profile counts.
+func TestAttachExecSeesInterleaving(t *testing.T) {
+	cfg := testInOrder()
+	cfg.Profile = true
+	dp := Predecode(mustLink(t, chaseProgram(120, true)))
+	m := NewPredecoded(cfg, dp)
+	var order []int
+	a := &execLog{id: 1, order: &order, mainPC: make([]uint64, len(dp.Code))}
+	b := &execLog{id: 2, order: &order, mainPC: make([]uint64, len(dp.Code))}
+	m.AttachExec(a)
+	m.AttachExec(b)
+	res, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(order, []int{1, 2, 1, 2}) {
+		t.Fatalf("hooks fired in order %v, want attachment order", order)
+	}
+	if a.main == 0 || a.spec == 0 {
+		t.Fatalf("hook saw %d main and %d speculative instructions, want both", a.main, a.spec)
+	}
+	if a.lfetch == 0 || a.chk == 0 {
+		t.Fatalf("hook saw %d lfetch and %d chk.c, want both", a.lfetch, a.chk)
+	}
+	if a.main != b.main || a.spec != b.spec || a.lfetch != b.lfetch || a.chk != b.chk {
+		t.Fatalf("chained hooks disagree: %d/%d/%d/%d vs %d/%d/%d/%d",
+			a.main, a.spec, a.lfetch, a.chk, b.main, b.spec, b.lfetch, b.chk)
+	}
+	if !slices.Equal(a.mainPC, res.PCCount) || !slices.Equal(b.mainPC, res.PCCount) {
+		t.Fatal("a chained hook's main-thread PC counts differ from the profile's")
 	}
 }
 
