@@ -32,7 +32,9 @@ bench-module:
 # one, keep the image digest); and the execution-strategy layer (the whole
 # Result bit for bit with fast-forward on or off, a fresh or a shared
 # decode, a fresh or a Reset-reused machine, and a profiled run; the
-# interpreter's chain walker against its per-PC loop). Reproduce a
+# interpreter's chain walker against its per-PC loop). Each program runs
+# once per model and strategy point: the differential, metamorphic and
+# oracle checks read the strategy layer's reference runs. Reproduce a
 # reported failure with: go run ./cmd/sspcheck -seed N
 sspcheck:
 	$(GO) run ./cmd/sspcheck -seeds 500

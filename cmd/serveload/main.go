@@ -59,10 +59,27 @@ func main() {
 		"golden-stats baseline to validate results against (empty = skip validation)")
 	flag.StringVar(&o.Out, "out", "", "write the benchmark report JSON here")
 	flag.Parse()
+	if err := o.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "serveload:", err)
+		os.Exit(2)
+	}
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "serveload:", err)
 		os.Exit(1)
 	}
+}
+
+// validate rejects counts that leave nothing to measure (usage errors; exit
+// 2 before the server starts): no client would drain the job queue, and a
+// run of no jobs has no hit rate.
+func (o options) validate() error {
+	if o.Jobs < 1 {
+		return fmt.Errorf("-jobs must be at least 1, got %d", o.Jobs)
+	}
+	if o.Conc < 1 {
+		return fmt.Errorf("-conc must be at least 1, got %d", o.Conc)
+	}
+	return nil
 }
 
 // writeReport writes rep to path. Keys of an existing file that the report
@@ -74,7 +91,10 @@ func writeReport(path string, rep report) error {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 	}
-	data, _ := json.Marshal(rep)
+	data, err := json.Marshal(rep)
+	if err != nil {
+		return err
+	}
 	if err := json.Unmarshal(data, &fields); err != nil {
 		return err
 	}
@@ -238,7 +258,10 @@ func run(o options) error {
 	}
 	rep.CacheBytes, rep.Evictions = rep.Server.Cache.Bytes, rep.Server.Cache.Evictions
 
-	out, _ := json.MarshalIndent(rep, "", "  ")
+	out, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return fmt.Errorf("report: %w", err)
+	}
 	fmt.Println(string(out))
 	if o.Out != "" {
 		if err := writeReport(o.Out, rep); err != nil {

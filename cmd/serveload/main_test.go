@@ -30,6 +30,29 @@ func TestRunInProcess(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsEmptyRuns: no jobs or no clients is a usage error, so
+// main exits 2 before a server starts. With -conc 0 nothing drains the job
+// queue and the run would block forever.
+func TestValidateRejectsEmptyRuns(t *testing.T) {
+	for _, o := range []options{{Jobs: 0, Conc: 4}, {Jobs: 4, Conc: 0}, {Jobs: -1, Conc: -1}} {
+		if err := o.validate(); err == nil {
+			t.Errorf("jobs %d conc %d: accepted", o.Jobs, o.Conc)
+		}
+	}
+	if err := (options{Jobs: 1, Conc: 1}).validate(); err != nil {
+		t.Errorf("one job on one client: %v", err)
+	}
+}
+
+// TestRunReportsMarshalError: a report that JSON cannot encode (the 0/0
+// hit rate of a run with no jobs) is an error, not an empty line and exit 0.
+func TestRunReportsMarshalError(t *testing.T) {
+	err := run(options{Jobs: 0, Conc: 1})
+	if err == nil || !strings.Contains(err.Error(), "report") {
+		t.Fatalf("run of no jobs: %v", err)
+	}
+}
+
 // TestQuantileMS pins the quantile helper's edge cases.
 func TestQuantileMS(t *testing.T) {
 	if got := quantileMS(nil, 0.5); got != 0 {

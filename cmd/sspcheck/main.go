@@ -4,7 +4,9 @@
 // differential, metamorphic, speculation-safety, lift and
 // execution-strategy layers, on the original and on its adaptations under
 // the default and a seed-derived SSP option mix; every simulation result
-// also passes the conservation invariants.
+// also passes the conservation invariants. Each program runs once per
+// machine model and strategy point; the differential, metamorphic and
+// dynamic safety checks read the strategy layer's reference runs.
 //
 // Usage:
 //

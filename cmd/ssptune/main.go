@@ -107,6 +107,9 @@ func parse(bench, model, scale string, rounds int, eps float64, grid string, wor
 	if workers < 1 {
 		return o, fmt.Errorf("-workers must be at least 1, got %d", workers)
 	}
+	if !(eps >= 0) {
+		return o, fmt.Errorf("-eps must not be negative, got %v", eps)
+	}
 	o.params = tune.Params{MaxRounds: rounds, Epsilon: eps}
 	o.workers = workers
 	return o, nil

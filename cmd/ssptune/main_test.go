@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,6 +27,8 @@ func TestParseRejectsBadFlags(t *testing.T) {
 		{"unknown grid", "mcf", "in-order", "test", "dense", 2, 1, 0.02},
 		{"zero rounds", "mcf", "in-order", "test", "quick", 0, 1, 0.02},
 		{"zero workers", "mcf", "in-order", "test", "quick", 2, 0, 0.02},
+		{"negative eps", "mcf", "in-order", "test", "quick", 2, 1, -0.01},
+		{"NaN eps", "mcf", "in-order", "test", "quick", 2, 1, math.NaN()},
 	}
 	for _, c := range cases {
 		if _, err := parse(c.bench, c.model, c.scale, c.rounds, c.eps, c.grid, c.workers); err == nil {

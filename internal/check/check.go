@@ -26,7 +26,8 @@
 //     image (LiftEquivalence).
 //
 // Seed runs every layer on one workloads.RandomProgram, so any violation
-// reproduces from its seed alone (cmd/sspcheck -seed N).
+// reproduces from its seed alone (cmd/sspcheck -seed N), and runs each
+// (model, program) cell once per strategy point.
 package check
 
 import (
@@ -76,18 +77,6 @@ func hasSSP(p *ir.Program) bool {
 	return found
 }
 
-// runMachine executes a machine and applies finished to its result.
-func runMachine(m *sim.Machine) (*sim.Result, error) {
-	res, err := m.Run()
-	if err != nil {
-		return nil, err
-	}
-	if err := finished(res); err != nil {
-		return nil, fmt.Errorf("%v: %w", m.Cfg.Model, err)
-	}
-	return res, nil
-}
-
 // finished rejects a run the watchdog cut short or whose main thread killed
 // itself, and applies the conservation layer.
 func finished(res *sim.Result) error {
@@ -116,78 +105,41 @@ func compareRegs(a, b [ir.NumRegs]uint64, skipScratch bool, what string) error {
 }
 
 // Differential runs the linked program under the functional interpreter and
-// every configured cycle model and asserts they agree on final main-thread
-// registers and memory checksum; for SSP-free programs the retired
-// main-thread instruction counts must also be identical (layer 1). Every
-// produced Result additionally passes the conservation layer.
+// every configured cycle model, each on a fresh machine, and applies the
+// differential layer of referenceChecks to the runs; every produced Result
+// also passes the conservation layer. Seed reads the strategy layer's
+// reference runs instead.
 func Differential(cfgs []sim.Config, p *ir.Program, maxInstrs int64) error {
 	img, err := ir.Link(p)
 	if err != nil {
 		return fmt.Errorf("check: link: %w", err)
 	}
 	dp := sim.Predecode(img)
-	ssped := hasSSP(p)
 	ref, err := sim.InterpretPredecoded(cfgs[0], dp, maxInstrs)
 	if err != nil {
 		return fmt.Errorf("check: interpret: %w", err)
 	}
-	refSum := ref.Mem.Checksum()
-	for _, cfg := range cfgs {
-		res, err := runMachine(sim.NewPredecoded(cfg, dp))
-		if err != nil {
-			return fmt.Errorf("check: differential: %w", err)
+	refs := make([][]*sim.Result, len(cfgs))
+	for ci, cfg := range cfgs {
+		res, err := sim.NewPredecoded(cfg, dp).Run()
+		if err == nil {
+			err = finished(res)
 		}
-		if err := compareRegs(res.FinalRegs, ref.Regs, ssped, "regs vs interpreter"); err != nil {
+		if err != nil {
 			return fmt.Errorf("check: differential %v: %w", cfg.Model, err)
 		}
-		if res.MemChecksum != refSum {
-			return fmt.Errorf("check: differential %v: memory checksum %#x, interpreter %#x", cfg.Model, res.MemChecksum, refSum)
-		}
-		if !ssped && res.MainInstrs != ref.Instrs {
-			return fmt.Errorf("check: differential %v: retired %d main instrs, interpreter %d", cfg.Model, res.MainInstrs, ref.Instrs)
-		}
+		refs[ci] = []*sim.Result{res}
 	}
-	return nil
-}
-
-// Metamorphic asserts the SSP invariant (layer 2): under every configured
-// machine model the adapted program finishes with the same main-thread
-// architectural state (registers minus the reserved scratch, memory
-// checksum) as the original, and its speculative threads never attempt a
-// store. Every produced Result also passes the conservation layer.
-func Metamorphic(cfgs []sim.Config, orig, adapted *ir.Program) error {
-	imgO, err := ir.Link(orig)
-	if err != nil {
-		return fmt.Errorf("check: link original: %w", err)
-	}
-	imgA, err := ir.Link(adapted)
-	if err != nil {
-		return fmt.Errorf("check: link adapted: %w", err)
-	}
-	dpO, dpA := sim.Predecode(imgO), sim.Predecode(imgA)
-	for _, cfg := range cfgs {
-		resO, err := runMachine(sim.NewPredecoded(cfg, dpO))
-		if err != nil {
-			return fmt.Errorf("check: metamorphic original: %w", err)
-		}
-		resA, err := runMachine(sim.NewPredecoded(cfg, dpA))
-		if err != nil {
-			return fmt.Errorf("check: metamorphic adapted: %w", err)
-		}
-		if err := MetamorphicResults(resO, resA); err != nil {
-			return fmt.Errorf("%v: %w", cfg.Model, err)
-		}
-	}
-	return nil
+	return referenceChecks(cfgs, []*ir.Program{p}, refs, []*sim.InterpResult{ref})
 }
 
 // MetamorphicResults applies the metamorphic invariant to two results that
 // were already computed on the same machine model and inputs: the adapted
 // run must reproduce the original's main-thread architectural state
 // (registers minus the reserved scratch, memory checksum) and its
-// speculative threads must never store. Callers that already hold both
-// results — the closed-loop tuner gates every round this way — avoid the
-// four fresh simulations Metamorphic performs.
+// speculative threads must never store. Seed applies it to the strategy
+// layer's reference runs, and the closed-loop tuner gates every round with
+// it.
 func MetamorphicResults(orig, adapted *sim.Result) error {
 	if err := compareRegs(adapted.FinalRegs, orig.FinalRegs, true, "adapted vs original"); err != nil {
 		return fmt.Errorf("check: metamorphic: %w", err)
@@ -320,7 +272,8 @@ var lattice = []point{
 // interpreter's chain walker is also checked against its per-PC loop
 // (sim.InterpretStepwise). A failure names its cell and both points, e.g.
 // "ooo prog 1 ff=on decode=shared machine=reset vs ff=off decode=shared
-// machine=fresh: cycles 813 vs 812".
+// machine=fresh: cycles 813 vs 812". Seed's differential, metamorphic and
+// dynamic safety checks read the reference runs rather than making their own.
 //
 // Where the comparisons of the four per-strategy gates it replaced went:
 //   - predecode (fresh vs shared decode, shared rerun): decode=fresh; every
@@ -333,24 +286,33 @@ var lattice = []point{
 //     (specified by TestOpcodeSemantics in internal/sim), so they have no
 //     second semantics to compare.
 func StrategyEquivalence(cfgs []sim.Config, progs ...*ir.Program) error {
-	return strategyEquivalence(cfgs, nil, progs...)
+	_, _, err := strategyEquivalence(cfgs, nil, nil, progs...)
+	return err
 }
 
-// strategyEquivalence is StrategyEquivalence with a hook that may alter each
-// point's Result before it is checked, so tests can show every point is
-// actually compared.
-func strategyEquivalence(cfgs []sim.Config, perturb func(cfg sim.Config, prog int, pt point, r *sim.Result), progs ...*ir.Program) error {
+// perturbFunc alters one lattice point's Result before it is checked, so
+// tests can show every check actually reads it.
+type perturbFunc func(cfg sim.Config, prog int, pt point, r *sim.Result)
+
+// strategyEquivalence is StrategyEquivalence that also returns what Seed's
+// other checks read: refs[ci][pi], the reference Result of model ci on
+// program pi, and interps[pi], program pi's interpreter result. When
+// budgets[pi][ci] is set, the budget oracle rides on that cell's reference
+// run and a violation fails the safety layer; nil attaches nothing. A
+// non-nil perturb alters every point's Result before it is checked.
+func strategyEquivalence(cfgs []sim.Config, budgets [][]map[string]int64, perturb perturbFunc, progs ...*ir.Program) (refs [][]*sim.Result, interps []*sim.InterpResult, err error) {
 	imgs := make([]*ir.Image, len(progs))
 	dps := make([]*decode.Program, len(progs))
+	interps = make([]*sim.InterpResult, len(progs))
 	for pi, p := range progs {
 		img, err := ir.Link(p)
 		if err != nil {
-			return fmt.Errorf("check: strategy: link prog %d: %w", pi, err)
+			return nil, nil, fmt.Errorf("check: strategy: link prog %d: %w", pi, err)
 		}
 		imgs[pi], dps[pi] = img, sim.Predecode(img)
 		ref, err := sim.InterpretStepwise(cfgs[0], dps[pi], maxInterpInstrs)
 		if err != nil {
-			return fmt.Errorf("check: strategy: prog %d per-PC interpreter: %w", pi, err)
+			return nil, nil, fmt.Errorf("check: strategy: prog %d per-PC interpreter: %w", pi, err)
 		}
 		thr, err := sim.InterpretPredecoded(cfgs[0], dps[pi], maxInterpInstrs)
 		if err == nil {
@@ -360,8 +322,9 @@ func strategyEquivalence(cfgs []sim.Config, perturb func(cfg sim.Config, prog in
 			err = fmt.Errorf("%d instrs, checksum %#x vs %d, %#x", thr.Instrs, thr.Mem.Checksum(), ref.Instrs, ref.Mem.Checksum())
 		}
 		if err != nil {
-			return fmt.Errorf("check: strategy: prog %d chain interpreter vs per-PC loop: %w", pi, err)
+			return nil, nil, fmt.Errorf("check: strategy: prog %d chain interpreter vs per-PC loop: %w", pi, err)
 		}
+		interps[pi] = thr
 	}
 	var shared *sim.Machine
 	exec := func(pt point, ci, pi int, ref *sim.Result) (*sim.Result, error) {
@@ -381,10 +344,18 @@ func strategyEquivalence(cfgs []sim.Config, perturb func(cfg sim.Config, prog in
 		if !pt.freshMachine {
 			shared = m
 		}
+		var oracle *budgetOracle
+		if pt == lattice[0] && budgets != nil && budgets[pi] != nil {
+			oracle = &budgetOracle{budgets: budgets[pi][ci]}
+			m.AttachExec(oracle)
+		}
 		name := fmt.Sprintf("%v prog %d %v", cfg.Model, pi, pt)
 		res, err := m.Run()
 		if err != nil {
 			return nil, fmt.Errorf("check: strategy: %s: %w", name, err)
+		}
+		if oracle != nil && oracle.err != nil {
+			return nil, fmt.Errorf("check: safety: %s: dynamic oracle: %w", name, oracle.err)
 		}
 		if perturb != nil {
 			perturb(cfgs[ci], pi, pt, res)
@@ -399,22 +370,24 @@ func strategyEquivalence(cfgs []sim.Config, perturb func(cfg sim.Config, prog in
 		}
 		return res, nil
 	}
-	refs := make([]*sim.Result, len(cfgs)*len(dps))
+	refs = make([][]*sim.Result, len(cfgs))
+	for ci := range refs {
+		refs[ci] = make([]*sim.Result, len(dps))
+	}
 	for _, pt := range lattice {
 		for ci := range cfgs {
 			for pi := range dps {
-				k := ci*len(dps) + pi
-				res, err := exec(pt, ci, pi, refs[k])
+				res, err := exec(pt, ci, pi, refs[ci][pi])
 				if err != nil {
-					return err
+					return nil, nil, err
 				}
-				if refs[k] == nil {
-					refs[k] = res
+				if refs[ci][pi] == nil {
+					refs[ci][pi] = res
 				}
 			}
 		}
 	}
-	return nil
+	return refs, interps, nil
 }
 
 // SameTiming diffs two results field by field, excluding only the
@@ -469,22 +442,26 @@ func SameTiming(a, b *sim.Result) error {
 }
 
 // Seed drives every validation layer from one seed. It generates a random
-// program and validates it differentially, profiles it once, and adapts it
-// under each distinct option set of {ssp.DefaultOptions(), seedOptions(seed)}
-// (ssp.Adapt certifies every slice itself). Each adapted program then passes
-// the differential, metamorphic and speculation-safety layers, and the
-// adversarial sweep when it has slices. The lift layer checks the
-// binary-only round trips, and one StrategyEquivalence call gates the
-// original and every adapted program together; the adapted programs reach
-// what an original never does there: budget enforcement, kill paths,
-// round-robin replay under stall jumps, per-thread buffer reuse and the
-// prefetch window. The same seed always reproduces the same programs and
-// verdict.
+// program, profiles it once, and adapts it under each distinct option set of
+// {ssp.DefaultOptions(), seedOptions(seed)} (ssp.Adapt certifies every slice
+// itself). Each adapted program passes the static speculation-safety layer,
+// and the adversarial sweep when it has slices. The lift layer checks the
+// binary-only round trips. One strategy-layer call then makes Seed's only
+// engine runs besides profiling, one per (model, program) cell and lattice
+// point, with the budget oracle on each adapted program's reference run;
+// there the adapted programs reach what an original never does: budget
+// enforcement, kill paths, round-robin replay under stall jumps, per-thread
+// buffer reuse and the prefetch window. referenceChecks then applies the
+// differential and metamorphic layers to the reference runs. The same seed
+// always reproduces the same programs and verdict.
 func Seed(seed int64, cfgs []sim.Config) error {
+	return runSeed(seed, cfgs, nil, nil)
+}
+
+// runSeed is Seed with test hooks: perturb as in strategyEquivalence, and
+// shrink, which alters each adapted program's certified budgets.
+func runSeed(seed int64, cfgs []sim.Config, perturb perturbFunc, shrink func([]map[string]int64)) error {
 	p := workloads.RandomProgram(seed)
-	if err := Differential(cfgs, p, maxInterpInstrs); err != nil {
-		return fmt.Errorf("seed %d: original: %w", seed, err)
-	}
 	prof, err := profile.Collect(p, cfgs[0])
 	if err != nil {
 		return fmt.Errorf("seed %d: profile: %w", seed, err)
@@ -494,6 +471,7 @@ func Seed(seed int64, cfgs []sim.Config) error {
 		opts = append(opts, o)
 	}
 	progs := []*ir.Program{p}
+	budgets := [][]map[string]int64{nil}
 	for i, opt := range opts {
 		fail := func(what string, err error) error {
 			return fmt.Errorf("seed %d: options %d: %s%w", seed, i, what, err)
@@ -505,13 +483,8 @@ func Seed(seed int64, cfgs []sim.Config) error {
 		if err != nil {
 			return fail("adapt: ", err)
 		}
-		if err := Differential(cfgs, adapted, maxInterpInstrs); err != nil {
-			return fail("adapted: ", err)
-		}
-		if err := Metamorphic(cfgs, p, adapted); err != nil {
-			return fail("", err)
-		}
-		if err := SafetyEquivalence(cfgs, adapted); err != nil {
+		b, err := SafetyEquivalence(cfgs, adapted)
+		if err != nil {
 			return fail("", err)
 		}
 		if rep.NumSlices() > 0 {
@@ -519,13 +492,56 @@ func Seed(seed int64, cfgs []sim.Config) error {
 				return fail("adversarial: ", err)
 			}
 		}
+		if shrink != nil {
+			shrink(b)
+		}
 		progs = append(progs, adapted)
+		budgets = append(budgets, b)
 	}
 	if err := LiftEquivalence(cfgs[0], opts, p, progs[1:]...); err != nil {
 		return fmt.Errorf("seed %d: %w", seed, err)
 	}
-	if err := StrategyEquivalence(cfgs, progs...); err != nil {
+	refs, interps, err := strategyEquivalence(cfgs, budgets, perturb, progs...)
+	if err == nil {
+		err = referenceChecks(cfgs, progs, refs, interps)
+	}
+	if err != nil {
 		return fmt.Errorf("seed %d: %w", seed, err)
+	}
+	return nil
+}
+
+// referenceChecks applies the differential and metamorphic layers to the
+// reference runs refs[ci][pi] of model ci on program pi. On every model each
+// run must end with its interpreter run's main-thread registers (minus the
+// SSP scratch register if the program has SSP attachments) and memory
+// checksum, and an SSP-free program's must retire exactly its main-thread
+// instructions. Each adapted program progs[1:] must also keep the original
+// progs[0]'s main-thread state with no speculative store. The original is
+// checked first, so each adapted program is compared with a run already
+// known to be right.
+func referenceChecks(cfgs []sim.Config, progs []*ir.Program, refs [][]*sim.Result, interps []*sim.InterpResult) error {
+	for pi, q := range progs {
+		ref := interps[pi]
+		ssped, sum := hasSSP(q), ref.Mem.Checksum()
+		for ci, cfg := range cfgs {
+			res, cell := refs[ci][pi], fmt.Sprintf("%v prog %d", cfg.Model, pi)
+			if pi > 0 {
+				if err := MetamorphicResults(refs[ci][0], res); err != nil {
+					return fmt.Errorf("%s: %w", cell, err)
+				}
+			}
+			err := compareRegs(res.FinalRegs, ref.Regs, ssped, "regs vs interpreter")
+			if err == nil && res.MemChecksum != sum {
+				err = fmt.Errorf("memory checksum %#x, interpreter %#x", res.MemChecksum, sum)
+			}
+			if err == nil && !ssped && res.MainInstrs != ref.Instrs {
+				err = fmt.Errorf("retired %d main instrs, interpreter %d", res.MainInstrs, ref.Instrs)
+			}
+			if err != nil {
+				return fmt.Errorf("check: differential %s: %w", cell, err)
+			}
+		}
 	}
 	return nil
 }

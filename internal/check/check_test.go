@@ -80,11 +80,22 @@ func TestLiftEquivalenceCatchesAnotherImage(t *testing.T) {
 	}
 }
 
+// referenceLayers runs the programs through the strategy layer and applies
+// the differential and metamorphic checks to its reference runs, as Seed
+// does.
+func referenceLayers(cfgs []sim.Config, progs ...*ir.Program) error {
+	refs, interps, err := strategyEquivalence(cfgs, nil, nil, progs...)
+	if err != nil {
+		return err
+	}
+	return referenceChecks(cfgs, progs, refs, interps)
+}
+
 // TestWorkloadMetamorphic: the named benchmark adaptation satisfies the §2
 // invariant under both machine models.
 func TestWorkloadMetamorphic(t *testing.T) {
 	orig, adapted := adaptMcf(t)
-	if err := Metamorphic(Configs(true), orig, adapted); err != nil {
+	if err := referenceLayers(Configs(true), orig, adapted); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -109,12 +120,77 @@ func TestBrokenAdaptationCaught(t *testing.T) {
 	if _, err := ssp.VerifyAttachments(adapted); err == nil {
 		t.Error("VerifyAttachments accepted a slice containing a store")
 	}
-	err := Metamorphic(Configs(true), orig, adapted)
+	err := referenceLayers(Configs(true), orig, adapted)
 	if err == nil {
 		t.Fatal("metamorphic layer accepted a slice containing a store")
 	}
-	if !strings.Contains(err.Error(), "stores") {
+	if !strings.Contains(err.Error(), "metamorphic") || !strings.Contains(err.Error(), "stores") {
 		t.Fatalf("unexpected violation: %v", err)
+	}
+}
+
+// TestSeedChecksReadReferences: Seed's differential, metamorphic and
+// dynamic safety checks really read the strategy layer's reference runs.
+// Each case perturbs one (model, program) cell the same way at every
+// lattice point, like an engine bug that no execution strategy escapes, so
+// the strategy layer's own comparisons still agree. Seed must then fail in
+// the case's layer, naming the cell. Program 0 is the SSP-free original and
+// program 1 its adaptation under the default options. A certificate shrunk
+// below what a slice executes must trip the budget oracle.
+func TestSeedChecksReadReferences(t *testing.T) {
+	const seed = 1
+	cfgs := Configs(true)
+	target := cfgs[len(cfgs)-1].Model
+	cases := []struct {
+		name, layer string
+		prog        int
+		mut         func(*sim.Result)
+	}{
+		{"register", "check: differential", 0, func(r *sim.Result) { r.FinalRegs[1] ^= 1 }},
+		{"memory checksum", "check: differential", 0, func(r *sim.Result) { r.MemChecksum ^= 1 }},
+		{"main instrs", "check: differential", 0, func(r *sim.Result) {
+			r.MainInstrs++
+			if r.PCCount != nil {
+				r.PCCount[0]++ // keep the profiled point conserved
+			}
+		}},
+		{"spec stores", "check: metamorphic", 1, func(r *sim.Result) { r.SpecStores++ }},
+		{"adapted checksum", "check: metamorphic", 1, func(r *sim.Result) { r.MemChecksum ^= 1 }},
+		{"certificate", "dynamic oracle", 1, nil},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			var (
+				perturb perturbFunc
+				shrink  func([]map[string]int64)
+				cell    = fmt.Sprintf("%v prog %d", target, c.prog)
+			)
+			if c.mut != nil {
+				perturb = func(cfg sim.Config, prog int, _ point, r *sim.Result) {
+					if cfg.Model == target && prog == c.prog {
+						c.mut(r)
+					}
+				}
+			} else {
+				shrink = func(budgets []map[string]int64) {
+					for _, b := range budgets {
+						for k := range b {
+							b[k] = 1 // no slice prologue fits in one instruction
+						}
+					}
+				}
+				cell = fmt.Sprintf("%v prog %d", cfgs[0].Model, c.prog)
+			}
+			err := runSeed(seed, cfgs, perturb, shrink)
+			if err == nil {
+				t.Fatal("Seed passed")
+			}
+			if !strings.Contains(err.Error(), c.layer) || !strings.Contains(err.Error(), cell) {
+				t.Fatalf("error does not name %q in %q: %v", c.layer, cell, err)
+			}
+		})
 	}
 }
 
@@ -313,7 +389,7 @@ func TestStrategyEquivalenceCatchesEveryPoint(t *testing.T) {
 			}
 			pt, pert := pt, pert
 			t.Run(pert.name+"/"+pt.String(), func(t *testing.T) {
-				err := strategyEquivalence(cfgs, func(cfg sim.Config, _ int, at point, r *sim.Result) {
+				_, _, err := strategyEquivalence(cfgs, nil, func(cfg sim.Config, _ int, at point, r *sim.Result) {
 					if cfg.Model == target && at == pt {
 						pert.mut(r)
 					}

@@ -5,15 +5,15 @@ import (
 
 	"ssp/internal/ir"
 	"ssp/internal/sim"
-	"ssp/internal/sim/decode"
 	"ssp/internal/ssp"
 )
 
 // This file is the speculation-safety layer.
 // The static half (ssp.AnalyzeSafety) proves per-slice instruction budgets;
-// the dynamic half attaches an instruction-level oracle to both cycle
-// engines and asserts that no speculative thread ever executes outside a
-// certified slice region or past its certified budget. A static proof that
+// the dynamic half attaches an instruction-level oracle to the strategy
+// layer's reference run on both cycle engines and asserts that no
+// speculative thread ever executes outside a certified slice region or past
+// its certified budget. A static proof that
 // the dynamic machines can violate is a bug in the verifier; a dynamic run
 // that stays under budgets the verifier rejected would be a bug in the
 // engines. The adversarial side rides along: every safety class is injected
@@ -45,43 +45,23 @@ func (o *budgetOracle) Exec(m *sim.Machine, t *sim.Thread, pc int) {
 	}
 }
 
-// oracleMachine builds a machine with the budget oracle attached; the
-// returned oracle records the first violation observed during a run.
-func oracleMachine(cfg sim.Config, dp *decode.Program, budgets map[string]int64) (*sim.Machine, *budgetOracle) {
-	m := sim.NewPredecoded(cfg, dp)
-	o := &budgetOracle{budgets: budgets}
-	m.AttachExec(o)
-	return m, o
-}
-
-// SafetyEquivalence runs the speculation-safety gate on an adapted program:
-// statically, every slice must carry a violation-free certificate with a
-// budget at or under each configuration's MaxSpecInstrs ceiling; dynamically,
-// a run on each configured engine under the budget oracle must never observe
-// a speculative thread leave its certified region or exceed its certified
-// budget. Programs without slices pass trivially (no speculative thread can
-// exist).
-func SafetyEquivalence(cfgs []sim.Config, adapted *ir.Program) error {
-	img, err := ir.Link(adapted)
-	if err != nil {
-		return fmt.Errorf("check: link: %w", err)
-	}
-	dp := sim.Predecode(img)
-	for _, cfg := range cfgs {
+// SafetyEquivalence is the static half of the speculation-safety gate on an
+// adapted program: every slice must carry a violation-free certificate with
+// a budget at or under each configuration's MaxSpecInstrs ceiling. It
+// returns each configuration's certified budgets, in cfgs order, for the
+// budget oracle, which strategyEquivalence attaches to the program's
+// reference run on that engine. Programs without slices pass trivially.
+func SafetyEquivalence(cfgs []sim.Config, adapted *ir.Program) ([]map[string]int64, error) {
+	budgets := make([]map[string]int64, len(cfgs))
+	for ci, cfg := range cfgs {
 		rep := ssp.AnalyzeSafety(adapted, cfg.MaxSpecInstrs)
 		if err := rep.Err(); err != nil {
-			return fmt.Errorf("check: safety %v: static: %w", cfg.Model, err)
+			return nil, fmt.Errorf("check: safety %v: static: %w", cfg.Model, err)
 		}
 		if mb := rep.MaxBudget(); mb > cfg.MaxSpecInstrs {
-			return fmt.Errorf("check: safety %v: certified budget %d exceeds MaxSpecInstrs %d", cfg.Model, mb, cfg.MaxSpecInstrs)
+			return nil, fmt.Errorf("check: safety %v: certified budget %d exceeds MaxSpecInstrs %d", cfg.Model, mb, cfg.MaxSpecInstrs)
 		}
-		m, o := oracleMachine(cfg, dp, rep.Budgets())
-		if _, err := runMachine(m); err != nil {
-			return fmt.Errorf("check: safety %v: run: %w", cfg.Model, err)
-		}
-		if o.err != nil {
-			return fmt.Errorf("check: safety %v: dynamic oracle: %w", cfg.Model, o.err)
-		}
+		budgets[ci] = rep.Budgets()
 	}
-	return nil
+	return budgets, nil
 }

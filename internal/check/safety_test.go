@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"ssp/internal/ir"
 	"ssp/internal/sim"
 	"ssp/internal/ssp"
 )
@@ -27,7 +26,12 @@ func TestSafetyCeilingMatchesEngines(t *testing.T) {
 // a certified region, within the certified budget.
 func TestSafetyWorkloadOracle(t *testing.T) {
 	_, adapted := adaptMcf(t)
-	if err := SafetyEquivalence(Configs(true), adapted); err != nil {
+	cfgs := Configs(true)
+	budgets, err := SafetyEquivalence(cfgs, adapted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := strategyEquivalence(cfgs, [][]map[string]int64{budgets}, nil, adapted); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -37,34 +41,29 @@ func TestSafetyWorkloadOracle(t *testing.T) {
 // slice really executes must trip the oracle on a real run.
 func TestSafetyOracleDetectsOverrun(t *testing.T) {
 	_, adapted := adaptMcf(t)
-	cfg := Configs(true)[0]
-	rep := ssp.AnalyzeSafety(adapted, cfg.MaxSpecInstrs)
-	if err := rep.Err(); err != nil {
+	cfgs := Configs(true)[:1]
+	budgets, err := SafetyEquivalence(cfgs, adapted)
+	if err != nil {
 		t.Fatal(err)
 	}
-	budgets := rep.Budgets()
-	if len(budgets) == 0 {
+	if len(budgets[0]) == 0 {
 		t.Fatal("adapted mcf certified no regions")
 	}
-	for k := range budgets {
-		budgets[k] = 1 // no slice prologue fits in one instruction
-	}
-	img, err := ir.Link(adapted)
+	refs, _, err := strategyEquivalence(cfgs, nil, nil, adapted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, o := oracleMachine(cfg, sim.Predecode(img), budgets)
-	res, err := runMachine(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Spawns == 0 {
+	if refs[0][0].Spawns == 0 {
 		t.Fatal("adapted mcf spawned no speculative threads; oracle cannot fire")
 	}
-	if o.err == nil {
+	for k := range budgets[0] {
+		budgets[0][k] = 1 // no slice prologue fits in one instruction
+	}
+	_, _, err = strategyEquivalence(cfgs, [][]map[string]int64{budgets}, nil, adapted)
+	if err == nil {
 		t.Fatal("budget oracle accepted a run that overran a 1-instruction certificate")
 	}
-	if !strings.Contains(o.err.Error(), "budget") {
-		t.Fatalf("oracle fired for the wrong reason: %v", o.err)
+	if !strings.Contains(err.Error(), "dynamic oracle") || !strings.Contains(err.Error(), "budget") {
+		t.Fatalf("oracle fired for the wrong reason: %v", err)
 	}
 }
