@@ -33,9 +33,11 @@ bench-module:
 # Result bit for bit with fast-forward on or off, a fresh or a shared
 # decode, a fresh or a Reset-reused machine, and a profiled run; the
 # interpreter's chain walker against its per-PC loop). Each program runs
-# once per model and strategy point: the differential, metamorphic and
-# oracle checks read the strategy layer's reference runs. Reproduce a
-# reported failure with: go run ./cmd/sspcheck -seed N
+# once per model and strategy point and nowhere else: the profile the
+# adaptations start from comes from the original's profiled lattice run, and
+# the differential, metamorphic and oracle checks read the strategy layer's
+# reference runs. Reproduce a reported failure with:
+# go run ./cmd/sspcheck -seed N
 sspcheck:
 	$(GO) run ./cmd/sspcheck -seeds 500
 
@@ -120,13 +122,14 @@ tune-smoke:
 
 # tools-smoke runs Figure 1's file flow end to end through the command-line
 # tools at test scale: sspprof writes mcf's profile, sspgen adapts mcf with
-# that profile, and simrun runs the adapted binary. Any error fails it. The
-# files live in a temporary directory.
+# that profile, and simrun runs the adapted binary after checking it with
+# the differential layer (-check). Any error fails it. The files live in a
+# temporary directory.
 tools-smoke:
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && set -x && \
 	$(GO) run ./cmd/sspprof -bench mcf -scale test -out $$d/p.json && \
 	$(GO) run ./cmd/sspgen -bench mcf -scale test -profile $$d/p.json -out $$d/e.ssp && \
-	$(GO) run ./cmd/simrun -in $$d/e.ssp -scale test
+	$(GO) run ./cmd/simrun -in $$d/e.ssp -scale test -check
 
 # tune-bench runs the full options grid on mcf at paper scale (the §4.5
 # configuration) and writes BENCH_tune.json: the best configuration and the

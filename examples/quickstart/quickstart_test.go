@@ -73,7 +73,14 @@ func Example() {
 
 	// 4. Measure both binaries on the in-order model.
 	run := func(prog *ir.Program) *sim.Result {
-		res, err := sim.RunProgram(cfg, prog)
+		img, err := ir.Link(prog)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := sim.New(cfg, img).Run()
+		if err == nil {
+			err = res.Err() // the run rule: no watchdog expiry, no main-thread kill
+		}
 		if err != nil {
 			log.Fatal(err)
 		}

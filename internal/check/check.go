@@ -26,8 +26,8 @@
 //     image (LiftEquivalence).
 //
 // Seed runs every layer on one workloads.RandomProgram, so any violation
-// reproduces from its seed alone (cmd/sspcheck -seed N), and runs each
-// (model, program) cell once per strategy point.
+// reproduces from its seed alone (cmd/sspcheck -seed N). One lattice runner
+// makes every engine run of the package; the other layers read its runs.
 package check
 
 import (
@@ -77,18 +77,6 @@ func hasSSP(p *ir.Program) bool {
 	return found
 }
 
-// finished rejects a run the watchdog cut short or whose main thread killed
-// itself, and applies the conservation layer.
-func finished(res *sim.Result) error {
-	if res.TimedOut {
-		return fmt.Errorf("watchdog expired after %d cycles", res.Cycles)
-	}
-	if res.MainKilled {
-		return errors.New("main thread executed thread_kill_self")
-	}
-	return Conservation(res)
-}
-
 // compareRegs diffs two main-thread register files, optionally skipping the
 // SSP scratch register (stubs stage the countdown bound through it on the
 // main thread, so it diverges between original and adapted runs by design).
@@ -104,33 +92,18 @@ func compareRegs(a, b [ir.NumRegs]uint64, skipScratch bool, what string) error {
 	return nil
 }
 
-// Differential runs the linked program under the functional interpreter and
-// every configured cycle model, each on a fresh machine, and applies the
-// differential layer of referenceChecks to the runs; every produced Result
-// also passes the conservation layer. Seed reads the strategy layer's
-// reference runs instead.
+// Differential applies the differential layer to one program: the lattice
+// runner at its reference point (each cycle model on a fresh machine, and
+// the interpreter, bounded by maxInstrs), then referenceChecks.
 func Differential(cfgs []sim.Config, p *ir.Program, maxInstrs int64) error {
-	img, err := ir.Link(p)
-	if err != nil {
-		return fmt.Errorf("check: link: %w", err)
+	r := newRunner(cfgs, maxInstrs, nil)
+	if err := r.add(p, nil); err != nil {
+		return err
 	}
-	dp := sim.Predecode(img)
-	ref, err := sim.InterpretPredecoded(cfgs[0], dp, maxInstrs)
-	if err != nil {
-		return fmt.Errorf("check: interpret: %w", err)
+	if err := r.walk(lattice[:1]...); err != nil {
+		return err
 	}
-	refs := make([][]*sim.Result, len(cfgs))
-	for ci, cfg := range cfgs {
-		res, err := sim.NewPredecoded(cfg, dp).Run()
-		if err == nil {
-			err = finished(res)
-		}
-		if err != nil {
-			return fmt.Errorf("check: differential %v: %w", cfg.Model, err)
-		}
-		refs[ci] = []*sim.Result{res}
-	}
-	return referenceChecks(cfgs, []*ir.Program{p}, refs, []*sim.InterpResult{ref})
+	return r.referenceChecks()
 }
 
 // MetamorphicResults applies the metamorphic invariant to two results that
@@ -200,7 +173,7 @@ func Conservation(res *sim.Result) error {
 	// that ends in spawn, so — on runs that finished — each taken check
 	// produced a spawn attempt (started or ignored); chained slices only
 	// add to the left side.
-	if !res.TimedOut && !res.MainKilled && res.Spawns+res.SpawnsIgnored < res.ChkTaken {
+	if res.Err() == nil && res.Spawns+res.SpawnsIgnored < res.ChkTaken {
 		return fmt.Errorf("check: conservation: %d spawns + %d ignored < %d chk.c taken", res.Spawns, res.SpawnsIgnored, res.ChkTaken)
 	}
 	return nil
@@ -230,12 +203,8 @@ type point struct {
 }
 
 func (pt point) String() string {
-	s := fmt.Sprintf("ff=%s decode=%s machine=%s", pick(pt.ff, "on", "off"),
-		pick(pt.freshDecode, "fresh", "shared"), pick(pt.freshMachine, "fresh", "reset"))
-	if pt.profile {
-		s += " profile=on"
-	}
-	return s
+	return fmt.Sprintf("ff=%s decode=%s machine=%s%s", pick(pt.ff, "on", "off"), pick(pt.freshDecode, "fresh", "shared"),
+		pick(pt.freshMachine, "fresh", "reset"), pick(pt.profile, " profile=on", ""))
 }
 
 func pick(b bool, yes, no string) string {
@@ -245,48 +214,41 @@ func pick(b bool, yes, no string) string {
 	return no
 }
 
+// profiled is how the experiment suite takes its in-order baseline and
+// profile, and how Seed takes the original's: a profiled run.
+var profiled = point{ff: true, profile: true}
+
 // lattice lists every point in run order. The first is the reference the
 // others are compared against: per-cycle timing over the shared decode on a
-// newly built machine. The last is how the experiment suite takes its
-// in-order baseline: a profiled run that is also the cached baseline cell.
+// newly built machine.
 var lattice = []point{
 	{freshMachine: true},
 	{ff: true, freshDecode: true, freshMachine: true},
 	{}, {ff: true},
-	{ff: true, profile: true},
+	profiled,
 }
 
 // StrategyEquivalence asserts that no host-side execution strategy changes
 // a result: for every configured model and every given program, each
 // lattice point must match the reference on the whole sim.Result
-// (SameTiming), and every run must pass the conservation layer. The points
-// are FastForward off and on over the shared decode, one fresh private
-// decode (ff=on), and one profiled run (ff=on), whose PCCount and CallEdges
-// SameTiming does not compare: a profiled baseline is the unprofiled one
-// plus its profile. All shared-decode points after the reference run on one
-// machine, Reset between runs and walked point-major over the (model,
-// program) cells, so it crosses model and program switches both ways and
-// every FastForward/profile change. The Figure 10 breakdown and the
-// utilization histogram are part of every compared Result: the engines
-// account them inline on every run, with no mode that leaves them out. The
-// interpreter's chain walker is also checked against its per-PC loop
-// (sim.InterpretStepwise). A failure names its cell and both points, e.g.
-// "ooo prog 1 ff=on decode=shared machine=reset vs ff=off decode=shared
-// machine=fresh: cycles 813 vs 812". Seed's differential, metamorphic and
-// dynamic safety checks read the reference runs rather than making their own.
-//
-// Where the comparisons of the four per-strategy gates it replaced went:
-//   - predecode (fresh vs shared decode, shared rerun): decode=fresh; every
-//     later shared point reruns the reference's decode.
-//   - fast-forward (per-cycle vs ff): the ff=on points.
-//   - hot path (Reset-reused vs fresh machine across models and programs):
-//     every machine=reset point vs its cell's fresh-machine reference.
-//   - threaded (chains vs per-PC execution): the interpreter check. The
-//     engines have one definition of every pure opcode, the compiled step
-//     (specified by TestOpcodeSemantics in internal/sim), so they have no
-//     second semantics to compare.
+// (SameTiming), and every run must pass the run rule and conservation. The
+// points are FastForward off and on over the shared decode, one fresh
+// private decode (ff=on), and one profiled run (ff=on), whose PCCount and
+// CallEdges SameTiming does not compare: a profiled baseline is the
+// unprofiled one plus its profile. All shared-decode points after the
+// reference run on one machine, Reset between runs and walked point-major
+// over the (model, program) cells, so it crosses model and program switches
+// both ways and every FastForward/profile change. The Figure 10 breakdown
+// and the utilization histogram are part of every compared Result: the
+// engines account them inline on every run, with no mode that leaves them
+// out. The interpreter's chain walker is also checked against its per-PC
+// loop (sim.InterpretStepwise). A failure names its cell and both points,
+// e.g. "ooo prog 1 ff=on decode=shared machine=reset vs ff=off
+// decode=shared machine=fresh: cycles 813 vs 812". Seed's differential,
+// metamorphic and dynamic safety checks read the reference runs rather than
+// making their own.
 func StrategyEquivalence(cfgs []sim.Config, progs ...*ir.Program) error {
-	_, _, err := strategyEquivalence(cfgs, nil, nil, progs...)
+	_, err := strategyEquivalence(cfgs, nil, progs...)
 	return err
 }
 
@@ -294,100 +256,138 @@ func StrategyEquivalence(cfgs []sim.Config, progs ...*ir.Program) error {
 // tests can show every check actually reads it.
 type perturbFunc func(cfg sim.Config, prog int, pt point, r *sim.Result)
 
-// strategyEquivalence is StrategyEquivalence that also returns what Seed's
-// other checks read: refs[ci][pi], the reference Result of model ci on
-// program pi, and interps[pi], program pi's interpreter result. When
-// budgets[pi][ci] is set, the budget oracle rides on that cell's reference
-// run and a violation fails the safety layer; nil attaches nothing. A
-// non-nil perturb alters every point's Result before it is checked.
-func strategyEquivalence(cfgs []sim.Config, budgets [][]map[string]int64, perturb perturbFunc, progs ...*ir.Program) (refs [][]*sim.Result, interps []*sim.InterpResult, err error) {
-	imgs := make([]*ir.Image, len(progs))
-	dps := make([]*decode.Program, len(progs))
-	interps = make([]*sim.InterpResult, len(progs))
-	for pi, p := range progs {
-		img, err := ir.Link(p)
-		if err != nil {
-			return nil, nil, fmt.Errorf("check: strategy: link prog %d: %w", pi, err)
+// strategyEquivalence is StrategyEquivalence that also returns the runner,
+// whose reference runs the other layers read. A non-nil perturb alters every
+// point's Result before it is checked.
+func strategyEquivalence(cfgs []sim.Config, perturb perturbFunc, progs ...*ir.Program) (*runner, error) {
+	r := newRunner(cfgs, maxInterpInstrs, perturb)
+	for _, p := range progs {
+		if err := r.add(p, nil); err != nil {
+			return nil, err
 		}
-		imgs[pi], dps[pi] = img, sim.Predecode(img)
-		ref, err := sim.InterpretStepwise(cfgs[0], dps[pi], maxInterpInstrs)
-		if err != nil {
-			return nil, nil, fmt.Errorf("check: strategy: prog %d per-PC interpreter: %w", pi, err)
-		}
-		thr, err := sim.InterpretPredecoded(cfgs[0], dps[pi], maxInterpInstrs)
-		if err == nil {
-			err = compareRegs(thr.Regs, ref.Regs, false, "regs")
-		}
-		if err == nil && (thr.Instrs != ref.Instrs || thr.Mem.Checksum() != ref.Mem.Checksum()) {
-			err = fmt.Errorf("%d instrs, checksum %#x vs %d, %#x", thr.Instrs, thr.Mem.Checksum(), ref.Instrs, ref.Mem.Checksum())
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("check: strategy: prog %d chain interpreter vs per-PC loop: %w", pi, err)
-		}
-		interps[pi] = thr
 	}
-	var shared *sim.Machine
-	exec := func(pt point, ci, pi int, ref *sim.Result) (*sim.Result, error) {
-		cfg := cfgs[ci]
-		cfg.FastForward = pt.ff
-		cfg.Profile = pt.profile
-		dp := dps[pi]
-		if pt.freshDecode {
-			dp = sim.Predecode(imgs[pi])
-		}
-		m := shared
-		if pt.freshMachine || m == nil {
-			m = sim.NewPredecoded(cfg, dp)
-		} else if err := m.Reset(cfg, dp); err != nil {
-			return nil, fmt.Errorf("check: strategy: %w", err)
-		}
-		if !pt.freshMachine {
-			shared = m
-		}
-		var oracle *budgetOracle
-		if pt == lattice[0] && budgets != nil && budgets[pi] != nil {
-			oracle = &budgetOracle{budgets: budgets[pi][ci]}
-			m.AttachExec(oracle)
-		}
-		name := fmt.Sprintf("%v prog %d %v", cfg.Model, pi, pt)
-		res, err := m.Run()
-		if err != nil {
-			return nil, fmt.Errorf("check: strategy: %s: %w", name, err)
-		}
-		if oracle != nil && oracle.err != nil {
-			return nil, fmt.Errorf("check: safety: %s: dynamic oracle: %w", name, oracle.err)
-		}
-		if perturb != nil {
-			perturb(cfgs[ci], pi, pt, res)
-		}
-		if err := finished(res); err != nil {
-			return nil, fmt.Errorf("check: strategy: %s: %w", name, err)
-		}
-		if ref != nil {
-			if err := SameTiming(res, ref); err != nil {
-				return nil, fmt.Errorf("check: strategy: %s vs %v: %w", name, lattice[0], err)
-			}
-		}
-		return res, nil
+	return r, r.walk(lattice...)
+}
+
+// runner is the lattice runner: the programs added so far, and the Result
+// of every cell it ran. Its shared-decode points run on one Reset machine.
+type runner struct {
+	cfgs      []sim.Config
+	maxInstrs int64 // the interpreter's instruction bound
+	perturb   perturbFunc
+	progs     []*ir.Program
+	dps       []*decode.Program
+	interps   []*sim.InterpResult
+	budgets   [][]map[string]int64 // [pi][ci]: the budget oracle's, nil for none
+	runs      map[cell]*sim.Result
+	shared    *sim.Machine
+}
+
+// cell is one run of the lattice: point pt of model cfgs[ci] on progs[pi].
+type cell struct {
+	pt     point
+	ci, pi int
+}
+
+func newRunner(cfgs []sim.Config, maxInstrs int64, perturb perturbFunc) *runner {
+	return &runner{cfgs: cfgs, maxInstrs: maxInstrs, perturb: perturb, runs: make(map[cell]*sim.Result)}
+}
+
+// add links and predecodes p, with its certified budgets per model (nil for
+// none); its interpreter's chain walker must agree with the per-PC loop.
+func (r *runner) add(p *ir.Program, budgets []map[string]int64) error {
+	pi := len(r.progs)
+	img, err := ir.Link(p)
+	if err != nil {
+		return fmt.Errorf("check: strategy: link prog %d: %w", pi, err)
 	}
-	refs = make([][]*sim.Result, len(cfgs))
-	for ci := range refs {
-		refs[ci] = make([]*sim.Result, len(dps))
+	dp := sim.Predecode(img)
+	ref, err := sim.InterpretStepwise(r.cfgs[0], dp, r.maxInstrs)
+	if err != nil {
+		return fmt.Errorf("check: strategy: prog %d per-PC interpreter: %w", pi, err)
 	}
-	for _, pt := range lattice {
-		for ci := range cfgs {
-			for pi := range dps {
-				res, err := exec(pt, ci, pi, refs[ci][pi])
-				if err != nil {
-					return nil, nil, err
-				}
-				if refs[ci][pi] == nil {
-					refs[ci][pi] = res
+	thr, err := sim.InterpretPredecoded(r.cfgs[0], dp, r.maxInstrs)
+	if err == nil {
+		err = compareRegs(thr.Regs, ref.Regs, false, "regs")
+	}
+	if err == nil && (thr.Instrs != ref.Instrs || thr.Mem.Checksum() != ref.Mem.Checksum()) {
+		err = fmt.Errorf("%d instrs, checksum %#x vs %d, %#x", thr.Instrs, thr.Mem.Checksum(), ref.Instrs, ref.Mem.Checksum())
+	}
+	if err != nil {
+		return fmt.Errorf("check: strategy: prog %d chain interpreter vs per-PC loop: %w", pi, err)
+	}
+	r.progs, r.dps, r.interps = append(r.progs, p), append(r.dps, dp), append(r.interps, thr)
+	r.budgets = append(r.budgets, budgets)
+	return nil
+}
+
+// walk runs pts point-major over every (model, program) cell, skipping the
+// cells an earlier walk ran. A cell's reference, lattice[0], must run first.
+func (r *runner) walk(pts ...point) error {
+	for _, pt := range pts {
+		for ci := range r.cfgs {
+			for pi := range r.progs {
+				if c := (cell{pt, ci, pi}); r.runs[c] == nil {
+					res, err := r.exec(c)
+					if err != nil {
+						return err
+					}
+					r.runs[c] = res
 				}
 			}
 		}
 	}
-	return refs, interps, nil
+	return nil
+}
+
+// ref returns the reference run of model ci on program pi.
+func (r *runner) ref(ci, pi int) *sim.Result { return r.runs[cell{lattice[0], ci, pi}] }
+
+// exec makes one cell's run and checks it: the budget oracle at the
+// reference point, the run rule, conservation, and SameTiming elsewhere.
+func (r *runner) exec(c cell) (*sim.Result, error) {
+	cfg, dp := r.cfgs[c.ci], r.dps[c.pi]
+	cfg.FastForward, cfg.Profile = c.pt.ff, c.pt.profile
+	if c.pt.freshDecode {
+		dp = sim.Predecode(dp.Img)
+	}
+	m := r.shared
+	if c.pt.freshMachine || m == nil {
+		m = sim.NewPredecoded(cfg, dp)
+	} else if err := m.Reset(cfg, dp); err != nil {
+		return nil, fmt.Errorf("check: strategy: %w", err)
+	}
+	if !c.pt.freshMachine {
+		r.shared = m
+	}
+	var oracle *budgetOracle
+	if c.pt == lattice[0] && r.budgets[c.pi] != nil {
+		oracle = &budgetOracle{budgets: r.budgets[c.pi][c.ci]}
+		m.AttachExec(oracle)
+	}
+	name := fmt.Sprintf("%v prog %d %v", cfg.Model, c.pi, c.pt)
+	res, err := m.Run()
+	if err != nil {
+		return nil, fmt.Errorf("check: strategy: %s: %w", name, err)
+	}
+	if oracle != nil && oracle.err != nil {
+		return nil, fmt.Errorf("check: safety: %s: dynamic oracle: %w", name, oracle.err)
+	}
+	if r.perturb != nil {
+		r.perturb(r.cfgs[c.ci], c.pi, c.pt, res)
+	}
+	if err = res.Err(); err == nil {
+		err = Conservation(res)
+	}
+	if err == nil && c.pt != lattice[0] {
+		if err = SameTiming(res, r.ref(c.ci, c.pi)); err != nil {
+			name += " vs " + lattice[0].String()
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("check: strategy: %s: %w", name, err)
+	}
+	return res, nil
 }
 
 // SameTiming diffs two results field by field, excluding only the
@@ -441,19 +441,19 @@ func SameTiming(a, b *sim.Result) error {
 	return nil
 }
 
-// Seed drives every validation layer from one seed. It generates a random
-// program, profiles it once, and adapts it under each distinct option set of
-// {ssp.DefaultOptions(), seedOptions(seed)} (ssp.Adapt certifies every slice
-// itself). Each adapted program passes the static speculation-safety layer,
-// and the adversarial sweep when it has slices. The lift layer checks the
-// binary-only round trips. One strategy-layer call then makes Seed's only
-// engine runs besides profiling, one per (model, program) cell and lattice
-// point, with the budget oracle on each adapted program's reference run;
-// there the adapted programs reach what an original never does: budget
-// enforcement, kill paths, round-robin replay under stall jumps, per-thread
-// buffer reuse and the prefetch window. referenceChecks then applies the
-// differential and metamorphic layers to the reference runs. The same seed
-// always reproduces the same programs and verdict.
+// Seed drives every validation layer from one seed, and one lattice runner
+// makes all of its engine runs. It generates a random program and runs the
+// original's reference and profiled points, profiling it from the profiled
+// in-order run. It adapts the original under each distinct option set of
+// {ssp.DefaultOptions(), seedOptions(seed)} (ssp.Adapt certifies every
+// slice itself); each adapted program passes the static speculation-safety
+// layer, and the adversarial sweep when it has slices. After the lift layer,
+// the runner runs every remaining cell, with the budget oracle on each
+// adapted program's reference run; there the adapted programs reach what an
+// original never does: budget enforcement, kill paths, round-robin replay
+// under stall jumps, per-thread buffer reuse and the prefetch window.
+// referenceChecks then applies the differential and metamorphic layers. The
+// same seed always reproduces the same verdict.
 func Seed(seed int64, cfgs []sim.Config) error {
 	return runSeed(seed, cfgs, nil, nil)
 }
@@ -462,16 +462,20 @@ func Seed(seed int64, cfgs []sim.Config) error {
 // shrink, which alters each adapted program's certified budgets.
 func runSeed(seed int64, cfgs []sim.Config, perturb perturbFunc, shrink func([]map[string]int64)) error {
 	p := workloads.RandomProgram(seed)
-	prof, err := profile.Collect(p, cfgs[0])
-	if err != nil {
-		return fmt.Errorf("seed %d: profile: %w", seed, err)
+	r := newRunner(cfgs, maxInterpInstrs, perturb)
+	err := r.add(p, nil)
+	if err == nil {
+		err = r.walk(lattice[0], profiled)
 	}
+	if err != nil {
+		return fmt.Errorf("seed %d: %w", seed, err)
+	}
+	run := r.runs[cell{profiled, 0, 0}]
+	prof := profile.FromResult(p, r.dps[0].Img, cfgs[0].Mem, run)
 	opts := []ssp.Options{ssp.DefaultOptions()}
 	if o := seedOptions(seed); o != opts[0] {
 		opts = append(opts, o)
 	}
-	progs := []*ir.Program{p}
-	budgets := [][]map[string]int64{nil}
 	for i, opt := range opts {
 		fail := func(what string, err error) error {
 			return fmt.Errorf("seed %d: options %d: %s%w", seed, i, what, err)
@@ -495,15 +499,16 @@ func runSeed(seed int64, cfgs []sim.Config, perturb perturbFunc, shrink func([]m
 		if shrink != nil {
 			shrink(b)
 		}
-		progs = append(progs, adapted)
-		budgets = append(budgets, b)
+		if err := r.add(adapted, b); err != nil {
+			return fail("", err)
+		}
 	}
-	if err := LiftEquivalence(cfgs[0], opts, p, progs[1:]...); err != nil {
-		return fmt.Errorf("seed %d: %w", seed, err)
-	}
-	refs, interps, err := strategyEquivalence(cfgs, budgets, perturb, progs...)
+	err = LiftEquivalence(cfgs[0], opts, p, run, r.progs[1:]...)
 	if err == nil {
-		err = referenceChecks(cfgs, progs, refs, interps)
+		err = r.walk(lattice...)
+	}
+	if err == nil {
+		err = r.referenceChecks()
 	}
 	if err != nil {
 		return fmt.Errorf("seed %d: %w", seed, err)
@@ -512,22 +517,22 @@ func runSeed(seed int64, cfgs []sim.Config, perturb perturbFunc, shrink func([]m
 }
 
 // referenceChecks applies the differential and metamorphic layers to the
-// reference runs refs[ci][pi] of model ci on program pi. On every model each
-// run must end with its interpreter run's main-thread registers (minus the
-// SSP scratch register if the program has SSP attachments) and memory
-// checksum, and an SSP-free program's must retire exactly its main-thread
-// instructions. Each adapted program progs[1:] must also keep the original
-// progs[0]'s main-thread state with no speculative store. The original is
-// checked first, so each adapted program is compared with a run already
-// known to be right.
-func referenceChecks(cfgs []sim.Config, progs []*ir.Program, refs [][]*sim.Result, interps []*sim.InterpResult) error {
-	for pi, q := range progs {
-		ref := interps[pi]
+// runner's reference runs. On every model each program's run must end with
+// its interpreter run's main-thread registers (minus the SSP scratch
+// register if the program has SSP attachments) and memory checksum, and an
+// SSP-free program's must retire exactly its main-thread instructions. Each
+// adapted program progs[1:] must also keep the original progs[0]'s
+// main-thread state with no speculative store. The original is checked
+// first, so each adapted program is compared with a run already known to be
+// right.
+func (r *runner) referenceChecks() error {
+	for pi, q := range r.progs {
+		ref := r.interps[pi]
 		ssped, sum := hasSSP(q), ref.Mem.Checksum()
-		for ci, cfg := range cfgs {
-			res, cell := refs[ci][pi], fmt.Sprintf("%v prog %d", cfg.Model, pi)
+		for ci, cfg := range r.cfgs {
+			res, cell := r.ref(ci, pi), fmt.Sprintf("%v prog %d", cfg.Model, pi)
 			if pi > 0 {
-				if err := MetamorphicResults(refs[ci][0], res); err != nil {
+				if err := MetamorphicResults(r.ref(ci, 0), res); err != nil {
 					return fmt.Errorf("%s: %w", cell, err)
 				}
 			}
@@ -552,31 +557,17 @@ func referenceChecks(cfgs []sim.Config, progs []*ir.Program, refs [][]*sim.Resul
 // nothing the tool or the engines use, so two round trips must keep the
 // image, compared by decode.Program.Digest (every decoded field, every
 // block leader and the data image):
-//   - profiling and adapting Lift(Link(orig)) under opts[i] gives the image
-//     that adapting orig under opts[i] gave, adapted[i];
 //   - Link(Lift(Link(q))) is q's image, for orig and every adapted program.
 //     Only the adapted programs carry chk.c, spawn, stub and slice blocks.
-func LiftEquivalence(cfg sim.Config, opts []ssp.Options, orig *ir.Program, adapted ...*ir.Program) error {
+//   - profiling and adapting Lift(Link(orig)) under opts[i] gives the image
+//     that adapting orig under opts[i] gave, adapted[i]. The first trip
+//     gives the lifted original orig's image and instruction IDs, so its
+//     profile comes from profiled, orig's profiled run under cfg.
+func LiftEquivalence(cfg sim.Config, opts []ssp.Options, orig *ir.Program, profiled *sim.Result, adapted ...*ir.Program) error {
 	if len(opts) != len(adapted) {
 		return fmt.Errorf("check: lift: %d option sets for %d adapted programs", len(opts), len(adapted))
 	}
-	lifted, err := relift(orig)
-	if err != nil {
-		return err
-	}
-	prof, err := profile.Collect(lifted, cfg)
-	if err != nil {
-		return fmt.Errorf("check: lift: profile the lifted original: %w", err)
-	}
-	for i, opt := range opts {
-		la, _, err := ssp.Adapt(lifted, prof, opt, "lifted")
-		if err == nil {
-			err = sameImage(la, adapted[i])
-		}
-		if err != nil {
-			return fmt.Errorf("check: lift: adapting the lifted original under options %d: %w", i, err)
-		}
-	}
+	var lifted *ir.Program
 	for i, q := range append([]*ir.Program{orig}, adapted...) {
 		back, err := relift(q)
 		if err != nil {
@@ -584,6 +575,23 @@ func LiftEquivalence(cfg sim.Config, opts []ssp.Options, orig *ir.Program, adapt
 		}
 		if err := sameImage(back, q); err != nil {
 			return fmt.Errorf("check: lift: prog %d round trip: %w", i, err)
+		}
+		if i == 0 {
+			lifted = back
+		}
+	}
+	img, err := ir.Link(lifted)
+	if err != nil {
+		return fmt.Errorf("check: lift: link: %w", err)
+	}
+	prof := profile.FromResult(lifted, img, cfg.Mem, profiled)
+	for i, opt := range opts {
+		la, _, err := ssp.Adapt(lifted, prof, opt, "lifted")
+		if err == nil {
+			err = sameImage(la, adapted[i])
+		}
+		if err != nil {
+			return fmt.Errorf("check: lift: adapting the lifted original under options %d: %w", i, err)
 		}
 	}
 	return nil

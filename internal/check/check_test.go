@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -32,6 +33,80 @@ func adaptMcf(t *testing.T) (*ir.Program, *ir.Program) {
 	return orig, adapted
 }
 
+// run links p and runs it on a new machine under cfg, under the run rule.
+func run(t *testing.T, cfg sim.Config, p *ir.Program) *sim.Result {
+	t.Helper()
+	img, err := ir.Link(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.New(cfg, img).Run()
+	if err == nil {
+		err = res.Err()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// profiledRun makes the original's first lattice phase as Seed does, and
+// returns the profiled in-order run with the profile Seed derives from it.
+func profiledRun(t *testing.T, cfgs []sim.Config, p *ir.Program) (*sim.Result, *profile.Profile) {
+	t.Helper()
+	r := newRunner(cfgs, maxInterpInstrs, nil)
+	err := r.add(p, nil)
+	if err == nil {
+		err = r.walk(lattice[0], profiled)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := r.runs[cell{profiled, 0, 0}]
+	return res, profile.FromResult(p, r.dps[0].Img, cfgs[0].Mem, res)
+}
+
+// TestProfileFromLatticeRun: Seed's premise. The profile derived from the
+// lattice's profiled in-order run is the profile a separate profiling run
+// collects, for the original and, from the same run, for its lifted image.
+func TestProfileFromLatticeRun(t *testing.T) {
+	mcf, err := workloads.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig, _ := mcf.Build(mcf.TestScale)
+	progs := map[string]*ir.Program{"mcf": orig}
+	for _, seed := range []int64{0, 1, 9, 23} {
+		progs[fmt.Sprintf("seed %d", seed)] = workloads.RandomProgram(seed)
+	}
+	cfgs := Configs(true)
+	for name, p := range progs {
+		res, prof := profiledRun(t, cfgs, p)
+		want, err := profile.Collect(p, cfgs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(prof, want) {
+			t.Errorf("%s: the lattice run's profile differs from profile.Collect", name)
+		}
+		lifted, err := relift(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := ir.Link(lifted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err = profile.Collect(lifted, cfgs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := profile.FromResult(lifted, img, cfgs[0].Mem, res); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the lifted image's profile from the original's run differs from profile.Collect", name)
+		}
+	}
+}
+
 // TestSeedsClean: a sample of seeded random programs passes every layer
 // (make sspcheck sweeps 500 seeds). Besides seeds 0-7 it holds the
 // fuzz-corpus seeds that exercise multi-region portfolios (8, 16) and every
@@ -59,10 +134,7 @@ func TestSeedsClean(t *testing.T) {
 func TestLiftEquivalenceCatchesAnotherImage(t *testing.T) {
 	orig := workloads.RandomProgram(1)
 	cfgs := Configs(true)
-	prof, err := profile.Collect(orig, cfgs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, prof := profiledRun(t, cfgs, orig)
 	opts := []ssp.Options{ssp.DefaultOptions()}
 	adapted, rep, err := ssp.Adapt(orig, prof, opts[0], "seed1")
 	if err != nil {
@@ -71,10 +143,10 @@ func TestLiftEquivalenceCatchesAnotherImage(t *testing.T) {
 	if rep.NumSlices() == 0 {
 		t.Fatal("seed 1 adapted to no slices")
 	}
-	if err := LiftEquivalence(cfgs[0], opts, orig, adapted); err != nil {
+	if err := LiftEquivalence(cfgs[0], opts, orig, res, adapted); err != nil {
 		t.Fatalf("clean layer: %v", err)
 	}
-	err = LiftEquivalence(cfgs[0], opts, orig, orig)
+	err = LiftEquivalence(cfgs[0], opts, orig, res, orig)
 	if err == nil || !strings.Contains(err.Error(), "image digest") {
 		t.Fatalf("another image passed the lift layer: %v", err)
 	}
@@ -84,11 +156,11 @@ func TestLiftEquivalenceCatchesAnotherImage(t *testing.T) {
 // the differential and metamorphic checks to its reference runs, as Seed
 // does.
 func referenceLayers(cfgs []sim.Config, progs ...*ir.Program) error {
-	refs, interps, err := strategyEquivalence(cfgs, nil, nil, progs...)
+	r, err := strategyEquivalence(cfgs, nil, progs...)
 	if err != nil {
 		return err
 	}
-	return referenceChecks(cfgs, progs, refs, interps)
+	return r.referenceChecks()
 }
 
 // TestWorkloadMetamorphic: the named benchmark adaptation satisfies the §2
@@ -205,13 +277,7 @@ func TestConservationDetectsTampering(t *testing.T) {
 	p, _ := spec.Build(spec.TestScale)
 	cfg := Configs(true)[0]
 	cfg.Profile = true
-	fresh := func() *sim.Result {
-		res, err := sim.RunProgram(cfg, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
+	fresh := func() *sim.Result { return run(t, cfg, p) }
 	if err := Conservation(fresh()); err != nil {
 		t.Fatalf("clean result: %v", err)
 	}
@@ -278,11 +344,7 @@ func TestStrategyEquivalenceBenchmarks(t *testing.T) {
 			}
 			for _, cfg := range cfgs {
 				cfg.FastForward = true
-				res, err := sim.RunProgram(cfg, orig)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.FastForwards == 0 {
+				if res := run(t, cfg, orig); res.FastForwards == 0 {
 					t.Errorf("%v: fast-forward core never jumped on %s", cfg.Model, spec.Name)
 				}
 			}
@@ -389,7 +451,7 @@ func TestStrategyEquivalenceCatchesEveryPoint(t *testing.T) {
 			}
 			pt, pert := pt, pert
 			t.Run(pert.name+"/"+pt.String(), func(t *testing.T) {
-				_, _, err := strategyEquivalence(cfgs, nil, func(cfg sim.Config, _ int, at point, r *sim.Result) {
+				_, err := strategyEquivalence(cfgs, func(cfg sim.Config, _ int, at point, r *sim.Result) {
 					if cfg.Model == target && at == pt {
 						pert.mut(r)
 					}

@@ -4,9 +4,20 @@ import (
 	"strings"
 	"testing"
 
+	"ssp/internal/ir"
 	"ssp/internal/sim"
 	"ssp/internal/ssp"
 )
+
+// withOracle runs the whole lattice on an adapted program with the budget
+// oracle on its reference runs, as Seed does.
+func withOracle(cfgs []sim.Config, budgets []map[string]int64, adapted *ir.Program) (*runner, error) {
+	r := newRunner(cfgs, maxInterpInstrs, nil)
+	if err := r.add(adapted, budgets); err != nil {
+		return nil, err
+	}
+	return r, r.walk(lattice...)
+}
 
 // TestSafetyCeilingMatchesEngines pins the contract between the static
 // verifier and the dynamic machines: the default certification ceiling is
@@ -31,7 +42,7 @@ func TestSafetyWorkloadOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := strategyEquivalence(cfgs, [][]map[string]int64{budgets}, nil, adapted); err != nil {
+	if _, err := withOracle(cfgs, budgets, adapted); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -49,17 +60,17 @@ func TestSafetyOracleDetectsOverrun(t *testing.T) {
 	if len(budgets[0]) == 0 {
 		t.Fatal("adapted mcf certified no regions")
 	}
-	refs, _, err := strategyEquivalence(cfgs, nil, nil, adapted)
+	r, err := strategyEquivalence(cfgs, nil, adapted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if refs[0][0].Spawns == 0 {
+	if r.ref(0, 0).Spawns == 0 {
 		t.Fatal("adapted mcf spawned no speculative threads; oracle cannot fire")
 	}
 	for k := range budgets[0] {
 		budgets[0][k] = 1 // no slice prologue fits in one instruction
 	}
-	_, _, err = strategyEquivalence(cfgs, [][]map[string]int64{budgets}, nil, adapted)
+	_, err = withOracle(cfgs, budgets, adapted)
 	if err == nil {
 		t.Fatal("budget oracle accepted a run that overran a 1-instruction certificate")
 	}

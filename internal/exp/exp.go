@@ -611,11 +611,8 @@ func (s *Suite) execute(ctx context.Context, label RunKey, k simKey, cfg sim.Con
 	if err != nil {
 		return nil, 0, err
 	}
-	if res.TimedOut {
-		return nil, 0, fmt.Errorf("%s: watchdog expired after %d cycles", label, res.Cycles)
-	}
-	if res.MainKilled {
-		return nil, 0, fmt.Errorf("%s: main thread executed thread_kill_self", label)
+	if err := res.Err(); err != nil {
+		return nil, 0, fmt.Errorf("%s: %w", label, err)
 	}
 	if got := m.Mem.Load(workloads.ResultAddr); k.check && got != k.want {
 		return nil, 0, fmt.Errorf("%s: checksum %d, want %d", label, got, k.want)

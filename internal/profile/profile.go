@@ -7,7 +7,6 @@ package profile
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"ssp/internal/ir"
@@ -36,15 +35,15 @@ type Profile struct {
 }
 
 // Collect runs the program once on the given machine model with profiling
-// enabled and returns the feedback bundle.
+// enabled and returns the feedback bundle, or the run rule's error
+// (sim.Result.Err). The pipeline derives its profiles with FromResult from
+// runs it makes anyway; Collect is kept for tests and the benchmark replay.
 func Collect(p *ir.Program, cfg sim.Config) (*Profile, error) {
 	return CollectContext(context.Background(), p, cfg)
 }
 
 // CollectContext is Collect under a context: a cancelled profiling run
-// returns ctx.Err() promptly instead of simulating to completion. Profiling
-// is the first simulation of every adapt pipeline, so cancellable serving
-// paths need the ctx to reach it.
+// returns ctx.Err() promptly instead of simulating to completion.
 func CollectContext(ctx context.Context, p *ir.Program, cfg sim.Config) (*Profile, error) {
 	img, err := ir.Link(p)
 	if err != nil {
@@ -52,11 +51,11 @@ func CollectContext(ctx context.Context, p *ir.Program, cfg sim.Config) (*Profil
 	}
 	cfg.Profile = true
 	res, err := sim.New(cfg, img).RunContext(ctx)
+	if err == nil {
+		err = res.Err()
+	}
 	if err != nil {
 		return nil, err
-	}
-	if res.TimedOut {
-		return nil, fmt.Errorf("profile: run timed out after %d cycles", res.Cycles)
 	}
 	return FromResult(p, img, cfg.Mem, res), nil
 }

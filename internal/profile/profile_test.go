@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -186,6 +187,27 @@ func TestFromResult(t *testing.T) {
 		if got := FromResult(p, img, cfg.Mem, res); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: FromResult differs from Collect", spec.Name)
 		}
+	}
+}
+
+// TestCollectRejectsMainKill: a program whose main thread executes kill never
+// finished, so it has no profile: Collect returns the run rule's error,
+// naming the kill, on both models. A watchdog expiry fails the same way.
+func TestCollectRejectsMainKill(t *testing.T) {
+	p := ir.NewProgram("main")
+	e := ir.NewFunc(p, "main").Block("entry")
+	e.MovI(20, 5)
+	e.Kill()
+	for _, cfg := range []sim.Config{tinyConfig(), sim.DefaultOOO()} {
+		pr, err := Collect(p, cfg)
+		if re := (*sim.RunError)(nil); !errors.As(err, &re) || re.Reason != "main-kill" || pr != nil {
+			t.Errorf("%v: Collect = %v, %v; want no profile and a main-kill RunError", cfg.Model, pr, err)
+		}
+	}
+	cfg := tinyConfig()
+	cfg.MaxCycles = 50
+	if pr, err := Collect(loopProgram(4, 500), cfg); err == nil || pr != nil {
+		t.Errorf("watchdog: Collect = %v, %v; want no profile and an error", pr, err)
 	}
 }
 

@@ -308,7 +308,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		res, hit, err := s.runTune(ctx, j, key)
 		if err != nil {
-			http.Error(w, err.Error(), statusOf(err))
+			writeJobError(w, err, j.Source != "")
 			return
 		}
 		writeJSON(w, JobResponse{
@@ -322,13 +322,13 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 
 	h := s.served(j)
 	if wantsSSE(r) {
-		s.streamJob(ctx, w, key, h)
+		s.streamJob(ctx, w, key, h, j.Source != "")
 		return
 	}
 	start := time.Now()
 	res, hit, err := s.runJob(ctx, h)
 	if err != nil {
-		http.Error(w, err.Error(), statusOf(err))
+		writeJobError(w, err, j.Source != "")
 		return
 	}
 	writeJSON(w, JobResponse{
@@ -424,6 +424,36 @@ type UnsafeResponse struct {
 func (s *Server) vetSource(j job) (*ssp.SafetyReport, error) {
 	rep := ssp.AnalyzeSafety(j.prog, s.tuners[j.scale()].Suite.MachineConfig(j.Model).MaxSpecInstrs)
 	return rep, rep.Err()
+}
+
+// RunFailedResponse is the HTTP 422 payload for a source job whose program
+// ran but broke the run rule (sim.Result.Err): Reason is sim.RunError's,
+// "watchdog" or "main-kill".
+type RunFailedResponse struct {
+	Error  string `json:"error"`
+	Reason string `json:"reason"`
+}
+
+// runFailure returns the run-rule failure behind a source job's error, or
+// nil. Such a run is the submitted program's fault, not the server's.
+func runFailure(err error, source bool) *sim.RunError {
+	var re *sim.RunError
+	if source && errors.As(err, &re) {
+		return re
+	}
+	return nil
+}
+
+// writeJobError answers a failed job: a 422 RunFailedResponse for a source
+// job's run-rule failure, and otherwise the plain-text statusOf status.
+func writeJobError(w http.ResponseWriter, err error, source bool) {
+	if re := runFailure(err, source); re != nil {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusUnprocessableEntity)
+		json.NewEncoder(w).Encode(RunFailedResponse{Error: err.Error(), Reason: re.Reason})
+		return
+	}
+	http.Error(w, err.Error(), statusOf(err))
 }
 
 // statusOf maps a job error to its HTTP status.

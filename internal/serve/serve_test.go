@@ -121,8 +121,9 @@ func TestSourceJob(t *testing.T) {
 }
 
 // TestMainKillSourceFails: a source program whose main thread kills itself
-// is a failed job, not a 200. Each submission counts one failure, and a
-// repeated submission fails again: no result was cached for it.
+// is the client's fault: a 422 whose JSON body names the kill. Each
+// submission counts one failure, and a repeated submission fails again: no
+// result was cached for it.
 func TestMainKillSourceFails(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	p := ir.NewProgram("main")
@@ -133,12 +134,31 @@ func TestMainKillSourceFails(t *testing.T) {
 	for _, model := range []string{"in-order", "ooo", "in-order"} {
 		before := s.Snapshot().Failures
 		code, _, msg := post(t, ts, JobSpec{Source: ir.Format(p), Model: model})
-		if code == http.StatusOK || !strings.Contains(msg, "thread_kill_self") {
-			t.Fatalf("%s: HTTP %d (%s), want a failed job naming the kill", model, code, msg)
+		var rf RunFailedResponse
+		if code != http.StatusUnprocessableEntity || json.Unmarshal([]byte(msg), &rf) != nil ||
+			rf.Reason != "main-kill" || !strings.Contains(rf.Error, "thread_kill_self") {
+			t.Fatalf("%s: HTTP %d (%s), want a 422 naming the kill", model, code, msg)
 		}
 		if got := s.Snapshot().Failures - before; got != 1 {
 			t.Errorf("%s: failures counter moved by %d, want 1", model, got)
 		}
+	}
+	// A streamed submission ends in an error event with the same status
+	// and reason.
+	body, _ := json.Marshal(JobSpec{Source: ir.Format(p), Model: "in-order"})
+	req, err := http.NewRequest("POST", ts.URL+"/jobs", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept", "text/event-stream")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	stream := readAll(t, resp)
+	if !strings.Contains(stream, `"status":422`) || !strings.Contains(stream, `"reason":"main-kill"`) {
+		t.Fatalf("SSE stream does not end in a 422 main-kill error event:\n%s", stream)
 	}
 }
 

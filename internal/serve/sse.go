@@ -60,6 +60,7 @@ type progressEvent struct {
 type errorEvent struct {
 	Status int    `json:"status"`
 	Error  string `json:"error"`
+	Reason string `json:"reason,omitempty"` // a source job's run-rule failure
 }
 
 // streamJob runs a job while narrating it over SSE: a "queued" event on
@@ -68,7 +69,7 @@ type errorEvent struct {
 // actually running it), then exactly one terminal "result" or "error" event.
 // The HTTP status is 200 regardless — errors ride inside the stream, as SSE
 // requires once the header is out.
-func (s *Server) streamJob(ctx context.Context, w http.ResponseWriter, key string, h exp.Served) {
+func (s *Server) streamJob(ctx context.Context, w http.ResponseWriter, key string, h exp.Served, source bool) {
 	sse, err := newSSE(w)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotImplemented)
@@ -95,7 +96,11 @@ func (s *Server) streamJob(ctx context.Context, w http.ResponseWriter, key strin
 		select {
 		case o := <-done:
 			if o.err != nil {
-				sse.event("error", errorEvent{Status: statusOf(o.err), Error: o.err.Error()})
+				ev := errorEvent{Status: statusOf(o.err), Error: o.err.Error()}
+				if re := runFailure(o.err, source); re != nil {
+					ev.Status, ev.Reason = http.StatusUnprocessableEntity, re.Reason
+				}
+				sse.event("error", ev)
 				return
 			}
 			sse.event("result", JobResponse{

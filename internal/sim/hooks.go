@@ -97,6 +97,3 @@ func (m *Machine) AttachExec(h ExecHooks) {
 // SetCycleHooks installs a clock observer, replacing any installed one; nil
 // detaches it. Reset detaches it too.
 func (m *Machine) SetCycleHooks(h CycleHooks) { m.cycle = h }
-
-// Now returns the current simulated cycle, for hook implementations.
-func (m *Machine) Now() int64 { return m.now }

@@ -316,7 +316,7 @@ func (m *Machine) issueEffect(t *Thread, pc int, d *decode.Decoded) bool {
 		if !t.spec {
 			// thread_kill_self on the non-speculative thread: without this
 			// the loop would spin until the watchdog, since nothing else
-			// sets mainDone. Flag it so RunProgram can surface the error.
+			// sets mainDone. Flag it so Result.Err can surface the error.
 			m.res.MainKilled = true
 			m.mainDone = true
 		}

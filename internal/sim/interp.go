@@ -16,23 +16,13 @@ type InterpResult struct {
 	Mem    *mem.Memory
 }
 
-// Interpret executes only the main thread functionally, with no timing and no
-// speculative contexts: the machine runs in its explicit no-speculation mode,
-// so chk.c never raises its exception (it behaves as a nop, exactly its
-// architectural fallback) and every spawn is counted as ignored. It is the
-// reference semantics the cycle-level engines are differentially tested
-// against, and doubles as a fast sanity check that an SSP-enhanced binary
-// leaves the main thread's architectural behaviour unchanged (§2: speculative
-// execution "does not alter the architecture state of the main thread"). cfg
-// selects the memory sizing and context count under test so the
-// interpretation matches the configuration the cycle models run with.
-func Interpret(cfg Config, img *ir.Image, maxInstrs int64) (*InterpResult, error) {
-	return InterpretPredecoded(cfg, decode.Predecode(img), maxInstrs)
-}
-
-// InterpretPredecoded is Interpret over an already-predecoded image, for
-// callers that share one decode across engines and configurations. It walks
-// the image's compiled block chains — no machine, no per-PC loop — and falls
+// InterpretPredecoded executes only the main thread functionally, with no
+// timing and no speculative contexts: chk.c behaves as a nop, exactly its
+// architectural fallback, and every spawn is ignored. It is the reference
+// semantics the cycle-level engines are differentially tested against (§2:
+// speculative execution "does not alter the architecture state of the main
+// thread"); cfg is the configuration under test. It walks the image's
+// compiled block chains — no machine, no per-PC loop — and falls
 // back to InterpretStepwise only for a program whose control flow the chains
 // cannot represent.
 func InterpretPredecoded(cfg Config, dp *decode.Program, maxInstrs int64) (*InterpResult, error) {
@@ -103,23 +93,4 @@ func interpretThreaded(dp *decode.Program, maxInstrs int64) (*InterpResult, erro
 	default: // threaded.ErrUnthreadable
 		return nil, nil, false
 	}
-}
-
-// RunProgram links and runs a program under the given configuration.
-func RunProgram(cfg Config, p *ir.Program) (*Result, error) {
-	img, err := ir.Link(p)
-	if err != nil {
-		return nil, err
-	}
-	res, err := New(cfg, img).Run()
-	if err != nil {
-		return nil, err
-	}
-	if res.TimedOut {
-		return res, fmt.Errorf("sim: watchdog expired after %d cycles", res.Cycles)
-	}
-	if res.MainKilled {
-		return res, fmt.Errorf("sim: main thread executed thread_kill_self after %d cycles", res.Cycles)
-	}
-	return res, nil
 }

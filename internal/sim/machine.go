@@ -24,14 +24,14 @@ const libSlots = ir.LIBSlots
 type Thread struct {
 	activation
 
-	// sb is the in-order scoreboard. It survives activations, like pending
-	// and win: a spawn clears only the slots the context's last activation
-	// wrote instead of zeroing the whole array with the activation.
+	// sb is the in-order scoreboard. It survives activations, like win: a
+	// spawn clears only the slots the context's last activation wrote
+	// instead of zeroing the whole array with the activation.
 	sb scoreboard
 
-	// pending tracks outstanding cache fills for the Figure 10
-	// accounting. Its backing array is reused across activations; pendDeep
-	// and pendNext cache over it.
+	// pending tracks the main thread's outstanding cache fills for the
+	// Figure 10 accounting, which reads only the main thread's; pendDeep and
+	// pendNext cache over it. Speculative contexts leave it empty.
 	pending []pendingFill
 
 	// OOO state (nil on the in-order model).
@@ -157,9 +157,6 @@ func (t *Thread) block(pc int, e *sbEntry) {
 	t.wakePC, t.wakeAt, t.wakeLevel = pc, e.ready, e.loadLevel
 }
 
-// Context returns the hardware context index of the thread.
-func (t *Thread) Context() int { return t.idx }
-
 // Instrs returns how many instructions the thread has executed in its
 // current activation (reset on every spawn). External oracles — the
 // safety-budget hook in internal/check — read it from an ExecHooks callback,
@@ -175,9 +172,13 @@ type pendingFill struct {
 	level   mem.Level
 }
 
-// addFill records an outstanding cache fill, folding it into the cached
-// deepest level and earliest completion.
+// addFill records an outstanding cache fill of the main thread, folding it
+// into the cached deepest level and earliest completion. A speculative
+// thread's fills are not recorded: nothing reads them.
 func (t *Thread) addFill(readyAt int64, level mem.Level) {
+	if t.spec {
+		return
+	}
 	if len(t.pending) == 0 || level > t.pendDeep {
 		t.pendDeep = level
 	}
@@ -409,14 +410,13 @@ func (m *Machine) freeContext() *Thread {
 // the parent's outgoing live-in buffer — the inter-thread communication path
 // through the RSE backing store (§2.1).
 func (m *Machine) startThread(c *Thread, pc int, parent *Thread) {
-	// The scoreboard, pending slice and OOO window keep their backing
-	// arrays across the context's lifetimes, so steady-state spawning
-	// allocates nothing and zeroes only what the last activation wrote.
+	// The scoreboard and OOO window keep their backing arrays across the
+	// context's lifetimes, so steady-state spawning allocates nothing and
+	// zeroes only what the last activation wrote.
 	c.sb.clear()
 	c.activation = activation{idx: c.idx, active: true, spec: true, pc: pc, resumePC: -1}
 	m.liveSpec++
 	m.specMask |= 1 << c.idx
-	c.pending = c.pending[:0]
 	c.InLIB = parent.OutLIB
 	c.frontStallUntil = m.now + m.Cfg.SpawnStartup
 	if m.Cfg.Model == OOO {

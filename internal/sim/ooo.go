@@ -478,7 +478,7 @@ func (m *Machine) dispatchOOO(t *Thread, slots int) int {
 				// thread_kill_self on the non-speculative thread. Drain and
 				// end the run like a halt (so the in-order and OOO models
 				// agree on when it stops), but flag the violation so
-				// RunProgram reports it instead of silently succeeding.
+				// Result.Err reports it instead of silently succeeding.
 				m.res.MainKilled = true
 			}
 			kill = kill || ef.kill || ef.halt

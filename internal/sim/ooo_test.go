@@ -29,7 +29,7 @@ func missLoop(n int) *ir.Program {
 
 func runCfg(t *testing.T, cfg Config, p *ir.Program) *Result {
 	t.Helper()
-	res, err := RunProgram(cfg, p)
+	res, err := runProgram(cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -31,6 +32,20 @@ func tinyMem() mem.Config {
 	c.L2Size = 4 << 10
 	c.L3Size = 16 << 10
 	return c
+}
+
+// runProgram links p and runs it on a new machine under cfg. A run that
+// breaks the run rule (Result.Err) returns its partial Result with the error.
+func runProgram(cfg Config, p *ir.Program) (*Result, error) {
+	img, err := ir.Link(p)
+	if err != nil {
+		return nil, err
+	}
+	res, err := New(cfg, img).Run()
+	if err != nil {
+		return nil, err
+	}
+	return res, res.Err()
 }
 
 func testInOrder() Config {
@@ -74,7 +89,7 @@ func TestInterpretArith(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Interpret(testInOrder(), img, 1000)
+	r, err := InterpretPredecoded(testInOrder(), Predecode(img), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +106,7 @@ func TestEnginesMatchInterpreter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Interpret(testInOrder(), img, 1000)
+	ref, err := InterpretPredecoded(testInOrder(), Predecode(img), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +133,11 @@ func TestEnginesMatchInterpreter(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	p := chaseProgram(500, false)
 	for _, cfg := range []Config{testInOrder(), testOOO()} {
-		r1, err := RunProgram(cfg, p)
+		r1, err := runProgram(cfg, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := RunProgram(cfg, p)
+		r2, err := runProgram(cfg, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,11 +211,11 @@ func chaseProgram(n int, ssp bool) *ir.Program {
 }
 
 func TestSSPSpeedsUpInOrderChase(t *testing.T) {
-	base, err := RunProgram(testInOrder(), chaseProgram(2000, false))
+	base, err := runProgram(testInOrder(), chaseProgram(2000, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	enh, err := RunProgram(testInOrder(), chaseProgram(2000, true))
+	enh, err := runProgram(testInOrder(), chaseProgram(2000, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,11 +286,11 @@ func TestOOOToleratesMissesBetterThanInOrder(t *testing.T) {
 	loop.On(6).Br("loop")
 	d := fb.Block("done")
 	d.Halt()
-	io, err := RunProgram(testInOrder(), p)
+	io, err := runProgram(testInOrder(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ooo, err := RunProgram(testOOO(), p)
+	ooo, err := runProgram(testOOO(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +302,7 @@ func TestOOOToleratesMissesBetterThanInOrder(t *testing.T) {
 func TestBreakdownSumsToCycles(t *testing.T) {
 	for _, cfg := range []Config{testInOrder(), testOOO()} {
 		for _, ssp := range []bool{false, true} {
-			res, err := RunProgram(cfg, chaseProgram(400, ssp))
+			res, err := runProgram(cfg, chaseProgram(400, ssp))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -347,7 +362,7 @@ func TestRunawaySpecThreadKilled(t *testing.T) {
 	}
 	cfg := testInOrder()
 	cfg.MaxSpecInstrs = 500
-	res, err := RunProgram(cfg, p)
+	res, err := runProgram(cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +378,7 @@ func TestChkWithoutFreeContextIsNop(t *testing.T) {
 	p := chaseProgram(50, true)
 	cfg := testInOrder()
 	cfg.Contexts = 1 // only the main thread
-	res, err := RunProgram(cfg, p)
+	res, err := runProgram(cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +388,7 @@ func TestChkWithoutFreeContextIsNop(t *testing.T) {
 }
 
 func TestSpawnsIgnoredWhenSaturated(t *testing.T) {
-	res, err := RunProgram(testInOrder(), chaseProgram(2000, true))
+	res, err := runProgram(testInOrder(), chaseProgram(2000, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +526,7 @@ func TestQuickDifferentialEngines(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		ref, err := Interpret(testInOrder(), img, 10_000)
+		ref, err := InterpretPredecoded(testInOrder(), Predecode(img), 10_000)
 		if err != nil {
 			t.Log(err)
 			return false
@@ -642,7 +657,7 @@ func TestFPSemanticsAcrossEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Interpret(testInOrder(), img, 1_000_000)
+	ref, err := InterpretPredecoded(testInOrder(), Predecode(img), 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -682,11 +697,11 @@ func TestFPUnitsAreAStructuralResource(t *testing.T) {
 		fb.Block("done").Halt()
 		return p
 	}
-	fpRes, err := RunProgram(testInOrder(), build(true))
+	fpRes, err := runProgram(testInOrder(), build(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	intRes, err := RunProgram(testInOrder(), build(false))
+	intRes, err := runProgram(testInOrder(), build(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -697,7 +712,7 @@ func TestFPUnitsAreAStructuralResource(t *testing.T) {
 }
 
 func TestSpecUtilizationHistogram(t *testing.T) {
-	res, err := RunProgram(testInOrder(), chaseProgram(800, true))
+	res, err := runProgram(testInOrder(), chaseProgram(800, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -714,7 +729,7 @@ func TestSpecUtilizationHistogram(t *testing.T) {
 	if busy == 0 {
 		t.Fatal("SSP run shows no speculative-context utilization")
 	}
-	base, err := RunProgram(testInOrder(), chaseProgram(800, false))
+	base, err := runProgram(testInOrder(), chaseProgram(800, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -772,7 +787,7 @@ func TestLIBSlotMaskingAndSnapshot(t *testing.T) {
 	bad.Br("slice_bad")
 	cfg := testInOrder()
 	cfg.MaxSpecInstrs = 100_000
-	res, err := RunProgram(cfg, p)
+	res, err := runProgram(cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -886,11 +901,11 @@ func TestMemPortsLimitThroughput(t *testing.T) {
 		fb.Block("done").Halt()
 		return p
 	}
-	ld, err := RunProgram(testInOrder(), build(true))
+	ld, err := runProgram(testInOrder(), build(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	alu, err := RunProgram(testInOrder(), build(false))
+	alu, err := runProgram(testInOrder(), build(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -906,11 +921,11 @@ func TestContextCountScaling(t *testing.T) {
 	two := testInOrder()
 	two.Contexts = 2
 	four := testInOrder()
-	r2, err := RunProgram(two, p)
+	r2, err := runProgram(two, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := RunProgram(four, p)
+	r4, err := runProgram(four, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -930,16 +945,16 @@ func TestContextCountScaling(t *testing.T) {
 	}
 }
 
-// TestRunProgramWatchdogContract: on watchdog expiry RunProgram must return
-// BOTH a non-nil partial Result and an error, so callers (cmd/simrun) can
+// TestRunProgramWatchdogContract: on watchdog expiry the run rule must give
+// an error while the Result stays a readable partial result, so callers can
 // report the statistics collected so far alongside the failure.
 func TestRunProgramWatchdogContract(t *testing.T) {
 	for _, base := range []Config{testInOrder(), testOOO()} {
 		cfg := base
 		cfg.MaxCycles = 50
-		res, err := RunProgram(cfg, chaseProgram(64, false))
-		if err == nil {
-			t.Fatalf("%v: no error on watchdog expiry", cfg.Model)
+		res, err := runProgram(cfg, chaseProgram(64, false))
+		if re := (*RunError)(nil); !errors.As(err, &re) || re.Reason != "watchdog" {
+			t.Fatalf("%v: error %v on watchdog expiry, want a watchdog RunError", cfg.Model, err)
 		}
 		if res == nil {
 			t.Fatalf("%v: nil result on watchdog expiry", cfg.Model)
@@ -954,9 +969,9 @@ func TestRunProgramWatchdogContract(t *testing.T) {
 }
 
 // TestRunProgramMainKillContract: thread_kill_self on the main thread ends
-// the run with MainKilled set and an error (instead of spinning until the
-// watchdog on the in-order model, or silently halting on the OOO model —
-// the cross-engine divergence the differential layer flushed out).
+// the run with MainKilled set and a run-rule error (instead of spinning
+// until the watchdog on the in-order model, or silently halting on the OOO
+// model — the cross-engine divergence the differential layer flushed out).
 func TestRunProgramMainKillContract(t *testing.T) {
 	p := ir.NewProgram("main")
 	fb := ir.NewFunc(p, "main")
@@ -964,9 +979,9 @@ func TestRunProgramMainKillContract(t *testing.T) {
 	e.MovI(16, 1)
 	e.Kill()
 	for _, cfg := range []Config{testInOrder(), testOOO()} {
-		res, err := RunProgram(cfg, p)
-		if err == nil {
-			t.Fatalf("%v: no error on main-thread kill", cfg.Model)
+		res, err := runProgram(cfg, p)
+		if re := (*RunError)(nil); !errors.As(err, &re) || re.Reason != "main-kill" {
+			t.Fatalf("%v: error %v on main-thread kill, want a main-kill RunError", cfg.Model, err)
 		}
 		if res == nil || !res.MainKilled {
 			t.Fatalf("%v: MainKilled not reported", cfg.Model)

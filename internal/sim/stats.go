@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"ssp/internal/ir"
 	"ssp/internal/sim/mem"
 )
@@ -63,8 +65,8 @@ type Result struct {
 	TimedOut      bool
 	// MainKilled reports that the main thread executed thread_kill_self,
 	// which only speculative threads may do (§2.1); the run ends but its
-	// architectural state is unreliable. RunProgram turns this into an
-	// error, and check.Differential treats it as a violation.
+	// architectural state is unreliable. Err turns this, and TimedOut,
+	// into a *RunError.
 	MainKilled bool
 
 	// FinalRegs snapshots the main thread's register file at the end of the
@@ -105,4 +107,26 @@ func (r *Result) IPC() float64 {
 		return 0
 	}
 	return float64(r.MainInstrs) / float64(r.Cycles)
+}
+
+// RunError is a run that did not finish the program (Result.Err). Reason
+// is "watchdog" (Config.MaxCycles expired) or "main-kill" (the main thread
+// executed thread_kill_self).
+type RunError struct {
+	Reason string
+	msg    string
+}
+
+func (e *RunError) Error() string { return e.msg }
+
+// Err is the run rule: a run that hit the watchdog or whose main thread
+// killed itself has failed, with a *RunError; for any other run it is nil.
+func (r *Result) Err() error {
+	switch {
+	case r.TimedOut:
+		return &RunError{"watchdog", fmt.Sprintf("watchdog expired after %d cycles", r.Cycles)}
+	case r.MainKilled:
+		return &RunError{"main-kill", "main thread executed thread_kill_self"}
+	}
+	return nil
 }

@@ -92,7 +92,7 @@ func TestQuickAdaptPreservesSemantics(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		ref, err := sim.Interpret(cfg, img, 100_000_000)
+		ref, err := sim.InterpretPredecoded(cfg, sim.Predecode(img), 100_000_000)
 		if err != nil {
 			t.Log(err)
 			return false

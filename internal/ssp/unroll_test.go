@@ -116,7 +116,7 @@ func TestChainUnrollFallsBackWithoutFreeRegisters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := sim.Interpret(tinyConfig(), img, 10_000_000)
+	ref, err := sim.InterpretPredecoded(tinyConfig(), sim.Predecode(img), 10_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func TestRandomProgramTerminates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if _, err := sim.Interpret(tinyConfig(), img, 50_000_000); err != nil {
+		if _, err := sim.InterpretPredecoded(tinyConfig(), sim.Predecode(img), 50_000_000); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -36,7 +36,7 @@ func TestRandomProgramDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := sim.Interpret(tinyConfig(), img, 50_000_000)
+			r, err := sim.InterpretPredecoded(tinyConfig(), sim.Predecode(img), 50_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}

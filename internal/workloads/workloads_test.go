@@ -66,7 +66,7 @@ func TestChecksums(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := sim.Interpret(tinyConfig(), img, 100_000_000)
+			r, err := sim.InterpretPredecoded(tinyConfig(), sim.Predecode(img), 100_000_000)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -235,7 +235,7 @@ func TestSmallScales(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%d: %v", s.Name, n, err)
 			}
-			r, err := sim.Interpret(tinyConfig(), img, 10_000_000)
+			r, err := sim.InterpretPredecoded(tinyConfig(), sim.Predecode(img), 10_000_000)
 			if err != nil {
 				t.Fatalf("%s/%d: %v", s.Name, n, err)
 			}
