@@ -28,8 +28,7 @@ func Build(f *ir.Func) (*Graph, error) {
 	g := &Graph{F: f, Succs: make([][]int, n), Preds: make([][]int, n)}
 	for bi, b := range f.Blocks {
 		for ii, in := range b.Instrs {
-			isTerm := in.Op == ir.OpBr || in.Op == ir.OpRet || in.Op == ir.OpHalt || in.Op == ir.OpKill
-			if isTerm && ii != len(b.Instrs)-1 {
+			if in.Op.EndsBlock() && ii != len(b.Instrs)-1 {
 				return nil, fmt.Errorf("cfg: %s/%s: control transfer %q not at block end", f.Name, b.Label, in)
 			}
 		}
@@ -52,12 +51,10 @@ func Build(f *ir.Func) (*Graph, error) {
 			if t.Qp != ir.PTrue {
 				fall()
 			}
-		case (t.Op == ir.OpRet || t.Op == ir.OpHalt || t.Op == ir.OpKill) && t.Qp == ir.PTrue:
+		case t.Op.EndsBlock() && t.Qp == ir.PTrue:
 			// no successors
-		case t.Op == ir.OpRet || t.Op == ir.OpHalt || t.Op == ir.OpKill:
-			fall() // predicated exit: may fall through
 		default:
-			fall()
+			fall() // a predicated exit may fall through
 		}
 	}
 	for bi, ss := range g.Succs {

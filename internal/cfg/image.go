@@ -7,38 +7,20 @@ import "ssp/internal/ir"
 // End-1. Unlike the function-level Graph (which reflects the architected CFG
 // of §3.1.1, where calls fall through and chk.c is a micro-architectural
 // event), image blocks are cut for *execution threading*: every instruction
-// that can redirect the program counter at runtime — br, call, callb, ret,
-// chk.c (the lightweight-exception detour), spawn (the stub resume) — ends
+// with a control class (ir.Op.Control) — br, call, callb, ret, chk.c (the
+// lightweight-exception detour), spawn (the stub resume), halt, kill — ends
 // its block, so every PC the machine can ever jump to is a block Start.
 type ImageBlock struct {
 	// Start and End delimit the block's PCs: [Start, End).
 	Start, End int
-	// Succs lists the statically known successor blocks, falls-through
-	// first where one exists. Blocks ending in ret/callb have none here.
-	Succs []int
-	// Dynamic marks a block whose terminator jumps through a branch
-	// register (ret, callb): its successor set is runtime state.
-	Dynamic bool
-}
-
-// redirects reports whether op can change the PC of the executing thread to
-// something other than pc+1 (or, for call/chk/spawn, publishes pc+1 as a
-// future jump target: the return address, the stub resume point).
-func redirects(op ir.Op) bool {
-	switch op {
-	case ir.OpBr, ir.OpCall, ir.OpCallB, ir.OpRet, ir.OpChk, ir.OpSpawn,
-		ir.OpHalt, ir.OpKill:
-		return true
-	}
-	return false
 }
 
 // ImageBlocks partitions a linked image into execution-threading basic
 // blocks and returns them with the PC→block index map. Leaders are the
 // linked source blocks' starts (every branch target is one, by Link's
-// construction) plus the fall-through PC of every call, callb, chk.c, and
-// spawn — the addresses ret, the RSE stub resume, and the call return can
-// land on. The partition therefore has the property the threaded compiler
+// construction) plus the PC after every instruction with a control class —
+// among them the addresses ret, the RSE stub resume, and the call return
+// can land on. The partition therefore has the property the threaded compiler
 // relies on: any PC a well-formed program can transfer control to is a
 // block Start.
 func ImageBlocks(img *ir.Image) ([]ImageBlock, []int32) {
@@ -52,8 +34,7 @@ func ImageBlocks(img *ir.Image) ([]ImageBlock, []int32) {
 		if pc == 0 || img.BlockOf[pc] != img.BlockOf[pc-1] {
 			leader[pc] = true // linked source-block start
 		}
-		op := img.Code[pc].I.Op
-		if redirects(op) && pc+1 <= n {
+		if img.Code[pc].I.Op.Control() != ir.CtlNone {
 			leader[pc+1] = true
 		}
 	}
@@ -70,47 +51,6 @@ func ImageBlocks(img *ir.Image) ([]ImageBlock, []int32) {
 			blockOf[p] = int32(bi)
 		}
 		start = pc
-	}
-	for bi := range blocks {
-		b := &blocks[bi]
-		l := &img.Code[b.End-1]
-		t := l.I.Op
-		fall := func() {
-			if b.End < n {
-				b.Succs = append(b.Succs, int(blockOf[b.End]))
-			}
-		}
-		tgt := func() {
-			if l.Tgt >= 0 && int(l.Tgt) < n {
-				b.Succs = append(b.Succs, int(blockOf[l.Tgt]))
-			}
-		}
-		switch {
-		case t == ir.OpBr && l.I.Qp == ir.PTrue:
-			tgt()
-		case t == ir.OpBr:
-			fall()
-			tgt()
-		case t == ir.OpCall:
-			tgt()
-		case t == ir.OpRet || t == ir.OpCallB:
-			b.Dynamic = true
-			if l.I.Qp != ir.PTrue {
-				fall() // predicated: may fall through when nullified
-			}
-		case t == ir.OpHalt || t == ir.OpKill:
-			if l.I.Qp != ir.PTrue {
-				fall()
-			}
-		case t == ir.OpChk, t == ir.OpSpawn:
-			// The architected successor is the fall-through; the stub
-			// detour / context bind is a micro-architectural event whose
-			// target (l.Tgt) is itself a block start by construction.
-			fall()
-			tgt()
-		default:
-			fall()
-		}
 	}
 	return blocks, blockOf
 }

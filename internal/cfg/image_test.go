@@ -10,8 +10,8 @@ import (
 // checkImageBlocks asserts the structural invariants the threaded compiler
 // relies on: the blocks partition [0, len(code)) contiguously, blockOf is
 // consistent with the partition, only a block's last instruction can redirect
-// control, every listed successor is a valid block index, and every static
-// branch/call/chk/spawn target in the image is a block Start.
+// control, and every static branch/call/chk/spawn target in the image is a
+// block Start.
 func checkImageBlocks(t *testing.T, img *ir.Image) {
 	t.Helper()
 	blocks, blockOf := ImageBlocks(img)
@@ -34,13 +34,8 @@ func checkImageBlocks(t *testing.T, img *ir.Image) {
 			if blockOf[pc] != int32(bi) {
 				t.Fatalf("blockOf[%d] = %d, want %d", pc, blockOf[pc], bi)
 			}
-			if pc != b.End-1 && redirects(img.Code[pc].I.Op) {
+			if pc != b.End-1 && img.Code[pc].I.Op.Control() != ir.CtlNone {
 				t.Fatalf("block %d has redirecting op %v mid-block at pc %d", bi, img.Code[pc].I.Op, pc)
-			}
-		}
-		for _, s := range b.Succs {
-			if s < 0 || s >= len(blocks) {
-				t.Fatalf("block %d successor %d out of range", bi, s)
 			}
 		}
 	}
@@ -78,10 +73,9 @@ func TestImageBlocksBenchmarks(t *testing.T) {
 	}
 }
 
-// TestImageBlocksCallShape pins the successor semantics on a hand-built
-// image: a call block's successor is the callee entry (not the return
-// point), the callee's ret block is Dynamic with no static successors, and
-// the post-call PC is a block start (it is ret's landing pad).
+// TestImageBlocksCallShape pins the partition around a call on a hand-built
+// image: the call and the callee's ret each end a block, the callee entry
+// is a block start, and so is the post-call PC (ret's landing pad).
 func TestImageBlocksCallShape(t *testing.T) {
 	p := ir.NewProgram("main")
 	f := ir.NewFunc(p, "main")
@@ -115,13 +109,8 @@ func TestImageBlocksCallShape(t *testing.T) {
 	if callBlock < 0 || retBlock < 0 {
 		t.Fatalf("call/ret blocks not found: %d %d", callBlock, retBlock)
 	}
-	callee := int(blockOf[img.Code[blocks[callBlock].End-1].Tgt])
-	if len(blocks[callBlock].Succs) != 1 || blocks[callBlock].Succs[0] != callee {
-		t.Fatalf("call block succs %v, want [%d] (callee entry)", blocks[callBlock].Succs, callee)
-	}
-	if !blocks[retBlock].Dynamic || len(blocks[retBlock].Succs) != 0 {
-		t.Fatalf("ret block: dynamic=%v succs=%v, want dynamic with no static successors",
-			blocks[retBlock].Dynamic, blocks[retBlock].Succs)
+	if tgt := int(img.Code[blocks[callBlock].End-1].Tgt); blocks[blockOf[tgt]].Start != tgt {
+		t.Fatalf("callee entry %d is not a block start", tgt)
 	}
 	// The instruction after the call must begin a block: it is the return
 	// address ret jumps through.
@@ -131,9 +120,9 @@ func TestImageBlocksCallShape(t *testing.T) {
 	}
 }
 
-// TestImageBlocksPredicatedBranch pins that a predicated branch block lists
-// the fall-through first, then the taken target, and an unpredicated branch
-// lists only the target.
+// TestImageBlocksPredicatedBranch pins that a predicated branch ends its
+// block, so its fall-through PC and its taken target both begin blocks, and
+// that an unpredicated branch ends its block too.
 func TestImageBlocksPredicatedBranch(t *testing.T) {
 	p := ir.NewProgram("main")
 	f := ir.NewFunc(p, "main")
@@ -154,11 +143,18 @@ func TestImageBlocksPredicatedBranch(t *testing.T) {
 	checkImageBlocks(t, img)
 	blocks, blockOf := ImageBlocks(img)
 	entry := blocks[blockOf[0]]
-	if len(entry.Succs) != 2 || blocks[entry.Succs[0]].Start != entry.End {
-		t.Fatalf("predicated branch succs %v, want fall-through first", entry.Succs)
+	br := img.Code[entry.End-1]
+	if br.I.Op != ir.OpBr || br.I.Qp != 6 {
+		t.Fatalf("entry block ends in %v, want the predicated branch", br.I.String())
 	}
-	midB := blocks[entry.Succs[0]]
-	if len(midB.Succs) != 1 {
-		t.Fatalf("unpredicated branch succs %v, want exactly the target", midB.Succs)
+	if blocks[blockOf[entry.End]].Start != entry.End {
+		t.Fatalf("fall-through %d is not a block start", entry.End)
+	}
+	if tgt := int(br.Tgt); blocks[blockOf[tgt]].Start != tgt {
+		t.Fatalf("branch target %d is not a block start", tgt)
+	}
+	midB := blocks[blockOf[entry.End]]
+	if img.Code[midB.End-1].I.Op != ir.OpBr || midB.End != int(br.Tgt) {
+		t.Fatalf("mid block [%d,%d) does not end in its branch to %d", midB.Start, midB.End, br.Tgt)
 	}
 }

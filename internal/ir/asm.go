@@ -1,96 +1,103 @@
 package ir
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
 // formatInstr renders one instruction in the textual assembly syntax
 // accepted by Parse.
-func formatInstr(i *Instr) string {
-	var sb strings.Builder
+func formatInstr(i *Instr) string { return string(appendInstr(nil, i)) }
+
+// appendInstr appends the instruction's assembly text to b: the qualifying
+// predicate, the mnemonic, then the operands of its opTable row.
+func appendInstr(b []byte, i *Instr) []byte {
 	if i.Qp != PTrue {
-		fmt.Fprintf(&sb, "(%s) ", i.Qp)
+		b = append(b, "(p"...)
+		b = strconv.AppendUint(b, uint64(i.Qp), 10)
+		b = append(b, ") "...)
 	}
-	op2 := func() string {
+	if i.Op >= NumOps {
+		return append(append(b, i.Op.String()...), " ???"...)
+	}
+	r := &opTable[i.Op]
+	b = append(b, r.name...)
+	if r.cond {
+		b = append(append(b, '.'), i.Cond.String()...)
+	}
+	for k, o := range r.syntax {
+		switch {
+		case k == 0:
+			b = append(b, ' ')
+		case k == r.lhs:
+			b = append(b, " = "...)
+		default:
+			b = append(b, ", "...)
+		}
+		b = i.appendOperand(b, o)
+	}
+	return b
+}
+
+// appendOperand appends the text of one operand.
+func (i *Instr) appendOperand(b []byte, o operand) []byte {
+	switch o {
+	case oRd:
+		return appendReg(b, 'r', uint8(i.Rd))
+	case oRa:
+		return appendReg(b, 'r', uint8(i.Ra))
+	case oRb:
+		return appendReg(b, 'r', uint8(i.Rb))
+	case oOp2:
 		if i.UseImm {
-			return fmt.Sprintf("%d", i.Imm)
+			return strconv.AppendInt(b, i.Imm, 10)
 		}
-		return i.Rb.String()
-	}
-	mem := func() string {
+		return appendReg(b, 'r', uint8(i.Rb))
+	case oImm:
+		return strconv.AppendInt(b, i.Imm, 10)
+	case oPd1:
+		return appendReg(b, 'p', uint8(i.Pd1))
+	case oPd2:
+		return appendReg(b, 'p', uint8(i.Pd2))
+	case oMem, oMemInc:
+		b = appendReg(append(b, '['), 'r', uint8(i.Ra))
+		if i.Disp > 0 {
+			b = append(b, '+')
+		}
 		if i.Disp != 0 {
-			return fmt.Sprintf("[%s%+d]", i.Ra, i.Disp)
+			b = strconv.AppendInt(b, i.Disp, 10)
 		}
-		return fmt.Sprintf("[%s]", i.Ra)
-	}
-	switch i.Op {
-	case OpNop:
-		sb.WriteString("nop")
-	case OpAdd, OpSub, OpMul, OpAnd, OpOr, OpXor, OpShl, OpShr:
-		fmt.Fprintf(&sb, "%s %s = %s, %s", i.Op, i.Rd, i.Ra, op2())
-	case OpMov:
-		fmt.Fprintf(&sb, "mov %s = %s", i.Rd, i.Ra)
-	case OpMovI:
-		fmt.Fprintf(&sb, "movi %s = %d", i.Rd, i.Imm)
-	case OpCmp:
-		fmt.Fprintf(&sb, "cmp.%s %s, %s = %s, %s", i.Cond, i.Pd1, i.Pd2, i.Ra, op2())
-	case OpLd:
-		if i.PostInc != 0 {
-			fmt.Fprintf(&sb, "ld8 %s = %s, %d", i.Rd, mem(), i.PostInc)
-		} else {
-			fmt.Fprintf(&sb, "ld8 %s = %s", i.Rd, mem())
+		b = append(b, ']')
+		if o == oMemInc && i.PostInc != 0 {
+			b = strconv.AppendInt(append(b, ", "...), i.PostInc, 10)
 		}
-	case OpSt:
-		fmt.Fprintf(&sb, "st8 %s = %s", mem(), i.Rb)
-	case OpLfetch:
-		fmt.Fprintf(&sb, "lfetch %s", mem())
-	case OpBr:
-		fmt.Fprintf(&sb, "br %s", i.Target)
-	case OpCall:
-		fmt.Fprintf(&sb, "call %s = %s", i.Bd, i.Target)
-	case OpCallB:
-		fmt.Fprintf(&sb, "callb %s = %s", i.Bd, i.Bs)
-	case OpRet:
-		fmt.Fprintf(&sb, "ret %s", i.Bs)
-	case OpMovBR:
+		return b
+	case oBd:
+		return appendReg(b, 'b', uint8(i.Bd))
+	case oBs:
+		return appendReg(b, 'b', uint8(i.Bs))
+	case oFuncOrRa:
 		if i.Target != "" {
-			fmt.Fprintf(&sb, "movbr %s = @%s", i.Bd, i.Target)
-		} else {
-			fmt.Fprintf(&sb, "movbr %s = %s", i.Bd, i.Ra)
+			return append(append(b, '@'), i.Target...)
 		}
-	case OpMovFromBR:
-		fmt.Fprintf(&sb, "movfbr %s = %s", i.Rd, i.Bs)
-	case OpChk:
-		fmt.Fprintf(&sb, "chk.c %s", i.Target)
-	case OpSpawn:
-		fmt.Fprintf(&sb, "spawn %s", i.Target)
-	case OpLiw:
-		fmt.Fprintf(&sb, "liw [%d] = %s", i.Imm, i.Ra)
-	case OpLir:
-		fmt.Fprintf(&sb, "lir %s = [%d]", i.Rd, i.Imm)
-	case OpKill:
-		sb.WriteString("kill")
-	case OpHalt:
-		sb.WriteString("halt")
-	case OpFAdd, OpFSub, OpFMul:
-		fmt.Fprintf(&sb, "%s %s = %s, %s", i.Op, i.Fd, i.Fa, i.Fb)
-	case OpFMA:
-		fmt.Fprintf(&sb, "fma %s = %s, %s, %s", i.Fd, i.Fa, i.Fb, i.Fc)
-	case OpFLd:
-		fmt.Fprintf(&sb, "ldfd %s = %s", i.Fd, mem())
-	case OpFSt:
-		fmt.Fprintf(&sb, "stfd %s = %s", mem(), i.Fa)
-	case OpFCmp:
-		fmt.Fprintf(&sb, "fcmp.%s %s, %s = %s, %s", i.Cond, i.Pd1, i.Pd2, i.Fa, i.Fb)
-	case OpSetF:
-		fmt.Fprintf(&sb, "setf %s = %s", i.Fd, i.Ra)
-	case OpGetF:
-		fmt.Fprintf(&sb, "getf %s = %s", i.Rd, i.Fa)
-	default:
-		fmt.Fprintf(&sb, "%s ???", i.Op)
+		return appendReg(b, 'r', uint8(i.Ra))
+	case oSlot:
+		return append(strconv.AppendInt(append(b, '['), i.Imm, 10), ']')
+	case oFd:
+		return appendReg(b, 'f', uint8(i.Fd))
+	case oFa:
+		return appendReg(b, 'f', uint8(i.Fa))
+	case oFb:
+		return appendReg(b, 'f', uint8(i.Fb))
+	case oFc:
+		return appendReg(b, 'f', uint8(i.Fc))
+	default: // oTarget
+		return append(b, i.Target...)
 	}
-	return sb.String()
+}
+
+func appendReg(b []byte, file byte, n uint8) []byte {
+	return strconv.AppendUint(append(b, file), uint64(n), 10)
 }
 
 // Format renders the whole program as assembly text. The output parses back
@@ -98,20 +105,34 @@ func formatInstr(i *Instr) string {
 // they are reassigned in textual order on parse).
 func Format(p *Program) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "program entry=%s\n", p.Entry)
+	// line holds one line's text at a time, so the builder is the only
+	// growing buffer.
+	line := append([]byte(nil), "program entry="...)
+	line = append(line, p.Entry...)
+	sb.Write(append(line, '\n'))
 	for _, f := range p.Funcs {
-		fmt.Fprintf(&sb, "\nfunc %s formals=%d {\n", f.Name, f.NumFormals)
-		for _, b := range f.Blocks {
-			fmt.Fprintf(&sb, "%s:\n", b.Label)
-			for _, in := range b.Instrs {
-				fmt.Fprintf(&sb, "\t%s\n", formatInstr(in))
+		line = append(line[:0], "\nfunc "...)
+		line = append(line, f.Name...)
+		line = append(line, " formals="...)
+		line = strconv.AppendInt(line, int64(f.NumFormals), 10)
+		sb.Write(append(line, " {\n"...))
+		for _, bl := range f.Blocks {
+			sb.WriteString(bl.Label)
+			sb.WriteString(":\n")
+			for _, in := range bl.Instrs {
+				line = appendInstr(append(line[:0], '\t'), in)
+				sb.Write(append(line, '\n'))
 			}
 		}
 		sb.WriteString("}\n")
 	}
 	if p.Data.Len() > 0 {
 		sb.WriteString("\ndata {\n")
-		p.Data.Range(func(a, v uint64) { fmt.Fprintf(&sb, "\t0x%x: %d\n", a, v) })
+		p.Data.Range(func(a, v uint64) {
+			line = strconv.AppendUint(append(line[:0], "\t0x"...), a, 16)
+			line = strconv.AppendUint(append(line, ": "...), v, 10)
+			sb.Write(append(line, '\n'))
+		})
 		sb.WriteString("}\n")
 	}
 	return sb.String()

@@ -87,3 +87,28 @@ func TestCorpusAttachmentSpawns(t *testing.T) {
 		t.Fatalf("hand-written attachment never spawned: %+v", res)
 	}
 }
+
+// TestAllOpcodesSeed checks that the fuzz seed all_opcodes.ssp stays
+// complete: it parses, links, and uses every opcode.
+func TestAllOpcodesSeed(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("testdata", "all_opcodes.ssp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ir.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ir.Link(p); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[ir.Op]bool{}
+	for _, f := range p.Funcs {
+		f.Instrs(func(_ *ir.Block, _ int, in *ir.Instr) { seen[in.Op] = true })
+	}
+	for op := ir.Op(0); op < ir.NumOps; op++ {
+		if !seen[op] {
+			t.Errorf("all_opcodes.ssp never uses %s", op)
+		}
+	}
+}

@@ -64,7 +64,28 @@ const LIBSlots = 16
 
 func (b BR) String() string { return fmt.Sprintf("b%d", uint8(b)) }
 
-// Op enumerates the instruction opcodes of the IR.
+// FR names a floating-point register, f0..f127. Following the Itanium
+// architecture, f0 reads as +0.0 and f1 as +1.0; writes to them are ignored.
+type FR uint8
+
+// NumFRs is the number of FP registers per thread context (Table 1: 128).
+const NumFRs = 128
+
+// FZero and FOne are the hardwired FP constants.
+const (
+	FZero FR = 0
+	FOne  FR = 1
+)
+
+func (f FR) String() string { return fmt.Sprintf("f%d", uint8(f)) }
+
+// Op enumerates the instruction opcodes of the IR, the FP extension's
+// included. Each opcode's static facts — its mnemonic, its assembly syntax
+// and the read/write role of every operand in it, its control class and the
+// kind of symbolic target it names — are one row of opTable, which the
+// printer, the parser, AppendUses/AppendDefs, Link, Validate and the
+// control-flow analyses all read. Opcode values are part of the predecoded
+// image digest and must not be renumbered.
 type Op uint8
 
 const (
@@ -142,10 +163,36 @@ const (
 	// OpHalt terminates the program (main thread only).
 	OpHalt
 
-	numOps
+	// The FP extension: FP register operands in Fd/Fa/Fb/Fc.
+
+	// OpFAdd: Fd = Fa + Fb.
+	OpFAdd
+	// OpFSub: Fd = Fa - Fb.
+	OpFSub
+	// OpFMul: Fd = Fa * Fb.
+	OpFMul
+	// OpFMA is the fused multiply-add at the heart of Itanium FP codes:
+	// Fd = Fa*Fb + Fc.
+	OpFMA
+	// OpFLd loads a 64-bit float: Fd = [Ra+Disp] (ldfd).
+	OpFLd
+	// OpFSt stores a 64-bit float: [Ra+Disp] = Fa (stfd).
+	OpFSt
+	// OpFCmp compares Fa with Fb under Cond and writes Pd1/Pd2
+	// (fcmp.crel). Only EQ/NE/LT/LE/GT/GE apply.
+	OpFCmp
+	// OpSetF moves a general register's bits into an FP register:
+	// Fd = bits(Ra) (setf.d).
+	OpSetF
+	// OpGetF moves an FP register's bits into a general register:
+	// Rd = bits(Fa) (getf.d).
+	OpGetF
+
+	// NumOps is the opcode count.
+	NumOps
 )
 
-// Cond is a comparison relation for OpCmp.
+// Cond is a comparison relation for OpCmp and OpFCmp.
 type Cond uint8
 
 const (
@@ -168,40 +215,6 @@ func (c Cond) String() string {
 	return fmt.Sprintf("cond%d", uint8(c))
 }
 
-var opNames = [numOps]string{
-	OpNop: "nop", OpAdd: "add", OpSub: "sub", OpMul: "mul", OpAnd: "and",
-	OpOr: "or", OpXor: "xor", OpShl: "shl", OpShr: "shr", OpMov: "mov",
-	OpMovI: "movi", OpCmp: "cmp", OpLd: "ld8", OpSt: "st8",
-	OpLfetch: "lfetch", OpBr: "br", OpCall: "call", OpCallB: "callb",
-	OpRet: "ret", OpMovBR: "movbr", OpMovFromBR: "movfbr", OpChk: "chk.c",
-	OpSpawn: "spawn", OpLiw: "liw", OpLir: "lir", OpKill: "kill",
-	OpHalt: "halt",
-}
-
-func (o Op) String() string {
-	if int(o) < len(opNames) && opNames[o] != "" {
-		return opNames[o]
-	}
-	if o.IsFP() {
-		return opNamesFP[o-numOps]
-	}
-	return fmt.Sprintf("op%d", uint8(o))
-}
-
-// IsALU reports whether the opcode is a two-operand arithmetic/logical op.
-func (o Op) IsALU() bool { return o >= OpAdd && o <= OpShr }
-
-// IsMem reports whether the opcode accesses the memory hierarchy.
-func (o Op) IsMem() bool {
-	return o == OpLd || o == OpSt || o == OpLfetch || o == OpFLd || o == OpFSt
-}
-
-// IsBranch reports whether the opcode transfers control (including calls and
-// returns, excluding chk.c which traps rather than branches).
-func (o Op) IsBranch() bool {
-	return o == OpBr || o == OpCall || o == OpCallB || o == OpRet
-}
-
 // Instr is a single IR instruction. Every instruction carries a qualifying
 // predicate Qp (p0 meaning "always"): when Qp evaluates false at run time the
 // instruction is dynamically nullified, as on Itanium.
@@ -221,7 +234,7 @@ type Instr struct {
 	Rb  Reg
 	Pd1 PR // OpCmp: receives the comparison result
 	Pd2 PR // OpCmp: receives the complement (0 = unused unless OpCmp)
-	// FP register operands (the FP extension opcodes, fp.go).
+	// FP register operands (the FP extension opcodes).
 	Fd, Fa, Fb, Fc FR
 	Bd             BR // OpCall/OpCallB/OpMovBR: defined branch register
 	Bs             BR // OpRet/OpCallB/OpMovFromBR: used branch register
@@ -253,8 +266,8 @@ func (i *Instr) Clone() *Instr {
 // String renders the instruction in the textual assembly syntax.
 func (i *Instr) String() string { return formatInstr(i) }
 
-// Loc is a unified storage location: a general register, predicate register,
-// or branch register, in one flat namespace. It is the unit the dependence
+// Loc is a unified storage location: a general, predicate, branch or FP
+// register, in one flat namespace. It is the unit the dependence
 // analysis tracks.
 type Loc uint16
 
@@ -276,6 +289,9 @@ func PRLoc(p PR) Loc { return locPR + Loc(p) }
 
 // BRLoc returns the Loc of branch register b.
 func BRLoc(b BR) Loc { return locBR + Loc(b) }
+
+// FRLoc returns the Loc of FP register f.
+func FRLoc(f FR) Loc { return locFR + Loc(f) }
 
 // IsGR reports whether l names a general register, and which.
 func (l Loc) IsGR() (Reg, bool) {
@@ -301,6 +317,14 @@ func (l Loc) IsBR() (BR, bool) {
 	return 0, false
 }
 
+// IsFR reports whether l names an FP register, and which.
+func (l Loc) IsFR() (FR, bool) {
+	if l >= locFR && l < NumLocs {
+		return FR(l - locFR), true
+	}
+	return 0, false
+}
+
 func (l Loc) String() string {
 	switch {
 	case l < locPR:
@@ -312,105 +336,6 @@ func (l Loc) String() string {
 	default:
 		return FR(l - locFR).String()
 	}
-}
-
-// AppendUses appends the locations read by the instruction to dst and
-// returns the extended slice. The qualifying predicate is included: the
-// slicing algorithm follows it as a control/data input, which is how the
-// paper's tool picks up compare chains feeding predicated slice code.
-// Reads of the hardwired r0 and p0 are omitted.
-func (i *Instr) AppendUses(dst []Loc) []Loc {
-	if i.Qp != PTrue {
-		dst = append(dst, PRLoc(i.Qp))
-	}
-	addGR := func(r Reg) {
-		if r != RegZero {
-			dst = append(dst, GRLoc(r))
-		}
-	}
-	switch i.Op {
-	case OpNop, OpMovI, OpHalt, OpKill, OpBr, OpCall, OpChk, OpSpawn:
-		// no register operands beyond Qp
-	case OpMov:
-		addGR(i.Ra)
-	case OpCmp:
-		addGR(i.Ra)
-		if !i.UseImm {
-			addGR(i.Rb)
-		}
-	case OpLd, OpLfetch:
-		addGR(i.Ra)
-	case OpSt:
-		addGR(i.Ra)
-		addGR(i.Rb)
-	case OpCallB:
-		dst = append(dst, BRLoc(i.Bs))
-	case OpRet:
-		dst = append(dst, BRLoc(i.Bs))
-	case OpMovBR:
-		if i.Target == "" {
-			addGR(i.Ra)
-		}
-	case OpMovFromBR:
-		dst = append(dst, BRLoc(i.Bs))
-	case OpLiw:
-		addGR(i.Ra)
-	case OpLir:
-		// reads the live-in buffer, no registers
-	default:
-		switch {
-		case i.Op.IsALU():
-			addGR(i.Ra)
-			if !i.UseImm {
-				addGR(i.Rb)
-			}
-		case i.Op.IsFP():
-			dst = i.fpUses(dst)
-		}
-	}
-	return dst
-}
-
-// AppendDefs appends the locations written by the instruction to dst and
-// returns the extended slice. Writes to the hardwired r0/p0 are omitted
-// (they are architectural no-ops).
-func (i *Instr) AppendDefs(dst []Loc) []Loc {
-	addGR := func(r Reg) {
-		if r != RegZero {
-			dst = append(dst, GRLoc(r))
-		}
-	}
-	switch i.Op {
-	case OpMov, OpMovI, OpMovFromBR, OpLir:
-		addGR(i.Rd)
-	case OpLd:
-		addGR(i.Rd)
-		if i.PostInc != 0 {
-			addGR(i.Ra)
-		}
-	case OpCmp:
-		if i.Pd1 != PTrue {
-			dst = append(dst, PRLoc(i.Pd1))
-		}
-		if i.Pd2 != PTrue {
-			dst = append(dst, PRLoc(i.Pd2))
-		}
-	case OpCall, OpCallB:
-		dst = append(dst, BRLoc(i.Bd))
-		// Calls may clobber scratch and return-value registers; the
-		// dependence analysis models this via call summaries rather
-		// than listing every register here.
-	case OpMovBR:
-		dst = append(dst, BRLoc(i.Bd))
-	default:
-		switch {
-		case i.Op.IsALU():
-			addGR(i.Rd)
-		case i.Op.IsFP():
-			dst = i.fpDefs(dst)
-		}
-	}
-	return dst
 }
 
 // HasSideEffect reports whether the instruction must never be included in a

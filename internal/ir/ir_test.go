@@ -187,28 +187,88 @@ entry:
 	}
 }
 
+// TestUsesDefs pins the location lists of every opcode and operand form,
+// in order: the qualifying predicate first, then operands in syntax order,
+// with reads and writes of the hardwired r0, p0, f0 and f1 omitted.
 func TestUsesDefs(t *testing.T) {
-	cases := []struct {
-		in   Instr
-		uses []Loc
-		defs []Loc
-	}{
-		{Instr{Op: OpAdd, Rd: 3, Ra: 1, Rb: 2}, []Loc{GRLoc(1), GRLoc(2)}, []Loc{GRLoc(3)}},
-		{Instr{Op: OpAdd, Rd: 3, Ra: 1, Imm: 5, UseImm: true}, []Loc{GRLoc(1)}, []Loc{GRLoc(3)}},
-		{Instr{Op: OpAdd, Rd: 3, Ra: 0, Rb: 0}, nil, []Loc{GRLoc(3)}}, // r0 reads omitted
-		{Instr{Op: OpLd, Rd: 3, Ra: 4, PostInc: 8}, []Loc{GRLoc(4)}, []Loc{GRLoc(3), GRLoc(4)}},
-		{Instr{Op: OpSt, Ra: 4, Rb: 5}, []Loc{GRLoc(4), GRLoc(5)}, nil},
-		{Instr{Op: OpCmp, Pd1: 6, Pd2: 7, Ra: 1, Rb: 2}, []Loc{GRLoc(1), GRLoc(2)}, []Loc{PRLoc(6), PRLoc(7)}},
-		{Instr{Op: OpBr, Qp: 6, Target: "x"}, []Loc{PRLoc(6)}, nil},
-		{Instr{Op: OpRet, Bs: 0}, []Loc{BRLoc(0)}, nil},
-		{Instr{Op: OpCall, Bd: 0, Target: "f"}, nil, []Loc{BRLoc(0)}},
-		{Instr{Op: OpLiw, Imm: 1, Ra: 9}, []Loc{GRLoc(9)}, nil},
-		{Instr{Op: OpLir, Rd: 9, Imm: 1}, nil, []Loc{GRLoc(9)}},
-		{Instr{Op: OpMovBR, Bd: 1, Ra: 9}, []Loc{GRLoc(9)}, []Loc{BRLoc(1)}},
-		{Instr{Op: OpMovBR, Bd: 1, Target: "f"}, nil, []Loc{BRLoc(1)}},
-		{Instr{Op: OpLfetch, Ra: 9}, []Loc{GRLoc(9)}, nil},
+	gr := func(rs ...Reg) []Loc {
+		var l []Loc
+		for _, r := range rs {
+			l = append(l, GRLoc(r))
+		}
+		return l
 	}
+	type usesDefs struct {
+		in         Instr
+		uses, defs []Loc
+	}
+	cases := []usesDefs{
+		{Instr{Op: OpNop}, nil, nil},
+		{Instr{Op: OpAdd, Rd: 3, Ra: 0, Rb: 0}, nil, gr(3)},    // r0 reads omitted
+		{Instr{Op: OpAdd, Rd: 0, Ra: 1, Rb: 2}, gr(1, 2), nil}, // r0 write omitted
+		{Instr{Op: OpAdd, Qp: 5, Rd: 3, Ra: 1, Rb: 2}, []Loc{PRLoc(5), GRLoc(1), GRLoc(2)}, gr(3)},
+		{Instr{Op: OpAdd, Rd: 3, Ra: 1, Rb: 2, Imm: 9, UseImm: true}, gr(1), gr(3)}, // Rb ignored under UseImm
+		{Instr{Op: OpMov, Rd: 3, Ra: 1}, gr(1), gr(3)},
+		{Instr{Op: OpMov, Rd: 0, Ra: 0}, nil, nil},
+		{Instr{Op: OpMovI, Rd: 3, Imm: 7}, nil, gr(3)},
+		{Instr{Op: OpMovI, Qp: 2, Rd: 0, Imm: 7}, []Loc{PRLoc(2)}, nil},
+		{Instr{Op: OpCmp, Pd1: 6, Pd2: 7, Ra: 1, Rb: 2}, gr(1, 2), []Loc{PRLoc(6), PRLoc(7)}},
+		{Instr{Op: OpCmp, Pd1: 6, Pd2: 7, Ra: 1, Rb: 2, Imm: 4, UseImm: true}, gr(1), []Loc{PRLoc(6), PRLoc(7)}},
+		{Instr{Op: OpCmp, Pd1: 6, Pd2: 0, Ra: 0, Rb: 2}, gr(2), []Loc{PRLoc(6)}}, // p0 sink
+		{Instr{Op: OpCmp, Pd1: 0, Pd2: 7, Ra: 1, Rb: 0}, gr(1), []Loc{PRLoc(7)}},
+		{Instr{Op: OpLd, Rd: 3, Ra: 4, Disp: 8}, gr(4), gr(3)},
+		{Instr{Op: OpLd, Rd: 3, Ra: 4, PostInc: 8}, gr(4), gr(3, 4)},
+		{Instr{Op: OpLd, Rd: 0, Ra: 4, PostInc: -8}, gr(4), gr(4)},
+		{Instr{Op: OpLd, Rd: 3, Ra: 0, PostInc: 8}, nil, gr(3)},
+		{Instr{Op: OpSt, Ra: 4, Rb: 5}, gr(4, 5), nil},
+		{Instr{Op: OpSt, Ra: 4, Rb: 0, Disp: -16}, gr(4), nil},
+		{Instr{Op: OpLfetch, Ra: 9}, gr(9), nil},
+		{Instr{Op: OpLfetch, Ra: 0, Disp: 64}, nil, nil},
+		{Instr{Op: OpBr, Qp: 6, Target: "x"}, []Loc{PRLoc(6)}, nil},
+		{Instr{Op: OpBr, Target: "x"}, nil, nil},
+		{Instr{Op: OpCall, Bd: 0, Target: "f"}, nil, []Loc{BRLoc(0)}},
+		{Instr{Op: OpCallB, Bd: 0, Bs: 2}, []Loc{BRLoc(2)}, []Loc{BRLoc(0)}},
+		{Instr{Op: OpRet, Bs: 0}, []Loc{BRLoc(0)}, nil},
+		{Instr{Op: OpRet, Qp: 1, Bs: 3}, []Loc{PRLoc(1), BRLoc(3)}, nil},
+		{Instr{Op: OpMovBR, Bd: 1, Ra: 9}, gr(9), []Loc{BRLoc(1)}},
+		{Instr{Op: OpMovBR, Bd: 1, Ra: 0}, nil, []Loc{BRLoc(1)}},
+		{Instr{Op: OpMovBR, Bd: 1, Target: "f"}, nil, []Loc{BRLoc(1)}},
+		{Instr{Op: OpMovBR, Bd: 1, Ra: 9, Target: "f"}, nil, []Loc{BRLoc(1)}}, // @f form ignores Ra
+		{Instr{Op: OpMovFromBR, Rd: 5, Bs: 2}, []Loc{BRLoc(2)}, gr(5)},
+		{Instr{Op: OpChk, Target: "s"}, nil, nil},
+		{Instr{Op: OpSpawn, Qp: 4, Target: "s"}, []Loc{PRLoc(4)}, nil},
+		{Instr{Op: OpLiw, Imm: 1, Ra: 9}, gr(9), nil},
+		{Instr{Op: OpLiw, Imm: 1, Ra: 0}, nil, nil},
+		{Instr{Op: OpLir, Rd: 9, Imm: 1}, nil, gr(9)},
+		{Instr{Op: OpLir, Rd: 0, Imm: 1}, nil, nil},
+		{Instr{Op: OpKill}, nil, nil},
+		{Instr{Op: OpHalt, Qp: 3}, []Loc{PRLoc(3)}, nil},
+		{Instr{Op: OpFAdd, Fd: 2, Fa: 3, Fb: 4}, []Loc{FRLoc(3), FRLoc(4)}, []Loc{FRLoc(2)}},
+		{Instr{Op: OpFAdd, Fd: 1, Fa: 0, Fb: 1}, nil, nil}, // f0/f1 sinks
+		{Instr{Op: OpFSub, Fd: 2, Fa: 3, Fb: 0}, []Loc{FRLoc(3)}, []Loc{FRLoc(2)}},
+		{Instr{Op: OpFMul, Fd: 0, Fa: 1, Fb: 4}, []Loc{FRLoc(4)}, nil},
+		{Instr{Op: OpFMA, Fd: 2, Fa: 3, Fb: 4, Fc: 5}, []Loc{FRLoc(3), FRLoc(4), FRLoc(5)}, []Loc{FRLoc(2)}},
+		{Instr{Op: OpFMA, Qp: 7, Fd: 2, Fa: 0, Fb: 4, Fc: 1}, []Loc{PRLoc(7), FRLoc(4)}, []Loc{FRLoc(2)}},
+		{Instr{Op: OpFLd, Fd: 2, Ra: 4, Disp: 8}, gr(4), []Loc{FRLoc(2)}},
+		{Instr{Op: OpFLd, Fd: 1, Ra: 0}, nil, nil},
+		{Instr{Op: OpFSt, Ra: 4, Fa: 2}, []Loc{GRLoc(4), FRLoc(2)}, nil},
+		{Instr{Op: OpFSt, Ra: 0, Fa: 0}, nil, nil},
+		{Instr{Op: OpFCmp, Pd1: 6, Pd2: 7, Fa: 2, Fb: 3}, []Loc{FRLoc(2), FRLoc(3)}, []Loc{PRLoc(6), PRLoc(7)}},
+		{Instr{Op: OpFCmp, Pd1: 0, Pd2: 7, Fa: 1, Fb: 3}, []Loc{FRLoc(3)}, []Loc{PRLoc(7)}},
+		{Instr{Op: OpSetF, Fd: 2, Ra: 4}, gr(4), []Loc{FRLoc(2)}},
+		{Instr{Op: OpSetF, Fd: 0, Ra: 0}, nil, nil},
+		{Instr{Op: OpGetF, Rd: 5, Fa: 2}, []Loc{FRLoc(2)}, gr(5)},
+		{Instr{Op: OpGetF, Rd: 0, Fa: 1}, nil, nil},
+	}
+	// Both second-operand forms of every ALU opcode.
+	for op := OpAdd; op <= OpShr; op++ {
+		cases = append(cases,
+			usesDefs{Instr{Op: op, Rd: 3, Ra: 1, Rb: 2}, gr(1, 2), gr(3)},
+			usesDefs{Instr{Op: op, Rd: 3, Ra: 1, Imm: 5, UseImm: true}, gr(1), gr(3)})
+	}
+	seen := map[Op]bool{}
 	for _, c := range cases {
+		seen[c.in.Op] = true
 		gotU := c.in.AppendUses(nil)
 		gotD := c.in.AppendDefs(nil)
 		if !reflect.DeepEqual(gotU, c.uses) {
@@ -216,6 +276,56 @@ func TestUsesDefs(t *testing.T) {
 		}
 		if !reflect.DeepEqual(gotD, c.defs) {
 			t.Errorf("%s: defs = %v, want %v", c.in.String(), gotD, c.defs)
+		}
+	}
+	for op := Op(0); op < NumOps; op++ {
+		if !seen[op] {
+			t.Errorf("no case for %s", op)
+		}
+	}
+}
+
+// TestGRReadsAndDest pins the general-register fields the opcode table
+// names as read and as the destination: FP operands are no GR reads,
+// getf's Rd is a destination, and a post-increment base is a read only.
+func TestGRReadsAndDest(t *testing.T) {
+	cases := []struct {
+		in    Instr
+		reads []string // field names
+		dest  bool     // Rd is the destination
+	}{
+		{Instr{Op: OpAdd, Rd: 3, Ra: 1, Rb: 2}, []string{"Ra", "Rb"}, true},
+		{Instr{Op: OpAdd, Rd: 3, Ra: 1, Rb: 2, UseImm: true}, []string{"Ra"}, true},
+		{Instr{Op: OpLd, Rd: 3, Ra: 4, PostInc: 8}, []string{"Ra"}, true},
+		{Instr{Op: OpSt, Ra: 4, Rb: 5}, []string{"Ra", "Rb"}, false},
+		{Instr{Op: OpMovBR, Bd: 1, Ra: 9}, []string{"Ra"}, false},
+		{Instr{Op: OpMovBR, Bd: 1, Ra: 9, Target: "f"}, nil, false},
+		{Instr{Op: OpLir, Rd: 9, Imm: 1}, nil, true},
+		{Instr{Op: OpFAdd, Fd: 2, Fa: 3, Fb: 4, Ra: 7}, nil, false},
+		{Instr{Op: OpFMA, Fd: 2, Fa: 3, Fb: 4, Fc: 5, Ra: 7}, nil, false},
+		{Instr{Op: OpFCmp, Pd1: 1, Pd2: 2, Fa: 3, Fb: 4, Ra: 7}, nil, false},
+		{Instr{Op: OpGetF, Rd: 5, Fa: 2, Ra: 7}, nil, true},
+		{Instr{Op: OpSetF, Fd: 2, Ra: 7}, []string{"Ra"}, false},
+		{Instr{Op: OpFSt, Ra: 4, Fa: 2}, []string{"Ra"}, false},
+	}
+	for _, c := range cases {
+		in := c.in
+		var got []string
+		for _, r := range in.AppendGRReads(nil) {
+			switch r {
+			case &in.Ra:
+				got = append(got, "Ra")
+			case &in.Rb:
+				got = append(got, "Rb")
+			default:
+				got = append(got, "?")
+			}
+		}
+		if !reflect.DeepEqual(got, c.reads) {
+			t.Errorf("%s: GR reads %v, want %v", in.String(), got, c.reads)
+		}
+		if d := in.GRDest(); (d == &in.Rd) != c.dest || (d != nil && d != &in.Rd) {
+			t.Errorf("%s: GRDest = %p, want Rd: %v", in.String(), d, c.dest)
 		}
 	}
 }

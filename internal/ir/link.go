@@ -81,33 +81,12 @@ func Link(p *Program) (*Image, error) {
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				l := Linked{I: *in, Tgt: -1}
-				switch in.Op {
-				case OpBr, OpChk:
-					t, ok := im.BlockStarts[f.Name+"."+in.Target]
+				if k := in.TargetKind(); k != NoTarget {
+					t, ok := im.resolve(k, f.Name, in.Target)
 					if !ok {
-						return nil, fmt.Errorf("ir: unresolved target %s.%s", f.Name, in.Target)
+						return nil, fmt.Errorf("ir: %s: unresolved %s target %q", f.Name, in.Op, in.Target)
 					}
 					l.Tgt = int32(t)
-				case OpSpawn:
-					t, err := im.resolveSpawn(f.Name, in.Target)
-					if err != nil {
-						return nil, err
-					}
-					l.Tgt = int32(t)
-				case OpCall:
-					t, ok := im.FuncEntries[in.Target]
-					if !ok {
-						return nil, fmt.Errorf("ir: unresolved call %s", in.Target)
-					}
-					l.Tgt = int32(t)
-				case OpMovBR:
-					if in.Target != "" {
-						t, ok := im.FuncEntries[in.Target]
-						if !ok {
-							return nil, fmt.Errorf("ir: unresolved function address @%s", in.Target)
-						}
-						l.Tgt = int32(t)
-					}
 				}
 				im.Code = append(im.Code, l)
 			}
@@ -124,17 +103,22 @@ func Link(p *Program) (*Image, error) {
 	return im, nil
 }
 
-// resolveSpawn resolves a spawn target: a local label, a "func.label" pair,
-// or a function name.
-func (im *Image) resolveSpawn(fn, target string) (int, error) {
-	if t, ok := im.BlockStarts[fn+"."+target]; ok {
-		return t, nil
+// resolve returns the PC a target of kind k in function fn names: a local
+// label, for a spawn also a "func.label" pair or a function, and for a
+// function target the function's entry.
+func (im *Image) resolve(k TargetKind, fn, target string) (int, bool) {
+	switch k {
+	case LabelTarget:
+		t, ok := im.BlockStarts[fn+"."+target]
+		return t, ok
+	case SpawnTarget:
+		if t, ok := im.BlockStarts[fn+"."+target]; ok {
+			return t, true
+		}
+		if t, ok := im.BlockStarts[target]; ok {
+			return t, true
+		}
 	}
-	if t, ok := im.BlockStarts[target]; ok {
-		return t, nil
-	}
-	if t, ok := im.FuncEntries[target]; ok {
-		return t, nil
-	}
-	return 0, fmt.Errorf("ir: unresolved spawn target %q in %s", target, fn)
+	t, ok := im.FuncEntries[target]
+	return t, ok
 }

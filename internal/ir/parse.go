@@ -162,12 +162,9 @@ func (pr *parser) line(line string) error {
 }
 
 var opByName = func() map[string]Op {
-	m := make(map[string]Op)
-	for op := Op(0); op < numOps; op++ {
-		m[op.String()] = op
-	}
-	for op := numOps; op < numOpsFP; op++ {
-		m[op.String()] = op
+	m := make(map[string]Op, NumOps)
+	for op := Op(0); op < NumOps; op++ {
+		m[opTable[op].name] = op
 	}
 	return m
 }()
@@ -180,10 +177,11 @@ var condByName = func() map[string]Cond {
 	return m
 }()
 
-// parseInstr parses a single instruction line (comments already stripped).
+// parseInstr parses a single instruction line (comments already stripped):
+// an optional qualifying predicate "(pN) ", the mnemonic, then the operands
+// of its opTable row.
 func parseInstr(line string) (*Instr, error) {
 	in := &Instr{}
-	// Optional qualifying predicate "(pN) ".
 	if strings.HasPrefix(line, "(") {
 		end := strings.IndexByte(line, ')')
 		if end < 0 {
@@ -198,315 +196,112 @@ func parseInstr(line string) (*Instr, error) {
 	}
 	mnemonic, rest, _ := strings.Cut(line, " ")
 	rest = strings.TrimSpace(rest)
-
-	// cmp/fcmp carry their condition in the mnemonic.
-	if cc, ok := strings.CutPrefix(mnemonic, "cmp."); ok {
-		cond, ok := condByName[cc]
-		if !ok {
-			return nil, fmt.Errorf("unknown condition %q", cc)
-		}
-		in.Op, in.Cond = OpCmp, cond
-		return parseOperands(in, rest)
-	}
-	if cc, ok := strings.CutPrefix(mnemonic, "fcmp."); ok {
-		cond, ok := condByName[cc]
-		if !ok {
-			return nil, fmt.Errorf("unknown condition %q", cc)
-		}
-		in.Op, in.Cond = OpFCmp, cond
-		return parseOperands(in, rest)
-	}
 	op, ok := opByName[mnemonic]
 	if !ok {
-		return nil, fmt.Errorf("unknown mnemonic %q", mnemonic)
+		// cmp and fcmp carry their relation as a ".cond" suffix.
+		name, cc, _ := strings.Cut(mnemonic, ".")
+		if op, ok = opByName[name]; !ok || !opTable[op].cond {
+			return nil, fmt.Errorf("unknown mnemonic %q", mnemonic)
+		}
+		if in.Cond, ok = condByName[cc]; !ok {
+			return nil, fmt.Errorf("unknown condition %q", cc)
+		}
 	}
 	in.Op = op
-	return parseOperands(in, rest)
+	r := &opTable[op]
+	if len(r.syntax) == 0 {
+		return in, nil
+	}
+	// A form without '=' reads its one operand from the whole rest.
+	ops := r.syntax
+	if r.lhs > 0 {
+		lhs, rhs, hasEq := strings.Cut(rest, "=")
+		if !hasEq {
+			return nil, fmt.Errorf("%s requires '='", op)
+		}
+		if err := in.parseOperands(r.syntax[:r.lhs], strings.TrimSpace(lhs)); err != nil {
+			return nil, err
+		}
+		ops, rest = r.syntax[r.lhs:], strings.TrimSpace(rhs)
+	}
+	return in, in.parseOperands(ops, rest)
 }
 
-func parseOperands(in *Instr, rest string) (*Instr, error) {
-	lhs, rhs, hasEq := strings.Cut(rest, "=")
-	lhs, rhs = strings.TrimSpace(lhs), strings.TrimSpace(rhs)
-	switch in.Op {
-	case OpNop, OpKill, OpHalt:
-		return in, nil
-	case OpBr, OpChk, OpSpawn:
-		in.Target = strings.TrimSpace(rest)
-		if in.Target == "" {
-			return nil, fmt.Errorf("%s requires a target", in.Op)
-		}
-		return in, nil
-	case OpRet:
-		b, err := parseBR(strings.TrimSpace(rest))
-		in.Bs = b
-		return in, err
-	case OpLfetch:
-		ra, disp, err := parseMem(strings.TrimSpace(rest))
-		in.Ra, in.Disp = ra, disp
-		return in, err
-	}
-	if !hasEq {
-		return nil, fmt.Errorf("%s requires '='", in.Op)
-	}
-	switch in.Op {
-	case OpMovI:
-		rd, err := parseGR(lhs)
-		if err != nil {
-			return nil, err
-		}
-		imm, err := strconv.ParseInt(rhs, 0, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad immediate %q", rhs)
-		}
-		in.Rd, in.Imm = rd, imm
-		return in, nil
-	case OpMov:
-		rd, err := parseGR(lhs)
-		if err != nil {
-			return nil, err
-		}
-		ra, err := parseGR(rhs)
-		if err != nil {
-			return nil, err
-		}
-		in.Rd, in.Ra = rd, ra
-		return in, nil
-	case OpAdd, OpSub, OpMul, OpAnd, OpOr, OpXor, OpShl, OpShr:
-		rd, err := parseGR(lhs)
-		if err != nil {
-			return nil, err
-		}
-		in.Rd = rd
-		a, b, ok := strings.Cut(rhs, ",")
-		if !ok {
-			return nil, fmt.Errorf("%s needs two source operands", in.Op)
-		}
-		if in.Ra, err = parseGR(strings.TrimSpace(a)); err != nil {
-			return nil, err
-		}
-		return in, parseOp2(in, strings.TrimSpace(b))
-	case OpCmp:
-		p1s, p2s, ok := strings.Cut(lhs, ",")
-		if !ok {
-			return nil, fmt.Errorf("cmp needs two destination predicates")
-		}
-		var err error
-		if in.Pd1, err = parsePR(strings.TrimSpace(p1s)); err != nil {
-			return nil, err
-		}
-		if in.Pd2, err = parsePR(strings.TrimSpace(p2s)); err != nil {
-			return nil, err
-		}
-		a, b, ok := strings.Cut(rhs, ",")
-		if !ok {
-			return nil, fmt.Errorf("cmp needs two source operands")
-		}
-		if in.Ra, err = parseGR(strings.TrimSpace(a)); err != nil {
-			return nil, err
-		}
-		return in, parseOp2(in, strings.TrimSpace(b))
-	case OpLd:
-		rd, err := parseGR(lhs)
-		if err != nil {
-			return nil, err
-		}
-		in.Rd = rd
-		memPart := rhs
-		if memStr, incStr, ok := strings.Cut(rhs, "],"); ok {
-			memPart = memStr + "]"
-			inc, err := strconv.ParseInt(strings.TrimSpace(incStr), 0, 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad post-increment %q", incStr)
+// parseOperands parses one side of an instruction's '=': the operands ops,
+// comma separated, the last taking whatever the others leave.
+func (in *Instr) parseOperands(ops []operand, s string) error {
+	side := s
+	for k, o := range ops {
+		text := s
+		if k < len(ops)-1 {
+			var ok bool
+			if text, s, ok = strings.Cut(s, ","); !ok {
+				return fmt.Errorf("%s: %q is not %d comma-separated operands", in.Op, side, len(ops))
 			}
-			in.PostInc = inc
 		}
-		in.Ra, in.Disp, err = parseMem(strings.TrimSpace(memPart))
-		return in, err
-	case OpSt:
-		ra, disp, err := parseMem(lhs)
-		if err != nil {
-			return nil, err
+		if err := in.parseOperand(o, strings.TrimSpace(text)); err != nil {
+			return err
 		}
-		rb, err := parseGR(rhs)
-		if err != nil {
-			return nil, err
-		}
-		in.Ra, in.Disp, in.Rb = ra, disp, rb
-		return in, nil
-	case OpCall:
-		bd, err := parseBR(lhs)
-		if err != nil {
-			return nil, err
-		}
-		in.Bd, in.Target = bd, rhs
-		return in, nil
-	case OpCallB:
-		bd, err := parseBR(lhs)
-		if err != nil {
-			return nil, err
-		}
-		bs, err := parseBR(rhs)
-		if err != nil {
-			return nil, err
-		}
-		in.Bd, in.Bs = bd, bs
-		return in, nil
-	case OpMovBR:
-		bd, err := parseBR(lhs)
-		if err != nil {
-			return nil, err
-		}
-		in.Bd = bd
-		if fn, ok := strings.CutPrefix(rhs, "@"); ok {
-			in.Target = fn
-			return in, nil
-		}
-		in.Ra, err = parseGR(rhs)
-		return in, err
-	case OpMovFromBR:
-		rd, err := parseGR(lhs)
-		if err != nil {
-			return nil, err
-		}
-		bs, err := parseBR(rhs)
-		if err != nil {
-			return nil, err
-		}
-		in.Rd, in.Bs = rd, bs
-		return in, nil
-	case OpFAdd, OpFSub, OpFMul:
-		fd, err := parseFR(lhs)
-		if err != nil {
-			return nil, err
-		}
-		a, b, ok := strings.Cut(rhs, ",")
-		if !ok {
-			return nil, fmt.Errorf("%s needs two source operands", in.Op)
-		}
-		fa, err := parseFR(strings.TrimSpace(a))
-		if err != nil {
-			return nil, err
-		}
-		fb, err := parseFR(strings.TrimSpace(b))
-		if err != nil {
-			return nil, err
-		}
-		in.Fd, in.Fa, in.Fb = fd, fa, fb
-		return in, nil
-	case OpFMA:
-		fd, err := parseFR(lhs)
-		if err != nil {
-			return nil, err
-		}
-		parts := strings.Split(rhs, ",")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("fma needs three source operands")
-		}
-		fa, err := parseFR(strings.TrimSpace(parts[0]))
-		if err != nil {
-			return nil, err
-		}
-		fb, err := parseFR(strings.TrimSpace(parts[1]))
-		if err != nil {
-			return nil, err
-		}
-		fc, err := parseFR(strings.TrimSpace(parts[2]))
-		if err != nil {
-			return nil, err
-		}
-		in.Fd, in.Fa, in.Fb, in.Fc = fd, fa, fb, fc
-		return in, nil
-	case OpFLd:
-		fd, err := parseFR(lhs)
-		if err != nil {
-			return nil, err
-		}
-		ra, disp, err := parseMem(rhs)
-		if err != nil {
-			return nil, err
-		}
-		in.Fd, in.Ra, in.Disp = fd, ra, disp
-		return in, nil
-	case OpFSt:
-		ra, disp, err := parseMem(lhs)
-		if err != nil {
-			return nil, err
-		}
-		fa, err := parseFR(rhs)
-		if err != nil {
-			return nil, err
-		}
-		in.Ra, in.Disp, in.Fa = ra, disp, fa
-		return in, nil
-	case OpFCmp:
-		p1s, p2s, ok := strings.Cut(lhs, ",")
-		if !ok {
-			return nil, fmt.Errorf("fcmp needs two destination predicates")
-		}
-		var err error
-		if in.Pd1, err = parsePR(strings.TrimSpace(p1s)); err != nil {
-			return nil, err
-		}
-		if in.Pd2, err = parsePR(strings.TrimSpace(p2s)); err != nil {
-			return nil, err
-		}
-		a, b, ok := strings.Cut(rhs, ",")
-		if !ok {
-			return nil, fmt.Errorf("fcmp needs two source operands")
-		}
-		if in.Fa, err = parseFR(strings.TrimSpace(a)); err != nil {
-			return nil, err
-		}
-		if in.Fb, err = parseFR(strings.TrimSpace(b)); err != nil {
-			return nil, err
-		}
-		return in, nil
-	case OpSetF:
-		fd, err := parseFR(lhs)
-		if err != nil {
-			return nil, err
-		}
-		ra, err := parseGR(rhs)
-		if err != nil {
-			return nil, err
-		}
-		in.Fd, in.Ra = fd, ra
-		return in, nil
-	case OpGetF:
-		rd, err := parseGR(lhs)
-		if err != nil {
-			return nil, err
-		}
-		fa, err := parseFR(rhs)
-		if err != nil {
-			return nil, err
-		}
-		in.Rd, in.Fa = rd, fa
-		return in, nil
-	case OpLiw:
-		slot, err := parseSlot(lhs)
-		if err != nil {
-			return nil, err
-		}
-		ra, err := parseGR(rhs)
-		if err != nil {
-			return nil, err
-		}
-		in.Imm, in.Ra = slot, ra
-		return in, nil
-	case OpLir:
-		rd, err := parseGR(lhs)
-		if err != nil {
-			return nil, err
-		}
-		slot, err := parseSlot(rhs)
-		if err != nil {
-			return nil, err
-		}
-		in.Rd, in.Imm = rd, slot
-		return in, nil
 	}
-	return nil, fmt.Errorf("cannot parse operands for %s", in.Op)
+	return nil
+}
+
+// parseOperand parses one operand's text into its Instr fields.
+func (in *Instr) parseOperand(o operand, s string) error {
+	var err error
+	switch o {
+	case oRd:
+		in.Rd, err = parseGR(s)
+	case oRa:
+		in.Ra, err = parseGR(s)
+	case oRb:
+		in.Rb, err = parseGR(s)
+	case oOp2:
+		err = parseOp2(in, s)
+	case oImm:
+		if in.Imm, err = strconv.ParseInt(s, 0, 64); err != nil {
+			err = fmt.Errorf("bad immediate %q", s)
+		}
+	case oPd1:
+		in.Pd1, err = parsePR(s)
+	case oPd2:
+		in.Pd2, err = parsePR(s)
+	case oMem:
+		in.Ra, in.Disp, err = parseMem(s)
+	case oMemInc:
+		if mem, inc, ok := strings.Cut(s, "],"); ok {
+			s = s[:len(mem)+1] // the memory operand through its ']'
+			if in.PostInc, err = strconv.ParseInt(strings.TrimSpace(inc), 0, 64); err != nil {
+				return fmt.Errorf("bad post-increment %q", inc)
+			}
+		}
+		in.Ra, in.Disp, err = parseMem(strings.TrimSpace(s))
+	case oBd:
+		in.Bd, err = parseBR(s)
+	case oBs:
+		in.Bs, err = parseBR(s)
+	case oFuncOrRa:
+		if fn, ok := strings.CutPrefix(s, "@"); ok {
+			in.Target = fn
+		} else {
+			in.Ra, err = parseGR(s)
+		}
+	case oSlot:
+		in.Imm, err = parseSlot(s)
+	case oFd:
+		in.Fd, err = parseFR(s)
+	case oFa:
+		in.Fa, err = parseFR(s)
+	case oFb:
+		in.Fb, err = parseFR(s)
+	case oFc:
+		in.Fc, err = parseFR(s)
+	case oTarget:
+		if in.Target = s; s == "" {
+			err = fmt.Errorf("%s requires a target", in.Op)
+		}
+	}
+	return err
 }
 
 // parseOp2 parses the second source operand: a register or an immediate.
@@ -527,48 +322,19 @@ func parseOp2(in *Instr, s string) error {
 	return nil
 }
 
-func parseGR(s string) (Reg, error) {
-	n, ok := cutRegNum(s, "r")
-	if !ok || n >= NumRegs {
-		return 0, fmt.Errorf("bad general register %q", s)
-	}
-	return Reg(n), nil
-}
+func parseGR(s string) (Reg, error) { return parseReg[Reg](s, "r", NumRegs, "general") }
+func parsePR(s string) (PR, error)  { return parseReg[PR](s, "p", NumPreds, "predicate") }
+func parseFR(s string) (FR, error)  { return parseReg[FR](s, "f", NumFRs, "FP") }
+func parseBR(s string) (BR, error)  { return parseReg[BR](s, "b", NumBRs, "branch") }
 
-func parsePR(s string) (PR, error) {
-	n, ok := cutRegNum(s, "p")
-	if !ok || n >= NumPreds {
-		return 0, fmt.Errorf("bad predicate register %q", s)
-	}
-	return PR(n), nil
-}
-
-func parseFR(s string) (FR, error) {
-	n, ok := cutRegNum(s, "f")
-	if !ok || n >= NumFRs {
-		return 0, fmt.Errorf("bad FP register %q", s)
-	}
-	return FR(n), nil
-}
-
-func parseBR(s string) (BR, error) {
-	n, ok := cutRegNum(s, "b")
-	if !ok || n >= NumBRs {
-		return 0, fmt.Errorf("bad branch register %q", s)
-	}
-	return BR(n), nil
-}
-
-func cutRegNum(s, prefix string) (int, bool) {
+// parseReg parses a register name: prefix, then a decimal number below n.
+func parseReg[R ~uint8](s, prefix string, n int, file string) (R, error) {
 	num, ok := strings.CutPrefix(s, prefix)
-	if !ok {
-		return 0, false
+	v, err := strconv.Atoi(num)
+	if !ok || err != nil || v < 0 || v >= n {
+		return 0, fmt.Errorf("bad %s register %q", file, s)
 	}
-	n, err := strconv.Atoi(num)
-	if err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
+	return R(v), nil
 }
 
 // parseSlot parses a live-in buffer slot "[N]".

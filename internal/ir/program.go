@@ -44,13 +44,7 @@ func (b *Block) endsFlow() bool {
 	if t == nil {
 		return false
 	}
-	switch t.Op {
-	case OpRet, OpHalt, OpKill:
-		return t.Qp == PTrue
-	case OpBr:
-		return t.Qp == PTrue
-	}
-	return false
+	return t.Op.EndsBlock() && t.Qp == PTrue
 }
 
 // Func is a procedure: an ordered list of basic blocks, entered at the first
@@ -253,23 +247,17 @@ func (p *Program) Validate() error {
 				}
 				seenID[in.ID] = f.Name
 			}
-			switch in.Op {
-			case OpBr, OpChk:
-				if f.BlockByLabel(in.Target) == nil {
-					err = fmt.Errorf("ir: %s/%s: %s target %q not found", f.Name, b.Label, in.Op, in.Target)
-				}
-			case OpSpawn:
-				if !p.resolvable(f, in.Target) {
-					err = fmt.Errorf("ir: %s/%s: spawn target %q not found", f.Name, b.Label, in.Target)
-				}
-			case OpCall:
-				if p.FuncByName(in.Target) == nil {
-					err = fmt.Errorf("ir: %s/%s: call target %q not found", f.Name, b.Label, in.Target)
-				}
-			case OpMovBR:
-				if in.Target != "" && p.FuncByName(in.Target) == nil {
-					err = fmt.Errorf("ir: %s/%s: movbr target %q not found", f.Name, b.Label, in.Target)
-				}
+			ok := true
+			switch in.TargetKind() {
+			case LabelTarget:
+				ok = f.BlockByLabel(in.Target) != nil
+			case SpawnTarget:
+				ok = p.resolvable(f, in.Target)
+			case FuncTarget:
+				ok = p.FuncByName(in.Target) != nil
+			}
+			if !ok {
+				err = fmt.Errorf("ir: %s/%s: %s target %q not found", f.Name, b.Label, in.Op, in.Target)
 			}
 		})
 		if err != nil {

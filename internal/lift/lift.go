@@ -37,7 +37,7 @@ func Lift(img *ir.Image) (*ir.Program, error) {
 	}
 	for pc := range img.Code {
 		in := &img.Code[pc].I
-		if (in.Op == ir.OpCall || (in.Op == ir.OpMovBR && in.Target != "")) && img.Code[pc].Tgt >= 0 {
+		if in.TargetKind() == ir.FuncTarget && img.Code[pc].Tgt >= 0 {
 			entries[int(img.Code[pc].Tgt)] = true
 		}
 	}
@@ -69,15 +69,10 @@ func Lift(img *ir.Image) (*ir.Program, error) {
 	}
 	for pc := range img.Code {
 		l := &img.Code[pc]
-		switch l.I.Op {
-		case ir.OpBr, ir.OpChk, ir.OpSpawn:
-			if l.Tgt >= 0 {
-				leader[l.Tgt] = true
-			}
-			if l.I.Op == ir.OpBr {
-				leader[pc+1] = true
-			}
-		case ir.OpRet, ir.OpHalt, ir.OpKill:
+		if l.I.TargetKind() != ir.NoTarget && l.Tgt >= 0 {
+			leader[l.Tgt] = true // function targets are entries already
+		}
+		if l.I.Op.EndsBlock() {
 			leader[pc+1] = true
 		}
 	}
@@ -113,21 +108,17 @@ func Lift(img *ir.Image) (*ir.Program, error) {
 		in := img.Code[pc].I.Clone() // preserves the instruction ID
 		// Rewrite targets into lifted labels.
 		tgt := int(img.Code[pc].Tgt)
-		switch in.Op {
-		case ir.OpBr, ir.OpChk:
+		switch in.TargetKind() {
+		case ir.LabelTarget:
 			in.Target = liftLocalLabel(starts, funcOf, tgt, labelOf)
-		case ir.OpSpawn:
+		case ir.SpawnTarget:
 			if funcOf[tgt] == funcOf[pc] {
 				in.Target = liftLocalLabel(starts, funcOf, tgt, labelOf)
 			} else {
 				in.Target = nameOf(funcOf[tgt]) + "." + liftLocalLabel(starts, funcOf, tgt, labelOf)
 			}
-		case ir.OpCall:
+		case ir.FuncTarget:
 			in.Target = nameOf(funcOf[tgt])
-		case ir.OpMovBR:
-			if in.Target != "" {
-				in.Target = nameOf(funcOf[tgt])
-			}
 		}
 		b.Append(in)
 	}

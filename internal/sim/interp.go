@@ -63,11 +63,21 @@ func (m *Machine) interpret(maxInstrs int64) (*InterpResult, error) {
 			return &InterpResult{Instrs: n, Regs: t.Regs, Mem: m.Mem}, nil
 		}
 		if ef.kill {
-			return nil, fmt.Errorf("sim: main thread executed kill at pc %d", t.pc)
+			return nil, interpFailure(true, t.pc, maxInstrs)
 		}
 		t.pc = ef.nextPC
 	}
-	return nil, fmt.Errorf("sim: interpretation exceeded %d instructions", maxInstrs)
+	return nil, interpFailure(false, 0, maxInstrs)
+}
+
+// interpFailure is the interpreter's run-rule failure on either path: the
+// main thread executed kill at pc (kill set), or the run reached the
+// instruction limit.
+func interpFailure(kill bool, pc int, maxInstrs int64) *RunError {
+	if kill {
+		return &RunError{"main-kill", fmt.Sprintf("sim: main thread executed kill at pc %d", pc)}
+	}
+	return &RunError{"instr-limit", fmt.Sprintf("sim: interpretation exceeded %d instructions", maxInstrs)}
 }
 
 // interpretThreaded runs the main thread over the closure-threaded chains.
@@ -87,9 +97,9 @@ func interpretThreaded(dp *decode.Program, maxInstrs int64) (*InterpResult, erro
 	case nil:
 		return &InterpResult{Instrs: n, Regs: x.Regs, Mem: x.Mem}, nil, true
 	case *threaded.KillError:
-		return nil, fmt.Errorf("sim: main thread executed kill at pc %d", e.PC), true
+		return nil, interpFailure(true, e.PC, maxInstrs), true
 	case *threaded.LimitError:
-		return nil, fmt.Errorf("sim: interpretation exceeded %d instructions", maxInstrs), true
+		return nil, interpFailure(false, 0, maxInstrs), true
 	default: // threaded.ErrUnthreadable
 		return nil, nil, false
 	}

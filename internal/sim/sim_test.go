@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"ssp/internal/ir"
+	"ssp/internal/sim/decode"
 	"ssp/internal/sim/mem"
 )
 
@@ -988,6 +989,45 @@ func TestRunProgramMainKillContract(t *testing.T) {
 		}
 		if res.TimedOut {
 			t.Fatalf("%v: run spun until the watchdog", cfg.Model)
+		}
+	}
+}
+
+// TestInterpreterRunErrors: both interpreter paths — the chain walker
+// (InterpretPredecoded on a threadable image) and the per-PC loop
+// (InterpretStepwise) — report a main-thread kill and the instruction limit
+// as a *RunError with reasons main-kill and instr-limit.
+func TestInterpreterRunErrors(t *testing.T) {
+	kill := ir.NewProgram("main")
+	k := ir.NewFunc(kill, "main").Block("entry")
+	k.MovI(14, 1)
+	k.Kill()
+	spin := ir.NewProgram("main")
+	s := ir.NewFunc(spin, "main").Block("loop")
+	s.AddI(14, 14, 1)
+	s.Br("loop")
+	paths := []struct {
+		name string
+		run  func(Config, *decode.Program, int64) (*InterpResult, error)
+	}{{"chains", InterpretPredecoded}, {"stepwise", InterpretStepwise}}
+	for _, c := range []struct {
+		prog   *ir.Program
+		reason string
+		msg    string
+	}{
+		{kill, "main-kill", "sim: main thread executed kill at pc 1"},
+		{spin, "instr-limit", "sim: interpretation exceeded 100 instructions"},
+	} {
+		dp := Predecode(mustLink(t, c.prog))
+		if ThreadedProgram(dp).Unthreadable {
+			t.Fatalf("%s: image is not chain-executable", c.reason)
+		}
+		for _, p := range paths {
+			_, err := p.run(testInOrder(), dp, 100)
+			var re *RunError
+			if !errors.As(err, &re) || re.Reason != c.reason || err.Error() != c.msg {
+				t.Errorf("%s/%s: err = %v (%T), want a *RunError %q: %s", p.name, c.reason, err, err, c.reason, c.msg)
+			}
 		}
 	}
 }

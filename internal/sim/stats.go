@@ -109,9 +109,11 @@ func (r *Result) IPC() float64 {
 	return float64(r.MainInstrs) / float64(r.Cycles)
 }
 
-// RunError is a run that did not finish the program (Result.Err). Reason
-// is "watchdog" (Config.MaxCycles expired) or "main-kill" (the main thread
-// executed thread_kill_self).
+// RunError is a run that did not finish the program (Result.Err, and the
+// functional interpreter's failures). Reason is "watchdog"
+// (Config.MaxCycles expired), "main-kill" (the main thread executed
+// thread_kill_self) or, from the interpreter only, "instr-limit" (the run
+// reached its instruction limit).
 type RunError struct {
 	Reason string
 	msg    string

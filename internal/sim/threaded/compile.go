@@ -106,7 +106,7 @@ func (p *Program) compileBlock(dp *decode.Program, ib cfg.ImageBlock) (Block, bo
 	n := len(dp.Code)
 	blk := Block{Start: int32(ib.Start), End: int32(ib.End)}
 	term := &dp.Code[ib.End-1]
-	hasTerm := isControl(term.H)
+	hasTerm := term.Op.Control() != ir.CtlNone
 	bodyEnd := ib.End
 	if hasTerm {
 		bodyEnd--
@@ -296,17 +296,6 @@ func fusedCmpBr(c *decode.Decoded, qp ir.PR, tgt, fall int32) func(x *Ctx) int32
 		}
 		return fall
 	}
-}
-
-// isControl reports whether a handler transfers (or publishes) control and
-// therefore terminates a chain block.
-func isControl(h decode.Handler) bool {
-	switch h {
-	case decode.HBr, decode.HCall, decode.HCallB, decode.HRet, decode.HChk,
-		decode.HSpawn, decode.HKill, decode.HHalt:
-		return true
-	}
-	return false
 }
 
 // cmpResult evaluates an integer comparison.

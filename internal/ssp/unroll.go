@@ -63,14 +63,28 @@ func (t *Tool) emitChainingUnrolled(body *ir.BlockBuilder, sl *Slice, sch *Sched
 		return false
 	}
 
-	// remap rewrites the GR operands of a cloned instruction.
-	remapUses := func(c *ir.Instr, m map[ir.Reg]ir.Reg) {
-		if r, ok := m[c.Ra]; ok && usesRa(c) {
-			c.Ra = r
+	// rename rewrites a cloned instruction's GR sources through m, then
+	// gives its GR destination a fresh register, recorded in m, unless it
+	// is r0 or a live-in (advanced in place). It reports false when the
+	// pool runs dry.
+	var reads []*ir.Reg
+	rename := func(c *ir.Instr, m map[ir.Reg]ir.Reg) bool {
+		reads = c.AppendGRReads(reads[:0])
+		for _, r := range reads {
+			if x, ok := m[*r]; ok {
+				*r = x
+			}
 		}
-		if r, ok := m[c.Rb]; ok && usesRb(c) {
-			c.Rb = r
+		d := c.GRDest()
+		if d == nil || *d == ir.RegZero || liveIn[*d] {
+			return true
 		}
+		f, ok := alloc()
+		if ok {
+			m[*d] = f
+			*d = f
+		}
+		return ok
 	}
 	emit := func(c *ir.Instr) {
 		t.p.Assign(c)
@@ -96,17 +110,11 @@ func (t *Tool) emitChainingUnrolled(body *ir.BlockBuilder, sl *Slice, sch *Sched
 		for _, n := range sch.Critical {
 			c := sl.Nodes[n].In.Clone()
 			c.ID = 0
-			remapUses(c, m)
-			if d, hasDef := grDef(c); hasDef && !liveIn[d] {
-				f, ok := alloc()
-				if !ok {
-					return false
-				}
-				m[d] = f
-				setGRDef(c, f)
-			}
 			// A post-increment load's base update lands on the remapped
-			// base register via remapUses, so no extra handling is needed.
+			// base register, a source, so no extra handling is needed.
+			if !rename(c, m) {
+				return false
+			}
 			emit(c)
 		}
 		stepMaps[k] = m
@@ -138,14 +146,8 @@ func (t *Tool) emitChainingUnrolled(body *ir.BlockBuilder, sl *Slice, sch *Sched
 				c.Rd = 0
 				c.PostInc = 0
 			}
-			remapUses(c, m)
-			if d, hasDef := grDef(c); hasDef && !liveIn[d] {
-				f, ok := alloc()
-				if !ok {
-					return false
-				}
-				m[d] = f
-				setGRDef(c, f)
+			if !rename(c, m) {
+				return false
 			}
 			emit(c)
 		}
@@ -153,45 +155,3 @@ func (t *Tool) emitChainingUnrolled(body *ir.BlockBuilder, sl *Slice, sch *Sched
 	body.Kill()
 	return true
 }
-
-// usesRa reports whether the instruction's Ra field is a source operand.
-func usesRa(c *ir.Instr) bool {
-	switch c.Op {
-	case ir.OpNop, ir.OpMovI, ir.OpLir, ir.OpMovFromBR, ir.OpBr, ir.OpCall,
-		ir.OpCallB, ir.OpRet, ir.OpChk, ir.OpSpawn, ir.OpKill, ir.OpHalt:
-		return false
-	case ir.OpMovBR:
-		return c.Target == ""
-	}
-	return true
-}
-
-// usesRb reports whether the instruction's Rb field is a source operand.
-func usesRb(c *ir.Instr) bool {
-	if c.UseImm {
-		return false
-	}
-	switch c.Op {
-	case ir.OpSt:
-		return true
-	case ir.OpCmp:
-		return true
-	}
-	return c.Op.IsALU()
-}
-
-// grDef returns the general register the instruction defines, if any
-// (post-increment bases are handled by the caller keeping Ra mapped).
-func grDef(c *ir.Instr) (ir.Reg, bool) {
-	switch c.Op {
-	case ir.OpMov, ir.OpMovI, ir.OpMovFromBR, ir.OpLir, ir.OpLd:
-		return c.Rd, c.Rd != ir.RegZero
-	}
-	if c.Op.IsALU() {
-		return c.Rd, c.Rd != ir.RegZero
-	}
-	return 0, false
-}
-
-// setGRDef rewrites the defined register.
-func setGRDef(c *ir.Instr, r ir.Reg) { c.Rd = r }
