@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet test race alloc-gate bench-module bench bench-diff bench-smoke bench-gate sspcheck fuzz-smoke cover serve-smoke serve-load tune-smoke tune-bench table2 table2-check tools-smoke
+.PHONY: check fmt vet test race alloc-gate bench-module bench bench-diff bench-smoke bench-gate sspcheck fuzz-smoke cover serve-smoke serve-load tune-smoke tune-bench table2 table2-check tools-smoke exhibits-check
 
 # check is the full gate: formatting, vet, the test suite under the race
 # detector (the concurrent experiment engine is exercised by internal/exp's
@@ -12,8 +12,9 @@ GO ?= go
 # file flow through the command-line tools (tools-smoke), and the gates CI
 # runs as jobs of their own: the served matrix validated against the golden
 # stats with SSE progress streams (serve-smoke), the closed-loop tuner
-# (tune-smoke), and the paper-scale Table 2 envelope (table2-check).
-check: fmt vet race alloc-gate bench-module sspcheck fuzz-smoke tools-smoke serve-smoke tune-smoke table2-check
+# (tune-smoke), the paper-scale Table 2 envelope (table2-check), and the
+# pinned paper-scale exhibits (exhibits-check).
+check: fmt vet race alloc-gate bench-module sspcheck fuzz-smoke tools-smoke serve-smoke tune-smoke table2-check exhibits-check
 
 # bench-module vets and tests the benchmark under bench/, a module of its own
 # (replace ssp => ../) that the root module's build and tests never compile:
@@ -155,6 +156,15 @@ table2:
 # benchmark holding its minimum slice count.
 table2-check:
 	$(GO) run ./cmd/experiments -scale paper -only table2 -envelope -quiet >/dev/null
+
+# exhibits-check pins the paper-scale exhibits byte for byte against
+# cmd/testdata: the stdout of `experiments -scale paper -quiet` (every
+# exhibit table) and the JSON of `ssptune -bench mcf,rand.2p -rounds 3 -grid
+# full -json` (the tune-paper grid). About 25 s on two cores, so the tier-1
+# suite skips both tests; after an intended change to the numbers,
+# regenerate the two files with those commands and commit them.
+exhibits-check:
+	SSP_EXHIBITS=1 $(GO) test -count=1 -run 'TestPaperExhibits|TestPaperTune' ./cmd/experiments ./cmd/ssptune
 
 # bench-smoke runs each internal/sim microbenchmark for a single iteration —
 # just enough to catch an execution-core change that breaks or pathologically

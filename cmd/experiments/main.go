@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -42,41 +43,49 @@ type options struct {
 }
 
 func main() {
-	var (
-		scale   = flag.String("scale", "paper", "experiment scale: paper or test")
-		only    = flag.String("only", "", "comma-separated subset: "+strings.Join(exhibits, ","))
-		workers = flag.Int("workers", runtime.NumCPU(), "parallel simulations (1 = serial)")
-		quiet   = flag.Bool("quiet", false, "suppress the per-cell progress lines on stderr")
-		envel   = flag.Bool("envelope", false, "fail if Table 2 leaves the paper's envelope (slice sizes 7-15, live-ins 1-4, per-benchmark slice minimums)")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf = flag.String("memprofile", "", "write an allocation profile of the run to this file")
-	)
-	flag.Parse()
 	// Usage errors exit 2 before any work (or profiling) starts; run
 	// errors exit 1 after run returns, so its deferred cleanup — the
 	// profile stop in particular — always fires.
-	sc, err := exp.ParseScale(*scale)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: -scale:", err)
-		os.Exit(2)
-	}
-	wanted, err := parseOnly(*only)
+	o, err := parseArgs(os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
-	if *workers < 1 {
-		fmt.Fprintf(os.Stderr, "experiments: -workers must be at least 1, got %d\n", *workers)
-		os.Exit(2)
-	}
-	o := options{sc, wanted, *workers, *quiet, *envel, *cpuProf, *memProf}
-	if err := run(o); err != nil {
+	if err := run(o, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(o options) error {
+// parseArgs validates the command line (a malformed flag exits 2 from the
+// flag package itself).
+func parseArgs(args []string) (options, error) {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	var (
+		scale   = fs.String("scale", "paper", "experiment scale: paper or test")
+		only    = fs.String("only", "", "comma-separated subset: "+strings.Join(exhibits, ","))
+		workers = fs.Int("workers", runtime.NumCPU(), "parallel simulations (1 = serial)")
+		quiet   = fs.Bool("quiet", false, "suppress the per-cell progress lines on stderr")
+		envel   = fs.Bool("envelope", false, "fail if Table 2 leaves the paper's envelope (slice sizes 7-15, live-ins 1-4, per-benchmark slice minimums)")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf = fs.String("memprofile", "", "write an allocation profile of the run to this file")
+	)
+	_ = fs.Parse(args)
+	sc, err := exp.ParseScale(*scale)
+	if err != nil {
+		return options{}, fmt.Errorf("-scale: %w", err)
+	}
+	wanted, err := parseOnly(*only)
+	if err != nil {
+		return options{}, err
+	}
+	if *workers < 1 {
+		return options{}, fmt.Errorf("-workers must be at least 1, got %d", *workers)
+	}
+	return options{sc, wanted, *workers, *quiet, *envel, *cpuProf, *memProf}, nil
+}
+
+func run(o options, stdout, stderr io.Writer) error {
 	stopProf, err := cliutil.StartProfiles(o.cpuProf, o.memProf)
 	if err != nil {
 		return err
@@ -85,10 +94,10 @@ func run(o options) error {
 	s := exp.NewSuite(o.scale)
 	s.Workers = o.workers
 	if !o.quiet {
-		s.Progress = progressPrinter(os.Stderr)
+		s.Progress = progressPrinter(stderr)
 	}
 	want := func(k string) bool { return len(o.wanted) == 0 || o.wanted[k] }
-	return emit(s, want, o.envelope)
+	return emit(s, want, o.envelope, stdout, stderr)
 }
 
 // parseOnly validates the -only subset against the known exhibit keys, so a
@@ -117,7 +126,7 @@ func parseOnly(s string) (map[string]bool, error) {
 
 // progressPrinter returns a Progress hook that writes one numbered line per
 // simulated cell. The suite may call it from many worker goroutines.
-func progressPrinter(w *os.File) func(exp.RunKey, *sim.Result, time.Duration) {
+func progressPrinter(w io.Writer) func(exp.RunKey, *sim.Result, time.Duration) {
 	var mu sync.Mutex
 	done := 0
 	return func(k exp.RunKey, res *sim.Result, wall time.Duration) {
@@ -129,7 +138,7 @@ func progressPrinter(w *os.File) func(exp.RunKey, *sim.Result, time.Duration) {
 }
 
 // emit prints the requested exhibits in output order.
-func emit(s *exp.Suite, want func(string) bool, envelope bool) error {
+func emit(s *exp.Suite, want func(string) bool, envelope bool, w, stderr io.Writer) error {
 	f2 := func(v float64) string { return fmt.Sprintf("%.2f", v) }
 	if want("fig2") {
 		rows, err := s.Figure2()
@@ -146,8 +155,8 @@ func emit(s *exp.Suite, want func(string) bool, envelope bool) error {
 			pdOOO = append(pdOOO, r.PerfDelOOO)
 		}
 		cells = append(cells, []string{"average", f2(exp.Mean(pmIO)), f2(exp.Mean(pdIO)), f2(exp.Mean(pmOOO)), f2(exp.Mean(pdOOO))})
-		fmt.Println("Figure 2: speedup with perfect memory vs. delinquent loads always hitting L1")
-		fmt.Println(exp.FormatTable(
+		fmt.Fprintln(w, "Figure 2: speedup with perfect memory vs. delinquent loads always hitting L1")
+		fmt.Fprintln(w, exp.FormatTable(
 			[]string{"bench", "io perfect-mem", "io perfect-del", "ooo perfect-mem", "ooo perfect-del"}, cells))
 	}
 	if want("table2") {
@@ -167,8 +176,8 @@ func emit(s *exp.Suite, want func(string) bool, envelope bool) error {
 			cells = append(cells, []string{r.Bench, fmt.Sprint(r.Slices), fmt.Sprint(r.Interproc),
 				fmt.Sprintf("%.1f", r.AvgSize), fmt.Sprintf("%.1f", r.AvgLiveIns), ps, pi, psz, pli})
 		}
-		fmt.Println("Table 2: slice characteristics (paper columns = source Table 2 namesake)")
-		fmt.Println(exp.FormatTable([]string{"bench", "slices", "interproc", "avg size", "avg live-ins",
+		fmt.Fprintln(w, "Table 2: slice characteristics (paper columns = source Table 2 namesake)")
+		fmt.Fprintln(w, exp.FormatTable([]string{"bench", "slices", "interproc", "avg size", "avg live-ins",
 			"paper slices", "paper interproc", "paper size", "paper live-ins"}, cells))
 
 		slices, err := s.Table2Slices()
@@ -180,18 +189,18 @@ func emit(s *exp.Suite, want func(string) bool, envelope bool) error {
 			srows = append(srows, []string{sl.Bench, fmt.Sprint(sl.Slice), sl.Region, sl.Trigger, sl.Model,
 				fmt.Sprint(sl.Size), fmt.Sprint(sl.LiveIns), fmt.Sprint(sl.Interprocedural), fmt.Sprint(sl.SpawnBudget)})
 		}
-		fmt.Println("Table 2 (per slice): the slice portfolio")
-		fmt.Println(exp.FormatTable([]string{"bench", "slice", "region", "trigger", "model",
+		fmt.Fprintln(w, "Table 2 (per slice): the slice portfolio")
+		fmt.Fprintln(w, exp.FormatTable([]string{"bench", "slice", "region", "trigger", "model",
 			"size", "live-ins", "interproc", "spawn budget"}, srows))
 
 		if envelope {
 			if bad := exp.Table2Envelope(rows, slices); len(bad) > 0 {
 				for _, m := range bad {
-					fmt.Fprintln(os.Stderr, "envelope:", m)
+					fmt.Fprintln(stderr, "envelope:", m)
 				}
 				return fmt.Errorf("table 2 envelope: %d violation(s)", len(bad))
 			}
-			fmt.Println("Table 2 envelope: all slices within the paper's ranges (sizes 7-15, live-ins 1-4, per-benchmark slice minimums)")
+			fmt.Fprintln(w, "Table 2 envelope: all slices within the paper's ranges (sizes 7-15, live-ins 1-4, per-benchmark slice minimums)")
 		}
 	}
 	if want("fig8") {
@@ -208,9 +217,9 @@ func emit(s *exp.Suite, want func(string) bool, envelope bool) error {
 			c = append(c, r.OOOSSP)
 		}
 		cells = append(cells, []string{"average", f2(exp.Mean(a)), f2(exp.Mean(b)), f2(exp.Mean(c))})
-		fmt.Println("Figure 8: speedups over the baseline in-order model")
-		fmt.Println(exp.FormatTable([]string{"bench", "in-order+SSP", "OOO", "OOO+SSP"}, cells))
-		fmt.Printf("in-order SSP average speedup: %+.0f%%   SSP on OOO average: %+.0f%%\n\n",
+		fmt.Fprintln(w, "Figure 8: speedups over the baseline in-order model")
+		fmt.Fprintln(w, exp.FormatTable([]string{"bench", "in-order+SSP", "OOO", "OOO+SSP"}, cells))
+		fmt.Fprintf(w, "in-order SSP average speedup: %+.0f%%   SSP on OOO average: %+.0f%%\n\n",
 			100*(exp.Mean(a)-1), 100*(exp.Mean(c)/exp.Mean(b)-1))
 	}
 	if want("fig9") {
@@ -218,7 +227,7 @@ func emit(s *exp.Suite, want func(string) bool, envelope bool) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println("Figure 9: where delinquent loads are satisfied when missing L1")
+		fmt.Fprintln(w, "Figure 9: where delinquent loads are satisfied when missing L1")
 		header := []string{"bench", "config", "L1 missrate", "L2", "L2 part", "L3", "L3 part", "Mem", "Mem part"}
 		var cells [][]string
 		for _, r := range rows {
@@ -228,14 +237,14 @@ func emit(s *exp.Suite, want func(string) bool, envelope bool) error {
 					pc("L2"), pc("L2 partial"), pc("L3"), pc("L3 partial"), pc("Mem"), pc("Mem partial")})
 			}
 		}
-		fmt.Println(exp.FormatTable(header, cells))
+		fmt.Fprintln(w, exp.FormatTable(header, cells))
 	}
 	if want("fig10") {
 		rows, err := s.Figure10()
 		if err != nil {
 			return err
 		}
-		fmt.Println("Figure 10: cycle breakdown normalized to the baseline in-order cycles")
+		fmt.Fprintln(w, "Figure 10: cycle breakdown normalized to the baseline in-order cycles")
 		header := []string{"bench", "config", "total"}
 		for cat := sim.Category(0); cat < sim.NumCategories; cat++ {
 			header = append(header, cat.String())
@@ -250,32 +259,32 @@ func emit(s *exp.Suite, want func(string) bool, envelope bool) error {
 				cells = append(cells, row)
 			}
 		}
-		fmt.Println(exp.FormatTable(header, cells))
+		fmt.Fprintln(w, exp.FormatTable(header, cells))
 	}
 	if want("sec45") {
 		rows, err := s.Section45()
 		if err != nil {
 			return err
 		}
-		fmt.Println("Section 4.5: automatic vs. hand adaptation")
+		fmt.Fprintln(w, "Section 4.5: automatic vs. hand adaptation")
 		var cells [][]string
 		for _, r := range rows {
 			cells = append(cells, []string{r.Bench, r.Model, f2(r.AutoSpeedup), f2(r.HandSpeedup),
 				fmt.Sprintf("%.0f%%", r.LossPct)})
 		}
-		fmt.Println(exp.FormatTable([]string{"bench", "model", "auto speedup", "hand speedup", "tool loss"}, cells))
+		fmt.Fprintln(w, exp.FormatTable([]string{"bench", "model", "auto speedup", "hand speedup", "tool loss"}, cells))
 	}
 	if want("ablations") {
 		rows, err := s.Ablations(nil)
 		if err != nil {
 			return err
 		}
-		fmt.Println("Ablations: in-order speedup with each design choice disabled")
+		fmt.Fprintln(w, "Ablations: in-order speedup with each design choice disabled")
 		var cells [][]string
 		for _, r := range rows {
 			cells = append(cells, []string{r.Bench, string(r.Variant), f2(r.Speedup)})
 		}
-		fmt.Println(exp.FormatTable([]string{"bench", "variant", "speedup"}, cells))
+		fmt.Fprintln(w, exp.FormatTable([]string{"bench", "variant", "speedup"}, cells))
 	}
 	return nil
 }

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"io"
+	"os"
 	"strings"
 	"testing"
 
+	"ssp/internal/cliutil/clitest"
 	"ssp/internal/exp"
 )
 
@@ -30,7 +33,24 @@ func TestParseOnly(t *testing.T) {
 
 func TestRunSubsetSmoke(t *testing.T) {
 	s := exp.NewSuite(exp.ScaleTest)
-	if err := emit(s, func(k string) bool { return k == "table2" }, false); err != nil {
+	if err := emit(s, func(k string) bool { return k == "table2" }, false, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestPaperExhibits pins the stdout of `experiments -scale paper -quiet`:
+// every exhibit table at paper scale, byte for byte. It takes about 20 s on
+// two cores, so it runs only with SSP_EXHIBITS=1 (make exhibits-check).
+func TestPaperExhibits(t *testing.T) {
+	if os.Getenv("SSP_EXHIBITS") == "" {
+		t.Skip("set SSP_EXHIBITS=1 to check the paper-scale exhibits (make exhibits-check)")
+	}
+	cli := func(args []string, stdout, stderr io.Writer) error {
+		o, err := parseArgs(args)
+		if err != nil {
+			return err
+		}
+		return run(o, stdout, stderr)
+	}
+	clitest.Pin(t, cli, "experiments_paper", "-scale paper -quiet")
 }

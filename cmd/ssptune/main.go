@@ -46,33 +46,44 @@ type options struct {
 }
 
 func main() {
-	var (
-		bench   = flag.String("bench", "mcf", "comma-separated benchmarks (see cmd/experiments)")
-		model   = flag.String("model", "in-order", "machine model: in-order or ooo")
-		scale   = flag.String("scale", "paper", "experiment scale: paper or test")
-		rounds  = flag.Int("rounds", tune.DefaultMaxRounds, "max re-profiling rounds per candidate (after the one-shot round 0)")
-		eps     = flag.Float64("eps", tune.DefaultEpsilon, "relative speedup-delta convergence threshold")
-		grid    = flag.String("grid", tune.DefaultGrid, "search grid: full or quick")
-		workers = flag.Int("workers", runtime.NumCPU(), "parallel simulations (1 = serial)")
-		jsonOut = flag.Bool("json", false, "print the JSON report to stdout instead of tables")
-		outFile = flag.String("out", "", "also write the JSON report to this file")
-		reqConv = flag.Bool("require-converged", false, "exit nonzero unless every best candidate converged")
-		quiet   = flag.Bool("quiet", false, "suppress the per-round progress lines on stderr")
-		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf = flag.String("memprofile", "", "write an allocation profile of the run to this file")
-	)
-	flag.Parse()
-	o, err := parse(*bench, *model, *scale, *rounds, *eps, *grid, *workers)
+	o, err := parseArgs(os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ssptune:", err)
 		os.Exit(2)
 	}
-	o.jsonOut, o.outFile, o.requireConverged, o.quiet = *jsonOut, *outFile, *reqConv, *quiet
-	o.cpuProf, o.memProf = *cpuProf, *memProf
-	if err := run(o, os.Stdout); err != nil {
+	if err := run(o, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "ssptune:", err)
 		os.Exit(1)
 	}
+}
+
+// parseArgs reads the command line into validated options (a malformed flag
+// exits 2 from the flag package itself).
+func parseArgs(args []string) (options, error) {
+	fs := flag.NewFlagSet("ssptune", flag.ExitOnError)
+	var (
+		bench   = fs.String("bench", "mcf", "comma-separated benchmarks (see cmd/experiments)")
+		model   = fs.String("model", "in-order", "machine model: in-order or ooo")
+		scale   = fs.String("scale", "paper", "experiment scale: paper or test")
+		rounds  = fs.Int("rounds", tune.DefaultMaxRounds, "max re-profiling rounds per candidate (after the one-shot round 0)")
+		eps     = fs.Float64("eps", tune.DefaultEpsilon, "relative speedup-delta convergence threshold")
+		grid    = fs.String("grid", tune.DefaultGrid, "search grid: full or quick")
+		workers = fs.Int("workers", runtime.NumCPU(), "parallel simulations (1 = serial)")
+		jsonOut = fs.Bool("json", false, "print the JSON report to stdout instead of tables")
+		outFile = fs.String("out", "", "also write the JSON report to this file")
+		reqConv = fs.Bool("require-converged", false, "exit nonzero unless every best candidate converged")
+		quiet   = fs.Bool("quiet", false, "suppress the per-round progress lines on stderr")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf = fs.String("memprofile", "", "write an allocation profile of the run to this file")
+	)
+	_ = fs.Parse(args)
+	o, err := parse(*bench, *model, *scale, *rounds, *eps, *grid, *workers)
+	if err != nil {
+		return o, err
+	}
+	o.jsonOut, o.outFile, o.requireConverged, o.quiet = *jsonOut, *outFile, *reqConv, *quiet
+	o.cpuProf, o.memProf = *cpuProf, *memProf
+	return o, nil
 }
 
 // parse validates the flag values (usage errors; exit 2 before work starts).
@@ -120,7 +131,7 @@ type report struct {
 	Results []*tune.Result `json:"results"`
 }
 
-func run(o options, stdout io.Writer) error {
+func run(o options, stdout, stderr io.Writer) error {
 	stopProf, err := cliutil.StartProfiles(o.cpuProf, o.memProf)
 	if err != nil {
 		return err
@@ -134,7 +145,7 @@ func run(o options, stdout io.Writer) error {
 		tn.Progress = func(format string, args ...any) {
 			mu.Lock()
 			defer mu.Unlock()
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
+			fmt.Fprintf(stderr, format+"\n", args...)
 		}
 	}
 	var rep report
@@ -153,7 +164,7 @@ func run(o options, stdout io.Writer) error {
 			}
 		}
 		// Rounds whose images coincide share one simulation in the suite.
-		fmt.Fprintf(os.Stderr, "%d rounds, %d simulations\n", rounds, s.PoolStats().Gets)
+		fmt.Fprintf(stderr, "%d rounds, %d simulations\n", rounds, s.PoolStats().Gets)
 	}
 	if o.outFile != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")

@@ -2,12 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"ssp/internal/cliutil/clitest"
 	"ssp/internal/exp"
 	"ssp/internal/sim"
 	"ssp/internal/tune"
@@ -72,7 +74,7 @@ func TestRunSmoke(t *testing.T) {
 		quiet:            true,
 	}
 	var table strings.Builder
-	if err := run(o, &table); err != nil {
+	if err := run(o, &table, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(table.String(), "mcf on in-order (test scale)") {
@@ -103,7 +105,7 @@ func TestRunSmoke(t *testing.T) {
 	// The JSON output path must emit the same envelope to the writer.
 	o.outFile, o.jsonOut = "", true
 	var buf strings.Builder
-	if err := run(o, &buf); err != nil {
+	if err := run(o, &buf, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	var rep2 report
@@ -113,4 +115,22 @@ func TestRunSmoke(t *testing.T) {
 	if len(rep2.Results) != 1 || rep2.Results[0].Best.Label != res.Best.Label {
 		t.Fatalf("stdout report disagrees with file report: %+v", rep2.Results)
 	}
+}
+
+// TestPaperTune pins `ssptune -bench mcf,rand.2p -rounds 3 -grid full -json`
+// at paper scale, the tune-paper benchmark's grid, byte for byte; -quiet
+// keeps stderr empty, since the progress lines interleave in worker order.
+// It runs only with SSP_EXHIBITS=1 (make exhibits-check).
+func TestPaperTune(t *testing.T) {
+	if os.Getenv("SSP_EXHIBITS") == "" {
+		t.Skip("set SSP_EXHIBITS=1 to check the paper-scale exhibits (make exhibits-check)")
+	}
+	cli := func(args []string, stdout, stderr io.Writer) error {
+		o, err := parseArgs(args)
+		if err != nil {
+			return err
+		}
+		return run(o, stdout, stderr)
+	}
+	clitest.Pin(t, cli, "ssptune_paper", "-bench mcf,rand.2p -rounds 3 -grid full -json -quiet")
 }

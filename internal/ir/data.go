@@ -12,14 +12,15 @@ import (
 
 // DataImage is a program's static data image: 64-bit words at byte
 // addresses, installed into simulated memory before execution (the workload
-// builders' heaps live here). Its words live in the simulator's page table,
-// so installing it copies whole pages. Program.SetWord writes it in place
-// until the image is first shared — by Clone, Link, or the lifter — which
-// seals it. From then on it is immutable: every program and linked image
-// that carries it shares the one value by pointer, and a later SetWord on
-// any of them copies the pages into a fresh image of its own first.
-// Post-pass adaptation rewrites code and never writes data, so an adapted
-// binary and its original carry one image.
+// builders' heaps live here). Its words live in the simulator's page layout,
+// so a machine installs it by mapping its page frames, copying nothing.
+// Program.SetWord writes it in place until the image is first shared — by
+// Clone, Link, the lifter, or Frames — which seals it. From then on it is
+// immutable: every program, linked image and machine memory that carries it
+// shares the one value by pointer, and a later SetWord on any program
+// copies the pages into a fresh image of its own first. Post-pass
+// adaptation rewrites code and never writes data, so an adapted binary and
+// its original carry one image.
 //
 // A word written as zero is held: Len, Addrs, Range and Format count and
 // print it. A nil *DataImage is an empty image.
@@ -91,9 +92,13 @@ func (d *DataImage) Range(fn func(addr, val uint64)) {
 	})
 }
 
-// CopyTo copies every page of the image into t, explicit-zero pages too.
-func (d *DataImage) CopyTo(t *pages.Table[pages.Page]) {
-	pages.Copy(t, &d.or().t, func(dst *pages.Page, p *dataPage) { *dst = *p.words })
+// Frames seals the image and calls fn with each of its pages' words,
+// explicit-zero pages too, in increasing page order. The frames stay the
+// image's and are shared with every caller: fn, and whatever it keeps them
+// in, must only read them.
+func (d *DataImage) Frames(fn func(idx uint64, p *pages.Page)) {
+	d.seal()
+	d.or().t.Each(func(idx uint64, p *dataPage) { fn(idx, p.words) })
 }
 
 // Sum seals the image and returns the SHA-256, computed once, of its page

@@ -337,15 +337,3 @@ func (l Loc) String() string {
 		return FR(l - locFR).String()
 	}
 }
-
-// HasSideEffect reports whether the instruction must never be included in a
-// p-slice: stores, calls, halts and control transfers other than the slice's
-// own loop. The paper's tool "ensures that no store instructions are included
-// in the precomputation" (§2).
-func (i *Instr) HasSideEffect() bool {
-	switch i.Op {
-	case OpSt, OpFSt, OpHalt, OpCall, OpCallB, OpRet, OpChk, OpSpawn, OpLiw, OpKill:
-		return true
-	}
-	return false
-}

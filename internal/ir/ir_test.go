@@ -135,6 +135,15 @@ func TestParseRejectsGarbage(t *testing.T) {
 		"program entry=main\nfunc main {\nentry:\n cmp.zz p1,p2 = r1, r2\n}",
 		"program entry=main\nfunc main {\nentry:\n halt\n}\ndata {\n0x2003: 1\n}", // unaligned data address
 	}
+	// Trailing text after an operand-less mnemonic, and targets holding
+	// whitespace or '='.
+	for _, bad := range []string{
+		"halt junk", "nop garbage = x", "kill 0",
+		"br entry = x", "br entry x", "chk.c entry\tx", "spawn entry = x",
+		"call b0 = f x", "call b0 = f=x", "movbr b1 = @f = x", "movbr b1 = @f x", "movbr b1 = @",
+	} {
+		cases = append(cases, "program entry=main\nfunc main {\nentry:\n "+bad+"\n halt\n}")
+	}
 	// A data section one page past the page cap.
 	var sparse strings.Builder
 	sparse.WriteString("program entry=main\nfunc main {\nentry:\n halt\n}\ndata {\n")
@@ -145,6 +154,20 @@ func TestParseRejectsGarbage(t *testing.T) {
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse accepted %q", src)
+		}
+	}
+}
+
+// TestParseRelationlessCmp: cmp and fcmp without a ".cond" suffix still
+// parse, as eq.
+func TestParseRelationlessCmp(t *testing.T) {
+	p, err := Parse("program entry=main\nfunc main {\nentry:\n cmp p1, p2 = r1, r2\n fcmp p3, p4 = f2, f3\n halt\n}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range p.Funcs[0].Blocks[0].Instrs[:2] {
+		if in.Cond != CondEQ {
+			t.Errorf("%s parsed with relation %v, want eq", in.Op, in.Cond)
 		}
 	}
 }
@@ -528,13 +551,25 @@ func TestFormatContainsDataSection(t *testing.T) {
 	}
 }
 
+// TestHasSideEffect: one row per opcode. Stores, liw, calls, returns,
+// chk.c, spawn, halt and kill may never enter a p-slice.
 func TestHasSideEffect(t *testing.T) {
-	if (&Instr{Op: OpLd}).HasSideEffect() {
-		t.Error("load flagged as side-effecting")
+	want := map[Op]bool{
+		OpNop: false, OpAdd: false, OpSub: false, OpMul: false, OpAnd: false,
+		OpOr: false, OpXor: false, OpShl: false, OpShr: false, OpMov: false,
+		OpMovI: false, OpCmp: false, OpLd: false, OpSt: true, OpLfetch: false,
+		OpBr: false, OpCall: true, OpCallB: true, OpRet: true, OpMovBR: false,
+		OpMovFromBR: false, OpChk: true, OpSpawn: true, OpLiw: true, OpLir: false,
+		OpKill: true, OpHalt: true, OpFAdd: false, OpFSub: false, OpFMul: false,
+		OpFMA: false, OpFLd: false, OpFSt: true, OpFCmp: false, OpSetF: false,
+		OpGetF: false,
 	}
-	for _, op := range []Op{OpSt, OpCall, OpCallB, OpRet, OpHalt, OpChk, OpSpawn, OpKill, OpLiw} {
-		if !(&Instr{Op: op}).HasSideEffect() {
-			t.Errorf("%s not flagged as side-effecting", op)
+	if len(want) != int(NumOps) {
+		t.Fatalf("%d rows for %d opcodes", len(want), NumOps)
+	}
+	for op, w := range want {
+		if got := (&Instr{Op: op}).HasSideEffect(); got != w {
+			t.Errorf("%s: HasSideEffect = %v, want %v", op, got, w)
 		}
 	}
 }

@@ -154,6 +154,25 @@ func (o Op) IsBranch() bool {
 	return c == CtlJump || c == CtlCall || c == CtlReturn
 }
 
+// HasSideEffect reports whether the instruction must never be included in a
+// p-slice: it writes memory or the live-in buffer (a memory or slot operand
+// left of '='), or it moves the PC other than by the slice's own branches
+// (any control class but none and jump: calls, returns, traps, stops). The
+// paper's tool "ensures that no store instructions are included in the
+// precomputation" (§2).
+func (i *Instr) HasSideEffect() bool {
+	r := i.Op.info()
+	if r.ctl != CtlNone && r.ctl != CtlJump {
+		return true
+	}
+	for _, o := range r.syntax[:r.lhs] {
+		if o == oMem || o == oSlot {
+			return true
+		}
+	}
+	return false
+}
+
 // TargetKind returns the kind of name the instruction's Target holds:
 // its opcode's, or NoTarget for movbr's register form.
 func (i *Instr) TargetKind() TargetKind {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"ssp/internal/pages"
 )
@@ -210,6 +211,9 @@ func parseInstr(line string) (*Instr, error) {
 	in.Op = op
 	r := &opTable[op]
 	if len(r.syntax) == 0 {
+		if rest != "" {
+			return nil, fmt.Errorf("%s takes no operands, got %q", op, rest)
+		}
 		return in, nil
 	}
 	// A form without '=' reads its one operand from the whole rest.
@@ -282,7 +286,7 @@ func (in *Instr) parseOperand(o operand, s string) error {
 		in.Bs, err = parseBR(s)
 	case oFuncOrRa:
 		if fn, ok := strings.CutPrefix(s, "@"); ok {
-			in.Target = fn
+			err = in.setTarget(fn)
 		} else {
 			in.Ra, err = parseGR(s)
 		}
@@ -297,11 +301,22 @@ func (in *Instr) parseOperand(o operand, s string) error {
 	case oFc:
 		in.Fc, err = parseFR(s)
 	case oTarget:
-		if in.Target = s; s == "" {
-			err = fmt.Errorf("%s requires a target", in.Op)
-		}
+		err = in.setTarget(s)
 	}
 	return err
+}
+
+// setTarget sets a label, spawn or function target: one name, with no
+// whitespace or '=' in it.
+func (in *Instr) setTarget(s string) error {
+	if s == "" {
+		return fmt.Errorf("%s requires a target", in.Op)
+	}
+	if strings.ContainsFunc(s, func(r rune) bool { return r == '=' || unicode.IsSpace(r) }) {
+		return fmt.Errorf("%s: bad target %q", in.Op, s)
+	}
+	in.Target = s
+	return nil
 }
 
 // parseOp2 parses the second source operand: a register or an immediate.

@@ -7,6 +7,7 @@ import (
 	"ssp/internal/ir"
 	"ssp/internal/profile"
 	"ssp/internal/sim"
+	"ssp/internal/sim/decode"
 	"ssp/internal/ssp"
 	"ssp/internal/workloads"
 )
@@ -92,8 +93,8 @@ func liveHeap() uint64 {
 // takes paper-scale mcf through build, Link, Predecode, and Digest, and the
 // heap all that retains must stay within 1.25 times the cost of the data
 // image's pages and their presence masks. The data is stored once, as the
-// pages machines install by page copy; a second copy of the words (a word
-// map, a pre-paged snapshot) would double it.
+// pages machines map when they install it; a second copy of the words (a
+// word map, a pre-paged snapshot) would double it.
 func TestDataImageHeapAllocs(t *testing.T) {
 	if sim.RaceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -160,4 +161,111 @@ func BenchmarkDataImageStages(b *testing.B) {
 			dp.Digest()
 		}
 	})
+}
+
+// storePages is an exec hook that records the page of every store the main
+// thread executes with its predicate true: the pages a run stores to.
+type storePages map[uint64]bool
+
+func (s storePages) Exec(m *sim.Machine, t *sim.Thread, pc int) {
+	in := &m.Img.Code[pc].I
+	if t.Speculative() || (in.Op != ir.OpSt && in.Op != ir.OpFSt) || (in.Qp != ir.PTrue && !t.Preds[in.Qp]) {
+		return
+	}
+	s[(t.Regs[in.Ra]+uint64(in.Disp))>>12] = true
+}
+
+// TestMachineMemoryAllocs pins the cost of a data image to a machine at
+// zero: an installed image is mapped, not copied, and a machine owns only
+// the pages its run stores to. It checks that
+//   - a pooled machine's Reset+Run, and a fresh machine's construction and
+//     Run, cost the same bytes, within a small slack, over mcf's test-scale
+//     image and over one 16 times larger (the runs touch the same pages);
+//   - after a run, the machine owns exactly the pages the run stored to,
+//     on both engines, for a benchmark that stores to one page (mcf) and
+//     for ones that store into their heaps (em3d, treeadd.bf).
+//
+// TestEngineSteadyStateAllocs and TestInterpretAllocs keep their ceilings
+// on top of this.
+func TestMachineMemoryAllocs(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	spec, err := workloads.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := spec.Build(spec.TestScale)
+	big, _ := spec.Build(16 * spec.TestScale)
+	cfg := sim.DefaultInOrder()
+	cfg.UseTinyMem()
+	predecode := func(data *ir.DataImage) *decode.Program {
+		prog := p.Clone()
+		prog.Data = data
+		img, err := ir.Link(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sim.Predecode(img)
+	}
+	run := func(m *sim.Machine) {
+		if _, err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pooled := func(dp *decode.Program) uint64 {
+		m := sim.NewPredecoded(cfg, dp)
+		return bytesPerRun(4, func() {
+			m.Reset(cfg, dp)
+			run(m)
+		})
+	}
+	fresh := func(dp *decode.Program) uint64 {
+		return bytesPerRun(4, func() { run(sim.NewPredecoded(cfg, dp)) })
+	}
+	smallDP, bigDP := predecode(p.Data), predecode(big.Data)
+	for _, c := range []struct {
+		name string
+		cost func(*decode.Program) uint64
+	}{{"pooled", pooled}, {"fresh", fresh}} {
+		small, large := c.cost(smallDP), c.cost(bigDP)
+		t.Logf("%s: %d B/run over %d data pages, %d B/run over %d", c.name, small, p.Data.Pages(), large, big.Data.Pages())
+		if large > small+small/16 {
+			t.Errorf("%s machine: %d B/run over a 16x larger image, against %d: the machine copies the image", c.name, large, small)
+		}
+	}
+
+	for _, name := range []string{"mcf", "em3d", "treeadd.bf"} {
+		spec, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, _ := spec.Build(spec.TestScale)
+		img, err := ir.Link(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dp := sim.Predecode(img)
+		for _, cfg := range []sim.Config{sim.DefaultInOrder(), sim.DefaultOOO()} {
+			cfg.UseTinyMem()
+			m := sim.NewPredecoded(cfg, dp)
+			for rerun := 0; rerun < 2; rerun++ {
+				if rerun > 0 {
+					m.Reset(cfg, dp)
+				}
+				stored := storePages{}
+				m.AttachExec(stored)
+				run(m)
+				if rerun == 0 {
+					t.Logf("%s/%s: stored to %d of %d resident pages", name, cfg.Model, len(stored), m.Mem.Footprint())
+				}
+				if got := m.Mem.Owned(); got != len(stored) {
+					t.Errorf("%s/%s run %d: machine owns %d pages, the run stored to %d", name, cfg.Model, rerun, got, len(stored))
+				}
+				if m.Mem.Footprint() < prog.Data.Pages() {
+					t.Errorf("%s/%s: footprint %d, under the image's %d pages", name, cfg.Model, m.Mem.Footprint(), prog.Data.Pages())
+				}
+			}
+		}
+	}
 }

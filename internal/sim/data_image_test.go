@@ -3,6 +3,7 @@ package sim_test
 import (
 	"crypto/sha256"
 	"fmt"
+	"sync"
 	"testing"
 
 	"ssp/internal/ir"
@@ -63,5 +64,86 @@ func TestDataImagePinned(t *testing.T) {
 		if want, ok := pinnedData[name]; !ok || got != want {
 			t.Errorf("%s: got %+v, want %+v", name, got, want)
 		}
+	}
+}
+
+// TestMachinesShareDataImage: machines that run concurrently over one
+// linked image share its data pages, and em3d stores into its heap, so
+// each run copies the pages it stores to. Under the race detector any
+// write to a shared page is a race. Afterwards the image holds what it was
+// built with, and every run's memory checksum is that of the same run made
+// alone.
+func TestMachinesShareDataImage(t *testing.T) {
+	spec, err := workloads.ByName("em3d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := spec.Build(spec.TestScale)
+	pristine, _ := spec.Build(spec.TestScale)
+	img, err := ir.Link(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp := sim.Predecode(img)
+	var cfgs []sim.Config
+	for _, cfg := range []sim.Config{sim.DefaultInOrder(), sim.DefaultOOO()} {
+		cfg.UseTinyMem()
+		cfgs = append(cfgs, cfg)
+	}
+	// Each job is one run over the image: both engines, and the functional
+	// interpreter. It returns the run's memory checksum and owned pages.
+	jobs := []func() (uint64, int, error){}
+	for _, cfg := range cfgs {
+		jobs = append(jobs, func() (uint64, int, error) {
+			m := sim.NewPredecoded(cfg, dp)
+			res, err := m.Run()
+			if err != nil {
+				return 0, 0, err
+			}
+			return res.MemChecksum, m.Mem.Owned(), nil
+		})
+	}
+	jobs = append(jobs, func() (uint64, int, error) {
+		r, err := sim.InterpretPredecoded(cfgs[0], dp, 1<<40)
+		if err != nil {
+			return 0, 0, err
+		}
+		return r.Mem.Checksum(), r.Mem.Owned(), nil
+	})
+	solo := make([]uint64, len(jobs))
+	for i, job := range jobs {
+		sum, owned, err := job()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if owned < 2 {
+			t.Fatalf("job %d owns %d pages: em3d no longer stores into its heap", i, owned)
+		}
+		solo[i] = sum
+	}
+	var wg sync.WaitGroup
+	got, errs := make([]uint64, len(jobs)), make([]error, len(jobs))
+	for i, job := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _, errs[i] = job()
+		}()
+	}
+	wg.Wait()
+	for i := range jobs {
+		if errs[i] != nil || got[i] != solo[i] {
+			t.Errorf("job %d: concurrent checksum %#x (%v), alone %#x", i, got[i], errs[i], solo[i])
+		}
+	}
+	if ir.Format(p) != ir.Format(pristine) {
+		t.Fatal("the runs changed the program's data image")
+	}
+	// Sum is memoized on the image: re-sum a copy of its current words.
+	words := p.Clone()
+	a := words.Data.Addrs()[0]
+	words.SetWord(a, words.Data.Word(a))
+	if words.Data.Sum() != pristine.Data.Sum() || img.Data.Sum() != pristine.Data.Sum() {
+		t.Fatal("the runs changed the data image's digest")
 	}
 }

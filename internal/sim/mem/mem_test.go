@@ -146,6 +146,65 @@ func TestInstallExplicitZeroPage(t *testing.T) {
 	}
 }
 
+// TestStoreCopiesSharedPage: memories that install one image share its
+// pages; a store copies the page into a frame of the storing memory's own,
+// so the image and every other memory keep the image's contents, and
+// Reset+Install maps the image again. Radix and outlier pages behave alike.
+func TestStoreCopiesSharedPage(t *testing.T) {
+	high := uint64(1) << 40
+	words := map[uint64]uint64{0x2000: 1, 0x2008: 2, 0x5000: 3, high: 4}
+	img := image(words)
+	sum := img.Sum()
+	a, b := NewMemory(), NewMemory()
+	a.Install(img)
+	b.Install(img)
+	if a.Footprint() != 3 || a.Owned() != 0 {
+		t.Fatalf("installed: footprint %d, owned %d; want 3, 0", a.Footprint(), a.Owned())
+	}
+	for _, addr := range []uint64{0x2000, high} {
+		a.Load(addr) // the load cache now holds the shared page
+		a.Store(addr, 99)
+		if a.Load(addr) != 99 {
+			t.Fatalf("%#x: load after store = %d, want 99", addr, a.Load(addr))
+		}
+	}
+	a.Store(0x2008, 98) // the page is owned now: no second copy
+	a.Store(0x9000, 7)  // a page outside the image
+	if a.Owned() != 3 || a.Footprint() != 4 {
+		t.Fatalf("after stores: owned %d, footprint %d; want 3, 4", a.Owned(), a.Footprint())
+	}
+	if a.Load(0x5000) != 3 {
+		t.Fatal("a store lost a word of the copied page's neighbour")
+	}
+	for addr, v := range words {
+		if img.Word(addr) != v || b.Load(addr) != v {
+			t.Fatalf("%#x: image %d, other memory %d; want %d", addr, img.Word(addr), b.Load(addr), v)
+		}
+	}
+	if img.Sum() != sum || b.Owned() != 0 || b.Load(0x9000) != 0 {
+		t.Fatal("a store reached the image or the other memory")
+	}
+	a.Reset()
+	a.Install(img)
+	if a.Checksum() != b.Checksum() || a.Owned() != 0 || a.Load(0x9000) != 0 || a.Load(0x2000) != 1 {
+		t.Fatal("Reset+Install did not restore the image's contents")
+	}
+	// The frames stores take are reused, not reallocated. (Visiting an
+	// image's outlier pages in order allocates, so this image has none.)
+	if raceEnabled {
+		return
+	}
+	low := image(map[uint64]uint64{0x2000: 1, 0x5000: 3})
+	if n := testing.AllocsPerRun(10, func() {
+		a.Store(0x2000, 5)
+		a.Store(0x9000, 7)
+		a.Reset()
+		a.Install(low)
+	}); n != 0 {
+		t.Fatalf("store, Reset and Install allocate %v times", n)
+	}
+}
+
 // TestQuickPfWindow: property — the ring-buffer prefetch window with its
 // open-addressed line set behaves exactly like the reference model it
 // replaced (a map plus a re-sliced FIFO that keeps demand-consumed lines in
