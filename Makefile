@@ -8,7 +8,8 @@ GO ?= go
 # run skips it — instrumentation allocates), the benchmark module's vet and
 # tests, the 500-seed validation sweep the CI check job runs (sspcheck), a
 # short native-fuzzing smoke of the parser, the adaptation tool, the safety
-# certifier on untrusted IR, and the threaded execution core, Figure 1's
+# certifier on untrusted IR and the isolation its certificate claims, and the
+# threaded execution core, Figure 1's
 # file flow through the command-line tools (tools-smoke), and the gates CI
 # runs as jobs of their own: the served matrix validated against the golden
 # stats with SSE progress streams (serve-smoke), the closed-loop tuner
@@ -54,6 +55,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ir -run '^$$' -fuzz FuzzParseAsmRoundTrip -fuzztime 30s
 	$(GO) test ./internal/ssp -run '^$$' -fuzz FuzzAdaptRandomProgram -fuzztime 30s
 	$(GO) test ./internal/ssp -run '^$$' -fuzz FuzzAnalyzeSafety -fuzztime 30s
+	$(GO) test ./internal/check -run '^$$' -fuzz FuzzCertifiedIsolation -fuzztime 30s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzThreadedEquivalence -fuzztime 30s
 
 # cover enforces the coverage floor over the whole module (statement coverage,

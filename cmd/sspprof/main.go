@@ -33,6 +33,7 @@ import (
 	"ssp/internal/profile"
 	"ssp/internal/sim"
 	"ssp/internal/sim/decode"
+	"ssp/internal/ssp"
 )
 
 func main() {
@@ -56,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	_, _, pr, dp, err := exp.NewSuite(input.Scale).Original(context.Background(), input.Bench, input.Src)
+	orig, _, pr, dp, err := exp.NewSuite(input.Scale).Original(context.Background(), input.Bench, input.Src)
 	if err != nil {
 		return err
 	}
@@ -76,7 +77,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := pr.Save(w); err != nil {
 		return err
 	}
-	dels := pr.DelinquentLoads(0.9, 10)
+	// The loads the tool would target: ranked per hot region (§2.2's cutoff
+	// within each), as ssp.Adapt ranks them.
+	dels := ssp.RankTargets(orig, pr, ssp.DefaultOptions())
 	fmt.Fprintf(stderr, "profiled %d cycles; %d loads cover >=90%% of %d miss cycles: %v\n",
 		pr.Cycles, len(dels), pr.TotalMissCycles, dels)
 	return nil

@@ -1,13 +1,18 @@
 package main
 
 import (
+	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ssp/internal/cliutil/clitest"
+	"ssp/internal/exp"
 	"ssp/internal/profile"
+	"ssp/internal/ssp"
 )
 
 // TestPinnedOutput: the profile bundle and the hot-block table are
@@ -36,7 +41,7 @@ func TestProfilePipeline(t *testing.T) {
 	if pr.Cycles == 0 || len(pr.Loads) == 0 {
 		t.Fatalf("profile empty: cycles=%d loads=%d", pr.Cycles, len(pr.Loads))
 	}
-	if len(pr.DelinquentLoads(0.9, 10)) == 0 {
+	if len(pr.DelinquentLoadsByRegion(0.9, 10, 0, func(int) string { return "" })) == 0 {
 		t.Fatal("no delinquent loads in saved profile")
 	}
 }
@@ -49,5 +54,26 @@ func TestProfileErrors(t *testing.T) {
 		if err := run([]string{"-bench", "mcf", "-scale", scale}, io.Discard, io.Discard); err == nil {
 			t.Errorf("-scale %s: accepted", scale)
 		}
+	}
+}
+
+// TestReportsToolTargets: the loads sspprof reports are the ones the tool
+// adapts (ssp.RankTargets, ranked per hot region), not a global ranking;
+// on health the two differ.
+func TestReportsToolTargets(t *testing.T) {
+	var stderr strings.Builder
+	if err := run([]string{"-bench", "health", "-scale", "test"}, io.Discard, &stderr); err != nil {
+		t.Fatal(err)
+	}
+	orig, _, pr, _, err := exp.NewSuite(exp.ScaleTest).Original(context.Background(), "health", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprint(ssp.RankTargets(orig, pr, ssp.DefaultOptions()))
+	if !strings.HasSuffix(strings.TrimSpace(stderr.String()), ": "+want) {
+		t.Fatalf("sspprof reports %q, the tool targets %s", stderr.String(), want)
+	}
+	if global := fmt.Sprint(pr.DelinquentLoadsByRegion(0.9, 10, 0, func(int) string { return "" })); global == want {
+		t.Fatalf("health's global ranking %s equals the per-region one: the test no longer tells them apart", global)
 	}
 }

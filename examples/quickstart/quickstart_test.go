@@ -56,7 +56,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("delinquent loads (>=90%% of %d miss cycles): %v\n", prof.TotalMissCycles, prof.DelinquentLoads(0.9, 10))
+	fmt.Printf("delinquent loads (>=90%% of %d miss cycles): %v\n", prof.TotalMissCycles, ssp.RankTargets(p, prof, ssp.DefaultOptions()))
 
 	// 3. Post-pass adaptation: slice, schedule, place triggers, attach.
 	enh, rep, err := ssp.Adapt(p, prof, ssp.DefaultOptions(), "quickstart")

@@ -174,7 +174,7 @@ func TestWorkloadMetamorphic(t *testing.T) {
 
 // TestBrokenAdaptationCaught: a store injected into a p-slice — the exact
 // violation the paper's safety argument forbids — is caught both statically
-// by ssp.VerifyAttachments and dynamically by the metamorphic layer (the
+// by ssp.AnalyzeSafety and dynamically by the metamorphic layer (the
 // hardware suppresses the store, so it surfaces as SpecStores != 0 rather
 // than as corrupted state).
 func TestBrokenAdaptationCaught(t *testing.T) {
@@ -189,8 +189,8 @@ func TestBrokenAdaptationCaught(t *testing.T) {
 	b.InsertAt(len(b.Instrs)-1, st)
 	f.Renumber()
 
-	if _, err := ssp.VerifyAttachments(adapted); err == nil {
-		t.Error("VerifyAttachments accepted a slice containing a store")
+	if err := ssp.AnalyzeSafety(adapted, ssp.DefaultSafetyCeiling).Err(); err == nil {
+		t.Error("AnalyzeSafety accepted a slice containing a store")
 	}
 	err := referenceLayers(Configs(true), orig, adapted)
 	if err == nil {

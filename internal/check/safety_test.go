@@ -1,12 +1,17 @@
 package check
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"ssp/internal/ir"
+	"ssp/internal/profile"
 	"ssp/internal/sim"
 	"ssp/internal/ssp"
+	"ssp/internal/workloads"
 )
 
 // withOracle runs the whole lattice on an adapted program with the budget
@@ -77,4 +82,66 @@ func TestSafetyOracleDetectsOverrun(t *testing.T) {
 	if !strings.Contains(err.Error(), "dynamic oracle") || !strings.Contains(err.Error(), "budget") {
 		t.Fatalf("oracle fired for the wrong reason: %v", err)
 	}
+}
+
+// FuzzCertifiedIsolation fuzzes the claim a clean safety report makes: for
+// any program ir.Parse accepts and ssp.AnalyzeSafety certifies, its
+// attachments never change the main thread's result, so both cycle engines
+// end with the interpreter's main-thread registers (ScratchGR aside) and
+// memory (Differential). Configs are the test machines under a small
+// watchdog; a program that does not link, can run off the end of its code,
+// or whose reference run breaks the run rule (watchdog, main-thread kill,
+// instruction limit) has no result to compare and is skipped. Seeds: internal/ir/testdata/*.ssp, an adapted RandomProgram(0),
+// and the trigger probes of internal/ssp/testdata, which a verifier without
+// the attachment rules certifies and the engines then disagree on.
+func FuzzCertifiedIsolation(f *testing.F) {
+	cfgs := Configs(true)
+	for i := range cfgs {
+		cfgs[i].MaxCycles = 2_000_000
+	}
+	files, err := filepath.Glob(filepath.Join("..", "ir", "testdata", "*.ssp"))
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no seed programs: %v", err)
+	}
+	probes, err := filepath.Glob(filepath.Join("..", "ssp", "testdata", "probe_*.ssp"))
+	if err != nil || len(probes) != 2 {
+		f.Fatalf("want the two trigger probes, found %v (%v)", probes, err)
+	}
+	for _, file := range append(files, probes...) {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	p := workloads.RandomProgram(0)
+	prof, err := profile.Collect(p, cfgs[0])
+	if err != nil {
+		f.Fatal(err)
+	}
+	adapted, _, err := ssp.Adapt(p, prof, ssp.DefaultOptions(), "fuzz")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ir.Format(adapted))
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := ir.Parse(src)
+		if err != nil || ssp.AnalyzeSafety(p, cfgs[0].MaxSpecInstrs).Err() != nil {
+			return
+		}
+		img, err := ir.Link(p)
+		if err != nil {
+			return // nothing to run
+		}
+		// The machines do not define running past the image's last
+		// instruction (they panic), so only programs whose code cannot
+		// fall off its end are run.
+		if last := img.Code[len(img.Code)-1].I; !last.Op.EndsBlock() || last.Qp != ir.PTrue {
+			return
+		}
+		var re *sim.RunError
+		if err := Differential(cfgs, p, 1_000_000); err != nil && !errors.As(err, &re) {
+			t.Fatalf("certified program changes the main thread's result: %v", err)
+		}
+	})
 }

@@ -434,9 +434,10 @@ func (s *Suite) profile(ctx context.Context, bench string, p *program, cfg sim.C
 	return nil
 }
 
-// binary adapts (for the hand and tool treatments), links, and predecodes
-// r's binary once per (program, treatment). The binary cell and the
-// program cell it reads stay pinned on l.
+// binary adapts (for the hand and tool treatments, both certified
+// speculation-safe), links, and predecodes r's binary once per (program,
+// treatment). The binary cell and the program cell it reads stay pinned on
+// l.
 func (s *Suite) binary(ctx context.Context, r request, l *lease) (*binary, error) {
 	size := binaryBytes
 	if r.treat == treatBase {
@@ -453,7 +454,10 @@ func (s *Suite) binary(ctx context.Context, r request, l *lease) (*binary, error
 			b.dp, b.image = p.dp, p.image
 			return b, nil
 		case r.treat == treatHand:
-			b.prog, err = handtuned.Adapt(r.bench, p.orig)
+			// Certified like the tool's output (ssp.Adapt).
+			if b.prog, err = handtuned.Adapt(r.bench, p.orig); err == nil {
+				err = ssp.AnalyzeSafety(b.prog, ssp.DefaultSafetyCeiling).Err()
+			}
 		case r.opt != nil:
 			l := r.label()
 			if b.prog, b.rep, err = ssp.Adapt(p.orig, p.prof, *r.opt, l.Bench); err != nil {

@@ -59,7 +59,7 @@ const NumBRs = 8
 // LIBSlots is the number of live-in buffer slots per thread context (the
 // modelled RSE backing-store window, §2.1). Liw/Lir slot immediates wrap
 // modulo this size in hardware; well-formed SSP code stays below it, which
-// ssp.VerifyAttachments enforces.
+// ssp.AnalyzeSafety enforces for every liw and lir in a program.
 const LIBSlots = 16
 
 func (b BR) String() string { return fmt.Sprintf("b%d", uint8(b)) }

@@ -34,6 +34,7 @@ const LeafPages = (1 << leafBits) * 8 / (8 << Bits)
 type Table[P any] struct {
 	root   []*leaf[P]            // dense first level, grown up to rootMax entries
 	out    map[uint64]outlier[P] // outliers beyond the radix span
+	outIdx []uint64              // out's page indices, ascending
 	n      int                   // resident pages
 	shared int                   // resident pages whose frame is shared
 	leaves int                   // allocated leaf tables
@@ -101,7 +102,11 @@ func (t *Table[P]) Set(idx uint64, p *P, shared bool) (old *P, oldShared bool) {
 		if t.out == nil {
 			t.out = make(map[uint64]outlier[P])
 		}
-		o := t.out[idx]
+		o, ok := t.out[idx]
+		if !ok {
+			i, _ := slices.BinarySearch(t.outIdx, idx)
+			t.outIdx = slices.Insert(t.outIdx, i, idx)
+		}
 		old, oldShared = o.p, o.shared
 		t.out[idx] = outlier[P]{p, shared}
 	} else {
@@ -156,6 +161,7 @@ func (t *Table[P]) Clear(owned func(p *P)) {
 		}
 	}
 	clear(t.out)
+	t.outIdx = t.outIdx[:0]
 	t.n, t.shared = 0, 0
 }
 
@@ -176,7 +182,9 @@ func (t *Table[P]) Shared() int { return t.shared }
 func (t *Table[P]) Leaves() int { return t.leaves }
 
 // Each visits every resident page, shared and owned, in ascending
-// page-index order (outliers sort after the radix by construction).
+// page-index order (outliers sort after the radix by construction). It
+// neither allocates nor writes the table, so a shared table is safe to
+// visit concurrently.
 func (t *Table[P]) Each(f func(idx uint64, p *P)) {
 	for r, l := range t.root {
 		if l == nil {
@@ -188,12 +196,7 @@ func (t *Table[P]) Each(f func(idx uint64, p *P)) {
 			}
 		}
 	}
-	idxs := make([]uint64, 0, len(t.out))
-	for idx := range t.out {
-		idxs = append(idxs, idx)
-	}
-	slices.Sort(idxs)
-	for _, idx := range idxs {
+	for _, idx := range t.outIdx {
 		f(idx, t.out[idx].p)
 	}
 }

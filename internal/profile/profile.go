@@ -108,59 +108,26 @@ func FromResult(p *ir.Program, img *ir.Image, memCfg mem.Config, res *sim.Result
 	return pr
 }
 
-// DelinquentLoads returns the IDs of the static loads that together account
-// for at least cutoff (e.g. 0.9) of all miss cycles, ranked by miss cycles,
-// capped at max entries: "the tool uses the cache profiles from the
-// simulator to identify the top delinquent loads that contribute to at least
-// 90% of the cache misses" (§2.2). "For many programs, only a small number
-// of static loads are responsible for the vast majority of cache misses."
+// DelinquentLoadsByRegion ranks delinquent loads within hot regions: loads
+// are grouped by the region key that regionOf assigns them, regions
+// carrying less than minFrac of all miss cycles are dropped, and in each
+// region the static loads that together account for at least cutoff (e.g.
+// 0.9) of the region's miss cycles are selected, ranked by miss cycles (ID
+// ascending on ties), capped at max entries: "the tool uses the cache
+// profiles from the simulator to identify the top delinquent loads that
+// contribute to at least 90% of the cache misses" (§2.2). "For many
+// programs, only a small number of static loads are responsible for the
+// vast majority of cache misses." Regions are emitted hottest first, so the
+// result concatenates one target set per hot region — the portfolio shape
+// of Table 2, where each hot routine gets its own p-slice. The global
+// ranking is this ranking over a single region (a regionOf that returns one
+// key, minFrac 0).
 //
-// A cutoff of 1.0 (or more) selects every missing load; max <= 0 means no
-// cap. The "at least" comparison is done in floating point against
-// cutoff*total — truncating the target to an integer could stop one load
-// early on rounding boundaries and silently under-cover.
-func (pr *Profile) DelinquentLoads(cutoff float64, max int) []int {
-	type cand struct {
-		id int
-		mc uint64
-	}
-	var cands []cand
-	for id, s := range pr.Loads {
-		if s.MissCycles > 0 {
-			cands = append(cands, cand{id, s.MissCycles})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].mc != cands[j].mc {
-			return cands[i].mc > cands[j].mc
-		}
-		return cands[i].id < cands[j].id
-	})
-	if max <= 0 {
-		max = len(cands)
-	}
-	target := cutoff * float64(pr.TotalMissCycles)
-	var out []int
-	var cum uint64
-	for _, c := range cands {
-		if len(out) >= max || (len(out) > 0 && float64(cum) >= target) {
-			break
-		}
-		out = append(out, c.id)
-		cum += c.mc
-	}
-	return out
-}
-
-// DelinquentLoadsByRegion ranks delinquent loads within hot regions instead
-// of across the whole program: loads are grouped by the region key that
-// regionOf assigns them, regions carrying less than minFrac of all miss
-// cycles are dropped, and the §2.2 cutoff/max selection of DelinquentLoads is
-// applied per region against that region's own miss-cycle total. Regions are
-// emitted hottest first, so the result concatenates one target set per hot
-// region — the portfolio shape of Table 2, where each hot routine gets its
-// own p-slice. On a single-hot-region profile the result is identical to
-// DelinquentLoads.
+// A cutoff of 1.0 (or more) selects every missing load; a cutoff of 0 or
+// less still selects each region's top load; max <= 0 means no cap. The "at
+// least" comparison is done in floating point against cutoff*total —
+// truncating the target to an integer could stop one load early on
+// rounding boundaries and silently under-cover.
 //
 // A load regionOf maps to "" is unattributable (e.g. its instruction is gone
 // from the current image) and competes in a region of its own. If selection
@@ -220,7 +187,7 @@ func (pr *Profile) DelinquentLoadsByRegion(cutoff float64, max int, minFrac floa
 		}
 	}
 	if len(out) == 0 && any {
-		return pr.DelinquentLoads(cutoff, max)
+		return pr.DelinquentLoadsByRegion(cutoff, max, 0, func(int) string { return "" })
 	}
 	return out
 }

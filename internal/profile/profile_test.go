@@ -94,12 +94,12 @@ func TestDelinquentLoadsOrderingAndCutoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dels := pr.DelinquentLoads(0.9, 10)
+	dels := pr.DelinquentLoadsByRegion(0.9, 10, 0, oneRegion)
 	if len(dels) != 1 {
 		t.Fatalf("dels = %v, want the single strided load", dels)
 	}
 	// max <= 0 means no cap, not "select nothing".
-	if got := pr.DelinquentLoads(0.9, 0); len(got) != 1 {
+	if got := pr.DelinquentLoadsByRegion(0.9, 0, 0, oneRegion); len(got) != 1 {
 		t.Errorf("max=0 returned %v, want the single strided load", got)
 	}
 }
@@ -113,6 +113,12 @@ func synthProfile(miss map[int]uint64) *Profile {
 	return pr
 }
 
+// oneRegion puts every load in one region: DelinquentLoadsByRegion with it
+// (and minFrac 0) is the global ranking.
+func oneRegion(int) string { return "" }
+
+// TestDelinquentLoadsBoundaries pins the cutoff/max selection on the global
+// ranking, the per-region ranking over a single region.
 func TestDelinquentLoadsBoundaries(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -146,10 +152,10 @@ func TestDelinquentLoadsBoundaries(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := idsString(synthProfile(tc.miss).DelinquentLoads(tc.cutoff, tc.max))
+			got := idsString(synthProfile(tc.miss).DelinquentLoadsByRegion(tc.cutoff, tc.max, 0, oneRegion))
 			want := idsString(tc.want)
 			if got != want {
-				t.Errorf("DelinquentLoads(%v, %d) = %s, want %s", tc.cutoff, tc.max, got, want)
+				t.Errorf("DelinquentLoadsByRegion(%v, %d) over one region = %s, want %s", tc.cutoff, tc.max, got, want)
 			}
 		})
 	}
@@ -279,8 +285,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("load %d stats changed", id)
 		}
 	}
-	d1 := pr.DelinquentLoads(0.9, 10)
-	d2 := got.DelinquentLoads(0.9, 10)
+	d1 := pr.DelinquentLoadsByRegion(0.9, 10, 0, oneRegion)
+	d2 := got.DelinquentLoadsByRegion(0.9, 10, 0, oneRegion)
 	if len(d1) != len(d2) || (len(d1) > 0 && d1[0] != d2[0]) {
 		t.Fatalf("delinquent sets differ: %v vs %v", d1, d2)
 	}
@@ -335,7 +341,7 @@ func TestProfileIDsSurviveAsmRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range pr.DelinquentLoads(0.9, 10) {
+	for _, id := range pr.DelinquentLoadsByRegion(0.9, 10, 0, oneRegion) {
 		_, _, in1 := p1.InstrByID(id)
 		_, _, in2 := p2.InstrByID(id)
 		if in1 == nil || in2 == nil || in1.String() != in2.String() {

@@ -271,10 +271,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Safety gate: user-submitted IR may carry hand-written slice regions,
-	// and the machines will happily spawn whatever is attached. Any slice
-	// in a source job must pass the speculation-safety verifier at the
-	// ceiling of the machine the job would run on; violations are 422
+	// Safety gate: user-submitted IR may carry hand-written attachments,
+	// and the machines will happily divert into and spawn whatever is
+	// attached. A source job must pass the speculation-safety verifier, the
+	// tool's own (ssp.AnalyzeSafety), at the ceiling of the machine the job
+	// would run on: its stubs and main-thread code keep the Figure 7 layout
+	// and its slices are proven bounded and isolated. Violations are 422
 	// with the machine-readable report, before the job can reach a cache
 	// cell or a worker (unsafe programs are never cached, so a later
 	// fixed submission is a fresh key and a fresh verification).
@@ -416,11 +418,12 @@ type UnsafeResponse struct {
 	Safety *ssp.SafetyReport `json:"safety"`
 }
 
-// vetSource statically verifies user-submitted IR before admission: any
-// slice regions it carries must be provably bounded and state-isolated at
-// the MaxSpecInstrs ceiling of the machine the job would run on. Programs
-// without slices pass trivially. The report is returned either way so the
-// 422 path can hand it to the client.
+// vetSource statically verifies user-submitted IR before admission: its
+// attachments must keep the main thread's state unchanged and any slice
+// regions must be provably bounded and state-isolated at the MaxSpecInstrs
+// ceiling of the machine the job would run on. Programs without attachments
+// pass trivially. The report is returned either way so the 422 path can
+// hand it to the client.
 func (s *Server) vetSource(j job) (*ssp.SafetyReport, error) {
 	rep := ssp.AnalyzeSafety(j.prog, s.tuners[j.scale()].Suite.MachineConfig(j.Model).MaxSpecInstrs)
 	return rep, rep.Err()

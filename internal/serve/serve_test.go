@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -212,6 +214,37 @@ func TestUnsafeSourceRejected(t *testing.T) {
 	}
 	if jr.Result.Spawns == 0 {
 		t.Errorf("hand-adapted source ran but spawned no speculative threads")
+	}
+}
+
+// TestTriggerProbesRejected: a submitted program whose chk.c diverts the
+// main thread into a block that writes a main-thread register would change
+// the main thread's result, whether or not the block carries the tool's stub
+// label. Each probe is a 422 whose report carries the trigger class; it
+// counts as unsafe and never enters the pipeline.
+func TestTriggerProbesRejected(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	probes := []string{"probe_chk_nonstub.ssp", "probe_stub_write.ssp"}
+	for _, name := range probes {
+		src, err := os.ReadFile(filepath.Join("..", "ssp", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, _, msg := post(t, ts, JobSpec{Source: string(src), Model: "in-order"})
+		if code != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: HTTP %d (%s), want 422", name, code, msg)
+		}
+		var ur UnsafeResponse
+		if err := json.Unmarshal([]byte(msg), &ur); err != nil {
+			t.Fatalf("%s: 422 body is not an UnsafeResponse: %v\n%s", name, err, msg)
+		}
+		if ur.Safety == nil || len(ur.Safety.Violations) == 0 || ur.Safety.Violations[0].Class != ssp.SafetyTrigger {
+			t.Errorf("%s: report %+v, want a %q violation", name, ur.Safety, ssp.SafetyTrigger)
+		}
+	}
+	st := s.Snapshot()
+	if st.Unsafe != int64(len(probes)) || st.Cells != 0 || st.Requests != 0 {
+		t.Errorf("statz unsafe=%d cells=%d requests=%d, want %d/0/0", st.Unsafe, st.Cells, st.Requests, len(probes))
 	}
 }
 

@@ -1,6 +1,10 @@
 package mem
 
-import "testing"
+import (
+	"testing"
+
+	"ssp/internal/ir"
+)
 
 // TestAccessPathZeroAllocs pins the per-access hot path — Memory.Load/Store,
 // Hierarchy.Access, Prefetch, and fill-buffer drain — to exactly zero heap
@@ -44,9 +48,12 @@ func TestAccessPathZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestResetZeroAllocs pins warm Hierarchy.Reset and Memory.Reset to zero
-// allocations: both must recycle their frames so exp.Suite's machine pool
-// reuses layouts instead of rebuilding them per matrix cell.
+// TestResetZeroAllocs pins a pooled machine's warm memory round to zero
+// allocations: Hierarchy.Reset and Memory.Reset recycle their frames so
+// exp.Suite's machine pool reuses layouts instead of rebuilding them per
+// matrix cell, and installing an image, storing to its shared pages and
+// Checksum (which visits the pages in ascending order) reuse them too, for
+// pages beyond the radix span (byte address 1<<40) as well.
 func TestResetZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -59,9 +66,17 @@ func TestResetZeroAllocs(t *testing.T) {
 		h.Access(int(i%8), i*4096, int64(i)*500, true)
 	}
 	h.Prefetch(0, 1<<20, 0)
+	p := ir.NewProgram("main")
+	for _, a := range []uint64{0x2000, 3 << 40, 1 << 40} {
+		p.SetWord(a, a>>12)
+	}
 	cycle := func() {
 		h.Reset()
 		m.Reset()
+		m.Install(p.Data)
+		m.Store(1<<40, 9)
+		m.Store(0x2000, 8)
+		m.Checksum()
 	}
 	cycle()
 	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {

@@ -10,8 +10,8 @@ import (
 // FuzzAdaptRandomProgram drives the whole adaptation tool from a fuzzed seed:
 // the input bytes pick a workloads.RandomProgram and an option mix, and the
 // property is the tool's total-correctness contract — Adapt either refuses
-// with a clean error or produces a binary that passes the static attachment
-// verifier (Adapt runs Validate and VerifyAttachments internally, so a
+// with a clean error or produces a binary that passes the speculation-safety
+// verifier (Adapt runs Validate and AnalyzeSafety internally, so a
 // non-error return that would fail them is already a bug; this target asserts
 // it explicitly anyway, and that the tool never panics). The dynamic half of
 // the contract (identical architectural state) is covered per seed by
@@ -63,9 +63,9 @@ func FuzzAdaptRandomProgram(f *testing.F) {
 		// negative corpus is exercised too — every mutant of the adapted
 		// binary must be rejected with the injected class (skipped when the
 		// adaptation emitted no slices; there is nothing to corrupt).
-		srep, err := VerifyAttachments(adapted)
-		if err != nil {
-			t.Fatalf("seed %d optBits %#x: adapted binary fails VerifyAttachments: %v", seed, optBits, err)
+		srep := AnalyzeSafety(adapted, DefaultSafetyCeiling)
+		if err := srep.Err(); err != nil {
+			t.Fatalf("seed %d optBits %#x: adapted binary fails AnalyzeSafety: %v", seed, optBits, err)
 		}
 		if srep.MaxBudget() > DefaultSafetyCeiling {
 			t.Fatalf("seed %d optBits %#x: certified budget %d exceeds ceiling", seed, optBits, srep.MaxBudget())

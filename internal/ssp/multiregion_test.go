@@ -135,7 +135,7 @@ func TestMultipleRegionsGetSeparateSlices(t *testing.T) {
 					t.Fatalf("load %d: covered=%v skipped=%v, want exactly one", id, covered, skipped)
 				}
 			}
-			if _, err := VerifyAttachments(enh); err != nil {
+			if err := AnalyzeSafety(enh, DefaultSafetyCeiling).Err(); err != nil {
 				t.Fatal(err)
 			}
 			got, res := runChecksum(t, enh, tinyConfig())

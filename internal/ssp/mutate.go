@@ -2,6 +2,7 @@ package ssp
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ssp/internal/ir"
 )
@@ -25,13 +26,16 @@ var UnsafeClasses = []SafetyClass{
 	SafetyUnboundedChain,
 	SafetyLiveInRange,
 	SafetyEscape,
+	SafetyTrigger,
+	SafetyLiveIn,
 }
 
 // InjectUnsafe clones the program and injects one violation of the given
-// class into its first slice region. It returns the mutant and true, or
-// (nil, false) when the program has no slice to corrupt. Every mutation is
-// applicable to any program with at least one slice, so a sweep over the
-// classes never passes vacuously.
+// class into its first slice region, or for the trigger class into that
+// slice's stub. It returns the mutant and true, or (nil, false) when the
+// program has no slice to corrupt. Every mutation is applicable to any
+// program with at least one slice spawned from a stub and a live-in slot
+// left free, so a sweep over the classes never passes vacuously.
 func InjectUnsafe(p *ir.Program, class SafetyClass) (*ir.Program, bool) {
 	m := p.Clone()
 	f, root := firstSlice(m)
@@ -49,8 +53,7 @@ func InjectUnsafe(p *ir.Program, class SafetyClass) (*ir.Program, bool) {
 		// A kill on only one branch arm: the taken arm reaches the region's
 		// kill, the new arm branches to an empty continuation that falls off
 		// the region (and the function) without one.
-		stray := f.AddBlock(root + "_stray")
-		_ = stray // empty: idx past end falls off immediately
+		f.AddBlock(root + "_stray") // empty: idx past end falls off immediately
 		br := &ir.Instr{Op: ir.OpBr, Qp: 1, Target: root + "_stray"}
 		m.Assign(br)
 		rb.InsertAt(0, br)
@@ -85,6 +88,31 @@ func InjectUnsafe(p *ir.Program, class SafetyClass) (*ir.Program, bool) {
 		br := &ir.Instr{Op: ir.OpBr, Target: f.Blocks[0].Label}
 		m.Assign(br)
 		rb.InsertAt(0, br)
+	case SafetyTrigger:
+		// A main-thread register write in the slice's stub, after its
+		// live-in copies: the main thread runs the stub, so the write
+		// changes its architectural state.
+		stub := stubOf(f, root)
+		if stub == nil {
+			return nil, false
+		}
+		mv := &ir.Instr{Op: ir.OpMovI, Rd: 1, Imm: 99}
+		m.Assign(mv)
+		stub.InsertAt(len(stub.Instrs)-1, mv)
+	case SafetyLiveIn:
+		// A slice read of an in-range slot no liw in the function writes,
+		// so no spawner hands it over.
+		var written uint64
+		for _, b := range f.Blocks {
+			written |= slots(b.Instrs, ir.OpLiw)
+		}
+		slot := bits.TrailingZeros64(^written)
+		if slot >= ir.LIBSlots {
+			return nil, false
+		}
+		lir := &ir.Instr{Op: ir.OpLir, Rd: 1, Imm: int64(slot)}
+		m.Assign(lir)
+		rb.InsertAt(0, lir)
 	default:
 		return nil, false
 	}
@@ -105,6 +133,23 @@ func firstSlice(p *ir.Program) (*ir.Func, string) {
 	return nil, ""
 }
 
+// stubOf returns the stub that spawns the slice root in f: a block a chk.c
+// targets whose last instruction spawns root.
+func stubOf(f *ir.Func, root string) *ir.Block {
+	var stub *ir.Block
+	f.Instrs(func(_ *ir.Block, _ int, in *ir.Instr) {
+		if in.Op != ir.OpChk {
+			return
+		}
+		if b := f.BlockByLabel(in.Target); b != nil {
+			if sp := b.Terminator(); sp != nil && sp.Op == ir.OpSpawn && sp.Target == root {
+				stub = b
+			}
+		}
+	})
+	return stub
+}
+
 // killBlock returns the first region block of the slice containing a kill.
 func killBlock(f *ir.Func, root string) *ir.Block {
 	for _, b := range sliceRegionBlocks(f, root) {
@@ -118,9 +163,9 @@ func killBlock(f *ir.Func, root string) *ir.Block {
 }
 
 // CheckUnsafe sweeps every violation class over the program: each mutant
-// must be rejected by the safety verifier with at least one violation of
-// exactly the injected class. It returns an error naming the class that
-// slipped through (a vacuous pass) or was rejected for the wrong reason.
+// must be rejected by the safety verifier with violations of exactly the
+// injected class and no other. It returns an error naming the class that
+// slipped through (a vacuous pass) or was rejected for another reason too.
 func CheckUnsafe(p *ir.Program, ceiling int64) error {
 	for _, class := range UnsafeClasses {
 		m, ok := InjectUnsafe(p, class)
@@ -131,14 +176,10 @@ func CheckUnsafe(p *ir.Program, ceiling int64) error {
 		if len(rep.Violations) == 0 {
 			return fmt.Errorf("ssp: verifier accepted a program with an injected %q violation", class)
 		}
-		found := false
 		for _, v := range rep.Violations {
-			if v.Class == class {
-				found = true
+			if v.Class != class {
+				return fmt.Errorf("ssp: injected %q but verifier reported %v — wrong rejection reason", class, rep.Violations)
 			}
-		}
-		if !found {
-			return fmt.Errorf("ssp: injected %q but verifier reported %v — wrong rejection reason", class, rep.Violations)
 		}
 	}
 	return nil

@@ -1,18 +1,36 @@
 package ssp
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
+	"strings"
 
 	"ssp/internal/cfg"
 	"ssp/internal/ir"
 )
 
-// This file is the speculation-safety verifier: a static analysis over each
-// slice region's CFG that proves the paper's §2 safety argument — a
-// misspeculated p-slice can never alter main-thread architectural state and
-// can never run unboundedly — instead of spot-checking it. Per slice it
-// discharges three obligation families:
+// This file is the speculation-safety verifier, the one static check of an
+// SSP-enhanced program: an analysis that proves the paper's §2 safety
+// argument — precomputation never alters main-thread architectural state
+// and never runs unboundedly — instead of spot-checking it. The main thread
+// meets the attachment only through a chk.c, which diverts it into a stub
+// (whatever block a chk.c targets) that it runs before resuming. So on the
+// main-thread side it checks the Figure 7 layout (attachments):
+//
+//   - trigger: a chk.c targets no slice block, and a stub only copies
+//     live-ins (liw) and stages ScratchGR (mov/movi), then ends in an
+//     unpredicated spawn; it writes no other register. When a stub writes
+//     ScratchGR, no main-thread code outside the stubs reads it. A spawn
+//     occurs only in a stub or a slice region;
+//   - live-ins: every spawn targets a slice root and writes, before it in
+//     its block, every in-range slot the slice's region reads (lir), and
+//     every liw/lir slot in the program is inside the live-in buffer.
+//
+// Per slice region (its CFG from the root) it discharges three obligation
+// families:
 //
 //   - termination: every reachable path from the slice root reaches a kill,
 //     and every loop backedge is bounded — either statically by the
@@ -72,10 +90,24 @@ const (
 	// SafetyOverBudget: the statically-certified instruction budget exceeds
 	// the hardware ceiling, so the slice would be truncated mid-flight.
 	SafetyOverBudget SafetyClass = "over-budget"
+	// SafetyTrigger: the main-thread attachment breaks the Figure 7 layout:
+	// a chk.c targets a slice block, a stub (a chk.c target) is not live-in
+	// copies and ScratchGR staging ending in an unpredicated spawn (so it
+	// may write a main-thread register), main-thread code reads the
+	// ScratchGR a stub writes, or a spawn sits outside any stub or slice.
+	SafetyTrigger SafetyClass = "trigger"
+	// SafetyLiveIn: a spawn leaves unwritten an in-range live-in slot its
+	// target slice reads, so the new thread reads a stale value.
+	SafetyLiveIn SafetyClass = "live-in"
 )
 
-// SafetyViolation is one discharged-in-the-negative proof obligation: which
-// slice, which class, and the instruction-level detail.
+// The live-in slot masks below hold one bit per slot.
+var _ [64 - ir.LIBSlots]struct{}
+
+// SafetyViolation is one discharged-in-the-negative proof obligation: where
+// (the slice root, or for a violation outside slice regions the stub or
+// main-thread block, as "func.label"), which class, and the
+// instruction-level detail.
 type SafetyViolation struct {
 	Slice  string      `json:"slice"`
 	Class  SafetyClass `json:"class"`
@@ -164,24 +196,176 @@ func (r *SafetyReport) Budgets() map[string]int64 {
 	return out
 }
 
-// AnalyzeSafety runs the speculation-safety analysis over every slice region
-// in the program (tool-generated ssp_slice_* roots and hand-adapted
-// hand_slice blocks) against the given per-activation instruction ceiling,
-// returning every certificate and every violation. A program without slices
-// yields an empty, violation-free report.
+// AnalyzeSafety runs the speculation-safety analysis over a program against
+// the given per-activation instruction ceiling: the attachment checks over
+// every block and the region proof of every slice (tool-generated
+// ssp_slice_* roots and hand-adapted hand_slice blocks). It returns every
+// certificate and every violation. A program without chk.c, spawn, liw, lir
+// or slices yields an empty, violation-free report.
 func AnalyzeSafety(p *ir.Program, ceiling int64) *SafetyReport {
 	rep := &SafetyReport{Ceiling: ceiling}
+	var at attachments
 	for _, f := range p.Funcs {
+		var roots []string
 		for _, b := range f.Blocks {
 			if !isSliceRoot(b.Label) {
 				continue
 			}
+			roots = append(roots, b.Label)
 			cert, viols := analyzeSlice(f, b.Label, ceiling)
 			rep.Slices = append(rep.Slices, cert)
 			rep.Violations = append(rep.Violations, viols...)
 		}
+		at.check(f, roots)
+	}
+	rep.Violations = append(rep.Violations, at.viols...)
+	if at.stubScratch {
+		rep.Violations = append(rep.Violations, at.scratchReads...)
 	}
 	return rep
+}
+
+// attachments accumulates the attachment checks over a program's functions.
+type attachments struct {
+	viols []SafetyViolation
+	// scratchReads are main-thread reads of ScratchGR, violations once any
+	// stub writes it (stubScratch).
+	scratchReads []SafetyViolation
+	stubScratch  bool
+	uses         []ir.Loc
+}
+
+func (a *attachments) bad(key string, class SafetyClass, format string, args ...any) {
+	a.viols = append(a.viols, SafetyViolation{Slice: key, Class: class, Detail: fmt.Sprintf(format, args...)})
+}
+
+// check checks f's blocks: the live-in slot range everywhere, the stubs
+// (the blocks f's chk.c instructions target), and the main-thread blocks
+// (neither stubs nor in a region of roots). analyzeSlice proves the regions.
+func (a *attachments) check(f *ir.Func, roots []string) {
+	regionRoot := func(label string) string {
+		for _, r := range roots {
+			if inRegion(label, r) {
+				return r
+			}
+		}
+		return ""
+	}
+	stubs := map[*ir.Block]bool{} // Validate resolves every chk.c target in f
+	f.Instrs(func(b *ir.Block, _ int, in *ir.Instr) {
+		switch {
+		case in.Op != ir.OpChk:
+		case regionRoot(in.Target) != "":
+			a.bad(f.Name+"."+b.Label, SafetyTrigger, "chk.c diverts the main thread into slice block %s", in.Target)
+		default:
+			stubs[f.BlockByLabel(in.Target)] = true
+		}
+	})
+	for _, b := range f.Blocks {
+		root := regionRoot(b.Label)
+		key := f.Name + "." + cmp.Or(root, b.Label)
+		if root == "" && stubs[b] {
+			a.checkStub(f, b, key)
+		}
+		for _, in := range b.Instrs {
+			if (in.Op == ir.OpLiw || in.Op == ir.OpLir) && !inLIB(in.Imm) {
+				a.bad(key, SafetyLiveInRange, "%s: %v slot %d outside live-in buffer [0,%d)", b.Label, in.Op, in.Imm, ir.LIBSlots)
+			}
+			if root != "" || stubs[b] {
+				continue // analyzeSlice proves the regions; checkStub the stubs
+			}
+			if in.Op == ir.OpSpawn {
+				a.bad(key, SafetyTrigger, "%v outside any stub or slice region", in)
+			}
+			if a.uses = in.AppendUses(a.uses[:0]); slices.Contains(a.uses, ir.GRLoc(ScratchGR)) {
+				a.scratchReads = append(a.scratchReads, SafetyViolation{Slice: key, Class: SafetyTrigger,
+					Detail: fmt.Sprintf("main-thread %v reads %v, which a stub writes", in, ScratchGR)})
+			}
+		}
+	}
+}
+
+// checkStub checks one stub: the main thread runs it, so it may write only
+// live-in slots and ScratchGR, and its terminal spawn hands a slice every
+// slot the slice reads.
+func (a *attachments) checkStub(f *ir.Func, b *ir.Block, key string) {
+	body, sp := b.Instrs, b.Terminator()
+	if sp != nil && sp.Op == ir.OpSpawn && sp.Qp == ir.PTrue {
+		body = body[:len(body)-1]
+		if !isSliceRoot(sp.Target) {
+			a.bad(key, SafetyEscape, "stub spawns %q, which is not a slice root", sp.Target)
+		} else if slot := unwritten(f, b, len(body)); slot >= 0 {
+			a.bad(key, SafetyLiveIn, "slice %s reads live-in slot %d the stub never writes", sp.Target, slot)
+		}
+	} else {
+		a.bad(key, SafetyTrigger, "stub does not end in an unpredicated spawn")
+	}
+	for _, in := range body {
+		switch {
+		case in.Op == ir.OpLiw:
+		case (in.Op == ir.OpMov || in.Op == ir.OpMovI) && in.Rd == ScratchGR:
+			a.stubScratch = true
+		default:
+			a.bad(key, SafetyTrigger, "%v in a stub, which may only copy live-ins and stage %v", in, ScratchGR)
+		}
+	}
+}
+
+// unwritten returns the lowest in-range live-in slot that the region of the
+// slice spawned by b.Instrs[i] reads and no liw before it in b writes, or -1
+// when the spawn hands over every slot.
+func unwritten(f *ir.Func, b *ir.Block, i int) int {
+	var reads uint64
+	for _, sb := range sliceRegionBlocks(f, b.Instrs[i].Target) {
+		reads |= slots(sb.Instrs, ir.OpLir)
+	}
+	if missing := reads &^ slots(b.Instrs[:i], ir.OpLiw); missing != 0 {
+		return bits.TrailingZeros64(missing)
+	}
+	return -1
+}
+
+// slots returns the mask of the in-range live-in slots the instructions
+// with opcode op (liw or lir) name.
+func slots(instrs []*ir.Instr, op ir.Op) uint64 {
+	var m uint64
+	for _, in := range instrs {
+		if in.Op == op && inLIB(in.Imm) {
+			m |= 1 << in.Imm
+		}
+	}
+	return m
+}
+
+// inLIB reports whether a liw/lir slot immediate is inside the live-in
+// buffer; the hardware wraps one outside it, silently aliasing two live-ins.
+func inLIB(slot int64) bool { return slot >= 0 && slot < ir.LIBSlots }
+
+// isSliceRoot reports whether a block label names a slice root: the tool's
+// "ssp_slice_N" or the hand adaptations' "hand_slice". Continuation blocks
+// such as "ssp_slice_3_loop" belong to their root's region.
+func isSliceRoot(label string) bool {
+	rest, ok := strings.CutPrefix(label, "ssp_slice_")
+	return ok && !strings.Contains(rest, "_") || label == "hand_slice"
+}
+
+// inRegion reports whether a block label belongs to the region of the slice
+// root: the root itself or a continuation block "root_*".
+func inRegion(label, root string) bool {
+	rest, ok := strings.CutPrefix(label, root)
+	return ok && (rest == "" || rest[0] == '_')
+}
+
+// sliceRegionBlocks returns the blocks of f in the region of the slice root,
+// in layout order.
+func sliceRegionBlocks(f *ir.Func, root string) []*ir.Block {
+	var out []*ir.Block
+	for _, b := range f.Blocks {
+		if inRegion(b.Label, root) {
+			out = append(out, b)
+		}
+	}
+	return out
 }
 
 // node is one instruction-level CFG position: region-block index and
@@ -197,10 +381,11 @@ type blockEdge struct {
 	guard *ir.Instr
 }
 
-// chainSpawn is one reachable in-region spawn (a chain handoff).
+// chainSpawn is one reachable in-region spawn (a chain handoff) at
+// instruction i of region block bi.
 type chainSpawn struct {
-	bi int
-	in *ir.Instr
+	bi, i int
+	in    *ir.Instr
 }
 
 // analyzeSlice proves (or refutes) one slice region's safety and computes
@@ -312,14 +497,9 @@ func analyzeSlice(f *ir.Func, root string, ceiling int64) (SliceSafety, []Safety
 			}
 		case ir.OpSpawn:
 			if isSliceRoot(in.Target) {
-				spawns = append(spawns, chainSpawn{bi: n.b, in: in})
+				spawns = append(spawns, chainSpawn{bi: n.b, i: n.i, in: in})
 			} else {
 				bad(SafetyEscape, "%s: reachable spawn targets %q, which is not a slice root", b.Label, in.Target)
-			}
-			push(node{n.b, n.i + 1})
-		case ir.OpLiw, ir.OpLir:
-			if in.Imm < 0 || in.Imm >= ir.LIBSlots {
-				bad(SafetyLiveInRange, "%s: reachable %v slot %d outside live-in buffer [0,%d)", b.Label, in.Op, in.Imm, ir.LIBSlots)
 			}
 			push(node{n.b, n.i + 1})
 		default:
@@ -421,7 +601,8 @@ func analyzeSlice(f *ir.Func, root string, ceiling int64) (SliceSafety, []Safety
 		}
 	}
 
-	// Classify every chain handoff (reachable in-region spawn).
+	// Classify every chain handoff (reachable in-region spawn); a bounded
+	// one must also hand its target every slot the target reads.
 	for _, cs := range spawns {
 		in := cs.in
 		if in.Qp == ir.PTrue {
@@ -439,14 +620,16 @@ func analyzeSlice(f *ir.Func, root string, ceiling int64) (SliceSafety, []Safety
 				cert.ChainBound = b
 			}
 			cert.Obligations = append(cert.Obligations, fmt.Sprintf("chain: spawn in %s countdown-guarded, depth <= %d", blocks[cs.bi].Label, b))
-			continue
-		}
-		if !regionVarying(blocks, all, reachable, def) {
+		} else if regionVarying(blocks, all, reachable, def) {
+			cert.ChainBound = -1
+			cert.Obligations = append(cert.Obligations, fmt.Sprintf("chain: spawn in %s data-guarded (p%d recomputed per link from advanced values)", blocks[cs.bi].Label, in.Qp))
+		} else {
 			bad(SafetyUnboundedChain, "%s: chained spawn guard p%d depends only on unmodified live-ins — every link is identical", blocks[cs.bi].Label, in.Qp)
 			continue
 		}
-		cert.ChainBound = -1
-		cert.Obligations = append(cert.Obligations, fmt.Sprintf("chain: spawn in %s data-guarded (p%d recomputed per link from advanced values)", blocks[cs.bi].Label, in.Qp))
+		if slot := unwritten(f, blocks[cs.bi], cs.i); slot >= 0 {
+			bad(SafetyLiveIn, "%s: slice %s reads live-in slot %d the chained spawn never writes", blocks[cs.bi].Label, in.Target, slot)
+		}
 	}
 
 	// Budget certificate: collapse bounded loops innermost-first into their
@@ -465,17 +648,18 @@ func analyzeSlice(f *ir.Func, root string, ceiling int64) (SliceSafety, []Safety
 		}
 		ew[l.head] = satAdd(ew[l.head], satMul(l.bound, body, ceiling), ceiling)
 	}
+	longest, paths := dagPaths(len(blocks), edges, ew, idx[root], ceiling)
 	if dynamic {
 		cert.Budget = ceiling
 		cert.Static = false
 	} else {
-		cert.Budget = longestPath(len(blocks), edges, ew, idx[root], ceiling)
+		cert.Budget = longest
 		cert.Static = true
 		if cert.Budget > ceiling {
 			bad(SafetyOverBudget, "certified budget %d exceeds the hardware ceiling %d", cert.Budget, ceiling)
 		}
 	}
-	cert.Paths = countPaths(len(blocks), edges, idx[root])
+	cert.Paths = paths
 
 	if len(viols) == 0 {
 		cert.Obligations = append(cert.Obligations,
@@ -684,38 +868,11 @@ func countdownBound(f *ir.Func, blocks []*ir.Block, body []int, reachable func(i
 	return (bound + step - 1) / step, step
 }
 
-// longestPath computes the longest instruction path from root over the
-// backedge-free block graph using the (loop-collapsed) effective weights.
-func longestPath(n int, edges []blockEdge, ew []int64, root int, ceiling int64) int64 {
-	succs := make([][]int, n)
-	for _, e := range edges {
-		if !e.back {
-			succs[e.from] = append(succs[e.from], e.to)
-		}
-	}
-	memo := make([]int64, n)
-	done := make([]bool, n)
-	var walk func(b int) int64
-	walk = func(b int) int64 {
-		if done[b] {
-			return memo[b]
-		}
-		done[b] = true // backedges removed: no cycles, safe to mark first
-		var best int64
-		for _, s := range succs[b] {
-			if c := walk(s); c > best {
-				best = c
-			}
-		}
-		memo[b] = satAdd(ew[b], best, ceiling)
-		return memo[b]
-	}
-	return walk(root)
-}
-
-// countPaths counts acyclic root-to-exit block paths (saturating), the
-// "proof size" the certificate reports.
-func countPaths(n int, edges []blockEdge, root int) int64 {
+// dagPaths walks the backedge-free block graph from root once and returns
+// the longest instruction path under the (loop-collapsed) effective weights
+// ew and the number of acyclic root-to-exit paths, the "proof size" the
+// certificate reports. Both saturate.
+func dagPaths(n int, edges []blockEdge, ew []int64, root int, ceiling int64) (longest, paths int64) {
 	succs := make([][]int, n)
 	for _, e := range edges {
 		if !e.back {
@@ -723,28 +880,24 @@ func countPaths(n int, edges []blockEdge, root int) int64 {
 		}
 	}
 	const limit = int64(1) << 30
-	memo := make([]int64, n)
+	long, count := make([]int64, n), make([]int64, n)
 	done := make([]bool, n)
-	var walk func(b int) int64
-	walk = func(b int) int64 {
+	var walk func(b int)
+	walk = func(b int) {
 		if done[b] {
-			return memo[b]
+			return
 		}
-		done[b] = true
-		var total int64
+		done[b] = true // backedges removed: no cycles, safe to mark first
+		var best, total int64
 		for _, s := range succs[b] {
-			total += walk(s)
-			if total > limit {
-				total = limit
-			}
+			walk(s)
+			best = max(best, long[s])
+			total = min(total+count[s], limit)
 		}
-		if total == 0 {
-			total = 1
-		}
-		memo[b] = total
-		return total
+		long[b], count[b] = satAdd(ew[b], best, ceiling), max(total, 1)
 	}
-	return walk(root)
+	walk(root)
+	return long[root], count[root]
 }
 
 // satAdd and satMul saturate just past the ceiling: any budget beyond it is

@@ -82,19 +82,26 @@ func TestSafetyRejectsMutatedBenchmarks(t *testing.T) {
 	}
 }
 
-// TestSafetyCertifiesHandAdaptations pins the hand-tuned binaries: their
-// latch-guarded chains must verify as data-guarded (ChainBound -1) with a
-// static straight-line budget.
+// TestSafetyCertifiesHandAdaptations pins the hand-tuned binaries and the
+// hand-written attachment of the IR corpus, whose stub carries no tool
+// label: their latch-guarded chains must verify as data-guarded
+// (ChainBound -1) with a static straight-line budget.
 func TestSafetyCertifiesHandAdaptations(t *testing.T) {
-	for _, name := range []string{"mcf", "health"} {
-		spec, err := workloads.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		orig, _ := spec.Build(spec.TestScale)
-		hand, err := handtuned.Adapt(name, orig)
-		if err != nil {
-			t.Fatal(err)
+	src, err := os.ReadFile(filepath.Join("..", "ir", "testdata", "ssp_attachment.ssp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus, err := ir.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"mcf", "health", "ssp_attachment.ssp"} {
+		hand := corpus
+		if spec, err := workloads.ByName(name); err == nil {
+			orig, _ := spec.Build(spec.TestScale)
+			if hand, err = handtuned.Adapt(name, orig); err != nil {
+				t.Fatal(err)
+			}
 		}
 		rep := AnalyzeSafety(hand, DefaultSafetyCeiling)
 		if err := rep.Err(); err != nil {
@@ -359,4 +366,179 @@ func FuzzAnalyzeSafety(f *testing.F) {
 			}
 		}
 	})
+}
+
+// hasClass reports whether the report carries a violation of the class.
+func hasClass(rep *SafetyReport, class SafetyClass) bool {
+	for _, v := range rep.Violations {
+		if v.Class == class {
+			return true
+		}
+	}
+	return false
+}
+
+// TestVerifyRejectsCorruptions applies one corruption to a fresh adapted mcf
+// per case and expects the verifier to reject it with the case's class: the
+// slice-region rules, the Figure 7 attachment rules, and the regressions
+// each once let through.
+func TestVerifyRejectsCorruptions(t *testing.T) {
+	insert := func(p *ir.Program, label string, pos int, in *ir.Instr) {
+		b := p.FuncByName("main").BlockByLabel(label)
+		p.Assign(in)
+		b.InsertAt(min(pos, len(b.Instrs)), in)
+	}
+	for _, tc := range []struct {
+		name  string
+		class SafetyClass
+		fn    func(*ir.Program)
+	}{
+		{"store in slice", SafetyStore, func(p *ir.Program) {
+			insert(p, "ssp_slice_0", 1, &ir.Instr{Op: ir.OpSt, Ra: 21, Rb: 21})
+		}},
+		{"call in slice", SafetyEscape, func(p *ir.Program) {
+			insert(p, "ssp_slice_0", 1, &ir.Instr{Op: ir.OpCall, Target: "main", Bd: 0})
+		}},
+		{"missing kill", SafetyNoKill, func(p *ir.Program) {
+			for _, in := range p.FuncByName("main").BlockByLabel("ssp_slice_0").Instrs {
+				if in.Op == ir.OpKill {
+					in.Op = ir.OpNop
+				}
+			}
+		}},
+		{"stub without spawn", SafetyTrigger, func(p *ir.Program) {
+			b := p.FuncByName("main").BlockByLabel("ssp_stub_0")
+			b.Terminator().Op = ir.OpNop
+			b.Terminator().Target = ""
+		}},
+		{"predicated stub spawn", SafetyTrigger, func(p *ir.Program) {
+			p.FuncByName("main").BlockByLabel("ssp_stub_0").Terminator().Qp = 5
+		}},
+		{"stub spawns a non-slice", SafetyEscape, func(p *ir.Program) {
+			p.FuncByName("main").BlockByLabel("ssp_stub_0").Terminator().Target = "loop"
+		}},
+		{"stub writes a main register", SafetyTrigger, func(p *ir.Program) {
+			insert(p, "ssp_stub_0", 0, &ir.Instr{Op: ir.OpMovI, Rd: 2, Imm: 99})
+		}},
+		{"stub copies into a main register", SafetyTrigger, func(p *ir.Program) {
+			insert(p, "ssp_stub_0", 0, &ir.Instr{Op: ir.OpMov, Rd: 2, Ra: 3})
+		}},
+		{"main code reads the staged scratch", SafetyTrigger, func(p *ir.Program) {
+			insert(p, "ssp_stub_0", 0, &ir.Instr{Op: ir.OpMovI, Rd: ScratchGR, Imm: 5})
+			insert(p, "loop", 1, &ir.Instr{Op: ir.OpAdd, Rd: 2, Ra: ScratchGR, Rb: 2})
+		}},
+		{"spawn in main code", SafetyTrigger, func(p *ir.Program) {
+			insert(p, "loop", 1, &ir.Instr{Op: ir.OpSpawn, Target: "ssp_slice_0"})
+		}},
+		{"uninitialized live-in slot", SafetyLiveIn, func(p *ir.Program) {
+			for _, in := range p.FuncByName("main").BlockByLabel("ssp_slice_0").Instrs {
+				if in.Op == ir.OpLir {
+					in.Imm = 13 // a slot the stub never writes
+					break
+				}
+			}
+		}},
+		// Regression: a lir after the first non-lir instruction used to
+		// bypass the subset check entirely (the scan broke at the end of
+		// the prologue).
+		{"post-prologue lir reads unwritten slot", SafetyLiveIn, func(p *ir.Program) {
+			insert(p, "ssp_slice_0", len(p.FuncByName("main").BlockByLabel("ssp_slice_0").Instrs)-1, &ir.Instr{Op: ir.OpLir, Rd: 30, Imm: 13})
+		}},
+		// Regression: continuation blocks (ssp_slice_N_*) were never
+		// scanned, so a lir there could read a slot no spawner writes.
+		{"continuation-block lir reads unwritten slot", SafetyLiveIn, func(p *ir.Program) {
+			p.FuncByName("main").AddBlock("ssp_slice_0_cont")
+			insert(p, "ssp_slice_0_cont", 0, &ir.Instr{Op: ir.OpLir, Rd: 30, Imm: 13})
+		}},
+		{"liw slot outside the live-in buffer", SafetyLiveInRange, func(p *ir.Program) {
+			for _, in := range p.FuncByName("main").BlockByLabel("ssp_stub_0").Instrs {
+				if in.Op == ir.OpLiw {
+					in.Imm = int64(ir.LIBSlots) // hardware would wrap to slot 0
+					break
+				}
+			}
+		}},
+		// A chk.c makes its target a stub, so the loop header it now
+		// targets must have the stub shape, and does not.
+		{"chk to non-stub", SafetyTrigger, func(p *ir.Program) {
+			p.FuncByName("main").Instrs(func(_ *ir.Block, _ int, in *ir.Instr) {
+				if in.Op == ir.OpChk {
+					in.Target = "loop"
+				}
+			})
+		}},
+		{"chk into the slice", SafetyTrigger, func(p *ir.Program) {
+			p.FuncByName("main").Instrs(func(_ *ir.Block, _ int, in *ir.Instr) {
+				if in.Op == ir.OpChk {
+					in.Target = "ssp_slice_0"
+				}
+			})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, enh, _, _ := adaptWorkload(t, "mcf", DefaultOptions())
+			if err := AnalyzeSafety(enh, DefaultSafetyCeiling).Err(); err != nil {
+				t.Fatalf("adapted mcf rejected before the corruption: %v", err)
+			}
+			tc.fn(enh)
+			enh.FuncByName("main").Renumber()
+			if rep := AnalyzeSafety(enh, DefaultSafetyCeiling); !hasClass(rep, tc.class) {
+				t.Errorf("want a %q violation, got %v", tc.class, rep.Violations)
+			}
+		})
+	}
+}
+
+// TestVerifyRejectsKillOnOneBranchArm is the regression for the weak kill
+// check: the old scan accepted a slice as terminated if *any* kill appeared
+// anywhere in its region, so a kill reachable on only one branch arm passed.
+// The all-paths analysis must reject the arm that leaves the region without
+// one.
+func TestVerifyRejectsKillOnOneBranchArm(t *testing.T) {
+	_, enh, _, _ := adaptWorkload(t, "mcf", DefaultOptions())
+	f := enh.FuncByName("main")
+	b := f.BlockByLabel("ssp_slice_0")
+	// Branch around the region's tail (where the kill lives) on one arm:
+	// the fall-through arm still kills, the taken arm falls off the region.
+	f.AddBlock("ssp_slice_0_stray") // deliberately empty: the arm exits the region without kill
+	br := &ir.Instr{Op: ir.OpBr, Qp: 1, Target: "ssp_slice_0_stray"}
+	enh.Assign(br)
+	b.InsertAt(0, br)
+	f.Renumber()
+	rep := AnalyzeSafety(enh, DefaultSafetyCeiling)
+	if len(rep.Violations) == 0 {
+		t.Fatal("verification accepted a slice whose kill is on only one branch arm")
+	}
+	if !hasClass(rep, SafetyNoKill) {
+		t.Fatalf("rejected for the wrong reason: %v", rep.Violations)
+	}
+}
+
+// TestSafetyRejectsProbes: a chk.c diverts the main thread into its target
+// block, so a target that writes a main-thread register changes the main
+// thread's result on the engines (testdata/probe_*.ssp leave 99 instead of
+// 7). The verifier rejects such a target as a trigger violation whatever
+// its label, and accepts the same program once the write is gone.
+func TestSafetyRejectsProbes(t *testing.T) {
+	for _, name := range []string{"probe_chk_nonstub.ssp", "probe_stub_write.ssp"} {
+		src, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := ir.Parse(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := AnalyzeSafety(p, DefaultSafetyCeiling)
+		if len(rep.Violations) != 1 || rep.Violations[0].Class != SafetyTrigger {
+			t.Errorf("%s: violations %v, want one %q", name, rep.Violations, SafetyTrigger)
+		}
+		fixed, err := ir.Parse(strings.Replace(string(src), "movi r2 = 99", "movi r127 = 99", 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := AnalyzeSafety(fixed, DefaultSafetyCeiling).Err(); err != nil {
+			t.Errorf("%s staging only the scratch register: %v", name, err)
+		}
+	}
 }

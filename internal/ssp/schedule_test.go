@@ -34,7 +34,7 @@ func mcfTool(t *testing.T, opt Options) (*Tool, *ir.Func, []*ir.Instr) {
 	}
 	f := p.FuncByName("main")
 	var dels []*ir.Instr
-	for _, id := range prof.DelinquentLoads(opt.DelinquentCutoff, opt.MaxDelinquent) {
+	for _, id := range prof.DelinquentLoadsByRegion(opt.DelinquentCutoff, opt.MaxDelinquent, 0, func(int) string { return "" }) {
 		_, _, in := p.InstrByID(id)
 		dels = append(dels, in)
 	}

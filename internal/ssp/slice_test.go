@@ -180,7 +180,7 @@ func TestMemRecurrenceDetection(t *testing.T) {
 		}
 		f := p.FuncByName("main")
 		var del *ir.Instr
-		for _, id := range prof.DelinquentLoads(0.9, 10) {
+		for _, id := range prof.DelinquentLoadsByRegion(0.9, 10, 0, func(int) string { return "" }) {
 			if _, _, in := p.InstrByID(id); in != nil {
 				del = in
 				break

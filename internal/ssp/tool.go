@@ -67,11 +67,11 @@ func Adapt(orig *ir.Program, prof *profile.Profile, opt Options, label string) (
 // so every hot region contributes its own targets. Callers that re-rank
 // outside an adaptation session — the closed-loop tuner, the experiment
 // drivers — share this so their target sets match the tool's. Falls back to
-// the global ranking if the program does not analyse.
+// the global ranking (one region) if the program does not analyse.
 func RankTargets(orig *ir.Program, prof *profile.Profile, opt Options) []int {
 	fo, err := cfg.BuildForest(orig)
 	if err != nil {
-		return prof.DelinquentLoads(opt.DelinquentCutoff, opt.MaxDelinquent)
+		return prof.DelinquentLoadsByRegion(opt.DelinquentCutoff, opt.MaxDelinquent, 0, func(int) string { return "" })
 	}
 	return rankTargets(orig, prof, opt, fo)
 }
@@ -137,10 +137,6 @@ func AdaptTargets(orig *ir.Program, prof *profile.Profile, opt Options, label st
 		dels = rankTargets(p, prof, opt, t.forest)
 	}
 	t.report.DelinquentLoads = dels
-	if len(dels) == 0 {
-		t.report.Safety = AnalyzeSafety(p, DefaultSafetyCeiling)
-		return p, t.report, nil
-	}
 
 	// Select a region per delinquent load (§3.4.1) and group loads that
 	// landed in the same region: each group is one planned slice.
@@ -216,14 +212,13 @@ func AdaptTargets(orig *ir.Program, prof *profile.Profile, opt Options, label st
 	if err := p.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("ssp: adapted program invalid: %w", err)
 	}
-	// Self-check and speculation-safety self-certification in one pass:
-	// every emitted slice must carry a budget certificate at or under the
-	// hardware ceiling (safety.go).
-	srep, err := VerifyAttachments(p)
-	if err != nil {
+	// Speculation-safety self-certification (safety.go): the attachments
+	// keep the Figure 7 layout and every slice carries a budget certificate
+	// at or under the hardware ceiling.
+	t.report.Safety = AnalyzeSafety(p, DefaultSafetyCeiling)
+	if err := t.report.Safety.Err(); err != nil {
 		return nil, nil, fmt.Errorf("ssp: self-check failed: %w", err)
 	}
-	t.report.Safety = srep
 	return p, t.report, nil
 }
 
@@ -412,16 +407,17 @@ func (t *Tool) analyse() error {
 			}
 		}
 	}
-	// Scratch-register check.
+	// Scratch-register check and the free-register pool for slice
+	// unrolling, from one pass over every register the program touches.
+	used := [ir.NumRegs]bool{}
+	var locs []ir.Loc
 	var clash error
 	for _, f := range t.p.Funcs {
 		f.Instrs(func(_ *ir.Block, _ int, in *ir.Instr) {
-			var locs []ir.Loc
-			locs = in.AppendUses(locs)
-			locs = in.AppendDefs(locs)
+			locs = in.AppendDefs(in.AppendUses(locs[:0]))
 			for _, l := range locs {
-				if r, ok := l.IsGR(); ok && r == scratchGR {
-					clash = fmt.Errorf("ssp: program uses reserved register %v", scratchGR)
+				if r, ok := l.IsGR(); ok {
+					used[r] = true
 				}
 				if pr, ok := l.IsPR(); ok && (pr == scratchPR || pr == scratchPR2) {
 					clash = fmt.Errorf("ssp: program uses reserved predicate %v", pr)
@@ -429,25 +425,13 @@ func (t *Tool) analyse() error {
 			}
 		})
 	}
+	if used[scratchGR] {
+		return fmt.Errorf("ssp: program uses reserved register %v", scratchGR)
+	}
 	if clash != nil {
 		return clash
 	}
-	// Free-register pool for slice unrolling.
-	used := [ir.NumRegs]bool{}
-	used[ir.RegZero] = true
 	used[scratchGR] = true
-	for _, f := range t.p.Funcs {
-		f.Instrs(func(_ *ir.Block, _ int, in *ir.Instr) {
-			var locs []ir.Loc
-			locs = in.AppendUses(locs)
-			locs = in.AppendDefs(locs)
-			for _, l := range locs {
-				if r, ok := l.IsGR(); ok {
-					used[r] = true
-				}
-			}
-		})
-	}
 	for r := ir.Reg(1); r < ir.NumRegs; r++ {
 		if !used[r] {
 			t.freeRegs = append(t.freeRegs, r)

@@ -127,7 +127,7 @@ func TestDelinquentConcentration(t *testing.T) {
 			if pr.TotalMissCycles == 0 {
 				t.Fatal("no miss cycles recorded; workload fits in cache")
 			}
-			del := pr.DelinquentLoads(0.9, 10)
+			del := pr.DelinquentLoadsByRegion(0.9, 10, 0, func(int) string { return "" })
 			if len(del) == 0 {
 				t.Fatal("no delinquent loads identified")
 			}
@@ -168,7 +168,7 @@ func TestExpectedLoadLatencyReflectsMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	del := pr.DelinquentLoads(0.9, 10)
+	del := pr.DelinquentLoadsByRegion(0.9, 10, 0, func(int) string { return "" })
 	if len(del) == 0 {
 		t.Fatal("no delinquent loads")
 	}
@@ -193,7 +193,7 @@ func TestWorkloadsHaveSliceableShape(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			del := pr.DelinquentLoads(0.9, 10)
+			del := pr.DelinquentLoadsByRegion(0.9, 10, 0, func(int) string { return "" })
 			for _, id := range del {
 				f, b, in := p.InstrByID(id)
 				if in == nil {
