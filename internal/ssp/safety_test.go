@@ -121,6 +121,34 @@ func TestSafetyCertifiesHandAdaptations(t *testing.T) {
 	}
 }
 
+// TestVerifyAcceptsToolOutput re-verifies emitted binaries from scratch:
+// the one verifier must accept the stubs, triggers and slices the tool
+// writes, main-thread side included.
+func TestVerifyAcceptsToolOutput(t *testing.T) {
+	for _, name := range []string{"mcf", "em3d", "treeadd.df", "health"} {
+		_, enh, _, _ := adaptWorkload(t, name, DefaultOptions())
+		if err := AnalyzeSafety(enh, DefaultSafetyCeiling).Err(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestVerifyAcceptsHandAdaptations checks that the hand-tuned binaries,
+// whose stubs carry no tool label, pass the same rules.
+func TestVerifyAcceptsHandAdaptations(t *testing.T) {
+	for _, name := range []string{"mcf", "health"} {
+		spec, _ := workloads.ByName(name)
+		orig, _ := spec.Build(spec.TestScale)
+		hand, err := handtuned.Adapt(name, orig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := AnalyzeSafety(hand, DefaultSafetyCeiling).Err(); err != nil {
+			t.Errorf("%s hand: %v", name, err)
+		}
+	}
+}
+
 // TestSafetyBudgetArithmetic pins the certificate numbers on a hand-built
 // countdown loop: a stub staging bound 5, a two-instruction prologue, a
 // five-instruction loop body, and a kill tail must certify exactly
