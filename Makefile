@@ -11,8 +11,9 @@ GO ?= go
 # certifier on untrusted IR and the isolation its certificate claims, and the
 # threaded execution core, Figure 1's
 # file flow through the command-line tools (tools-smoke), and the gates CI
-# runs as jobs of their own: the served matrix validated against the golden
-# stats with SSE progress streams (serve-smoke), the closed-loop tuner
+# runs as jobs of their own: the benchmark's serve workloads at smoke size,
+# every served result checked against the golden stats (serve-smoke), the
+# closed-loop tuner
 # (tune-smoke), the paper-scale Table 2 envelope (table2-check), and the
 # pinned paper-scale exhibits (exhibits-check).
 check: fmt vet race alloc-gate bench-module sspcheck fuzz-smoke tools-smoke serve-smoke tune-smoke table2-check exhibits-check
@@ -102,19 +103,24 @@ bench-diff:
 		echo "--- $(BENCH_AFTER)"; grep '^Benchmark' $(BENCH_AFTER); \
 	fi
 
-# serve-smoke is the CI-sized exercise of the serving layer: an in-process
-# sspserved fed 3 passes over the full 48-cell matrix, every result validated
-# byte-for-byte against the golden-stats baseline. Fails on any request
-# error, any golden divergence, or a memo hit rate at or below 50%.
+# serve-smoke is the CI-sized exercise of the serving layer: the benchmark's
+# serve-hot and serve-cold workloads (bench/) at smoke size, each against an
+# in-process sspserved over loopback HTTP with some jobs streamed over SSE.
+# serve-hot prewarms the 48-cell test-scale matrix and then requires every
+# reply to be a cache hit equal to golden_stats.json; serve-cold submits
+# distinct option and source jobs, requires a 422 for each unsafe mutant
+# among them and a fresh result for every other job, and recomputes a
+# sample outside the server. The benchmark exits 1 when any record is not
+# correct.
 serve-smoke:
-	$(GO) run ./cmd/serveload -jobs 144 -conc 8
+	bash bench/run.sh -smoke -workload serve-hot,serve-cold
 
-# serve-load is the full load test behind BENCH_serve.json: 2500 concurrent
-# jobs against an in-process server, golden-validated, with throughput,
-# latency quantiles, and hit rate recorded. Not wired into CI (timing noise);
-# run it when touching internal/serve and commit the refreshed numbers.
+# serve-load is the full-size serve-hot workload: 80,000 cache-hit jobs over
+# loopback, golden-checked, printed as the benchmark's metric lines
+# (jobs_per_s, latency quantiles). Not wired into CI (timing noise). It
+# writes no file; BENCH_serve.json's note says where its numbers came from.
 serve-load:
-	$(GO) run ./cmd/serveload -jobs 2500 -conc 32 -out BENCH_serve.json
+	bash bench/run.sh -workload serve-hot
 
 # tune-smoke is the CI-sized exercise of the closed-loop tuner: the quick
 # grid on mcf at test scale, two re-profiling rounds per candidate. Every

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -144,17 +145,19 @@ func TestParseRejectsGarbage(t *testing.T) {
 	} {
 		cases = append(cases, "program entry=main\nfunc main {\nentry:\n "+bad+"\n halt\n}")
 	}
-	// A data section one page past the page cap.
+	for _, src := range cases {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse accepted %q", src)
+		}
+	}
+	// A data section one page past the page cap is an ErrDataSpan.
 	var sparse strings.Builder
 	sparse.WriteString("program entry=main\nfunc main {\nentry:\n halt\n}\ndata {\n")
 	for i := 0; i <= MaxParsedDataPages; i++ {
 		fmt.Fprintf(&sparse, "0x%x: 1\n", 0x100000+i<<12)
 	}
-	cases = append(cases, sparse.String())
-	for _, src := range cases {
-		if _, err := Parse(src); err == nil {
-			t.Errorf("Parse accepted %q", src)
-		}
+	if _, err := Parse(sparse.String()); !errors.Is(err, ErrDataSpan) {
+		t.Errorf("Parse of a data section past the page cap: %v, want ErrDataSpan", err)
 	}
 }
 

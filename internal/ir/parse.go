@@ -15,6 +15,10 @@ import (
 // built through SetWord are trusted and unbounded.
 const MaxParsedDataPages = 4096
 
+// ErrDataSpan is the error Parse wraps, with the offending line, when a data
+// section spans more than MaxParsedDataPages pages.
+var ErrDataSpan = fmt.Errorf("data section spans more than %d pages", MaxParsedDataPages)
+
 // Parse reads the textual assembly syntax produced by Format and returns the
 // program. Each instruction is assigned a fresh ID in textual order.
 //
@@ -135,7 +139,7 @@ func (pr *parser) line(line string) error {
 		}
 		pr.p.SetWord(a, v)
 		if d := pr.p.Data; d.t.Len()+d.t.Leaves()*pages.LeafPages > MaxParsedDataPages {
-			return fmt.Errorf("data section spans more than %d pages", MaxParsedDataPages)
+			return ErrDataSpan
 		}
 		return nil
 	}

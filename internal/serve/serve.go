@@ -13,11 +13,15 @@
 // cache hit. What the server adds is HTTP: admission and 429s, worker slots,
 // SSE progress, safety vetting of source IR, drain, and the tune-result memo.
 //
-// Capacity is explicit: Workers simulations run at once, Queue more may wait
-// admitted, and everything beyond that is rejected immediately with HTTP 429
-// rather than queued without bound. Cache hits bypass the worker pool
-// entirely. Drain (SIGTERM in cmd/sspserved) stops admission and waits for
-// the in-flight tail.
+// Capacity is explicit: at most Workers+Queue jobs are admitted at once, and
+// everything beyond that is rejected immediately with HTTP 429 rather than
+// queued without bound. A plain job simulates only while it holds one of
+// Workers slots, so plain jobs alone run at most Workers simulations at once;
+// cache hits bypass the slots entirely. A tune job takes no slot, and its
+// search runs up to Workers simulations at once of its own, so with
+// EnableTune up to (Workers+Queue)×Workers simulations can run at once.
+// Drain (SIGTERM in cmd/sspserved) stops admission and waits for the
+// in-flight tail.
 package serve
 
 import (
@@ -45,8 +49,9 @@ var errDraining = errors.New("serve: draining")
 
 // Config sizes a Server.
 type Config struct {
-	// Workers is the number of served runs allowed to compute
-	// concurrently, and each tune search's fan-out. 0 means
+	// Workers is the number of plain jobs allowed to simulate
+	// concurrently, and each tune search's own fan-out: with EnableTune,
+	// up to (Workers+Queue)×Workers simulations can run at once. 0 means
 	// runtime.GOMAXPROCS(0).
 	Workers int
 	// Queue is how many admitted jobs may wait for a worker beyond the
@@ -59,8 +64,11 @@ type Config struct {
 	// but not unbounded). 0 means 4 MiB.
 	MaxBodyBytes int64
 	// EnableTune admits tune-mode jobs (JobSpec.Tune): closed-loop
-	// searches that cost many simulations each. Off by default; without
-	// it tune jobs are rejected with 403.
+	// searches that cost many simulations each. A tune job takes no
+	// worker slot and runs up to Workers simulations at once, so every
+	// admitted job being a tune search raises the bound on concurrent
+	// simulations from Workers to (Workers+Queue)×Workers. Off by default;
+	// without it tune jobs are rejected with 403.
 	EnableTune bool
 	// CacheBytes is the byte budget of each scale's pipeline cache (its
 	// exp.Suite, tune results included): past it, completed cells are

@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -19,7 +21,6 @@ import (
 	"ssp/internal/exp"
 	"ssp/internal/handtuned"
 	"ssp/internal/ir"
-	"ssp/internal/sim"
 	"ssp/internal/ssp"
 	"ssp/internal/workloads"
 )
@@ -46,11 +47,11 @@ func post(t *testing.T, ts *httptest.Server, spec JobSpec) (int, *JobResponse, s
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		var sb strings.Builder
-		if _, err := fmt.Fprint(&sb, readAll(t, resp)); err != nil {
+		msg, err := io.ReadAll(resp.Body)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return resp.StatusCode, nil, strings.TrimSpace(sb.String())
+		return resp.StatusCode, nil, strings.TrimSpace(string(msg))
 	}
 	var jr JobResponse
 	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
@@ -59,45 +60,127 @@ func post(t *testing.T, ts *httptest.Server, spec JobSpec) (int, *JobResponse, s
 	return resp.StatusCode, &jr, ""
 }
 
-func readAll(t *testing.T, resp *http.Response) string {
-	t.Helper()
-	var sb strings.Builder
+// submit posts spec over HTTP, as a streamed job when sse is set, and
+// returns the response with the names of the events the stream carried. It
+// reports failures as errors, so concurrent clients can call it.
+func submit(ts *httptest.Server, spec JobSpec, sse bool) (*JobResponse, []string, error) {
+	body, err := json.Marshal(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	req, err := http.NewRequest("POST", ts.URL+"/jobs", bytes.NewReader(body))
+	if err != nil {
+		return nil, nil, err
+	}
+	if sse {
+		req.Header.Set("Accept", "text/event-stream")
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(resp.Body)
+		return nil, nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
+	}
+	if !sse {
+		var jr JobResponse
+		return &jr, nil, json.NewDecoder(resp.Body).Decode(&jr)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		return nil, nil, fmt.Errorf("SSE content type %q", ct)
+	}
+	var events []string
+	event := ""
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		sb.WriteString(sc.Text())
-		sb.WriteByte('\n')
+		line := sc.Text()
+		if ev, ok := strings.CutPrefix(line, "event: "); ok {
+			event = ev
+			events = append(events, ev)
+			continue
+		}
+		data, ok := strings.CutPrefix(line, "data: ")
+		switch {
+		case ok && event == "result":
+			var jr JobResponse
+			return &jr, events, json.Unmarshal([]byte(data), &jr)
+		case ok && event == "error":
+			return nil, events, fmt.Errorf("error event: %s", data)
+		}
 	}
-	return sb.String()
+	if err := sc.Err(); err != nil {
+		return nil, events, err
+	}
+	return nil, events, fmt.Errorf("stream ended without a result event (events: %v)", events)
 }
 
-// TestGoldenEquality: a served result must be byte-identical to the same
-// cell computed by the experiment suite — the property that makes the
+// TestGoldenEquality: every served cell of the test-scale matrix (each
+// benchmark on both models, base and ssp) equals its entry in the
+// golden-stats baseline field for field, the property that makes the
 // serving layer an experiment cache rather than a second implementation.
+// Eight concurrent clients post the 48 cells, every 10th over SSE; in a
+// second pass every reply must come from the cache.
 func TestGoldenEquality(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	suite := exp.NewSuite(exp.ScaleTest)
-	for _, variant := range []string{"base", "ssp"} {
-		code, jr, msg := post(t, ts, JobSpec{Bench: "mcf", Model: "in-order", Variant: variant})
-		if code != http.StatusOK {
-			t.Fatalf("mcf/%s: HTTP %d: %s", variant, code, msg)
+	data, err := os.ReadFile(filepath.Join("..", "exp", "testdata", "golden_stats.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The baseline records every JobResult field but Slices.
+	var golden map[string]JobResult
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	var specs []JobSpec
+	for _, b := range exp.Benchmarks() {
+		for _, model := range []string{"in-order", "ooo"} {
+			for _, variant := range []string{"base", "ssp"} {
+				names = append(names, b+"/"+model+"/"+variant)
+				specs = append(specs, JobSpec{Bench: b, Model: model, Variant: variant})
+			}
 		}
-		want, err := suite.Run("mcf", sim.InOrder, exp.Variant(variant))
-		if err != nil {
-			t.Fatal(err)
+	}
+	const clients = 8
+	// Workers+Queue admits every client's job, so none is turned away.
+	_, ts := newTestServer(t, Config{Queue: clients})
+	for pass := range 2 {
+		replies := make([]*JobResponse, len(specs))
+		errs := make([]error, len(specs))
+		work := make(chan int)
+		var wg sync.WaitGroup
+		for range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range work {
+					replies[i], _, errs[i] = submit(ts, specs[i], i%10 == 9)
+				}
+			}()
 		}
-		got := jr.Result
-		if got.Cycles != want.Cycles || got.Breakdown != want.Breakdown ||
-			got.MainInstrs != want.MainInstrs || got.SpecInstrs != want.SpecInstrs ||
-			got.Spawns != want.Spawns || got.ChkTaken != want.ChkTaken ||
-			got.Mispredicts != want.Mispredicts ||
-			got.MemAccesses != want.Hier.Totals.Accesses ||
-			got.MemL1Hits != want.Hier.Totals.Hits[0][0] ||
-			got.MissCycles != want.Hier.Totals.MissCycles ||
-			got.TLBMisses != want.Hier.Totals.TLBMisses {
-			t.Errorf("mcf/%s: served result diverged from the suite:\n got %+v\nwant cycles=%d", variant, got, want.Cycles)
+		for i := range specs {
+			work <- i
 		}
-		if variant == "ssp" && got.Slices == 0 {
-			t.Errorf("ssp job reported zero slices")
+		close(work)
+		wg.Wait()
+		for i, name := range names {
+			if errs[i] != nil {
+				t.Errorf("pass %d: %s: %v", pass, name, errs[i])
+				continue
+			}
+			if pass > 0 && !replies[i].Cached {
+				t.Errorf("pass %d: %s: not served from cache", pass, name)
+			}
+			want, ok := golden[name]
+			got := *replies[i].Result
+			if specs[i].Variant == "ssp" && got.Slices == 0 {
+				t.Errorf("pass %d: %s: ssp job reported zero slices", pass, name)
+			}
+			got.Slices = 0
+			if !ok || got != want {
+				t.Errorf("pass %d: %s: served result differs from golden_stats.json:\n got %+v\nwant %+v", pass, name, got, want)
+			}
 		}
 	}
 }
@@ -147,20 +230,10 @@ func TestMainKillSourceFails(t *testing.T) {
 	}
 	// A streamed submission ends in an error event with the same status
 	// and reason.
-	body, _ := json.Marshal(JobSpec{Source: ir.Format(p), Model: "in-order"})
-	req, err := http.NewRequest("POST", ts.URL+"/jobs", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	stream := readAll(t, resp)
-	if !strings.Contains(stream, `"status":422`) || !strings.Contains(stream, `"reason":"main-kill"`) {
-		t.Fatalf("SSE stream does not end in a 422 main-kill error event:\n%s", stream)
+	_, events, err := submit(ts, JobSpec{Source: ir.Format(p), Model: "in-order"}, true)
+	if err == nil || len(events) == 0 || events[len(events)-1] != "error" ||
+		!strings.Contains(err.Error(), `"status":422`) || !strings.Contains(err.Error(), `"reason":"main-kill"`) {
+		t.Fatalf("SSE stream does not end in a 422 main-kill error event (events %v): %v", events, err)
 	}
 }
 
@@ -350,50 +423,12 @@ func TestSSEFraming(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("plain job: HTTP %d: %s", code, msg)
 	}
-
-	body, _ := json.Marshal(spec)
-	req, err := http.NewRequest("POST", ts.URL+"/jobs", bytes.NewReader(body))
+	result, events, err := submit(ts, spec, true)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("SSE job: %v", err)
 	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("SSE job: HTTP %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("SSE content type %q", ct)
-	}
-
-	var events []string
-	var result *JobResponse
-	sc := bufio.NewScanner(resp.Body)
-	event := ""
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-			events = append(events, event)
-		case strings.HasPrefix(line, "data: ") && event == "result":
-			var jr JobResponse
-			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &jr); err != nil {
-				t.Fatalf("result event payload: %v", err)
-			}
-			result = &jr
-		case strings.HasPrefix(line, "data: ") && event == "error":
-			t.Fatalf("error event: %s", line)
-		}
-	}
-	if len(events) == 0 || events[0] != "queued" {
-		t.Fatalf("first event %v, want queued (events: %v)", events, events)
-	}
-	if result == nil {
-		t.Fatal("stream ended without a result event")
+	if events[0] != "queued" {
+		t.Fatalf("first event %v, want queued (events: %v)", events[0], events)
 	}
 	if !result.Cached {
 		t.Errorf("streamed repeat of a cached job reported cached=false")
@@ -882,6 +917,7 @@ func TestTuneResultsEvicted(t *testing.T) {
 // each of many distinct pages, or on each of many distinct page-table
 // leaves, is a 400 once it passes ir.MaxParsedDataPages, and handling it
 // allocates under 32 MiB in all, so the live heap grows by less than that.
+// The job's validation error wraps ir.ErrDataSpan.
 func TestSparsePageSourceRejected(t *testing.T) {
 	s := New(Config{})
 	for _, layout := range []struct {
@@ -898,7 +934,8 @@ func TestSparsePageSourceRejected(t *testing.T) {
 			fmt.Fprintf(&src, "\t0x%x: 1\n", 0x100000+uint64(i)*layout.stride)
 		}
 		src.WriteString("}\n")
-		body, err := json.Marshal(JobSpec{Source: src.String(), Model: "in-order"})
+		spec := JobSpec{Source: src.String(), Model: "in-order"}
+		body, err := json.Marshal(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -913,6 +950,9 @@ func TestSparsePageSourceRejected(t *testing.T) {
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 32<<20 {
 			t.Errorf("%s: handling the job allocated %d MiB, over 32", layout.name, grew>>20)
+		}
+		if _, err := spec.normalize(time.Second); !errors.Is(err, ir.ErrDataSpan) {
+			t.Errorf("%s: normalize: %v, want ir.ErrDataSpan", layout.name, err)
 		}
 	}
 }
