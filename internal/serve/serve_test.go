@@ -21,6 +21,7 @@ import (
 	"ssp/internal/exp"
 	"ssp/internal/handtuned"
 	"ssp/internal/ir"
+	"ssp/internal/sim"
 	"ssp/internal/ssp"
 	"ssp/internal/workloads"
 )
@@ -116,13 +117,44 @@ func submit(ts *httptest.Server, spec JobSpec, sse bool) (*JobResponse, []string
 	return nil, events, fmt.Errorf("stream ended without a result event (events: %v)", events)
 }
 
-// TestGoldenEquality: every served cell of the test-scale matrix (each
-// benchmark on both models, base and ssp) equals its entry in the
-// golden-stats baseline field for field, the property that makes the
+// TestGoldenEquality: a served result must be byte-identical to the same
+// cell computed by the experiment suite — the property that makes the
 // serving layer an experiment cache rather than a second implementation.
-// Eight concurrent clients post the 48 cells, every 10th over SSE; in a
-// second pass every reply must come from the cache.
 func TestGoldenEquality(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	suite := exp.NewSuite(exp.ScaleTest)
+	for _, variant := range []string{"base", "ssp"} {
+		code, jr, msg := post(t, ts, JobSpec{Bench: "mcf", Model: "in-order", Variant: variant})
+		if code != http.StatusOK {
+			t.Fatalf("mcf/%s: HTTP %d: %s", variant, code, msg)
+		}
+		want, err := suite.Run("mcf", sim.InOrder, exp.Variant(variant))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := jr.Result
+		if got.Cycles != want.Cycles || got.Breakdown != want.Breakdown ||
+			got.MainInstrs != want.MainInstrs || got.SpecInstrs != want.SpecInstrs ||
+			got.Spawns != want.Spawns || got.ChkTaken != want.ChkTaken ||
+			got.Mispredicts != want.Mispredicts ||
+			got.MemAccesses != want.Hier.Totals.Accesses ||
+			got.MemL1Hits != want.Hier.Totals.Hits[0][0] ||
+			got.MissCycles != want.Hier.Totals.MissCycles ||
+			got.TLBMisses != want.Hier.Totals.TLBMisses {
+			t.Errorf("mcf/%s: served result diverged from the suite:\n got %+v\nwant cycles=%d", variant, got, want.Cycles)
+		}
+		if variant == "ssp" && got.Slices == 0 {
+			t.Errorf("ssp job reported zero slices")
+		}
+	}
+}
+
+// TestConcurrentMatrixGolden: every served cell of the test-scale matrix
+// (each benchmark on both models, base and ssp) equals its entry in the
+// golden-stats baseline field for field. Eight concurrent clients post the
+// 48 cells, every 10th over SSE; in a second pass every reply must come
+// from the cache.
+func TestConcurrentMatrixGolden(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "exp", "testdata", "golden_stats.json"))
 	if err != nil {
 		t.Fatal(err)
