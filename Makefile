@@ -125,9 +125,13 @@ serve-load:
 # tune-smoke is the CI-sized exercise of the closed-loop tuner: the quick
 # grid on mcf at test scale, two re-profiling rounds per candidate. Every
 # round passes the metamorphic/conservation gates or the run fails, and
-# -require-converged makes a non-converging search a hard failure.
+# -require-converged makes a non-converging search a hard failure. The
+# second run gives the suite a single simulation slot (-workers 1), the
+# tightest bound under which every grid point's machines must still run to
+# completion.
 tune-smoke:
 	$(GO) run ./cmd/ssptune -scale test -bench mcf -rounds 2 -grid quick -quiet -require-converged
+	$(GO) run ./cmd/ssptune -scale test -bench mcf -rounds 2 -grid quick -workers 1 -require-converged
 
 # tools-smoke runs Figure 1's file flow end to end through the command-line
 # tools at test scale: sspprof writes mcf's profile, sspgen adapts mcf with

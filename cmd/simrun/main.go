@@ -67,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintln(stdout, "check:        differential layer passed")
 	}
-	res, _, _, err := s.Served(input.Bench, input.Src, nil, m, nil).Do(ctx, nil)
+	res, _, _, err := s.Served(input.Bench, input.Src, nil, m, nil).Do(ctx)
 	if err != nil {
 		return err
 	}

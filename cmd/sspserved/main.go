@@ -70,8 +70,8 @@ type options struct {
 func main() {
 	var o options
 	flag.StringVar(&o.Addr, "addr", "localhost:8344", "listen address")
-	flag.IntVar(&o.Workers, "workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	flag.IntVar(&o.Queue, "queue", 0, "admission queue beyond the workers (0 = 4x workers)")
+	flag.IntVar(&o.Workers, "workers", 0, "simulations each scale runs at once, plain and tune jobs alike (0 = GOMAXPROCS)")
+	flag.IntVar(&o.Queue, "queue", 0, "jobs admitted beyond -workers before 429s (0 = 4x workers)")
 	flag.DurationVar(&o.Timeout, "timeout", 120*time.Second, "default per-job deadline")
 	flag.DurationVar(&o.DrainGrace, "drain-grace", 30*time.Second, "how long to wait for in-flight jobs on shutdown")
 	flag.BoolVar(&o.EnableTune, "tune", false, "admit tune-mode jobs (closed-loop options search; many simulations per job)")

@@ -41,7 +41,7 @@ func serveSource(s *Suite, src string, model sim.Model) (*sim.Result, bool, erro
 		return nil, false, err
 	}
 	opt := ssp.DefaultOptions()
-	res, _, ran, err := s.Served("", src, p, model, &opt).Do(context.Background(), nil)
+	res, _, ran, err := s.Served("", src, p, model, &opt).Do(context.Background())
 	return res, ran, err
 }
 
@@ -129,7 +129,7 @@ func TestEvictedCellRecomputes(t *testing.T) {
 	// A cached failure is charged and evicted like a value, and fails the
 	// same way again.
 	for try := 0; try < 2; try++ {
-		_, _, ran, err := s.Served("", killSource(), nil, sim.OOO, nil).Do(context.Background(), nil)
+		_, _, ran, err := s.Served("", killSource(), nil, sim.OOO, nil).Do(context.Background())
 		if err == nil || !ran {
 			t.Fatalf("try %d: ran %v, err %v; want a recomputed failure", try, ran, err)
 		}
@@ -173,7 +173,7 @@ func TestSourceParsedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewSuite(ScaleTest)
-	if _, _, _, err := s.Served("", src, p, sim.InOrder, nil).Do(context.Background(), nil); err != nil {
+	if _, _, _, err := s.Served("", src, p, sim.InOrder, nil).Do(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	r := newRequest("", src, sim.InOrder, nil)
@@ -182,7 +182,7 @@ func TestSourceParsedOnce(t *testing.T) {
 	} else if got, _ := c.Do(context.Background(), nil); got.orig != p {
 		t.Error("the program stage parsed the source again instead of taking the parsed program")
 	}
-	if _, _, ran, _ := s.Served("", src, nil, sim.InOrder, nil).Do(context.Background(), nil); ran {
+	if _, _, ran, _ := s.Served("", src, nil, sim.InOrder, nil).Do(context.Background()); ran {
 		t.Error("a resubmitted source missed the cache")
 	}
 }
@@ -220,7 +220,7 @@ func TestTinyBudgetStillCoalesces(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				res, _, r, err := handles[i].Do(context.Background(), nil)
+				res, _, r, err := handles[i].Do(context.Background())
 				if err != nil {
 					t.Error(err)
 				}

@@ -11,7 +11,8 @@
 // image it executes — that the figure drivers, the closed-loop tuner, and
 // the serving layer all resolve through, so duplicate in-flight requests
 // coalesce onto one computation and identical images, however they were
-// produced, are simulated once.
+// produced, are simulated once. The suite's Workers slots bound the machines
+// it runs at once, whoever asked for them.
 // RunAll fans the experiment matrix out over a worker pool; the figure
 // drivers use it to presimulate their cells in parallel before the (cheap,
 // cache-hitting) serial table-assembly loops.
@@ -124,17 +125,20 @@ func (k RunKey) String() string {
 type Suite struct {
 	Scale Scale
 
-	// Workers is the concurrency the figure drivers hand to RunAll.
-	// NewSuite defaults it to runtime.GOMAXPROCS(0); set it to 1 for a
-	// fully serial suite.
+	// Workers bounds how many machines the suite runs at once, for every
+	// caller alike (RunAll, the tuner, served jobs, Simulate): a simulation
+	// holds one of Workers slots only while its machine runs (execute). It
+	// is also the pool size the figure drivers hand to RunAll. NewSuite
+	// defaults it to runtime.GOMAXPROCS(0); below 1 acts as 1. It is read
+	// at the first simulation, so set it before first use.
 	Workers int
 
 	// Progress, when non-nil, is called once per simulation the suite
 	// performs, with the key of the request that performed it, the result,
-	// and the simulation's wall time. Cached hits, and requests whose image
-	// was already simulated, do not fire it; a simulation the budget
-	// evicted fires it again when recomputed. It may be called from many
-	// goroutines at once.
+	// and the simulation's wall time, which excludes the wait for a slot.
+	// Cached hits, and requests whose image was already simulated, do not
+	// fire it; a simulation the budget evicted fires it again when
+	// recomputed. It may be called from many goroutines at once.
 	Progress func(key RunKey, res *sim.Result, wall time.Duration)
 
 	// Budget, when positive, bounds the approximate bytes the completed
@@ -161,6 +165,11 @@ type Suite struct {
 	clock  []resident
 	hand   int
 	used   int64
+
+	// slots holds one token per running machine, Workers of them; slotsOnce
+	// makes it at the first simulation.
+	slotsOnce sync.Once
+	slots     chan struct{}
 
 	// pool recycles machines across runs: Machine.Reset rebinds a machine
 	// to a new (config, program) while reusing its memory pages, hierarchy,
@@ -487,21 +496,15 @@ func predecode(p *ir.Program) (*decode.Program, [sha256.Size]byte, error) {
 }
 
 // run resolves the run cell c of request r, computing it on first use and
-// reporting whether this caller computed it. admit, when non-nil, marks a
-// served run: only the caller that computes the cell calls it (the serving
-// layer's worker slot; hits and coalesced waiters never do), and if that
-// caller also performs the simulation, it publishes the cell's live cycle
-// count through sim.ProgressHooks, a clock observer that cannot change the
-// Result. The computation pins every cell it resolves until it ends.
-func (s *Suite) run(ctx context.Context, c *cell[runKey, run], r request, admit func(context.Context) (func(), error)) (run, bool, error) {
+// reporting whether this caller computed it. When served is set and the
+// caller that computes the cell also performs the simulation, it publishes
+// the cell's live cycle count through sim.ProgressHooks, a clock observer
+// that cannot change the Result. The computation pins every cell it
+// resolves until it ends.
+func (s *Suite) run(ctx context.Context, c *cell[runKey, run], r request, served bool) (run, bool, error) {
 	return do(ctx, s, c, runBytes, func(ctx context.Context) (run, error) {
 		var setup func(*sim.Machine)
-		if admit != nil {
-			release, err := admit(ctx)
-			if err != nil {
-				return run{}, err
-			}
-			defer release()
+		if served {
 			setup = func(m *sim.Machine) { m.SetCycleHooks(sim.ProgressHooks{C: &c.cycles}) }
 		}
 		var l lease
@@ -517,7 +520,7 @@ func (s *Suite) run(ctx context.Context, c *cell[runKey, run], r request, admit 
 
 // resolve returns r's run-stage value through its cell.
 func (s *Suite) resolve(ctx context.Context, r request) (run, error) {
-	v, _, err := s.run(ctx, lookup(s, s.runs, r.runKey, nil), r, nil)
+	v, _, err := s.run(ctx, lookup(s, s.runs, r.runKey, nil), r, false)
 	return v, err
 }
 
@@ -588,7 +591,11 @@ func (s *Suite) simulate(ctx context.Context, k simKey, label RunKey, cfg sim.Co
 }
 
 // execute runs one simulation of k under the suite's machine-lifecycle
-// discipline and returns its result and wall time.
+// discipline and returns its result and wall time. It is the one place a
+// machine runs, so it holds one of the suite's Workers slots from before it
+// takes a machine until the run returns: a request waiting on a cell or an
+// identical image holds none, and a slot holder waits on nothing. The wall
+// time starts once the slot is taken.
 //
 // The machine goes back to the pool only after a clean completion — Run
 // returned, the watchdog did not fire, the main thread did not kill itself,
@@ -600,6 +607,13 @@ func (s *Suite) simulate(ctx context.Context, k simKey, label RunKey, cfg sim.Co
 // into a worker pool: one bad hook or one simulator bug fails its own cell
 // (and, in the serving layer, its own request) instead of the whole process.
 func (s *Suite) execute(ctx context.Context, label RunKey, k simKey, cfg sim.Config, dp *decode.Program, setup func(*sim.Machine)) (res *sim.Result, wall time.Duration, err error) {
+	s.slotsOnce.Do(func() { s.slots = make(chan struct{}, max(s.Workers, 1)) })
+	select {
+	case s.slots <- struct{}{}:
+	case <-ctx.Done():
+		return nil, 0, ctx.Err()
+	}
+	defer func() { <-s.slots }()
 	m := s.pool.Get(cfg, dp)
 	defer func() {
 		if r := recover(); r != nil {
@@ -635,12 +649,12 @@ func (s *Suite) Run(bench string, model sim.Model, v Variant) (*sim.Result, erro
 	return s.RunContext(context.Background(), bench, model, v)
 }
 
-// RunContext is Run under a context: a cancelled simulation stops within one
-// cycle-loop iteration and returns ctx.Err(). Cancellation does not poison
-// the cell — the outcome is not cached (flight.Cell resets on context
-// errors), coalesced waiters with live contexts retry, and a later call with
-// a fresh context recomputes the cell. The abandoned machine is discarded
-// rather than pooled.
+// RunContext is Run under a context: a cancelled simulation, or one still
+// waiting for a slot, stops promptly and returns ctx.Err(). Cancellation
+// does not poison the cell — the outcome is not cached (flight.Cell resets
+// on context errors), coalesced waiters with live contexts retry, and a
+// later call with a fresh context recomputes the cell. The abandoned
+// machine is discarded rather than pooled.
 func (s *Suite) RunContext(ctx context.Context, bench string, model sim.Model, v Variant) (*sim.Result, error) {
 	r, err := variantRequest(bench, model, v)
 	if err != nil {
@@ -742,11 +756,11 @@ func (s *Suite) Served(bench, src string, parsed *ir.Program, model sim.Model, o
 func (h Served) Cycles() int64 { return h.c.cycles.Load() }
 
 // Do resolves the served cell and reports whether this request computed it.
-// Only the computing request calls admit, before any work, and releases what
-// it acquired when done. The report is the binary's tool report (nil for an
-// unadapted run).
-func (h Served) Do(ctx context.Context, admit func(context.Context) (release func(), err error)) (*sim.Result, *ssp.Report, bool, error) {
-	v, ran, err := h.s.run(ctx, h.c, h.r, admit)
+// A simulation it performs publishes its live cycle count to Cycles, and
+// runs in one of the suite's Workers slots like any other. The report is
+// the binary's tool report (nil for an unadapted run).
+func (h Served) Do(ctx context.Context) (*sim.Result, *ssp.Report, bool, error) {
+	v, ran, err := h.s.run(ctx, h.c, h.r, true)
 	return v.res, v.rep, ran, err
 }
 

@@ -465,7 +465,6 @@ func TestSimulateSharesImageCells(t *testing.T) {
 // suite, where no observer is attached.
 func TestServedProgressCounter(t *testing.T) {
 	ctx := context.Background()
-	admit := func(context.Context) (func(), error) { return func() {}, nil }
 	opt := ssp.DefaultOptions()
 	for _, tc := range []struct {
 		model sim.Model
@@ -476,14 +475,14 @@ func TestServedProgressCounter(t *testing.T) {
 	} {
 		s := NewSuite(ScaleTest)
 		h := s.Served("mcf", "", nil, tc.model, tc.opt)
-		res, _, ran, err := h.Do(ctx, admit)
+		res, _, ran, err := h.Do(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ran || h.Cycles() != res.Cycles || res.Cycles == 0 {
 			t.Fatalf("%s: computed %v, progress counter %d, result %d cycles", tc.model, ran, h.Cycles(), res.Cycles)
 		}
-		again, _, ran, err := h.Do(ctx, admit)
+		again, _, ran, err := h.Do(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

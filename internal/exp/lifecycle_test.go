@@ -115,7 +115,7 @@ func TestMainKillFailsRun(t *testing.T) {
 	const want = "source/in-order/base: main thread executed thread_kill_self"
 	for _, model := range []sim.Model{sim.InOrder, sim.OOO} {
 		for try := 0; try < 2; try++ {
-			res, _, _, err := s.Served("", src, nil, model, nil).Do(context.Background(), nil)
+			res, _, _, err := s.Served("", src, nil, model, nil).Do(context.Background())
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("%v try %d: err = %v, want %q", model, try, err, want)
 			}

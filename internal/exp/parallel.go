@@ -16,9 +16,13 @@ import (
 
 // RunAll presimulates the given matrix cells on a pool of workers, filling
 // the suite's caches so subsequent serial Run/Speedup calls are hits.
-// workers <= 0 means runtime.GOMAXPROCS(0). Duplicate keys are deduplicated
-// up front (the per-cell singleflight would coalesce them anyway, but a
-// duplicate would occupy a worker for the duration of the first run).
+// workers <= 0 means runtime.GOMAXPROCS(0). A worker resolves one cell at a
+// time, adapting and linking outside any slot; its simulations take the
+// suite's Workers slots like every other, so workers above Suite.Workers
+// only overlap build work with the running machines. Duplicate keys are
+// deduplicated up front (the per-cell singleflight would coalesce them
+// anyway, but a duplicate would occupy a worker for the duration of the
+// first run).
 //
 // Every cell is attempted even when some fail; the returned error is the
 // first failure in key order, so the outcome is deterministic regardless of

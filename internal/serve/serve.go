@@ -10,18 +10,16 @@
 // closed-loop tuner of tune-mode jobs wraps the same suites. A served result
 // is therefore the corresponding matrix cell itself — byte-identical to the
 // golden-stats baseline — and a job the tuner or the matrix already ran is a
-// cache hit. What the server adds is HTTP: admission and 429s, worker slots,
-// SSE progress, safety vetting of source IR, drain, and the tune-result memo.
+// cache hit. What the server adds is HTTP: admission and 429s, SSE progress,
+// safety vetting of source IR, drain, and the tune-result memo.
 //
 // Capacity is explicit: at most Workers+Queue jobs are admitted at once, and
 // everything beyond that is rejected immediately with HTTP 429 rather than
-// queued without bound. A plain job simulates only while it holds one of
-// Workers slots, so plain jobs alone run at most Workers simulations at once;
-// cache hits bypass the slots entirely. A tune job takes no slot, and its
-// search runs up to Workers simulations at once of its own, so with
-// EnableTune up to (Workers+Queue)×Workers simulations can run at once.
-// Drain (SIGTERM in cmd/sspserved) stops admission and waits for the
-// in-flight tail.
+// queued without bound. Each scale's suite runs at most Workers machines at
+// once (exp.Suite.Workers), whether plain jobs or tune searches asked for
+// them, so the server runs at most 2×Workers simulations; cache hits and
+// requests waiting on another's computation run none. Drain (SIGTERM in
+// cmd/sspserved) stops admission and waits for the in-flight tail.
 package serve
 
 import (
@@ -40,8 +38,8 @@ import (
 	"ssp/internal/tune"
 )
 
-// ErrBusy is returned (as HTTP 429) when the server is at capacity: every
-// worker busy and the admission queue full.
+// ErrBusy is the HTTP 429 message of a job refused at admission, when
+// Workers+Queue jobs are already in flight.
 var ErrBusy = errors.New("serve: at capacity")
 
 // errDraining is returned (as HTTP 503) once Drain has begun.
@@ -49,14 +47,12 @@ var errDraining = errors.New("serve: draining")
 
 // Config sizes a Server.
 type Config struct {
-	// Workers is the number of plain jobs allowed to simulate
-	// concurrently, and each tune search's own fan-out: with EnableTune,
-	// up to (Workers+Queue)×Workers simulations can run at once. 0 means
-	// runtime.GOMAXPROCS(0).
+	// Workers is how many simulations each scale's suite runs at once,
+	// for plain jobs and tune searches alike. 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// Queue is how many admitted jobs may wait for a worker beyond the
-	// ones running; past Workers+Queue in flight, requests are rejected
-	// with 429. 0 means 4×Workers.
+	// Queue is how many jobs may be admitted beyond Workers; past
+	// Workers+Queue in flight, requests are rejected with 429. 0 means
+	// 4×Workers.
 	Queue int
 	// DefaultTimeout bounds jobs that do not set timeout_ms. 0 means 120s.
 	DefaultTimeout time.Duration
@@ -64,11 +60,9 @@ type Config struct {
 	// but not unbounded). 0 means 4 MiB.
 	MaxBodyBytes int64
 	// EnableTune admits tune-mode jobs (JobSpec.Tune): closed-loop
-	// searches that cost many simulations each. A tune job takes no
-	// worker slot and runs up to Workers simulations at once, so every
-	// admitted job being a tune search raises the bound on concurrent
-	// simulations from Workers to (Workers+Queue)×Workers. Off by default;
-	// without it tune jobs are rejected with 403.
+	// searches that cost many simulations each. Their simulations share
+	// the suite's Workers slots with plain jobs. Off by default; without
+	// it tune jobs are rejected with 403.
 	EnableTune bool
 	// CacheBytes is the byte budget of each scale's pipeline cache (its
 	// exp.Suite, tune results included): past it, completed cells are
@@ -106,11 +100,6 @@ type Server struct {
 	cfg   Config
 	mux   *http.ServeMux
 	start time.Time
-
-	// sem is the worker pool: one token per concurrently running
-	// simulation. Only cache misses acquire it; hits and coalesced
-	// waiters never occupy a slot.
-	sem chan struct{}
 
 	inflight atomic.Int64
 	draining atomic.Bool
@@ -154,7 +143,6 @@ func New(cfg Config) *Server {
 		s.tuners[sc] = tune.New(suite)
 		s.tunes[sc] = exp.NewMemo(suite, "tune", tuneResultBytes)
 	}
-	s.sem = make(chan struct{}, s.cfg.Workers)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /jobs", s.handleJob)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -286,7 +274,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	// would run on: its stubs and main-thread code keep the Figure 7 layout
 	// and its slices are proven bounded and isolated. Violations are 422
 	// with the machine-readable report, before the job can reach a cache
-	// cell or a worker (unsafe programs are never cached, so a later
+	// cell or a machine (unsafe programs are never cached, so a later
 	// fixed submission is a fresh key and a fresh verification).
 	if j.Source != "" {
 		if rep, err := s.vetSource(j); err != nil {
@@ -349,11 +337,9 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// runTune resolves a tune-mode job through its memoization cell. The job
-// takes no worker slot: its search resolves cells of the shared suite, one of
-// which a served request waiting for a slot may be computing, so a slot held
-// by the search could wait on itself. Admission (Workers+Queue) still bounds
-// it, and the search fans out over the suite's Workers.
+// runTune resolves a tune-mode job through its memoization cell. Admission
+// (Workers+Queue) bounds it like any job, and its search's simulations take
+// the suite's Workers slots.
 func (s *Server) runTune(ctx context.Context, j job, key string) (res *tune.Result, hit bool, err error) {
 	res, ran, err := s.tunes[j.scale()].Do(ctx, key, func(ctx context.Context) (*tune.Result, error) {
 		grid, err := tune.Grid(j.Tune.Grid)
@@ -373,7 +359,7 @@ func (s *Server) runTune(ctx context.Context, j job, key string) (res *tune.Resu
 // scale, reporting whether this request was served without running a
 // simulation (a cached outcome or a coalesced ride on another request's run).
 func (s *Server) runJob(ctx context.Context, h exp.Served) (*JobResult, bool, error) {
-	res, rep, ran, err := h.Do(ctx, s.acquire)
+	res, rep, ran, err := h.Do(ctx)
 	if s.account(ran, err) {
 		return nil, false, err
 	}
@@ -405,17 +391,6 @@ func (s *Server) account(ran bool, err error) bool {
 		s.failures.Add(1)
 	}
 	return err != nil
-}
-
-// acquire takes a worker slot for the one request that computes a run cell;
-// waiting here is the admission queue.
-func (s *Server) acquire(ctx context.Context) (func(), error) {
-	select {
-	case s.sem <- struct{}{}:
-		return func() { <-s.sem }, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
 }
 
 // UnsafeResponse is the HTTP 422 payload for source jobs whose IR fails the
@@ -475,8 +450,6 @@ func statusOf(err error) int {
 	case errors.Is(err, context.Canceled):
 		// The client went away; the status is for the log's benefit.
 		return http.StatusGatewayTimeout
-	case errors.Is(err, ErrBusy):
-		return http.StatusTooManyRequests
 	default:
 		return http.StatusInternalServerError
 	}

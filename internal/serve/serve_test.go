@@ -397,31 +397,75 @@ func TestCacheHitAndCoalesce(t *testing.T) {
 	}
 }
 
-// TestBackpressure: with every worker slot and queue position occupied, the
-// next job is rejected immediately with 429; once capacity frees up the same
-// job succeeds (the rejection was never cached).
-func TestBackpressure(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, Queue: 1})
+// spinSource is a program whose main thread branches to itself forever: a
+// source job of it simulates until its request is cancelled.
+func spinSource() string {
+	p := ir.NewProgram("main")
+	ir.NewFunc(p, "main").Block("loop").Br("loop")
+	return ir.Format(p)
+}
 
-	// Occupy the single worker slot from the outside so admitted jobs
-	// queue deterministically.
-	s.sem <- struct{}{}
-
-	results := make(chan int, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			code, _, _ := post(t, ts, JobSpec{Bench: "mst", Model: "in-order"})
-			results <- code
-		}()
+// spin posts a spinning test-scale source job and returns once its machine
+// runs, holding one of the test-scale suite's Workers slots. stop cancels
+// the job's request and waits for the client to see it end; the test's
+// cleanup calls it too, so a failed test does not leave the server busy.
+func spin(t *testing.T, s *Server, ts *httptest.Server) (stop func()) {
+	t.Helper()
+	body, err := json.Marshal(JobSpec{Source: spinSource(), Model: "in-order"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Wait until both are admitted (inflight == Workers+Queue == 2).
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/jobs", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	stop = func() { cancel(); <-done }
+	t.Cleanup(stop)
 	deadline := time.Now().Add(5 * time.Second)
-	for s.inflight.Load() < 2 {
+	for s.Snapshot().Pool.Gets < 1 {
 		if time.Now().After(deadline) {
-			t.Fatal("admitted jobs never showed up in the inflight count")
+			t.Fatal("the spinning job never started simulating")
 		}
 		time.Sleep(time.Millisecond)
 	}
+	return stop
+}
+
+// waitInflight waits until n jobs are admitted.
+func waitInflight(t *testing.T, s *Server, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.inflight.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("admitted jobs never reached %d in the inflight count", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestBackpressure: with the one simulation slot and the queue position
+// occupied, the next job is rejected immediately with 429; once capacity
+// frees up the same job succeeds (the rejection was never cached).
+func TestBackpressure(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, Queue: 1})
+
+	// A spinning job holds the single slot, so the next admitted job
+	// waits for it deterministically.
+	stop := spin(t, s, ts)
+	result := make(chan int, 1)
+	go func() {
+		code, _, _ := post(t, ts, JobSpec{Bench: "mst", Model: "in-order"})
+		result <- code
+	}()
+	waitInflight(t, s, 2) // Workers+Queue
 
 	code, _, msg := post(t, ts, JobSpec{Bench: "mst", Model: "in-order"})
 	if code != http.StatusTooManyRequests {
@@ -431,11 +475,9 @@ func TestBackpressure(t *testing.T) {
 		t.Errorf("rejection not counted in statz")
 	}
 
-	<-s.sem // release the stolen slot
-	for i := 0; i < 2; i++ {
-		if code := <-results; code != http.StatusOK {
-			t.Fatalf("queued job finished with HTTP %d", code)
-		}
+	stop()
+	if code := <-result; code != http.StatusOK {
+		t.Fatalf("queued job finished with HTTP %d", code)
 	}
 	code, jr, _ := post(t, ts, JobSpec{Bench: "mst", Model: "in-order"})
 	if code != http.StatusOK {
@@ -566,23 +608,15 @@ func TestDeadline(t *testing.T) {
 func TestDrain(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 
-	// Hold the worker slot so an in-flight job pins the drain.
-	s.sem <- struct{}{}
-	started := make(chan struct{})
+	// A spinning job holds the slot, so it and the job queued behind it
+	// pin the drain.
+	stop := spin(t, s, ts)
 	done := make(chan int, 1)
 	go func() {
-		close(started)
 		code, _, _ := post(t, ts, JobSpec{Bench: "vpr", Model: "in-order"})
 		done <- code
 	}()
-	<-started
-	deadline := time.Now().Add(5 * time.Second)
-	for s.inflight.Load() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("job never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitInflight(t, s, 2)
 
 	short, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -602,7 +636,7 @@ func TestDrain(t *testing.T) {
 		t.Errorf("job while draining: HTTP %d, want 503", code)
 	}
 
-	<-s.sem // let the pinned job run
+	stop() // let the queued job run
 	if code := <-done; code != http.StatusOK {
 		t.Fatalf("pinned job finished with HTTP %d", code)
 	}
@@ -771,12 +805,13 @@ func TestTuneKeying(t *testing.T) {
 	}
 }
 
-// TestTuneSharesSuiteCache: with a single worker slot, a tune job and plain
-// jobs for the round-0 cells of its quick grid run at once. Neither may
-// deadlock on the other: a plain job computing a cell holds the slot while
-// the search waits on that cell, so the search itself must never hold the
-// slot. Afterwards a plain job that only the search ran (the mcf/in-order
-// baseline) is a hit — tune searches and plain jobs share one cache.
+// TestTuneSharesSuiteCache: with a single simulation slot, a tune job and
+// plain jobs for the round-0 cells of its quick grid run at once. Neither
+// may deadlock on the other: only a running machine holds a slot, and it
+// waits on nothing, so a plain job or a search waiting on a cell the other
+// computes holds none. Afterwards a plain job that only the search ran (the
+// mcf/in-order baseline) is a hit — tune searches and plain jobs share one
+// cache.
 func TestTuneSharesSuiteCache(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, EnableTune: true})
 	const timeoutMS = 60_000 // a deadlock surfaces as a 504, not a hang
@@ -819,6 +854,19 @@ func TestTuneSharesSuiteCache(t *testing.T) {
 	}
 	if after := s.Snapshot(); after.Misses != before.Misses {
 		t.Errorf("base job after the tune search counted a miss (%d -> %d)", before.Misses, after.Misses)
+	}
+}
+
+// TestTuneJobWaitsForSlot: a tune search's simulations take the suite's
+// Workers slots like a plain job's, so behind a spinning job that holds the
+// only slot, a tune job runs out its deadline (504) without simulating.
+func TestTuneJobWaitsForSlot(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, EnableTune: true})
+	spin(t, s, ts)
+	code, _, msg := post(t, ts, JobSpec{Bench: "mcf", Model: "in-order",
+		Tune: &TuneSpec{Rounds: 2, Grid: "quick"}, TimeoutMS: 2000})
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("tune job behind a spinning job: HTTP %d (%s), want 504", code, msg)
 	}
 }
 

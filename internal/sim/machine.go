@@ -253,11 +253,11 @@ type Machine struct {
 	noSpec bool
 
 	// stop is the cancellation flag behind RunContext: an AfterFunc on the
-	// run's context sets it, and the engines poll it once per cycle-loop
-	// iteration (the same granularity as the watchdog check), so a
-	// cancelled run returns within one simulated cycle or one fast-forward
-	// hop. It costs runs without a cancellable context one predictable
-	// load-and-branch per cycle.
+	// run's context sets it, and the engines poll it between cycles (the OOO
+	// engine every iteration, the in-order engine every 64 cycles), so a
+	// cancelled run returns within 64 simulated cycles or one fast-forward
+	// hop. It costs runs without a cancellable context at most one
+	// predictable load-and-branch per cycle.
 	stop atomic.Bool
 
 	mainDone bool
@@ -442,11 +442,11 @@ func (m *Machine) Run() (*Result, error) { return m.RunContext(context.Backgroun
 // context (if any) is still live — the interrupt, not the context, ended it.
 var ErrInterrupted = errors.New("sim: run interrupted")
 
-// Interrupt asks a running machine to stop at its next cycle-loop iteration.
-// It is safe to call from any goroutine — including the machine's own hooks,
-// where it takes effect synchronously, before the next cycle. RunContext uses
-// it as the context's AfterFunc; direct callers without a cancelled context
-// get ErrInterrupted back from the run.
+// Interrupt asks a running machine to stop at its engine's next stop check
+// (every cycle on the OOO engine, every 64 cycles on the in-order one). It
+// is safe to call from any goroutine, the machine's own hooks included.
+// RunContext uses it as the context's AfterFunc; direct callers without a
+// cancelled context get ErrInterrupted back from the run.
 func (m *Machine) Interrupt() { m.stop.Store(true) }
 
 // RunContext is Run under a context: when ctx is cancelled or its deadline

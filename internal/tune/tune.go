@@ -15,7 +15,8 @@
 // On top of the loop sits an options auto-tuner: a small grid over the
 // ssp.Options knobs the hand adaptations effectively tuned by eye
 // (ChainUnroll, region depth, chain bound), each grid point evaluated with
-// its own adaptive loop on the exp.Suite worker pool, memoized per
+// its own adaptive loop, all at once under the exp.Suite's Workers slots
+// (they bound the machines the search runs), memoized per
 // (bench, model, params, options) so repeated tuning requests — the serving
 // layer's tune mode — coalesce and hit cache. Round images run through the
 // suite's simulation cells, which are keyed by image content: re-adapts
@@ -244,22 +245,16 @@ func (t *Tuner) Tune(ctx context.Context, bench string, model sim.Model, params 
 		return nil, fmt.Errorf("tune: baseline %s/%s: %w", bench, model, err)
 	}
 
-	// Fan the grid out over the suite's worker budget. Round-0 cells of
-	// identical option sets coalesce inside the suite.
-	workers := t.Suite.Workers
-	if workers < 1 {
-		workers = 1
-	}
+	// Fan every grid point out at once: the suite's Workers slots bound the
+	// machines they run. Round-0 cells of identical option sets coalesce
+	// inside the suite.
 	cands := make([]*Candidate, len(grid))
 	errs := make([]error, len(grid))
-	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for i, gp := range grid {
 		wg.Add(1)
 		go func(i int, gp GridPoint) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
 			cands[i], errs[i] = t.candidate(ctx, bench, model, params, gp, base)
 		}(i, gp)
 	}

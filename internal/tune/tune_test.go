@@ -1,10 +1,16 @@
 package tune
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ssp/internal/exp"
+	"ssp/internal/ir"
 	"ssp/internal/sim"
 	"ssp/internal/ssp"
 )
@@ -178,5 +184,65 @@ func TestTuneSimulatesEachImageOnce(t *testing.T) {
 			t.Errorf("%s: %d rounds with %d distinct cycle counts ran %d simulations, want %d",
 				bench, rounds, len(distinct), sims, want)
 		}
+	}
+}
+
+// TestTuneCountsAgainstWorkers: a search's simulations take the suite's
+// Workers slots like every other run. While a spinning simulation holds the
+// only slot of a Workers 1 suite, a search cannot start a machine, so it
+// runs out its deadline without completing a simulation. Once the spinner
+// is cancelled, the same search completes with a fresh suite's result.
+func TestTuneCountsAgainstWorkers(t *testing.T) {
+	s := exp.NewSuite(exp.ScaleTest)
+	s.Workers = 1
+	var sims atomic.Int64
+	s.Progress = func(exp.RunKey, *sim.Result, time.Duration) { sims.Add(1) }
+	tn := New(s)
+
+	p := ir.NewProgram("main")
+	ir.NewFunc(p, "main").Block("loop").Br("loop")
+	spinCtx, stop := context.WithCancel(context.Background())
+	defer stop()
+	spun := make(chan error, 1)
+	go func() {
+		_, err := s.Simulate(spinCtx, "spin", sim.InOrder, p, 0)
+		spun <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.PoolStats().Gets < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the spinning simulation never took a machine")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	search := func(ctx context.Context, tn *Tuner) (*Result, error) {
+		return tn.Tune(ctx, "mcf", sim.InOrder, Params{MaxRounds: 2}, QuickGrid())
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	if _, err := search(ctx, tn); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("search behind a spinning simulation: err %v, want DeadlineExceeded", err)
+	}
+	if n := sims.Load(); n != 0 {
+		t.Fatalf("search behind a spinning simulation completed %d simulations, want 0", n)
+	}
+
+	stop()
+	if err := <-spun; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled spinner: err %v, want Canceled", err)
+	}
+	res, err := search(context.Background(), tn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := search(context.Background(), testTuner())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(res)
+	fresh, _ := json.Marshal(want)
+	if !bytes.Equal(got, fresh) {
+		t.Errorf("search after the spinner stopped diverged from a fresh suite's:\n got %s\nwant %s", got, fresh)
 	}
 }
