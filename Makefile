@@ -46,9 +46,10 @@ sspcheck:
 
 # alloc-gate runs the allocation-regression tests without the race detector
 # (whose instrumentation allocates): the per-access hot path must stay at
-# exactly zero allocations, warm engine reruns under their hard ceilings.
+# exactly zero allocations, warm engine reruns and a served cache hit under
+# their hard ceilings.
 alloc-gate:
-	$(GO) test -count=1 -run 'Allocs' ./internal/sim/...
+	$(GO) test -count=1 -run 'Allocs' ./internal/sim/... ./internal/serve
 
 # fuzz-smoke gives each native fuzz target a short budget beyond its checked-in
 # corpus; a real campaign uses -fuzztime as long as you can afford.

@@ -177,9 +177,13 @@ func TestSourceParsedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := newRequest("", src, sim.InOrder, nil)
-	if c := s.progs.cells[r.prog]; c == nil || !c.Done() {
+	c := s.progs.cells[r.prog]
+	if c == nil {
 		t.Fatal("no program cell under the source's hash")
-	} else if got, _ := c.Do(context.Background(), nil); got.orig != p {
+	}
+	if got, ok, _ := c.Peek(); !ok {
+		t.Fatal("the program cell holds no outcome")
+	} else if got.orig != p {
 		t.Error("the program stage parsed the source again instead of taking the parsed program")
 	}
 	if _, _, ran, _ := s.Served("", src, nil, sim.InOrder, nil).Do(context.Background()); ran {

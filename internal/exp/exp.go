@@ -755,6 +755,14 @@ func (s *Suite) Served(bench, src string, parsed *ir.Program, model sim.Model, o
 // cell, and when the cell's image was already simulated.
 func (h Served) Cycles() int64 { return h.c.cycles.Load() }
 
+// Cached returns the served cell's outcome when the cell already holds one,
+// without waiting or computing: ok is false while the cell is empty or in
+// flight, and the caller goes on to Do. The report is as for Do.
+func (h Served) Cached() (res *sim.Result, rep *ssp.Report, ok bool, err error) {
+	v, ok, err := h.c.Peek()
+	return v.res, v.rep, ok, err
+}
+
 // Do resolves the served cell and reports whether this request computed it.
 // A simulation it performs publishes its live cycle count to Cycles, and
 // runs in one of the suite's Workers slots like any other. The report is

@@ -101,20 +101,25 @@ func (c *Cell[T]) Do(ctx context.Context, fn func(context.Context) (T, error)) (
 	}
 }
 
-// Done reports whether the cell holds a cached outcome: a computation that
-// finished with a cacheable value or error. An in-flight run does not count.
-// The answer is advisory — a concurrent Do may complete right after — but it
-// is exact enough for cache-hit accounting.
-func (c *Cell[T]) Done() bool {
+// Peek returns the cell's cached outcome without waiting or computing: ok
+// is true when a computation finished with a cacheable value or error, and
+// false while the cell is empty or in flight. The answer is advisory — a
+// concurrent Do may complete right after — so a caller that finds nothing
+// goes on to Do.
+func (c *Cell[T]) Peek() (v T, ok bool, err error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cur == nil {
-		return false
+	r := c.cur
+	c.mu.Unlock()
+	if r == nil {
+		return v, false, nil
 	}
 	select {
-	case <-c.cur.done:
-		return !uncacheable(c.cur.err)
+	case <-r.done:
+		if uncacheable(r.err) {
+			return v, false, nil
+		}
+		return r.val, true, r.err
 	default:
-		return false
+		return v, false, nil
 	}
 }

@@ -54,8 +54,8 @@ func TestCoalesce(t *testing.T) {
 			t.Errorf("waiter %d got %d, want 42", i, v)
 		}
 	}
-	if !c.Done() {
-		t.Error("cell not Done after a cached success")
+	if v, ok, err := c.Peek(); !ok || v != 42 || err != nil {
+		t.Errorf("Peek after a cached success: %d, %v, %v", v, ok, err)
 	}
 }
 
@@ -76,8 +76,8 @@ func TestErrorCached(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("fn ran %d times, want 1 (errors are cached)", calls)
 	}
-	if !c.Done() {
-		t.Error("cell not Done after a cached error")
+	if _, ok, err := c.Peek(); !ok || !errors.Is(err, boom) {
+		t.Errorf("Peek after a cached error: %v, %v", ok, err)
 	}
 }
 
@@ -93,7 +93,7 @@ func TestTransientNotCached(t *testing.T) {
 	if !errors.Is(err, ErrTransient) {
 		t.Fatalf("got %v", err)
 	}
-	if c.Done() {
+	if _, ok, _ := c.Peek(); ok {
 		t.Fatal("transient outcome was cached")
 	}
 	v, err := c.Do(context.Background(), func(context.Context) (int, error) {

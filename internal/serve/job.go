@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"time"
 
 	"ssp/internal/exp"
@@ -149,11 +150,13 @@ func (s *JobSpec) normalize(defaultTimeout time.Duration) (job, error) {
 		if j.Variant != varSSP {
 			return j, fmt.Errorf("options are only meaningful with variant %q", varSSP)
 		}
+		opt := j.Options // a local, so that decoding into it leaves j on the stack
 		dec := json.NewDecoder(bytes.NewReader(s.Options))
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(&j.Options); err != nil {
+		if err := dec.Decode(&opt); err != nil {
 			return j, fmt.Errorf("options: %w", err)
 		}
+		j.Options = opt
 	}
 	if s.Tune != nil {
 		switch {
@@ -209,6 +212,36 @@ func (j job) scale() exp.Scale {
 // request. It names the job in responses and keys the tune-result memo;
 // plain jobs coalesce and hit on the suite's run cell for the same work.
 func (j job) key() string {
+	var data []byte
+	if j.Source == "" && j.Tune == nil {
+		data = j.benchCanon(make([]byte, 0, 640))
+	}
+	if data == nil {
+		data = j.canon()
+	}
+	sum := sha256.Sum256(data)
+	var h [2 * sha256.Size]byte
+	hex.Encode(h[:], sum[:])
+	return string(h[:])
+}
+
+// benchCanon appends the canonical form of a bench job without a tune spec:
+// exactly canon's bytes, or nil when the benchmark name would need escaping.
+// The model and variant names are normalize's, which need none.
+func (j job) benchCanon(b []byte) []byte {
+	b, ok := appendString(append(b, `{"Bench":`...), j.Bench)
+	if !ok {
+		return nil
+	}
+	b = append(append(b, `,"Source":"","Model":"`...), j.Model.String()...)
+	b = append(append(b, `","Variant":"`...), j.Variant...)
+	b = strconv.AppendBool(append(b, `","Test":`...), j.Test)
+	b = append(append(b, `,"Options":`...), j.Options.Key()...)
+	return append(b, '}')
+}
+
+// canon is the job's canonical form: the JSON encoding of its key fields.
+func (j job) canon() []byte {
 	canon := struct {
 		Bench   string
 		Source  string
@@ -225,8 +258,7 @@ func (j job) key() string {
 		// Every field is a plain value; Marshal cannot fail.
 		panic(err)
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+	return data
 }
 
 // JobResult is the client-visible outcome of a job: the stat vector of the
@@ -252,8 +284,8 @@ type JobResult struct {
 	Slices int `json:",omitempty"`
 }
 
-func toJobResult(res *sim.Result, rep *ssp.Report) *JobResult {
-	jr := &JobResult{
+func toJobResult(res *sim.Result, rep *ssp.Report) JobResult {
+	jr := JobResult{
 		Cycles:      res.Cycles,
 		Breakdown:   res.Breakdown,
 		MainInstrs:  res.MainInstrs,
@@ -276,8 +308,11 @@ func toJobResult(res *sim.Result, rep *ssp.Report) *JobResult {
 // per-request metadata (the content key, whether this request was served
 // from cache, and how long it waited).
 type JobResponse struct {
-	Key    string  `json:"key"`
-	Cached bool    `json:"cached"`
+	Key    string `json:"key"`
+	Cached bool   `json:"cached"`
+	// WallMS times only the resolution of the job's cell (or its tune
+	// search): decoding the request, normalizing and keying the job, and
+	// encoding this reply are outside it. On a cache hit it reads the cell.
 	WallMS float64 `json:"wall_ms"`
 	// Result is the stat vector of a plain adapt+simulate job; nil for
 	// tune jobs.

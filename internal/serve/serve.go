@@ -26,6 +26,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -243,9 +244,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	s.admitMu.Unlock()
 	defer s.wg.Done()
 
-	var spec JobSpec
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&spec); err != nil {
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
 		http.Error(w, "bad job: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -298,11 +298,10 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	defer s.inflight.Add(-1)
 	s.requests.Add(1)
 
-	ctx, cancel := context.WithTimeout(r.Context(), j.timeout)
-	defer cancel()
-
 	key := j.key()
 	if j.Tune != nil {
+		ctx, cancel := context.WithTimeout(r.Context(), j.timeout)
+		defer cancel()
 		start := time.Now()
 		res, hit, err := s.runTune(ctx, j, key)
 		if err != nil {
@@ -312,7 +311,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, JobResponse{
 			Key:    key,
 			Cached: hit,
-			WallMS: float64(time.Since(start)) / float64(time.Millisecond),
+			WallMS: sinceMS(start),
 			Tune:   res,
 		})
 		return
@@ -320,21 +319,36 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 
 	h := s.served(j)
 	if wantsSSE(r) {
-		s.streamJob(ctx, w, key, h, j.Source != "")
+		s.streamJob(r.Context(), w, key, h, j)
 		return
 	}
 	start := time.Now()
-	res, hit, err := s.runJob(ctx, h)
+	res, hit, err := s.runJob(r.Context(), h, j.timeout)
 	if err != nil {
 		writeJobError(w, err, j.Source != "")
 		return
 	}
-	writeJSON(w, JobResponse{
-		Key:    key,
-		Cached: hit,
-		WallMS: float64(time.Since(start)) / float64(time.Millisecond),
-		Result: res,
-	})
+	writeReply(w, key, hit, sinceMS(start), &res)
+}
+
+// decodeSpec decodes a job body strictly: an unknown field, in the job or
+// its tune spec, and anything but whitespace after the object are errors.
+func decodeSpec(body io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return spec, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return spec, errors.New("data after the job object")
+	}
+	return spec, nil
+}
+
+// sinceMS is the time since start in milliseconds: a reply's wall_ms.
+func sinceMS(start time.Time) float64 {
+	return float64(time.Since(start)) / float64(time.Millisecond)
 }
 
 // runTune resolves a tune-mode job through its memoization cell. Admission
@@ -358,10 +372,18 @@ func (s *Server) runTune(ctx context.Context, j job, key string) (res *tune.Resu
 // runJob resolves one admitted job through its run cell in the suite of its
 // scale, reporting whether this request was served without running a
 // simulation (a cached outcome or a coalesced ride on another request's run).
-func (s *Server) runJob(ctx context.Context, h exp.Served) (*JobResult, bool, error) {
-	res, rep, ran, err := h.Do(ctx)
+// A cell that already holds its outcome answers at once, with no deadline;
+// a request that must compute or wait does so within timeout.
+func (s *Server) runJob(ctx context.Context, h exp.Served, timeout time.Duration) (JobResult, bool, error) {
+	res, rep, done, err := h.Cached()
+	ran := false
+	if !done {
+		ctx, cancel := context.WithTimeout(ctx, timeout)
+		defer cancel()
+		res, rep, ran, err = h.Do(ctx)
+	}
 	if s.account(ran, err) {
-		return nil, false, err
+		return JobResult{}, false, err
 	}
 	return toJobResult(res, rep), !ran, nil
 }
@@ -370,7 +392,8 @@ func (s *Server) runJob(ctx context.Context, h exp.Served) (*JobResult, bool, er
 func (s *Server) served(j job) exp.Served {
 	var opt *ssp.Options
 	if j.Variant == varSSP {
-		opt = &j.Options
+		o := j.Options // a copy, so that only ssp jobs allocate it
+		opt = &o
 	}
 	return s.tuners[j.scale()].Suite.Served(j.Bench, j.Source, j.prog, j.Model, opt)
 }

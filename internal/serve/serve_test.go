@@ -529,16 +529,33 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("case %d: HTTP %d, want 400", i, code)
 		}
 	}
-	// Options with a base variant are rejected too: they would fragment
-	// the cache key without changing the work.
-	body := []byte(`{"bench":"mcf","model":"ooo","variant":"base","options":{"MaxSliceSize":4}}`)
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	for _, c := range []struct{ name, body string }{
+		// Options with a base variant would fragment the cache key
+		// without changing the work.
+		{"options on base variant", `{"bench":"mcf","model":"ooo","variant":"base","options":{"MaxSliceSize":4}}`},
+		// A typo'd field would otherwise run (and cache) the base variant.
+		{"unknown field", `{"bench":"mcf","model":"ooo","varaint":"ssp"}`},
+		{"unknown tune field", `{"bench":"mcf","model":"ooo","tune":{"round":2}}`},
+		{"trailing object", `{"bench":"mcf","model":"ooo"} {"bench":"vpr","model":"ooo"}`},
+		{"trailing brace", `{"bench":"mcf","model":"ooo"}}`},
+	} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d, want 400", c.name, resp.StatusCode)
+		}
+	}
+	// Whitespace after the object is fine.
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader("{\"bench\":\"mcf\",\"model\":\"ooo\"} \n\t"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("options on base variant: HTTP %d, want 400", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("trailing whitespace: HTTP %d, want 200", resp.StatusCode)
 	}
 }
 

@@ -44,11 +44,24 @@ func newSSE(w http.ResponseWriter) (*sseWriter, error) {
 // event writes one named event with a JSON payload and flushes it.
 func (s *sseWriter) event(name string, data any) {
 	payload, err := json.Marshal(data)
+	s.send(name, payload, err)
+}
+
+// send writes one named event with an encoded payload, {} if encoding
+// failed, and flushes it.
+func (s *sseWriter) send(name string, payload []byte, err error) {
 	if err != nil {
 		payload = []byte(`{}`)
 	}
 	fmt.Fprintf(s.w, "event: %s\ndata: %s\n\n", name, payload)
 	s.f.Flush()
+}
+
+// result writes a job's terminal "result" event: the bytes of its plain
+// reply (writeReply), without the newline.
+func (s *sseWriter) result(key string, cached bool, wallMS float64, res *JobResult) {
+	payload, err := appendReply(nil, key, cached, wallMS, res)
+	s.send("result", payload, err)
 }
 
 // progressEvent is the payload of "progress" events: simulated cycles so far.
@@ -69,7 +82,7 @@ type errorEvent struct {
 // actually running it), then exactly one terminal "result" or "error" event.
 // The HTTP status is 200 regardless — errors ride inside the stream, as SSE
 // requires once the header is out.
-func (s *Server) streamJob(ctx context.Context, w http.ResponseWriter, key string, h exp.Served, source bool) {
+func (s *Server) streamJob(ctx context.Context, w http.ResponseWriter, key string, h exp.Served, j job) {
 	sse, err := newSSE(w)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotImplemented)
@@ -79,13 +92,13 @@ func (s *Server) streamJob(ctx context.Context, w http.ResponseWriter, key strin
 
 	start := time.Now()
 	type outcome struct {
-		res *JobResult
+		res JobResult
 		hit bool
 		err error
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		res, hit, err := s.runJob(ctx, h)
+		res, hit, err := s.runJob(ctx, h, j.timeout)
 		done <- outcome{res, hit, err}
 	}()
 
@@ -97,18 +110,13 @@ func (s *Server) streamJob(ctx context.Context, w http.ResponseWriter, key strin
 		case o := <-done:
 			if o.err != nil {
 				ev := errorEvent{Status: statusOf(o.err), Error: o.err.Error()}
-				if re := runFailure(o.err, source); re != nil {
+				if re := runFailure(o.err, j.Source != ""); re != nil {
 					ev.Status, ev.Reason = http.StatusUnprocessableEntity, re.Reason
 				}
 				sse.event("error", ev)
 				return
 			}
-			sse.event("result", JobResponse{
-				Key:    key,
-				Cached: o.hit,
-				WallMS: float64(time.Since(start)) / float64(time.Millisecond),
-				Result: o.res,
-			})
+			sse.result(key, o.hit, sinceMS(start), &o.res)
 			return
 		case <-tick.C:
 			if c := h.Cycles(); c != last {

@@ -8,7 +8,10 @@
 // function (§3.4, Figure 7).
 package ssp
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"sync"
+)
 
 // Options tunes the post-pass tool. Zero value is not useful; start from
 // DefaultOptions.
@@ -124,7 +127,20 @@ func DefaultOptions() Options {
 // of every exported field in declaration order. Memoization layers (the
 // experiment suite's options-keyed cells, the tuner's candidate cache) key
 // on it so two option sets share a cell exactly when every knob matches.
+// The default options' key is computed once, on first use.
 func (o Options) Key() string {
+	if o == DefaultOptions() {
+		return defaultKey()
+	}
+	return o.marshal()
+}
+
+// defaultKey is the key of DefaultOptions, the options of every served ssp
+// job that sets none. It is built on first use, not at package init, where
+// encoding/json's first Marshal would add to every process's start-up.
+var defaultKey = sync.OnceValue(func() string { return DefaultOptions().marshal() })
+
+func (o Options) marshal() string {
 	data, err := json.Marshal(o)
 	if err != nil {
 		// Every field is a plain scalar; Marshal cannot fail.

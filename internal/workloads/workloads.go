@@ -14,6 +14,7 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"ssp/internal/ir"
 )
@@ -67,12 +68,19 @@ func All() []Spec {
 	}
 }
 
+// byName indexes All by name, built on first use.
+var byName = sync.OnceValue(func() map[string]Spec {
+	m := make(map[string]Spec)
+	for _, s := range All() {
+		m[s.Name] = s
+	}
+	return m
+})
+
 // ByName returns the named spec.
 func ByName(name string) (Spec, error) {
-	for _, s := range All() {
-		if s.Name == name {
-			return s, nil
-		}
+	if s, ok := byName()[name]; ok {
+		return s, nil
 	}
 	return Spec{}, fmt.Errorf("workloads: unknown benchmark %q", name)
 }
