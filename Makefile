@@ -9,7 +9,7 @@ GO ?= go
 # tests, the 500-seed validation sweep the CI check job runs (sspcheck), a
 # short native-fuzzing smoke of the parser, the adaptation tool, the safety
 # certifier on untrusted IR and the isolation its certificate claims, and the
-# threaded execution core, Figure 1's
+# interpreter's fused runs against its per-PC loop, Figure 1's
 # file flow through the command-line tools (tools-smoke), and the gates CI
 # runs as jobs of their own: the benchmark's serve workloads at smoke size,
 # every served result checked against the golden stats (serve-smoke), the
@@ -35,7 +35,7 @@ bench-module:
 # one, keep the image digest); and the execution-strategy layer (the whole
 # Result bit for bit with fast-forward on or off, a fresh or a shared
 # decode, a fresh or a Reset-reused machine, and a profiled run; the
-# interpreter's chain walker against its per-PC loop). Each program runs
+# interpreter with its fused runs against its per-PC loop). Each program runs
 # once per model and strategy point and nowhere else: the profile the
 # adaptations start from comes from the original's profiled lattice run, and
 # the differential, metamorphic and oracle checks read the strategy layer's
@@ -188,12 +188,13 @@ bench-smoke:
 
 # bench-gate is the benchstat-style regression gate on the execution core,
 # with ratios measured in-process (machine-portable, unlike raw ns/op): the
-# chain walker's speedups over the per-PC interpreter loop and the in-order
-# engine's batch-issue ratio must not fall more than 10% below their
-# baselines in BENCH_sim.json ("threaded".gate), and each cycle engine's ns
-# per simulated cycle over the chain walker's ns per instruction, on mcf with
-# fast-forward and on the dense-issue ALU loop, must not rise more than 10%
-# above its baselines ("inorder".cost_gate, "ooo".cost_gate). CI runs it in
-# the bench-smoke job.
+# interpreter's speedup with fused runs over its per-PC loop on the ALU loop
+# and the in-order engine's batch-issue ratio must not fall more than 10%
+# below their baselines in BENCH_sim.json ("threaded".gate), and each cycle
+# engine's ns per simulated cycle, on mcf with fast-forward and on the
+# dense-issue ALU loop, over the per-PC interpreter loop's ns per
+# instruction on the ALU loop, must not rise more than 10% above its
+# baselines ("inorder".cost_gate, "ooo".cost_gate). CI runs it in the
+# bench-smoke job.
 bench-gate:
 	SSP_BENCH_GATE=1 $(GO) test -count=1 -run 'TestThreadedSpeedupGate|TestEngineCostGate' -v ./internal/sim

@@ -2,11 +2,8 @@
 // the cycle-level simulator and writes the feedback bundle (cache profile,
 // block frequencies, dynamic call graph) that cmd/sspgen consumes.
 //
-// With -hot-blocks it instead prints the top-N basic blocks by dynamic
-// instruction share (from the same profile's instruction counts), annotated with what
-// the closure-threaded execution core compiled each block to — chain nodes,
-// fused constituents, exit width — so superinstruction fusion coverage on
-// the actually-hot code is inspectable per benchmark.
+// With -hot-blocks it instead prints the top-N linked blocks by dynamic
+// instruction share, from the same profile's instruction counts.
 //
 // Usage:
 //
@@ -30,9 +27,8 @@ import (
 
 	"ssp/internal/cliutil"
 	"ssp/internal/exp"
+	"ssp/internal/ir"
 	"ssp/internal/profile"
-	"ssp/internal/sim"
-	"ssp/internal/sim/decode"
 	"ssp/internal/ssp"
 )
 
@@ -62,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if *hot > 0 {
-		hotBlocks(stdout, pr, dp, *hot)
+		hotBlocks(stdout, pr, dp.Img, *hot)
 		return nil
 	}
 	w := stdout
@@ -86,26 +82,30 @@ func run(args []string, stdout, stderr io.Writer) error {
 }
 
 // hotBlocks aggregates the profile's main-thread instruction counts over the
-// threaded core's basic blocks of dp, the profiled image, and prints the
-// top-N by dynamic instruction share with each block's compiled-chain shape.
-func hotBlocks(w io.Writer, pr *profile.Profile, dp *decode.Program, n int) {
-	img := dp.Img
-	tp := sim.ThreadedProgram(dp)
+// linked blocks of img, the profiled image, and prints the top-N by dynamic
+// instruction share.
+func hotBlocks(w io.Writer, pr *profile.Profile, img *ir.Image, n int) {
 	type row struct {
-		block  int
-		instrs uint64
+		block      int
+		start, end int
+		instrs     uint64
 	}
 	var total uint64
-	rows := make([]row, len(tp.Blocks))
-	for bi := range tp.Blocks {
+	rows := make([]row, len(img.BlockKeys()))
+	for bi := range rows {
 		rows[bi].block = bi
 	}
 	// Instruction IDs are unique within a program, so each PC's count is
-	// its instruction's.
-	for pc := range img.Code {
+	// its instruction's. A linked block's PCs are contiguous.
+	for pc := len(img.Code) - 1; pc >= 0; pc-- {
 		count := pr.InstrFreq[img.Code[pc].I.ID]
 		total += count
-		rows[tp.BlockOf[pc]].instrs += count
+		r := &rows[img.BlockOf[pc]]
+		r.instrs += count
+		if r.end == 0 {
+			r.end = pc + 1
+		}
+		r.start = pc
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].instrs != rows[j].instrs {
@@ -118,22 +118,16 @@ func hotBlocks(w io.Writer, pr *profile.Profile, dp *decode.Program, n int) {
 	}
 	fmt.Fprintf(w, "hot blocks: top %d of %d by main-thread dynamic instruction share (%d instrs total)\n",
 		n, len(rows), total)
-	fmt.Fprintf(w, "%4s  %7s  %7s  %12s  %-24s  %-11s  %s\n",
-		"rank", "share", "cum", "instrs", "block", "pcs", "chain")
+	fmt.Fprintf(w, "%4s  %7s  %7s  %12s  %-24s  %s\n", "rank", "share", "cum", "instrs", "block", "pcs")
 	var cum float64
 	for i := 0; i < n; i++ {
 		r := rows[i]
 		if r.instrs == 0 {
 			break
 		}
-		b := &tp.Blocks[r.block]
 		share := 100 * float64(r.instrs) / float64(total)
 		cum += share
-		chain := fmt.Sprintf("nodes=%d fused=%d exit=%d", len(b.Body()), b.NBody, b.End-b.Start-b.NBody)
-		if len(b.LoadPCs) > 0 {
-			chain += fmt.Sprintf(" loads=%d", len(b.LoadPCs))
-		}
-		fmt.Fprintf(w, "%4d  %6.2f%%  %6.2f%%  %12d  %-24s  %-11s  %s\n",
-			i+1, share, cum, r.instrs, img.BlockKey(int(b.Start)), fmt.Sprintf("[%d,%d)", b.Start, b.End), chain)
+		fmt.Fprintf(w, "%4d  %6.2f%%  %6.2f%%  %12d  %-24s  %s\n",
+			i+1, share, cum, r.instrs, img.BlockKey(r.start), fmt.Sprintf("[%d,%d)", r.start, r.end))
 	}
 }

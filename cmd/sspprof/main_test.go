@@ -18,7 +18,9 @@ import (
 // TestPinnedOutput: the profile bundle and the hot-block table are
 // byte-identical to what sspprof printed when it profiled by hand, recorded
 // from `sspprof -bench mcf -scale 1500 -tiny [-hot-blocks 10]` (mcf's test
-// size on the test memory system, which -scale test names now).
+// size on the test memory system, which -scale test names now). The table
+// ranks linked blocks; its rows are those of the threaded core's blocks it
+// once ranked, without their compiled-chain column.
 func TestPinnedOutput(t *testing.T) {
 	clitest.Pin(t, run, "sspprof_mcf", "-bench mcf -scale test")
 	clitest.Pin(t, run, "sspprof_hot", "-bench mcf -scale test -hot-blocks 10")

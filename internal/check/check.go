@@ -197,7 +197,7 @@ func reconcile(s *mem.LoadStat, what string) error {
 // runs it, and whether the profiling exec hook is attached.
 type point struct {
 	ff           bool // Config.FastForward: stall jumps vs per-cycle timing
-	freshDecode  bool // a private Predecode (and chain compile) vs the shared one
+	freshDecode  bool // a private Predecode (and threaded compile) vs the shared one
 	freshMachine bool // a newly built machine vs the one Reset machine
 	profile      bool // Config.Profile: per-PC counts and call edges
 }
@@ -241,8 +241,8 @@ var lattice = []point{
 // both ways and every FastForward/profile change. The Figure 10 breakdown
 // and the utilization histogram are part of every compared Result: the
 // engines account them inline on every run, with no mode that leaves them
-// out. The interpreter's chain walker is also checked against its per-PC
-// loop (sim.InterpretStepwise). A failure names its cell and both points,
+// out. The interpreter with its fused runs (sim.InterpretPredecoded) is also
+// checked against its per-PC loop (sim.InterpretStepwise). A failure names its cell and both points,
 // e.g. "ooo prog 1 ff=on decode=shared machine=reset vs ff=off
 // decode=shared machine=fresh: cycles 813 vs 812". Seed's differential,
 // metamorphic and dynamic safety checks read the reference runs rather than
@@ -294,7 +294,7 @@ func newRunner(cfgs []sim.Config, maxInstrs int64, perturb perturbFunc) *runner 
 }
 
 // add links and predecodes p, with its certified budgets per model (nil for
-// none); its interpreter's chain walker must agree with the per-PC loop.
+// none); its interpreter with runs must agree with the per-PC loop.
 func (r *runner) add(p *ir.Program, budgets []map[string]int64) error {
 	pi := len(r.progs)
 	img, err := ir.Link(p)
@@ -314,7 +314,7 @@ func (r *runner) add(p *ir.Program, budgets []map[string]int64) error {
 		err = fmt.Errorf("%d instrs, checksum %#x vs %d, %#x", thr.Instrs, thr.Mem.Checksum(), ref.Instrs, ref.Mem.Checksum())
 	}
 	if err != nil {
-		return fmt.Errorf("check: strategy: prog %d chain interpreter vs per-PC loop: %w", pi, err)
+		return fmt.Errorf("check: strategy: prog %d interpreter with runs vs per-PC loop: %w", pi, err)
 	}
 	r.progs, r.dps, r.interps = append(r.progs, p), append(r.dps, dp), append(r.interps, thr)
 	r.budgets = append(r.budgets, budgets)

@@ -1,7 +1,10 @@
 package check
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -10,6 +13,7 @@ import (
 	"ssp/internal/ir"
 	"ssp/internal/profile"
 	"ssp/internal/sim"
+	"ssp/internal/sim/decode"
 	"ssp/internal/ssp"
 	"ssp/internal/workloads"
 )
@@ -354,11 +358,14 @@ func TestStrategyEquivalenceBenchmarks(t *testing.T) {
 					t.Fatal(err)
 				}
 				tp := sim.ThreadedProgram(sim.Predecode(img))
-				if tp.Unthreadable {
-					t.Fatalf("%s: image compiled unthreadable", spec.Name)
+				fused := 0
+				for _, r := range tp.Runs {
+					if r.N >= 2 {
+						fused++
+					}
 				}
-				if tp.Supers == 0 || tp.NSteps == 0 {
-					t.Fatalf("%s: chains compiled without fusion (supers=%d steps=%d)", spec.Name, tp.Supers, tp.NSteps)
+				if fused == 0 || tp.NSteps == 0 {
+					t.Fatalf("%s: compiled without fusion (runs of 2 or more=%d steps=%d)", spec.Name, fused, tp.NSteps)
 				}
 			}
 		})
@@ -468,6 +475,55 @@ func TestStrategyEquivalenceCatchesEveryPoint(t *testing.T) {
 					t.Fatalf("error does not name %q: %v", cell, err)
 				}
 			})
+		}
+	}
+}
+
+// TestPCRangeEveryLatticePoint: a program whose main thread's control
+// leaves the image fails with a pc-range *sim.RunError at every
+// strategy-lattice point of both models, on both interpreter paths, and
+// under Differential, which reports the reference interpreter's failure.
+func TestPCRangeEveryLatticePoint(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "sim", "testdata", "pcrange_*.ssp"))
+	if err != nil || len(files) != 2 {
+		t.Fatalf("want the two pc-range probes, found %v (%v)", files, err)
+	}
+	cfgs := Configs(true)
+	isPCRange := func(err error) bool {
+		var re *sim.RunError
+		return errors.As(err, &re) && re.Reason == "pc-range"
+	}
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := ir.Parse(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := ir.Link(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dp := sim.Predecode(img)
+		for _, interp := range []func(sim.Config, *decode.Program, int64) (*sim.InterpResult, error){sim.InterpretPredecoded, sim.InterpretStepwise} {
+			if _, err := interp(cfgs[0], dp, maxInterpInstrs); !isPCRange(err) {
+				t.Errorf("%s: interpreter: %v, want pc-range", file, err)
+			}
+		}
+		if err := Differential(cfgs, p, maxInterpInstrs); !isPCRange(err) {
+			t.Errorf("%s: Differential: %v, want pc-range", file, err)
+		}
+		// The runner's cells, without add's interpreter check.
+		r := newRunner(cfgs, maxInterpInstrs, nil)
+		r.progs, r.dps, r.budgets = []*ir.Program{p}, []*decode.Program{dp}, [][]map[string]int64{nil}
+		for _, pt := range lattice {
+			for ci := range cfgs {
+				if _, err := r.exec(cell{pt, ci, 0}); !isPCRange(err) {
+					t.Errorf("%s: %v %v: %v, want pc-range", file, cfgs[ci].Model, pt, err)
+				}
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -89,11 +90,13 @@ func TestSafetyOracleDetectsOverrun(t *testing.T) {
 // attachments never change the main thread's result, so both cycle engines
 // end with the interpreter's main-thread registers (ScratchGR aside) and
 // memory (Differential). Configs are the test machines under a small
-// watchdog; a program that does not link, can run off the end of its code,
-// or whose reference run breaks the run rule (watchdog, main-thread kill,
-// instruction limit) has no result to compare and is skipped. Seeds: internal/ir/testdata/*.ssp, an adapted RandomProgram(0),
-// and the trigger probes of internal/ssp/testdata, which a verifier without
-// the attachment rules certifies and the engines then disagree on.
+// watchdog; a program that does not link, or whose reference run breaks the
+// run rule (watchdog, main-thread kill, control leaving the image,
+// instruction limit) has no result to compare and is skipped. Seeds:
+// internal/ir/testdata/*.ssp, an adapted RandomProgram(0), the trigger
+// probes of internal/ssp/testdata, which a verifier without the attachment
+// rules certifies and the engines then disagree on, and the pc-range probes
+// of internal/sim/testdata, whose control leaves the image.
 func FuzzCertifiedIsolation(f *testing.F) {
 	cfgs := Configs(true)
 	for i := range cfgs {
@@ -107,7 +110,11 @@ func FuzzCertifiedIsolation(f *testing.F) {
 	if err != nil || len(probes) != 2 {
 		f.Fatalf("want the two trigger probes, found %v (%v)", probes, err)
 	}
-	for _, file := range append(files, probes...) {
+	ranges, err := filepath.Glob(filepath.Join("..", "sim", "testdata", "pcrange_*.ssp"))
+	if err != nil || len(ranges) != 2 {
+		f.Fatalf("want the two pc-range probes, found %v (%v)", ranges, err)
+	}
+	for _, file := range slices.Concat(files, probes, ranges) {
 		src, err := os.ReadFile(file)
 		if err != nil {
 			f.Fatal(err)
@@ -129,15 +136,8 @@ func FuzzCertifiedIsolation(f *testing.F) {
 		if err != nil || ssp.AnalyzeSafety(p, cfgs[0].MaxSpecInstrs).Err() != nil {
 			return
 		}
-		img, err := ir.Link(p)
-		if err != nil {
+		if _, err := ir.Link(p); err != nil {
 			return // nothing to run
-		}
-		// The machines do not define running past the image's last
-		// instruction (they panic), so only programs whose code cannot
-		// fall off its end are run.
-		if last := img.Code[len(img.Code)-1].I; !last.Op.EndsBlock() || last.Qp != ir.PTrue {
-			return
 		}
 		var re *sim.RunError
 		if err := Differential(cfgs, p, 1_000_000); err != nil && !errors.As(err, &re) {

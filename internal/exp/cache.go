@@ -282,7 +282,7 @@ const (
 	// its page-table slot.
 	pageBytes = 4096 + 80 + 8
 	// pcBytes is one linked and predecoded PC: the linked instruction, its
-	// per-PC tables, the decoded form and its compiled chain step.
+	// per-PC tables, the decoded form and its compiled step and run.
 	pcBytes = 320
 	// loadBytes is one per-load statistic and its map entry.
 	loadBytes = 160

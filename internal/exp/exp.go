@@ -564,8 +564,8 @@ func (s *Suite) prepare(ctx context.Context, r request, l *lease) (*binary, simK
 // stand as the cell. The sim cell stays pinned on l when l is non-nil.
 func (s *Suite) simulate(ctx context.Context, k simKey, label RunKey, cfg sim.Config, dp *decode.Program, setup func(*sim.Machine), l *lease) (cached, full *sim.Result, err error) {
 	cached, _, err = do(ctx, s, lookup(s, s.sims, k, l), resultBytes, func(ctx context.Context) (*sim.Result, error) {
-		// Warm the closure-threaded chain compile before the timed run:
-		// every machine over this image shares the sidecar.
+		// Warm the closure-threaded compile before the timed run: every
+		// machine over this image shares the sidecar.
 		sim.ThreadedProgram(dp)
 		res, wall, err := s.execute(ctx, label, k, cfg, dp, setup)
 		if err != nil {

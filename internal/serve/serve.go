@@ -375,17 +375,29 @@ func (s *Server) runTune(ctx context.Context, j job, key string) (res *tune.Resu
 // A cell that already holds its outcome answers at once, with no deadline;
 // a request that must compute or wait does so within timeout.
 func (s *Server) runJob(ctx context.Context, h exp.Served, timeout time.Duration) (JobResult, bool, error) {
-	res, rep, done, err := h.Cached()
-	ran := false
-	if !done {
-		ctx, cancel := context.WithTimeout(ctx, timeout)
-		defer cancel()
-		res, rep, ran, err = h.Do(ctx)
+	if res, ok, err := s.cached(h); ok {
+		return res, true, err
 	}
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	res, rep, ran, err := h.Do(ctx)
 	if s.account(ran, err) {
 		return JobResult{}, false, err
 	}
 	return toJobResult(res, rep), !ran, nil
+}
+
+// cached answers a job from the outcome its run cell already holds, as a
+// hit; ok is false when the cell holds none.
+func (s *Server) cached(h exp.Served) (res JobResult, ok bool, err error) {
+	r, rep, ok, err := h.Cached()
+	if !ok {
+		return JobResult{}, false, nil
+	}
+	if s.account(false, err) {
+		return JobResult{}, true, err
+	}
+	return toJobResult(r, rep), true, nil
 }
 
 // served returns the job's handle on its run cell.
@@ -437,7 +449,7 @@ func (s *Server) vetSource(j job) (*ssp.SafetyReport, error) {
 
 // RunFailedResponse is the HTTP 422 payload for a source job whose program
 // ran but broke the run rule (sim.Result.Err): Reason is sim.RunError's,
-// "watchdog" or "main-kill".
+// "watchdog", "main-kill" or "pc-range".
 type RunFailedResponse struct {
 	Error  string `json:"error"`
 	Reason string `json:"reason"`

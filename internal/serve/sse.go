@@ -80,8 +80,10 @@ type errorEvent struct {
 // admission, "progress" events with the live cycle count while the
 // simulation runs (coalesced requests watch the same counter as the request
 // actually running it), then exactly one terminal "result" or "error" event.
-// The HTTP status is 200 regardless — errors ride inside the stream, as SSE
-// requires once the header is out.
+// A job whose cell already holds its outcome is answered at once, "queued"
+// then the terminal event, with no goroutine, channel or ticker. The HTTP
+// status is 200 regardless — errors ride inside the stream, as SSE requires
+// once the header is out.
 func (s *Server) streamJob(ctx context.Context, w http.ResponseWriter, key string, h exp.Served, j job) {
 	sse, err := newSSE(w)
 	if err != nil {
@@ -91,6 +93,10 @@ func (s *Server) streamJob(ctx context.Context, w http.ResponseWriter, key strin
 	sse.event("queued", map[string]string{"key": key})
 
 	start := time.Now()
+	if res, ok, err := s.cached(h); ok {
+		sse.end(key, j.Source != "", start, &res, true, err)
+		return
+	}
 	type outcome struct {
 		res JobResult
 		hit bool
@@ -108,15 +114,7 @@ func (s *Server) streamJob(ctx context.Context, w http.ResponseWriter, key strin
 	for {
 		select {
 		case o := <-done:
-			if o.err != nil {
-				ev := errorEvent{Status: statusOf(o.err), Error: o.err.Error()}
-				if re := runFailure(o.err, j.Source != ""); re != nil {
-					ev.Status, ev.Reason = http.StatusUnprocessableEntity, re.Reason
-				}
-				sse.event("error", ev)
-				return
-			}
-			sse.result(key, o.hit, sinceMS(start), &o.res)
+			sse.end(key, j.Source != "", start, &o.res, o.hit, o.err)
 			return
 		case <-tick.C:
 			if c := h.Cycles(); c != last {
@@ -125,4 +123,19 @@ func (s *Server) streamJob(ctx context.Context, w http.ResponseWriter, key strin
 			}
 		}
 	}
+}
+
+// end writes a job's terminal event: its "result", or an "error" with the
+// status a plain reply would have, 422 and the reason for a source job's
+// run-rule failure.
+func (s *sseWriter) end(key string, source bool, start time.Time, res *JobResult, hit bool, err error) {
+	if err != nil {
+		ev := errorEvent{Status: statusOf(err), Error: err.Error()}
+		if re := runFailure(err, source); re != nil {
+			ev.Status, ev.Reason = http.StatusUnprocessableEntity, re.Reason
+		}
+		s.event("error", ev)
+		return
+	}
+	s.result(key, hit, sinceMS(start), res)
 }

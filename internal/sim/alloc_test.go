@@ -69,8 +69,9 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 }
 
 // TestInterpretAllocs pins the functional interpreter, which builds a fresh
-// machine per call, to a hard ceiling: machine construction plus the result,
-// nothing proportional to instructions executed. Measured today: 81.
+// machine per call, to a hard ceiling: the machine (its memory and one
+// thread) plus the result, nothing proportional to instructions executed.
+// Measured today: 8.
 func TestInterpretAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -84,7 +85,7 @@ func TestInterpretAllocs(t *testing.T) {
 		}
 	}
 	run()
-	if allocs := testing.AllocsPerRun(5, run); allocs > 128 {
-		t.Fatalf("interpret: %v allocs/run, ceiling 128", allocs)
+	if allocs := testing.AllocsPerRun(5, run); allocs > 8 {
+		t.Fatalf("interpret: %v allocs/run, ceiling 8", allocs)
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // benchNamed links and predecodes one named benchmark workload at the given
-// scale. The decode (and the memoized chain compile) happens once, outside
+// scale. The decode (and the memoized threaded compile) happens once, outside
 // the timed loop — the pattern every real consumer (exp.Suite, check)
 // follows. BENCH_sim.json tracks the benchmarks across refactors of the
 // execution core.
@@ -36,8 +36,9 @@ func benchProgram(b testing.TB) *decode.Program {
 }
 
 // aluProgram builds the non-memory-bound microbenchmark: a tight loop of
-// integer ALU work (the add/shift/mask/cmp+br latch idiom the threaded
-// compiler fuses) with four independent dependency chains, so the in-order
+// integer ALU work (an add/xor/shift body and a cmp, which the threaded
+// compiler fuses into one run, then the br) with four independent
+// dependency chains, so the in-order
 // model sustains its full four-integer-unit issue rate and no loads ever
 // stall it. It is the workload where execution dispatch — not the memory
 // hierarchy — dominates, so it isolates the cycle engines' per-instruction
@@ -95,7 +96,7 @@ func withFF(cfg Config) Config {
 }
 
 // interpretFn is one of the interpreter's two execution strategies:
-// InterpretPredecoded (the chain walker) or InterpretStepwise (the per-PC
+// InterpretPredecoded (with fused runs) or InterpretStepwise (the per-PC
 // loop).
 type interpretFn func(Config, *decode.Program, int64) (*InterpResult, error)
 
@@ -116,18 +117,18 @@ func benchInterp(b *testing.B, interp interpretFn, dp *decode.Program) {
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
 }
 
-// BenchmarkInterpret measures the functional interpreter's chain walker on
-// the primary workload.
+// BenchmarkInterpret measures the functional interpreter with its fused runs
+// on the primary workload.
 func BenchmarkInterpret(b *testing.B) { benchInterp(b, InterpretPredecoded, benchProgram(b)) }
 
 // BenchmarkInterpretStepwise is the same interpretation through the per-PC
-// loop — the pair behind TestThreadedSpeedupGate's interpreter ratios.
+// loop.
 func BenchmarkInterpretStepwise(b *testing.B) {
 	benchInterp(b, InterpretStepwise, benchProgram(b))
 }
 
 // BenchmarkInterpretMulti measures the interpreter on the multi-phase mcf
-// variant: several hot regions, several compiled chain families.
+// variant: several hot regions.
 func BenchmarkInterpretMulti(b *testing.B) {
 	benchInterp(b, InterpretPredecoded, benchNamed(b, "mcf.multi", 2000))
 }
@@ -139,10 +140,12 @@ func BenchmarkInterpretRandom(b *testing.B) {
 }
 
 // BenchmarkInterpretALU measures the interpreter on the non-memory-bound ALU
-// loop, where chain execution pays off most.
+// loop, where fused runs pay off most.
 func BenchmarkInterpretALU(b *testing.B) { benchInterp(b, InterpretPredecoded, aluProgram(b)) }
 
-// BenchmarkInterpretALUStepwise is the ALU loop through the per-PC loop.
+// BenchmarkInterpretALUStepwise is the ALU loop through the per-PC loop —
+// the pair behind TestThreadedSpeedupGate's interpreter ratio, and the
+// yardstick of TestEngineCostGate.
 func BenchmarkInterpretALUStepwise(b *testing.B) {
 	benchInterp(b, InterpretStepwise, aluProgram(b))
 }

@@ -131,6 +131,9 @@ const (
 	HFCmp
 	HSetF
 	HGetF
+	// HTrap is the trap record at index len(Code) (Program.Exec): where
+	// control that leaves the image lands. No instruction decodes to it.
+	HTrap
 	// NumHandlers sizes the dispatch table.
 	NumHandlers
 )
@@ -181,6 +184,8 @@ type Program struct {
 	Img *ir.Image
 	// Code is the dense sidecar, indexed by PC.
 	Code []Decoded
+	// exec is Code followed by the trap record (Exec).
+	exec []Decoded
 	// MaxID is the largest static instruction ID in the image; machines
 	// presize their dense per-load stat tables from it so the counting path
 	// never allocates.
@@ -204,6 +209,14 @@ func (p *Program) Threaded(build func() any) any {
 	p.thrOnce.Do(func() { p.thr = build() })
 	return p.thr
 }
+
+// Exec returns the array the engines execute: Code followed by one trap
+// record (HTrap) at index len(Code). A fall-through past the last
+// instruction lands on the trap, and so does a ret or callb whose branch
+// register holds no code address (sim's handlers bound their targets onto
+// it), so control that leaves the image reaches a defined handler. Digest
+// covers Code only; the trap is the same for every image.
+func (p *Program) Exec() []Decoded { return p.exec }
 
 // Digest returns a SHA-256 over everything the engines execute from this
 // image: the entry PC, every decoded instruction with the linked-block
@@ -354,7 +367,10 @@ func handlerOf(in *ir.Instr) Handler {
 // Predecode lowers a linked image into its dense sidecar. The result is
 // immutable and safe for concurrent sharing.
 func Predecode(img *ir.Image) *Program {
-	code := make([]Decoded, len(img.Code))
+	n := len(img.Code)
+	exec := make([]Decoded, n+1)
+	exec[n] = Decoded{H: HTrap, Tgt: -1, ID: -1}
+	code := exec[:n]
 	var locs []ir.Loc
 	for pc := range img.Code {
 		l := &img.Code[pc]
@@ -396,5 +412,5 @@ func Predecode(img *ir.Image) *Program {
 			maxID = id
 		}
 	}
-	return &Program{Img: img, Code: code, MaxID: maxID}
+	return &Program{Img: img, Code: code, exec: exec, MaxID: maxID}
 }

@@ -1,6 +1,7 @@
 package decode
 
 import (
+	"encoding/hex"
 	"reflect"
 	"slices"
 	"testing"
@@ -56,6 +57,25 @@ func TestDigestIsContent(t *testing.T) {
 	}
 	if predecode(t, workloads.RandomProgram(4)).Digest() == want {
 		t.Fatal("two different programs share a digest")
+	}
+}
+
+// TestDigestPinned pins one digest byte for byte: simulation cells are keyed
+// on it, so a change to the code encoding, or the trap record Exec appends
+// leaking into it, re-keys every cached result.
+func TestDigestPinned(t *testing.T) {
+	const want = "aae79225ed687e08f7c3e82083cf2ba906b5ffdf5d971049725ebe4e14544f45"
+	if got := predecode(t, workloads.RandomProgram(3)).Digest(); hex.EncodeToString(got[:]) != want {
+		t.Fatalf("RandomProgram(3) digest %x, pinned %s", got, want)
+	}
+}
+
+// TestExecEndsInTrap: Exec is Code followed by one trap record.
+func TestExecEndsInTrap(t *testing.T) {
+	p := predecode(t, workloads.RandomProgram(3))
+	exec := p.Exec()
+	if len(exec) != len(p.Code)+1 || &exec[0] != &p.Code[0] || exec[len(p.Code)].H != HTrap {
+		t.Fatalf("Exec has %d records (code %d), last handler %v", len(exec), len(p.Code), exec[len(exec)-1].H)
 	}
 }
 

@@ -52,7 +52,8 @@ type handlerFn func(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEf
 // speculative-store suppression, spawn and chk.c — goes beyond the
 // architectural state a step writes.
 func (m *Machine) execArch(t *Thread, pc int) *archEffect {
-	if m.exec != nil {
+	if m.exec != nil && pc != m.trap {
+		// Hooks observe the image's instructions; the trap is none.
 		m.exec.Exec(m, t, pc)
 	}
 	if s := m.steps[pc]; s != nil {
@@ -95,6 +96,7 @@ var handlers = [decode.NumHandlers]handlerFn{
 	decode.HHalt:   hHalt,
 	decode.HFLd:    hFLd,
 	decode.HFSt:    hFSt,
+	decode.HTrap:   hTrap,
 }
 
 func hLd(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
@@ -143,14 +145,21 @@ func hCall(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
 	ef.nextPC = int(d.Tgt)
 }
 
+// hCallB and hRet jump through a branch register, which may hold any
+// value: a target past the code lands on the trap (hTrap).
 func hCallB(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	tgt := int(t.BRs[d.Bs])
+	tgt := m.bound(t.BRs[d.Bs])
 	t.BRs[d.Bd] = uint64(pc + 1)
 	ef.nextPC = tgt
 }
 
 func hRet(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
-	ef.nextPC = int(t.BRs[d.Bs])
+	ef.nextPC = m.bound(t.BRs[d.Bs])
+}
+
+// bound maps a dynamic jump target onto the code, or onto the trap.
+func (m *Machine) bound(tgt uint64) int {
+	return int(min(tgt, uint64(m.trap)))
 }
 
 func hChk(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
@@ -191,6 +200,19 @@ func hHalt(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
 	if t.spec {
 		ef.kill = true
 	} else {
+		ef.halt = true
+	}
+}
+
+// hTrap runs where control left the image: a fall-through past the last
+// instruction, or a ret or callb target past the code. A speculative thread
+// dies as if it ran kill. The main thread stops as if it halted, with
+// Result.PCRange set, which fails the run (Result.Err).
+func hTrap(m *Machine, t *Thread, d *decode.Decoded, pc int, ef *archEffect) {
+	if t.spec {
+		ef.kill = true
+	} else {
+		m.res.PCRange = true
 		ef.halt = true
 	}
 }

@@ -43,9 +43,7 @@ type Thread struct {
 // predicates, branch registers, live-in buffers — is the embedded
 // threaded.Ctx, the same structure the closure-threaded execution core's
 // compiled closures write, so the engines can run specialized steps against
-// thread state with no copying or indirection. Ctx.Mem stays nil on engine
-// threads (their memory instructions go through the handler table, where
-// the hierarchy timing lives).
+// thread state with no copying or indirection.
 type activation struct {
 	// The fields the cycle loops read for every selected thread come
 	// first, ahead of the 2 KB of architectural state, so that selection
@@ -221,9 +219,11 @@ type Machine struct {
 	Hier *mem.Hierarchy
 	Pred *bpred.Predictor
 
-	// code is the predecoded sidecar (shared, immutable) and lat the
-	// machine's resolution of the config-independent latency classes.
+	// code is the predecoded sidecar (shared, immutable) with the trap
+	// record at index trap = len(image code) (decode.Program.Exec), and lat
+	// the machine's resolution of the config-independent latency classes.
 	code []decode.Decoded
+	trap int
 	lat  [decode.NumLatClasses]int64
 	// units is the OOO model's per-cycle function-unit budget by class.
 	units fuBudget
@@ -239,6 +239,9 @@ type Machine struct {
 	// effect it is the only definition of their semantics. Shared and
 	// immutable, memoized on the decode.Program.
 	steps []threaded.Step
+	// runs is the image's fused runs on the interpreter's machine
+	// (InterpretPredecoded) and nil everywhere else.
+	runs []threaded.Run
 
 	// exec and cycle are the instrumentation hook points (hooks.go), both
 	// nil unless something is attached: exec for the profiler or an
@@ -287,7 +290,7 @@ func Predecode(img *ir.Image) *decode.Program { return decode.Predecode(img) }
 
 // ThreadedProgram returns the closure-threaded compile of a predecoded
 // image, building it at most once per decode.Program (the compile is
-// memoized on the sidecar, so sharing the decode shares the chains).
+// memoized on the sidecar, so sharing the decode shares the steps and runs).
 // Machines do this on Reset; exp.Suite calls it eagerly so matrix cells
 // never pay the compile inside a timed run.
 func ThreadedProgram(dp *decode.Program) *threaded.Program {
@@ -327,7 +330,7 @@ func (m *Machine) Reset(cfg Config, dp *decode.Program) error {
 		return err
 	}
 	m.Img = dp.Img
-	m.code = dp.Code
+	m.code, m.trap = dp.Exec(), len(dp.Code)
 	m.steps = ThreadedProgram(dp).Steps
 	m.units = fuBudget{
 		decode.FUNone: cfg.IssueWidth,

@@ -329,25 +329,19 @@ entry:
 type archRun func(t *testing.T, dp *decode.Program, in [ir.LIBSlots]uint64) (*threaded.Ctx, *mem.Memory)
 
 func semanticsExecutors() map[string]archRun {
-	chains := func(t *testing.T, dp *decode.Program, in [ir.LIBSlots]uint64) (*threaded.Ctx, *mem.Memory) {
-		tp := ThreadedProgram(dp)
-		if tp.Unthreadable {
-			t.Fatal("case compiled unthreadable")
+	interp := func(runs bool) archRun {
+		return func(t *testing.T, dp *decode.Program, in [ir.LIBSlots]uint64) (*threaded.Ctx, *mem.Memory) {
+			m := NewPredecoded(testInOrder(), dp)
+			m.noSpec = true
+			m.main().InLIB = in
+			if runs {
+				m.runs = ThreadedProgram(dp).Runs
+			}
+			if _, err := m.interpret(1000); err != nil {
+				t.Fatal(err)
+			}
+			return &m.main().Ctx, m.Mem
 		}
-		x := &threaded.Ctx{Mem: mem.NewMemory(), InLIB: in}
-		x.Mem.Install(dp.Img.Data)
-		if _, err := tp.Run(x, dp.Img.Entry, 1000); err != nil {
-			t.Fatal(err)
-		}
-		return x, x.Mem
-	}
-	stepwise := func(t *testing.T, dp *decode.Program, in [ir.LIBSlots]uint64) (*threaded.Ctx, *mem.Memory) {
-		m := NewPredecoded(testInOrder(), dp)
-		m.main().InLIB = in
-		if _, err := m.interpret(1000); err != nil {
-			t.Fatal(err)
-		}
-		return &m.main().Ctx, m.Mem
 	}
 	engine := func(cfg Config) archRun {
 		return func(t *testing.T, dp *decode.Program, in [ir.LIBSlots]uint64) (*threaded.Ctx, *mem.Memory) {
@@ -364,8 +358,8 @@ func semanticsExecutors() map[string]archRun {
 		}
 	}
 	return map[string]archRun{
-		"chains":   chains,
-		"stepwise": stepwise,
+		"chains":   interp(true),
+		"stepwise": interp(false),
 		"in-order": engine(testInOrder()),
 		"ooo":      engine(testOOO()),
 	}
@@ -373,8 +367,9 @@ func semanticsExecutors() map[string]archRun {
 
 // TestOpcodeSemantics is the opcode specification: every opcode's effect on
 // registers, predicates, branch registers, FP registers, the live-in buffer
-// and memory, checked as literal values on every executor — the chain
-// walker, the per-PC interpreter loop and both cycle engines.
+// and memory, checked as literal values on every executor — the
+// interpreter with its fused runs ("chains": chains of pure steps, the
+// InterpretPredecoded loop), the interpreter per PC and both cycle engines.
 func TestOpcodeSemantics(t *testing.T) {
 	for _, c := range semanticsCases {
 		t.Run(c.name, func(t *testing.T) {

@@ -993,10 +993,10 @@ func TestRunProgramMainKillContract(t *testing.T) {
 	}
 }
 
-// TestInterpreterRunErrors: both interpreter paths — the chain walker
-// (InterpretPredecoded on a threadable image) and the per-PC loop
-// (InterpretStepwise) — report a main-thread kill and the instruction limit
-// as a *RunError with reasons main-kill and instr-limit.
+// TestInterpreterRunErrors: both interpreter paths — with runs
+// (InterpretPredecoded) and per PC (InterpretStepwise) — report a
+// main-thread kill and the instruction limit as a *RunError with reasons
+// main-kill and instr-limit.
 func TestInterpreterRunErrors(t *testing.T) {
 	kill := ir.NewProgram("main")
 	k := ir.NewFunc(kill, "main").Block("entry")
@@ -1019,9 +1019,6 @@ func TestInterpreterRunErrors(t *testing.T) {
 		{spin, "instr-limit", "sim: interpretation exceeded 100 instructions"},
 	} {
 		dp := Predecode(mustLink(t, c.prog))
-		if ThreadedProgram(dp).Unthreadable {
-			t.Fatalf("%s: image is not chain-executable", c.reason)
-		}
 		for _, p := range paths {
 			_, err := p.run(testInOrder(), dp, 100)
 			var re *RunError

@@ -68,6 +68,10 @@ type Result struct {
 	// architectural state is unreliable. Err turns this, and TimedOut,
 	// into a *RunError.
 	MainKilled bool
+	// PCRange reports that the main thread's control left the image: it
+	// fell through past the last instruction, or a ret or callb jumped
+	// past the code. The run ends there; Err reports it.
+	PCRange bool
 
 	// FinalRegs snapshots the main thread's register file at the end of the
 	// run and MemChecksum digests memory contents (mem.Memory.Checksum);
@@ -112,8 +116,9 @@ func (r *Result) IPC() float64 {
 // RunError is a run that did not finish the program (Result.Err, and the
 // functional interpreter's failures). Reason is "watchdog"
 // (Config.MaxCycles expired), "main-kill" (the main thread executed
-// thread_kill_self) or, from the interpreter only, "instr-limit" (the run
-// reached its instruction limit).
+// thread_kill_self), "pc-range" (the main thread's control left the image)
+// or, from the interpreter only, "instr-limit" (the run reached its
+// instruction limit).
 type RunError struct {
 	Reason string
 	msg    string
@@ -121,14 +126,17 @@ type RunError struct {
 
 func (e *RunError) Error() string { return e.msg }
 
-// Err is the run rule: a run that hit the watchdog or whose main thread
-// killed itself has failed, with a *RunError; for any other run it is nil.
+// Err is the run rule: a run that hit the watchdog, whose main thread
+// killed itself or whose main thread's control left the image has failed,
+// with a *RunError; for any other run it is nil.
 func (r *Result) Err() error {
 	switch {
 	case r.TimedOut:
 		return &RunError{"watchdog", fmt.Sprintf("watchdog expired after %d cycles", r.Cycles)}
 	case r.MainKilled:
 		return &RunError{"main-kill", "main thread executed thread_kill_self"}
+	case r.PCRange:
+		return &RunError{"pc-range", "main thread's control left the image"}
 	}
 	return nil
 }

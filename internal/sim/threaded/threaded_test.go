@@ -1,46 +1,34 @@
 package threaded_test
 
 import (
-	"strings"
+	"errors"
 	"testing"
 
 	"ssp/internal/ir"
 	"ssp/internal/sim"
 	"ssp/internal/sim/decode"
-	"ssp/internal/sim/mem"
 	"ssp/internal/sim/threaded"
 	"ssp/internal/workloads"
 )
 
 const maxInstrs = 100_000_000
 
-// stepwiseInterp runs the reference interpreter: sim's per-PC loop, which
-// executes pure instructions through their steps and memory and control
-// instructions through sim's handler table, one PC at a time.
-func stepwiseInterp(t *testing.T, dp *decode.Program, limit int64) (*sim.InterpResult, error) {
+// interp runs sim's interpreter loop with the image's runs (InterpretPredecoded)
+// or per PC (InterpretStepwise, the reference).
+func interp(t *testing.T, runs bool, dp *decode.Program, limit int64) (*sim.InterpResult, error) {
 	t.Helper()
 	cfg := sim.DefaultInOrder()
 	cfg.UseTinyMem()
+	if runs {
+		return sim.InterpretPredecoded(cfg, dp, limit)
+	}
 	return sim.InterpretStepwise(cfg, dp, limit)
 }
 
-// runChains compiles and executes the chains directly, bypassing sim's
-// interpreter gate, so the test exercises the package's own surface.
-func runChains(t *testing.T, dp *decode.Program, limit int64) (*threaded.Ctx, int64, error) {
-	t.Helper()
-	tp := threaded.Compile(dp)
-	if tp.Unthreadable {
-		t.Fatal("compile marked a linked image unthreadable")
-	}
-	x := &threaded.Ctx{Mem: mem.NewMemory()}
-	x.Mem.Install(dp.Img.Data)
-	n, err := tp.Run(x, dp.Img.Entry, limit)
-	return x, n, err
-}
-
-// TestChainsMatchTableInterpreter: direct chain execution agrees with the
-// per-PC interpreter loop on final registers, instruction count, and
-// memory checksum, over random programs and every paper benchmark.
+// TestChainsMatchTableInterpreter: the interpreter with its fused runs
+// (chains of pure steps between handler-table instructions) agrees with the
+// per-PC loop on final registers, instruction count, and memory checksum,
+// over random programs and every paper benchmark.
 func TestChainsMatchTableInterpreter(t *testing.T) {
 	var dps []*decode.Program
 	for seed := int64(0); seed < 8; seed++ {
@@ -59,64 +47,61 @@ func TestChainsMatchTableInterpreter(t *testing.T) {
 		dps = append(dps, decode.Predecode(img))
 	}
 	for i, dp := range dps {
-		ref, err := stepwiseInterp(t, dp, maxInstrs)
+		ref, err := interp(t, false, dp, maxInstrs)
 		if err != nil {
 			t.Fatalf("program %d: per-PC: %v", i, err)
 		}
-		x, n, err := runChains(t, dp, maxInstrs)
+		got, err := interp(t, true, dp, maxInstrs)
 		if err != nil {
-			t.Fatalf("program %d: chains: %v", i, err)
+			t.Fatalf("program %d: runs: %v", i, err)
 		}
-		if n != ref.Instrs {
-			t.Fatalf("program %d: chains retired %d instrs, per-PC %d", i, n, ref.Instrs)
+		if got.Instrs != ref.Instrs {
+			t.Fatalf("program %d: runs retired %d instrs, per-PC %d", i, got.Instrs, ref.Instrs)
 		}
-		if x.Regs != ref.Regs {
-			t.Fatalf("program %d: final registers diverge:\nchains %v\nper-PC %v", i, x.Regs, ref.Regs)
+		if got.Regs != ref.Regs {
+			t.Fatalf("program %d: final registers diverge:\nruns   %v\nper-PC %v", i, got.Regs, ref.Regs)
 		}
-		if x.Mem.Checksum() != ref.Mem.Checksum() {
-			t.Fatalf("program %d: memory checksum %#x, per-PC %#x", i, x.Mem.Checksum(), ref.Mem.Checksum())
+		if got.Mem.Checksum() != ref.Mem.Checksum() {
+			t.Fatalf("program %d: memory checksum %#x, per-PC %#x", i, got.Mem.Checksum(), ref.Mem.Checksum())
 		}
 	}
 }
 
 // TestLimitBoundaryExact: the instruction ceiling trips at exactly the same
-// boundary as the per-PC interpreter loop — a limit of N-1 errors, a limit of
-// exactly N (the program's dynamic length, whose final instruction is halt)
-// succeeds — including when the final block's exit is a fused two-instruction
-// cmp+br (covered by whichever programs fuse their latch; the equality with
-// the per-PC loop holds regardless).
+// boundary with runs as per PC — a limit of N-1 errors, a limit of exactly N
+// (the program's dynamic length, whose final instruction is halt) succeeds.
 func TestLimitBoundaryExact(t *testing.T) {
 	img, err := ir.Link(workloads.RandomProgram(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dp := decode.Predecode(img)
-	ref, err := stepwiseInterp(t, dp, maxInstrs)
+	ref, err := interp(t, false, dp, maxInstrs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := ref.Instrs
 	for _, limit := range []int64{1, n / 2, n - 1, n, n + 1} {
-		refR, refErr := stepwiseInterp(t, dp, limit)
-		_, cn, chErr := runChains(t, dp, limit)
-		if (refErr == nil) != (chErr == nil) {
-			t.Fatalf("limit %d: per-PC err %v, chains err %v", limit, refErr, chErr)
+		refR, refErr := interp(t, false, dp, limit)
+		got, gotErr := interp(t, true, dp, limit)
+		if (refErr == nil) != (gotErr == nil) {
+			t.Fatalf("limit %d: per-PC err %v, runs err %v", limit, refErr, gotErr)
 		}
 		if refErr != nil {
-			if _, ok := chErr.(*threaded.LimitError); !ok {
-				t.Fatalf("limit %d: chains error %v, want LimitError", limit, chErr)
+			var re *sim.RunError
+			if !errors.As(gotErr, &re) || re.Reason != "instr-limit" || gotErr.Error() != refErr.Error() {
+				t.Fatalf("limit %d: runs error %v, per-PC %v, want instr-limit", limit, gotErr, refErr)
 			}
 			continue
 		}
-		if cn != refR.Instrs {
-			t.Fatalf("limit %d: chains retired %d, per-PC %d", limit, cn, refR.Instrs)
+		if got.Instrs != refR.Instrs {
+			t.Fatalf("limit %d: runs retired %d, per-PC %d", limit, got.Instrs, refR.Instrs)
 		}
 	}
 }
 
-// TestKillReportsPC: a main-thread kill surfaces as KillError carrying the
-// faulting PC, and sim's interpreter converts it to the per-PC loop's exact
-// error string.
+// TestKillReportsPC: a main-thread kill right after a run fails both loops
+// with the same error, naming the kill's PC.
 func TestKillReportsPC(t *testing.T) {
 	p := ir.NewProgram("main")
 	f := ir.NewFunc(p, "main")
@@ -128,35 +113,24 @@ func TestKillReportsPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	dp := decode.Predecode(img)
-	_, _, chErr := runChains(t, dp, maxInstrs)
-	ke, ok := chErr.(*threaded.KillError)
-	if !ok {
-		t.Fatalf("chains error %v, want KillError", chErr)
+	_, refErr := interp(t, false, dp, maxInstrs)
+	_, gotErr := interp(t, true, dp, maxInstrs)
+	const want = "sim: main thread executed kill at pc 1"
+	if refErr == nil || gotErr == nil || refErr.Error() != want || gotErr.Error() != want {
+		t.Fatalf("per-PC error %v, runs error %v, want %q", refErr, gotErr, want)
 	}
-	_, refErr := stepwiseInterp(t, dp, maxInstrs)
-	if refErr == nil {
-		t.Fatal("per-PC interpreter accepted a kill")
-	}
-	cfg := sim.DefaultInOrder()
-	cfg.UseTinyMem()
-	_, thrErr := sim.InterpretPredecoded(cfg, dp, maxInstrs)
-	if thrErr == nil || thrErr.Error() != refErr.Error() {
-		t.Fatalf("chain interpreter error %q, per-PC %q", thrErr, refErr)
-	}
-	if !strings.Contains(refErr.Error(), "kill") {
-		t.Fatalf("unexpected kill error: %v", refErr)
-	}
-	if ke.PC < 0 || ke.PC >= len(img.Code) || img.Code[ke.PC].I.Op != ir.OpKill {
-		t.Fatalf("KillError.PC = %d, not the kill instruction", ke.PC)
+	if img.Code[1].I.Op != ir.OpKill {
+		t.Fatalf("pc 1 is %v, not the kill", img.Code[1].I.Op)
 	}
 }
 
-// TestCompileCoverage: the compile stage accounts for every static
-// instruction exactly once — the per-block constituent counts (body chain
-// plus exit) sum to the image size — and actually fuses: the benchmarks'
-// ALU-dense inner loops must produce multi-constituent superinstructions. It
-// also pins the steps' contract with sim's handler table: exactly the
-// instructions without a memory or control handler get a step.
+// TestCompileCoverage pins the compile's contract with sim's handler table
+// and with the interpreter loop: exactly the instructions without a memory
+// or control handler get a step, and the trap index at len(code) has
+// neither a step nor a run; every run covers pure PCs only, within one
+// linked block, and starts at a block start or after a memory or control
+// instruction, and every such pure PC starts one. So the runs partition the
+// pure PCs. The benchmarks' ALU-dense inner loops must fuse.
 func TestCompileCoverage(t *testing.T) {
 	for _, spec := range workloads.All() {
 		p, _ := spec.Build(spec.TestScale)
@@ -166,50 +140,9 @@ func TestCompileCoverage(t *testing.T) {
 		}
 		dp := decode.Predecode(img)
 		tp := threaded.Compile(dp)
-		if tp.Unthreadable {
-			t.Fatalf("%s: unthreadable", spec.Name)
-		}
-		if tp.NInstrs != len(img.Code) {
-			t.Fatalf("%s: compiled %d instrs, image has %d", spec.Name, tp.NInstrs, len(img.Code))
-		}
-		var covered int32
-		for bi := range tp.Blocks {
-			b := &tp.Blocks[bi]
-			var body int32
-			for _, nd := range b.Body() {
-				if nd.N <= 0 || nd.PC < b.Start || nd.PC >= b.End {
-					t.Fatalf("%s: block %d has malformed node %+v", spec.Name, bi, nd)
-				}
-				body += nd.N
-			}
-			if body != b.NBody {
-				t.Fatalf("%s: block %d NBody %d, nodes sum to %d", spec.Name, bi, b.NBody, body)
-			}
-			covered += b.NBody
-			for i, pc := range b.LoadPCs {
-				d := &dp.Code[pc]
-				if d.H != decode.HLd && d.H != decode.HLdPI && d.H != decode.HFLd {
-					t.Fatalf("%s: block %d LoadPCs[%d]=%d is not a load", spec.Name, bi, i, pc)
-				}
-				if b.LoadIDs[i] != d.ID {
-					t.Fatalf("%s: block %d load %d: ID %d, decode says %d", spec.Name, bi, pc, b.LoadIDs[i], d.ID)
-				}
-			}
-		}
-		// Exits: every block contributes End-Start instructions in total.
-		for bi := range tp.Blocks {
-			b := &tp.Blocks[bi]
-			exitN := b.End - b.Start - b.NBody
-			if exitN < 0 || exitN > 2 {
-				t.Fatalf("%s: block %d: exit covers %d instrs", spec.Name, bi, exitN)
-			}
-			covered += exitN
-		}
-		if int(covered) != tp.NInstrs {
-			t.Fatalf("%s: blocks cover %d instrs, image has %d", spec.Name, covered, tp.NInstrs)
-		}
-		if tp.Supers == 0 || tp.Fused == 0 {
-			t.Fatalf("%s: no fusion happened (supers=%d fused=%d)", spec.Name, tp.Supers, tp.Fused)
+		n := len(dp.Code)
+		if len(tp.Steps) != n+1 || len(tp.Runs) != n+1 || tp.Steps[n] != nil || tp.Runs[n].N != 0 {
+			t.Fatalf("%s: the trap index %d has a step or a run (%d steps, %d runs)", spec.Name, n, len(tp.Steps), len(tp.Runs))
 		}
 		steps := 0
 		for pc := range dp.Code {
@@ -223,6 +156,36 @@ func TestCompileCoverage(t *testing.T) {
 		}
 		if steps == 0 || steps != tp.NSteps {
 			t.Fatalf("%s: %d pure steps, NSteps %d", spec.Name, steps, tp.NSteps)
+		}
+		covered, fused := 0, 0
+		for pc := 0; pc < n; pc++ {
+			pure := tp.Steps[pc] != nil
+			starts := pure && (pc == 0 || img.BlockOf[pc] != img.BlockOf[pc-1] || tp.Steps[pc-1] == nil)
+			r := tp.Runs[pc]
+			if (r.N != 0) != starts {
+				t.Fatalf("%s: pc %d: run of %d, want a run %v", spec.Name, pc, r.N, starts)
+			}
+			if r.N == 0 {
+				continue
+			}
+			if r.Step == nil {
+				t.Fatalf("%s: pc %d: run of %d has no step", spec.Name, pc, r.N)
+			}
+			for q := pc; q < pc+r.N; q++ {
+				if tp.Steps[q] == nil || (q > pc && img.BlockOf[q] != img.BlockOf[pc]) {
+					t.Fatalf("%s: run at pc %d covers pc %d, impure or in another block", spec.Name, pc, q)
+				}
+			}
+			covered += r.N
+			if r.N >= 2 {
+				fused++
+			}
+		}
+		if covered != tp.NSteps {
+			t.Fatalf("%s: runs cover %d pure PCs, NSteps %d", spec.Name, covered, tp.NSteps)
+		}
+		if fused == 0 {
+			t.Fatalf("%s: no run fuses two or more steps", spec.Name)
 		}
 	}
 }
