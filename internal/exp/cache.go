@@ -46,8 +46,9 @@ type cell[K comparable, V any] struct {
 	st  *stage[K, V]
 	key K
 	// cycles is the live cycle count a served computation publishes
-	// through its clock observer (sim.ProgressHooks) for coalesced
-	// requests to watch; only run cells use it.
+	// through its clock observer (sim.ProgressHooks), and its final count
+	// once the run ends, for coalesced requests to watch; only run cells
+	// use it.
 	cycles atomic.Int64
 }
 

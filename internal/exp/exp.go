@@ -514,6 +514,11 @@ func (s *Suite) run(ctx context.Context, c *cell[runKey, run], r request, served
 			return run{}, err
 		}
 		res, _, err := s.simulate(ctx, k, r.label(), cfg, b.dp, setup, &l)
+		if served && err == nil {
+			// The observer publishes every 64th cycle; the last cycles
+			// are published here.
+			c.cycles.Store(res.Cycles)
+		}
 		return run{res, b.rep}, err
 	})
 }

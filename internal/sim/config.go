@@ -55,11 +55,10 @@ type Config struct {
 	// Contexts is the number of hardware thread contexts (Table 1: 4).
 	Contexts int
 	// IssueWidth is the total issue bandwidth per cycle in instructions
-	// (2 bundles x 3).
+	// (2 bundles x 3). Table 1 shares it among at most two threads per
+	// cycle, a constant of both engines (selectThreads): the main thread
+	// alone gets all of it, main and one speculative thread half each.
 	IssueWidth int
-	// ThreadsPerCycle bounds how many threads share a cycle's bandwidth
-	// (2: one bundle each).
-	ThreadsPerCycle int
 
 	// Function units per cycle (Table 1: 4 integer, 2 FP, 3 branch,
 	// 2 memory ports).
@@ -125,12 +124,11 @@ type Config struct {
 }
 
 // Validate reports a configuration the engines cannot run: one that would
-// never issue (no issue bandwidth or no unit of some class, no thread
-// selected per cycle, an OOO window that holds or retires nothing) and so
-// spin silently to the watchdog, or one wider than the engines' bitmaps —
-// the speculative-context mask and the fill-buffer valid mask are one 64-bit
-// word each, and the per-cycle selection array holds maxSelect threads.
-// Reset and RunContext return its error.
+// never issue (no issue bandwidth or no unit of some class, an OOO window
+// that holds or retires nothing) and so spin silently to the watchdog, or
+// one wider than the engines' bitmaps — the speculative-context mask and the
+// fill-buffer valid mask are one 64-bit word each. Reset and RunContext
+// return its error.
 func (c *Config) Validate() error {
 	type field struct {
 		name string
@@ -148,9 +146,6 @@ func (c *Config) Validate() error {
 		if f.v < 1 {
 			return fmt.Errorf("sim: config %s = %d, want at least 1", f.name, f.v)
 		}
-	}
-	if c.ThreadsPerCycle < 1 || c.ThreadsPerCycle > maxSelect {
-		return fmt.Errorf("sim: config ThreadsPerCycle = %d, want 1..%d", c.ThreadsPerCycle, maxSelect)
 	}
 	if c.Contexts < 1 || c.Contexts > 64 {
 		return fmt.Errorf("sim: config Contexts = %d, want 1..64", c.Contexts)
@@ -173,12 +168,11 @@ func (c *Config) UseTinyMem() {
 // DefaultInOrder returns the Table 1 in-order model.
 func DefaultInOrder() Config {
 	return Config{
-		Model:           InOrder,
-		Mem:             mem.Default(),
-		Contexts:        4,
-		IssueWidth:      6,
-		ThreadsPerCycle: 2,
-		IntUnits:        4, FPUnits: 2, BrUnits: 3, MemPorts: 2,
+		Model:      InOrder,
+		Mem:        mem.Default(),
+		Contexts:   4,
+		IssueWidth: 6,
+		IntUnits:   4, FPUnits: 2, BrUnits: 3, MemPorts: 2,
 		MulLat:            3,
 		FPLat:             4,
 		MispredictPenalty: 12,

@@ -28,8 +28,6 @@ func TestConfigValidate(t *testing.T) {
 		{"FPUnits", false, func(c *Config) { c.FPUnits = 0 }},
 		{"BrUnits", false, func(c *Config) { c.BrUnits = 0 }},
 		{"MemPorts", false, func(c *Config) { c.MemPorts = 0 }},
-		{"ThreadsPerCycle", false, func(c *Config) { c.ThreadsPerCycle = 0 }},
-		{"ThreadsPerCycle", false, func(c *Config) { c.ThreadsPerCycle = maxSelect + 1 }},
 		{"Contexts", false, func(c *Config) { c.Contexts = 0 }},
 		{"Contexts", false, func(c *Config) { c.Contexts = 65 }},
 		{"FillBufferEntries", false, func(c *Config) { c.Mem.FillBufferEntries = 0 }},
@@ -76,11 +74,11 @@ func TestConfigValidate(t *testing.T) {
 	}
 	// The edges of every range are valid.
 	cfg := testInOrder()
-	cfg.Contexts, cfg.ThreadsPerCycle, cfg.Mem.FillBufferEntries = 64, maxSelect, 64
+	cfg.Contexts, cfg.Mem.FillBufferEntries = 64, 64
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("upper edges: %v", err)
 	}
-	cfg.Contexts, cfg.ThreadsPerCycle, cfg.Mem.FillBufferEntries = 1, 1, 1
+	cfg.Contexts, cfg.Mem.FillBufferEntries = 1, 1
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("lower edges: %v", err)
 	}

@@ -45,56 +45,35 @@ import (
 
 const ffNoEvent = int64(1) << 62
 
-// maxSelect is the engines' per-cycle thread-selection capacity (the size of
-// their sel arrays).
-const maxSelect = 8
-
-// pickSpec is the engines' one speculative thread-selection pass: from the
-// round-robin cursor rr it visits contexts in wrapped index order, takes up
-// to ThreadsPerCycle-1 of those set in eligible (bit i = threads[i] may be
-// picked this cycle) while the selection holds fewer than maxSelect
-// threads, and moves the cursor past each pick. The scan position after a
-// pick is the new cursor plus the number of contexts visited so far, as in
-// a per-context scan whose cursor moves under it. Picks are appended to
-// sel[n:] when sel is non-nil; pickSpec returns the new cursor and count.
-func (m *Machine) pickSpec(rr int, eligible uint64, sel *[maxSelect]*Thread, n int) (int, int) {
-	ctxs := len(m.threads)
-	limit := min(n+m.Cfg.ThreadsPerCycle-1, maxSelect)
-	for scan := 0; eligible != 0 && n < limit; scan++ {
-		idx := rr + scan
-		if idx >= ctxs {
-			idx -= ctxs
-		}
-		// The next eligible context at or after idx, wrapping past the end.
-		next := bits.TrailingZeros64(eligible >> idx << idx)
-		if next == 64 {
-			next = bits.TrailingZeros64(eligible) + ctxs
-		}
-		if scan += next - idx; scan >= ctxs {
-			break
-		}
-		if next >= ctxs {
-			next -= ctxs
-		}
-		if sel != nil {
-			sel[n] = m.threads[next]
-		}
-		n++
-		if rr = next + 1; rr == ctxs {
-			rr = 0
-		}
+// selectThreads is the SMT front end both engines share. Table 1's machines
+// fetch and issue two bundles per cycle from at most two threads: the main
+// thread alone gets the whole issue width, and with a speculative thread
+// beside it each gets one bundle. It fills sel with main, then the
+// speculative thread if any, and returns how many it selected and each one's
+// issue slots. The speculative thread is the first context set in eligible
+// (bit i = threads[i] may be picked this cycle; never main) at or after the
+// round-robin cursor, wrapping past the last context, and the cursor moves
+// one past it.
+func (m *Machine) selectThreads(sel *[2]*Thread, eligible uint64) (n, slots int) {
+	sel[0] = m.threads[0]
+	if eligible == 0 {
+		return 1, m.Cfg.IssueWidth
 	}
-	return rr, n
+	i := bits.TrailingZeros64(eligible >> uint(m.rr) << uint(m.rr))
+	if i == 64 {
+		i = bits.TrailingZeros64(eligible)
+	}
+	m.rr = m.pastPick(i)
+	sel[1] = m.threads[i]
+	return 2, m.Cfg.IssueWidth / 2
 }
 
-// slotTable returns the per-thread issue slots for each selection size: the
-// whole width for main alone, an even share otherwise.
-func (m *Machine) slotTable() (t [maxSelect + 1]int) {
-	t[1] = m.Cfg.IssueWidth
-	for n := 2; n <= maxSelect; n++ {
-		t[n] = m.Cfg.IssueWidth / n
+// pastPick is the round-robin cursor one past picked context i.
+func (m *Machine) pastPick(i int) int {
+	if i++; i == len(m.threads) {
+		return 0
 	}
-	return t
+	return i
 }
 
 // fastForwardInOrder attempts a stall jump on the in-order model after a
@@ -220,9 +199,7 @@ func (m *Machine) ffJump(main *Thread, onLoad bool, lvl mem.Level, next int64, e
 		return
 	}
 	m.accountCycles(main, 0, onLoad, lvl, k)
-	if eligible != 0 {
-		m.advanceRR(k, eligible)
-	}
+	m.advanceRR(k, eligible)
 	m.res.FastForwards++
 	m.res.FastForwardedCycles += k
 	m.now = target
@@ -231,38 +208,25 @@ func (m *Machine) ffJump(main *Thread, onLoad bool, lvl mem.Level, next int64, e
 	}
 }
 
-// advanceRR advances the round-robin selection cursor exactly as k
-// consecutive fully-stalled selection passes would, without iterating k
-// times. With a static eligible set the cursor's next value is a pure
-// function of its current value, so its orbit enters a cycle within
-// len(threads)+1 steps; the final position follows by modular arithmetic.
-// (Config.Validate caps the context count at 64, the width of eligible.)
+// advanceRR advances the round-robin cursor exactly as k selection passes
+// over a static eligible set would, in closed form. The first pass picks the
+// first eligible context at or after the cursor, and each later pass the next
+// one in the same wrapped order, so the k-th pick is the ((k-1) mod
+// |eligible|)-th eligible context counted from the first pick, and the
+// cursor ends one past it.
 func (m *Machine) advanceRR(k int64, eligible uint64) {
-	var firstAt [64]int64
-	var orbit [65]int
-	for i := range m.threads {
-		firstAt[i] = -1
+	if k == 0 || eligible == 0 {
+		return
 	}
-	rr := m.rr
-	for i := int64(0); ; i++ {
-		if i == k {
-			m.rr = rr
-			return
-		}
-		if f := firstAt[rr]; f >= 0 {
-			period := i - f
-			m.rr = orbit[f+(k-f)%period]
-			return
-		}
-		firstAt[rr] = i
-		orbit[i] = rr
-		rr = m.stepRR(rr, eligible)
+	// The wrapped order from the cursor: the contexts at or after it, then
+	// the ones before.
+	set := eligible >> uint(m.rr) << uint(m.rr)
+	j := int((k - 1) % int64(bits.OnesCount64(eligible)))
+	if n := bits.OnesCount64(set); j >= n {
+		j, set = j-n, eligible&^set
 	}
-}
-
-// stepRR runs one thread-selection pass over a static eligible set: the
-// engines' own pass, with main already selected and the picks discarded.
-func (m *Machine) stepRR(rr int, eligible uint64) int {
-	rr, _ = m.pickSpec(rr, eligible, nil, 1)
-	return rr
+	for ; j > 0; j-- {
+		set &= set - 1
+	}
+	m.rr = m.pastPick(bits.TrailingZeros64(set))
 }

@@ -32,16 +32,22 @@ type CycleHooks interface {
 	Jump(m *Machine, cycles int64)
 }
 
-// ProgressHooks publishes the machine's current cycle to C after every
-// simulated cycle and every fast-forward jump. The serving layer installs
-// one per job to stream progress over SSE without giving up memoization.
+// ProgressHooks publishes the machine's current cycle to C after every 64th
+// simulated cycle (the in-order engine's stop-poll cadence) and every
+// fast-forward jump, so the count trails the clock by less than 64 cycles.
+// The serving layer installs one per job to stream progress over SSE, which
+// reads it every 50 ms, without giving up memoization.
 type ProgressHooks struct {
 	// C receives the count of completed simulated cycles; read it with
 	// Load from any goroutine.
 	C *atomic.Int64
 }
 
-func (p ProgressHooks) Cycle(m *Machine) { p.C.Store(m.now) }
+func (p ProgressHooks) Cycle(m *Machine) {
+	if m.now&63 == 0 {
+		p.C.Store(m.now)
+	}
+}
 
 func (p ProgressHooks) Jump(m *Machine, _ int64) { p.C.Store(m.now) }
 

@@ -15,14 +15,12 @@ import (
 // bundles per cycle from at most two threads.
 func (m *Machine) runInOrder() {
 	main := m.main()
-	var sel [maxSelect]*Thread
+	var sel [2]*Thread
 	// The configuration is immutable for the whole run; hoisting the hot
 	// fields out of the cycle loop keeps the per-cycle fixed cost — which
 	// every issued instruction amortizes — down to real work.
 	maxCycles := m.Cfg.MaxCycles
-	cfgIntU, cfgMemU, cfgBrU, cfgFpU := m.Cfg.IntUnits, m.Cfg.MemPorts, m.Cfg.BrUnits, m.Cfg.FPUnits
 	fastForward := m.Cfg.FastForward
-	slotsFor := m.slotTable()
 	for !m.mainDone {
 		if m.now >= maxCycles {
 			m.res.TimedOut = true
@@ -36,31 +34,23 @@ func (m *Machine) runInOrder() {
 			return
 		}
 		m.now++
-		intU, memU, brU, fpU := cfgIntU, cfgMemU, cfgBrU, cfgFpU
+		fus := m.units
 
-		// Thread selection: the non-speculative thread has priority; the
-		// remaining bundle goes to speculative threads round-robin, over
-		// those not front-stalled. With no live speculative thread (every
-		// baseline cycle) selection is skipped.
-		sel[0] = main
-		n := 1
-		if m.liveSpec > 0 {
-			var eligible uint64
-			for live := m.specMask &^ 1; live != 0; live &= live - 1 {
-				if i := bits.TrailingZeros64(live); m.threads[i].frontStallUntil <= m.now {
-					eligible |= 1 << i
-				}
+		// Thread selection: the remaining bundle goes round-robin to the
+		// speculative threads that are not front-stalled.
+		var eligible uint64
+		for live := m.specMask &^ 1; live != 0; live &= live - 1 {
+			if i := bits.TrailingZeros64(live); m.threads[i].frontStallUntil <= m.now {
+				eligible |= 1 << i
 			}
-			m.rr, n = m.pickSpec(m.rr, eligible, &sel, n)
 		}
-		slots := slotsFor[n]
+		n, slots := m.selectThreads(&sel, eligible)
 
 		issuedMain := 0
 		issuedAny := false
 		stallLevel := mem.Level(0)
 		stalledOnLoad := false
-		for ti := 0; ti < n; ti++ {
-			t := sel[ti]
+		for _, t := range sel[:n] {
 			if t.waiting(m.now) {
 				// Still blocked where the scoreboard last stopped the
 				// thread; issueInOrder would return this answer without
@@ -75,7 +65,7 @@ func (m *Machine) runInOrder() {
 				continue
 			}
 			for s := 0; s < slots; {
-				k, cont, lvl, onLoad := m.issueInOrder(t, slots-s, &intU, &memU, &brU, &fpU)
+				k, cont, lvl, onLoad := m.issueInOrder(t, slots-s, &fus)
 				s += k
 				if k > 0 {
 					issuedAny = true
@@ -172,7 +162,7 @@ func missCategory(lvl mem.Level) Category {
 // speculative budget and the scoreboard writeback. A memory or control
 // instruction goes through execArch and issueEffect and ends the call: it
 // may redirect fetch, stall the front end, or end the thread.
-func (m *Machine) issueInOrder(t *Thread, budget int, intU, memU, brU, fpU *int) (k int, cont bool, lvl mem.Level, onLoad bool) {
+func (m *Machine) issueInOrder(t *Thread, budget int, fus *fuBudget) (k int, cont bool, lvl mem.Level, onLoad bool) {
 	if !t.active || t.frontStallUntil > m.now {
 		return 0, false, 0, false
 	}
@@ -186,19 +176,10 @@ func (m *Machine) issueInOrder(t *Thread, budget int, intU, memU, brU, fpU *int)
 	perInstr := t.spec || m.exec != nil
 	for {
 		d := &code[pc]
-		// Structural hazard: required unit busy.
-		var u *int
-		switch d.FU {
-		case decode.FUInt:
-			u = intU
-		case decode.FUMem:
-			u = memU // liw/lir occupy a memory port too
-		case decode.FUBr:
-			u = brU
-		case decode.FUFP:
-			u = fpU
-		}
-		if u != nil && *u == 0 {
+		// Structural hazard: required unit busy (liw/lir occupy a memory
+		// port too).
+		u := &fus[d.FU]
+		if *u == 0 {
 			break
 		}
 		// Scoreboard: all sources ready.
@@ -207,9 +188,7 @@ func (m *Machine) issueInOrder(t *Thread, budget int, intU, memU, brU, fpU *int)
 			lvl, onLoad = t.wakeLoad()
 			break
 		}
-		if u != nil {
-			*u--
-		}
+		*u--
 		s := steps[pc]
 		if s == nil {
 			t.pc = pc
@@ -225,18 +204,10 @@ func (m *Machine) issueInOrder(t *Thread, budget int, intU, memU, brU, fpU *int)
 			}
 			s(&t.Ctx)
 			k++
-			t.instrs++
-			if t.spec {
-				m.res.SpecInstrs++
-				// >= for the same reason as issueEffect: the activation
-				// never exceeds the certified MaxSpecInstrs budget.
-				if t.instrs >= m.Cfg.MaxSpecInstrs {
-					t.pc = pc + 1
-					m.killThread(t)
-					return k, false, 0, false
-				}
-			} else {
-				m.res.MainInstrs++
+			if m.countInstr(t) {
+				t.pc = pc + 1
+				m.killThread(t)
+				return k, false, 0, false
 			}
 		} else {
 			s(&t.Ctx)
@@ -266,17 +237,8 @@ func (m *Machine) issueInOrder(t *Thread, budget int, intU, memU, brU, fpU *int)
 // kill or halt. It reports whether the thread may keep issuing this cycle.
 func (m *Machine) issueEffect(t *Thread, pc int, d *decode.Decoded) bool {
 	ef := m.execArch(t, pc)
-	t.instrs++
-	if t.spec {
-		m.res.SpecInstrs++
-		// >= so an activation executes at most MaxSpecInstrs instructions:
-		// the ceiling is exactly the budget the safety verifier certifies
-		// against (ssp.AnalyzeSafety), never that plus one.
-		if t.instrs >= m.Cfg.MaxSpecInstrs {
-			ef.kill = true
-		}
-	} else {
-		m.res.MainInstrs++
+	if m.countInstr(t) {
+		ef.kill = true
 	}
 
 	// Default completion time for defined locations.
@@ -287,7 +249,7 @@ func (m *Machine) issueEffect(t *Thread, pc int, d *decode.Decoded) bool {
 	if !ef.nullified {
 		switch ef.memKind {
 		case memLoad:
-			acc := m.Hier.Access(ef.memID, ef.memAddr, m.now, true)
+			acc := m.Hier.Access(ef.memID, ef.memAddr, m.now)
 			e := t.sb.slot[ef.loadDest]
 			e.ready = m.now + acc.Latency
 			if acc.Level != mem.L1 {
@@ -296,7 +258,7 @@ func (m *Machine) issueEffect(t *Thread, pc int, d *decode.Decoded) bool {
 			}
 			t.sb.set(ef.loadDest, e)
 		case memStore:
-			m.Hier.Access(ef.memID, ef.memAddr, m.now, true)
+			m.Hier.Access(ef.memID, ef.memAddr, m.now)
 		case memPrefetch:
 			m.Hier.Prefetch(ef.memID, ef.memAddr, m.now)
 		}

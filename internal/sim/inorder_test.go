@@ -2,7 +2,9 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -10,35 +12,47 @@ import (
 	"ssp/internal/sim/threaded"
 )
 
-// refSelect is the per-context selection scan pickSpec replaced: from the
-// cursor, visit every context once, skip main and the ineligible, take up to
-// ThreadsPerCycle-1 threads, and move the cursor past each pick (the index
-// of the next visit is recomputed from the moved cursor).
-func refSelect(ctxs, tpc, rr int, eligible uint64) (int, []int) {
-	var picks []int
-	n := 1
-	for scan, picked := 0, 0; scan < ctxs && picked < tpc-1 && n < maxSelect; scan++ {
-		idx := (rr + scan) % ctxs
-		if idx == 0 || eligible&(1<<idx) == 0 {
-			continue
+// refSelect is the per-context selection scan the engines' pick replaced,
+// at Table 1's two threads per cycle: from the cursor, visit every context
+// once, skip main and the ineligible, take the first thread left, and move
+// the cursor past it. It returns the new cursor and the pick, or -1.
+func refSelect(ctxs, rr int, eligible uint64) (int, int) {
+	for scan := 0; scan < ctxs; scan++ {
+		if idx := (rr + scan) % ctxs; idx != 0 && eligible&(1<<idx) != 0 {
+			return (idx + 1) % ctxs, idx
 		}
-		picks = append(picks, idx)
-		n++
-		picked++
-		rr = (idx + 1) % ctxs
 	}
-	return rr, picks
+	return rr, -1
 }
 
-// TestQuickPickSpec: property — selection over the eligible mask picks the
-// same threads in the same order and leaves the cursor where the
-// per-context scan did, for every context count, selection width, cursor
-// and eligible set.
+// refReplay is the cursor after k refSelect passes over a static eligible
+// set, by orbit detection: the cursor's next value is a function of its
+// current one, so its orbit repeats within ctxs+1 passes.
+func refReplay(ctxs, rr int, eligible uint64, k int64) int {
+	firstAt := map[int]int64{}
+	var orbit []int
+	for i := int64(0); i < k; i++ {
+		if f, ok := firstAt[rr]; ok {
+			return orbit[f+(k-f)%(i-f)]
+		}
+		firstAt[rr] = i
+		orbit = append(orbit, rr)
+		rr, _ = refSelect(ctxs, rr, eligible)
+	}
+	return rr
+}
+
+// TestQuickPickSpec: property — the engines' SMT front end picks the same
+// speculative thread as the per-context scan, splits the issue width the
+// same way and leaves the cursor where the scan did, and fast-forward's
+// closed-form replay of k passes lands the cursor where k passes do, for
+// every context count, cursor and eligible set: every k up to three times
+// the context count, iterated, and one k above 2^40 against orbit detection.
 func TestQuickPickSpec(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		ctxs := 1 + r.Intn(64)
-		m := &Machine{Cfg: Config{ThreadsPerCycle: 1 + r.Intn(maxSelect)}, threads: make([]*Thread, ctxs)}
+		m := &Machine{Cfg: Config{IssueWidth: 6}, threads: make([]*Thread, ctxs)}
 		for i := range m.threads {
 			m.threads[i] = &Thread{activation: activation{idx: i}}
 		}
@@ -48,18 +62,36 @@ func TestQuickPickSpec(t *testing.T) {
 				eligible &= r.Uint64() & r.Uint64() // sparse sets
 			}
 			rr := r.Intn(ctxs)
-			wantRR, want := refSelect(ctxs, m.Cfg.ThreadsPerCycle, rr, eligible)
-			var sel [maxSelect]*Thread
-			gotRR, n := m.pickSpec(rr, eligible, &sel, 1)
-			if gotRR != wantRR || n-1 != len(want) || m.stepRR(rr, eligible) != wantRR {
-				t.Logf("ctxs %d tpc %d rr %d eligible %#x: got rr %d n %d, want rr %d picks %v",
-					ctxs, m.Cfg.ThreadsPerCycle, rr, eligible, gotRR, n, wantRR, want)
+			wantRR, want := refSelect(ctxs, rr, eligible)
+			wantN, wantSlots := 2, 3
+			if want < 0 {
+				wantN, wantSlots = 1, 6
+			}
+			m.rr = rr
+			var sel [2]*Thread
+			n, slots := m.selectThreads(&sel, eligible)
+			if m.rr != wantRR || n != wantN || slots != wantSlots || sel[0] != m.threads[0] ||
+				(want >= 0 && sel[1].idx != want) {
+				t.Logf("ctxs %d rr %d eligible %#x: got rr %d n %d slots %d, want rr %d pick %d",
+					ctxs, rr, eligible, m.rr, n, slots, wantRR, want)
 				return false
 			}
-			for i, idx := range want {
-				if sel[1+i].idx != idx {
+			iter := rr
+			for k := int64(0); k <= 3*int64(ctxs); k++ {
+				m.rr = rr
+				m.advanceRR(k, eligible)
+				if m.rr != iter {
+					t.Logf("ctxs %d rr %d eligible %#x: %d passes replay to %d, iterated %d", ctxs, rr, eligible, k, m.rr, iter)
 					return false
 				}
+				iter, _ = refSelect(ctxs, iter, eligible)
+			}
+			k := int64(1)<<40 + r.Int63n(1<<20)
+			m.rr = rr
+			m.advanceRR(k, eligible)
+			if want := refReplay(ctxs, rr, eligible, k); m.rr != want {
+				t.Logf("ctxs %d rr %d eligible %#x: %d passes replay to %d, orbit %d", ctxs, rr, eligible, k, m.rr, want)
+				return false
 			}
 		}
 		return true
@@ -231,6 +263,36 @@ func TestCycleObserverOnlyObserves(t *testing.T) {
 				!slices.Equal(got.SpecActiveHist, want.SpecActiveHist) {
 				t.Fatalf("%v ff=%v: observed run differs: %d cycles %v vs %d cycles %v",
 					cfg.Model, ff, got.Cycles, got.Breakdown, want.Cycles, want.Breakdown)
+			}
+		}
+	}
+}
+
+// TestProgressHooksCadence: a run publishing its progress gives the same
+// Result as one without, and leaves the published count within 64 cycles of
+// Result.Cycles — on both engines, fast-forwarded or not.
+func TestProgressHooksCadence(t *testing.T) {
+	dp := Predecode(mustLink(t, chaseProgram(200, true)))
+	for _, base := range []Config{testInOrder(), testOOO()} {
+		for _, ff := range []bool{false, true} {
+			cfg := base
+			cfg.FastForward = ff
+			want, err := NewPredecoded(cfg, dp).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := NewPredecoded(cfg, dp)
+			var c atomic.Int64
+			m.SetCycleHooks(ProgressHooks{C: &c})
+			got, err := m.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v ff=%v: run with progress hooks differs: %+v vs %+v", cfg.Model, ff, got, want)
+			}
+			if n := c.Load(); n <= 0 || n > got.Cycles || got.Cycles-n >= 64 {
+				t.Fatalf("%v ff=%v: progress %d after a %d-cycle run", cfg.Model, ff, n, got.Cycles)
 			}
 		}
 	}

@@ -225,7 +225,7 @@ type Machine struct {
 	code []decode.Decoded
 	trap int
 	lat  [decode.NumLatClasses]int64
-	// units is the OOO model's per-cycle function-unit budget by class.
+	// units is both engines' per-cycle function-unit budget by class.
 	units fuBudget
 
 	threads []*Thread
@@ -435,6 +435,22 @@ func (m *Machine) killThread(t *Thread) {
 		m.specMask &^= 1 << t.idx
 	}
 	t.active = false
+}
+
+// countInstr counts one executed instruction of t and reports whether it
+// exhausts a speculative activation's budget: >= so an activation executes
+// at most MaxSpecInstrs instructions, exactly the budget the safety verifier
+// certifies against (ssp.AnalyzeSafety), never that plus one. Both engines
+// count every speculative instruction here; the in-order engine settles a
+// batch of the main thread's pure steps at once instead.
+func (m *Machine) countInstr(t *Thread) bool {
+	t.instrs++
+	if !t.spec {
+		m.res.MainInstrs++
+		return false
+	}
+	m.res.SpecInstrs++
+	return t.instrs >= m.Cfg.MaxSpecInstrs
 }
 
 // Run executes the program to completion of the main thread and returns the

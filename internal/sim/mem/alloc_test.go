@@ -33,7 +33,7 @@ func TestAccessPathZeroAllocs(t *testing.T) {
 			if m.Load(addr) != i {
 				t.Fatal("load mismatch")
 			}
-			h.Access(int(i%32), addr, now, i%3 == 0)
+			h.Access(int(i%32), addr, now)
 			if i%4 == 0 {
 				h.Prefetch(int(i%32), addr+64, now)
 			}
@@ -63,7 +63,7 @@ func TestResetZeroAllocs(t *testing.T) {
 	m := NewMemory()
 	for i := uint64(0); i < 16; i++ {
 		m.Store(i*4096, i)
-		h.Access(int(i%8), i*4096, int64(i)*500, true)
+		h.Access(int(i%8), i*4096, int64(i)*500)
 	}
 	h.Prefetch(0, 1<<20, 0)
 	p := ir.NewProgram("main")

@@ -30,7 +30,7 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 	var now int64
 	for i := 0; i < b.N; i++ {
 		addr := uint64(i*2654435761) % (1 << 24)
-		h.Access(i&63, addr, now, i&1 == 0)
+		h.Access(i&63, addr, now)
 		now += 3
 	}
 }

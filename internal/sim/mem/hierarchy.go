@@ -379,17 +379,14 @@ func lineBits(lineBytes int) int {
 }
 
 // Access performs a timed access at cycle now on behalf of static
-// instruction id. count=false suppresses statistics (used for speculative
-// threads' own bookkeeping decisions in callers; normal accesses count).
-func (h *Hierarchy) Access(id int, addr uint64, now int64, count bool) Access {
+// instruction id, and counts it in the statistics.
+func (h *Hierarchy) Access(id int, addr uint64, now int64) Access {
 	if h.Cfg.PerfectMemory || (h.Cfg.PerfectDelinquent && h.Cfg.DelinquentIDs.Has(id)) {
-		if count {
-			s := h.stat(id)
-			s.Accesses++
-			s.Hits[L1][0]++
-			h.Totals.Accesses++
-			h.Totals.Hits[L1][0]++
-		}
+		s := h.stat(id)
+		s.Accesses++
+		s.Hits[L1][0]++
+		h.Totals.Accesses++
+		h.Totals.Hits[L1][0]++
 		if !h.Cfg.PerfectMemory {
 			// A perfect delinquent load's line is resident by assumption
 			// ("delinquent loads always hit in the L1 cache", §2.2), so
@@ -402,30 +399,24 @@ func (h *Hierarchy) Access(id int, addr uint64, now int64, count bool) Access {
 		return Access{Level: L1, Latency: h.Cfg.L1Lat}
 	}
 	h.drain(now)
-	if count {
-		h.noteDemand(addr >> h.lineShift)
-	}
+	h.noteDemand(addr >> h.lineShift)
 	res := h.access(addr, now)
 	if h.tlb != nil && h.tlb.Translate(addr) {
 		res.Latency += h.Cfg.TLBPenalty
-		if count {
-			h.Totals.TLBMisses++
-		}
+		h.Totals.TLBMisses++
 	}
-	if count {
-		s := h.stat(id)
-		s.Accesses++
-		h.Totals.Accesses++
-		p := 0
-		if res.Partial {
-			p = 1
-		}
-		s.Hits[res.Level][p]++
-		h.Totals.Hits[res.Level][p]++
-		if extra := res.Latency - h.Cfg.L1Lat; extra > 0 {
-			s.MissCycles += uint64(extra)
-			h.Totals.MissCycles += uint64(extra)
-		}
+	s := h.stat(id)
+	s.Accesses++
+	h.Totals.Accesses++
+	p := 0
+	if res.Partial {
+		p = 1
+	}
+	s.Hits[res.Level][p]++
+	h.Totals.Hits[res.Level][p]++
+	if extra := res.Latency - h.Cfg.L1Lat; extra > 0 {
+		s.MissCycles += uint64(extra)
+		h.Totals.MissCycles += uint64(extra)
 	}
 	return res
 }

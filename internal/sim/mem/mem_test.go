@@ -333,7 +333,7 @@ func TestHierarchyLevels(t *testing.T) {
 	h := NewHierarchy(Default())
 	now := int64(0)
 	// Cold access -> memory.
-	a := h.Access(1, 0x100000, now, true)
+	a := h.Access(1, 0x100000, now)
 	if a.Level != Mem || a.Partial {
 		t.Fatalf("cold access = %+v", a)
 	}
@@ -341,7 +341,7 @@ func TestHierarchyLevels(t *testing.T) {
 		t.Fatalf("memory latency = %d", a.Latency)
 	}
 	// Same line immediately: partial hit on the in-flight fill.
-	b := h.Access(1, 0x100008, now+1, true)
+	b := h.Access(1, 0x100008, now+1)
 	if !b.Partial || b.Level != Mem {
 		t.Fatalf("expected partial hit, got %+v", b)
 	}
@@ -349,7 +349,7 @@ func TestHierarchyLevels(t *testing.T) {
 		t.Fatalf("partial hit latency %d should be below full miss %d", b.Latency, a.Latency)
 	}
 	// After the fill completes: L1 hit.
-	c := h.Access(1, 0x100000, now+1000, true)
+	c := h.Access(1, 0x100000, now+1000)
 	if c.Level != L1 || c.Latency != h.Cfg.L1Lat {
 		t.Fatalf("post-fill access = %+v", c)
 	}
@@ -369,11 +369,11 @@ func TestHierarchyL1EvictionFallsToL2(t *testing.T) {
 	// Fill well beyond L1 (16KB = 256 lines) but within L2.
 	lines := int64(2 * cfg.L1Size / cfg.LineBytes)
 	for i := int64(0); i < lines; i++ {
-		h.Access(1, uint64(i*64), now, true)
+		h.Access(1, uint64(i*64), now)
 		now += 300 // let fills complete
 	}
 	// Re-access the first line: should be out of L1 but in L2.
-	a := h.Access(2, 0, now+1000, true)
+	a := h.Access(2, 0, now+1000)
 	if a.Level != L2 {
 		t.Fatalf("re-access level = %v, want L2", a.Level)
 	}
@@ -383,7 +383,7 @@ func TestPerfectModes(t *testing.T) {
 	cfg := Default()
 	cfg.PerfectMemory = true
 	h := NewHierarchy(cfg)
-	a := h.Access(1, 0xdeadbeef, 0, true)
+	a := h.Access(1, 0xdeadbeef, 0)
 	if a.Level != L1 || a.Latency != cfg.L1Lat {
 		t.Fatalf("perfect memory access = %+v", a)
 	}
@@ -392,10 +392,10 @@ func TestPerfectModes(t *testing.T) {
 	cfg.PerfectDelinquent = true
 	cfg.DelinquentIDs = NewIDSet(7)
 	h = NewHierarchy(cfg)
-	if a := h.Access(7, 0x100000, 0, true); a.Level != L1 {
+	if a := h.Access(7, 0x100000, 0); a.Level != L1 {
 		t.Fatalf("delinquent-perfect access = %+v", a)
 	}
-	if a := h.Access(8, 0x200000, 0, true); a.Level != Mem {
+	if a := h.Access(8, 0x200000, 0); a.Level != Mem {
 		t.Fatalf("ordinary access = %+v", a)
 	}
 }
@@ -404,10 +404,10 @@ func TestFillBufferBackPressure(t *testing.T) {
 	cfg := Default()
 	cfg.FillBufferEntries = 2
 	h := NewHierarchy(cfg)
-	a1 := h.Access(1, 0x000000, 0, true)
-	a2 := h.Access(1, 0x100000, 0, true)
+	a1 := h.Access(1, 0x000000, 0)
+	a2 := h.Access(1, 0x100000, 0)
 	// Third distinct line with a full fill buffer waits for a completion.
-	a3 := h.Access(1, 0x200000, 0, true)
+	a3 := h.Access(1, 0x200000, 0)
 	if a3.Latency <= a1.Latency || a3.Latency <= a2.Latency {
 		t.Fatalf("no back pressure: lat3=%d lat1=%d", a3.Latency, a1.Latency)
 	}
@@ -426,12 +426,12 @@ func TestL1MissRate(t *testing.T) {
 
 func TestHierarchyReset(t *testing.T) {
 	h := NewHierarchy(Default())
-	h.Access(1, 0, 0, true)
+	h.Access(1, 0, 0)
 	h.Reset()
 	if len(h.ByLoad()) != 0 || h.Totals.Accesses != 0 {
 		t.Fatal("Reset left stats")
 	}
-	if a := h.Access(1, 0, 1000, true); a.Level != Mem {
+	if a := h.Access(1, 0, 1000); a.Level != Mem {
 		t.Fatalf("cache not cleared: %+v", a)
 	}
 }
@@ -536,7 +536,7 @@ func TestHierarchyChargesTLBPenalty(t *testing.T) {
 	cfg.TLBWays = 2
 	cfg.TLBPageBytes = 4096
 	h := NewHierarchy(cfg)
-	a := h.Access(1, 0x100000, 0, true)
+	a := h.Access(1, 0x100000, 0)
 	if a.Latency < cfg.MemLat+cfg.TLBPenalty {
 		t.Fatalf("first touch latency %d lacks TLB penalty", a.Latency)
 	}
@@ -544,7 +544,7 @@ func TestHierarchyChargesTLBPenalty(t *testing.T) {
 		t.Fatalf("TLB misses = %d", h.Totals.TLBMisses)
 	}
 	// Same page after the fill completes: L1 hit, no TLB penalty.
-	b := h.Access(1, 0x100008, 10_000, true)
+	b := h.Access(1, 0x100008, 10_000)
 	if b.Latency != cfg.L1Lat {
 		t.Fatalf("warm same-page access latency %d", b.Latency)
 	}
@@ -554,7 +554,7 @@ func TestHierarchyTLBDisabled(t *testing.T) {
 	cfg := Default()
 	cfg.TLBEntries = 0
 	h := NewHierarchy(cfg)
-	a := h.Access(1, 0x100000, 0, true)
+	a := h.Access(1, 0x100000, 0)
 	if a.Latency != cfg.MemLat+cfg.L1Lat {
 		t.Fatalf("latency with TLB disabled = %d", a.Latency)
 	}
@@ -568,7 +568,7 @@ func TestPrefetchAccuracyTracking(t *testing.T) {
 	if h.PrefetchIssued != 2 {
 		t.Fatalf("issued = %d", h.PrefetchIssued)
 	}
-	h.Access(2, 0x100008, 500, true)
+	h.Access(2, 0x100008, 500)
 	if h.PrefetchUseful != 1 {
 		t.Fatalf("useful = %d", h.PrefetchUseful)
 	}

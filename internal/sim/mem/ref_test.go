@@ -234,37 +234,31 @@ func (h *refHierarchy) access(addr uint64, now int64) Access {
 	return Access{Level: lvl, Latency: extra + lat + h.cfg.L1Lat}
 }
 
-func (h *refHierarchy) demand(id int, addr uint64, now int64, count bool) Access {
+func (h *refHierarchy) demand(id int, addr uint64, now int64) Access {
 	h.drain(now)
-	if count {
-		if line := addr >> h.lineShift; h.prefetch.contains(line) {
-			h.prefetch.consume(line)
-			h.useful++
-		}
+	if line := addr >> h.lineShift; h.prefetch.contains(line) {
+		h.prefetch.consume(line)
+		h.useful++
 	}
 	res := h.access(addr, now)
 	if h.tlb != nil && h.tlb.translate(addr) {
 		res.Latency += h.cfg.TLBPenalty
-		if count {
-			h.totals.TLBMisses++
-		}
+		h.totals.TLBMisses++
 	}
-	if count {
-		s := h.loads[id]
-		if s == nil {
-			s = &LoadStat{ID: id}
-			h.loads[id] = s
-		}
-		p := 0
-		if res.Partial {
-			p = 1
-		}
-		for _, st := range []*LoadStat{s, &h.totals} {
-			st.Accesses++
-			st.Hits[res.Level][p]++
-			if extra := res.Latency - h.cfg.L1Lat; extra > 0 {
-				st.MissCycles += uint64(extra)
-			}
+	s := h.loads[id]
+	if s == nil {
+		s = &LoadStat{ID: id}
+		h.loads[id] = s
+	}
+	p := 0
+	if res.Partial {
+		p = 1
+	}
+	for _, st := range []*LoadStat{s, &h.totals} {
+		st.Accesses++
+		st.Hits[res.Level][p]++
+		if extra := res.Latency - h.cfg.L1Lat; extra > 0 {
+			st.MissCycles += uint64(extra)
 		}
 	}
 	return res
@@ -341,13 +335,12 @@ func TestQuickCacheModel(t *testing.T) {
 			switch op := r.Intn(10); {
 			case op < 5: // demand load
 				full := h.fbMask == h.fbFull && h.inFlight(addr>>h.lineShift) == nil
-				got, want = h.Access(id, addr, now, true), ref.demand(id, addr, now, true)
+				got, want = h.Access(id, addr, now), ref.demand(id, addr, now)
 				if full && want.Latency > cfg.MemLat+cfg.L1Lat+cfg.TLBPenalty {
 					backPressure++
 				}
-			case op < 7: // store: timed like a load, counted or not
-				count := r.Intn(2) == 0
-				got, want = h.Access(id, addr, now, count), ref.demand(id, addr, now, count)
+			case op < 7: // store: timed and counted like a load
+				got, want = h.Access(id, addr, now), ref.demand(id, addr, now)
 			default:
 				got, want = h.Prefetch(id, addr, now), ref.prefetchLine(addr, now)
 			}

@@ -231,7 +231,8 @@ func (w *window) promote(now int64) {
 }
 
 // fuBudget is a cycle's remaining function units, indexed by class. FUNone
-// instructions occupy no unit, so their budget never runs out.
+// instructions occupy no unit: their budget is the issue width, which no
+// cycle's slots can exhaust.
 type fuBudget [decode.NumFUClasses]int
 
 // runOOO is the 16-stage out-of-order model: per-thread 255-entry windows
@@ -243,8 +244,7 @@ type fuBudget [decode.NumFUClasses]int
 func (m *Machine) runOOO() {
 	main := m.main()
 	main.win = main.win.reset(m.Cfg.ROBSize, m.Cfg.RSSize)
-	var sel [maxSelect]*Thread
-	slotsFor := m.slotTable()
+	var sel [2]*Thread
 
 	for !m.mainDone {
 		if m.now >= m.Cfg.MaxCycles {
@@ -277,18 +277,12 @@ func (m *Machine) runOOO() {
 		}
 
 		// Select threads (main first) for issue and dispatch bandwidth.
-		sel[0] = main
-		n := 1
-		if m.liveSpec > 0 {
-			m.rr, n = m.pickSpec(m.rr, m.specMask&^1, &sel, n)
-		}
-		slots := slotsFor[n]
+		n, slots := m.selectThreads(&sel, m.specMask&^1)
 
 		// Issue (wakeup/select).
 		fus := m.units
 		issuedMain, issuedTotal := 0, 0
-		for ti := 0; ti < n; ti++ {
-			t := sel[ti]
+		for _, t := range sel[:n] {
 			issued := m.issueOOO(t, slots, &fus)
 			issuedTotal += issued
 			if t == main {
@@ -298,8 +292,7 @@ func (m *Machine) runOOO() {
 
 		// Dispatch (decode/rename + architectural execution).
 		dispatched := 0
-		for ti := 0; ti < n; ti++ {
-			t := sel[ti]
+		for _, t := range sel[:n] {
 			dispatched += m.dispatchOOO(t, slots)
 		}
 
@@ -383,13 +376,13 @@ func (m *Machine) issueOOO(t *Thread, slots int, fus *fuBudget) int {
 func (m *Machine) issueRec(t *Thread, w *window, r *wrec, a int64) {
 	switch r.memKind {
 	case memLoad:
-		acc := m.Hier.Access(r.memID, r.memAddr, m.now, true)
+		acc := m.Hier.Access(r.memID, r.memAddr, m.now)
 		r.doneAt = m.now + acc.Latency
 		if acc.Level != mem.L1 {
 			t.addFill(r.doneAt, acc.Level)
 		}
 	case memStore:
-		m.Hier.Access(r.memID, r.memAddr, m.now, true)
+		m.Hier.Access(r.memID, r.memAddr, m.now)
 		r.doneAt = m.now + 1
 	case memPrefetch:
 		m.Hier.Prefetch(r.memID, r.memAddr, m.now)
@@ -441,16 +434,7 @@ func (m *Machine) dispatchOOO(t *Thread, slots int) int {
 		pc := t.pc
 		d := &m.code[pc]
 		ef := m.execArch(t, pc)
-		t.instrs++
-		kill := false
-		if t.spec {
-			m.res.SpecInstrs++
-			// >= for the same reason as the in-order engine: the activation
-			// never exceeds the certified MaxSpecInstrs budget.
-			kill = t.instrs >= m.Cfg.MaxSpecInstrs
-		} else {
-			m.res.MainInstrs++
-		}
+		kill := m.countInstr(t)
 
 		// Claim the ring slot at the next absolute position; n above
 		// guarantees it is free.
